@@ -6,26 +6,28 @@ import (
 	"logmob/internal/transport"
 )
 
-// BeaconBatch coalesces the cadence of many beacons sharing one interval
-// onto a single scheduler callback. A city of beaconing hosts otherwise
-// keeps one timer record and one re-arm closure per host alive in the
-// scheduler at all times; the batch keeps exactly one, and broadcasts for
-// its members in the order they were added (worlds add in canonical node
-// order), reusing one pooled scratch buffer for any frame rebuilds.
+// BeaconBatch is the beacon cadence: it drives every beacon sharing one
+// interval from a single scheduler callback. A city of beaconing hosts
+// would otherwise keep one timer record and one re-arm closure per host
+// alive in the scheduler at all times; the batch keeps exactly one, and
+// broadcasts for its members in the order they were added (worlds add in
+// canonical node order), reusing one pooled scratch buffer for any frame
+// rebuilds. A lone beacon is a batch of one (see Beacon.Start).
 //
-// Each member's observable behavior is unchanged: the first beacon still
-// goes out the moment the member is added (as Start does), miss eviction
-// still runs on the member's own cadence, and a member that Stops is
-// skipped by the shared tick until Start rejoins it at the next batch
-// tick — hosts churned down and back up resume beaconing without any
-// per-host timer state.
+// Per member: the first beacon goes out the moment the member is added or
+// started, miss eviction runs on the shared tick, and a member that Stops
+// is skipped until Start rejoins it — hosts churned down and back up
+// resume beaconing without any per-host timer state. The timer is armed
+// exactly while at least one member is running: stopping the last one
+// cancels it (a stopped beacon leaves no live event in the scheduler), and
+// the next Start re-arms it one interval out.
 type BeaconBatch struct {
 	sched    transport.Scheduler
 	interval time.Duration
 	members  []*Beacon
+	running  int // members currently running
 	scratch  []string
-	stop     func()
-	armed    bool
+	stop     func() // cancels the armed timer; nil while running == 0
 }
 
 // NewBeaconBatch returns an empty batch broadcasting every interval.
@@ -40,6 +42,8 @@ func NewBeaconBatch(sched transport.Scheduler, interval time.Duration) *BeaconBa
 // broadcasts immediately, subsequent ones ride the shared tick. b must have
 // been built with the batch's interval — the batch drives when beacons go
 // out, but miss-eviction deadlines and TTL defaults still read b.interval.
+// A beacon already started on its own is adopted out of its private batch
+// of one.
 func (g *BeaconBatch) Add(b *Beacon) {
 	if b.interval != g.interval {
 		panic("discovery: beacon interval differs from its batch")
@@ -47,17 +51,34 @@ func (g *BeaconBatch) Add(b *Beacon) {
 	if b.batch == g {
 		return
 	}
-	if b.batch != nil {
-		panic("discovery: beacon already owned by another batch")
+	if old := b.batch; old != nil {
+		if len(old.members) != 1 {
+			panic("discovery: beacon already owned by another batch")
+		}
+		b.Stop()
+		old.members = nil
 	}
-	b.Stop() // retire any self-armed timer; the batch owns cadence now
 	b.batch = g
 	g.members = append(g.members, b)
+	g.start(b)
+}
+
+// start marks a stopped member running, broadcasts its immediate beacon and
+// arms the shared timer if no other member kept it armed.
+func (g *BeaconBatch) start(b *Beacon) {
 	b.running = true
+	g.running++
 	g.scratch = b.tickOnce(g.scratch)
-	if !g.armed {
-		g.armed = true
+	if g.stop == nil {
 		g.stop = g.sched.After(g.interval, g.tick)
+	}
+}
+
+// stopped accounts for one member that just stopped running.
+func (g *BeaconBatch) stopped() {
+	if g.running--; g.running == 0 {
+		g.stop()
+		g.stop = nil
 	}
 }
 
@@ -73,16 +94,10 @@ func (g *BeaconBatch) tick() {
 // Len returns the number of registered members, running or not.
 func (g *BeaconBatch) Len() int { return len(g.members) }
 
-// Stop halts the shared cadence and every member. Members can be restarted
-// individually (rejoining at the next batch tick) after a later Add re-arms
-// the batch, but normally a stopped batch stays stopped.
+// Stop halts every member, and with the last of them the shared cadence.
+// Members can be restarted individually.
 func (g *BeaconBatch) Stop() {
-	if g.stop != nil {
-		g.stop()
-		g.stop = nil
-	}
-	g.armed = false
 	for _, b := range g.members {
-		b.running = false
+		b.Stop()
 	}
 }

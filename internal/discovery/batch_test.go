@@ -8,10 +8,10 @@ import (
 )
 
 // TestBeaconBatchMatchesPerHost is the cadence differential: the same field
-// of beaconing nodes driven per-host (each Start arms its own timer) and
-// driven by one BeaconBatch must produce identical traffic — same Sent and
-// Heard counters, same cached ads — because the batch only relocates the
-// re-arm, never the broadcast order.
+// of beaconing nodes driven as n batches of one (each Start arms its own
+// private cadence) and as one batch of n must produce identical traffic —
+// same Sent and Heard counters, same cached ads — because sharing a batch
+// only relocates the re-arm, never the broadcast order.
 func TestBeaconBatchMatchesPerHost(t *testing.T) {
 	const n = 8
 	const ivl = 3 * time.Second
@@ -86,6 +86,41 @@ func TestBeaconBatchStopStart(t *testing.T) {
 	r.sim.Run(16 * time.Second) // tick at 15
 	if a.Sent != 5 || b.Sent != 6 {
 		t.Fatalf("after restart: sent a=%d b=%d, want 5/6", a.Sent, b.Sent)
+	}
+}
+
+// TestBeaconBatchIdleWhenAllStopped pins the timer invariant: the shared
+// timer is armed exactly while a member runs. With every member stopped the
+// simulator goes idle, and one Start re-arms the cadence from that moment.
+func TestBeaconBatchIdleWhenAllStopped(t *testing.T) {
+	const ivl = 3 * time.Second
+	r := newRig(t)
+	g := NewBeaconBatch(r.sim, ivl)
+	var bcn []*Beacon
+	for i := 0; i < 4; i++ {
+		ep := r.addNode(t, string(rune('a'+i)), netsim.Position{X: float64(i)}, netsim.AdHoc)
+		b := NewBeacon(ep, r.sim, ivl)
+		b.Advertise(Ad{Service: "svc/" + ep.Addr()})
+		g.Add(b)
+		bcn = append(bcn, b)
+	}
+	r.sim.Run(4 * time.Second) // ticks at 0, 3
+	g.Stop()
+	r.sim.RunUntilIdle(1000) // an armed timer would re-arm forever
+	for i, b := range bcn {
+		if b.Sent != 2 {
+			t.Errorf("beacon %d sent %d after every member stopped, want 2", i, b.Sent)
+		}
+	}
+
+	bcn[1].Start()
+	at := r.sim.Now()
+	r.sim.Run(at + ivl + time.Second) // immediate beacon, then one tick
+	if bcn[1].Sent != 4 {
+		t.Errorf("restarted member sent %d, want 4", bcn[1].Sent)
+	}
+	if bcn[0].Sent != 2 {
+		t.Errorf("stopped member sent %d, want 2", bcn[0].Sent)
 	}
 }
 

@@ -20,9 +20,8 @@ type Beacon struct {
 	local    map[string]Ad // service -> own ad
 	frame    []byte        // cached encoded beacon; nil after local changes
 	cache    *adTable
-	stop     func()
 	running  bool
-	batch    *BeaconBatch
+	batch    *BeaconBatch // owns the cadence; set by Start or BeaconBatch.Add
 	// Heard counts beacon messages received.
 	Heard int64
 	// Sent counts beacon broadcasts performed.
@@ -79,46 +78,32 @@ func (b *Beacon) Withdraw(service string) {
 	b.frame = nil
 }
 
-// Start begins periodic broadcasting. The first beacon goes out immediately.
-// A beacon owned by a BeaconBatch broadcasts immediately too, then rides the
-// batch's shared cadence instead of arming its own timer.
+// Start begins periodic broadcasting. The first beacon goes out immediately;
+// subsequent ones ride the cadence of the beacon's BeaconBatch. A beacon
+// nobody added to a batch starts a private batch of one.
 func (b *Beacon) Start() {
 	if b.running {
 		return
 	}
-	b.running = true
-	if b.batch != nil {
-		b.tickOnce(nil)
+	if b.batch == nil {
+		NewBeaconBatch(b.sched, b.interval).Add(b)
 		return
 	}
-	b.tick()
+	b.batch.start(b)
 }
 
-func (b *Beacon) tick() {
-	if !b.running {
-		return
-	}
-	b.tickOnce(nil)
-	b.stop = b.sched.After(b.interval, b.tick)
-}
-
-// tickOnce runs one beacon cycle — miss eviction, then a broadcast — without
-// touching the cadence timer. Miss eviction is time-driven, anchored to the
-// beacon's cadence: a silent neighbor's ads decay even if nobody ever
-// queries this cache. (Queries still run the same sweep, so a Find between
-// ticks sees exactly what lazy-only eviction produced.) scratch is an
-// optional reusable sort buffer for frame rebuilds; the possibly-grown
-// buffer is returned so batch callers can pool it across members.
+// tickOnce runs one beacon cycle — miss eviction, then a broadcast of all
+// local ads — without touching the cadence timer. Miss eviction is
+// time-driven, anchored to the beacon's cadence: a silent neighbor's ads
+// decay even if nobody ever queries this cache. (Queries still run the same
+// sweep, so a Find between ticks sees exactly what lazy-only eviction
+// produced.) The encoded frame only depends on the ad set (TTLs are
+// relative), so it is built once per Advertise/Withdraw and reused across
+// ticks — at thousands of beaconing nodes the per-tick sort+encode is the
+// discovery hot path. scratch is the batch's reusable sort buffer for frame
+// rebuilds; the possibly-grown buffer is returned so it pools across members.
 func (b *Beacon) tickOnce(scratch []string) []string {
 	b.evictMissing()
-	return b.broadcastNow(scratch)
-}
-
-// broadcastNow sends one beacon containing all local ads. The encoded
-// frame only depends on the ad set (TTLs are relative), so it is built once
-// per Advertise/Withdraw and reused across ticks — at thousands of
-// beaconing nodes the per-tick sort+encode is the discovery hot path.
-func (b *Beacon) broadcastNow(scratch []string) []string {
 	if len(b.local) == 0 {
 		return scratch
 	}
@@ -143,13 +128,12 @@ func (b *Beacon) broadcastNow(scratch []string) []string {
 }
 
 // Stop halts broadcasting. Cached remote ads continue to expire naturally.
-// A batched beacon stays registered with its batch but is skipped by the
-// shared cadence until Start rejoins it.
+// The beacon stays registered with its batch but is skipped by the shared
+// cadence until Start rejoins it.
 func (b *Beacon) Stop() {
-	b.running = false
-	if b.stop != nil {
-		b.stop()
-		b.stop = nil
+	if b.running {
+		b.running = false
+		b.batch.stopped()
 	}
 }
 

@@ -264,6 +264,9 @@ func TestBeaconWithdraw(t *testing.T) {
 	}
 }
 
+// TestBeaconStop pins a lone beacon's lifecycle on its private batch of one.
+// Scheduler cancellation is lazy, so the assertions are on liveness (the
+// simulator goes idle, Sent stops moving), not on Pending().
 func TestBeaconStop(t *testing.T) {
 	r := newRig(t)
 	epA := r.addNode(t, "a", netsim.Position{X: 0, Y: 0}, netsim.AdHoc)
@@ -275,9 +278,25 @@ func TestBeaconStop(t *testing.T) {
 	r.sim.RunFor(3 * time.Second)
 	sent := ba.Sent
 	ba.Stop()
-	r.sim.RunFor(10 * time.Second)
+	// A stopped beacon leaves no live event behind: a surviving cadence
+	// timer would re-arm forever and trip the event cap.
+	r.sim.RunUntilIdle(1000)
 	if ba.Sent != sent {
 		t.Errorf("beacons sent after Stop: %d -> %d", sent, ba.Sent)
+	}
+
+	// Stop then Start inside one interval: the restart broadcasts at once
+	// and the cancelled timer never fires beside the new one.
+	ba.Start()
+	r.sim.RunFor(400 * time.Millisecond)
+	ba.Stop()
+	ba.Start()
+	if ba.Sent != sent+2 {
+		t.Fatalf("restart did not broadcast immediately: sent %d, want %d", ba.Sent, sent+2)
+	}
+	r.sim.RunFor(3*time.Second + 500*time.Millisecond) // ticks 1s, 2s, 3s after the restart
+	if ba.Sent != sent+5 {
+		t.Errorf("sent %d after restart, want %d (one tick per interval)", ba.Sent, sent+5)
 	}
 }
 

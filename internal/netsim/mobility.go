@@ -404,10 +404,10 @@ func (m *Mobility) stepTwoPhase(model Planner) {
 			model.CommitArrival(m.net, node)
 		}
 	}
-	// Re-index every moved node in one batch: same-region cell moves shard
-	// across the pool, boundary crossings commit serially in canonical
-	// order, and the planner's region buckets (when built) are reused so
-	// the commit never re-buckets (see Network.commitMoves).
+	// Re-index every moved node in one batch. When the planner built region
+	// buckets the commit reuses them — same-region cell moves shard across
+	// the pool, boundary crossings commit serially in canonical order;
+	// otherwise the whole batch commits serially (see Network.commitMoves).
 	m.net.commitMoves(m.resolved, buckets)
 	for i, node := range m.resolved {
 		m.arm(m.resIdx[i], node)

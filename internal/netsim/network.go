@@ -205,10 +205,9 @@ func (n *Node) Usage() Usage { return n.usage }
 type Network struct {
 	sim   *Sim
 	nodes map[string]*Node
-	order []string // insertion order, for deterministic iteration
-	list  []*Node  // nodes in insertion order
-	infra []*Node  // infrastructure nodes in insertion order
-	grid  *grid    // position index over non-infrastructure nodes
+	list  []*Node // nodes in insertion order, the deterministic iteration order
+	infra []*Node // infrastructure nodes in insertion order
+	grid  *grid   // position index over non-infrastructure nodes
 	cuts  map[[2]string]bool
 	// epoch is the topology epoch: it advances on any change that can
 	// affect connectivity (join, move, up/down, cut/restore) and
@@ -239,15 +238,10 @@ type Network struct {
 	// back up: a node parked on the sparse tick wheel while down must be
 	// re-armed on rejoin (churn, duty cycle) instead of sleeping forever.
 	wakers []*Mobility
-	// regMoves/crossers are reusable classification buffers for the batched
-	// move commit (see commitMoves in parallel.go); ownerMoves holds the
-	// per-worker shards of regMoves so no worker ever reads another
-	// worker's nodes.
-	regMoves, crossers []*Node
-	ownerMoves         [][]*Node
-	// moveFlags marks, per committed node index, same-region movers when
-	// the caller supplies pre-bucketed shards (locality-sharded planning):
-	// the commit then reuses those buckets instead of re-bucketing.
+	// crossers and moveFlags are reusable classification buffers for the
+	// bucketed move commit (see commitMoves in parallel.go): region-crossing
+	// movers, and a per-committed-index flag marking same-region movers.
+	crossers  []*Node
 	moveFlags []uint8
 	// DropHandler, when set, observes messages lost to link loss.
 	DropHandler func(from, to string, bytes int)
@@ -299,7 +293,7 @@ func (n *Network) AddNode(id string, pos Position, class LinkClass) *Node {
 	node := &Node{
 		ID: id, Class: class, Up: true,
 		net:      n,
-		orderIdx: len(n.order),
+		orderIdx: len(n.list),
 		infra:    class.Infrastructure,
 		gridPos:  pos,
 	}
@@ -308,7 +302,6 @@ func (n *Network) AddNode(id string, pos Position, class LinkClass) *Node {
 	n.nbrEpochs = append(n.nbrEpochs, 0)
 	n.budgets = append(n.budgets, 0)
 	n.nodes[id] = node
-	n.order = append(n.order, id)
 	if !node.infra {
 		// Grow the grid before inserting so the rebuild (which walks the
 		// existing node list) does not index this node twice.
@@ -354,8 +347,10 @@ func (n *Network) Node(id string) *Node { return n.nodes[id] }
 
 // Nodes returns all node IDs in insertion order.
 func (n *Network) Nodes() []string {
-	out := make([]string, len(n.order))
-	copy(out, n.order)
+	out := make([]string, len(n.list))
+	for i, node := range n.list {
+		out[i] = node.ID
+	}
 	return out
 }
 
@@ -580,79 +575,6 @@ func (n *Network) Route(a, b string) []string {
 	return nil
 }
 
-// --- linear-scan oracles ---
-//
-// The pre-grid implementations, kept verbatim as correctness oracles: the
-// property tests in grid_test.go require the grid-backed queries to agree
-// with them exactly (same sets, same order) on randomized topologies, and
-// the benchmarks measure the grid against them.
-
-// connectedLinear is the original Connected.
-func (n *Network) connectedLinear(a, b string) bool {
-	na, nb := n.nodes[a], n.nodes[b]
-	if na == nil || nb == nil || !na.Up || !nb.Up || a == b {
-		return false
-	}
-	if n.cuts[linkKey(a, b)] {
-		return false
-	}
-	if len(n.parts) > 0 && n.partitionedPair(na, nb) {
-		return false
-	}
-	if na.Class.Infrastructure && nb.Class.Infrastructure {
-		return true
-	}
-	if na.Class.Infrastructure != nb.Class.Infrastructure {
-		return true
-	}
-	d := na.Pos().Dist(nb.Pos())
-	return d <= na.EffectiveRange() && d <= nb.EffectiveRange()
-}
-
-// neighborsLinear is the original full-scan Neighbors.
-func (n *Network) neighborsLinear(id string) []string {
-	var out []string
-	for _, other := range n.order {
-		if other != id && n.connectedLinear(id, other) {
-			out = append(out, other)
-		}
-	}
-	return out
-}
-
-// routeLinear is the original BFS over the full node list.
-func (n *Network) routeLinear(a, b string) []string {
-	if a == b {
-		return []string{a}
-	}
-	if n.nodes[a] == nil || n.nodes[b] == nil {
-		return nil
-	}
-	prev := map[string]string{a: a}
-	queue := []string{a}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, next := range n.order {
-			if _, seen := prev[next]; seen || !n.connectedLinear(cur, next) {
-				continue
-			}
-			prev[next] = cur
-			if next == b {
-				var path []string
-				for at := b; ; at = prev[at] {
-					path = append([]string{at}, path...)
-					if at == a {
-						return path
-					}
-				}
-			}
-			queue = append(queue, next)
-		}
-	}
-	return nil
-}
-
 // ErrUnreachable reports that no usable link exists for a send.
 type ErrUnreachable struct {
 	From, To string
@@ -762,26 +684,19 @@ func (n *Network) Send(from, to string, payload []byte) error {
 	if src.exhausted() {
 		return &ErrExhausted{Node: from}
 	}
-	n.transmit(src, dst, payload)
+	n.transmit(src, dst, payload, false)
 	return nil
 }
 
-// transmit charges the endpoints and schedules delivery or loss. The sender
-// pays its own class's per-byte cost on transmission; the receiver pays its
-// own class's per-byte cost on reception (a GPRS subscriber is billed for
-// downlink bytes too). Serialisation runs at the bottleneck bandwidth of the
-// pair.
-func (n *Network) transmit(src, dst *Node, payload []byte) {
-	n.transmitShared(src, dst, payload, false)
-}
-
-// transmitShared is transmit with copy control: when shared is true,
-// payload is already a private immutable copy owned by the network and is
-// captured directly by the delivery event — Broadcast uses this to pay one
-// allocation per broadcast instead of one per receiver. Delivered payloads
-// are shared between receivers, so handlers must not mutate them.
-func (n *Network) transmitShared(src, dst *Node, payload []byte, shared bool) {
-	size := len(payload)
+// chargeHop is the one place a hop is paid for. The sender pays its own
+// class's per-byte cost on transmission (the receiver pays its own on
+// reception — a GPRS subscriber is billed for downlink bytes too), and
+// serialisation runs at the pair's bottleneck bandwidth, slowed by any
+// impairment's bandwidth factor. chargeHop then draws the hop's fate: class
+// loss first, the impairment's drop/jitter only if that survived. A lost
+// hop is counted on src and reported to DropHandler. air is the charged
+// transfer time; jitter is extra delivery delay.
+func (n *Network) chargeHop(src, dst *Node, size int) (air, jitter time.Duration, ok bool) {
 	class := bottleneck(src.Class, dst.Class)
 	// Resolve the adversity layer first: bandwidth degradation slows the
 	// charged serialisation time, not just the delivery schedule.
@@ -794,31 +709,37 @@ func (n *Network) transmitShared(src, dst *Node, payload []byte, shared bool) {
 			}
 		}
 	}
-	t := transferTime(class, size)
+	air = transferTime(class, size)
 	src.usage.BytesSent += int64(size)
 	src.usage.MsgsSent++
 	src.usage.Cost += src.Class.CostPerByte * float64(size)
 	src.usage.Energy += src.Class.EnergyPerByte * float64(size)
-	src.usage.Airtime += t
+	src.usage.Airtime += air
 
-	if n.sim.Rand().Float64() < class.Loss {
+	lost := n.sim.Rand().Float64() < class.Loss
+	if !lost && impaired {
+		lost, jitter = n.applyImpairment(imp)
+	}
+	if lost {
 		src.usage.MsgsLost++
 		if n.DropHandler != nil {
 			n.DropHandler(src.ID, dst.ID, size)
 		}
-		return
+		return air, 0, false
 	}
-	var jitter time.Duration
-	if impaired {
-		dropped, extra := n.applyImpairment(imp)
-		if dropped {
-			src.usage.MsgsLost++
-			if n.DropHandler != nil {
-				n.DropHandler(src.ID, dst.ID, size)
-			}
-			return
-		}
-		jitter = extra
+	return air, jitter, true
+}
+
+// transmit charges the hop and schedules delivery or loss. When shared is
+// true, payload is already a private immutable copy owned by the network
+// and is captured directly by the delivery event — Broadcast uses this to
+// pay one allocation per broadcast instead of one per receiver. Delivered
+// payloads are shared between receivers, so handlers must not mutate them.
+func (n *Network) transmit(src, dst *Node, payload []byte, shared bool) {
+	size := len(payload)
+	t, jitter, ok := n.chargeHop(src, dst, size)
+	if !ok {
+		return
 	}
 	data := payload
 	pooled := false
@@ -830,7 +751,7 @@ func (n *Network) transmitShared(src, dst *Node, payload []byte, shared bool) {
 	n.sim.scheduleDelivery(t+jitter, n, src.ID, dst.ID, data, t, pooled)
 }
 
-// deliver is the arrival half of transmitShared, invoked by the simulator
+// deliver is the arrival half of transmit, invoked by the simulator
 // when a typed delivery event fires: it re-resolves the destination at
 // delivery time (the node may have gone down, died of battery exhaustion or
 // lost its handler in flight), charges reception, and runs the handler.
@@ -889,7 +810,7 @@ func (n *Network) Broadcast(from string, payload []byte) int {
 	data := make([]byte, len(payload))
 	copy(data, payload)
 	for _, id := range neighbors {
-		n.transmitShared(src, n.nodes[id], data, true)
+		n.transmit(src, n.nodes[id], data, true)
 	}
 	return len(neighbors)
 }
@@ -934,39 +855,14 @@ func (n *Network) forwardAlong(path []string, payload []byte) {
 		return
 	}
 	if len(path) == 2 {
-		n.transmit(src, dst, payload)
+		n.transmit(src, dst, payload, false)
 		return
 	}
 	// Relay hop: charge the link, then continue after the transfer delay.
 	size := len(payload)
-	hop := bottleneck(src.Class, dst.Class)
-	var imp Impairment
-	impaired := false
-	if n.impaired {
-		if imp, impaired = n.impairmentFor(src, dst); impaired {
-			if f := imp.BandwidthFactor; f > 0 && f < 1 {
-				hop.BandwidthBps *= f
-			}
-		}
-	}
-	t := transferTime(hop, size)
-	src.usage.BytesSent += int64(size)
-	src.usage.MsgsSent++
-	src.usage.Cost += src.Class.CostPerByte * float64(size)
-	src.usage.Energy += src.Class.EnergyPerByte * float64(size)
-	src.usage.Airtime += t
-	if n.sim.Rand().Float64() < hop.Loss {
-		src.usage.MsgsLost++
+	t, jitter, ok := n.chargeHop(src, dst, size)
+	if !ok {
 		return
-	}
-	var jitter time.Duration
-	if impaired {
-		dropped, extra := n.applyImpairment(imp)
-		if dropped {
-			src.usage.MsgsLost++
-			return
-		}
-		jitter = extra
 	}
 	rest := make([]string, len(path)-1)
 	copy(rest, path[1:])

@@ -182,6 +182,30 @@ func TestLossCharging(t *testing.T) {
 	if u.BytesSent != 1 || u.MsgsLost != 1 {
 		t.Errorf("sender usage = %+v; lost sends must still be charged", u)
 	}
+
+	// Routed sends report every lost hop, relay hops included: over a
+	// 3-node chain at 50% loss per hop, DropHandler sees exactly the
+	// losses the usage accounts record.
+	half := losslessAdHoc()
+	half.Loss = 0.5
+	for i, id := range []string{"r0", "r1", "r2"} {
+		net.AddNode(id, Position{1000 + 25*float64(i), 0}, half)
+	}
+	net.ResetUsage()
+	dropped = 0
+	for i := 0; i < 200; i++ {
+		if hops, err := net.SendRouted("r0", "r2", []byte("x")); err != nil || hops != 2 {
+			t.Fatalf("SendRouted: hops=%d err=%v", hops, err)
+		}
+	}
+	s.RunUntilIdle(0)
+	first, relay := net.UsageOf("r0").MsgsLost, net.UsageOf("r1").MsgsLost
+	if first == 0 || relay == 0 {
+		t.Fatalf("want losses on both hops, got first=%d relay=%d", first, relay)
+	}
+	if int64(dropped) != first+relay {
+		t.Errorf("DropHandler saw %d drops, usage records %d", dropped, first+relay)
+	}
 }
 
 func TestBroadcast(t *testing.T) {

@@ -110,8 +110,8 @@ func (n *Network) warmNeighborCaches() {
 // per-node serial updates: bucket order is unspecified and every query
 // sorts to insertion order before anything order-sensitive.
 
-// regionMoveParallelMin gates the sharded same-region pass: below it the
-// per-worker scan costs more than the moves.
+// regionMoveParallelMin gates locality-sharded planning (and with it the
+// sharded commit): below it the per-worker scan costs more than the moves.
 const regionMoveParallelMin = 256
 
 // regionOwner assigns a region to one worker deterministically.
@@ -122,32 +122,33 @@ func regionOwner(rk regionKey, workers int) int {
 }
 
 // commitMoves re-indexes every node in nodes whose position changed,
-// equivalent to calling nodeMoved on each in order: the topology epoch
-// advances once per moved non-infrastructure node (as the dense loop's
-// per-node bumps would) and the grid reflects every new position. Epoch
-// values are only observable between ticks, so the batched advance is
-// invisible to queries.
+// equivalent to calling nodeMoved on each in order — which, with nil
+// buckets, is exactly what it does.
 //
-// buckets, when non-nil, are the locality shards phase 1 planned under:
-// per-owner lists of indices into nodes, sharded by regionOwner of each
-// node's pre-move region. A same-region move cannot change its region — so
-// it cannot change its owner — and the commit reuses the buckets as-is
-// instead of re-bucketing: the serial pass only flags which indices are
-// same-region movers, and each worker walks its own bucket. nil buckets
-// select the self-bucketing path.
+// Non-nil buckets are the locality shards phase 1 planned under: per-owner
+// lists of indices into nodes, sharded by regionOwner of each node's
+// pre-move region. A same-region move cannot change its region — so it
+// cannot change its owner — and the commit reuses the buckets as-is: the
+// serial pass only flags which indices are same-region movers, each owner
+// walks its own bucket (a worker must only ever touch its own nodes:
+// addToCell rewrites node.cell), and region-crossers follow serially. The
+// topology epoch advances once per moved non-infrastructure node, as the
+// per-node bumps would; epoch values are only observable between ticks, so
+// the batched advance is invisible to queries.
 func (n *Network) commitMoves(nodes []*Node, buckets [][]int32) {
+	if buckets == nil {
+		for _, node := range nodes {
+			n.nodeMoved(node)
+		}
+		return
+	}
 	g := n.grid
 	moved := 0
-	regCount := 0
-	reuse := buckets != nil
-	if reuse {
-		if cap(n.moveFlags) < len(nodes) {
-			n.moveFlags = make([]uint8, len(nodes))
-		}
-		n.moveFlags = n.moveFlags[:len(nodes)]
-		clear(n.moveFlags)
+	if cap(n.moveFlags) < len(nodes) {
+		n.moveFlags = make([]uint8, len(nodes))
 	}
-	n.regMoves = n.regMoves[:0]
+	n.moveFlags = n.moveFlags[:len(nodes)]
+	clear(n.moveFlags)
 	n.crossers = n.crossers[:0]
 	for i, node := range nodes {
 		pos := node.Pos()
@@ -159,18 +160,11 @@ func (n *Network) commitMoves(nodes []*Node, buckets [][]int32) {
 			continue
 		}
 		moved++
-		k := g.keyFor(pos)
-		if k == node.cell {
-			continue
-		}
-		if regionOf(k) == regionOf(node.cell) {
-			regCount++
-			if reuse {
-				n.moveFlags[i] = 1
-			} else {
-				n.regMoves = append(n.regMoves, node)
-			}
-		} else {
+		switch k := g.keyFor(pos); {
+		case k == node.cell:
+		case regionOf(k) == regionOf(node.cell):
+			n.moveFlags[i] = 1
+		default:
 			n.crossers = append(n.crossers, node)
 		}
 	}
@@ -179,66 +173,23 @@ func (n *Network) commitMoves(nodes []*Node, buckets [][]int32) {
 	}
 	n.epoch += uint64(moved)
 	n.epochMisses = 0
-	w := n.workers
-	switch {
-	case reuse && w > 1 && regCount >= regionMoveParallelMin:
-		var wg sync.WaitGroup
-		wg.Add(len(buckets))
-		for _, bucket := range buckets {
-			go func(idxs []int32) {
-				defer wg.Done()
-				for _, i := range idxs {
-					if n.moveFlags[i] == 0 {
-						continue
-					}
-					node := nodes[i]
-					reg := g.regions[regionOf(node.cell)]
-					reg.removeFromCell(node)
-					reg.addToCell(node, g.keyFor(node.gridPos))
+	var wg sync.WaitGroup
+	wg.Add(len(buckets))
+	for _, bucket := range buckets {
+		go func(idxs []int32) {
+			defer wg.Done()
+			for _, i := range idxs {
+				if n.moveFlags[i] == 0 {
+					continue
 				}
-			}(bucket)
-		}
-		wg.Wait()
-	case reuse:
-		// Too few movers to shard: serial, in canonical node order.
-		for i, node := range nodes {
-			if n.moveFlags[i] == 1 {
-				g.update(node)
+				node := nodes[i]
+				reg := g.regions[regionOf(node.cell)]
+				reg.removeFromCell(node)
+				reg.addToCell(node, g.keyFor(node.gridPos))
 			}
-		}
-	case w > 1 && regCount >= regionMoveParallelMin:
-		// Shard serially first: a worker must only ever touch its own
-		// nodes — addToCell rewrites node.cell, so another worker testing
-		// ownership via regionOf(node.cell) mid-update would race (the
-		// region value couldn't change, but the read itself is unsynchronized).
-		for len(n.ownerMoves) < w {
-			n.ownerMoves = append(n.ownerMoves, nil)
-		}
-		for i := 0; i < w; i++ {
-			n.ownerMoves[i] = n.ownerMoves[i][:0]
-		}
-		for _, node := range n.regMoves {
-			o := regionOwner(regionOf(node.cell), w)
-			n.ownerMoves[o] = append(n.ownerMoves[o], node)
-		}
-		var wg sync.WaitGroup
-		wg.Add(w)
-		for owner := 0; owner < w; owner++ {
-			go func(own []*Node) {
-				defer wg.Done()
-				for _, node := range own {
-					reg := g.regions[regionOf(node.cell)]
-					reg.removeFromCell(node)
-					reg.addToCell(node, g.keyFor(node.gridPos))
-				}
-			}(n.ownerMoves[owner])
-		}
-		wg.Wait()
-	default:
-		for _, node := range n.regMoves {
-			g.update(node)
-		}
+		}(bucket)
 	}
+	wg.Wait()
 	// Boundary crossings last, serially, in canonical node order: they
 	// mutate the shared region directory.
 	for _, node := range n.crossers {

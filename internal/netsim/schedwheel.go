@@ -6,10 +6,10 @@ import (
 )
 
 // This file is the simulator's event queue: a hashed hierarchical timing
-// wheel. The original binary heap (heapQueue below) pays O(log n) per
-// schedule, and at a million beaconing hosts the heap itself becomes the
-// tick bottleneck — every re-arm sifts through a seven-figure queue. The
-// wheel makes scheduling O(1): an event hashes to a slot by its deadline,
+// wheel. A binary heap pays O(log n) per schedule, and at a million
+// beaconing hosts the heap itself becomes the tick bottleneck — every
+// re-arm sifts through a seven-figure queue. The wheel makes scheduling
+// O(1): an event hashes to a slot by its deadline,
 // whole slots are drained as virtual time reaches them, and far-future
 // events cascade down from coarser levels exactly once.
 //
@@ -19,9 +19,9 @@ import (
 // slots are drained in slot order, a drained slot's events are resolved
 // through a small (at, seq) heap before any of them fires, and an event
 // scheduled into the already-draining quantum goes straight into that heap.
-// The heap stays in the tree as the differential oracle (NewSimHeap);
-// TestWheelSchedulerMatchesHeapOracle and FuzzTimingWheelScheduler hold the
-// two engines bit-identical.
+// The heap survives as a test-only differential oracle (oracle_test.go
+// plugs it in through eventQueue); TestWheelSchedulerMatchesHeapOracle and
+// FuzzTimingWheelScheduler hold the two engines bit-identical.
 
 // eventQueue is the simulator's pending-event store. Implementations must
 // yield events in (at, seq) order and tolerate lazy cancellation (cancelled
@@ -36,34 +36,6 @@ type eventQueue interface {
 	// len counts pending events, including cancelled ones not yet discarded.
 	len() int
 }
-
-// heapQueue is the original binary-heap queue, kept verbatim behind the
-// eventQueue interface as the wheel's differential oracle.
-type heapQueue struct {
-	h eventHeap
-}
-
-func (q *heapQueue) push(e *Event) { heap.Push(&q.h, e) }
-
-func (q *heapQueue) peek() *Event {
-	for q.h.Len() > 0 {
-		if !q.h[0].canceled {
-			return q.h[0]
-		}
-		heap.Pop(&q.h)
-	}
-	return nil
-}
-
-func (q *heapQueue) pop() *Event {
-	if e := q.peek(); e != nil {
-		heap.Pop(&q.h)
-		return e
-	}
-	return nil
-}
-
-func (q *heapQueue) len() int { return q.h.Len() }
 
 // Wheel geometry. Level 0 slots are schedQuantum (2^20ns ~ 1.05ms) wide;
 // each higher level's slots are 256x coarser, so four levels cover
@@ -136,8 +108,6 @@ type wheelQueue struct {
 	count   int
 	inWheel int
 }
-
-func newWheelQueue() *wheelQueue { return &wheelQueue{} }
 
 func (w *wheelQueue) len() int { return w.count }
 

@@ -30,7 +30,7 @@ func FuzzTimingWheelScheduler(f *testing.F) {
 		mk := func(build func(int64) *Sim) *world {
 			return &world{sim: build(9)}
 		}
-		worlds := [2]*world{mk(NewSim), mk(NewSimHeap)}
+		worlds := [2]*world{mk(NewSim), mk(newSimHeap)}
 
 		pos := 0
 		next := func() byte {

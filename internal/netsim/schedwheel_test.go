@@ -19,7 +19,7 @@ func TestWheelSchedulerMatchesHeapOracle(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		wheel := run(NewSim, workers)
-		oracle := run(NewSimHeap, workers)
+		oracle := run(newSimHeap, workers)
 		if wheel != oracle {
 			t.Fatalf("workers=%d: wheel scheduler diverged from heap oracle (fingerprints differ)", workers)
 		}
@@ -33,7 +33,7 @@ func TestWheelFiringOrder(t *testing.T) {
 	for _, eng := range []struct {
 		name string
 		mk   func(int64) *Sim
-	}{{"wheel", NewSim}, {"heap", NewSimHeap}} {
+	}{{"wheel", NewSim}, {"heap", newSimHeap}} {
 		t.Run(eng.name, func(t *testing.T) {
 			s := eng.mk(1)
 			var got []int
@@ -120,7 +120,7 @@ func TestWheelPendingCancelled(t *testing.T) {
 	for _, eng := range []struct {
 		name string
 		mk   func(int64) *Sim
-	}{{"wheel", NewSim}, {"heap", NewSimHeap}} {
+	}{{"wheel", NewSim}, {"heap", newSimHeap}} {
 		t.Run(eng.name, func(t *testing.T) {
 			s := eng.mk(1)
 			e := s.Schedule(time.Second, func() {})

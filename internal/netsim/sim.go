@@ -42,16 +42,9 @@ type Sim struct {
 // NewSim returns a simulator whose PRNG is seeded with seed. Identical seeds
 // yield identical runs. The event queue is a hashed hierarchical timing
 // wheel (see schedwheel.go); it fires events in exactly the same (time,
-// sequence) order as the binary-heap engine NewSimHeap keeps as an oracle.
+// sequence) order as the binary-heap engine the tests keep as an oracle.
 func NewSim(seed int64) *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(seed)), seed: seed, queue: newWheelQueue()}
-}
-
-// NewSimHeap returns a simulator running on the original binary-heap event
-// queue. It is kept as the timing wheel's differential oracle: a given seed
-// produces bit-identical runs on either engine.
-func NewSimHeap(seed int64) *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(seed)), seed: seed, queue: &heapQueue{}}
+	return &Sim{rng: rand.New(rand.NewSource(seed)), seed: seed, queue: &wheelQueue{}}
 }
 
 // Seed returns the seed the simulator was built with, so derived RNG
@@ -70,7 +63,6 @@ type Event struct {
 	seq      uint64
 	fn       func()
 	canceled bool
-	index    int
 
 	// Typed delivery form: when net is non-nil the event is a network
 	// message delivery and fn is nil. Keeping the delivery parameters in
@@ -220,17 +212,9 @@ func (h eventHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h *eventHeap) Push(x any) { *h = append(*h, x.(*Event)) }
 
 func (h *eventHeap) Pop() any {
 	old := *h

@@ -17,14 +17,7 @@ var t13ShortParams = map[string]float64{"attendees": 200, "field": 600, "duratio
 // t13ShortSpec builds the shrunken blackout spec directly (bypassing the
 // Experiment wrapper) so tests can override its fault block.
 func t13ShortSpec() *scenario.Spec {
-	merged := map[string]float64{}
-	for k, v := range T13().Params {
-		merged[k] = v
-	}
-	for k, v := range t13ShortParams {
-		merged[k] = v
-	}
-	return t13Spec(merged)
+	return t13Spec(withDefaults(T13().Params, t13ShortParams))
 }
 
 func renderSpecTable(sp *scenario.Spec, seed int64) string {

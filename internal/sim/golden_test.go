@@ -58,7 +58,7 @@ func TestPortedExperimentGoldens(t *testing.T) {
 		{"T6", runT6},
 		{"T7", runT7},
 		{"T9", runT9},
-		{"T11", runT11},
+		{"T11", T11().Run},
 		{"A3", runA3},
 	}
 	for _, tc := range cases {
@@ -68,6 +68,13 @@ func TestPortedExperimentGoldens(t *testing.T) {
 			checkGolden(t, strings.ToLower(tc.id)+"_seed1", tc.run(1))
 		})
 	}
+}
+
+// TestT12ShortGolden pins the shrunken city run byte-for-byte (the COD wave
+// and the couriers sharing one crowd, with no CS/REV clients), in -short
+// mode too.
+func TestT12ShortGolden(t *testing.T) {
+	checkGolden(t, "t12_short_seed1", T12().RunWith(1, t12DiffParams))
 }
 
 // TestT13ShortGolden pins the shrunken blackout run byte-for-byte. Unlike

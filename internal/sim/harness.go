@@ -13,6 +13,7 @@
 package sim
 
 import (
+	"maps"
 	"strings"
 
 	"logmob/internal/scenario"
@@ -40,14 +41,7 @@ type Experiment struct {
 func FromSpec(id, title, motivation string, defaults map[string]float64,
 	build func(params map[string]float64) *scenario.Spec, notes ...string) Experiment {
 	runWith := func(seed int64, params map[string]float64) *Result {
-		merged := make(map[string]float64, len(defaults))
-		for k, v := range defaults {
-			merged[k] = v
-		}
-		for k, v := range params {
-			merged[k] = v
-		}
-		res := build(merged).RunResult(id, seed)
+		res := build(withDefaults(defaults, params)).RunResult(id, seed)
 		res.Notes = append(res.Notes, notes...)
 		return res
 	}
@@ -57,6 +51,14 @@ func FromSpec(id, title, motivation string, defaults map[string]float64,
 		Params:  defaults,
 		RunWith: runWith,
 	}
+}
+
+// withDefaults returns params laid over a copy of defaults.
+func withDefaults(defaults, params map[string]float64) map[string]float64 {
+	merged := make(map[string]float64, len(defaults)+len(params))
+	maps.Copy(merged, defaults)
+	maps.Copy(merged, params)
+	return merged
 }
 
 // All returns every experiment in presentation order.

@@ -275,7 +275,7 @@ func TestT11ShapeHolds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run in -short mode")
 	}
-	res := runT11(1)
+	res := T11().Run(1)
 	tab := res.Tables[0]
 	if tab.Rows() != 11 {
 		t.Fatalf("rows = %d", tab.Rows())
@@ -319,7 +319,7 @@ func TestT11Deterministic(t *testing.T) {
 	}
 	render := func() string {
 		var sb strings.Builder
-		runT11(3).Render(&sb)
+		T11().Run(3).Render(&sb)
 		return sb.String()
 	}
 	a, b := render(), render()

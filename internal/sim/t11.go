@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"logmob/internal/discovery"
-	"logmob/internal/netsim"
 	"logmob/internal/scenario"
 )
 
@@ -22,7 +20,6 @@ const (
 	t11BeaconIvl = 20 * time.Second
 	t11Warmup    = 60 * time.Second
 	t11Deadline  = 8 * time.Minute
-	t11MsgSize   = 200
 	t11Couriers  = 8
 	// Courier source band: spawn each courier on an attendee currently
 	// 250-450m from its target stage, far beyond one radio hop.
@@ -57,83 +54,22 @@ func T11() Experiment {
 // fixed infrastructure-free service points at the quarter points of the
 // field, advertising over beacons like everyone else; attendees roam under
 // random waypoint, so every node is both a beacon source and a courier
-// relay.
+// relay. Couriers run from attendees deep in the crowd to a stage.
 func t11Spec(p map[string]float64) *scenario.Spec {
 	attendees := int(p["attendees"])
 	stages := int(p["stages"])
 	field := p["field"]
 	radio := p["range"]
-
-	stagePos := make(scenario.PlacePoints, stages)
-	for k := range stagePos {
-		stagePos[k] = netsim.Position{
-			X: field / 4 * float64(1+2*(k%2)),
-			Y: field / 4 * float64(1+2*(k/2)),
-		}
-	}
-
-	// Couriers: store-carry-forward agents from attendees deep in the crowd
-	// to a stage, with first-delivery times recorded at the stages (agent
-	// transfer is at-least-once, so a courier can occasionally arrive
-	// twice).
-	fleet := &scenario.Couriers{
-		Count:        int(p["couriers"]),
-		TargetPop:    "stage",
-		SourcePop:    "a",
-		SrcMin:       t11SrcMin,
-		SrcMax:       t11SrcMax,
-		PayloadBytes: t11MsgSize,
-		NamePrefix:   "courier",
-		TopicPrefix:  "festival/courier",
-	}
-
-	return &scenario.Spec{
-		Name:  "Festival scale-out",
-		Field: scenario.Field{Width: field, Height: field},
-		Populations: []scenario.Population{
-			{
-				Name: "stage", Count: stages, Place: stagePos,
-				Link: netsim.AdHoc, Range: radio,
-				AllowUnsigned: true,
-				Agents:        true, MaxHops: 4096,
-				ExtraCaps: scenario.GreedyGeoCaps,
-				Beacon:    t11BeaconIvl,
-				Ads:       []discovery.Ad{{Service: "festival/info"}},
-				AdSelf:    "festival/",
-			},
-			{
-				Name: "a", Count: attendees, Place: scenario.PlaceUniform{},
-				Link: netsim.AdHoc, Range: radio,
-				AllowUnsigned: true,
-				Agents:        true, AgentSeedOffset: int64(stages), MaxHops: 4096,
-				ExtraCaps: scenario.GreedyGeoCaps,
-				Beacon:    t11BeaconIvl,
-				Ads:       []discovery.Ad{{Service: "presence"}},
-				Mobility: &netsim.RandomWaypoint{
-					FieldW: field, FieldH: field,
-					SpeedMin: 1, SpeedMax: 5, Pause: 5 * time.Second,
-				},
-				MobilityTick: time.Second,
-			},
-		},
-		Warmup:    t11Warmup,
-		Duration:  t11Deadline,
-		Workloads: []scenario.Workload{fleet},
-		Probes: []scenario.Probe{
-			scenario.MeanNeighbors{Pop: "a"},
-			scenario.TopologyEpochs{},
-			scenario.BeaconTraffic{},
-			scenario.BeaconCache{Pop: "a", Label: "mean cached presence ads"},
-			scenario.Coverage{Pop: "a", Service: "festival/info"},
-			scenario.AgentHops{Label: "courier hops / failed"},
-			scenario.Deliveries{Of: fleet},
-			scenario.NetTraffic{},
-		},
-		TableTitle: fmt.Sprintf(
-			"Table T11: %d attendees + %d stages, %gx%gm field, range %gm, %v deadline",
-			attendees, stages, field, field, radio, t11Deadline),
-	}
+	return crowd{
+		name: "Festival scale-out", ns: "festival",
+		points: "stage", pointCount: stages, side: 2,
+		people: "a", peopleCount: attendees,
+		field: field, radio: radio, beacon: t11BeaconIvl,
+		speedMin: 1, speedMax: 5, pause: 5 * time.Second,
+		warmup: t11Warmup, duration: t11Deadline,
+		couriers: int(p["couriers"]), srcMin: t11SrcMin, srcMax: t11SrcMax,
+		beaconStats: true, cacheLabel: "mean cached presence ads",
+	}.spec(fmt.Sprintf(
+		"Table T11: %d attendees + %d stages, %gx%gm field, range %gm, %v deadline",
+		attendees, stages, field, field, radio, t11Deadline))
 }
-
-// runT11 runs T11 at its defaults (kept for the shape and golden tests).
-func runT11(seed int64) *Result { return T11().Run(seed) }

@@ -2,13 +2,8 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"time"
 
-	"logmob/internal/app"
-	"logmob/internal/discovery"
-	"logmob/internal/lmu"
-	"logmob/internal/netsim"
 	"logmob/internal/scenario"
 )
 
@@ -28,7 +23,6 @@ const (
 	t12BeaconIvl = 25 * time.Second
 	t12Warmup    = 30 * time.Second
 	t12Deadline  = 5 * time.Minute
-	t12MsgSize   = 200
 	t12GuideSize = 4096 // city-guide component coefficient table, bytes
 	t12Retry     = 20 * time.Second
 	// Courier source band, metres from the target kiosk: well beyond one
@@ -63,93 +57,26 @@ func T12() Experiment {
 
 // t12Spec declares the city for one parameter set. Kiosks sit on a square
 // lattice and are ordinary ad-hoc nodes (municipal hotspots, not
-// infrastructure): resident contact still requires radio range.
+// infrastructure): resident contact still requires radio range. COD is the
+// city-guide component, published on every kiosk and fetched by every
+// resident that roams into kiosk range; MA is store-carry-forward couriers
+// from deep in the crowd to a kiosk.
 func t12Spec(p map[string]float64) *scenario.Spec {
 	residents := int(p["residents"])
 	kiosks := int(p["kiosks"])
 	field := p["field"]
 	radio := p["range"]
-
-	// ceil(sqrt(k)) x ceil(sqrt(k)) lattice, cells centred.
-	side := int(math.Ceil(math.Sqrt(float64(kiosks))))
-	kioskPos := make(scenario.PlacePoints, kiosks)
-	for k := range kioskPos {
-		kioskPos[k] = netsim.Position{
-			X: field / float64(side) * (float64(k%side) + 0.5),
-			Y: field / float64(side) * (float64(k/side) + 0.5),
-		}
-	}
-
-	// COD: the city-guide component, published on every kiosk, fetched by
-	// every resident that roams into kiosk range.
-	wave := &scenario.FetchWave{
-		Pop: "r", ServerPop: "kiosk",
-		Unit: func(w *scenario.World) *lmu.Unit {
-			return app.BuildCodec(w.ID, "cityguide", "2.0", t12GuideSize)
-		},
-		Entry: "decode", Args: []int64{8},
-		Retry: t12Retry,
-	}
-
-	// MA: store-carry-forward couriers from deep in the crowd to a kiosk.
-	fleet := &scenario.Couriers{
-		Count:        int(p["couriers"]),
-		TargetPop:    "kiosk",
-		SourcePop:    "r",
-		SrcMin:       t12SrcMin,
-		SrcMax:       t12SrcMax,
-		PayloadBytes: t12MsgSize,
-		NamePrefix:   "courier",
-		TopicPrefix:  "city/courier",
-	}
-
-	return &scenario.Spec{
-		Name:  "City scale-out",
-		Field: scenario.Field{Width: field, Height: field},
-		Populations: []scenario.Population{
-			{
-				Name: "kiosk", Count: kiosks, Place: kioskPos,
-				Link: netsim.AdHoc, Range: radio,
-				AllowUnsigned: true,
-				Agents:        true, MaxHops: 4096,
-				ExtraCaps: scenario.GreedyGeoCaps,
-				Beacon:    t12BeaconIvl,
-				Ads:       []discovery.Ad{{Service: "city/info"}},
-				AdSelf:    "city/",
-			},
-			{
-				Name: "r", Count: residents, Place: scenario.PlaceUniform{},
-				Link: netsim.AdHoc, Range: radio,
-				AllowUnsigned: true,
-				Agents:        true, AgentSeedOffset: int64(kiosks), MaxHops: 4096,
-				ExtraCaps: scenario.GreedyGeoCaps,
-				Beacon:    t12BeaconIvl,
-				Ads:       []discovery.Ad{{Service: "presence"}},
-				Mobility: &netsim.RandomWaypoint{
-					FieldW: field, FieldH: field,
-					SpeedMin: 1, SpeedMax: 5, Pause: 5 * time.Second,
-				},
-				MobilityTick: time.Second,
-			},
-		},
-		Warmup:    t12Warmup,
-		Duration:  t12Deadline,
-		Workloads: []scenario.Workload{wave, fleet},
-		Probes: []scenario.Probe{
-			scenario.MeanNeighbors{Pop: "r"},
-			scenario.TopologyEpochs{},
-			scenario.BeaconTraffic{},
-			scenario.Coverage{Pop: "r", Service: "city/info"},
-			scenario.Fetches{Of: wave, Prefix: "guide"},
-			scenario.AgentHops{Label: "courier hops / failed"},
-			scenario.Deliveries{Of: fleet},
-			scenario.NetTraffic{},
-		},
-		TableTitle: fmt.Sprintf(
-			"Table T12: %d residents + %d kiosks, %gx%gm field, range %gm, %v deadline",
-			residents, kiosks, field, field, radio, t12Deadline),
-	}
+	return crowd{
+		name: "City scale-out", ns: "city",
+		points: "kiosk", pointCount: kiosks,
+		people: "r", peopleCount: residents,
+		field: field, radio: radio, beacon: t12BeaconIvl,
+		speedMin: 1, speedMax: 5, pause: 5 * time.Second,
+		warmup: t12Warmup, duration: t12Deadline,
+		couriers: int(p["couriers"]), srcMin: t12SrcMin, srcMax: t12SrcMax,
+		cod:         &codWave{unit: "cityguide", version: "2.0", size: t12GuideSize, retry: t12Retry, prefix: "guide"},
+		beaconStats: true,
+	}.spec(fmt.Sprintf(
+		"Table T12: %d residents + %d kiosks, %gx%gm field, range %gm, %v deadline",
+		residents, kiosks, field, field, radio, t12Deadline))
 }
-
-// runT12 runs T12 at its defaults.
-func runT12(seed int64) *Result { return T12().Run(seed) }

@@ -5,11 +5,6 @@ import (
 	"math"
 	"time"
 
-	"logmob/internal/app"
-	"logmob/internal/discovery"
-	"logmob/internal/lmu"
-	"logmob/internal/metrics"
-	"logmob/internal/netsim"
 	"logmob/internal/scenario"
 )
 
@@ -22,7 +17,6 @@ const (
 	t13Stages    = 4
 	t13Warmup    = 30 * time.Second
 	t13BeaconIvl = 15 * time.Second
-	t13MsgSize   = 200
 	t13KitSize   = 2048 // survival-kit component shipped via COD
 	t13CSRounds  = 20   // request/reply rounds per CS client
 	t13SrcMin    = 150.0
@@ -59,29 +53,17 @@ func T13() Experiment {
 	)
 }
 
-// t13Paradigms accumulates the bespoke CS/REV outcomes; the same value is
-// read by the probe after the run.
-type t13Paradigms struct {
-	csDone, csRounds   int
-	revDone, revTarget int
-}
-
-// t13Spec declares the blackout world for one parameter set.
+// t13Spec declares the blackout world for one parameter set: T11's stages
+// and attendees, with all four paradigms running — a survival-kit COD
+// rollout from the stages, couriers across the (eventually partitioned)
+// crowd, and the attendees camped nearest each stage calling it (CS) and
+// shipping it an eval job (REV), retrying through the blackout.
 func t13Spec(p map[string]float64) *scenario.Spec {
 	attendees := int(p["attendees"])
 	field := p["field"]
-	radio := p["range"]
 	loss := p["loss"]
 	churn := p["churn"]
 	duration := time.Duration(math.Max(p["duration"], 30)) * time.Second
-
-	stagePos := make(scenario.PlacePoints, t13Stages)
-	for k := range stagePos {
-		stagePos[k] = netsim.Position{
-			X: field / 4 * float64(1+2*(k%2)),
-			Y: field / 4 * float64(1+2*(k/2)),
-		}
-	}
 
 	// The blackout schedule, in virtual time from world start: loss
 	// escalates twice; the partition wall splits the field down the middle
@@ -111,185 +93,19 @@ func t13Spec(p map[string]float64) *scenario.Spec {
 		}}
 	}
 
-	// MA: store-carry-forward couriers across the (eventually partitioned)
-	// crowd.
-	fleet := &scenario.Couriers{
-		Count:        int(p["couriers"]),
-		TargetPop:    "stage",
-		SourcePop:    "a",
-		SrcMin:       t13SrcMin,
-		SrcMax:       t13SrcMax,
-		PayloadBytes: t13MsgSize,
-		NamePrefix:   "courier",
-		TopicPrefix:  "blackout/courier",
-	}
-
-	// COD: the survival-kit component rolls out to every attendee from
-	// whichever stage it roams past.
-	kit := &scenario.FetchWave{
-		Pop: "a", ServerPop: "stage",
-		Unit: func(w *scenario.World) *lmu.Unit {
-			return app.BuildCodec(w.ID, "survivalkit", "1.0", t13KitSize)
-		},
-		Entry: "decode", Args: []int64{8},
-		Retry: 20 * time.Second,
-	}
-
-	// CS and REV: attendees camped nearest each stage at workload start
-	// keep calling / ship an eval job, retrying through the blackout.
-	stats := &t13Paradigms{}
-
-	return &scenario.Spec{
-		Name:  "Blackout",
-		Field: scenario.Field{Width: field, Height: field},
-		Populations: []scenario.Population{
-			{
-				Name: "stage", Count: t13Stages, Place: stagePos,
-				Link: netsim.AdHoc, Range: radio,
-				AllowUnsigned: true,
-				Agents:        true, MaxHops: 4096,
-				ExtraCaps: scenario.GreedyGeoCaps,
-				Beacon:    t13BeaconIvl,
-				Ads:       []discovery.Ad{{Service: "blackout/info"}},
-				AdSelf:    "blackout/",
-			},
-			{
-				Name: "a", Count: attendees, Place: scenario.PlaceUniform{},
-				Link: netsim.AdHoc, Range: radio,
-				AllowUnsigned: true,
-				Agents:        true, AgentSeedOffset: t13Stages, MaxHops: 4096,
-				ExtraCaps: scenario.GreedyGeoCaps,
-				Beacon:    t13BeaconIvl,
-				Ads:       []discovery.Ad{{Service: "presence"}},
-				Mobility: &netsim.RandomWaypoint{
-					FieldW: field, FieldH: field,
-					SpeedMin: 1, SpeedMax: 5, Pause: 5 * time.Second,
-				},
-				MobilityTick: time.Second,
-			},
-		},
-		Warmup:    t13Warmup,
-		Duration:  duration,
-		Workloads: []scenario.Workload{kit, fleet, t13CSREV(stats)},
-		Probes: []scenario.Probe{
-			scenario.MeanNeighbors{Pop: "a"},
-			scenario.Coverage{Pop: "a", Service: "blackout/info"},
-			scenario.ProbeFunc(stats.collect),
-			scenario.Fetches{Of: kit, Prefix: "kit"},
-			scenario.AgentHops{Label: "courier hops / failed"},
-			scenario.Deliveries{Of: fleet},
-			scenario.Reliability{},
-			scenario.NetTraffic{},
-		},
-		Faults: faults,
-		TableTitle: fmt.Sprintf(
-			"Table T13: %d attendees + %d stages, %gx%gm, loss %g→%g, churn %g, partition [%v,%v)",
-			attendees, t13Stages, field, field, loss, math.Min(2.5*loss, 0.75), churn,
-			partitionAt, healAt),
-	}
-}
-
-// t13CSREV starts the Client/Server and Remote Evaluation workloads: for
-// each stage, the nearest unclaimed attendee becomes its CS client (rounds
-// of echo calls, retrying failures) and the next-nearest its REV client
-// (one eval job, retried until it lands). Selection is deterministic: ties
-// resolve in creation order.
-func t13CSREV(stats *t13Paradigms) scenario.Workload {
-	return scenario.Func(func(w *scenario.World) {
-		// Reset, not accumulate: like the built-in workloads, the same spec
-		// value may be started once per seed.
-		*stats = t13Paradigms{}
-		stages := w.Pops["stage"]
-		reply := make([]byte, 96)
-		for _, s := range stages {
-			w.Hosts[s].RegisterService("blackout/echo", func(string, [][]byte) ([][]byte, error) {
-				return [][]byte{reply}, nil
-			})
-		}
-		claimed := map[string]bool{}
-		// nearest claims the closest unclaimed attendee, or "" when the
-		// crowd is exhausted (tiny sweep populations) — the stage then
-		// simply fields no client for that paradigm.
-		nearest := func(stage string) string {
-			pos := w.Net.Node(stage).Pos()
-			best, bestD := "", math.Inf(1)
-			for _, name := range w.Pops["a"] {
-				if claimed[name] {
-					continue
-				}
-				if d := w.Net.Node(name).Pos().Dist(pos); d < bestD {
-					best, bestD = name, d
-				}
-			}
-			if best != "" {
-				claimed[best] = true
-			}
-			return best
-		}
-
-		req := make([]byte, t13MsgSize)
-		for _, s := range stages {
-			stage := s
-
-			// CS: sequential echo rounds, a failed round retries in 10s.
-			csName := nearest(stage)
-			if csName == "" {
-				continue
-			}
-			stats.csRounds += t13CSRounds
-			client := w.Hosts[csName]
-			remaining := t13CSRounds
-			var call func()
-			call = func() {
-				if remaining <= 0 {
-					return
-				}
-				client.Call(stage, "blackout/echo", [][]byte{req}, func(_ [][]byte, err error) {
-					if err != nil {
-						w.Sim.Schedule(10*time.Second, call)
-						return
-					}
-					remaining--
-					stats.csDone++
-					call()
-				})
-			}
-			call()
-
-			// REV: one eval job shipped to the stage, retried until it runs.
-			revName := nearest(stage)
-			if revName == "" {
-				continue
-			}
-			stats.revTarget++
-			evalClient := w.Hosts[revName]
-			job := app.BuildCodec(w.ID, "blackoutjob-"+stage, "1.0", 256)
-			job.Manifest.Kind = lmu.KindRequest
-			w.ID.Sign(job)
-			done := false
-			var eval func()
-			eval = func() {
-				if done {
-					return
-				}
-				evalClient.Eval(stage, job, "decode", []int64{8}, func(_ []int64, err error) {
-					if err != nil {
-						w.Sim.Schedule(15*time.Second, eval)
-						return
-					}
-					if !done {
-						done = true
-						stats.revDone++
-					}
-				})
-			}
-			eval()
-		}
-	})
-}
-
-// collect renders the bespoke paradigm completions.
-func (s *t13Paradigms) collect(_ *scenario.World, t *metrics.Table) {
-	t.AddRow("cs rounds completed", fmt.Sprintf("%d/%d", s.csDone, s.csRounds))
-	t.AddRow("rev evals completed", fmt.Sprintf("%d/%d", s.revDone, s.revTarget))
+	return crowd{
+		name: "Blackout", ns: "blackout",
+		points: "stage", pointCount: t13Stages, side: 2,
+		people: "a", peopleCount: attendees,
+		field: field, radio: p["range"], beacon: t13BeaconIvl,
+		speedMin: 1, speedMax: 5, pause: 5 * time.Second,
+		warmup: t13Warmup, duration: duration,
+		couriers: int(p["couriers"]), srcMin: t13SrcMin, srcMax: t13SrcMax,
+		cod:      &codWave{unit: "survivalkit", version: "1.0", size: t13KitSize, retry: 20 * time.Second, prefix: "kit"},
+		csRounds: t13CSRounds,
+		faults:   faults,
+	}.spec(fmt.Sprintf(
+		"Table T13: %d attendees + %d stages, %gx%gm, loss %g→%g, churn %g, partition [%v,%v)",
+		attendees, t13Stages, field, field, loss, math.Min(2.5*loss, 0.75), churn,
+		partitionAt, healAt))
 }

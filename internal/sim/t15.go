@@ -2,14 +2,8 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"time"
 
-	"logmob/internal/app"
-	"logmob/internal/discovery"
-	"logmob/internal/lmu"
-	"logmob/internal/metrics"
-	"logmob/internal/netsim"
 	"logmob/internal/scenario"
 )
 
@@ -30,7 +24,6 @@ const (
 	t15Couriers  = 16
 	t15BeaconIvl = 30 * time.Second
 	t15Warmup    = 30 * time.Second
-	t15MsgSize   = 200
 	t15PassSize  = 8192 // transit-permit component coefficient table, bytes
 	t15Retry     = 25 * time.Second
 	t15CSRounds  = 12 // request/reply rounds per CS client
@@ -72,207 +65,30 @@ func T15() Experiment {
 	)
 }
 
-// t15Paradigms accumulates the bespoke CS/REV outcomes; the same value is
-// read by the probe after the run.
-type t15Paradigms struct {
-	csDone, csRounds   int
-	revDone, revTarget int
-}
-
 // t15Spec declares the metropolis for one parameter set. Kiosks sit on a
 // square district lattice as ordinary ad-hoc nodes: resident contact still
-// requires radio range.
+// requires radio range. COD is the transit-permit component, fetched by
+// every resident that dwells within kiosk range; couriers run from deep
+// inside a district to its kiosk; the residents camped nearest each kiosk
+// are its CS and REV clients.
 func t15Spec(p map[string]float64) *scenario.Spec {
 	residents := int(p["residents"])
 	kiosks := int(p["kiosks"])
 	field := p["field"]
 	radio := p["range"]
 	duration := time.Duration(p["duration"]) * time.Second
-
-	side := int(math.Ceil(math.Sqrt(float64(kiosks))))
-	kioskPos := make(scenario.PlacePoints, kiosks)
-	for k := range kioskPos {
-		kioskPos[k] = netsim.Position{
-			X: field / float64(side) * (float64(k%side) + 0.5),
-			Y: field / float64(side) * (float64(k/side) + 0.5),
-		}
-	}
-
-	// COD: the transit-permit component, published on every kiosk, fetched by
-	// every resident that dwells within kiosk range.
-	wave := &scenario.FetchWave{
-		Pop: "r", ServerPop: "kiosk",
-		Unit: func(w *scenario.World) *lmu.Unit {
-			return app.BuildCodec(w.ID, "transitpermit", "3.0", t15PassSize)
-		},
-		Entry: "decode", Args: []int64{8},
-		Retry: t15Retry,
-	}
-
-	// MA: store-carry-forward couriers from deep inside a district to its
-	// kiosk.
-	fleet := &scenario.Couriers{
-		Count:        int(p["couriers"]),
-		TargetPop:    "kiosk",
-		SourcePop:    "r",
-		SrcMin:       t15SrcMin,
-		SrcMax:       t15SrcMax,
-		PayloadBytes: t15MsgSize,
-		NamePrefix:   "courier",
-		TopicPrefix:  "metro/courier",
-	}
-
-	stats := &t15Paradigms{}
-
-	return &scenario.Spec{
-		Name:  "Metropolis",
-		Field: scenario.Field{Width: field, Height: field},
-		Populations: []scenario.Population{
-			{
-				Name: "kiosk", Count: kiosks, Place: kioskPos,
-				Link: netsim.AdHoc, Range: radio,
-				AllowUnsigned: true,
-				Agents:        true, MaxHops: 4096,
-				ExtraCaps: scenario.GreedyGeoCaps,
-				Beacon:    t15BeaconIvl,
-				Ads:       []discovery.Ad{{Service: "metro/info"}},
-				AdSelf:    "metro/",
-			},
-			{
-				Name: "r", Count: residents, Place: scenario.PlaceUniform{},
-				Link: netsim.AdHoc, Range: radio,
-				AllowUnsigned: true,
-				Agents:        true, AgentSeedOffset: int64(kiosks), MaxHops: 4096,
-				ExtraCaps: scenario.GreedyGeoCaps,
-				Beacon:    t15BeaconIvl,
-				Ads:       []discovery.Ad{{Service: "presence"}},
-				Mobility: &netsim.RandomWaypoint{
-					FieldW: field, FieldH: field,
-					SpeedMin: t15SpeedMin, SpeedMax: t15SpeedMax, Pause: t15Dwell,
-				},
-				MobilityTick: time.Second,
-			},
-		},
-		Warmup:    t15Warmup,
-		Duration:  duration,
-		Workloads: []scenario.Workload{wave, fleet, t15CSREV(stats)},
-		Probes: []scenario.Probe{
-			scenario.MeanNeighbors{Pop: "r"},
-			scenario.TopologyEpochs{},
-			scenario.BeaconTraffic{},
-			scenario.Coverage{Pop: "r", Service: "metro/info"},
-			scenario.ProbeFunc(stats.collect),
-			scenario.Fetches{Of: wave, Prefix: "permit"},
-			scenario.AgentHops{Label: "courier hops / failed"},
-			scenario.Deliveries{Of: fleet},
-			scenario.NetTraffic{},
-		},
-		TableTitle: fmt.Sprintf(
-			"Table T15: %d residents + %d kiosks, %gx%gm metro, range %gm, %v deadline",
-			residents, kiosks, field, field, radio, duration),
-	}
+	return crowd{
+		name: "Metropolis", ns: "metro",
+		points: "kiosk", pointCount: kiosks,
+		people: "r", peopleCount: residents,
+		field: field, radio: radio, beacon: t15BeaconIvl,
+		speedMin: t15SpeedMin, speedMax: t15SpeedMax, pause: t15Dwell,
+		warmup: t15Warmup, duration: duration,
+		couriers: int(p["couriers"]), srcMin: t15SrcMin, srcMax: t15SrcMax,
+		cod:         &codWave{unit: "transitpermit", version: "3.0", size: t15PassSize, retry: t15Retry, prefix: "permit"},
+		csRounds:    t15CSRounds,
+		beaconStats: true,
+	}.spec(fmt.Sprintf(
+		"Table T15: %d residents + %d kiosks, %gx%gm metro, range %gm, %v deadline",
+		residents, kiosks, field, field, radio, duration))
 }
-
-// t15CSREV starts the Client/Server and Remote Evaluation workloads: for
-// each kiosk, the nearest unclaimed resident becomes its CS client (rounds
-// of echo calls, retrying failures) and the next-nearest its REV client
-// (one eval job, retried until it lands). Selection is deterministic: ties
-// resolve in creation order.
-func t15CSREV(stats *t15Paradigms) scenario.Workload {
-	return scenario.Func(func(w *scenario.World) {
-		// Reset, not accumulate: the same spec value may start once per seed.
-		*stats = t15Paradigms{}
-		kiosks := w.Pops["kiosk"]
-		reply := make([]byte, 96)
-		for _, k := range kiosks {
-			w.Hosts[k].RegisterService("metro/echo", func(string, [][]byte) ([][]byte, error) {
-				return [][]byte{reply}, nil
-			})
-		}
-		claimed := map[string]bool{}
-		nearest := func(kiosk string) string {
-			pos := w.Net.Node(kiosk).Pos()
-			best, bestD := "", math.Inf(1)
-			for _, name := range w.Pops["r"] {
-				if claimed[name] {
-					continue
-				}
-				if d := w.Net.Node(name).Pos().Dist(pos); d < bestD {
-					best, bestD = name, d
-				}
-			}
-			if best != "" {
-				claimed[best] = true
-			}
-			return best
-		}
-
-		req := make([]byte, t15MsgSize)
-		for _, k := range kiosks {
-			kiosk := k
-
-			// CS: sequential echo rounds, a failed round retries in 10s.
-			csName := nearest(kiosk)
-			if csName == "" {
-				continue
-			}
-			stats.csRounds += t15CSRounds
-			client := w.Hosts[csName]
-			remaining := t15CSRounds
-			var call func()
-			call = func() {
-				if remaining <= 0 {
-					return
-				}
-				client.Call(kiosk, "metro/echo", [][]byte{req}, func(_ [][]byte, err error) {
-					if err != nil {
-						w.Sim.Schedule(10*time.Second, call)
-						return
-					}
-					remaining--
-					stats.csDone++
-					call()
-				})
-			}
-			call()
-
-			// REV: one eval job shipped to the kiosk, retried until it runs.
-			revName := nearest(kiosk)
-			if revName == "" {
-				continue
-			}
-			stats.revTarget++
-			evalClient := w.Hosts[revName]
-			job := app.BuildCodec(w.ID, "metrojob-"+kiosk, "1.0", 256)
-			job.Manifest.Kind = lmu.KindRequest
-			w.ID.Sign(job)
-			done := false
-			var eval func()
-			eval = func() {
-				if done {
-					return
-				}
-				evalClient.Eval(kiosk, job, "decode", []int64{8}, func(_ []int64, err error) {
-					if err != nil {
-						w.Sim.Schedule(15*time.Second, eval)
-						return
-					}
-					if !done {
-						done = true
-						stats.revDone++
-					}
-				})
-			}
-			eval()
-		}
-	})
-}
-
-// collect renders the bespoke paradigm completions.
-func (s *t15Paradigms) collect(_ *scenario.World, t *metrics.Table) {
-	t.AddRow("cs rounds completed", fmt.Sprintf("%d/%d", s.csDone, s.csRounds))
-	t.AddRow("rev evals completed", fmt.Sprintf("%d/%d", s.revDone, s.revTarget))
-}
-
-// runT15 runs T15 at its defaults.
-func runT15(seed int64) *Result { return T15().Run(seed) }

@@ -18,14 +18,7 @@ var t15ShortParams = map[string]float64{
 // t15ShortSpec builds the shrunken metropolis spec directly (bypassing the
 // Experiment wrapper) so tests can override workers or attach fault blocks.
 func t15ShortSpec() *scenario.Spec {
-	merged := map[string]float64{}
-	for k, v := range T15().Params {
-		merged[k] = v
-	}
-	for k, v := range t15ShortParams {
-		merged[k] = v
-	}
-	return t15Spec(merged)
+	return t15Spec(withDefaults(T15().Params, t15ShortParams))
 }
 
 // TestT15ParallelRaceStress runs the shrunken metropolis at workers=8.

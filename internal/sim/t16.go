@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"time"
 
 	"logmob/internal/scenario"
 )
@@ -58,12 +57,8 @@ func T16() Experiment {
 func t16Spec(p map[string]float64) *scenario.Spec {
 	sp := t15Spec(p)
 	sp.Name = "Megacity"
-	duration := time.Duration(p["duration"]) * time.Second
 	sp.TableTitle = fmt.Sprintf(
 		"Table T16: %d residents + %d kiosks, %gx%gm conurbation, range %gm, %v deadline",
-		int(p["residents"]), int(p["kiosks"]), p["field"], p["field"], p["range"], duration)
+		int(p["residents"]), int(p["kiosks"]), p["field"], p["field"], p["range"], sp.Duration)
 	return sp
 }
-
-// runT16 runs T16 at its defaults.
-func runT16(seed int64) *Result { return T16().Run(seed) }

@@ -20,14 +20,7 @@ var t16ShortParams = map[string]float64{
 // t16ShortSpec builds the shrunken megacity spec directly (bypassing the
 // Experiment wrapper) so tests can override workers or attach fault blocks.
 func t16ShortSpec() *scenario.Spec {
-	merged := map[string]float64{}
-	for k, v := range T16().Params {
-		merged[k] = v
-	}
-	for k, v := range t16ShortParams {
-		merged[k] = v
-	}
-	return t16Spec(merged)
+	return t16Spec(withDefaults(T16().Params, t16ShortParams))
 }
 
 // TestT16ParallelRaceStress runs the shrunken megacity at workers=8. Like

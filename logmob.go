@@ -293,13 +293,8 @@ var (
 )
 
 // NewSim returns a deterministic simulator for the given seed. Its event
-// queue is a hashed hierarchical timing wheel; NewSimHeap keeps the original
-// binary-heap engine as a differential oracle with identical semantics.
+// queue is a hashed hierarchical timing wheel.
 func NewSim(seed int64) *Sim { return netsim.NewSim(seed) }
-
-// NewSimHeap returns a simulator on the binary-heap event queue, the timing
-// wheel's bit-identical differential oracle.
-func NewSimHeap(seed int64) *Sim { return netsim.NewSimHeap(seed) }
 
 // NewNetwork returns an empty simulated network driven by sim.
 func NewNetwork(sim *Sim) *Network { return netsim.NewNetwork(sim) }
