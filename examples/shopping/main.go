@@ -74,15 +74,18 @@ func shopWithAgent() (cost float64, bestCents int64) {
 	sim, net, sn, id, trust := buildWorld()
 	phone := addHost(net, sn, sim, trust, "phone", logmob.GPRS)
 	names, prices := vendorPrices()
+	// One capability table — the standard agent set plus the vendors' price
+	// query — shared by every platform the shopper can land on.
+	caps := logmob.NewAgentCaps(app.VendorCaps()...)
 	for _, name := range names {
 		vh := addHost(net, sn, sim, trust, name, logmob.LAN)
 		app.SetupVendor(vh, prices[name], 2048)
-		logmob.NewAgentPlatform(vh, logmob.AgentEnv{Seed: 1, ExtraCaps: app.VendorCaps})
+		logmob.NewAgentPlatform(vh, logmob.AgentEnv{Seed: 1, Caps: caps})
 	}
 
 	var record logmob.AgentRecord
 	plat := logmob.NewAgentPlatform(phone, logmob.AgentEnv{
-		Seed: 2, ExtraCaps: app.VendorCaps,
+		Seed: 2, Caps: caps,
 		OnDone: func(r logmob.AgentRecord) { record = r },
 	})
 	shopper := &logmob.Unit{

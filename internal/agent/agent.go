@@ -113,10 +113,11 @@ type Env struct {
 	Seed int64
 	// OnDone, if set, observes every agent that finishes on this host.
 	OnDone func(Record)
-	// ExtraCaps, if set, contributes application host functions to every
-	// agent activation (e.g. a marketplace's price query). This is how a
-	// deployment extends the protected environment deliberately.
-	ExtraCaps func(p *Platform, u *lmu.Unit) []vm.HostFunc
+	// Caps is the capability table agents link against; nil grants the
+	// standard set. A deployment extends the protected environment
+	// deliberately by building one table with NewCaps (e.g. adding a
+	// marketplace's price query) and sharing it across its platforms.
+	Caps *vm.HostTable
 }
 
 // Platform hosts mobile agents on a kernel Host.
@@ -148,6 +149,9 @@ func NewPlatform(h *core.Host, env Env) *Platform {
 	}
 	if env.MaxHops <= 0 {
 		env.MaxHops = 256
+	}
+	if env.Caps == nil {
+		env.Caps = standardCaps
 	}
 	p := &Platform{host: h, env: env, rng: rand.New(rand.NewSource(env.Seed))}
 	h.SetAgentHandler(p.onArrival)
@@ -235,7 +239,6 @@ type activation struct {
 	unit    *lmu.Unit
 	m       vm.Machine
 	ec      core.ExecContext
-	table   *vm.HostTable
 	hops    int64
 	next    string // migration target selected by host calls
 	sleepMs int64  // sleep duration requested by a_sleep
@@ -243,7 +246,7 @@ type activation struct {
 	itinOK  bool
 }
 
-// ExecCtx lets the shared base capability table find the unit context.
+// ExecCtx lets the base capabilities find the unit context.
 func (a *activation) ExecCtx() *core.ExecContext { return &a.ec }
 
 // itinerary decodes KeyItinerary once per activation.
@@ -272,7 +275,6 @@ func (p *Platform) getAct(u *lmu.Unit, hops int64) *activation {
 
 func (p *Platform) putAct(a *activation) {
 	a.unit = nil
-	a.table = nil
 	a.itin = nil
 	a.ec.SetUnit(nil, nil)
 	p.actPool = append(p.actPool, a)
@@ -286,15 +288,10 @@ func (p *Platform) activate(u *lmu.Unit, hops int64) {
 		return
 	}
 	act := p.getAct(u, hops)
-	if p.env.ExtraCaps == nil {
-		act.table = sharedAgentTable()
-	} else {
-		act.table = agentHostTable(act)
-	}
 	if len(u.State) > 0 {
-		err = act.m.RestoreInto(prog, act.table, p.env.MaxFuel, u.State)
+		err = act.m.RestoreInto(prog, p.env.Caps, p.env.MaxFuel, u.State)
 	} else {
-		if err = act.m.Reinit(prog, act.table, p.env.MaxFuel); err == nil {
+		if err = act.m.Reinit(prog, p.env.Caps, p.env.MaxFuel); err == nil {
 			err = act.m.SetEntry(string(u.Data[keyEntry]))
 		}
 	}
@@ -383,7 +380,7 @@ func (a *activation) migrate() bool {
 			a.p.putAct(a)
 			return
 		}
-		if rerr := a.m.RestoreInto(prog, a.table, a.p.env.MaxFuel, a.unit.State); rerr != nil {
+		if rerr := a.m.RestoreInto(prog, a.p.env.Caps, a.p.env.MaxFuel, a.unit.State); rerr != nil {
 			a.p.finish(a.unit, nil, a.hops, StatusFailed, rerr.Error())
 			a.p.putAct(a)
 			return

@@ -420,3 +420,38 @@ func TestUnsignedAgentRefusedByStrictHost(t *testing.T) {
 		t.Error("verify failure not counted")
 	}
 }
+
+// The data space grows mid-activation: migrate() records _prev before a
+// transfer that may fail and resume here. Blob addressing must see the new
+// key, not a key list cached when the activation began.
+func TestBlobCountSeesKeyAddedMidActivation(t *testing.T) {
+	w := newWorld(t)
+	p := w.addHost(t, "solo", netsim.Position{}, Env{})
+	prog := vm.MustAssemble(`
+.entry main
+main:
+	host blob_count
+	host a_select_dest
+	pop
+	host a_migrate
+	pop
+	host blob_count
+	halt
+`)
+	if _, err := p.Spawn("counter", prog,
+		map[string][]byte{KeyDest: []byte("nowhere")}, "main"); err != nil {
+		t.Fatal(err)
+	}
+	w.sim.RunFor(time.Minute)
+	if len(w.records) != 1 || w.records[0].Status != StatusCompleted {
+		t.Fatalf("records = %+v", w.records)
+	}
+	r := w.records[0]
+	if p.Stats().MigrationFailures != 1 {
+		t.Fatalf("migration to an unknown host should fail once: %+v", p.Stats())
+	}
+	want := int64(len(r.Unit.Data)) // _entry _id _prev dest
+	if len(r.Stack) != 2 || r.Stack[0] != want-1 || r.Stack[1] != want {
+		t.Errorf("blob counts = %v, want [%d %d] for keys %v", r.Stack, want-1, want, r.Unit.DataKeys())
+	}
+}

@@ -1,154 +1,34 @@
 package agent
 
 import (
-	"sync"
-
 	"logmob/internal/core"
+	"logmob/internal/lmu"
 	"logmob/internal/vm"
 )
 
-// actOf resolves the activation a shared capability is executing for.
+// actOf resolves the activation a capability is executing for.
 func actOf(m *vm.Machine) *activation { return m.Ctx.(*activation) }
 
-var (
-	sharedAgentOnce sync.Once
-	sharedAgentTbl  *vm.HostTable
-)
-
-// sharedAgentTable returns the process-wide agent capability table: the base
-// component capabilities plus mobility, delivery and environment sensing,
-// all in context-routed form (reaching the current activation through
-// vm.Machine.Ctx instead of per-activation closures). It is used whenever
-// the platform has no ExtraCaps, which is what makes agent hops
-// allocation-free on the capability side. The table must never be mutated
-// after construction.
-func sharedAgentTable() *vm.HostTable {
-	sharedAgentOnce.Do(func() {
-		t := vm.NewHostTable()
-		core.RegisterBaseCtxCaps(t)
-
-		t.Register(vm.HostFunc{
-			Name: "a_at_dest", Arity: 0,
-			Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-				act := actOf(m)
-				at := act.p.host.Name() == string(act.unit.Data[KeyDest])
-				return m.Ret1(b2i(at)), 0, nil
-			},
-		})
-		t.Register(vm.HostFunc{
-			Name: "a_neighbors", Arity: 0,
-			Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-				act := actOf(m)
-				return m.Ret1(int64(len(act.p.host.Neighbors()))), 0, nil
-			},
-		})
-		t.Register(vm.HostFunc{
-			Name: "a_select_toward_dest", Arity: 0,
-			Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-				act := actOf(m)
-				next := act.p.pickNeighbor(string(act.unit.Data[KeyDest]), string(act.unit.Data[keyPrev]))
-				if next == "" {
-					return m.Ret1(0), 0, nil
-				}
-				act.next = next
-				return m.Ret1(1), 0, nil
-			},
-		})
-		t.Register(vm.HostFunc{
-			Name: "a_select_blob", Arity: 1,
-			Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-				act := actOf(m)
-				keys := act.ec.DataKeys()
-				if args[0] < 0 || args[0] >= int64(len(keys)) {
-					return m.Ret1(0), 0, nil
-				}
-				act.next = string(act.unit.Data[keys[args[0]]])
-				return m.Ret1(1), 0, nil
-			},
-		})
-		t.Register(vm.HostFunc{
-			Name: "a_migrate", Arity: 0,
-			Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-				// Optimistically report success; the platform patches this to
-				// 0 if the transfer fails and the agent resumes locally.
-				return m.Ret1(1), TrapMigrate, nil
-			},
-		})
-		t.Register(vm.HostFunc{
-			Name: "a_sleep", Arity: 1,
-			Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-				actOf(m).sleepMs = args[0]
-				return nil, TrapSleep, nil
-			},
-		})
-		t.Register(vm.HostFunc{
-			Name: "a_deliver", Arity: 0,
-			Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-				act := actOf(m)
-				act.p.stats.Deliveries++
-				act.p.host.DeliverLocal(
-					string(act.unit.Data[keyID]),
-					string(act.unit.Data[KeyTopic]),
-					act.unit.Data[KeyPayload],
-				)
-				return m.Ret1(1), 0, nil
-			},
-		})
-		t.Register(vm.HostFunc{
-			Name: "a_rand", Arity: 1,
-			Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-				if args[0] <= 0 {
-					return m.Ret1(0), 0, nil
-				}
-				return m.Ret1(actOf(m).p.rng.Int63n(args[0])), 0, nil
-			},
-		})
-		t.Register(vm.HostFunc{
-			Name: "a_hops", Arity: 0,
-			Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-				return m.Ret1(actOf(m).hops), 0, nil
-			},
-		})
-		t.Register(vm.HostFunc{
-			Name: "a_select_dest", Arity: 0,
-			Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-				act := actOf(m)
-				dest := string(act.unit.Data[KeyDest])
-				if dest == "" {
-					return m.Ret1(0), 0, nil
-				}
-				act.next = dest
-				return m.Ret1(1), 0, nil
-			},
-		})
-		t.Register(vm.HostFunc{
-			Name: "a_itin_count", Arity: 0,
-			Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-				return m.Ret1(int64(len(actOf(m).itinerary()))), 0, nil
-			},
-		})
-		t.Register(vm.HostFunc{
-			Name: "a_itin_select", Arity: 1,
-			Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-				act := actOf(m)
-				itin := act.itinerary()
-				if args[0] < 0 || args[0] >= int64(len(itin)) {
-					return m.Ret1(0), 0, nil
-				}
-				act.next = itin[args[0]]
-				return m.Ret1(1), 0, nil
-			},
-		})
-
-		sharedAgentTbl = t
-	})
-	return sharedAgentTbl
+// Current reports which platform and which agent unit the capability call
+// on m is running for. Application capabilities (NewCaps extras) use it
+// where a closure would have captured them: a table is shared by every
+// platform that links it, so per-agent state is reached through the machine.
+func Current(m *vm.Machine) (*Platform, *lmu.Unit) {
+	act := actOf(m)
+	return act.p, act.unit
 }
 
-// agentHostTable builds the capability set granted to agents: the base
-// component capabilities plus mobility, delivery and environment sensing.
-// Each activation gets a fresh table bound to it, so a capability can never
-// outlive or leak across agents.
+// standardCaps is the table platforms link when Env.Caps is nil.
+var standardCaps = NewCaps()
+
+// NewCaps builds the capability table granted to agents: the base component
+// capabilities, mobility, delivery and environment sensing, plus the
+// deployment's extras (e.g. a marketplace's price query). Every capability
+// is context-routed — it captures nothing per execution and reaches the
+// current activation through vm.Machine.Ctx — so one table serves any number
+// of platforms and activations, and agent hops allocate nothing on the
+// capability side. Build it once per population, hand it to each platform
+// through Env.Caps, and never mutate it afterwards.
 //
 // Capabilities:
 //
@@ -156,7 +36,11 @@ func sharedAgentTable() *vm.HostTable {
 //	a_select_toward_dest()    pick the next hop (the destination if adjacent,
 //	                          else a random neighbor, avoiding the previous
 //	                          host when possible); returns 1 if one was found
+//	a_select_dest()           set the next hop to the destination itself
+//	                          (routed transports); returns 0 if there is none
 //	a_select_blob(i)          set the next hop from data blob i; returns 0/1
+//	a_itin_count() -> n       length of the itinerary under Data[itinerary]
+//	a_itin_select(i)          set the next hop to itinerary entry i; 0/1
 //	a_migrate()               migrate to the selected hop; returns 1 on the
 //	                          new host, 0 here if migration failed
 //	a_sleep(ms)               suspend for ms milliseconds
@@ -166,123 +50,126 @@ func sharedAgentTable() *vm.HostTable {
 //	a_hops() -> n             hop count so far
 //	a_neighbors() -> n        current one-hop neighbor count
 //
-// plus blob_count/blob_len/blob_byte/now_ms/log from the base table.
-func agentHostTable(act *activation) *vm.HostTable {
-	p := act.p
-	t := core.BaseHostTable(p.host, act.unit)
+// plus blob_count/blob_len/blob_byte/now_ms/log from the base set.
+func NewCaps(extra ...vm.HostFunc) *vm.HostTable {
+	t := vm.NewHostTable()
+	core.RegisterBaseCtxCaps(t)
 
 	t.Register(vm.HostFunc{
 		Name: "a_at_dest", Arity: 0,
 		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-			at := p.host.Name() == string(act.unit.Data[KeyDest])
-			return []int64{b2i(at)}, 0, nil
+			act := actOf(m)
+			at := act.p.host.Name() == string(act.unit.Data[KeyDest])
+			return m.Ret1(b2i(at)), 0, nil
 		},
 	})
 	t.Register(vm.HostFunc{
 		Name: "a_neighbors", Arity: 0,
 		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-			return []int64{int64(len(p.host.Neighbors()))}, 0, nil
+			act := actOf(m)
+			return m.Ret1(int64(len(act.p.host.Neighbors()))), 0, nil
 		},
 	})
 	t.Register(vm.HostFunc{
 		Name: "a_select_toward_dest", Arity: 0,
 		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-			next := p.pickNeighbor(string(act.unit.Data[KeyDest]), string(act.unit.Data[keyPrev]))
+			act := actOf(m)
+			next := act.p.pickNeighbor(string(act.unit.Data[KeyDest]), string(act.unit.Data[keyPrev]))
 			if next == "" {
-				return []int64{0}, 0, nil
+				return m.Ret1(0), 0, nil
 			}
 			act.next = next
-			return []int64{1}, 0, nil
+			return m.Ret1(1), 0, nil
 		},
 	})
 	t.Register(vm.HostFunc{
 		Name: "a_select_blob", Arity: 1,
 		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-			keys := act.unit.DataKeys()
-			if args[0] < 0 || args[0] >= int64(len(keys)) {
-				return []int64{0}, 0, nil
+			act := actOf(m)
+			hop, ok := act.ec.Blob(args[0])
+			if !ok {
+				return m.Ret1(0), 0, nil
 			}
-			act.next = string(act.unit.Data[keys[args[0]]])
-			return []int64{1}, 0, nil
+			act.next = string(hop)
+			return m.Ret1(1), 0, nil
 		},
 	})
 	t.Register(vm.HostFunc{
 		Name: "a_migrate", Arity: 0,
 		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-			// Optimistically report success; the platform patches this to 0
-			// if the transfer fails and the agent resumes locally.
-			return []int64{1}, TrapMigrate, nil
+			// Optimistically report success; the platform patches this to
+			// 0 if the transfer fails and the agent resumes locally.
+			return m.Ret1(1), TrapMigrate, nil
 		},
 	})
 	t.Register(vm.HostFunc{
 		Name: "a_sleep", Arity: 1,
 		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-			act.sleepMs = args[0]
+			actOf(m).sleepMs = args[0]
 			return nil, TrapSleep, nil
 		},
 	})
 	t.Register(vm.HostFunc{
 		Name: "a_deliver", Arity: 0,
 		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-			p.stats.Deliveries++
-			p.host.DeliverLocal(
+			act := actOf(m)
+			act.p.stats.Deliveries++
+			act.p.host.DeliverLocal(
 				string(act.unit.Data[keyID]),
 				string(act.unit.Data[KeyTopic]),
 				act.unit.Data[KeyPayload],
 			)
-			return []int64{1}, 0, nil
+			return m.Ret1(1), 0, nil
 		},
 	})
 	t.Register(vm.HostFunc{
 		Name: "a_rand", Arity: 1,
 		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
 			if args[0] <= 0 {
-				return []int64{0}, 0, nil
+				return m.Ret1(0), 0, nil
 			}
-			return []int64{p.rng.Int63n(args[0])}, 0, nil
+			return m.Ret1(actOf(m).p.rng.Int63n(args[0])), 0, nil
 		},
 	})
 	t.Register(vm.HostFunc{
 		Name: "a_hops", Arity: 0,
 		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-			return []int64{act.hops}, 0, nil
+			return m.Ret1(actOf(m).hops), 0, nil
 		},
 	})
 	t.Register(vm.HostFunc{
 		Name: "a_select_dest", Arity: 0,
 		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
+			act := actOf(m)
 			dest := string(act.unit.Data[KeyDest])
 			if dest == "" {
-				return []int64{0}, 0, nil
+				return m.Ret1(0), 0, nil
 			}
 			act.next = dest
-			return []int64{1}, 0, nil
+			return m.Ret1(1), 0, nil
 		},
 	})
-
-	// Itinerary support: a wire-encoded string slice under KeyItinerary.
-	itinerary := DecodeItinerary(act.unit.Data[KeyItinerary])
 	t.Register(vm.HostFunc{
 		Name: "a_itin_count", Arity: 0,
 		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-			return []int64{int64(len(itinerary))}, 0, nil
+			return m.Ret1(int64(len(actOf(m).itinerary()))), 0, nil
 		},
 	})
 	t.Register(vm.HostFunc{
 		Name: "a_itin_select", Arity: 1,
 		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-			if args[0] < 0 || args[0] >= int64(len(itinerary)) {
-				return []int64{0}, 0, nil
+			act := actOf(m)
+			itin := act.itinerary()
+			if args[0] < 0 || args[0] >= int64(len(itin)) {
+				return m.Ret1(0), 0, nil
 			}
-			act.next = itinerary[args[0]]
-			return []int64{1}, 0, nil
+			act.next = itin[args[0]]
+			return m.Ret1(1), 0, nil
 		},
 	})
 
-	if p.env.ExtraCaps != nil {
-		for _, fn := range p.env.ExtraCaps(p, act.unit) {
-			t.Register(fn)
-		}
+	for _, fn := range extra {
+		t.Register(fn)
 	}
 	return t
 }

@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -119,15 +120,12 @@ func TestItineraryAgentSkipsUnreachableStops(t *testing.T) {
 
 func TestExtraCapsAvailableToAgents(t *testing.T) {
 	w := newWorld(t)
-	p := w.addHost(t, "solo", netsim.Position{}, Env{})
-	p.env.ExtraCaps = func(p *Platform, u *lmu.Unit) []vm.HostFunc {
-		return []vm.HostFunc{{
-			Name: "app_answer", Arity: 0,
-			Fn: func(*vm.Machine, []int64) ([]int64, int64, error) {
-				return []int64{42}, 0, nil
-			},
-		}}
-	}
+	p := w.addHost(t, "solo", netsim.Position{}, Env{Caps: NewCaps(vm.HostFunc{
+		Name: "app_answer", Arity: 0,
+		Fn: func(m *vm.Machine, _ []int64) ([]int64, int64, error) {
+			return m.Ret1(42), 0, nil
+		},
+	})})
 	prog := vm.MustAssemble(".entry main\nmain:\nhost app_answer\nhalt\n")
 	if _, err := p.Spawn("asker", prog, nil, "main"); err != nil {
 		t.Fatal(err)
@@ -140,9 +138,54 @@ func TestExtraCapsAvailableToAgents(t *testing.T) {
 	}
 }
 
+// One table serves many platforms, so a capability must find its own
+// platform and its own agent through the machine, never through what it
+// captured: two agents on two platforms sharing one table, both sleeping
+// and resuming at the same virtual time, each see only themselves.
+func TestSharedCapsSeeOwnPlatformAndUnit(t *testing.T) {
+	caps := NewCaps(vm.HostFunc{
+		Name: "app_whoami", Arity: 0,
+		Fn: func(m *vm.Machine, _ []int64) ([]int64, int64, error) {
+			p, u := Current(m)
+			return m.Ret2(int64(p.Host().Name()[0]), int64(u.Data["tag"][0])), 0, nil
+		},
+	})
+	w := newWorld(t)
+	pa := w.addHost(t, "a", netsim.Position{}, Env{Caps: caps})
+	pb := w.addHost(t, "b", netsim.Position{X: 10}, Env{Caps: caps})
+	prog := vm.MustAssemble(`
+.entry main
+main:
+	host app_whoami
+	push 100
+	host a_sleep
+	host app_whoami
+	halt
+`)
+	for _, c := range []struct {
+		p   *Platform
+		tag string
+	}{{pa, "x"}, {pb, "y"}} {
+		if _, err := c.p.Spawn("who", prog, map[string][]byte{"tag": []byte(c.tag)}, "main"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.sim.RunFor(time.Second)
+	if len(w.records) != 2 {
+		t.Fatalf("records = %+v", w.records)
+	}
+	for _, r := range w.records {
+		host, tag := int64(r.ID[0]), int64(r.Unit.Data["tag"][0])
+		want := []int64{host, tag, host, tag}
+		if r.Status != StatusCompleted || !slices.Equal(r.Stack, want) {
+			t.Errorf("%s: status %v stack %v, want %v", r.ID, r.Status, r.Stack, want)
+		}
+	}
+}
+
 func TestAgentWithoutExtraCapDies(t *testing.T) {
 	w := newWorld(t)
-	p := w.addHost(t, "solo", netsim.Position{}, Env{}) // no ExtraCaps
+	p := w.addHost(t, "solo", netsim.Position{}, Env{}) // standard capability set
 	prog := vm.MustAssemble(".entry main\nmain:\nhost app_answer\nhalt\n")
 	if _, err := p.Spawn("asker", prog, nil, "main"); err != nil {
 		t.Fatal(err)

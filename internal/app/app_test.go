@@ -157,16 +157,17 @@ func TestShopperAgentFindsBestPrice(t *testing.T) {
 	home := r.addHost(t, "home", netsim.Position{}, netsim.GPRS, nil)
 	vendors := []string{"shop-a", "shop-b", "shop-c"}
 	prices := []float64{9.99, 4.50, 7.25}
+	caps := agent.NewCaps(VendorCaps()...)
 	for i, v := range vendors {
 		vh := r.addHost(t, v, netsim.Position{}, netsim.LAN, nil)
 		SetupVendor(vh, map[string]float64{"widget": prices[i]}, 1024)
-		agent.NewPlatform(vh, agent.Env{Seed: int64(i + 1), ExtraCaps: VendorCaps})
+		agent.NewPlatform(vh, agent.Env{Seed: int64(i + 1), Caps: caps})
 	}
 	var final agent.Record
 	homePlat := agent.NewPlatform(home, agent.Env{
-		Seed:      9,
-		ExtraCaps: VendorCaps,
-		OnDone:    func(rec agent.Record) { final = rec },
+		Seed:   9,
+		Caps:   caps,
+		OnDone: func(rec agent.Record) { final = rec },
 	})
 
 	unit := &lmu.Unit{
@@ -204,10 +205,11 @@ func TestShopperSkipsUnstockedVendor(t *testing.T) {
 	vb := r.addHost(t, "shop-b", netsim.Position{}, netsim.LAN, nil)
 	SetupVendor(va, map[string]float64{"other": 1}, 64) // does not stock widget
 	SetupVendor(vb, map[string]float64{"widget": 3.00}, 64)
-	agent.NewPlatform(va, agent.Env{Seed: 1, ExtraCaps: VendorCaps})
-	agent.NewPlatform(vb, agent.Env{Seed: 2, ExtraCaps: VendorCaps})
+	caps := agent.NewCaps(VendorCaps()...)
+	agent.NewPlatform(va, agent.Env{Seed: 1, Caps: caps})
+	agent.NewPlatform(vb, agent.Env{Seed: 2, Caps: caps})
 	var final agent.Record
-	hp := agent.NewPlatform(home, agent.Env{Seed: 3, ExtraCaps: VendorCaps,
+	hp := agent.NewPlatform(home, agent.Env{Seed: 3, Caps: caps,
 		OnDone: func(rec agent.Record) { final = rec }})
 	unit := &lmu.Unit{
 		Manifest: lmu.Manifest{Name: "shopper", Version: "1.0", Kind: lmu.KindAgent, Publisher: r.id.Name},

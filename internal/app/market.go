@@ -8,7 +8,6 @@ import (
 	"logmob/internal/agent"
 	"logmob/internal/core"
 	"logmob/internal/ctxsvc"
-	"logmob/internal/lmu"
 	"logmob/internal/vm"
 )
 
@@ -49,17 +48,19 @@ func SetupVendor(h *core.Host, prices map[string]float64, pageSize int) {
 
 // VendorCaps returns the agent capability a vendor host contributes:
 // app_price() pushes the local price (in cents) of the product named in the
-// agent's data space, or -1 if not stocked. Install via agent.Env.ExtraCaps.
-func VendorCaps(p *agent.Platform, u *lmu.Unit) []vm.HostFunc {
+// agent's data space, or -1 if not stocked. Install on every vendor's (and
+// the shopper's home) platform via agent.Env.Caps = agent.NewCaps(VendorCaps()...).
+func VendorCaps() []vm.HostFunc {
 	return []vm.HostFunc{{
 		Name: "app_price", Arity: 0,
 		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
+			p, u := agent.Current(m)
 			product := string(u.Data["product"])
 			price := p.Host().Context().GetNum(ctxsvc.Key(PriceKey+product), -1)
 			if price < 0 {
-				return []int64{-1}, 0, nil
+				return m.Ret1(-1), 0, nil
 			}
-			return []int64{int64(price * 100)}, 0, nil
+			return m.Ret1(int64(price * 100)), 0, nil
 		},
 	}}
 }

@@ -700,38 +700,19 @@ func TestEnsureWithDepsCycleTerminates(t *testing.T) {
 	}
 }
 
-func TestCustomEvalHostTable(t *testing.T) {
+// Remote Evaluation links against the base capability set only: a job
+// importing anything else (here an agent capability) fails to link rather
+// than running with more authority than the host grants.
+func TestEvalOfUngrantedCapabilityFailsToLink(t *testing.T) {
 	w := newWorld(t)
-	server := w.addHost(t, "server", nil)
+	w.addHost(t, "plain", nil)
 	client := w.addHost(t, "client", nil)
-	// The server grants evaluations an extra capability.
-	server.SetEvalHostTable(func(h *Host, u *lmu.Unit) *vm.HostTable {
-		t := BaseHostTable(h, u)
-		t.Register(vm.HostFunc{Name: "server_secret", Arity: 0,
-			Fn: func(*vm.Machine, []int64) ([]int64, int64, error) {
-				return []int64{1234}, 0, nil
-			}})
-		return t
-	})
-	unit := w.signedProgram("job/ask", ".entry main\nmain:\nhost server_secret\nhalt\n")
-	var stack []int64
-	var evalErr error
-	client.Eval("server", unit, "main", nil, func(s []int64, err error) { stack, evalErr = s, err })
+	unit := w.signedProgram("job/ask", ".entry main\nmain:\nhost a_deliver\nhalt\n")
+	var got error
+	client.Eval("plain", unit, "main", nil, func(_ []int64, err error) { got = err })
 	w.sim.RunFor(time.Second)
-	if evalErr != nil {
-		t.Fatalf("Eval: %v", evalErr)
-	}
-	if len(stack) != 1 || stack[0] != 1234 {
-		t.Errorf("stack = %v", stack)
-	}
-	// The same job evaluated on a host without the grant fails to link.
-	plain := w.addHost(t, "plain", nil)
-	_ = plain
-	var got2 error
-	client.Eval("plain", unit, "main", nil, func(_ []int64, err error) { got2 = err })
-	w.sim.RunFor(time.Second)
-	if got2 == nil {
-		t.Fatal("capability leak: plain host executed server_secret")
+	if got == nil {
+		t.Fatal("capability leak: plain host linked a_deliver for an evaluation")
 	}
 }
 

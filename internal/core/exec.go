@@ -2,23 +2,21 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 
 	"logmob/internal/lmu"
 	"logmob/internal/vm"
 )
 
-// ExecContext is the per-execution state that shared capability tables reach
-// through vm.Machine.Ctx. Building one closure-captured HostTable per
-// execution dominated the allocation profile of agent-heavy experiments;
-// instead, one immutable table is built once and its functions route to the
-// current execution's context through the machine.
+// ExecContext is the per-execution state that capability tables reach
+// through vm.Machine.Ctx. A capability captures nothing per execution: one
+// immutable table is built once and its functions route to the current
+// execution's context through the machine.
 type ExecContext struct {
 	Host *Host
 	Unit *lmu.Unit
 
-	keys   []string // cached sorted data keys; reused across executions
-	keysOK bool
+	keys []string // sorted data keys of Unit; storage reused across executions
 }
 
 // ExecCtx returns the context itself; types embedding an ExecContext satisfy
@@ -29,19 +27,20 @@ func (c *ExecContext) ExecCtx() *ExecContext { return c }
 // retaining scratch storage.
 func (c *ExecContext) SetUnit(h *Host, u *lmu.Unit) {
 	c.Host, c.Unit = h, u
-	c.keysOK = false
+	c.keys = c.keys[:0]
 }
 
-// DataKeys returns the unit's data-space keys in sorted order, computed once
-// per execution.
+// DataKeys returns the unit's data-space keys in sorted order. The list is
+// cached, but the data space grows mid-execution (a migrating agent gains
+// _prev, a capability may store its result under a new key) and keys are
+// never removed, so a length mismatch is exactly "stale".
 func (c *ExecContext) DataKeys() []string {
-	if !c.keysOK {
+	if len(c.keys) != len(c.Unit.Data) {
 		c.keys = c.keys[:0]
 		for k := range c.Unit.Data {
 			c.keys = append(c.keys, k)
 		}
-		insertionSortStrings(c.keys)
-		c.keysOK = true
+		slices.Sort(c.keys)
 	}
 	return c.keys
 }
@@ -53,14 +52,6 @@ func (c *ExecContext) Blob(i int64) ([]byte, bool) {
 		return nil, false
 	}
 	return c.Unit.Data[keys[i]], true
-}
-
-func insertionSortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }
 
 // ctxCarrier is how shared capability functions find the execution context:
@@ -126,21 +117,15 @@ func RegisterBaseCtxCaps(t *vm.HostTable) {
 	})
 }
 
-var (
-	sharedBaseOnce sync.Once
-	sharedBaseTbl  *vm.HostTable
-)
-
-// sharedBaseTable returns the process-wide base capability table. It must
-// never be mutated after construction.
-func sharedBaseTable() *vm.HostTable {
-	sharedBaseOnce.Do(func() {
-		t := vm.NewHostTable()
-		RegisterBaseCtxCaps(t)
-		sharedBaseTbl = t
-	})
-	return sharedBaseTbl
-}
+// baseTable is what component execution and Remote Evaluation link against:
+// the unit's own data blobs, the host clock and audit logging. Notably
+// absent: migration, message delivery, context access. It is never mutated
+// after package initialisation.
+var baseTable = func() *vm.HostTable {
+	t := vm.NewHostTable()
+	RegisterBaseCtxCaps(t)
+	return t
+}()
 
 // evalState is a recyclable machine plus context for component execution and
 // remote evaluation.

@@ -21,6 +21,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -141,21 +142,19 @@ type Host struct {
 	auditCap       int
 
 	mu           sync.Mutex
-	services     map[string]ServiceFunc                   // guarded by mu
-	published    map[string]bool                          // name -> fetchable; guarded by mu
-	pending      map[uint64]*pendingReq                   // guarded by mu
-	reqPool      []*pendingReq                            // recycled request records, guarded by mu
-	nextReq      uint64                                   // guarded by mu
-	agentHandler AgentHandler                             // guarded by mu
-	msgHandlers  []MessageHandler                         // guarded by mu
-	evalHost     func(h *Host, u *lmu.Unit) *vm.HostTable // guarded by mu
-	evalCustom   bool                                     // true once SetEvalHostTable overrode the default; guarded by mu
-	evalPool     []*evalState                             // guarded by mu
-	progCache    map[string]*vm.Program                   // guarded by mu
-	audit        []AuditEvent                             // guarded by mu
-	auditNext    int                                      // guarded by mu
-	stats        Stats                                    // guarded by mu
-	closed       bool                                     // guarded by mu
+	services     map[string]ServiceFunc // guarded by mu
+	published    map[string]bool        // name -> fetchable; guarded by mu
+	pending      map[uint64]*pendingReq // guarded by mu
+	reqPool      []*pendingReq          // recycled request records, guarded by mu
+	nextReq      uint64                 // guarded by mu
+	agentHandler AgentHandler           // guarded by mu
+	msgHandlers  []MessageHandler       // guarded by mu
+	evalPool     []*evalState           // guarded by mu
+	progCache    map[string]*vm.Program // guarded by mu
+	audit        []AuditEvent           // guarded by mu
+	auditNext    int                    // guarded by mu
+	stats        Stats                  // guarded by mu
+	closed       bool                   // guarded by mu
 }
 
 type pendingReq struct {
@@ -212,7 +211,6 @@ func NewHost(cfg Config) (*Host, error) {
 	if h.auditCap <= 0 {
 		h.auditCap = 256
 	}
-	h.evalHost = defaultEvalHostTable //lint:allow lockguard constructor: h has not escaped yet
 	h.mux = transport.NewMux(cfg.Endpoint)
 	h.kch = h.mux.Channel(transport.ChanKernel)
 	h.kch.SetHandler(h.handle)
@@ -327,15 +325,6 @@ func (h *Host) SetAgentHandler(fn AgentHandler) {
 	h.agentHandler = fn
 }
 
-// SetEvalHostTable overrides the capability table granted to Remote
-// Evaluation requests. The builder runs per request.
-func (h *Host) SetEvalHostTable(build func(h *Host, u *lmu.Unit) *vm.HostTable) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.evalHost = build
-	h.evalCustom = true
-}
-
 // Publish makes a unit available for Fetch (Code On Demand, server side).
 // The unit is pinned in the registry so local eviction never unpublishes it.
 func (h *Host) Publish(u *lmu.Unit) error {
@@ -365,11 +354,7 @@ func (h *Host) Published() []string {
 	for name := range h.published {
 		out = append(out, name)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -415,28 +400,14 @@ func (h *Host) runUnit(u *lmu.Unit, entry string, args []int64) ([]int64, int64,
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: component %s: %w", u.Manifest.Name, err)
 	}
-	h.mu.Lock()
-	custom := h.evalCustom
-	build := h.evalHost
-	h.mu.Unlock()
-	var m *vm.Machine
-	if custom {
-		// A deployment-supplied table may capture per-unit state in closures;
-		// build it per request as before.
-		m, err = vm.New(prog, build(h, u), h.evalFuel)
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: component %s: %w", u.Manifest.Name, err)
-		}
-	} else {
-		s := h.getEval()
-		defer h.putEval(s)
-		m = &s.m
-		if err := m.Reinit(prog, sharedBaseTable(), h.evalFuel); err != nil {
-			return nil, 0, fmt.Errorf("core: component %s: %w", u.Manifest.Name, err)
-		}
-		s.ec.SetUnit(h, u)
-		m.Ctx = &s.ec
+	s := h.getEval()
+	defer h.putEval(s)
+	m := &s.m
+	if err := m.Reinit(prog, baseTable, h.evalFuel); err != nil {
+		return nil, 0, fmt.Errorf("core: component %s: %w", u.Manifest.Name, err)
 	}
+	s.ec.SetUnit(h, u)
+	m.Ctx = &s.ec
 	if err := m.SetEntry(entry, args...); err != nil {
 		return nil, 0, fmt.Errorf("core: component %s: %w", u.Manifest.Name, err)
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"logmob/internal/lmu"
-	"logmob/internal/vm"
 	"logmob/internal/wire"
 )
 
@@ -646,80 +645,4 @@ func (h *Host) handlePublish(from string, r *reader) {
 		return
 	}
 	h.reply(from, msgPublishReply, id, true, "", nil)
-}
-
-// defaultEvalHostTable grants foreign evaluations a minimal, safe capability
-// set: reading the unit's own data blobs, the host clock, and audit logging.
-// Notably absent: migration, message delivery, context access.
-func defaultEvalHostTable(h *Host, u *lmu.Unit) *vm.HostTable {
-	return BaseHostTable(h, u)
-}
-
-// BaseHostTable builds the capability table shared by component execution
-// and remote evaluation. Blob access addresses the unit's data values in
-// sorted key order.
-func BaseHostTable(h *Host, u *lmu.Unit) *vm.HostTable {
-	t := vm.NewHostTable()
-	keys := sortedDataKeys(u)
-	blob := func(i int64) ([]byte, bool) {
-		if i < 0 || i >= int64(len(keys)) {
-			return nil, false
-		}
-		return u.Data[keys[i]], true
-	}
-	t.Register(vm.HostFunc{
-		Name: "blob_count", Arity: 0,
-		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-			return []int64{int64(len(keys))}, 0, nil
-		},
-	})
-	t.Register(vm.HostFunc{
-		Name: "blob_len", Arity: 1,
-		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-			b, ok := blob(args[0])
-			if !ok {
-				return []int64{-1}, 0, nil
-			}
-			return []int64{int64(len(b))}, 0, nil
-		},
-	})
-	t.Register(vm.HostFunc{
-		Name: "blob_byte", Arity: 2,
-		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-			b, ok := blob(args[0])
-			if !ok || args[1] < 0 || args[1] >= int64(len(b)) {
-				return []int64{-1}, 0, nil
-			}
-			return []int64{int64(b[args[1]])}, 0, nil
-		},
-	})
-	t.Register(vm.HostFunc{
-		Name: "now_ms", Arity: 0,
-		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-			return []int64{h.sched.Now().Milliseconds()}, 0, nil
-		},
-	})
-	t.Register(vm.HostFunc{
-		Name: "log", Arity: 1,
-		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
-			h.mu.Lock()
-			h.recordLocked("vm-log", h.name, u.Manifest.Name, true, fmt.Sprintf("%d", args[0]))
-			h.mu.Unlock()
-			return nil, 0, nil
-		},
-	})
-	return t
-}
-
-func sortedDataKeys(u *lmu.Unit) []string {
-	keys := make([]string, 0, len(u.Data))
-	for k := range u.Data {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
 }

@@ -13,85 +13,57 @@ import (
 // Over the simulator the event loop is single-goroutine: a blocking call
 // from inside it would deadlock, so simulator code uses the callback forms.
 
+// await runs one asynchronous kernel call to completion or ctx cancellation.
+// The channel is buffered so a reply landing after the caller gave up does
+// not block the kernel's handler goroutine.
+func await[T any](ctx context.Context, start func(done func(T, error))) (T, error) {
+	type result struct {
+		v   T
+		err error
+	}
+	ch := make(chan result, 1)
+	start(func(v T, err error) { ch <- result{v, err} })
+	select {
+	case r := <-ch:
+		return r.v, r.err
+	case <-ctx.Done():
+		var zero T
+		return zero, ctx.Err()
+	}
+}
+
 // CallSync invokes a remote service and waits for the reply or ctx
 // cancellation.
 func (h *Host) CallSync(ctx context.Context, to, service string, args [][]byte) ([][]byte, error) {
-	type reply struct {
-		results [][]byte
-		err     error
-	}
-	ch := make(chan reply, 1)
-	h.Call(to, service, args, func(results [][]byte, err error) {
-		ch <- reply{results: results, err: err}
-	})
-	select {
-	case r := <-ch:
-		return r.results, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return await(ctx, func(done func([][]byte, error)) { h.Call(to, service, args, done) })
 }
 
 // EvalSync ships a unit for Remote Evaluation and waits for its result
 // stack.
 func (h *Host) EvalSync(ctx context.Context, to string, unit *lmu.Unit, entry string, args []int64) ([]int64, error) {
-	type reply struct {
-		stack []int64
-		err   error
-	}
-	ch := make(chan reply, 1)
-	h.Eval(to, unit, entry, args, func(stack []int64, err error) {
-		ch <- reply{stack: stack, err: err}
-	})
-	select {
-	case r := <-ch:
-		return r.stack, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return await(ctx, func(done func([]int64, error)) { h.Eval(to, unit, entry, args, done) })
 }
 
 // FetchSync retrieves a published unit and waits for it to be verified and
 // stored locally.
 func (h *Host) FetchSync(ctx context.Context, from, name, minVersion string) (*lmu.Unit, error) {
-	type reply struct {
-		unit *lmu.Unit
-		err  error
-	}
-	ch := make(chan reply, 1)
-	h.Fetch(from, name, minVersion, func(u *lmu.Unit, err error) {
-		ch <- reply{unit: u, err: err}
-	})
-	select {
-	case r := <-ch:
-		return r.unit, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return await(ctx, func(done func(*lmu.Unit, error)) { h.Fetch(from, name, minVersion, done) })
 }
 
 // SendAgentSync transfers an agent and waits for the receiver's accept or
 // refuse.
 func (h *Host) SendAgentSync(ctx context.Context, to string, unit *lmu.Unit) error {
-	ch := make(chan error, 1)
-	h.SendAgent(to, unit, func(err error) { ch <- err })
-	select {
-	case err := <-ch:
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	_, err := await(ctx, func(done func(struct{}, error)) {
+		h.SendAgent(to, unit, func(err error) { done(struct{}{}, err) })
+	})
+	return err
 }
 
 // PublishToSync pushes a unit to a remote host for Fetch service there and
 // waits for its accept or refuse.
 func (h *Host) PublishToSync(ctx context.Context, to string, unit *lmu.Unit) error {
-	ch := make(chan error, 1)
-	h.PublishTo(to, unit, func(err error) { ch <- err })
-	select {
-	case err := <-ch:
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	_, err := await(ctx, func(done func(struct{}, error)) {
+		h.PublishTo(to, unit, func(err error) { done(struct{}{}, err) })
+	})
+	return err
 }

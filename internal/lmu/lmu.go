@@ -16,6 +16,7 @@ package lmu
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -286,16 +287,8 @@ func (u *Unit) DataKeys() []string {
 	for k := range u.Data {
 		keys = append(keys, k)
 	}
-	sortStringsLMU(keys)
+	slices.Sort(keys)
 	return keys
-}
-
-func sortStringsLMU(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }
 
 // Clone returns a deep copy of the unit.

@@ -367,6 +367,10 @@ func (m *Mobility) stepTwoPhase(model Planner) {
 	}
 	plans := m.plans[:len(m.resolved)]
 	now := m.net.Sim().Now()
+	plan := func(i int) {
+		next, moved, arrived := model.PlanStep(m.resolved[i], now, m.tick)
+		plans[i] = stepPlan{next: next, moved: moved, arrived: arrived}
+	}
 	w := m.net.workers
 	var buckets [][]int32
 	if w > 1 && len(m.resolved) >= regionMoveParallelMin {
@@ -382,8 +386,7 @@ func (m *Mobility) stepTwoPhase(model Planner) {
 			go func(idxs []int32) {
 				defer wg.Done()
 				for _, i := range idxs {
-					next, moved, arrived := model.PlanStep(m.resolved[i], now, m.tick)
-					plans[i] = stepPlan{next: next, moved: moved, arrived: arrived}
+					plan(int(i))
 				}
 			}(bucket)
 		}
@@ -391,8 +394,7 @@ func (m *Mobility) stepTwoPhase(model Planner) {
 	} else {
 		runSharded(len(m.resolved), w, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				next, moved, arrived := model.PlanStep(m.resolved[i], now, m.tick)
-				plans[i] = stepPlan{next: next, moved: moved, arrived: arrived}
+				plan(i)
 			}
 		})
 	}

@@ -53,12 +53,6 @@ func (w *timeWheel) ensure(i int32) {
 	}
 }
 
-// armedAt returns member i's wake slot, or wheelIdle when parked.
-func (w *timeWheel) armedAt(i int32) int64 {
-	w.ensure(i)
-	return w.armed[i]
-}
-
 // arm schedules member i to fire at slot. Earliest wins: arming a member
 // already due sooner is a no-op, arming it earlier moves the wake forward
 // and the later slot entry goes stale. Re-arming at the same slot never
@@ -86,13 +80,6 @@ func (w *timeWheel) arm(i int32, slot int64) {
 		s.sorted = false
 	}
 	s.members = append(s.members, i)
-}
-
-// cancel parks member i. Lazy: any slot entries it holds are skipped when
-// their slot is collected.
-func (w *timeWheel) cancel(i int32) {
-	w.ensure(i)
-	w.armed[i] = wheelIdle
 }
 
 // collect appends the members due exactly at slot to out in ascending

@@ -305,3 +305,18 @@ func mathFloorDiv(v, cell float64) int64 {
 	}
 	return i
 }
+
+// Test-only timeWheel accessors: production code only arms and collects.
+
+// armedAt returns member i's wake slot, or wheelIdle when parked.
+func (w *timeWheel) armedAt(i int32) int64 {
+	w.ensure(i)
+	return w.armed[i]
+}
+
+// cancel parks member i. Lazy: any slot entries it holds are skipped when
+// their slot is collected.
+func (w *timeWheel) cancel(i int32) {
+	w.ensure(i)
+	w.armed[i] = wheelIdle
+}

@@ -11,6 +11,7 @@ package registry
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -238,7 +239,7 @@ func (r *Registry) evictableLocked() []*Entry {
 	for name := range r.entries {
 		names = append(names, name)
 	}
-	insertionSort(names)
+	slices.Sort(names)
 	var out []*Entry
 	for _, name := range names {
 		for _, e := range r.entries[name] {
@@ -248,14 +249,6 @@ func (r *Registry) evictableLocked() []*Entry {
 		}
 	}
 	return out
-}
-
-func insertionSort(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }
 
 // removeEntryLocked unlinks e. Caller holds the lock.
@@ -354,7 +347,7 @@ func (r *Registry) List() []lmu.Manifest {
 	for name := range r.entries {
 		names = append(names, name)
 	}
-	insertionSort(names)
+	slices.Sort(names)
 	var out []lmu.Manifest
 	for _, name := range names {
 		for _, e := range r.entries[name] {

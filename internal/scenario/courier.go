@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	"slices"
+
 	"logmob/internal/agent"
-	"logmob/internal/lmu"
+	"logmob/internal/core"
 	"logmob/internal/vm"
 )
 
@@ -66,39 +68,35 @@ const greedyHopKey = "geo/hop"
 // The pick is stored in the agent's data space and returned as (blob index,
 // found) for a_select_blob. Neighbor iteration is insertion-ordered with
 // first-wins ties, so the choice is deterministic.
-func GreedyGeoCaps(w *World) func(p *agent.Platform, u *lmu.Unit) []vm.HostFunc {
-	return func(p *agent.Platform, u *lmu.Unit) []vm.HostFunc {
-		return []vm.HostFunc{{
-			Name: "geo_pick_greedy", Arity: 0,
-			Fn: func(*vm.Machine, []int64) ([]int64, int64, error) {
-				dest := string(u.Data[agent.KeyDest])
-				destNode := w.Net.Node(dest)
-				hereNode := w.Net.Node(p.Host().Name())
-				if destNode == nil || hereNode == nil {
-					return []int64{0, 0}, 0, nil
+func GreedyGeoCaps(w *World) []vm.HostFunc {
+	return []vm.HostFunc{{
+		Name: "geo_pick_greedy", Arity: 0,
+		Fn: func(m *vm.Machine, _ []int64) ([]int64, int64, error) {
+			p, u := agent.Current(m)
+			dest := string(u.Data[agent.KeyDest])
+			destNode := w.Net.Node(dest)
+			hereNode := w.Net.Node(p.Host().Name())
+			if destNode == nil || hereNode == nil {
+				return m.Ret2(0, 0), 0, nil
+			}
+			best := ""
+			bestD := hereNode.Pos().Dist(destNode.Pos())
+			for _, nb := range w.Net.Neighbors(hereNode.ID) {
+				if nb == dest {
+					best = nb
+					break
 				}
-				best := ""
-				bestD := hereNode.Pos().Dist(destNode.Pos())
-				for _, nb := range w.Net.Neighbors(hereNode.ID) {
-					if nb == dest {
-						best = nb
-						break
-					}
-					if d := w.Net.Node(nb).Pos().Dist(destNode.Pos()); d < bestD {
-						best, bestD = nb, d
-					}
+				if d := w.Net.Node(nb).Pos().Dist(destNode.Pos()); d < bestD {
+					best, bestD = nb, d
 				}
-				if best == "" {
-					return []int64{0, 0}, 0, nil
-				}
-				u.Data[greedyHopKey] = []byte(best)
-				for i, k := range u.DataKeys() {
-					if k == greedyHopKey {
-						return []int64{int64(i), 1}, 0, nil
-					}
-				}
-				return []int64{0, 0}, 0, nil // unreachable
-			},
-		}}
-	}
+			}
+			if best == "" {
+				return m.Ret2(0, 0), 0, nil
+			}
+			u.Data[greedyHopKey] = []byte(best)
+			// The same key list a_select_blob indexes.
+			i, _ := slices.BinarySearch(core.MachineExecCtx(m).DataKeys(), greedyHopKey)
+			return m.Ret2(int64(i), 1), 0, nil
+		},
+	}}
 }

@@ -6,7 +6,6 @@ import (
 	"logmob/internal/agent"
 	"logmob/internal/core"
 	"logmob/internal/discovery"
-	"logmob/internal/lmu"
 	"logmob/internal/metrics"
 	"logmob/internal/netsim"
 	"logmob/internal/transport"
@@ -53,15 +52,11 @@ type PlaceFunc func(w *World, i int) netsim.Position
 // Place implements Placement.
 func (f PlaceFunc) Place(w *World, i int) netsim.Position { return f(w, i) }
 
-// CapsFactory builds the extra agent capabilities a population's platforms
+// CapsFactory lists the extra agent capabilities a population's platforms
 // contribute; it receives the compiled world so capabilities can consult the
-// network (e.g. geographic routing).
-type CapsFactory func(w *World) func(p *agent.Platform, u *lmu.Unit) []vm.HostFunc
-
-// StaticCaps adapts a world-independent capability set to a CapsFactory.
-func StaticCaps(caps func(p *agent.Platform, u *lmu.Unit) []vm.HostFunc) CapsFactory {
-	return func(*World) func(*agent.Platform, *lmu.Unit) []vm.HostFunc { return caps }
-}
+// network (e.g. geographic routing). It runs once per population: the result
+// joins the standard set in one table every member shares.
+type CapsFactory func(w *World) []vm.HostFunc
 
 // Population declares one group of like-configured nodes.
 type Population struct {
@@ -184,9 +179,9 @@ func (s *Spec) Compile(seed int64) *World {
 		if count <= 0 {
 			count = 1
 		}
-		var caps func(*agent.Platform, *lmu.Unit) []vm.HostFunc
+		var caps *vm.HostTable // nil: the platform's standard set
 		if p.ExtraCaps != nil {
-			caps = p.ExtraCaps(w)
+			caps = agent.NewCaps(p.ExtraCaps(w)...)
 		}
 		for i := 0; i < count; i++ {
 			name := p.nodeName(i)
@@ -212,10 +207,10 @@ func (s *Spec) Compile(seed int64) *World {
 			w.Pops[p.Name] = append(w.Pops[p.Name], name)
 			if p.Agents {
 				w.Platforms[name] = agent.NewPlatform(h, agent.Env{
-					Seed:      seed + p.AgentSeedOffset + int64(i),
-					MaxHops:   p.MaxHops,
-					ExtraCaps: caps,
-					OnDone:    func(r agent.Record) { w.Records = append(w.Records, r) },
+					Seed:    seed + p.AgentSeedOffset + int64(i),
+					MaxHops: p.MaxHops,
+					Caps:    caps,
+					OnDone:  func(r agent.Record) { w.Records = append(w.Records, r) },
 				})
 			}
 			if p.Beacon > 0 {

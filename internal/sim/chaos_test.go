@@ -140,18 +140,6 @@ func TestT13TinyCrowd(t *testing.T) {
 	}
 }
 
-// TestT13ChaosRaceStress runs the shrunken blackout at workers=8. Like
-// TestT11ParallelRaceStress it exists for the CI `-race -short` job: the
-// full fault machinery — impairment draws, churn SetUp storms, partition
-// epoch bumps, ack/retry timers — over the parallel tick pipeline.
-func TestT13ChaosRaceStress(t *testing.T) {
-	sp := t13ShortSpec()
-	sp.Workers = 8
-	if _, table := sp.Run(1); table == nil {
-		t.Fatal("chaos stress run produced no summary table")
-	}
-}
-
 // TestT13ShapeHolds sanity-checks the blackout story on the default seed:
 // every paradigm row renders, adversity actually bites (drops, crashes and
 // retries all nonzero), and the run is deterministic.

@@ -98,20 +98,42 @@ func TestWorkersDifferential(t *testing.T) {
 	}
 }
 
-// TestT11ParallelRaceStress runs a shrunken T11 under workers=8 for a short
+// TestParallelRaceStress runs each shrunken crowd at workers=8 for a short
 // horizon. Its job is to give `go test -race` (the CI race job runs -short,
-// which includes this test) a realistic full-stack workload over the
-// two-phase tick: parallel mobility planning, the parallel neighbor-cache
-// warm under a live beacon burst, couriers routing over warmed caches.
-func TestT11ParallelRaceStress(t *testing.T) {
-	sp := t11Spec(map[string]float64{
-		"attendees": 400, "stages": 4, "field": 700, "range": 40, "couriers": 4,
-	})
-	sp.Workers = 8
-	sp.Warmup = 20 * time.Second
-	sp.Duration = 40 * time.Second
-	if _, table := sp.Run(1); table == nil {
-		t.Fatal("stress run produced no summary table")
+// which includes this test) realistic full-stack workloads over the
+// two-phase tick; `-run TestParallelRaceStress/T16` picks one.
+func TestParallelRaceStress(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		spec func() *scenario.Spec
+	}{
+		// Parallel mobility planning, the parallel neighbor-cache warm under
+		// a live beacon burst, couriers routing over warmed caches.
+		{"T11", func() *scenario.Spec {
+			sp := t11Spec(map[string]float64{
+				"attendees": 400, "stages": 4, "field": 700, "range": 40, "couriers": 4,
+			})
+			sp.Warmup = 20 * time.Second
+			sp.Duration = 40 * time.Second
+			return sp
+		}},
+		// The full fault machinery — impairment draws, churn SetUp storms,
+		// partition epoch bumps, ack/retry timers.
+		{"T13", t13ShortSpec},
+		// The sparse due-set tick and the region-sharded move commit, forced
+		// past its parallel threshold by the dwell-expiry waves.
+		{"T15", t15ShortSpec},
+		// The batched beacon tick fanning out broadcasts, the timing-wheel
+		// drain, the region-bucketed plan/commit pipeline.
+		{"T16", t16ShortSpec},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sp := c.spec()
+			sp.Workers = 8
+			if _, table := sp.Run(1); table == nil {
+				t.Fatal("stress run produced no summary table")
+			}
+		})
 	}
 }
 

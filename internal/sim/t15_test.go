@@ -21,19 +21,6 @@ func t15ShortSpec() *scenario.Spec {
 	return t15Spec(withDefaults(T15().Params, t15ShortParams))
 }
 
-// TestT15ParallelRaceStress runs the shrunken metropolis at workers=8.
-// Like the T11/T13 stress tests it exists for the CI `-race -short` job:
-// the sparse due-set tick, the region-sharded move commit (forced past its
-// parallel threshold by the dwell-expiry waves) and the parallel
-// neighbor-cache warm all run concurrently under the race detector.
-func TestT15ParallelRaceStress(t *testing.T) {
-	sp := t15ShortSpec()
-	sp.Workers = 8
-	if _, table := sp.Run(1); table == nil {
-		t.Fatal("metropolis stress run produced no summary table")
-	}
-}
-
 // TestT15Shape sanity-checks the reduced metropolis: all four paradigm rows
 // render, couriers deliver, and the run is deterministic per seed.
 func TestT15Shape(t *testing.T) {

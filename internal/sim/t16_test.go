@@ -23,19 +23,6 @@ func t16ShortSpec() *scenario.Spec {
 	return t16Spec(withDefaults(T16().Params, t16ShortParams))
 }
 
-// TestT16ParallelRaceStress runs the shrunken megacity at workers=8. Like
-// the T11/T13/T15 stress tests it exists for the CI `-race -short` job: the
-// batched beacon tick fanning out broadcasts, the timing-wheel drain, and
-// the region-bucketed plan/commit pipeline all run concurrently under the
-// race detector.
-func TestT16ParallelRaceStress(t *testing.T) {
-	sp := t16ShortSpec()
-	sp.Workers = 8
-	if _, table := sp.Run(1); table == nil {
-		t.Fatal("megacity stress run produced no summary table")
-	}
-}
-
 // TestT16ShortDifferential holds the shrunken megacity byte-identical
 // across worker counts, in -short mode too — every CI run proves the PR-10
 // engine work (wheel, beacon batches, locality shards) cannot leak worker

@@ -10,6 +10,7 @@ import (
 	"logmob/internal/metrics"
 	"logmob/internal/netsim"
 	"logmob/internal/scenario"
+	"logmob/internal/vm"
 )
 
 // T5 compares a shopping agent with interactive catalogue browsing on a
@@ -46,6 +47,9 @@ const (
 	t5PagesPerVendor = 3
 )
 
+// t5Caps grants a T5 population's platforms the vendors' price query.
+func t5Caps(*scenario.World) []vm.HostFunc { return app.VendorCaps() }
+
 // t5Vendors declares the vendor population: LAN marketplace hosts with a
 // per-vendor catalogue, optionally agent-capable for the shopper to visit.
 func t5Vendors(vendors int, prices []float64, agents bool) scenario.Population {
@@ -54,7 +58,7 @@ func t5Vendors(vendors int, prices []float64, agents bool) scenario.Population {
 		Count:  vendors,
 		NameOf: func(i int) string { return fmt.Sprintf("shop-%02d", i) },
 		Link:   netsim.LAN,
-		Agents: agents, ExtraCaps: scenario.StaticCaps(app.VendorCaps),
+		Agents: agents, ExtraCaps: t5Caps,
 		Setup: func(w *scenario.World, i int, h *core.Host) {
 			app.SetupVendor(h, map[string]float64{"widget": prices[i]}, t5PageSize)
 		},
@@ -88,7 +92,7 @@ func runT5Vendors(seed int64, sweep []int) *Result {
 				Name: "Shopping agent",
 				Populations: []scenario.Population{
 					{Name: "home", Link: netsim.GPRS,
-						Agents: true, ExtraCaps: scenario.StaticCaps(app.VendorCaps)},
+						Agents: true, ExtraCaps: t5Caps},
 					t5Vendors(vendors, prices, true),
 				},
 				Duration: 30 * time.Minute,

@@ -17,6 +17,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"logmob/internal/wire"
 )
@@ -146,11 +147,7 @@ func (p *Program) Encode() []byte {
 	for name := range p.Entries {
 		names = append(names, name)
 	}
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
+	slices.Sort(names)
 	b.PutUint(uint64(len(names)))
 	for _, name := range names {
 		b.PutString(name)

@@ -84,9 +84,11 @@ type HostFunc struct {
 	Fn func(m *Machine, args []int64) (results []int64, trapCode int64, err error)
 }
 
-// HostTable links import names to host functions. A host builds one per
-// execution context, granting exactly the capabilities it wants the foreign
-// code to have.
+// HostTable links import names to host functions, granting exactly the
+// capabilities a host wants foreign code to have. A table is built once,
+// never mutated after the first machine links it, and shared by every
+// execution it serves; its functions reach per-execution state through
+// Machine.Ctx.
 type HostTable struct {
 	funcs map[string]HostFunc
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -221,7 +222,7 @@ func (b *Buffer) PutBytesMap(m map[string][]byte) {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sortStrings(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
 		b.PutString(k)
 		b.PutBytes(m[k])
@@ -241,18 +242,8 @@ func sortedKeys(m map[string]string) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sortStrings(keys)
+	slices.Sort(keys)
 	return keys
-}
-
-// sortStrings is insertion sort; key sets here are small and this avoids an
-// import of sort for a single call site hot path.
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }
 
 // Reader decodes values from a byte slice. The first decoding error is
