@@ -38,9 +38,10 @@ import (
 // paths. BenchmarkT15Metropolis gates the sparse-tick engine (time wheel +
 // hierarchical grid) end to end at the metropolis scenario's short config.
 // BenchmarkSchedulerArm/wheel/n100000 gates the timing-wheel event queue's
-// arm+fire cost at six-figure timer counts, and BenchmarkBeaconCadence's
-// batch row gates the shared beacon tick it feeds.
-const defaultBenches = "BenchmarkT3Disaster,BenchmarkT4DisasterLatency,BenchmarkT11FestivalScale,BenchmarkT14AdaptiveLoop,BenchmarkT15Metropolis,BenchmarkDecide,BenchmarkLMUPackUnpack,BenchmarkReadFrame,BenchmarkVMEval,BenchmarkSchedulerArm/wheel/n100000,BenchmarkBeaconCadence/batch/n10000"
+// arm+fire cost at six-figure timer counts, BenchmarkBeaconCadence's batch
+// row gates the shared beacon tick it feeds, and BenchmarkBeaconHear/known
+// (internal/discovery) gates one beacon reception at zero allocations.
+const defaultBenches = "BenchmarkT3Disaster,BenchmarkT4DisasterLatency,BenchmarkT11FestivalScale,BenchmarkT14AdaptiveLoop,BenchmarkT15Metropolis,BenchmarkDecide,BenchmarkLMUPackUnpack,BenchmarkReadFrame,BenchmarkVMEval,BenchmarkSchedulerArm/wheel/n100000,BenchmarkBeaconCadence/batch/n10000,BenchmarkBeaconHear/known"
 
 // Result holds one benchmark's measurements.
 type Result struct {

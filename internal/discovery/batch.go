@@ -12,10 +12,12 @@ import (
 // alive in the scheduler at all times; the batch keeps exactly one, and
 // broadcasts for its members in the order they were added (worlds add in
 // canonical node order), reusing one pooled scratch buffer for any frame
-// rebuilds. A lone beacon is a batch of one (see Beacon.Start).
+// rebuilds. Members also share one frameMemo, so a frame n of them hear is
+// decoded once, not n times. A lone beacon is a batch of one (see
+// Beacon.Start).
 //
 // Per member: the first beacon goes out the moment the member is added or
-// started, miss eviction runs on the shared tick, and a member that Stops
+// started, the neighbor-table sweep runs on the shared tick, and a member that Stops
 // is skipped until Start rejoins it — hosts churned down and back up
 // resume beaconing without any per-host timer state. The timer is armed
 // exactly while at least one member is running: stopping the last one
@@ -27,7 +29,8 @@ type BeaconBatch struct {
 	members  []*Beacon
 	running  int // members currently running
 	scratch  []string
-	stop     func() // cancels the armed timer; nil while running == 0
+	memo     frameMemo // decoded frames, shared by every member
+	stop     func()    // cancels the armed timer; nil while running == 0
 }
 
 // NewBeaconBatch returns an empty batch broadcasting every interval.
@@ -35,7 +38,7 @@ func NewBeaconBatch(sched transport.Scheduler, interval time.Duration) *BeaconBa
 	if interval <= 0 {
 		interval = 5 * time.Second
 	}
-	return &BeaconBatch{sched: sched, interval: interval}
+	return &BeaconBatch{sched: sched, interval: interval, memo: make(frameMemo)}
 }
 
 // Add registers b and starts it under the batch's cadence: the first beacon
@@ -59,6 +62,7 @@ func (g *BeaconBatch) Add(b *Beacon) {
 		old.members = nil
 	}
 	b.batch = g
+	b.memo = g.memo // frames b already holds stay valid; they just are not g's to release
 	g.members = append(g.members, b)
 	g.start(b)
 }

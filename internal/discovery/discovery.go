@@ -25,7 +25,9 @@ type Ad struct {
 	Service string
 	// Provider is the offering host's transport address.
 	Provider string
-	// Attrs carries free-form service metadata.
+	// Attrs carries free-form service metadata. Treat it as read-only: the
+	// ads a Beacon hands out share one decoded map between every listener
+	// that heard the frame, and nothing in this package writes to it.
 	Attrs map[string]string
 	// TTL is how long the advertisement stays valid without renewal.
 	TTL time.Duration
@@ -38,8 +40,8 @@ func (a *Ad) encode(b *wire.Buffer) {
 	b.PutInt(int64(a.TTL))
 }
 
-// decodeAd interns the service and provider names: a beaconing field
-// re-decodes the same few strings from every neighbor on every tick.
+// decodeAd interns the service and provider names: the same few strings
+// arrive from every provider.
 func decodeAd(r *wire.Reader) Ad {
 	return Ad{
 		Service:  r.InternString(),
@@ -47,6 +49,20 @@ func decodeAd(r *wire.Reader) Ad {
 		Attrs:    r.StringMap(),
 		TTL:      time.Duration(r.Int()),
 	}
+}
+
+// maxLease caps a peer-supplied TTL so heardAt+lease cannot overflow.
+const maxLease = time.Duration(1) << 62
+
+// leaseTTL is how long ad stays valid after it was heard or registered.
+func leaseTTL(ad Ad) time.Duration {
+	switch {
+	case ad.TTL <= 0:
+		return time.Minute
+	case ad.TTL > maxLease:
+		return maxLease
+	}
+	return ad.TTL
 }
 
 // Query matches advertisements. Service must match exactly; every Attrs
@@ -85,47 +101,44 @@ type Finder interface {
 	Find(q Query, cb func(ads []Ad))
 }
 
+// adKey identifies an advertisement. A struct, not a joined string: both
+// halves arrive from peers and may contain any byte, separators included.
+type adKey struct{ provider, service string }
+
 // lease is a stored advertisement with its expiry.
 type lease struct {
 	ad      Ad
 	expires time.Duration
 }
 
-// adTable is an expiring advertisement store shared by the lookup server and
-// the beacon cache. Single-goroutine (simulation/handler context).
+// adTable is the lookup server's expiring advertisement store.
+// Single-goroutine (simulation/handler context).
 type adTable struct {
 	now    func() time.Duration
-	leases map[string]lease // key: provider + "\x00" + service
+	leases map[adKey]lease
+	// pruneAt is the table size at which put prunes next: twice what the
+	// last prune left, so a server that is registered with but never queried
+	// still holds at most about double its live set, at amortised O(1) a put.
+	pruneAt int
 }
 
+// adTableMinPrune keeps small tables from pruning on every other put.
+const adTableMinPrune = 64
+
 func newAdTable(now func() time.Duration) *adTable {
-	return &adTable{now: now, leases: make(map[string]lease)}
+	return &adTable{now: now, leases: make(map[adKey]lease), pruneAt: adTableMinPrune}
 }
 
 func (t *adTable) put(ad Ad) {
-	ttl := ad.TTL
-	if ttl <= 0 {
-		ttl = time.Minute
+	t.leases[adKey{ad.Provider, ad.Service}] = lease{ad: ad, expires: t.now() + leaseTTL(ad)}
+	if len(t.leases) >= t.pruneAt {
+		t.prune()
+		t.pruneAt = max(adTableMinPrune, 2*len(t.leases))
 	}
-	t.leases[ad.Provider+"\x00"+ad.Service] = lease{ad: ad, expires: t.now() + ttl}
 }
 
 func (t *adTable) drop(provider, service string) {
-	delete(t.leases, provider+"\x00"+service)
-}
-
-// dropProvider removes every lease held for one provider, returning how
-// many were dropped (beacon miss-eviction).
-func (t *adTable) dropProvider(provider string) int {
-	prefix := provider + "\x00"
-	n := 0
-	for key := range t.leases {
-		if len(key) >= len(prefix) && key[:len(prefix)] == prefix {
-			delete(t.leases, key)
-			n++
-		}
-	}
-	return n
+	delete(t.leases, adKey{provider, service})
 }
 
 // find returns matching, unexpired ads and prunes expired ones.
@@ -158,16 +171,6 @@ func (t *adTable) prune() {
 func (t *adTable) size() int {
 	t.prune()
 	return len(t.leases)
-}
-
-// providers counts the distinct providers with at least one live lease.
-func (t *adTable) providers() int {
-	t.prune()
-	seen := make(map[string]bool)
-	for _, l := range t.leases {
-		seen[l.ad.Provider] = true
-	}
-	return len(seen)
 }
 
 // sortAds orders ads by (service, provider) for deterministic output.

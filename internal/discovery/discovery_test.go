@@ -1,11 +1,13 @@
 package discovery
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"logmob/internal/netsim"
 	"logmob/internal/transport"
+	"logmob/internal/wire"
 )
 
 // rig is a simulated environment with a lookup server plus client nodes.
@@ -323,5 +325,49 @@ func TestBeaconMultiHopDoesNotPropagate(t *testing.T) {
 	}
 	if len(atC) != 0 {
 		t.Errorf("c should not hear a: %v", atC)
+	}
+}
+
+// registerWith hands the server one register message, as a peer would.
+func registerWith(s *LookupServer, ad Ad) {
+	var b wire.Buffer
+	b.PutByte(msgRegister)
+	ad.encode(&b)
+	s.handle(ad.Provider, b.Bytes())
+}
+
+// TestLookupKeyIsNotAJoinedString: provider and service arrive from peers
+// and may contain any byte. Joined with a NUL separator, these two
+// registrations shared one lease.
+func TestLookupKeyIsNotAJoinedString(t *testing.T) {
+	sim := netsim.NewSim(1)
+	s := NewLookupServer(&tapeEndpoint{addr: "lookup"}, sim)
+	registerWith(s, Ad{Provider: "a", Service: "b\x00c", TTL: time.Hour})
+	registerWith(s, Ad{Provider: "a\x00b", Service: "c", TTL: time.Hour})
+	if s.Leases() != 2 {
+		t.Fatalf("Leases = %d, want 2 distinct registrations", s.Leases())
+	}
+	s.table.drop("a", "b\x00c")
+	if got := s.table.find(Query{}); len(got) != 1 || got[0].Provider != "a\x00b" {
+		t.Fatalf("unregistering one dropped the other: %+v", got)
+	}
+}
+
+// TestLookupUnqueriedServerStaysBounded: a server that is registered with
+// but never queried must not keep every lease it ever granted. 10,000
+// one-second leases arrive 10 ms apart (about 100 live at any time) and
+// nothing ever reads the table.
+func TestLookupUnqueriedServerStaysBounded(t *testing.T) {
+	sim := netsim.NewSim(1)
+	s := NewLookupServer(&tapeEndpoint{addr: "lookup"}, sim)
+	for i := 0; i < 10000; i++ {
+		registerWith(s, Ad{Provider: fmt.Sprintf("p%05d", i), Service: "svc", TTL: time.Second})
+		sim.RunFor(10 * time.Millisecond)
+	}
+	if got := len(s.table.leases); got > 300 {
+		t.Fatalf("table holds %d leases with about 100 live and no query ever made", got)
+	}
+	if s.Registrations != 10000 || s.Leases() < 99 || s.Leases() > 101 {
+		t.Fatalf("Registrations=%d Leases=%d, want 10000 and about 100", s.Registrations, s.Leases())
 	}
 }

@@ -64,7 +64,8 @@ func TestBeaconMissEviction(t *testing.T) {
 }
 
 // TestBeaconMissEvictionDisabled pins the inert default: MissEvict=0 keeps
-// the pre-adversity behavior (TTL-only expiry) and tracks nothing.
+// the pre-adversity behavior (TTL-only expiry), evicts nothing and tracks
+// nothing beyond the one record the sender's live ad needs anyway.
 func TestBeaconMissEvictionDisabled(t *testing.T) {
 	r, ba, bb := beaconPairRig(t, 0)
 	r.sim.RunFor(20 * time.Second)
@@ -73,8 +74,8 @@ func TestBeaconMissEvictionDisabled(t *testing.T) {
 	if bb.CacheSize() != 1 {
 		t.Fatal("MissEvict=0 must leave TTL-only expiry in place")
 	}
-	if bb.lastHeard != nil {
-		t.Fatal("MissEvict=0 must not track providers")
+	if len(bb.nbrs) != 1 {
+		t.Fatalf("MissEvict=0 must track nothing extra: %d records for one neighbor", len(bb.nbrs))
 	}
 	if bb.Evicted != 0 {
 		t.Fatalf("Evicted = %d with eviction disabled", bb.Evicted)
@@ -95,7 +96,7 @@ func TestBeaconMissEvictionWhileQuiescent(t *testing.T) {
 	if bb.Evicted != 1 {
 		t.Fatalf("Evicted = %d without any cache query, want 1 (tick-driven sweep)", bb.Evicted)
 	}
-	if got := bb.cache.size(); got != 0 {
-		t.Fatalf("silent provider's ads still cached (%d) without any query", got)
+	if got := len(bb.nbrs); got != 0 {
+		t.Fatalf("silent provider still in the table (%d records) without any query", got)
 	}
 }

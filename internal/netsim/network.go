@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -488,9 +488,10 @@ func (n *Network) neighborsOf(id string) []string {
 
 // computeNeighbors gathers candidates from the infra set and the grid ring
 // around node, filters them through exact connectivity, and resolves the
-// result to insertion order. scratch is the caller's reusable candidate
-// buffer (per-worker during a parallel warm); the possibly-grown buffer is
-// returned for reuse.
+// result to insertion order. The IDs go into node's previous cache array when
+// it is large enough (nobody may hold a neighbor slice across an epoch, see
+// neighborsOf). scratch is the caller's reusable candidate buffer (per-worker
+// during a parallel warm); the possibly-grown buffer is returned for reuse.
 func (n *Network) computeNeighbors(node *Node, scratch []*Node) ([]string, []*Node) {
 	if !node.Up {
 		return nil, scratch
@@ -523,13 +524,13 @@ func (n *Network) computeNeighbors(node *Node, scratch []*Node) ([]string, []*No
 	cand = cand[:k]
 	// Grid cells yield nodes in index order, not insertion order; resolve
 	// to insertion order so RNG draws and deliveries stay deterministic.
-	sort.Slice(cand, func(i, j int) bool { return cand[i].orderIdx < cand[j].orderIdx })
-	if k == 0 {
-		return nil, cand[:0]
+	slices.SortFunc(cand, func(a, b *Node) int { return a.orderIdx - b.orderIdx })
+	out := node.nbrCache[:0]
+	if cap(out) < k {
+		out = make([]string, 0, k)
 	}
-	out := make([]string, k)
-	for i, other := range cand {
-		out[i] = other.ID
+	for _, other := range cand {
+		out = append(out, other.ID)
 	}
 	return out, cand[:0] // hand back the (possibly grown) buffer
 }
