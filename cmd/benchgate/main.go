@@ -1,263 +1,241 @@
-// Command benchgate guards the allocation-slashing work: it compares a fresh
-// `go test -bench -json` run against the committed baseline
-// (BENCH_logmob.json) and exits non-zero when a hot benchmark regressed by
-// more than the tolerance on ns/op or allocs/op.
+// Command benchgate keeps the benchmark's trajectory and gates on it.
+// BENCH_logmob.json is the trajectory: one record per line, appended, never
+// rewritten — a `bash bench/run.sh -json` document under the PR it measured,
+// the toolchain and the box. The gate compares a fresh document with the
+// last record.
 //
-// Usage:
+//	bash bench/run.sh -json | go run ./cmd/benchgate                                gate
+//	bash bench/run.sh -json -trace 1 | go run ./cmd/benchgate -record 'PR 16: ...'  append a record
 //
-//	go test -run '^$' -bench 'T3|T4' -benchtime 1x -benchmem -json . > new.json
-//	go run ./cmd/benchgate -baseline BENCH_logmob.json -new new.json
-//
-// The default watch list is the hot set the perf campaign optimised; pass
-// -benches to subset it (CI runs a short subset on pull requests and the
-// full list on main). A bench missing from the new run fails the gate — a
-// silently-skipped benchmark must not read as a pass — while a bench missing
-// from the baseline only warns, so new benchmarks can land before the next
-// baseline refresh.
-//
-// With -json, violations are emitted as a findings.Report — the same schema
-// cmd/logmoblint emits — with check "regression" or "missing-bench" per
-// finding, so one downstream consumer handles both tools.
+// Only the two count metrics gate, at the bounds BENCHMARK.json (beside the
+// history) gives them: they belong to the code, the Go minor version and the
+// one thread bench/ pins, and a two-second run reads what a ten-second one
+// does. A count worse than the record by more than its bound fails; so does
+// one better by more than its bound ("record it": appended, the new record
+// is what the run is compared with), a workload that is missing or wrong,
+// and a record made with another Go minor version. Times are printed beside
+// the record's and never gated: bench/README.md, "Why the minimum, why one
+// thread", is the noise study.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
+	"path/filepath"
+	"runtime"
 	"strings"
-
-	"logmob/internal/findings"
 )
 
-// defaultBenches is the hot set: the end-to-end experiment benches the
-// campaign's acceptance criteria name plus the micro-benches over the pooled
-// paths. BenchmarkT15Metropolis gates the sparse-tick engine (time wheel +
-// hierarchical grid) end to end at the metropolis scenario's short config.
-// BenchmarkSchedulerArm/wheel/n100000 gates the timing-wheel event queue's
-// arm+fire cost at six-figure timer counts, BenchmarkBeaconCadence's batch
-// row gates the shared beacon tick it feeds, and BenchmarkBeaconHear/known
-// (internal/discovery) gates one beacon reception at zero allocations.
-const defaultBenches = "BenchmarkT3Disaster,BenchmarkT4DisasterLatency,BenchmarkT11FestivalScale,BenchmarkT14AdaptiveLoop,BenchmarkT15Metropolis,BenchmarkDecide,BenchmarkLMUPackUnpack,BenchmarkReadFrame,BenchmarkVMEval,BenchmarkSchedulerArm/wheel/n100000,BenchmarkBeaconCadence/batch/n10000,BenchmarkBeaconHear/known"
+// gated names the metrics that gate. peak_rss_mb looks like them but is a
+// 25 % metric the neighbours move; every bound is read from BENCHMARK.json.
+var gated = map[string]bool{"allocs_per_op": true, "alloc_mb_per_op": true}
 
-// Result holds one benchmark's measurements.
-type Result struct {
-	NsPerOp     float64
-	AllocsPerOp float64
-	BytesPerOp  float64
-	HasAllocs   bool
+// benchmark is what the gate reads of BENCHMARK.json.
+type benchmark struct {
+	RunSeconds float64                 `json:"run_seconds"`
+	Workloads  []struct{ Name string } `json:"workloads"`
+	EndToEnd   []struct {
+		Name, Better string
+		Bound        float64
+	} `json:"end_to_end"`
 }
 
-// event is the subset of test2json's output we need.
-type event struct {
-	Action string `json:"Action"`
-	Output string `json:"Output"`
+// document is what `bash bench/run.sh -json` prints; per_layer is there when
+// the run was -trace 1.
+type document struct {
+	EndToEnd map[string]result  `json:"end_to_end"`
+	PerLayer map[string]float64 `json:"per_layer,omitempty"`
 }
 
-// ParseTestJSON reads a `go test -json` stream and returns the benchmark
-// results keyed by benchmark name (with any -GOMAXPROCS suffix stripped).
-// Benchmark result lines may be split across several output events, so the
-// stream's output is reassembled into plain text first.
-func ParseTestJSON(r io.Reader) (map[string]Result, error) {
-	var text strings.Builder
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var ev event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			return nil, fmt.Errorf("benchgate: bad test2json line %q: %w", line, err)
-		}
-		if ev.Action == "output" {
-			text.WriteString(ev.Output)
+type result struct {
+	Correct   bool              `json:"correct"`
+	Attempted int               `json:"attempted"`
+	Failed    int               `json:"failed"`
+	Metrics   map[string]metric `json:"metrics"`
+}
+
+type metric struct {
+	Value float64 `json:"value"`
+	Unit  string  `json:"unit"`
+}
+
+// record is one line of the history.
+type record struct {
+	PR      int     `json:"pr"`
+	Title   string  `json:"title"`
+	Go      string  `json:"go"`
+	Box     string  `json:"box"`
+	Seconds float64 `json:"seconds"`
+	document
+}
+
+// check returns what makes a document unfit to gate or to record: a workload
+// that is missing, computed a wrong answer, failed an op or lacks a metric.
+func check(b benchmark, doc document) []string {
+	var failures []string
+	for _, w := range b.Workloads {
+		r, ok := doc.EndToEnd[w.Name]
+		switch {
+		case !ok:
+			failures = append(failures, w.Name+": missing from the run")
+		case !r.Correct || r.Failed > 0:
+			failures = append(failures, fmt.Sprintf("%s: correct=%v, %d of %d ops failed", w.Name, r.Correct, r.Failed, r.Attempted))
+		default:
+			for _, m := range b.EndToEnd {
+				if _, ok := r.Metrics[m.Name]; !ok {
+					failures = append(failures, w.Name+" "+m.Name+": missing from the run")
+				}
+			}
 		}
 	}
-	if err := sc.Err(); err != nil {
+	return failures
+}
+
+// goMinor cuts "go1.24.3" down to "go1.24".
+func goMinor(version string) string {
+	parts := strings.SplitN(version, ".", 3)
+	return strings.Join(parts[:min(2, len(parts))], ".")
+}
+
+// gate prints every metric of doc beside the record's and returns the
+// failures.
+func gate(out io.Writer, b benchmark, last record, doc document, goVersion string) []string {
+	failures := check(b, doc)
+	if goMinor(last.Go) != goMinor(goVersion) {
+		failures = append(failures, fmt.Sprintf("toolchain: PR %d was recorded with %s, this is %s; counts belong to a Go minor version: record it",
+			last.PR, last.Go, goVersion))
+	}
+	fmt.Fprintf(out, "%-11s %-16s %14s %14s %7s\n", "workload", "metric", fmt.Sprint("PR ", last.PR), "this run", "ratio")
+	for _, w := range b.Workloads {
+		if _, ok := doc.EndToEnd[w.Name]; !ok {
+			continue
+		}
+		for _, m := range b.EndToEnd {
+			old, cur := last.EndToEnd[w.Name].Metrics[m.Name].Value, doc.EndToEnd[w.Name].Metrics[m.Name].Value
+			fmt.Fprintf(out, "%-11s %-16s %14.6g %14.6g %7.3f\n", w.Name, m.Name, old, cur, cur/old)
+			worse := cur/old - 1
+			if m.Better == "higher" {
+				worse = -worse
+			}
+			if !gated[m.Name] || (worse <= m.Bound && worse >= -m.Bound) {
+				continue
+			}
+			verdict := "worse"
+			if worse < 0 {
+				verdict = "better (record it: -record 'PR N: title')"
+			}
+			failures = append(failures, fmt.Sprintf("%s %s: %.6g against PR %d's %.6g is %+.2f%%, more than %g%% %s",
+				w.Name, m.Name, cur, last.PR, old, (cur/old-1)*100, m.Bound*100, verdict))
+		}
+	}
+	return failures
+}
+
+// readHistory reads every record of the history; a file that does not exist
+// yet is an empty history.
+func readHistory(path string) ([]record, error) {
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) || (err == nil && len(data) == 0) {
+		return nil, nil
+	} else if err != nil {
 		return nil, err
 	}
-	return parseBenchLines(text.String()), nil
-}
-
-// parseBenchLines extracts benchmark results from plain `go test -bench`
-// output.
-func parseBenchLines(text string) map[string]Result {
-	out := make(map[string]Result)
-	for _, line := range strings.Split(text, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-			continue
+	var records []record
+	for i, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var rec record
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			return nil, fmt.Errorf("%s line %d: %w", path, i+1, err)
 		}
-		name := fields[0]
-		// Strip the -GOMAXPROCS suffix so names match across machines.
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
-		}
-		var res Result
-		// fields[1] is the iteration count; the rest are "value unit" pairs.
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				break
-			}
-			switch fields[i+1] {
-			case "ns/op":
-				res.NsPerOp = v
-			case "B/op":
-				res.BytesPerOp = v
-			case "allocs/op":
-				res.AllocsPerOp = v
-				res.HasAllocs = true
-			}
-		}
-		if res.NsPerOp > 0 {
-			out[name] = res
-		}
+		records = append(records, rec)
 	}
-	return out
+	return records, nil
 }
 
-// Regression describes one gate violation.
-type Regression struct {
-	Bench  string
-	Metric string
-	Old    float64
-	New    float64
-}
-
-func (r Regression) String() string {
-	return fmt.Sprintf("%s: %s regressed %.4g -> %.4g (%+.1f%%)",
-		r.Bench, r.Metric, r.Old, r.New, 100*(r.New/r.Old-1))
-}
-
-// Gate compares the watched benches and returns every regression beyond tol
-// (0.10 = 10%) plus the list of watched benches absent from the new run.
-func Gate(baseline, fresh map[string]Result, benches []string, tol float64) (regs []Regression, missing []string, skipped []string) {
-	for _, name := range benches {
-		base, inBase := baseline[name]
-		cur, inNew := fresh[name]
-		if !inBase {
-			skipped = append(skipped, name)
-			continue
-		}
-		if !inNew {
-			missing = append(missing, name)
-			continue
-		}
-		if base.NsPerOp > 0 && cur.NsPerOp > base.NsPerOp*(1+tol) {
-			regs = append(regs, Regression{Bench: name, Metric: "ns/op", Old: base.NsPerOp, New: cur.NsPerOp})
-		}
-		if base.HasAllocs && cur.HasAllocs && cur.AllocsPerOp > base.AllocsPerOp*(1+tol) {
-			regs = append(regs, Regression{Bench: name, Metric: "allocs/op", Old: base.AllocsPerOp, New: cur.AllocsPerOp})
-		}
+// appendRecord adds doc to the history under the title "PR N: ...". Seconds
+// is what BENCHMARK.json asks for: a record is a run of the command as it
+// names it.
+func appendRecord(path, title string, b benchmark, records []record, doc document) error {
+	rec := record{Go: runtime.Version(), Seconds: b.RunSeconds, document: doc,
+		Box: fmt.Sprintf("%s/%s, %d cpu%s", runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), cpuModel())}
+	if _, err := fmt.Sscanf(title, "PR %d:", &rec.PR); err != nil {
+		return fmt.Errorf("-record %q: want 'PR N: title'", title)
 	}
-	return regs, missing, skipped
-}
-
-// Report converts gate violations into the shared findings schema.
-func Report(regs []Regression, missing []string) *findings.Report {
-	rep := &findings.Report{Tool: "benchgate"}
-	for _, name := range missing {
-		rep.Findings = append(rep.Findings, findings.Finding{
-			Tool:    "benchgate",
-			Check:   "missing-bench",
-			Bench:   name,
-			Message: "watched benchmark missing from new run",
-		})
+	_, rec.Title, _ = strings.Cut(title, ": ")
+	if n := len(records); n > 0 && rec.PR <= records[n-1].PR {
+		return fmt.Errorf("-record: PR %d does not come after the last record, PR %d", rec.PR, records[n-1].PR)
 	}
-	for _, r := range regs {
-		rep.Findings = append(rep.Findings, findings.Finding{
-			Tool:  "benchgate",
-			Check: "regression",
-			Bench: r.Bench,
-			Message: fmt.Sprintf("%s regressed %.4g -> %.4g (%+.1f%%)",
-				r.Metric, r.Old, r.New, 100*(r.New/r.Old-1)),
-		})
+	if failures := check(b, doc); len(failures) > 0 {
+		return fmt.Errorf("not recorded:\n  %s", strings.Join(failures, "\n  "))
 	}
-	rep.Sort()
-	return rep
-}
-
-func parseFile(path string) (map[string]Result, error) {
-	if path == "-" {
-		return ParseTestJSON(os.Stdin)
-	}
-	f, err := os.Open(path)
+	line, err := json.Marshal(rec)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	defer f.Close()
-	return ParseTestJSON(f)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(append(line, '\n'))
+	return errors.Join(err, f.Close())
+}
+
+// cpuModel is /proc/cpuinfo's first model name, or nothing off Linux.
+func cpuModel() string {
+	cpuinfo, _ := os.ReadFile("/proc/cpuinfo")
+	_, rest, _ := strings.Cut(string(cpuinfo), "model name")
+	model, _, _ := strings.Cut(rest, "\n")
+	return strings.TrimRight(", "+strings.Trim(model, " \t:"), ", ")
+}
+
+func readJSON(path string, v any) error {
+	data, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(data, v)
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
+}
+
+func run(historyPath, newPath, recordAs string, out io.Writer) error {
+	var b benchmark
+	var doc document
+	if err := readJSON(filepath.Join(filepath.Dir(historyPath), "BENCHMARK.json"), &b); err != nil {
+		return err
+	}
+	if err := readJSON(newPath, &doc); err != nil {
+		return err
+	}
+	records, err := readHistory(historyPath)
+	if err != nil {
+		return err
+	}
+	if recordAs != "" {
+		return appendRecord(historyPath, recordAs, b, records, doc)
+	}
+	if len(records) == 0 {
+		return fmt.Errorf("%s holds no record to gate against: append one with -record", historyPath)
+	}
+	last := records[len(records)-1]
+	if failures := gate(out, b, last, doc, runtime.Version()); len(failures) > 0 {
+		return fmt.Errorf("%d failure(s) against PR %d:\n  FAIL %s", len(failures), last.PR, strings.Join(failures, "\n  FAIL "))
+	}
+	fmt.Fprintf(out, "benchgate: every count within its bound of PR %d (%s, %s)\n", last.PR, last.Go, last.Box)
+	return nil
 }
 
 func main() {
-	baselinePath := flag.String("baseline", "BENCH_logmob.json", "committed baseline (go test -json stream)")
-	newPath := flag.String("new", "-", "fresh run to gate (go test -json stream), - for stdin")
-	benchList := flag.String("benches", defaultBenches, "comma-separated benchmarks to gate")
-	tol := flag.Float64("tol", 0.10, "allowed fractional regression per metric")
-	jsonOut := flag.Bool("json", false, "emit violations as a JSON findings.Report")
+	history := flag.String("history", "BENCH_logmob.json", "the trajectory, one record per line; the last one is the reference")
+	newRun := flag.String("new", "/dev/stdin", "the `bash bench/run.sh -json` document to gate or record")
+	recordAs := flag.String("record", "", "append the run to the history as 'PR N: title' instead of gating it")
 	flag.Parse()
-
-	baseline, err := parseFile(*baselinePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: baseline: %v\n", err)
-		os.Exit(2)
-	}
-	fresh, err := parseFile(*newPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: new run: %v\n", err)
-		os.Exit(2)
-	}
-
-	benches := strings.Split(*benchList, ",")
-	for i := range benches {
-		benches[i] = strings.TrimSpace(benches[i])
-	}
-	regs, missing, skipped := Gate(baseline, fresh, benches, *tol)
-
-	if *jsonOut {
-		rep := Report(regs, missing)
-		if err := rep.Encode(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(2)
-		}
-		if len(rep.Findings) > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
-	for _, name := range skipped {
-		fmt.Printf("skip %s: not in baseline (refresh BENCH_logmob.json to gate it)\n", name)
-	}
-	for _, name := range benches {
-		base, ok1 := baseline[name]
-		cur, ok2 := fresh[name]
-		if ok1 && ok2 {
-			fmt.Printf("ok   %s: ns/op %.4g -> %.4g (%+.1f%%), allocs/op %.4g -> %.4g\n",
-				name, base.NsPerOp, cur.NsPerOp, 100*(cur.NsPerOp/base.NsPerOp-1),
-				base.AllocsPerOp, cur.AllocsPerOp)
-		}
-	}
-	fail := false
-	for _, name := range missing {
-		fmt.Printf("FAIL %s: watched benchmark missing from new run\n", name)
-		fail = true
-	}
-	for _, r := range regs {
-		fmt.Printf("FAIL %s\n", r)
-		fail = true
-	}
-	if fail {
+	if err := run(*history, *newRun, *recordAs, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: %d benchmarks within %.0f%% of baseline\n",
-		len(benches)-len(skipped)-len(missing), *tol*100)
 }

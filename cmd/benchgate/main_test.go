@@ -2,164 +2,187 @@ package main
 
 import (
 	"bytes"
-	"fmt"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
-
-	"logmob/internal/findings"
 )
 
-// jsonStream builds a test2json stream whose output events carry the given
-// benchmark result lines, splitting each line across two events the way
-// test2json does in practice.
-func jsonStream(lines ...string) string {
-	var sb strings.Builder
-	sb.WriteString(`{"Action":"start","Package":"logmob"}` + "\n")
-	for _, line := range lines {
-		half := len(line) / 2
-		fmt.Fprintf(&sb, `{"Action":"output","Package":"logmob","Output":%q}`+"\n", line[:half])
-		fmt.Fprintf(&sb, `{"Action":"output","Package":"logmob","Output":%q}`+"\n", line[half:]+"\n")
-	}
-	sb.WriteString(`{"Action":"pass","Package":"logmob"}` + "\n")
-	return sb.String()
-}
+// The committed history, two levels up, with BENCHMARK.json beside it.
+const historyPath = "../../BENCH_logmob.json"
 
-func parse(t *testing.T, stream string) map[string]Result {
+func loadBenchmark(t *testing.T) benchmark {
 	t.Helper()
-	res, err := ParseTestJSON(strings.NewReader(stream))
-	if err != nil {
+	var b benchmark
+	if err := readJSON(filepath.Join(filepath.Dir(historyPath), "BENCHMARK.json"), &b); err != nil {
 		t.Fatal(err)
 	}
-	return res
+	if len(b.Workloads) != 6 || len(b.EndToEnd) != 7 {
+		t.Fatalf("BENCHMARK.json names %d workloads and %d end-to-end metrics, want 6 and 7", len(b.Workloads), len(b.EndToEnd))
+	}
+	return b
 }
 
-func TestParseTestJSON(t *testing.T) {
-	res := parse(t, jsonStream(
-		"BenchmarkT3Disaster-8 \t       1\t10836547258 ns/op\t5338420376 B/op\t56159848 allocs/op",
-		"BenchmarkDecide-8 \t 2840722\t       419.3 ns/op\t      48 B/op\t       3 allocs/op",
-		"pkg: logmob",
-	))
-	if len(res) != 2 {
-		t.Fatalf("parsed %d results, want 2: %#v", len(res), res)
+// run100 is a correct run of every workload of b in which every metric
+// reads 100, but for workload's metric name, which reads 100*factor.
+func run100(b benchmark, workload, name string, factor float64) document {
+	doc := document{EndToEnd: map[string]result{}}
+	for _, w := range b.Workloads {
+		r := result{Correct: true, Attempted: 10, Metrics: map[string]metric{}}
+		for _, m := range b.EndToEnd {
+			r.Metrics[m.Name] = metric{Value: 100}
+		}
+		if w.Name == workload {
+			r.Metrics[name] = metric{Value: 100 * factor}
+		}
+		doc.EndToEnd[w.Name] = r
 	}
-	t3 := res["BenchmarkT3Disaster"]
-	if t3.NsPerOp != 10836547258 || t3.AllocsPerOp != 56159848 || !t3.HasAllocs {
-		t.Fatalf("T3 parsed wrong: %+v", t3)
-	}
-	if d := res["BenchmarkDecide"]; d.NsPerOp != 419.3 || d.AllocsPerOp != 3 {
-		t.Fatalf("Decide parsed wrong: %+v", d)
-	}
+	return doc
 }
 
-// TestGateFailsOnAllocRegression is the synthetic negative test the
-// acceptance criteria require: a >10% allocs/op regression must fail the
-// gate even when ns/op held steady.
+// gateRun gates doc against a record of the all-100 run made with toolchain
+// recordedWith, checks that each failure contains its want, in order, and
+// returns what was printed.
+func gateRun(t *testing.T, doc document, recordedWith string, want ...string) string {
+	t.Helper()
+	b := loadBenchmark(t)
+	var out bytes.Buffer
+	failures := gate(&out, b, record{PR: 15, Go: recordedWith, document: run100(b, "", "", 1)}, doc, "go1.24.0")
+	if len(failures) != len(want) {
+		t.Fatalf("failures %q, want %q", failures, want)
+	}
+	for i := range want {
+		if !strings.Contains(failures[i], want[i]) {
+			t.Errorf("failure %q, want it to contain %q", failures[i], want[i])
+		}
+	}
+	return out.String()
+}
+
+// A count 3 % worse on one workload fails and names workload and metric.
 func TestGateFailsOnAllocRegression(t *testing.T) {
-	baseline := parse(t, jsonStream(
-		"BenchmarkT3Disaster-8 \t 1\t1000000 ns/op\t500000 B/op\t10000 allocs/op",
-	))
-	fresh := parse(t, jsonStream(
-		"BenchmarkT3Disaster-8 \t 1\t1000000 ns/op\t500000 B/op\t11500 allocs/op",
-	))
-	regs, missing, _ := Gate(baseline, fresh, []string{"BenchmarkT3Disaster"}, 0.10)
-	if len(missing) != 0 {
-		t.Fatalf("unexpected missing benches: %v", missing)
-	}
-	if len(regs) != 1 || regs[0].Metric != "allocs/op" {
-		t.Fatalf("want exactly one allocs/op regression, got %v", regs)
-	}
-}
-
-func TestGateFailsOnTimeRegression(t *testing.T) {
-	baseline := parse(t, jsonStream("BenchmarkReadFrame-8 \t 100\t1000 ns/op\t0 B/op\t0 allocs/op"))
-	fresh := parse(t, jsonStream("BenchmarkReadFrame-8 \t 100\t1200 ns/op\t0 B/op\t0 allocs/op"))
-	regs, _, _ := Gate(baseline, fresh, []string{"BenchmarkReadFrame"}, 0.10)
-	if len(regs) != 1 || regs[0].Metric != "ns/op" {
-		t.Fatalf("want exactly one ns/op regression, got %v", regs)
-	}
+	b := loadBenchmark(t)
+	gateRun(t, run100(b, "festival", "allocs_per_op", 1.03), "go1.24.0", "festival allocs_per_op: 103 against PR 15's 100 is +3.00%, more than 2% worse")
+	gateRun(t, run100(b, "disaster", "alloc_mb_per_op", 1.03), "go1.24.0", "disaster alloc_mb_per_op")
 }
 
 func TestGatePassesWithinTolerance(t *testing.T) {
-	baseline := parse(t, jsonStream(
-		"BenchmarkT3Disaster-8 \t 1\t1000000 ns/op\t500000 B/op\t10000 allocs/op",
-		"BenchmarkDecide-8 \t 100\t400 ns/op\t48 B/op\t3 allocs/op",
-	))
-	fresh := parse(t, jsonStream(
-		"BenchmarkT3Disaster-8 \t 1\t1050000 ns/op\t480000 B/op\t10500 allocs/op",
-		"BenchmarkDecide-8 \t 100\t390 ns/op\t48 B/op\t3 allocs/op",
-	))
-	regs, missing, _ := Gate(baseline, fresh,
-		[]string{"BenchmarkT3Disaster", "BenchmarkDecide"}, 0.10)
-	if len(regs) != 0 || len(missing) != 0 {
-		t.Fatalf("want clean gate, got regs=%v missing=%v", regs, missing)
+	b := loadBenchmark(t)
+	gateRun(t, run100(b, "wire_bulk", "allocs_per_op", 1.019), "go1.24.0")
+	gateRun(t, run100(b, "wire_bulk", "allocs_per_op", 0.981), "go1.24.0")
+	gateRun(t, run100(b, "", "", 1), "go1.24.7") // a patch release is the same minor version
+}
+
+// A count 3 % better fails until the run is the history's last record.
+func TestGateUnrecordedImprovement(t *testing.T) {
+	b := loadBenchmark(t)
+	better := run100(b, "blackout", "allocs_per_op", 0.97)
+	gateRun(t, better, "go1.24.0", "blackout allocs_per_op: 97 against PR 15's 100 is -3.00%, more than 2% better (record it")
+
+	history := filepath.Join(t.TempDir(), "history.json")
+	if err := appendRecord(history, "PR 15: before", b, nil, run100(b, "", "", 1)); err != nil {
+		t.Fatal(err)
+	}
+	records, err := readHistory(history)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := appendRecord(history, "PR 16: fewer allocations", b, records, better); err != nil {
+		t.Fatal(err)
+	}
+	if records, err = readHistory(history); err != nil || len(records) != 2 {
+		t.Fatalf("history after two appends: %d records, %v", len(records), err)
+	}
+	last := records[1]
+	if last.PR != 16 || last.Title != "fewer allocations" || last.Seconds != b.RunSeconds || last.Go != runtime.Version() || last.Box == "" {
+		t.Errorf("appended record reads %+v", last)
+	}
+	if failures := gate(&bytes.Buffer{}, b, last, better, last.Go); len(failures) != 0 {
+		t.Errorf("the recorded run against its own record: %q", failures)
 	}
 }
 
-// TestGateMissingAndSkipped: a watched bench absent from the new run is a
-// failure (missing), absent from the baseline only a skip.
+// A workload BENCHMARK.json names must be in the run, correct and without a
+// failed op; one it does not name is skipped.
 func TestGateMissingAndSkipped(t *testing.T) {
-	baseline := parse(t, jsonStream("BenchmarkT3Disaster-8 \t 1\t1000 ns/op\t0 B/op\t5 allocs/op"))
-	fresh := parse(t, jsonStream("BenchmarkVMEval-8 \t 1\t10 ns/op\t0 B/op\t0 allocs/op"))
-	regs, missing, skipped := Gate(baseline, fresh,
-		[]string{"BenchmarkT3Disaster", "BenchmarkVMEval"}, 0.10)
-	if len(regs) != 0 {
-		t.Fatalf("unexpected regressions: %v", regs)
-	}
-	if len(missing) != 1 || missing[0] != "BenchmarkT3Disaster" {
-		t.Fatalf("want T3 missing, got %v", missing)
-	}
-	if len(skipped) != 1 || skipped[0] != "BenchmarkVMEval" {
-		t.Fatalf("want VMEval skipped, got %v", skipped)
-	}
+	doc := run100(loadBenchmark(t), "", "", 1)
+	delete(doc.EndToEnd, "disaster")
+	wrong := doc.EndToEnd["festival"]
+	wrong.Correct = false
+	doc.EndToEnd["festival"] = wrong
+	failed := doc.EndToEnd["wire_mix"]
+	failed.Failed = 2
+	doc.EndToEnd["wire_mix"] = failed
+	doc.EndToEnd["not_a_workload"] = result{}
+	gateRun(t, doc, "go1.24.0", "festival: correct=false", "disaster: missing", "wire_mix: correct=true, 2 of 10 ops failed")
 }
 
-// TestGateAgainstCommittedBaseline parses the real committed baseline and
-// checks the default watch list is gateable (modulo benches newer than the
-// baseline, which only skip).
-func TestGateAgainstCommittedBaseline(t *testing.T) {
-	// The committed baseline lives at the repo root, two levels up.
-	res, err := parseFile("../../BENCH_logmob.json")
-	if err != nil {
-		t.Skipf("no committed baseline: %v", err)
-	}
-	benches := strings.Split(defaultBenches, ",")
-	regs, missing, _ := Gate(res, res, benches, 0.10)
-	if len(regs) != 0 || len(missing) != 0 {
-		t.Fatalf("baseline does not gate cleanly against itself: regs=%v missing=%v", regs, missing)
-	}
+func TestGateFailsOnToolchainChange(t *testing.T) {
+	gateRun(t, run100(loadBenchmark(t), "", "", 1), "go1.23.4", "recorded with go1.23.4, this is go1.24.0")
 }
 
-// TestReportSharedSchema proves gate violations convert into the findings
-// schema logmoblint also emits, and survive an encode/decode round trip.
-func TestReportSharedSchema(t *testing.T) {
-	regs := []Regression{{Bench: "BenchmarkVMEval", Metric: "allocs/op", Old: 2, New: 5}}
-	rep := Report(regs, []string{"BenchmarkDecide"})
-	if rep.Tool != "benchgate" {
-		t.Fatalf("report tool = %q, want benchgate", rep.Tool)
-	}
-	if len(rep.Findings) != 2 {
-		t.Fatalf("want 2 findings, got %d", len(rep.Findings))
-	}
-	checks := map[string]string{}
-	for _, f := range rep.Findings {
-		if f.Tool != "benchgate" || f.Bench == "" || f.File != "" {
-			t.Errorf("finding %+v: want benchgate tool, a bench and no file", f)
+// A run 40 % slower, or with 40 % more resident memory, passes when the
+// counts held, and the ratio is printed.
+func TestGateNeverGatesTime(t *testing.T) {
+	b := loadBenchmark(t)
+	for _, name := range []string{"op_wall_s", "peak_rss_mb"} {
+		out := gateRun(t, run100(b, "metropolis", name, 1.4), "go1.24.0")
+		if want := "metropolis " + name + " 100 140 1.400"; !strings.Contains(strings.Join(strings.Fields(out), " "), want) {
+			t.Errorf("no line reads %s:\n%s", want, out)
 		}
-		checks[f.Check] = f.Bench
 	}
-	if checks["missing-bench"] != "BenchmarkDecide" || checks["regression"] != "BenchmarkVMEval" {
-		t.Fatalf("wrong check mapping: %v", checks)
-	}
+}
 
-	var buf bytes.Buffer
-	if err := rep.Encode(&buf); err != nil {
-		t.Fatal(err)
+func TestRecordRefused(t *testing.T) {
+	b := loadBenchmark(t)
+	incomplete := run100(b, "", "", 1)
+	delete(incomplete.EndToEnd, "wire_bulk")
+	history := filepath.Join(t.TempDir(), "history.json")
+	for title, doc := range map[string]document{
+		"sixteen":                   run100(b, "", "", 1),
+		"PR 15: not after the last": run100(b, "", "", 1),
+		"PR 16: a workload short":   incomplete,
+	} {
+		if err := appendRecord(history, title, b, []record{{PR: 15}}, doc); err == nil {
+			t.Errorf("-record %q was accepted", title)
+		}
 	}
-	rep2, err := findings.Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
+	if records, err := readHistory(history); err != nil || len(records) != 0 {
+		t.Errorf("refused records wrote %d lines (%v)", len(records), err)
 	}
-	if len(rep2.Findings) != 2 || rep2.Findings[0] != rep.Findings[0] {
-		t.Fatalf("round trip changed the report: %+v", rep2)
+}
+
+// TestHistoryWellFormed reads the committed trajectory: every line decodes,
+// pr strictly increases, and every record is a complete, correct run of the
+// six workloads and seven end-to-end metrics BENCHMARK.json names.
+func TestHistoryWellFormed(t *testing.T) {
+	b := loadBenchmark(t)
+	records, err := readHistory(historyPath)
+	if err != nil || len(records) == 0 {
+		t.Fatalf("committed history: %d records, %v", len(records), err)
+	}
+	for i, rec := range records {
+		if i > 0 && rec.PR <= records[i-1].PR {
+			t.Errorf("record %d: PR %d does not come after PR %d", i+1, rec.PR, records[i-1].PR)
+		}
+		if rec.Title == "" || rec.Go == "" || rec.Box == "" || rec.Seconds <= 0 || len(rec.EndToEnd) != len(b.Workloads) {
+			t.Errorf("PR %d: title, go, box or seconds is empty, or it has %d workloads", rec.PR, len(rec.EndToEnd))
+		}
+		for _, f := range check(b, rec.document) {
+			t.Errorf("PR %d: %s", rec.PR, f)
+		}
+	}
+}
+
+// TestGateAgainstCommittedHistory gates the last committed record against
+// itself.
+func TestGateAgainstCommittedHistory(t *testing.T) {
+	records, err := readHistory(historyPath)
+	if err != nil || len(records) == 0 {
+		t.Fatalf("committed history: %d records, %v", len(records), err)
+	}
+	last := records[len(records)-1]
+	if failures := gate(&bytes.Buffer{}, loadBenchmark(t), last, last.document, last.Go); len(failures) != 0 {
+		t.Errorf("PR %d against itself: %q", last.PR, failures)
 	}
 }

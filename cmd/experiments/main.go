@@ -31,8 +31,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -46,35 +48,51 @@ import (
 	"logmob/internal/sim"
 )
 
-func main() {
-	runFlag := flag.String("run", "", "comma-separated experiment IDs (default: all)")
-	seed := flag.Int64("seed", 1, "deterministic base seed")
-	seeds := flag.Int("seeds", 1, "number of replicate seeds (seed..seed+N-1)")
-	parallel := flag.Int("parallel", 1, "replicates to run concurrently")
-	workers := flag.Int("workers", 0, "tick worker pool per world (0 = GOMAXPROCS split across -parallel, 1 = serial engine)")
-	sweepFlag := flag.String("sweep", "", "parameter sweep, e.g. attendees=100,500,2000")
-	lossFlag := flag.Float64("loss", -1, "override the 'loss' parameter of experiments that expose it (e.g. T13 drop probability)")
-	churnFlag := flag.Float64("churn", -1, "override the 'churn' parameter of experiments that expose it (e.g. T13 per-tick crash probability)")
-	paradigmFlag := flag.String("paradigm", "", "override the 'paradigm' parameter of experiments that expose it: cs, rev, cod, ma or adaptive (e.g. T14 group selection)")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of text")
-	list := flag.Bool("list", false, "list experiments and exit")
-	csvDir := flag.String("csv", "", "also write tables as CSV into this directory")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile at exit to this file")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command. It returns the exit code instead of exiting, so a run
+// that fails still stops and closes the profiles it started.
+func run(args []string, stdout, stderr io.Writer) (exit int) {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	runFlag := fs.String("run", "", "comma-separated experiment IDs (default: all)")
+	seed := fs.Int64("seed", 1, "deterministic base seed")
+	seeds := fs.Int("seeds", 1, "number of replicate seeds (seed..seed+N-1)")
+	parallel := fs.Int("parallel", 1, "replicates to run concurrently")
+	workers := fs.Int("workers", 0, "tick worker pool per world (0 = GOMAXPROCS split across -parallel, 1 = serial engine)")
+	sweepFlag := fs.String("sweep", "", "parameter sweep, e.g. attendees=100,500,2000")
+	lossFlag := fs.Float64("loss", -1, "override the 'loss' parameter of experiments that expose it (e.g. T13 drop probability)")
+	churnFlag := fs.Float64("churn", -1, "override the 'churn' parameter of experiments that expose it (e.g. T13 per-tick crash probability)")
+	paradigmFlag := fs.String("paradigm", "", "override the 'paradigm' parameter of experiments that expose it: cs, rev, cod, ma or adaptive (e.g. T14 group selection)")
+	jsonOut := fs.Bool("json", false, "emit machine-readable JSON instead of text")
+	list := fs.Bool("list", false, "list experiments and exit")
+	csvDir := fs.String("csv", "", "also write tables as CSV into this directory")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+	memProfile := fs.String("memprofile", "", "write an allocation profile at exit to this file")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "experiments: "+format+"\n", args...)
+		exit = 1
+		return exit
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatalf("-cpuprofile: %v", err)
+			return fail("-cpuprofile: %v", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatalf("-cpuprofile: %v", err)
+			f.Close()
+			return fail("-cpuprofile: %v", err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
 			if err := f.Close(); err != nil {
-				fatalf("-cpuprofile: %v", err)
+				fail("-cpuprofile: %v", err)
 			}
 		}()
 	}
@@ -82,23 +100,21 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fatalf("-memprofile: %v", err)
+				fail("-memprofile: %v", err)
+				return
 			}
 			runtime.GC() // flush garbage so the profile shows live retention
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatalf("-memprofile: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				fatalf("-memprofile: %v", err)
+			if err := errors.Join(pprof.WriteHeapProfile(f), f.Close()); err != nil {
+				fail("-memprofile: %v", err)
 			}
 		}()
 	}
 
 	if *seeds < 1 {
-		fatalf("-seeds must be >= 1")
+		return fail("-seeds must be >= 1")
 	}
 	if *parallel < 1 {
-		fatalf("-parallel must be >= 1")
+		return fail("-parallel must be >= 1")
 	}
 	// Safe to default to the parallel engine: per-seed tables are
 	// bit-identical at any worker count (the differential tests enforce
@@ -112,7 +128,7 @@ func main() {
 
 	if *list {
 		for _, e := range sim.All() {
-			fmt.Printf("%-4s %s\n     motivation: %s\n", e.ID, e.Title, e.Motivation)
+			fmt.Fprintf(stdout, "%-4s %s\n     motivation: %s\n", e.ID, e.Title, e.Motivation)
 			if len(e.Params) > 0 {
 				names := make([]string, 0, len(e.Params))
 				for name := range e.Params {
@@ -123,10 +139,10 @@ func main() {
 				for i, name := range names {
 					parts[i] = fmt.Sprintf("%s=%g", name, e.Params[name])
 				}
-				fmt.Printf("     parameters: %s\n", strings.Join(parts, " "))
+				fmt.Fprintf(stdout, "     parameters: %s\n", strings.Join(parts, " "))
 			}
 		}
-		return
+		return 0
 	}
 
 	var selected []sim.Experiment
@@ -137,20 +153,23 @@ func main() {
 			id = strings.TrimSpace(id)
 			e, ok := sim.ByID(id)
 			if !ok {
-				fatalf("unknown experiment %q (use -list)", id)
+				return fail("unknown experiment %q (use -list)", id)
 			}
 			selected = append(selected, e)
 		}
 	}
 
-	sweepParam, sweepValues := parseSweep(*sweepFlag)
+	sweepParam, sweepValues, err := parseSweep(*sweepFlag)
+	if err != nil {
+		return fail("%v", err)
+	}
 	if sweepParam != "" {
 		for _, e := range selected {
 			if e.RunWith == nil {
-				fatalf("%s has no sweepable parameters", e.ID)
+				return fail("%s has no sweepable parameters", e.ID)
 			}
 			if _, ok := e.Params[sweepParam]; !ok {
-				fatalf("%s has no parameter %q (use -list)", e.ID, sweepParam)
+				return fail("%s has no parameter %q (use -list)", e.ID, sweepParam)
 			}
 		}
 	}
@@ -168,14 +187,14 @@ func main() {
 	if *paradigmFlag != "" {
 		code, ok := sim.ParadigmCodes[strings.ToLower(*paradigmFlag)]
 		if !ok {
-			fatalf("unknown -paradigm %q (want cs, rev, cod, ma or adaptive)", *paradigmFlag)
+			return fail("unknown -paradigm %q (want cs, rev, cod, ma or adaptive)", *paradigmFlag)
 		}
 		overrides["paradigm"] = code
 	}
 
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
 	}
 
@@ -216,57 +235,55 @@ func main() {
 			}
 			if !*jsonOut {
 				if label != "" {
-					fmt.Printf("running %s (%s) [%s] ...\n", e.ID, e.Title, label)
+					fmt.Fprintf(stdout, "running %s (%s) [%s] ...\n", e.ID, e.Title, label)
 				} else {
-					fmt.Printf("running %s (%s) ...\n", e.ID, e.Title)
+					fmt.Fprintf(stdout, "running %s (%s) ...\n", e.ID, e.Title)
 				}
 			}
 			multi := runner.Run(fn)
 			if *jsonOut {
 				report = append(report, jsonify(e, label, multi))
 			} else {
-				render(multi, os.Stdout)
+				render(multi, stdout)
 			}
-			writeCSV(*csvDir, e.ID, label, multi)
+			if err := writeCSV(*csvDir, e.ID, label, multi); err != nil {
+				return fail("%v", err)
+			}
 		}
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(report); err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
-	os.Exit(1)
+	return exit
 }
 
 // parseSweep parses "param=v1,v2,v3" into its parts.
-func parseSweep(s string) (string, []float64) {
+func parseSweep(s string) (string, []float64, error) {
 	if s == "" {
-		return "", nil
+		return "", nil, nil
 	}
 	name, list, ok := strings.Cut(s, "=")
 	if !ok || name == "" || list == "" {
-		fatalf("bad -sweep %q, want param=v1,v2,...", s)
+		return "", nil, fmt.Errorf("bad -sweep %q, want param=v1,v2,...", s)
 	}
 	var values []float64
 	for _, part := range strings.Split(list, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil {
-			fatalf("bad -sweep value %q: %v", part, err)
+			return "", nil, fmt.Errorf("bad -sweep value %q: %w", part, err)
 		}
 		values = append(values, v)
 	}
-	return strings.TrimSpace(name), values
+	return strings.TrimSpace(name), values, nil
 }
 
 // render writes a replicated run: each seed's full result, then (for
 // multi-seed runs) the aggregate tables.
-func render(m *scenario.MultiResult, w *os.File) {
+func render(m *scenario.MultiResult, w io.Writer) {
 	for _, rep := range m.Replicates {
 		if len(m.Replicates) > 1 {
 			fmt.Fprintf(w, "--- seed %d ---\n", rep.Seed)
@@ -280,9 +297,9 @@ func render(m *scenario.MultiResult, w *os.File) {
 }
 
 // writeCSV writes each table (the aggregate's for multi-seed runs) as CSV.
-func writeCSV(dir, id, label string, m *scenario.MultiResult) {
+func writeCSV(dir, id, label string, m *scenario.MultiResult) error {
 	if dir == "" || len(m.Replicates) == 0 {
-		return
+		return nil
 	}
 	res := m.Replicates[0].Result
 	if m.Aggregate != nil {
@@ -296,13 +313,14 @@ func writeCSV(dir, id, label string, m *scenario.MultiResult) {
 		name := fmt.Sprintf("%s%s_table%d.csv", strings.ToLower(id), suffix, i+1)
 		f, err := os.Create(filepath.Join(dir, name))
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		t.RenderCSV(f)
 		if err := f.Close(); err != nil {
-			fatalf("%v", err)
+			return err
 		}
 	}
+	return nil
 }
 
 // JSON report shapes.

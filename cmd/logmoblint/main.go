@@ -11,8 +11,8 @@
 // Output modes:
 //
 //   - default: file:line:col: message (check) lines, one per finding.
-//   - -json: a findings.Report document — the same schema cmd/benchgate
-//     emits with its -json flag, so downstream tooling consumes both.
+//   - -json: a findings.Report document, the schema the baseline file
+//     below is read back in.
 //
 // The baseline file (-baseline, default lint_baseline.json at the working
 // directory) is a findings.Report of grandfathered findings: matching
@@ -112,7 +112,7 @@ func main() {
 	}
 }
 
-// Report converts analyzer results into the shared findings schema, with
+// Report converts analyzer results into the findings schema, with
 // file paths made relative to root so reports are machine-independent.
 func Report(root string, results []lint.Result) *findings.Report {
 	rep := &findings.Report{Tool: "logmoblint"}

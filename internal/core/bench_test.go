@@ -1,0 +1,45 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"logmob/internal/netsim"
+	"logmob/internal/transport"
+)
+
+// BenchmarkKernelCallSim measures one CS round trip through the full kernel
+// and simulator stack.
+func BenchmarkKernelCallSim(b *testing.B) {
+	s := netsim.NewSim(1)
+	net := netsim.NewNetwork(s)
+	sn := transport.NewSimNetwork(net)
+	class := netsim.LAN
+	mk := func(name string) *Host {
+		net.AddNode(name, netsim.Position{}, class)
+		ep, err := sn.Endpoint(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h, err := NewHost(Config{Name: name, Endpoint: ep, Scheduler: s})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return h
+	}
+	server := mk("server")
+	client := mk("client")
+	server.RegisterService("ping", func(string, [][]byte) ([][]byte, error) {
+		return [][]byte{{1}}, nil
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		done := false
+		client.Call("server", "ping", [][]byte{{0}}, func([][]byte, error) { done = true })
+		s.RunFor(time.Second)
+		if !done {
+			b.Fatal("call never completed")
+		}
+	}
+}

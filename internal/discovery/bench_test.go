@@ -2,10 +2,12 @@ package discovery
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"logmob/internal/netsim"
+	"logmob/internal/transport"
 )
 
 // BenchmarkBeaconHear prices one beacon reception, the unit a crowd run does
@@ -96,6 +98,52 @@ func BenchmarkLookupRegisterFind(b *testing.B) {
 		s.table.put(ads[i%len(ads)])
 		if got := s.table.find(q); len(got) != 8 {
 			b.Fatalf("find returned %d ads, want 8", len(got))
+		}
+	}
+}
+
+// BenchmarkBeaconCadence measures one beacon interval of discovery traffic
+// over a dense grid of ad-hoc nodes, n batches of one (each Start arms its
+// own cadence) vs one BeaconBatch of n: the shared batch replaces n timer
+// re-arms per interval with one wheel callback and shares a single sorted
+// scratch across every member's frame rebuild.
+func BenchmarkBeaconCadence(b *testing.B) {
+	const ivl = 30 * time.Second
+	for _, mode := range []string{"perhost", "batch"} {
+		for _, n := range []int{1000, 10000} {
+			b.Run(fmt.Sprintf("%s/n%d", mode, n), func(b *testing.B) {
+				s := netsim.NewSim(1)
+				net := netsim.NewNetwork(s)
+				sn := transport.NewSimNetwork(net)
+				var batch *BeaconBatch
+				if mode == "batch" {
+					batch = NewBeaconBatch(s, ivl)
+				}
+				side := int(math.Ceil(math.Sqrt(float64(n))))
+				class := netsim.AdHoc
+				class.Loss = 0
+				for i := 0; i < n; i++ {
+					name := fmt.Sprintf("h%05d", i)
+					pos := netsim.Position{X: float64(i%side) * 20, Y: float64(i/side) * 20}
+					net.AddNode(name, pos, class)
+					ep, err := sn.Endpoint(name)
+					if err != nil {
+						b.Fatal(err)
+					}
+					bcn := NewBeacon(ep, s, ivl)
+					bcn.Advertise(Ad{Service: "svc/" + name})
+					if batch != nil {
+						batch.Add(bcn)
+					} else {
+						bcn.Start()
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.RunFor(ivl)
+				}
+			})
 		}
 	}
 }

@@ -1,13 +1,11 @@
-// Package findings defines the JSON findings schema shared by the repo's
-// static tooling: cmd/logmoblint (analyzer diagnostics) and cmd/benchgate
-// (benchmark regressions) both emit a Report, so CI dashboards and future
-// tools can consume either stream with one decoder.
+// Package findings defines the JSON schema of cmd/logmoblint's analyzer
+// diagnostics: the Report it emits with -json and reads back as its
+// baseline of grandfathered findings.
 //
-// A Finding identifies itself by Tool and Check; the location fields are
-// tool-specific (File/Line/Col for source diagnostics, Bench for benchmark
-// gates). Baseline matching deliberately ignores Line and Col — line numbers
-// drift with every edit, but a grandfathered finding is still the same
-// finding.
+// A Finding identifies itself by Tool and Check and is located by
+// File/Line/Col. Baseline matching deliberately ignores Line and Col — line
+// numbers drift with every edit, but a grandfathered finding is still the
+// same finding.
 package findings
 
 import (
@@ -20,38 +18,28 @@ import (
 
 // Finding is one problem reported by a tool.
 type Finding struct {
-	// Tool is the reporting tool, e.g. "logmoblint" or "benchgate".
+	// Tool is the reporting tool, e.g. "logmoblint".
 	Tool string `json:"tool"`
 	// Check names the specific rule within the tool, e.g. "wallclock",
-	// "pooldiscipline", "lockguard", "regression", "missing-bench".
+	// "pooldiscipline", "lockguard".
 	Check string `json:"check"`
-	// File/Line/Col locate a source diagnostic. Line and Col are 1-based
-	// and omitted for non-source findings.
+	// File/Line/Col locate the diagnostic. Line and Col are 1-based.
 	File string `json:"file,omitempty"`
 	Line int    `json:"line,omitempty"`
 	Col  int    `json:"col,omitempty"`
-	// Bench names the benchmark for benchgate findings.
-	Bench string `json:"bench,omitempty"`
 	// Message is the human-readable description.
 	Message string `json:"message"`
 }
 
 // String renders the finding in the conventional file:line:col form.
 func (f Finding) String() string {
-	switch {
-	case f.File != "":
-		return fmt.Sprintf("%s:%d:%d: %s (%s)", f.File, f.Line, f.Col, f.Message, f.Check)
-	case f.Bench != "":
-		return fmt.Sprintf("%s: %s (%s)", f.Bench, f.Message, f.Check)
-	default:
-		return fmt.Sprintf("%s (%s)", f.Message, f.Check)
-	}
+	return fmt.Sprintf("%s:%d:%d: %s (%s)", f.File, f.Line, f.Col, f.Message, f.Check)
 }
 
 // Key is the identity used for baseline matching: everything but the
 // position, which drifts with unrelated edits.
 func (f Finding) Key() string {
-	return f.Tool + "\x00" + f.Check + "\x00" + f.File + "\x00" + f.Bench + "\x00" + f.Message
+	return f.Tool + "\x00" + f.Check + "\x00" + f.File + "\x00" + f.Message
 }
 
 // Report is the top-level JSON document.
@@ -63,8 +51,7 @@ type Report struct {
 	Findings []Finding `json:"findings"`
 }
 
-// Sort orders the findings deterministically (file, line, col, bench,
-// message).
+// Sort orders the findings deterministically (file, line, col, message).
 func (r *Report) Sort() {
 	sort.Slice(r.Findings, func(i, j int) bool {
 		a, b := r.Findings[i], r.Findings[j]
@@ -76,9 +63,6 @@ func (r *Report) Sort() {
 		}
 		if a.Col != b.Col {
 			return a.Col < b.Col
-		}
-		if a.Bench != b.Bench {
-			return a.Bench < b.Bench
 		}
 		return a.Message < b.Message
 	})

@@ -38,11 +38,12 @@ func checkGolden(t *testing.T, name string, res *Result) {
 // generated from the pre-port hand-wired implementations and must stay
 // byte-identical across refactors; T2/T3/T6/T7/T9/A3 pin the remaining
 // families so engine work (the parallel tick port, the adversity layer) is
-// caught by a byte diff on every family, not just three. T8 and T10 have
-// no goldens: they report host wall-clock measurements. T4/A1/A2 share
-// their world-building code with pinned families. With every Spec.Faults
-// block zero-valued, these goldens double as the proof that the adversity
-// layer is inert when off.
+// caught by a byte diff on every family, not just three; T14/A1/A2 pin the
+// adaptation loop, the eviction policies and the deciders. T8 and T10 have
+// no goldens: they report host wall-clock measurements. T4 (13.7 s) shares
+// its world-building code with T3 and is held by TestWorkersDifferential's
+// mid-speed config. With every Spec.Faults block zero-valued, these goldens
+// double as the proof that the adversity layer is inert when off.
 func TestPortedExperimentGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run in -short mode")
@@ -59,6 +60,9 @@ func TestPortedExperimentGoldens(t *testing.T) {
 		{"T7", runT7},
 		{"T9", runT9},
 		{"T11", T11().Run},
+		{"T14", T14().Run},
+		{"A1", runA1},
+		{"A2", runA2},
 		{"A3", runA3},
 	}
 	for _, tc := range cases {
