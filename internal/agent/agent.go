@@ -124,7 +124,9 @@ type Env struct {
 type Platform struct {
 	host *core.Host
 	env  Env
-	rng  *rand.Rand
+	// rng is seeded from env.Seed on the first draw (see rand): most hosts
+	// of a crowd are never visited by an agent, and a seeded source is 5 kB.
+	rng *rand.Rand
 
 	nextID   int64
 	resident int
@@ -153,9 +155,18 @@ func NewPlatform(h *core.Host, env Env) *Platform {
 	if env.Caps == nil {
 		env.Caps = standardCaps
 	}
-	p := &Platform{host: h, env: env, rng: rand.New(rand.NewSource(env.Seed))}
+	p := &Platform{host: h, env: env}
 	h.SetAgentHandler(p.onArrival)
 	return p
+}
+
+// rand returns the platform's PRNG, seeding it on first use. The stream
+// depends only on Env.Seed, so when the first draw happens is unobservable.
+func (p *Platform) rand() *rand.Rand {
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(p.env.Seed))
+	}
+	return p.rng
 }
 
 // Host returns the kernel host this platform runs on.

@@ -128,7 +128,7 @@ func NewCaps(extra ...vm.HostFunc) *vm.HostTable {
 			if args[0] <= 0 {
 				return m.Ret1(0), 0, nil
 			}
-			return m.Ret1(actOf(m).p.rng.Int63n(args[0])), 0, nil
+			return m.Ret1(actOf(m).p.rand().Int63n(args[0])), 0, nil
 		},
 	})
 	t.Register(vm.HostFunc{
@@ -194,7 +194,7 @@ func (p *Platform) pickNeighbor(dest, prev string) string {
 	if len(candidates) == 0 {
 		candidates = neighbors // only way back is through prev
 	}
-	return candidates[p.rng.Intn(len(candidates))]
+	return candidates[p.rand().Intn(len(candidates))]
 }
 
 func b2i(b bool) int64 {

@@ -46,7 +46,7 @@ func broadcastLinear(net *Network, from string, payload []byte) int {
 	}
 	neighbors := net.neighborsLinear(from)
 	for _, id := range neighbors {
-		net.transmit(src, net.Node(id), payload, false)
+		net.transmit(src, net.Node(id), payload)
 	}
 	return len(neighbors)
 }

@@ -134,7 +134,7 @@ type Node struct {
 
 	// per-node neighbor cache, valid while the SoA epoch slot matches the
 	// network's topology epoch.
-	nbrCache []string
+	nbrCache []*Node
 }
 
 // Pos returns the node's current field position. Move nodes with
@@ -449,24 +449,27 @@ func (n *Network) connectedNodes(na, nb *Node) bool {
 // Neighbors returns the IDs of all nodes currently connected to id, in
 // insertion order.
 func (n *Network) Neighbors(id string) []string {
-	nbrs := n.neighborsOf(id)
-	if len(nbrs) == 0 {
-		return nil
-	}
-	out := make([]string, len(nbrs))
-	copy(out, nbrs)
-	return out
-}
-
-// neighborsOf returns id's neighbor set in insertion order, serving it from
-// the node's cache while the topology epoch is unchanged. The returned
-// slice is the cache itself: callers must not mutate or retain it across
-// topology changes (Neighbors hands out a copy).
-func (n *Network) neighborsOf(id string) []string {
 	node := n.nodes[id]
 	if node == nil {
 		return nil
 	}
+	nbrs := n.neighborsOf(node)
+	if len(nbrs) == 0 {
+		return nil
+	}
+	out := make([]string, len(nbrs))
+	for i, nb := range nbrs {
+		out[i] = nb.ID
+	}
+	return out
+}
+
+// neighborsOf returns node's neighbor set in insertion order, serving it
+// from the node's cache while the topology epoch is unchanged. The returned
+// slice is the cache itself, rewritten in place on the next epoch: callers
+// must not mutate it or retain it across topology changes (Neighbors hands
+// out a copy of the IDs, Broadcast copies receivers into its run lists).
+func (n *Network) neighborsOf(node *Node) []*Node {
 	if n.nbrEpochs[node.orderIdx] == n.epoch {
 		return node.nbrCache
 	}
@@ -488,11 +491,12 @@ func (n *Network) neighborsOf(id string) []string {
 
 // computeNeighbors gathers candidates from the infra set and the grid ring
 // around node, filters them through exact connectivity, and resolves the
-// result to insertion order. The IDs go into node's previous cache array when
-// it is large enough (nobody may hold a neighbor slice across an epoch, see
-// neighborsOf). scratch is the caller's reusable candidate buffer (per-worker
-// during a parallel warm); the possibly-grown buffer is returned for reuse.
-func (n *Network) computeNeighbors(node *Node, scratch []*Node) ([]string, []*Node) {
+// result to insertion order. The result goes into node's previous cache
+// array when it is large enough (nobody may hold a neighbor slice across an
+// epoch, see neighborsOf). scratch is the caller's reusable candidate buffer
+// (per-worker during a parallel warm); the possibly-grown buffer is returned
+// for reuse.
+func (n *Network) computeNeighbors(node *Node, scratch []*Node) ([]*Node, []*Node) {
 	if !node.Up {
 		return nil, scratch
 	}
@@ -527,11 +531,9 @@ func (n *Network) computeNeighbors(node *Node, scratch []*Node) ([]string, []*No
 	slices.SortFunc(cand, func(a, b *Node) int { return a.orderIdx - b.orderIdx })
 	out := node.nbrCache[:0]
 	if cap(out) < k {
-		out = make([]string, 0, k)
+		out = make([]*Node, 0, k)
 	}
-	for _, other := range cand {
-		out = append(out, other.ID)
-	}
+	out = append(out, cand...)
 	return out, cand[:0] // hand back the (possibly grown) buffer
 }
 
@@ -545,14 +547,15 @@ func (n *Network) Reachable(a, b string) bool {
 // node's neighbors in insertion order, keeps it deterministic and identical
 // to a BFS over the full node list.
 func (n *Network) Route(a, b string) []string {
-	if a == b {
-		return []string{a}
-	}
-	if n.nodes[a] == nil || n.nodes[b] == nil {
+	src, dst := n.nodes[a], n.nodes[b]
+	if src == nil || dst == nil {
 		return nil
 	}
-	prev := map[string]string{a: a}
-	queue := []string{a}
+	if src == dst {
+		return []string{a}
+	}
+	prev := map[*Node]*Node{src: src}
+	queue := []*Node{src}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
@@ -561,11 +564,11 @@ func (n *Network) Route(a, b string) []string {
 				continue
 			}
 			prev[next] = cur
-			if next == b {
+			if next == dst {
 				var path []string
-				for at := b; ; at = prev[at] {
-					path = append([]string{at}, path...)
-					if at == a {
+				for at := dst; ; at = prev[at] {
+					path = append([]string{at.ID}, path...)
+					if at == src {
 						return path
 					}
 				}
@@ -679,13 +682,13 @@ func (n *Network) Send(from, to string, payload []byte) error {
 	if src == nil || dst == nil {
 		return fmt.Errorf("netsim: send between unknown nodes %q -> %q", from, to)
 	}
-	if !n.Connected(from, to) {
+	if !n.connectedNodes(src, dst) {
 		return &ErrUnreachable{From: from, To: to}
 	}
 	if src.exhausted() {
 		return &ErrExhausted{Node: from}
 	}
-	n.transmit(src, dst, payload, false)
+	n.transmit(src, dst, payload)
 	return nil
 }
 
@@ -731,41 +734,34 @@ func (n *Network) chargeHop(src, dst *Node, size int) (air, jitter time.Duration
 	return air, jitter, true
 }
 
-// transmit charges the hop and schedules delivery or loss. When shared is
-// true, payload is already a private immutable copy owned by the network
-// and is captured directly by the delivery event — Broadcast uses this to
-// pay one allocation per broadcast instead of one per receiver. Delivered
-// payloads are shared between receivers, so handlers must not mutate them.
-func (n *Network) transmit(src, dst *Node, payload []byte, shared bool) {
+// transmit charges a unicast hop and schedules delivery or loss. The payload
+// is copied into a pooled buffer that deliver recycles.
+func (n *Network) transmit(src, dst *Node, payload []byte) {
 	size := len(payload)
 	t, jitter, ok := n.chargeHop(src, dst, size)
 	if !ok {
 		return
 	}
-	data := payload
-	pooled := false
-	if !shared {
-		data = n.getPayload(size)
-		copy(data, payload)
-		pooled = true
-	}
-	n.sim.scheduleDelivery(t+jitter, n, src.ID, dst.ID, data, t, pooled)
+	data := n.getPayload(size)
+	copy(data, payload)
+	n.sim.scheduleDelivery(t+jitter, src, dst, data, t, true)
 }
 
-// deliver is the arrival half of transmit, invoked by the simulator
-// when a typed delivery event fires: it re-resolves the destination at
-// delivery time (the node may have gone down, died of battery exhaustion or
-// lost its handler in flight), charges reception, and runs the handler.
-// Pooled (unicast) payloads are recycled once the handler returns, so
-// handlers must copy any bytes they retain.
-func (n *Network) deliver(from, to string, data []byte, air time.Duration, pooled bool) {
-	if d := n.nodes[to]; d != nil && d.Up && d.handler != nil && !d.exhausted() {
+// deliver is the arrival half of a transmission, invoked by the simulator
+// for each receiver of a typed delivery event: it re-checks the destination
+// at delivery time (the node may have gone down, died of battery exhaustion
+// or lost its handler in flight — or, within a broadcast run, at an earlier
+// receiver's hands), charges reception, and runs the handler. Pooled
+// (unicast) payloads are recycled once the handler returns, so handlers
+// must copy any bytes they retain.
+func (n *Network) deliver(src, d *Node, data []byte, air time.Duration, pooled bool) {
+	if d.Up && d.handler != nil && !d.exhausted() {
 		d.usage.BytesRecv += int64(len(data))
 		d.usage.MsgsRecv++
 		d.usage.Cost += d.Class.CostPerByte * float64(len(data))
 		d.usage.Energy += d.Class.EnergyPerByte * float64(len(data))
 		d.usage.Airtime += air
-		d.handler(from, data)
+		d.handler(src.ID, data)
 	}
 	if pooled {
 		n.putPayload(data)
@@ -798,20 +794,31 @@ func (n *Network) putPayload(b []byte) {
 // Broadcast transmits payload from a node to every current neighbor. It
 // returns the number of neighbors targeted. Each receiver is charged and
 // lost independently, but all receivers share one immutable payload copy,
-// so handlers must not mutate delivered payloads.
+// so handlers must not mutate delivered payloads. Receivers whose deliveries
+// land on one instant back to back share one scheduler event (Sim.joinRun);
+// a lost hop schedules nothing and does not break a run, anything scheduled
+// in between (a DropHandler that calls Schedule) does.
 func (n *Network) Broadcast(from string, payload []byte) int {
 	src := n.nodes[from]
 	if src == nil || !src.Up || src.exhausted() {
 		return 0
 	}
-	neighbors := n.neighborsOf(from)
+	neighbors := n.neighborsOf(src)
 	if len(neighbors) == 0 {
 		return 0
 	}
 	data := make([]byte, len(payload))
 	copy(data, payload)
-	for _, id := range neighbors {
-		n.transmit(src, n.nodes[id], data, true)
+	var run *Event
+	for _, dst := range neighbors {
+		air, jitter, ok := n.chargeHop(src, dst, len(data))
+		if !ok {
+			continue
+		}
+		delay := air + jitter
+		if run == nil || !n.sim.joinRun(run, delay, dst, air) {
+			run = n.sim.scheduleDelivery(delay, src, dst, data, air, false)
+		}
 	}
 	return len(neighbors)
 }
@@ -844,19 +851,18 @@ func (n *Network) forwardAlong(path []string, payload []byte) {
 	if len(path) < 2 {
 		return
 	}
-	cur, next := path[0], path[1]
-	src, dst := n.nodes[cur], n.nodes[next]
+	src, dst := n.nodes[path[0]], n.nodes[path[1]]
 	if src == nil || dst == nil || src.exhausted() {
 		return
 	}
-	if !n.Connected(cur, next) {
-		if rerouted := n.Route(cur, path[len(path)-1]); rerouted != nil {
+	if !n.connectedNodes(src, dst) {
+		if rerouted := n.Route(path[0], path[len(path)-1]); rerouted != nil {
 			n.forwardAlong(rerouted, payload)
 		}
 		return
 	}
 	if len(path) == 2 {
-		n.transmit(src, dst, payload, false)
+		n.transmit(src, dst, payload)
 		return
 	}
 	// Relay hop: charge the link, then continue after the transfer delay.
@@ -868,13 +874,12 @@ func (n *Network) forwardAlong(path []string, payload []byte) {
 	rest := make([]string, len(path)-1)
 	copy(rest, path[1:])
 	n.sim.Schedule(t+jitter, func() {
-		relay := n.nodes[rest[0]]
-		if relay == nil || !relay.Up || relay.exhausted() {
+		if !dst.Up || dst.exhausted() {
 			return
 		}
-		relay.usage.BytesRecv += int64(size)
-		relay.usage.MsgsRecv++
-		relay.usage.Energy += relay.Class.EnergyPerByte * float64(size)
+		dst.usage.BytesRecv += int64(size)
+		dst.usage.MsgsRecv++
+		dst.usage.Energy += dst.Class.EnergyPerByte * float64(size)
 		n.forwardAlong(rest, payload)
 	})
 }

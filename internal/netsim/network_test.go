@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -248,6 +249,37 @@ func TestRoute(t *testing.T) {
 	net.SetUp("m", false)
 	if net.Reachable("a", "b") {
 		t.Error("Reachable = true after relay down")
+	}
+}
+
+// TestRouteUnknownNodes: a route exists only between nodes that exist, the
+// trivial self-route included — Reachable("ghost", "ghost") used to be true
+// and SendRouted called an unknown origin a "routed send to self".
+func TestRouteUnknownNodes(t *testing.T) {
+	net := NewNetwork(NewSim(1))
+	net.AddNode("a", Position{0, 0}, losslessAdHoc())
+	net.AddNode("b", Position{10, 0}, losslessAdHoc())
+	for _, tc := range []struct {
+		from, to string
+		want     []string
+	}{
+		{"ghost", "ghost", nil},
+		{"ghost", "a", nil},
+		{"a", "ghost", nil},
+		{"a", "a", []string{"a"}},
+		{"a", "b", []string{"a", "b"}},
+	} {
+		got := net.Route(tc.from, tc.to)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("Route(%q, %q) = %v, want %v", tc.from, tc.to, got, tc.want)
+		}
+		if net.Reachable(tc.from, tc.to) != (tc.want != nil) {
+			t.Errorf("Reachable(%q, %q) = %v", tc.from, tc.to, !(tc.want != nil))
+		}
+	}
+	var unreach *ErrUnreachable
+	if _, err := net.SendRouted("ghost", "ghost", []byte("x")); !errors.As(err, &unreach) {
+		t.Errorf("SendRouted from an unknown node = %v, want ErrUnreachable", err)
 	}
 }
 

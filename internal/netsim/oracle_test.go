@@ -120,3 +120,30 @@ func (n *Network) routeLinear(a, b string) []string {
 	}
 	return nil
 }
+
+// --- per-receiver broadcast ---
+
+// broadcastPerReceiver is Broadcast as it was before receivers shared
+// events: chargeHop, then one scheduled delivery per surviving neighbour.
+// TestBroadcastRunsMatchPerReceiverOracle and FuzzBroadcastRuns require the
+// run-folding Broadcast to be indistinguishable from it.
+func (n *Network) broadcastPerReceiver(from string, payload []byte) int {
+	src := n.nodes[from]
+	if src == nil || !src.Up || src.exhausted() {
+		return 0
+	}
+	neighbors := n.neighborsOf(src)
+	if len(neighbors) == 0 {
+		return 0
+	}
+	data := make([]byte, len(payload))
+	copy(data, payload)
+	for _, dst := range neighbors {
+		air, jitter, ok := n.chargeHop(src, dst, len(data))
+		if !ok {
+			continue
+		}
+		n.sim.scheduleDelivery(air+jitter, src, dst, data, air, false)
+	}
+	return len(neighbors)
+}

@@ -42,3 +42,40 @@ func BenchmarkSchedulerArm(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBroadcastFanout measures one broadcast end to end — charge k
+// hops, arm, pop, deliver to k no-op handlers — at the fan-outs a beacon
+// sees. With jitter off all k receivers share one instant and ride one
+// event; with jitter on (uniform 0..3 ticks) the burst splits into runs of
+// whatever the draws leave adjacent, the blackout shape.
+func BenchmarkBroadcastFanout(b *testing.B) {
+	payload := make([]byte, 64)
+	for _, k := range []int{1, 8, 32} {
+		for _, jitter := range []bool{false, true} {
+			b.Run(fmt.Sprintf("k%d/jitter=%v", k, jitter), func(b *testing.B) {
+				s := NewSim(1)
+				net := NewNetwork(s)
+				class := AdHoc
+				class.Loss = 0
+				net.AddNode("c", Position{}, class)
+				for i := 0; i < k; i++ {
+					id := fmt.Sprintf("r%d", i)
+					net.AddNode(id, Position{X: float64(i%6) + 1, Y: float64(i / 6)}, class)
+					net.SetHandler(id, func(string, []byte) {})
+				}
+				if jitter {
+					net.ImpairAll(Impairment{JitterTicks: 3, JitterTick: time.Millisecond})
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if net.Broadcast("c", payload) != k {
+						b.Fatal("lost a neighbour")
+					}
+					s.RunUntilIdle(0)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/recv")
+			})
+		}
+	}
+}

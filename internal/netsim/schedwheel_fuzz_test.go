@@ -122,3 +122,64 @@ func FuzzTimingWheelScheduler(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBroadcastRuns drives op scripts drawn from the input bytes —
+// broadcasts of every handler kind from every sender, unicasts, node
+// up/down flips, jitter and drop rules set and cleared, partial Steps and
+// bounded windows — against the four worlds of
+// TestBroadcastRunsMatchPerReceiverOracle (run-folding Broadcast and the
+// per-receiver oracle, each on wheel and heap) and demands identical
+// traces, Usage, consumed sequence numbers and RNG state. Step is exercised
+// only between whole drains: it counts events, and the two Broadcasts
+// legitimately differ in how many events a burst is.
+func FuzzBroadcastRuns(f *testing.F) {
+	// One broadcast of each handler kind, windows in between.
+	f.Add([]byte{0, 4, 0, 64, 1, 3, 0, 0, 1, 64, 1, 2, 0, 1, 2, 10, 0, 0, 3, 99, 0, 0, 4, 64, 1, 4, 0, 0, 5, 64})
+	// Jitter on, a burst from every sender, jitter off, drain.
+	f.Add([]byte{4, 3, 0, 0, 0, 32, 0, 1, 0, 32, 0, 4, 0, 32, 0, 7, 0, 32, 0, 9, 0, 32, 1, 1, 4, 0, 5})
+	// Down/up flips and unicasts between bursts.
+	f.Add([]byte{2, 3, 0, 0, 3, 64, 2, 3, 3, 1, 5, 0, 4, 2, 80, 1, 2, 2, 1, 0, 1, 6, 16, 5})
+
+	kinds := []byte("pzurde")
+	windows := []time.Duration{0, 500 * time.Microsecond, 9 * time.Millisecond, 31 * time.Millisecond, 650 * time.Millisecond, 3 * time.Second}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 600 {
+			data = data[:600]
+		}
+		diffBcastWorlds(t, 0.1, func(w *bcastWorld) {
+			w.scheduleOnDrop()
+			w.net.SetEnergyBudget("a2", 40_000)
+			pos := 0
+			next := func() int {
+				if pos >= len(data) {
+					return 0
+				}
+				b := data[pos]
+				pos++
+				return int(b)
+			}
+			for pos < len(data) {
+				switch next() % 6 {
+				case 0: // broadcast
+					from := w.ids[next()%len(w.ids)]
+					kind := kinds[next()%len(kinds)]
+					w.bcast(from, bcastPayload(kind, 1+next()))
+				case 1: // run a bounded window
+					w.sim.RunFor(windows[next()%len(windows)])
+				case 2: // flip a node
+					id := w.ids[next()%len(w.ids)]
+					w.net.SetUp(id, !w.net.Node(id).Up)
+				case 3: // unicast
+					from, to := w.ids[next()%len(w.ids)], w.ids[next()%len(w.ids)]
+					_ = w.net.Send(from, to, bcastPayload('p', 1+next())) // errors are part of neither trace
+				case 4: // set or clear the global impairment
+					ticks := next() % 4
+					w.net.ImpairAll(Impairment{JitterTicks: ticks, JitterTick: time.Millisecond, Drop: float64(ticks) / 20})
+				case 5: // drain, then a Step on the empty queue
+					w.sim.RunUntilIdle(1_000_000)
+					w.sim.Step()
+				}
+			}
+		})
+	})
+}

@@ -37,6 +37,10 @@ type Sim struct {
 	// outside reference can observe the reuse. Events returned by Schedule
 	// (and the cancel closures from After) are never recycled.
 	free []*Event
+	// runFree holds recycled receiver lists of broadcast runs (see joinRun).
+	// They live here rather than on the recycled events: most events are
+	// singles and never need one.
+	runFree [][]*Node
 }
 
 // NewSim returns a simulator whose PRNG is seeded with seed. Identical seeds
@@ -59,22 +63,27 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 
 // Event is a scheduled callback. Cancel prevents a pending event from firing.
 type Event struct {
-	at       time.Duration
-	seq      uint64
-	fn       func()
-	canceled bool
+	at  time.Duration
+	seq uint64
+	fn  func()
 
-	// Typed delivery form: when net is non-nil the event is a network
-	// message delivery and fn is nil. Keeping the delivery parameters in
-	// the event itself (instead of a per-message closure) lets the hot
-	// transmit path run without allocating, and lets fired events return
-	// to the simulator's free list.
-	net    *Network
-	from   string
-	to     string
-	data   []byte
-	air    time.Duration
-	pooled bool
+	// Typed delivery form: when src is non-nil the event is a network
+	// message delivery from src to dst (reaching the network through
+	// src.net) and fn is nil. Keeping the delivery parameters in the event
+	// itself (instead of a per-message closure) lets the hot transmit path
+	// run without allocating, and lets fired events return to the
+	// simulator's free list. Nodes are never removed from a network, so the
+	// pointers stay valid for as long as the event is pending.
+	//
+	// run, when non-empty, lists further receivers of the same broadcast
+	// whose own events would have held seq+1, seq+2, … at this same instant
+	// with this same air: one event stands for all of them (see joinRun).
+	src, dst *Node
+	run      []*Node
+	data     []byte
+	air      time.Duration
+	canceled bool
+	pooled   bool
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
@@ -97,8 +106,9 @@ func (s *Sim) Schedule(delay time.Duration, fn func()) *Event {
 // closure-free fast path the Network uses for deliveries. The event comes
 // from (and returns to) the simulator's free list, which is safe because
 // delivery events are never exposed to callers. Ordering is identical to
-// Schedule: same clock, same sequence counter.
-func (s *Sim) scheduleDelivery(delay time.Duration, net *Network, from, to string, data []byte, air time.Duration, pooled bool) {
+// Schedule: same clock, same sequence counter. The event is returned so a
+// broadcast can fold its following receivers into it (joinRun).
+func (s *Sim) scheduleDelivery(delay time.Duration, src, dst *Node, data []byte, air time.Duration, pooled bool) *Event {
 	if delay < 0 {
 		delay = 0
 	}
@@ -112,33 +122,79 @@ func (s *Sim) scheduleDelivery(delay time.Duration, net *Network, from, to strin
 	}
 	e.at = s.now + delay
 	e.seq = s.seq
-	e.net = net
-	e.from = from
-	e.to = to
+	e.src = src
+	e.dst = dst
 	e.data = data
 	e.air = air
 	e.pooled = pooled
 	s.seq++
 	s.queue.push(e)
+	return e
 }
 
-// fire executes a popped event. Typed delivery events are recycled into the
-// free list first (their parameters are copied out), so the delivery handler
-// can immediately reuse the event for anything it schedules. Plain callback
-// events were handed to their scheduler and are never recycled.
+// joinRun files dst as one more receiver of the pending delivery e instead
+// of scheduling an event of its own, and reports whether it could. It can
+// iff dst's event would have been e's immediate successor in firing order
+// with the same parameters: same instant, same air, and a sequence number
+// consecutive with the run's last receiver — nothing was scheduled since.
+// dst then consumes the sequence number its event would have taken, so every
+// later event keeps its relative order. This is exact, not approximate: no
+// other event can sort between consecutive sequence numbers at one instant,
+// and whatever a handler schedules while the run is swept gets a larger
+// sequence number and fires after the run, as it did after the last of the
+// separate events.
+func (s *Sim) joinRun(e *Event, delay time.Duration, dst *Node, air time.Duration) bool {
+	if e.at != s.now+delay || e.air != air || s.seq != e.seq+1+uint64(len(e.run)) {
+		return false
+	}
+	if e.run == nil {
+		if k := len(s.runFree); k > 0 {
+			e.run = s.runFree[k-1]
+			s.runFree[k-1] = nil
+			s.runFree = s.runFree[:k-1]
+		} else {
+			e.run = make([]*Node, 0, 8)
+		}
+	}
+	e.run = append(e.run, dst)
+	s.seq++
+	return true
+}
+
+// fire executes a popped event. A single typed delivery is recycled into the
+// free list first (its parameters are copied out), so the delivery handler
+// can immediately reuse the event for anything it schedules. A run is swept
+// in list order — dst, then run[0], run[1], … — and recycled after the
+// sweep: a handler that re-broadcasts mid-sweep must not be handed the
+// receiver list still being walked. Plain callback events were handed to
+// their scheduler and are never recycled.
 func (s *Sim) fire(e *Event) {
-	if e.net == nil {
+	if e.src == nil {
 		e.fn()
 		return
 	}
-	net, from, to, data, air, pooled := e.net, e.from, e.to, e.data, e.air, e.pooled
+	net, src, dst, run, data, air, pooled := e.src.net, e.src, e.dst, e.run, e.data, e.air, e.pooled
+	if run == nil {
+		*e = Event{}
+		s.free = append(s.free, e)
+		net.deliver(src, dst, data, air, pooled)
+		return
+	}
+	// Only Broadcast builds runs, and its payload is shared, never pooled.
+	net.deliver(src, dst, data, air, false)
+	for _, d := range run {
+		net.deliver(src, d, data, air, false)
+	}
+	clear(run)
+	s.runFree = append(s.runFree, run[:0])
 	*e = Event{}
 	s.free = append(s.free, e)
-	net.deliver(from, to, data, air, pooled)
 }
 
 // Step fires the earliest pending event. It returns false when no events
-// remain.
+// remain. A broadcast's receivers that share one instant ride one event
+// (see joinRun), so Step, Pending and RunUntilIdle's guard count events, not
+// receptions.
 func (s *Sim) Step() bool {
 	e := s.queue.pop()
 	if e == nil {
@@ -190,7 +246,8 @@ func (s *Sim) RunUntilIdle(maxEvents int) {
 }
 
 // Pending returns the number of events in the queue, including cancelled
-// events that have not yet been discarded.
+// events that have not yet been discarded. Like Step it counts events, not
+// receptions: a pending broadcast run is one.
 func (s *Sim) Pending() int { return s.queue.len() }
 
 // After implements the transport.Scheduler contract: it schedules fn after d

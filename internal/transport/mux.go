@@ -25,14 +25,16 @@ const (
 // each payload with a channel ID byte. Each channel behaves as an Endpoint
 // of its own.
 type Mux struct {
-	ep       Endpoint
-	mu       sync.Mutex
-	handlers map[byte]Handler // guarded by mu
+	ep Endpoint
+	mu sync.Mutex
+	// handlers is indexed by channel ID; nil means no handler. Sized for
+	// the known channels up front, grown only for a larger ID.
+	handlers []Handler // guarded by mu
 }
 
 // NewMux wraps ep and installs its dispatch handler.
 func NewMux(ep Endpoint) *Mux {
-	m := &Mux{ep: ep, handlers: make(map[byte]Handler)}
+	m := &Mux{ep: ep, handlers: make([]Handler, ChanCluster+1)}
 	ep.SetHandler(m.dispatch)
 	return m
 }
@@ -41,8 +43,11 @@ func (m *Mux) dispatch(from string, payload []byte) {
 	if len(payload) == 0 {
 		return
 	}
+	var h Handler
 	m.mu.Lock()
-	h := m.handlers[payload[0]]
+	if id := int(payload[0]); id < len(m.handlers) {
+		h = m.handlers[id]
+	}
 	m.mu.Unlock()
 	if h != nil {
 		h(from, payload[1:])
@@ -88,16 +93,20 @@ func (c *muxChannel) Broadcast(payload []byte) int {
 func (c *muxChannel) Neighbors() []string { return c.mux.ep.Neighbors() }
 
 func (c *muxChannel) SetHandler(h Handler) {
-	c.mux.mu.Lock()
-	defer c.mux.mu.Unlock()
-	if h == nil {
-		delete(c.mux.handlers, c.id)
-		return
+	m := c.mux
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	id := int(c.id)
+	if id >= len(m.handlers) {
+		if h == nil {
+			return
+		}
+		m.handlers = append(m.handlers, make([]Handler, id+1-len(m.handlers))...)
 	}
-	if _, dup := c.mux.handlers[c.id]; dup {
+	if h != nil && m.handlers[id] != nil {
 		panic(fmt.Sprintf("transport: handler for mux channel %d installed twice", c.id))
 	}
-	c.mux.handlers[c.id] = h
+	m.handlers[id] = h
 }
 
 // Close detaches the channel's handler; the underlying endpoint stays open.

@@ -103,3 +103,34 @@ func TestMuxChannelClose(t *testing.T) {
 		t.Errorf("count = %d, want 10", count)
 	}
 }
+
+// TestMuxChannelBeyondKnownIDs: the handler table is pre-sized for the four
+// known channels; a larger ID grows it on SetHandler, and a message or a
+// Close for an ID nobody registered neither grows it nor panics.
+func TestMuxChannelBeyondKnownIDs(t *testing.T) {
+	sim, ea, eb := newSimPair(t)
+	ma := NewMux(ea)
+	mb := NewMux(eb)
+	if err := mb.Channel(250).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ma.Channel(250).Send("b", []byte("early")); err != nil {
+		t.Fatal(err)
+	}
+	sim.RunUntilIdle(0) // dropped: no handler, ID past the table
+	if got := len(mb.handlers); got != int(ChanCluster)+1 {
+		t.Fatalf("table grew to %d without a handler", got)
+	}
+	var got string
+	mb.Channel(200).SetHandler(func(_ string, p []byte) { got = string(p) })
+	if err := ma.Channel(200).Send("b", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := ma.Channel(201).Send("b", []byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	sim.RunUntilIdle(0)
+	if got != "x" {
+		t.Errorf("channel 200 got %q, want x", got)
+	}
+}
