@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strconv"
@@ -21,40 +23,48 @@ import (
 	"logmob/internal/vm"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	var err error
-	switch os.Args[1] {
-	case "asm":
-		err = cmdAsm(os.Args[2:])
-	case "dis":
-		err = cmdDis(os.Args[2:])
-	case "run":
-		err = cmdRun(os.Args[2:])
-	default:
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lmuasm: %v\n", err)
-		os.Exit(1)
-	}
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+const usage = `usage:
   lmuasm asm [-o prog.bin] prog.s
   lmuasm dis prog.bin
-  lmuasm run [-entry main] [-args 1,2,3] [-fuel N] prog.s|prog.bin`)
+  lmuasm run [-entry main] [-args 1,2,3] [-fuel N] prog.s|prog.bin`
+
+// errUsage marks a command line the flag package already complained about.
+var errUsage = errors.New("usage")
+
+// run is the command. It returns the exit code: 2 for a command line it
+// cannot read, 1 for a command that failed, 0 otherwise.
+func run(args []string, stdout, stderr io.Writer) int {
+	cmds := map[string]func([]string, io.Writer, io.Writer) error{"asm": cmdAsm, "dis": cmdDis, "run": cmdRun}
+	if len(args) == 0 || cmds[args[0]] == nil {
+		fmt.Fprintln(stderr, usage)
+		return 2
+	}
+	switch err := cmds[args[0]](args[1:], stdout, stderr); {
+	case errors.Is(err, errUsage):
+		return 2
+	case err != nil:
+		fmt.Fprintf(stderr, "lmuasm: %v\n", err)
+		return 1
+	}
+	return 0
 }
 
-func cmdAsm(args []string) error {
-	fs := flag.NewFlagSet("asm", flag.ExitOnError)
-	out := fs.String("o", "", "output file (default: input with .bin)")
+// parse reads one subcommand's flags; what it cannot read is a usage error,
+// already reported on stderr.
+func parse(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
+		return errUsage
+	}
+	return nil
+}
+
+func cmdAsm(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("asm", flag.ContinueOnError)
+	out := fs.String("o", "", "output file (default: input with .bin)")
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
@@ -75,14 +85,14 @@ func cmdAsm(args []string) error {
 	if err := os.WriteFile(dst, prog.Encode(), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("%s: %d instructions, %d entries, %d imports -> %s\n",
+	fmt.Fprintf(stdout, "%s: %d instructions, %d entries, %d imports -> %s\n",
 		fs.Arg(0), len(prog.Code), len(prog.Entries), len(prog.Imports), dst)
 	return nil
 }
 
-func cmdDis(args []string) error {
-	fs := flag.NewFlagSet("dis", flag.ExitOnError)
-	if err := fs.Parse(args); err != nil {
+func cmdDis(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("dis", flag.ContinueOnError)
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
@@ -96,16 +106,16 @@ func cmdDis(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(vm.Disassemble(prog))
+	fmt.Fprint(stdout, vm.Disassemble(prog))
 	return nil
 }
 
-func cmdRun(args []string) error {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
+func cmdRun(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	entry := fs.String("entry", "main", "entry point")
 	argList := fs.String("args", "", "comma-separated integer arguments")
 	fuel := fs.Int64("fuel", 10_000_000, "instruction budget")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
@@ -133,7 +143,7 @@ func cmdRun(args []string) error {
 		}})
 	host.Register(vm.HostFunc{Name: "log", Arity: 1,
 		Fn: func(_ *vm.Machine, a []int64) ([]int64, int64, error) {
-			fmt.Printf("log: %d\n", a[0])
+			fmt.Fprintf(stdout, "log: %d\n", a[0])
 			return nil, 0, nil
 		}})
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
@@ -168,7 +178,7 @@ func cmdRun(args []string) error {
 	if runErr != nil {
 		return runErr
 	}
-	fmt.Printf("status: %s\nsteps: %d (%.1f M/s)\nstack: %v\n",
+	fmt.Fprintf(stdout, "status: %s\nsteps: %d (%.1f M/s)\nstack: %v\n",
 		m.Status(), m.Steps, float64(m.Steps)/elapsed.Seconds()/1e6, m.Stack())
 	return nil
 }

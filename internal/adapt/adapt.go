@@ -5,8 +5,10 @@
 //
 // A TaskSpec describes one interaction both declaratively (the cost-model
 // Task: sizes, rounds, compute) and operationally (the service name, the
-// code unit, the arguments). Runner.Run asks the decider which paradigm fits
-// the current context and drives the corresponding kernel API:
+// code unit, the arguments). Engine.Run asks the host's decider which of the
+// paradigms the spec can execute fits the current context, records the
+// decision in the engine's trajectory, and drives the corresponding kernel
+// API; Engine.RunAs drives it under a paradigm the caller pinned:
 //
 //	CS  -> Host.Call           (one call per interaction round)
 //	REV -> Host.Eval           (ship the unit, run remotely once)
@@ -17,6 +19,7 @@ package adapt
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"logmob/internal/core"
@@ -26,8 +29,9 @@ import (
 
 // Errors returned by Run.
 var (
-	// ErrNoOperation reports a paradigm choice the spec cannot execute
-	// (e.g. the decider picked CS but no Service was given).
+	// ErrNoOperation reports a spec with no operation for the paradigm it
+	// was asked to run under (e.g. pinned to CS but no Service was given),
+	// or with no operation at all.
 	ErrNoOperation = errors.New("adapt: task spec cannot execute chosen paradigm")
 )
 
@@ -55,14 +59,11 @@ type TaskSpec struct {
 	// SpawnAgent, if set, handles the MA paradigm: it should launch the
 	// application's agent and eventually invoke the callback itself.
 	SpawnAgent func(done func(stack []int64, err error)) error
-	// Allowed restricts the decider's choice; empty allows what the spec
-	// can actually execute.
-	Allowed []policy.Paradigm
 }
 
-// executable returns the paradigms the spec has operations for.
-func (s *TaskSpec) executable() []policy.Paradigm {
-	var out []policy.Paradigm
+// executable appends the paradigms the spec has operations for to out: the
+// decision space, so a decider can never pick what RunAs would refuse.
+func (s *TaskSpec) executable(out []policy.Paradigm) []policy.Paradigm {
 	if s.Service != "" {
 		out = append(out, policy.CS)
 	}
@@ -75,34 +76,6 @@ func (s *TaskSpec) executable() []policy.Paradigm {
 	return out
 }
 
-// usable returns the spec's decision space: the caller's Allowed set
-// intersected with what the spec can execute (the full executable set when
-// Allowed is empty). Runner.Choose and Engine.decide share it, so both
-// entry points agree on what a decider may pick.
-func (s *TaskSpec) usable() ([]policy.Paradigm, error) {
-	executable := s.executable()
-	if len(executable) == 0 {
-		return nil, fmt.Errorf("%w: no operations provided", ErrNoOperation)
-	}
-	if len(s.Allowed) == 0 {
-		return executable, nil
-	}
-	can := map[policy.Paradigm]bool{}
-	for _, p := range executable {
-		can[p] = true
-	}
-	var out []policy.Paradigm
-	for _, p := range s.Allowed {
-		if can[p] {
-			out = append(out, p)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%w: allowed set has no executable paradigm", ErrNoOperation)
-	}
-	return out, nil
-}
-
 // Outcome reports how a task was executed.
 type Outcome struct {
 	Paradigm policy.Paradigm
@@ -113,78 +86,139 @@ type Outcome struct {
 	Rounds int64
 }
 
-// Runner executes TaskSpecs under a decider.
-type Runner struct {
-	host    *core.Host
-	decider policy.Decider
-	// Stats counts executions per paradigm.
-	stats map[policy.Paradigm]int64
+// Decision is one entry in an Engine's trajectory.
+type Decision struct {
+	// At is the virtual time of the decision.
+	At time.Duration
+	// Paradigm is what ran.
+	Paradigm policy.Paradigm
+	// Regret is the decider's score for the choice minus its score for the
+	// best executable alternative at decision time: the model cost of
+	// honouring hysteresis (0 when the best won).
+	Regret float64
 }
 
-// NewRunner builds a runner on h. A nil decider defaults to the cost model
-// with the default objective (traffic plus a latency term), so compute
-// placement influences the choice.
-func NewRunner(h *core.Host, d policy.Decider) *Runner {
+// historyCap bounds an engine's retained trajectory (oldest dropped). A
+// stream decides once per task, seconds apart, and the Decisions probe
+// splits the trajectory into run halves, so the cap is far above any
+// realistic run: it exists so that a runaway caller cannot grow an engine
+// without bound, not to trim a real one.
+const historyCap = 1 << 20
+
+// Engine executes TaskSpecs on one host — under its decider (Run), which it
+// consults before every interaction, or under a pinned paradigm (RunAs) —
+// and keeps the decision trajectory: which paradigm ran when, how often the
+// selection switched, and the model regret of each choice, for the Decisions
+// probe to report. Like the kernel it serves, it is driven from the event
+// loop and is not goroutine-safe.
+type Engine struct {
+	host    *core.Host
+	decider policy.Decider
+
+	executions map[policy.Paradigm]int64
+	// allowed backs the executable set handed to the decider, so a decision
+	// allocates nothing.
+	allowed   [4]policy.Paradigm
+	history   []Decision
+	switches  int64
+	decisions int64
+	regret    float64
+}
+
+// NewEngine builds an adaptation engine on h. A nil decider defaults to a
+// battery-aware AdaptiveDecider over the default objective with an energy
+// term.
+func NewEngine(h *core.Host, d policy.Decider) *Engine {
 	if d == nil {
-		d = &policy.CostDecider{Objective: policy.DefaultObjective()}
+		obj := policy.DefaultObjective()
+		obj.EnergyWeight = 0.05
+		d = &policy.AdaptiveDecider{Objective: obj, BatteryAware: true}
 	}
-	return &Runner{host: h, decider: d, stats: make(map[policy.Paradigm]int64)}
+	return &Engine{host: h, decider: d, executions: make(map[policy.Paradigm]int64)}
 }
 
 // Executions returns how many tasks ran under each paradigm.
-func (r *Runner) Executions() map[policy.Paradigm]int64 {
-	out := make(map[policy.Paradigm]int64, len(r.stats))
-	for k, v := range r.stats {
+func (e *Engine) Executions() map[policy.Paradigm]int64 {
+	out := make(map[policy.Paradigm]int64, len(e.executions))
+	for k, v := range e.executions {
 		out[k] = v
 	}
 	return out
 }
 
-// Choose returns the paradigm the runner would use for the spec right now,
-// without executing it. The decision routes through policy.Decide, so
-// restriction-aware deciders (AllowedChooser) score only the executable
-// set — a stateful decider can never lock its incumbent onto a paradigm
-// the spec cannot run — and hostile task models error instead of flowing
-// into the arithmetic.
-func (r *Runner) Choose(spec *TaskSpec) (policy.Paradigm, error) {
-	usable, err := spec.usable()
-	if err != nil {
-		return 0, err
-	}
-	return policy.Decide(r.decider, spec.Model, usable, r.host.Context())
+// Decisions returns how many tasks the engine has decided.
+func (e *Engine) Decisions() int64 { return e.decisions }
+
+// Switches returns how many decisions changed paradigm from the previous
+// one.
+func (e *Engine) Switches() int64 { return e.switches }
+
+// Regret returns the cumulative model regret: the sum over decisions of
+// score(chosen) - score(best executable). 0 means every decision took the
+// model's best choice.
+func (e *Engine) Regret() float64 { return e.regret }
+
+// History returns a copy of the retained decision trajectory, oldest
+// first.
+func (e *Engine) History() []Decision {
+	out := make([]Decision, len(e.history))
+	copy(out, e.history)
+	return out
 }
 
-// Run executes the task under the chosen paradigm. cb fires exactly once.
-func (r *Runner) Run(spec *TaskSpec, cb func(Outcome, error)) {
-	chosen, err := r.Choose(spec)
+// decide runs the decision over what the spec can execute and accounts the
+// trajectory. A hostile task model errors here instead of flowing into the
+// decider's arithmetic.
+func (e *Engine) decide(spec *TaskSpec) (policy.Paradigm, error) {
+	allowed := spec.executable(e.allowed[:0])
+	if len(allowed) == 0 {
+		return 0, fmt.Errorf("%w: no operations provided", ErrNoOperation)
+	}
+	if err := spec.Model.Validate(); err != nil {
+		return 0, err
+	}
+	chosen, regret := e.decider.Choose(spec.Model, allowed, e.host.Context())
+	e.decisions++
+	if n := len(e.history); n > 0 && chosen != e.history[n-1].Paradigm {
+		e.switches++
+	}
+	e.regret += regret
+	e.history = append(e.history, Decision{At: e.host.Scheduler().Now(), Paradigm: chosen, Regret: regret})
+	if len(e.history) > historyCap {
+		e.history = e.history[1:]
+	}
+	return chosen, nil
+}
+
+// Run re-selects the paradigm for this interaction and executes the task
+// under it. cb fires exactly once.
+func (e *Engine) Run(spec *TaskSpec, cb func(Outcome, error)) {
+	chosen, err := e.decide(spec)
 	if err != nil {
 		cb(Outcome{}, err)
 		return
 	}
-	r.RunAs(chosen, spec, cb)
+	e.RunAs(chosen, spec, cb)
 }
 
 // RunAs executes the task under an explicitly chosen paradigm, bypassing
-// the decider — the adaptation engine's act step, also usable to pin a
-// fixed paradigm for comparison runs. The spec must be able to execute the
-// paradigm (e.g. RunAs(policy.MA, ...) needs SpawnAgent).
-func (r *Runner) RunAs(chosen policy.Paradigm, spec *TaskSpec, cb func(Outcome, error)) {
+// the decider and the trajectory — Run's act step, and the way to pin a
+// fixed paradigm for comparison runs. A paradigm the spec has no operation
+// for (e.g. RunAs(policy.MA, ...) without SpawnAgent) reports ErrNoOperation.
+func (e *Engine) RunAs(chosen policy.Paradigm, spec *TaskSpec, cb func(Outcome, error)) {
+	if !slices.Contains(spec.executable(e.allowed[:0]), chosen) {
+		cb(Outcome{Paradigm: chosen}, fmt.Errorf("%w: %v", ErrNoOperation, chosen))
+		return
+	}
+	e.executions[chosen]++
 	switch chosen {
 	case policy.CS:
-		r.stats[chosen]++
-		r.runCS(spec, cb)
+		e.runCS(spec, cb)
 	case policy.REV:
-		r.stats[chosen]++
-		r.runREV(spec, cb)
+		e.runREV(spec, cb)
 	case policy.COD:
-		r.stats[chosen]++
-		r.runCOD(spec, cb)
+		e.runCOD(spec, cb)
 	case policy.MA:
-		if spec.SpawnAgent == nil {
-			cb(Outcome{Paradigm: policy.MA}, fmt.Errorf("%w: no agent spawner", ErrNoOperation))
-			return
-		}
-		r.stats[chosen]++
 		if err := spec.SpawnAgent(func(stack []int64, err error) {
 			if err != nil {
 				cb(Outcome{Paradigm: policy.MA}, err)
@@ -194,18 +228,16 @@ func (r *Runner) RunAs(chosen policy.Paradigm, spec *TaskSpec, cb func(Outcome, 
 		}); err != nil {
 			cb(Outcome{Paradigm: policy.MA}, err)
 		}
-	default:
-		cb(Outcome{}, fmt.Errorf("%w: unknown paradigm %v", ErrNoOperation, chosen))
 	}
 }
 
 // runCS performs Model.Interactions sequential service calls.
-func (r *Runner) runCS(spec *TaskSpec, cb func(Outcome, error)) {
+func (e *Engine) runCS(spec *TaskSpec, cb func(Outcome, error)) {
 	rounds := spec.Model.Interactions
 	if rounds <= 0 {
 		rounds = 1
 	}
-	args := encodeArgs(spec.Args)
+	args := EncodeInts(spec.Args)
 	var last []int64
 	var round func(i int64)
 	round = func(i int64) {
@@ -213,24 +245,24 @@ func (r *Runner) runCS(spec *TaskSpec, cb func(Outcome, error)) {
 			cb(Outcome{Paradigm: policy.CS, Stack: last, Rounds: rounds}, nil)
 			return
 		}
-		r.host.Call(spec.Remote, spec.Service, args, func(results [][]byte, err error) {
+		e.host.Call(spec.Remote, spec.Service, args, func(results [][]byte, err error) {
 			if err != nil {
 				cb(Outcome{Paradigm: policy.CS, Rounds: i}, err)
 				return
 			}
-			last = decodeReplies(results)
+			last = DecodeInts(results)
 			round(i + 1)
 		})
 	}
 	round(0)
 }
 
-func (r *Runner) runREV(spec *TaskSpec, cb func(Outcome, error)) {
+func (e *Engine) runREV(spec *TaskSpec, cb func(Outcome, error)) {
 	entry := spec.EvalEntry
 	if entry == "" {
 		entry = spec.Entry
 	}
-	r.host.Eval(spec.Remote, spec.Unit, entry, spec.Args, func(stack []int64, err error) {
+	e.host.Eval(spec.Remote, spec.Unit, entry, spec.Args, func(stack []int64, err error) {
 		if err != nil {
 			cb(Outcome{Paradigm: policy.REV}, err)
 			return
@@ -244,9 +276,9 @@ func (r *Runner) runREV(spec *TaskSpec, cb func(Outcome, error)) {
 // callback is delayed by the executed instruction count over that rate, so
 // running fetched code on a weak device costs the virtual time it should —
 // symmetrical with the kernel's delayed Eval replies.
-func (r *Runner) runCOD(spec *TaskSpec, cb func(Outcome, error)) {
+func (e *Engine) runCOD(spec *TaskSpec, cb func(Outcome, error)) {
 	name := spec.Unit.Manifest.Name
-	r.host.Ensure(spec.Remote, name, spec.Unit.Manifest.Version, func(_ *lmu.Unit, _ bool, err error) {
+	e.host.Ensure(spec.Remote, name, spec.Unit.Manifest.Version, func(_ *lmu.Unit, _ bool, err error) {
 		if err != nil {
 			cb(Outcome{Paradigm: policy.COD}, err)
 			return
@@ -258,7 +290,7 @@ func (r *Runner) runCOD(spec *TaskSpec, cb func(Outcome, error)) {
 		var last []int64
 		var steps int64
 		for i := int64(0); i < rounds; i++ {
-			stack, n, err := r.host.RunComponentSteps(name, spec.Entry, spec.Args...)
+			stack, n, err := e.host.RunComponentSteps(name, spec.Entry, spec.Args...)
 			steps += n
 			if err != nil {
 				cb(Outcome{Paradigm: policy.COD, Rounds: i}, err)
@@ -267,19 +299,21 @@ func (r *Runner) runCOD(spec *TaskSpec, cb func(Outcome, error)) {
 			last = stack
 		}
 		done := func() { cb(Outcome{Paradigm: policy.COD, Stack: last, Rounds: rounds}, nil) }
-		if rate := r.host.ComputeRate(); rate > 0 && steps > 0 {
+		if rate := e.host.ComputeRate(); rate > 0 && steps > 0 {
 			delay := time.Duration(float64(steps) / rate * float64(time.Second))
-			r.host.Scheduler().After(delay, done)
+			e.host.Scheduler().After(delay, done)
 			return
 		}
 		done()
 	})
 }
 
-// encodeArgs renders int64 args as 8-byte big-endian frames.
-func encodeArgs(args []int64) [][]byte {
-	out := make([][]byte, len(args))
-	for i, a := range args {
+// EncodeInts renders int64 values as 8-byte big-endian frames: the CS
+// argument and reply encoding, exported for services meant to interoperate
+// with adaptive clients.
+func EncodeInts(values []int64) [][]byte {
+	out := make([][]byte, len(values))
+	for i, a := range values {
 		b := make([]byte, 8)
 		for j := 7; j >= 0; j-- {
 			b[j] = byte(a)
@@ -290,9 +324,8 @@ func encodeArgs(args []int64) [][]byte {
 	return out
 }
 
-// decodeReplies parses 8-byte frames back to int64s; other frames are
-// skipped.
-func decodeReplies(frames [][]byte) []int64 {
+// DecodeInts parses 8-byte frames back to int64s; other frames are skipped.
+func DecodeInts(frames [][]byte) []int64 {
 	var out []int64
 	for _, f := range frames {
 		if len(f) != 8 {
@@ -306,11 +339,3 @@ func decodeReplies(frames [][]byte) []int64 {
 	}
 	return out
 }
-
-// DecodeArgs is the service-side inverse of the runner's CS argument
-// encoding, for services meant to interoperate with adaptive clients.
-func DecodeArgs(frames [][]byte) []int64 { return decodeReplies(frames) }
-
-// EncodeReplies is the service-side inverse of the runner's CS reply
-// decoding.
-func EncodeReplies(values []int64) [][]byte { return encodeArgs(values) }

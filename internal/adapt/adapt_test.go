@@ -65,12 +65,12 @@ func (r *rig) doubler(t *testing.T) *lmu.Unit {
 		t.Fatal(err)
 	}
 	r.server.RegisterService("double", func(from string, args [][]byte) ([][]byte, error) {
-		vals := DecodeArgs(args)
+		vals := DecodeInts(args)
 		out := make([]int64, len(vals))
 		for i, v := range vals {
 			out[i] = 2 * v
 		}
-		return EncodeReplies(out), nil
+		return EncodeInts(out), nil
 	})
 	return u
 }
@@ -91,27 +91,39 @@ func (r *rig) spec(unit *lmu.Unit, interactions int64) *TaskSpec {
 	}
 }
 
-func run(t *testing.T, r *rig, runner *Runner, spec *TaskSpec) Outcome {
+// await drives the rig until the execution start began calls back.
+func await(t *testing.T, r *rig, start func(cb func(Outcome, error))) Outcome {
 	t.Helper()
 	var out Outcome
 	var err error
 	done := false
-	runner.Run(spec, func(o Outcome, e error) { out, err, done = o, e, true })
+	start(func(o Outcome, e error) { out, err, done = o, e, true })
 	r.sim.RunFor(5 * time.Minute)
 	if !done {
-		t.Fatal("Run never completed")
+		t.Fatal("execution never completed")
 	}
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("execution: %v", err)
 	}
 	return out
+}
+
+func run(t *testing.T, r *rig, eng *Engine, spec *TaskSpec) Outcome {
+	t.Helper()
+	return await(t, r, func(cb func(Outcome, error)) { eng.Run(spec, cb) })
+}
+
+// costModel is a snapshot decider trading traffic against a latency term,
+// so compute placement influences the choice.
+func costModel() policy.Decider {
+	return &policy.CostDecider{Objective: policy.DefaultObjective()}
 }
 
 func TestOneShotGoesCS(t *testing.T) {
 	r := newRig(t)
 	unit := r.doubler(t)
-	runner := NewRunner(r.device, nil)
-	out := run(t, r, runner, r.spec(unit, 1))
+	eng := NewEngine(r.device, costModel())
+	out := run(t, r, eng, r.spec(unit, 1))
 	if out.Paradigm != policy.CS {
 		t.Errorf("paradigm = %s, want CS for a one-shot task", out.Paradigm)
 	}
@@ -126,8 +138,8 @@ func TestOneShotGoesCS(t *testing.T) {
 func TestChattyGoesCODAndResultMatches(t *testing.T) {
 	r := newRig(t)
 	unit := r.doubler(t)
-	runner := NewRunner(r.device, nil)
-	out := run(t, r, runner, r.spec(unit, 500))
+	eng := NewEngine(r.device, costModel())
+	out := run(t, r, eng, r.spec(unit, 500))
 	if out.Paradigm != policy.COD {
 		t.Errorf("paradigm = %s, want COD for 500 rounds", out.Paradigm)
 	}
@@ -146,11 +158,10 @@ func TestChattyGoesCODAndResultMatches(t *testing.T) {
 func TestAllParadigmsAgreeOnResult(t *testing.T) {
 	r := newRig(t)
 	unit := r.doubler(t)
+	eng := NewEngine(r.device, nil)
 	for _, p := range []policy.Paradigm{policy.CS, policy.REV, policy.COD} {
-		runner := NewRunner(r.device, &policy.CostDecider{Allowed: []policy.Paradigm{p}})
-		spec := r.spec(unit, 2)
-		spec.Allowed = []policy.Paradigm{p}
-		out := run(t, r, runner, spec)
+		p := p
+		out := await(t, r, func(cb func(Outcome, error)) { eng.RunAs(p, r.spec(unit, 2), cb) })
 		if out.Paradigm != p {
 			t.Errorf("forced %s, ran %s", p, out.Paradigm)
 		}
@@ -166,7 +177,7 @@ func TestRuleDeciderDrivesAgentPath(t *testing.T) {
 	// Expensive link in context + rule decider => MA; the spec provides an
 	// agent spawner.
 	r.device.Context().SetNum(ctxsvc.KeyCostPerByte, 2e-5)
-	runner := NewRunner(r.device, policy.DefaultRules())
+	eng := NewEngine(r.device, policy.DefaultRules())
 	spec := r.spec(unit, 2)
 	spawned := false
 	spec.SpawnAgent = func(done func([]int64, error)) error {
@@ -174,7 +185,7 @@ func TestRuleDeciderDrivesAgentPath(t *testing.T) {
 		done([]int64{42}, nil) // stand-in for a real agent round trip
 		return nil
 	}
-	out := run(t, r, runner, spec)
+	out := run(t, r, eng, spec)
 	if out.Paradigm != policy.MA || !spawned {
 		t.Errorf("paradigm = %s, spawned = %v", out.Paradigm, spawned)
 	}
@@ -183,11 +194,11 @@ func TestRuleDeciderDrivesAgentPath(t *testing.T) {
 func TestDeciderFallsBackToExecutable(t *testing.T) {
 	r := newRig(t)
 	// Rule decider would pick MA on this costed link, but the spec has no
-	// agent; the runner must fall back to something executable.
+	// agent; the engine must fall back to something executable.
 	r.device.Context().SetNum(ctxsvc.KeyCostPerByte, 2e-5)
 	unit := r.doubler(t)
-	runner := NewRunner(r.device, policy.DefaultRules())
-	out := run(t, r, runner, r.spec(unit, 2))
+	eng := NewEngine(r.device, policy.DefaultRules())
+	out := run(t, r, eng, r.spec(unit, 2))
 	if out.Paradigm == policy.MA {
 		t.Error("ran MA without an agent spawner")
 	}
@@ -198,9 +209,9 @@ func TestDeciderFallsBackToExecutable(t *testing.T) {
 
 func TestEmptySpecFails(t *testing.T) {
 	r := newRig(t)
-	runner := NewRunner(r.device, nil)
+	eng := NewEngine(r.device, costModel())
 	var gotErr error
-	runner.Run(&TaskSpec{Model: policy.Task{Interactions: 1}}, func(_ Outcome, err error) {
+	eng.Run(&TaskSpec{Model: policy.Task{Interactions: 1}}, func(_ Outcome, err error) {
 		gotErr = err
 	})
 	if !errors.Is(gotErr, ErrNoOperation) {
@@ -208,13 +219,32 @@ func TestEmptySpecFails(t *testing.T) {
 	}
 }
 
+// TestRunAsRefusesWhatTheSpecCannotExecute: a pin is checked against the same
+// executable set a decision is taken over, for every paradigm — a spec with
+// no unit pinned to COD is an error, not a nil dereference.
+func TestRunAsRefusesWhatTheSpecCannotExecute(t *testing.T) {
+	r := newRig(t)
+	eng := NewEngine(r.device, nil)
+	spec := &TaskSpec{Model: policy.Task{Interactions: 1}, Remote: "server", Service: "double"}
+	for _, p := range []policy.Paradigm{policy.REV, policy.COD, policy.MA, policy.Paradigm(9)} {
+		var gotErr error
+		eng.RunAs(p, spec, func(_ Outcome, err error) { gotErr = err })
+		if !errors.Is(gotErr, ErrNoOperation) {
+			t.Errorf("pinned to %v without an operation for it: err = %v, want ErrNoOperation", p, gotErr)
+		}
+	}
+	if ex := eng.Executions(); len(ex) != 0 {
+		t.Errorf("refused pins were counted as executions: %v", ex)
+	}
+}
+
 func TestExecutionsCounted(t *testing.T) {
 	r := newRig(t)
 	unit := r.doubler(t)
-	runner := NewRunner(r.device, nil)
-	run(t, r, runner, r.spec(unit, 1))   // CS
-	run(t, r, runner, r.spec(unit, 500)) // COD
-	ex := runner.Executions()
+	eng := NewEngine(r.device, costModel())
+	run(t, r, eng, r.spec(unit, 1))   // CS
+	run(t, r, eng, r.spec(unit, 500)) // COD
+	ex := eng.Executions()
 	if ex[policy.CS] != 1 || ex[policy.COD] != 1 {
 		t.Errorf("Executions = %v", ex)
 	}
@@ -222,7 +252,7 @@ func TestExecutionsCounted(t *testing.T) {
 
 func TestArgsCodecRoundTrip(t *testing.T) {
 	vals := []int64{0, 1, -1, 1 << 40, -(1 << 40), 42}
-	got := DecodeArgs(EncodeReplies(vals))
+	got := DecodeInts(EncodeInts(vals))
 	if len(got) != len(vals) {
 		t.Fatalf("len = %d", len(got))
 	}

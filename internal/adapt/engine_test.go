@@ -14,22 +14,6 @@ import (
 	"logmob/internal/vm"
 )
 
-func runEngine(t *testing.T, r *rig, eng *Engine, spec *TaskSpec) Outcome {
-	t.Helper()
-	var out Outcome
-	var err error
-	done := false
-	eng.Run(spec, func(o Outcome, e error) { out, err, done = o, e, true })
-	r.sim.RunFor(5 * time.Minute)
-	if !done {
-		t.Fatal("Engine.Run never completed")
-	}
-	if err != nil {
-		t.Fatalf("Engine.Run: %v", err)
-	}
-	return out
-}
-
 // chattySpec is the rig's task with a model CS wins on a clean link: light
 // rounds against heavy code. (The model drives the decision; the actual
 // unit stays the rig's doubler.)
@@ -53,13 +37,13 @@ func TestEngineReselectsPerInteraction(t *testing.T) {
 	eng := NewEngine(r.device, dec)
 
 	// A chatty-but-light task on a clean link: CS.
-	first := runEngine(t, r, eng, chattySpec(r, unit))
+	first := run(t, r, eng, chattySpec(r, unit))
 	if first.Paradigm != policy.CS {
 		t.Fatalf("clean-link paradigm = %s, want CS", first.Paradigm)
 	}
 	// The sensors report a degrading link; the next interaction re-decides.
 	r.device.Context().SetNum(ctxsvc.KeyLoss, 0.5)
-	second := runEngine(t, r, eng, chattySpec(r, unit))
+	second := run(t, r, eng, chattySpec(r, unit))
 	if second.Paradigm == policy.CS {
 		t.Fatalf("engine kept CS through 50%% loss")
 	}
@@ -88,11 +72,11 @@ func TestEngineHysteresisAccruesRegret(t *testing.T) {
 		Alpha:     1, Hysteresis: 10, // never switch
 	}
 	eng := NewEngine(r.device, dec)
-	if out := runEngine(t, r, eng, chattySpec(r, unit)); out.Paradigm != policy.CS {
+	if out := run(t, r, eng, chattySpec(r, unit)); out.Paradigm != policy.CS {
 		t.Fatalf("initial paradigm = %s", out.Paradigm)
 	}
 	r.device.Context().SetNum(ctxsvc.KeyLoss, 0.5)
-	if out := runEngine(t, r, eng, chattySpec(r, unit)); out.Paradigm != policy.CS {
+	if out := run(t, r, eng, chattySpec(r, unit)); out.Paradigm != policy.CS {
 		t.Fatalf("10x hysteresis switched anyway")
 	}
 	if eng.Regret() <= 0 {
@@ -103,19 +87,44 @@ func TestEngineHysteresisAccruesRegret(t *testing.T) {
 	}
 }
 
+// TestEngineHistoryBounded starts three short of the cap (the backing array
+// is never touched, so the test costs address space, not memory) and decides
+// seven times: the trajectory stops at the cap, dropping the oldest.
 func TestEngineHistoryBounded(t *testing.T) {
 	r := newRig(t)
 	unit := r.doubler(t)
 	eng := NewEngine(r.device, &policy.CostDecider{})
-	eng.HistoryCap = 3
+	eng.history = make([]Decision, historyCap-3, historyCap+8)
 	for i := 0; i < 7; i++ {
-		runEngine(t, r, eng, r.spec(unit, 1))
+		run(t, r, eng, r.spec(unit, 1))
 	}
-	if got := len(eng.History()); got != 3 {
-		t.Errorf("history length = %d, want 3", got)
+	if got := len(eng.history); got != historyCap {
+		t.Errorf("history length = %d, want the cap %d", got, historyCap)
+	}
+	if d := eng.history[historyCap-7:]; d[0].Paradigm != policy.CS || d[6].Paradigm != policy.CS {
+		t.Errorf("the seven newest entries are not the seven decisions: %+v", d)
 	}
 	if eng.Decisions() != 7 {
 		t.Errorf("decisions = %d", eng.Decisions())
+	}
+}
+
+// TestEngineDecisionAllocs pins the decide step of the loop: once the
+// decider has smoothed a first sample and the trajectory has room, deciding
+// allocates nothing — one scoring pass, no executable-set slice, no score map.
+func TestEngineDecisionAllocs(t *testing.T) {
+	r := newRig(t)
+	spec := r.spec(r.doubler(t), 4)
+	eng := NewEngine(r.device, nil)
+	eng.history = make([]Decision, 0, 256)
+	decide := func() {
+		if _, err := eng.decide(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decide()
+	if got := testing.AllocsPerRun(100, decide); got != 0 {
+		t.Errorf("an engine decision allocates %v times, want 0", got)
 	}
 }
 
@@ -133,7 +142,7 @@ func TestEngineRejectsHostileModel(t *testing.T) {
 	}
 }
 
-// TestCODLocalComputeIsCharged pins the runner's compute accounting: with a
+// TestCODLocalComputeIsCharged pins the engine's compute accounting: with a
 // modelled CPU rate, running fetched code locally takes virtual time.
 func TestCODLocalComputeIsCharged(t *testing.T) {
 	sim := netsim.NewSim(6)
@@ -169,16 +178,14 @@ func TestCODLocalComputeIsCharged(t *testing.T) {
 	if err := server.Publish(unit); err != nil {
 		t.Fatal(err)
 	}
-	runner := NewRunner(dev, &policy.CostDecider{Allowed: []policy.Paradigm{policy.COD}})
 	spec := &TaskSpec{
 		Model:  policy.Task{Interactions: 4, CodeBytes: int64(unit.Size())},
 		Remote: "server", Unit: unit, Entry: "main", Args: []int64{21},
-		Allowed: []policy.Paradigm{policy.COD},
 	}
 	start := sim.Now()
 	var out Outcome
 	done := false
-	runner.Run(spec, func(o Outcome, e error) {
+	NewEngine(dev, nil).RunAs(policy.COD, spec, func(o Outcome, e error) {
 		if e != nil {
 			t.Fatal(e)
 		}

@@ -304,13 +304,6 @@ func (h *Host) RegisterService(name string, fn ServiceFunc) {
 	h.services[name] = fn
 }
 
-// UnregisterService withdraws a service.
-func (h *Host) UnregisterService(name string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	delete(h.services, name)
-}
-
 // OnMessage registers a handler for application-level messages.
 func (h *Host) OnMessage(fn MessageHandler) {
 	h.mu.Lock()
@@ -336,14 +329,6 @@ func (h *Host) Publish(u *lmu.Unit) error {
 	defer h.mu.Unlock()
 	h.published[u.Manifest.Name] = true
 	return nil
-}
-
-// Unpublish withdraws a name from Fetch service (stored versions remain in
-// the registry but are no longer served).
-func (h *Host) Unpublish(name string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	delete(h.published, name)
 }
 
 // Published returns the names currently served to Fetch requests, sorted.

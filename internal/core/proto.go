@@ -26,10 +26,12 @@ const (
 	msgPublishReply
 )
 
-// newRequest allocates a request ID and registers its reply callback with a
-// timeout. The callback fires exactly once.
-func (h *Host) newRequest(peer string, cb func(ok bool, errMsg string, payload *reader)) uint64 {
+// newRequest counts the request (count bumps the caller's sent counter),
+// allocates a request ID and registers its reply callback with a timeout, all
+// under one hold of h.mu. The callback fires exactly once.
+func (h *Host) newRequest(peer string, count func(*Stats), cb func(ok bool, errMsg string, payload *reader)) uint64 {
 	h.mu.Lock()
+	count(&h.stats)
 	h.nextReq++
 	id := h.nextReq
 	var p *pendingReq
@@ -44,32 +46,31 @@ func (h *Host) newRequest(peer string, cb func(ok bool, errMsg string, payload *
 	p.cancel = h.sched.After(h.requestTimeout, func() {
 		h.mu.Lock()
 		p2, live := h.pending[id]
-		if live {
-			delete(h.pending, id)
-			h.stats.Timeouts++
+		if !live {
+			h.mu.Unlock()
+			return
 		}
+		delete(h.pending, id)
+		h.stats.Timeouts++
+		cb2 := p2.cb
+		h.putReqLocked(p2)
 		h.mu.Unlock()
-		if live {
-			cb2 := p2.cb
-			h.putReq(p2)
-			cb2(false, ErrTimeout.Error(), nil)
-		}
+		cb2(false, ErrTimeout.Error(), nil)
 	})
 	h.pending[id] = p
 	h.mu.Unlock()
 	return id
 }
 
-// putReq recycles a request record once it has been removed from pending and
-// no path can touch it again (the timeout closure rechecks pending under the
-// lock, so a recycled record is never reached through a stale timer).
-func (h *Host) putReq(p *pendingReq) {
+// putReqLocked recycles a request record once it has been removed from
+// pending and no path can touch it again (the timeout closure rechecks
+// pending under the lock, so a recycled record is never reached through a
+// stale timer). The caller holds h.mu — the hold that removed the record.
+func (h *Host) putReqLocked(p *pendingReq) {
 	p.peer, p.cb, p.cancel = "", nil, nil
-	h.mu.Lock()
 	if len(h.reqPool) < 64 {
 		h.reqPool = append(h.reqPool, p)
 	}
-	h.mu.Unlock()
 }
 
 // resolve completes a pending request with the remote's reply. Replies are
@@ -82,15 +83,14 @@ func (h *Host) resolve(from string, id uint64, ok bool, errMsg string, payload *
 		h.mu.Unlock()
 		return
 	}
-	if live {
-		delete(h.pending, id)
-	}
-	h.mu.Unlock()
 	if !live {
+		h.mu.Unlock()
 		return // duplicate or post-timeout reply
 	}
+	delete(h.pending, id)
 	cancel, cb := p.cancel, p.cb
-	h.putReq(p)
+	h.putReqLocked(p)
+	h.mu.Unlock()
 	cancel()
 	cb(ok, errMsg, payload)
 }
@@ -100,15 +100,15 @@ func (h *Host) resolve(from string, id uint64, ok bool, errMsg string, payload *
 func (h *Host) abandon(id uint64) {
 	h.mu.Lock()
 	p, live := h.pending[id]
-	if live {
-		delete(h.pending, id)
+	if !live {
+		h.mu.Unlock()
+		return
 	}
+	delete(h.pending, id)
+	cancel := p.cancel
+	h.putReqLocked(p)
 	h.mu.Unlock()
-	if live {
-		cancel := p.cancel
-		h.putReq(p)
-		cancel()
-	}
+	cancel()
 }
 
 // remoteErr converts a reply's error string into a kernel error.
@@ -132,10 +132,7 @@ func remoteErr(msg string) error {
 // Call invokes a Client/Server service on the host at to. cb receives the
 // reply frames or an error; it fires exactly once.
 func (h *Host) Call(to, service string, args [][]byte, cb func(results [][]byte, err error)) {
-	h.mu.Lock()
-	h.stats.CallsSent++
-	h.mu.Unlock()
-	id := h.newRequest(to, func(ok bool, errMsg string, r *reader) {
+	id := h.newRequest(to, func(s *Stats) { s.CallsSent++ }, func(ok bool, errMsg string, r *reader) {
 		if !ok {
 			cb(nil, remoteErr(errMsg))
 			return
@@ -170,10 +167,7 @@ func (h *Host) Call(to, service string, args [][]byte, cb func(results [][]byte,
 // the final VM stack of the named entry point. The unit should be signed
 // acceptably for the remote's policy.
 func (h *Host) Eval(to string, unit *lmu.Unit, entry string, args []int64, cb func(stack []int64, err error)) {
-	h.mu.Lock()
-	h.stats.EvalsSent++
-	h.mu.Unlock()
-	id := h.newRequest(to, func(ok bool, errMsg string, r *reader) {
+	id := h.newRequest(to, func(s *Stats) { s.EvalsSent++ }, func(ok bool, errMsg string, r *reader) {
 		if !ok {
 			cb(nil, remoteErr(errMsg))
 			return
@@ -208,10 +202,7 @@ func (h *Host) Eval(to string, unit *lmu.Unit, entry string, args []int64, cb fu
 // Fetch retrieves a published unit from the host at from (Code On Demand).
 // On success the unit has been verified and stored in the local registry.
 func (h *Host) Fetch(from, name, minVersion string, cb func(u *lmu.Unit, err error)) {
-	h.mu.Lock()
-	h.stats.FetchesSent++
-	h.mu.Unlock()
-	id := h.newRequest(from, func(ok bool, errMsg string, r *reader) {
+	id := h.newRequest(from, func(s *Stats) { s.FetchesSent++ }, func(ok bool, errMsg string, r *reader) {
 		if !ok {
 			cb(nil, remoteErr(errMsg))
 			return
@@ -318,10 +309,7 @@ func (h *Host) ensureDeps(remote string, deps []lmu.Dep, visited map[string]bool
 // the receiver accepted it; on acceptance the local copy should be
 // considered moved.
 func (h *Host) SendAgent(to string, unit *lmu.Unit, cb func(err error)) {
-	h.mu.Lock()
-	h.stats.AgentsSent++
-	h.mu.Unlock()
-	id := h.newRequest(to, func(ok bool, errMsg string, r *reader) {
+	id := h.newRequest(to, func(s *Stats) { s.AgentsSent++ }, func(ok bool, errMsg string, r *reader) {
 		if !ok {
 			cb(remoteErr(errMsg))
 			return
@@ -345,10 +333,7 @@ func (h *Host) SendAgent(to string, unit *lmu.Unit, cb func(err error)) {
 // Demand from; the receiver accepts only if configured with ServePublish
 // and the unit passes its verification policy.
 func (h *Host) PublishTo(to string, unit *lmu.Unit, cb func(err error)) {
-	h.mu.Lock()
-	h.stats.PublishesSent++
-	h.mu.Unlock()
-	id := h.newRequest(to, func(ok bool, errMsg string, r *reader) {
+	id := h.newRequest(to, func(s *Stats) { s.PublishesSent++ }, func(ok bool, errMsg string, r *reader) {
 		if !ok {
 			cb(remoteErr(errMsg))
 			return

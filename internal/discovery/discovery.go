@@ -14,6 +14,9 @@
 package discovery
 
 import (
+	"cmp"
+	"slices"
+	"strings"
 	"time"
 
 	"logmob/internal/wire"
@@ -39,6 +42,11 @@ func (a *Ad) encode(b *wire.Buffer) {
 	b.PutStringMap(a.Attrs)
 	b.PutInt(int64(a.TTL))
 }
+
+// minAdBytes is the shortest encoding decodeAd accepts: two empty strings,
+// an empty map and a one-byte TTL. It bounds what a peer-supplied ad count
+// may pre-size.
+const minAdBytes = 4
 
 // decodeAd interns the service and provider names: the same few strings
 // arrive from every provider.
@@ -173,18 +181,10 @@ func (t *adTable) size() int {
 	return len(t.leases)
 }
 
-// sortAds orders ads by (service, provider) for deterministic output.
+// sortAds orders ads by (service, provider) for deterministic output,
+// stably: a lookup server's reply is as long as its sender likes.
 func sortAds(ads []Ad) {
-	for i := 1; i < len(ads); i++ {
-		for j := i; j > 0 && adLess(ads[j], ads[j-1]); j-- {
-			ads[j], ads[j-1] = ads[j-1], ads[j]
-		}
-	}
-}
-
-func adLess(a, b Ad) bool {
-	if a.Service != b.Service {
-		return a.Service < b.Service
-	}
-	return a.Provider < b.Provider
+	slices.SortStableFunc(ads, func(a, b Ad) int {
+		return cmp.Or(strings.Compare(a.Service, b.Service), strings.Compare(a.Provider, b.Provider))
+	})
 }

@@ -2,6 +2,7 @@ package discovery
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -369,5 +370,72 @@ func TestLookupUnqueriedServerStaysBounded(t *testing.T) {
 	}
 	if s.Registrations != 10000 || s.Leases() < 99 || s.Leases() > 101 {
 		t.Fatalf("Registrations=%d Leases=%d, want 10000 and about 100", s.Registrations, s.Leases())
+	}
+}
+
+// TestSortAdsStableAndNotQuadratic: a reply is as long as its sender likes,
+// so the sort must not be quadratic in it. Descending input is the insertion
+// sort's worst case: ten times the ads cost it a hundred times the work, an
+// n log n sort about thirteen. The ratio of two minima holds under a slow or
+// busy machine where a wall-clock bound would not. The order is the stable
+// one: equal (service, provider) keys keep their arrival order.
+func TestSortAdsStableAndNotQuadratic(t *testing.T) {
+	descending := func(n int) []Ad {
+		ads := make([]Ad, n)
+		for i := range ads {
+			// Every key twice, told apart by TTL, so stability is visible.
+			ads[i] = Ad{Service: fmt.Sprintf("s%02d", (n-1-i)/2%50), Provider: fmt.Sprintf("p%06d", (n-1-i)/100), TTL: time.Duration(i)}
+		}
+		return ads
+	}
+	ads := descending(10000)
+	want := append([]Ad(nil), ads...)
+	sort.SliceStable(want, func(i, j int) bool {
+		a, b := want[i], want[j]
+		return a.Service < b.Service || a.Service == b.Service && a.Provider < b.Provider
+	})
+	sortAds(ads)
+	for i := range ads {
+		if ads[i].Service != want[i].Service || ads[i].Provider != want[i].Provider || ads[i].TTL != want[i].TTL {
+			t.Fatalf("ad %d = %+v, want %+v (the stable order)", i, ads[i], want[i])
+		}
+	}
+
+	fastest := func(n int) time.Duration {
+		best := time.Duration(1 << 62)
+		for run := 0; run < 5; run++ {
+			ads := descending(n)
+			start := time.Now()
+			sortAds(ads)
+			if d := time.Since(start); d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	small, large := fastest(1000), fastest(10000)
+	if large > 40*small {
+		t.Errorf("sorting 10000 ads took %v, 1000 took %v: %.0fx for 10x the input is quadratic",
+			large, small, float64(large)/float64(small))
+	}
+}
+
+// TestLookupReplyCountCannotPreSize: the ad count in a reply is the peer's
+// word. A frame whose count is its own length over a 3-byte body cannot hold
+// one ad, and is dropped before the count sizes anything.
+func TestLookupReplyCountCannotPreSize(t *testing.T) {
+	sim := netsim.NewSim(1)
+	c := NewLookupClient(&tapeEndpoint{addr: "client"}, sim, "lookup")
+	var b wire.Buffer
+	b.PutByte(msgQueryReply)
+	b.PutUint(1)
+	b.PutUint(6) // the finished frame's length
+	b.PutBytes([]byte{0, 0})
+	frame := b.Bytes()
+	if len(frame) != 6 {
+		t.Fatalf("frame is %d bytes, the count says 6", len(frame))
+	}
+	if got := testing.AllocsPerRun(100, func() { c.handle("lookup", frame) }); got != 0 {
+		t.Errorf("a reply claiming more ads than it has bytes for allocated %v times, want 0", got)
 	}
 }

@@ -188,8 +188,8 @@ func (c *LookupClient) handle(from string, payload []byte) {
 	}
 	reqID := r.Uint()
 	n := r.Uint()
-	if n > uint64(len(payload)) {
-		return
+	if n > uint64(r.Remaining())/minAdBytes {
+		return // claims more ads than its bytes could hold
 	}
 	ads := make([]Ad, 0, n)
 	for i := uint64(0); i < n && r.Err() == nil; i++ {

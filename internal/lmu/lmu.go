@@ -133,14 +133,6 @@ func (u *Unit) appendSigned(b *wire.Buffer) {
 	b.PutBytes(u.State)
 }
 
-// SignedBytes returns the canonical encoding of the signed portion of the
-// unit. Signatures are computed over the SHA-256 of these bytes.
-func (u *Unit) SignedBytes() []byte {
-	var b wire.Buffer
-	u.appendSigned(&b)
-	return b.Bytes()
-}
-
 // Hash returns the unit's full content hash (SigFull coverage).
 func (u *Unit) Hash() [32]byte {
 	b := wire.GetBuffer()

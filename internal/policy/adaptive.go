@@ -40,12 +40,10 @@ func (e *EWMA) Observe(x float64) float64 {
 	return e.val
 }
 
-// Value returns the current smoothed value (0 before the first sample).
-func (e *EWMA) Value() float64 { return e.val }
-
 // AdaptiveDecider selects paradigms from live context with EWMA smoothing,
 // battery-aware energy weighting and switching hysteresis. It is stateful:
-// use one instance per host (the adapt.Engine owns one), never shared.
+// use one instance per host and task shape (an adapt.Engine owns one), never
+// shared. Counting decisions and switches is the engine's job.
 type AdaptiveDecider struct {
 	// Objective weights the cost-model score; the zero value minimises
 	// bytes only, like CostDecider.
@@ -61,32 +59,15 @@ type AdaptiveDecider struct {
 	// battery level falls, so a draining device shifts toward the
 	// lowest-energy paradigm before the radio dies.
 	BatteryAware bool
-	// Allowed restricts the choice; empty means all four. Under Decide it
-	// is a configured ban, intersected with the caller's executable set.
-	Allowed []Paradigm
 
 	bwF, rttF, lossF, energyF, battF EWMA
-	envLocal, envRemote              float64
-	lastCostPerByte                  float64
 	current                          Paradigm
-	switches                         int64
-	decisions                        int64
 }
 
 var _ Decider = (*AdaptiveDecider)(nil)
 
 // Name implements Decider.
 func (d *AdaptiveDecider) Name() string { return "adaptive" }
-
-// Switches returns how many times the selection changed after the first
-// decision.
-func (d *AdaptiveDecider) Switches() int64 { return d.switches }
-
-// Decisions returns how many times Choose ran.
-func (d *AdaptiveDecider) Decisions() int64 { return d.decisions }
-
-// Current returns the incumbent paradigm (0 before the first decision).
-func (d *AdaptiveDecider) Current() Paradigm { return d.current }
 
 func (d *AdaptiveDecider) alpha() float64 {
 	if d.Alpha > 0 && d.Alpha <= 1 {
@@ -122,53 +103,12 @@ func (d *AdaptiveDecider) link(ctx *ctxsvc.Service) (Link, float64) {
 		LossPenalty:   raw.LossPenalty,
 		EnergyPerByte: d.energyF.Observe(raw.EnergyPerByte),
 	}
-	d.lastCostPerByte = raw.CostPerByte
 	battery := 1.0
 	if ctx != nil {
 		battery = ctx.GetNum(ctxsvc.KeyBattery, 1)
 	}
 	battery = d.battF.Observe(clamp01(battery))
 	return smoothed, battery
-}
-
-// Choose implements Decider.
-func (d *AdaptiveDecider) Choose(t Task, ctx *ctxsvc.Service) Paradigm {
-	allowed := d.Allowed
-	if len(allowed) == 0 {
-		allowed = Paradigms()
-	}
-	return d.choose(t, ctx, allowed)
-}
-
-// ChooseAllowed implements AllowedChooser. Like CostDecider, a non-empty
-// Allowed field is a configured ban honoured by intersection with the
-// caller's set; a disjoint combination errors.
-func (d *AdaptiveDecider) ChooseAllowed(t Task, ctx *ctxsvc.Service, allowed []Paradigm) (Paradigm, error) {
-	both, err := intersectAllowed(d.Allowed, allowed)
-	if err != nil {
-		return 0, err
-	}
-	return d.choose(t, ctx, both), nil
-}
-
-// Scores evaluates the allowed paradigms against the current smoothed
-// context WITHOUT advancing the filters or the incumbent — the engine uses
-// it to account regret after a decision. The link is the same one the
-// last choose scored with, so the regret baseline matches the decision.
-func (d *AdaptiveDecider) Scores(t Task, allowed []Paradigm) map[Paradigm]float64 {
-	link := Link{
-		BandwidthBps:  d.bwF.Value(),
-		RTT:           time.Duration(d.rttF.Value() * float64(time.Second)),
-		CostPerByte:   d.lastCostPerByte,
-		Loss:          d.lossF.Value(),
-		EnergyPerByte: d.energyF.Value(),
-	}
-	obj := d.effectiveObjective(d.battF.Value())
-	out := make(map[Paradigm]float64, len(allowed))
-	for _, p := range allowed {
-		out[p] = obj.score(estimate(p, t, link, Env{LocalCPUFactor: d.envLocal, RemoteCPUFactor: d.envRemote}))
-	}
-	return out
 }
 
 // effectiveObjective applies the battery-aware energy scaling: at full
@@ -196,11 +136,12 @@ func clamp01(v float64) float64 {
 	}
 }
 
-// choose is the restricted selection Decide and Choose share.
-func (d *AdaptiveDecider) choose(t Task, ctx *ctxsvc.Service, allowed []Paradigm) Paradigm {
+// Choose implements Decider. The scores of the incumbent and of the best
+// challenger fall out of the one pass over allowed, so the regret of holding
+// the incumbent under hysteresis costs no second scoring.
+func (d *AdaptiveDecider) Choose(t Task, allowed []Paradigm, ctx *ctxsvc.Service) (Paradigm, float64) {
 	link, battery := d.link(ctx)
 	env := EnvFromContext(ctx)
-	d.envLocal, d.envRemote = env.LocalCPUFactor, env.RemoteCPUFactor
 	obj := d.effectiveObjective(battery)
 
 	best := allowed[0]
@@ -215,17 +156,13 @@ func (d *AdaptiveDecider) choose(t Task, ctx *ctxsvc.Service, allowed []Paradigm
 			curScore = score
 		}
 	}
-	d.decisions++
 	// Hysteresis: stick with a still-allowed incumbent unless the best
 	// challenger undercuts it by the margin.
 	if !math.IsNaN(curScore) && best != d.current {
 		if bestScore >= curScore*(1-d.hysteresis()) {
-			return d.current
+			return d.current, curScore - bestScore
 		}
 	}
-	if d.current != 0 && best != d.current {
-		d.switches++
-	}
 	d.current = best
-	return best
+	return best, 0
 }

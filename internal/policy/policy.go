@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"logmob/internal/ctxsvc"
@@ -329,16 +330,18 @@ func (o Objective) score(e Estimate) float64 {
 type Decider interface {
 	// Name identifies the decider in experiment tables.
 	Name() string
-	// Choose returns the selected paradigm. ctx may be nil.
-	Choose(t Task, ctx *ctxsvc.Service) Paradigm
+	// Choose selects from allowed — the one restriction there is: what the
+	// caller can execute, non-empty and already validated (Decide checks
+	// it) — and returns the model regret of the selection, the decider's
+	// own score for it minus its best score in allowed. Only a decider that
+	// can hold a dominated incumbent reports more than 0. ctx may be nil.
+	Choose(t Task, allowed []Paradigm, ctx *ctxsvc.Service) (p Paradigm, regret float64)
 }
 
 // CostDecider picks the paradigm minimising the weighted objective under the
 // analytic model, reading link parameters from context when available.
 type CostDecider struct {
 	Objective Objective
-	// Allowed restricts the choice; empty means all four.
-	Allowed []Paradigm
 }
 
 var _ Decider = (*CostDecider)(nil)
@@ -379,23 +382,18 @@ func EnvFromContext(ctx *ctxsvc.Service) Env {
 }
 
 // Choose implements Decider.
-func (d *CostDecider) Choose(t Task, ctx *ctxsvc.Service) Paradigm {
+func (d *CostDecider) Choose(t Task, allowed []Paradigm, ctx *ctxsvc.Service) (Paradigm, float64) {
 	link := LinkFromContext(ctx)
 	env := EnvFromContext(ctx)
-	allowed := d.Allowed
-	if len(allowed) == 0 {
-		allowed = Paradigms()
-	}
-	obj := d.Objective
 	best := allowed[0]
 	bestScore := 0.0
 	for i, p := range allowed {
-		score := obj.score(estimate(p, t, link, env))
+		score := d.Objective.score(estimate(p, t, link, env))
 		if i == 0 || score < bestScore {
 			best, bestScore = p, score
 		}
 	}
-	return best
+	return best, 0
 }
 
 // RuleDecider applies the simple context rules a deployment might configure
@@ -461,9 +459,8 @@ func (t Task) Validate() error {
 
 // Decide is the validating front door to a Decider: hostile task models
 // (negative sizes, NaN compute) and unusable paradigm sets error instead of
-// flowing into the arithmetic, and the decider's pick is clamped to the
-// allowed set. An empty allowed set is an error — a caller with nothing
-// executable has no decision to make.
+// flowing into the arithmetic. An empty allowed set is an error — a caller
+// with nothing executable has no decision to make.
 func Decide(d Decider, t Task, allowed []Paradigm, ctx *ctxsvc.Service) (Paradigm, error) {
 	if d == nil {
 		return 0, errors.New("policy: Decide requires a decider")
@@ -479,85 +476,34 @@ func Decide(d Decider, t Task, allowed []Paradigm, ctx *ctxsvc.Service) (Paradig
 			return 0, invalidTaskf("unknown paradigm %d in allowed set", uint8(p))
 		}
 	}
-	// Deciders that understand restriction natively (AllowedChooser — both
-	// built-ins implement it) get the allowed set; anything else is
-	// clamped to it afterwards.
-	if ac, ok := d.(AllowedChooser); ok {
-		return ac.ChooseAllowed(t, ctx, allowed)
-	}
-	chosen := d.Choose(t, ctx)
-	for _, p := range allowed {
-		if p == chosen {
-			return chosen, nil
-		}
-	}
-	return allowed[0], nil
-}
-
-// AllowedChooser is the optional Decider extension Decide uses to pass the
-// caller's allowed set through instead of clamping the decider's
-// unrestricted pick after the fact. Implement it on any custom decider
-// whose scoring should see the restriction.
-type AllowedChooser interface {
-	// ChooseAllowed selects from the (non-empty, validated) allowed set.
-	ChooseAllowed(t Task, ctx *ctxsvc.Service, allowed []Paradigm) (Paradigm, error)
-}
-
-// intersectAllowed narrows the caller's allowed set by a decider's
-// configured ban (nil ban = no restriction); a disjoint combination
-// errors.
-func intersectAllowed(ban, allowed []Paradigm) ([]Paradigm, error) {
-	if len(ban) == 0 {
-		return allowed, nil
-	}
-	permitted := map[Paradigm]bool{}
-	for _, p := range ban {
-		permitted[p] = true
-	}
-	var both []Paradigm
-	for _, p := range allowed {
-		if permitted[p] {
-			both = append(both, p)
-		}
-	}
-	if len(both) == 0 {
-		return nil, invalidTaskf("allowed set disjoint from the decider's configured restriction")
-	}
-	return both, nil
-}
-
-// ChooseAllowed implements AllowedChooser. The decider's own Allowed field
-// is a configured ban ("restricts the choice") and is honoured by
-// intersection; a disjoint combination errors.
-func (d *CostDecider) ChooseAllowed(t Task, ctx *ctxsvc.Service, allowed []Paradigm) (Paradigm, error) {
-	both, err := intersectAllowed(d.Allowed, allowed)
-	if err != nil {
-		return 0, err
-	}
-	restricted := *d
-	restricted.Allowed = both
-	return restricted.Choose(t, ctx), nil
+	p, _ := d.Choose(t, allowed, ctx)
+	return p, nil
 }
 
 // Choose implements Decider.
-func (d *RuleDecider) Choose(t Task, ctx *ctxsvc.Service) Paradigm {
+// The rules know nothing of the restriction, so a pick outside allowed falls
+// back to its first member.
+func (d *RuleDecider) Choose(t Task, allowed []Paradigm, ctx *ctxsvc.Service) (Paradigm, float64) {
 	costPerByte := 0.0
 	cpu := 1.0
 	if ctx != nil {
 		costPerByte = ctx.GetNum(ctxsvc.KeyCostPerByte, 0)
 		cpu = ctx.GetNum(ctxsvc.KeyCPUFactor, 1)
 	}
+	pick := CS
 	switch {
 	case costPerByte >= d.ExpensiveCostPerByte && d.ExpensiveCostPerByte > 0:
 		// Paying per byte: send an agent out once rather than chat.
-		return MA
+		pick = MA
 	case cpu < d.WeakCPUFactor && t.ComputeUnits > 0:
 		// Weak device with real compute: offload.
-		return REV
+		pick = REV
 	case t.Interactions >= d.ManyInteractions && t.CodeBytes > 0:
 		// Heavy repeated use of one capability: fetch it.
-		return COD
-	default:
-		return CS
+		pick = COD
 	}
+	if !slices.Contains(allowed, pick) {
+		pick = allowed[0]
+	}
+	return pick, 0
 }

@@ -7,6 +7,12 @@ import (
 	"logmob/internal/ctxsvc"
 )
 
+// pick is a decider's unrestricted choice.
+func pick(d Decider, t Task, ctx *ctxsvc.Service) Paradigm {
+	p, _ := d.Choose(t, Paradigms(), ctx)
+	return p
+}
+
 func TestTrafficModel(t *testing.T) {
 	task := Task{
 		Interactions: 10,
@@ -111,7 +117,7 @@ func TestCostDeciderPrefersCODForChattyTasks(t *testing.T) {
 	// would have to bring all the per-round outcomes back as the result.
 	task := Task{Interactions: 200, ReqBytes: 100, ReplyBytes: 400, CodeBytes: 3000,
 		StateBytes: 500, ResultBytes: 2000}
-	if got := d.Choose(task, nil); got != COD {
+	if got := pick(d, task, nil); got != COD {
 		t.Errorf("Choose = %s, want COD", got)
 	}
 }
@@ -119,15 +125,15 @@ func TestCostDeciderPrefersCODForChattyTasks(t *testing.T) {
 func TestCostDeciderPrefersCSForOneShot(t *testing.T) {
 	d := &CostDecider{}
 	task := Task{Interactions: 1, ReqBytes: 50, ReplyBytes: 50, CodeBytes: 10000, StateBytes: 1000}
-	if got := d.Choose(task, nil); got != CS {
+	if got := pick(d, task, nil); got != CS {
 		t.Errorf("Choose = %s, want CS", got)
 	}
 }
 
 func TestCostDeciderRespectsAllowed(t *testing.T) {
-	d := &CostDecider{Allowed: []Paradigm{CS, REV}}
+	d := &CostDecider{}
 	task := Task{Interactions: 200, ReqBytes: 100, ReplyBytes: 400, CodeBytes: 3000}
-	got := d.Choose(task, nil)
+	got, _ := d.Choose(task, []Paradigm{CS, REV}, nil)
 	if got != CS && got != REV {
 		t.Errorf("Choose = %s, outside allowed set", got)
 	}
@@ -140,7 +146,7 @@ func TestCostDeciderUsesContextLink(t *testing.T) {
 	ctx.SetNum(ctxsvc.KeyBandwidth, 5e3)
 	d := &CostDecider{Objective: Objective{CostWeight: 1e6}}
 	task := Task{Interactions: 50, ReqBytes: 200, ReplyBytes: 800, CodeBytes: 2000, StateBytes: 100, ResultBytes: 100}
-	got := d.Choose(task, ctx)
+	got := pick(d, task, ctx)
 	if got == CS {
 		t.Errorf("Choose = CS despite costed link; estimates = %+v",
 			EstimateAll(task, LinkFromContext(ctx), EnvFromContext(ctx)))
@@ -154,7 +160,7 @@ func TestRuleDecider(t *testing.T) {
 	t.Run("expensive-link-uses-agents", func(t *testing.T) {
 		ctx := newCtx()
 		ctx.SetNum(ctxsvc.KeyCostPerByte, 2e-5) // GPRS-like
-		got := d.Choose(Task{Interactions: 2}, ctx)
+		got := pick(d, Task{Interactions: 2}, ctx)
 		if got != MA {
 			t.Errorf("Choose = %s, want MA", got)
 		}
@@ -162,25 +168,25 @@ func TestRuleDecider(t *testing.T) {
 	t.Run("weak-cpu-offloads", func(t *testing.T) {
 		ctx := newCtx()
 		ctx.SetNum(ctxsvc.KeyCPUFactor, 0.2)
-		got := d.Choose(Task{ComputeUnits: 5}, ctx)
+		got := pick(d, Task{ComputeUnits: 5}, ctx)
 		if got != REV {
 			t.Errorf("Choose = %s, want REV", got)
 		}
 	})
 	t.Run("chatty-fetches-code", func(t *testing.T) {
-		got := d.Choose(Task{Interactions: 20, CodeBytes: 1000}, newCtx())
+		got := pick(d, Task{Interactions: 20, CodeBytes: 1000}, newCtx())
 		if got != COD {
 			t.Errorf("Choose = %s, want COD", got)
 		}
 	})
 	t.Run("default-is-cs", func(t *testing.T) {
-		got := d.Choose(Task{Interactions: 1}, newCtx())
+		got := pick(d, Task{Interactions: 1}, newCtx())
 		if got != CS {
 			t.Errorf("Choose = %s, want CS", got)
 		}
 	})
 	t.Run("nil-context-is-cs", func(t *testing.T) {
-		if got := d.Choose(Task{Interactions: 1}, nil); got != CS {
+		if got := pick(d, Task{Interactions: 1}, nil); got != CS {
 			t.Errorf("Choose = %s, want CS", got)
 		}
 	})

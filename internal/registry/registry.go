@@ -159,9 +159,6 @@ func New(quota int64, opts ...Option) *Registry {
 	return r
 }
 
-// Quota returns the configured quota (0 = unlimited).
-func (r *Registry) Quota() int64 { return r.quota }
-
 // Used returns the bytes currently stored.
 func (r *Registry) Used() int64 {
 	r.mu.Lock()
@@ -175,9 +172,6 @@ func (r *Registry) Stats() Stats {
 	defer r.mu.Unlock()
 	return r.stats
 }
-
-// PolicyName returns the active eviction policy's name.
-func (r *Registry) PolicyName() string { return r.policy.Name() }
 
 // Put stores a unit, replacing any entry with the same name and version and
 // evicting unpinned entries as needed. It fails with ErrQuotaExceeded if the

@@ -40,10 +40,6 @@ type Adaptive struct {
 	// published code and the agent dock. Each client binds to its nearest
 	// server at workload start.
 	Pop, ServerPop string
-	// Service names the CS echo service (registered by the workload on
-	// every server); default "adaptive/<label>/echo", scoped so streams
-	// sharing a ServerPop cannot cross-wire their reply handlers.
-	Service string
 	// Model is the task the stream repeats: sizes and rounds feed both the
 	// decision and the execution (ReqBytes/ReplyBytes shape the CS frames,
 	// CodeBytes pads the shipped unit, StateBytes pads the agent payload,
@@ -63,11 +59,10 @@ type Adaptive struct {
 	FreshCode bool
 	// Fixed pins every task to one paradigm (a control group); 0 adapts.
 	Fixed policy.Paradigm
-	// Objective, Alpha, Hysteresis and BatteryAware configure each
-	// client's AdaptiveDecider (zero Objective = bytes+latency+energy
-	// default). Ignored when Fixed is set.
+	// Objective, Hysteresis and BatteryAware configure each client's
+	// AdaptiveDecider (zero Objective = bytes+latency+energy default).
+	// Ignored when Fixed is set.
 	Objective    policy.Objective
-	Alpha        float64
 	Hysteresis   float64
 	BatteryAware bool
 	// Label names the stream in the Decisions probe; default Pop.
@@ -96,16 +91,11 @@ type AdaptiveStats struct {
 	Completion metrics.Series
 }
 
-// service names the stream's CS echo service. The default is scoped by
-// the stream label: several Adaptive streams can share a ServerPop
-// (Host.RegisterService silently replaces handlers, so unscoped names
-// would cross-wire their reply sizes).
-func (a *Adaptive) service() string {
-	if a.Service != "" {
-		return a.Service
-	}
-	return "adaptive/" + a.label() + "/echo"
-}
+// service names the stream's CS echo service, registered by the workload
+// on every server. It is scoped by the stream label: several Adaptive
+// streams can share a ServerPop (Host.RegisterService silently replaces
+// handlers, so unscoped names would cross-wire their reply sizes).
+func (a *Adaptive) service() string { return "adaptive/" + a.label() + "/echo" }
 
 func (a *Adaptive) gap() time.Duration {
 	if a.Gap > 0 {
@@ -322,7 +312,7 @@ func (a *Adaptive) Start(w *World) {
 	for k, model := range a.models() {
 		var reply [][]byte
 		if n := int(model.ReplyBytes / 8); n > 0 {
-			reply = adapt.EncodeReplies(make([]int64, n))
+			reply = adapt.EncodeInts(make([]int64, n))
 		}
 		svc := a.serviceFor(k)
 		for _, s := range servers {
@@ -381,17 +371,11 @@ func (a *Adaptive) startClient(w *World, ci int, name string, servers []string) 
 		if a.Fixed == 0 {
 			dec = &policy.AdaptiveDecider{
 				Objective:    a.objective(),
-				Alpha:        a.Alpha,
 				Hysteresis:   a.Hysteresis,
 				BatteryAware: a.BatteryAware,
 			}
 		}
 		engs[k] = adapt.NewEngine(h, dec)
-		// The Decisions probe splits the trajectory into run halves; the
-		// stream's gap paces decisions (one per task), so a generous cap
-		// keeps the full trajectory for any realistic duration instead of
-		// silently truncating the first half.
-		engs[k].HistoryCap = 1 << 20
 	}
 	a.engines = append(a.engines, engs...)
 
@@ -411,8 +395,8 @@ func (a *Adaptive) startClient(w *World, ci int, name string, servers []string) 
 
 	unitName := fmt.Sprintf("adapt/%s/%s", a.label(), name)
 	seq := int64(0)
-	var next func()
-	launch := func() {
+	var launch func()
+	launch = func() {
 		seq++
 		a.Stats.Started++
 		model := a.modelFor(seq)
@@ -470,7 +454,7 @@ func (a *Adaptive) startClient(w *World, ci int, name string, servers []string) 
 			if a.FreshCode && taskSeq > 1 {
 				h.Registry().Remove(unitName, fmt.Sprintf("%d.0", taskSeq-1))
 			}
-			w.Sim.Schedule(a.gap(), next)
+			w.Sim.Schedule(a.gap(), launch)
 		}
 		if mc != nil {
 			// The agent "computes" at the server: the modelled time at the
@@ -496,7 +480,7 @@ func (a *Adaptive) startClient(w *World, ci int, name string, servers []string) 
 		}
 		eng := engs[(seq-1)%int64(len(engs))]
 		if a.Fixed != 0 {
-			eng.Runner().RunAs(a.Fixed, spec, func(o adapt.Outcome, err error) {
+			eng.RunAs(a.Fixed, spec, func(o adapt.Outcome, err error) {
 				settle(a.Fixed, err)
 			})
 		} else {
@@ -513,7 +497,6 @@ func (a *Adaptive) startClient(w *World, ci int, name string, servers []string) 
 			}
 		})
 	}
-	next = func() { launch() }
 	// Stagger stream starts by a hash of the client name, so ALL streams
 	// in the world spread out — including same-index clients of co-located
 	// racing groups, which a per-group index alone would synchronise.
@@ -521,7 +504,7 @@ func (a *Adaptive) startClient(w *World, ci int, name string, servers []string) 
 	hash.Write([]byte(name))
 	stagger := time.Duration(ci)*50*time.Millisecond +
 		time.Duration(hash.Sum32()%997)*time.Millisecond
-	w.Sim.Schedule(stagger, next)
+	w.Sim.Schedule(stagger, launch)
 }
 
 // maClient is one client's Mobile Agent plumbing: a single message

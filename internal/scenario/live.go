@@ -22,8 +22,8 @@ import (
 // a live cluster has none of those, so targets are remapped: workloads are
 // spread round-robin across Members, ignoring their Client/Server fields.
 // Units minted by UnitFuncs come from a private mint world; their signatures
-// are stripped unless Signed is set, because live daemons do not trust the
-// mint world's ephemeral identity.
+// are stripped, because live daemons do not trust the mint world's ephemeral
+// identity.
 
 // SinkServiceName is the well-known echo service every live daemon
 // registers (see SinkService), the fixed landing pad for Calls workloads.
@@ -80,11 +80,6 @@ type Live struct {
 	Members []string
 	// Timeout bounds each individual operation; 0 defaults to 10s.
 	Timeout time.Duration
-	// Seed seeds the mint world UnitFuncs build against; 0 defaults to 1.
-	Seed int64
-	// Signed keeps unit signatures (requires the daemons to trust the mint
-	// world's identity); default strips them for allow-unsigned clusters.
-	Signed bool
 
 	agentDone chan agent.Record
 	mint      *World
@@ -119,20 +114,14 @@ func (l *Live) timeout() time.Duration {
 // their units for live replay.
 func (l *Live) mintWorld() *World {
 	if l.mint == nil {
-		seed := l.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		l.mint = NewWorld(seed)
+		l.mint = NewWorld(1)
 	}
 	return l.mint
 }
 
 func (l *Live) mintUnit(fn UnitFunc) *lmu.Unit {
 	u := fn(l.mintWorld())
-	if !l.Signed {
-		u.Sig = nil
-	}
+	u.Sig = nil
 	return u
 }
 
@@ -161,7 +150,9 @@ type LiveResult struct {
 
 // Replay drives each workload against the cluster in order and returns the
 // per-workload outcome table. Workload kinds that only make sense under the
-// simulator are counted as skipped.
+// simulator are counted as skipped — and so is a pointer to a replayable
+// kind (&Calls{...}): pass Calls, EvalOnce, FetchRun and SpawnAgent by value,
+// as every Spec in the repo does.
 func (l *Live) Replay(title string, workloads []Workload) *LiveResult {
 	res := &LiveResult{}
 	for i, wl := range workloads {
@@ -173,20 +164,12 @@ func (l *Live) Replay(title string, workloads []Workload) *LiveResult {
 		switch v := wl.(type) {
 		case Calls:
 			row = l.replayCalls(v, target)
-		case *Calls:
-			row = l.replayCalls(*v, target)
 		case EvalOnce:
 			row = l.replayEval(v, target)
-		case *EvalOnce:
-			row = l.replayEval(*v, target)
 		case FetchRun:
 			row = l.replayFetch(v, target)
-		case *FetchRun:
-			row = l.replayFetch(*v, target)
 		case SpawnAgent:
 			row = l.replayAgent(v)
-		case *SpawnAgent:
-			row = l.replayAgent(*v)
 		default:
 			res.Skipped++
 			continue

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"logmob/internal/ctxsvc"
-	"logmob/internal/transport"
 )
 
 // Sense is the live context-sensing block of a Spec: it closes the gap
@@ -133,7 +132,3 @@ func sampleNode(w *World, name string, windows map[string]*retryWindow) {
 		ctx.SetNum(ctxsvc.KeyNeighborCount, float64(len(w.Net.Neighbors(name))))
 	}
 }
-
-// ReliableOf returns the node's ack/retry layer, or nil — a typed accessor
-// for workloads and probes (w.Reliables is nil in retry-free worlds).
-func (w *World) ReliableOf(name string) *transport.Reliable { return w.Reliables[name] }

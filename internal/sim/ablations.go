@@ -154,7 +154,7 @@ func runA2(seed int64) *Result {
 		var total float64
 		optimal := 0
 		for _, c := range cases {
-			chosen := d.Choose(c.task, c.ctx)
+			chosen, _ := d.Choose(c.task, policy.Paradigms(), c.ctx)
 			total += float64(policy.Traffic(chosen, c.task))
 			if best, _ := oracle(c.task); chosen == best {
 				optimal++

@@ -173,26 +173,6 @@ func InternBytes(b []byte) string {
 	return s
 }
 
-// Intern returns the canonical interned copy of s, for callers that retain
-// many duplicate short strings decoded from the wire (host names, topics).
-func Intern(s string) string {
-	if len(s) == 0 || len(s) > internMaxLen {
-		return s
-	}
-	internMu.RLock()
-	c, ok := internTab[s]
-	internMu.RUnlock()
-	if ok {
-		return c
-	}
-	internMu.Lock()
-	if len(internTab) < internMaxTab {
-		internTab[s] = s
-	}
-	internMu.Unlock()
-	return s
-}
-
 // Packer is anything that can append its canonical encoding to a Buffer.
 type Packer interface{ PackTo(b *Buffer) }
 
