@@ -1,26 +1,18 @@
 // Command logmoblint is the multichecker driver for logmob's in-tree
 // analyzers (internal/lint): determinism, pooldiscipline and lockguard. CI
-// runs it on every PR; a non-baselined finding fails the build.
+// runs it on every PR; any finding fails the build. The one way to keep a
+// finding is a per-site //lint:allow <check> <reason> comment (see
+// internal/lint) — there is no grandfather list.
 //
 // Usage:
 //
 //	go run ./cmd/logmoblint ./...
 //	go run ./cmd/logmoblint -json ./...
-//	go run ./cmd/logmoblint -baseline lint_baseline.json ./internal/netsim
 //
 // Output modes:
 //
 //   - default: file:line:col: message (check) lines, one per finding.
-//   - -json: a findings.Report document, the schema the baseline file
-//     below is read back in.
-//
-// The baseline file (-baseline, default lint_baseline.json at the working
-// directory) is a findings.Report of grandfathered findings: matching
-// findings (same tool, check, file and message; line numbers are ignored)
-// are reported as baselined and do not affect the exit code. The repo's
-// committed baseline is empty and should stay that way — fix or
-// //lint:allow instead. -write-baseline regenerates the file from the
-// current findings when a grandfathering window is genuinely needed.
+//   - -json: a findings.Report document.
 package main
 
 import (
@@ -36,8 +28,6 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON findings.Report")
-	baselinePath := flag.String("baseline", "lint_baseline.json", "baseline findings file (missing file = empty baseline)")
-	writeBaseline := flag.Bool("write-baseline", false, "rewrite the baseline file with the current findings and exit 0")
 	flag.Parse()
 
 	patterns := flag.Args()
@@ -59,55 +49,20 @@ func main() {
 
 	report := Report(wd, lint.Run(lint.All(), pkgs))
 
-	if *writeBaseline {
-		f, err := os.Create(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "logmoblint: %v\n", err)
-			os.Exit(2)
-		}
-		if err := report.Encode(f); err != nil {
-			fmt.Fprintf(os.Stderr, "logmoblint: %v\n", err)
-			os.Exit(2)
-		}
-		f.Close()
-		fmt.Printf("logmoblint: wrote %d findings to %s\n", len(report.Findings), *baselinePath)
-		return
-	}
-
-	baseline, err := findings.LoadBaseline(*baselinePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "logmoblint: %v\n", err)
-		os.Exit(2)
-	}
-
-	var fresh, grandfathered []findings.Finding
-	for _, f := range report.Findings {
-		if baseline[f.Key()] {
-			grandfathered = append(grandfathered, f)
-		} else {
-			fresh = append(fresh, f)
-		}
-	}
-
 	if *jsonOut {
-		out := &findings.Report{Tool: "logmoblint", Findings: fresh}
-		out.Sort()
-		if err := out.Encode(os.Stdout); err != nil {
+		if err := report.Encode(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "logmoblint: %v\n", err)
 			os.Exit(2)
 		}
 	} else {
-		for _, f := range grandfathered {
-			fmt.Printf("baselined: %s\n", f)
-		}
-		for _, f := range fresh {
+		for _, f := range report.Findings {
 			fmt.Println(f)
 		}
-		if len(fresh) == 0 {
-			fmt.Printf("logmoblint: %d packages clean (%d baselined findings)\n", len(pkgs), len(grandfathered))
+		if len(report.Findings) == 0 {
+			fmt.Printf("logmoblint: %d packages clean\n", len(pkgs))
 		}
 	}
-	if len(fresh) > 0 {
+	if len(report.Findings) > 0 {
 		os.Exit(1)
 	}
 }

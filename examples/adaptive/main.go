@@ -61,7 +61,7 @@ func main() {
 		Faults: logmob.ScenarioFaults{
 			Retry: logmob.RetryFault{Budget: 3, Timeout: time.Second},
 			Events: []logmob.FaultEvent{
-				{At: 90 * time.Second, Loss: 0.35, JitterTicks: 2},
+				{At: 90 * time.Second, Impairment: logmob.Impairment{Drop: 0.35, JitterTicks: 2}},
 			},
 		},
 		Sense:     logmob.ScenarioSense{Tick: 2 * time.Second},

@@ -61,7 +61,7 @@ func main() {
 	if err := kiosk.Publish(v11); err != nil {
 		log.Fatal(err)
 	}
-	update.AdvertiseComponents(kiosk, update.ViaBeacon(kioskBeacon), time.Minute)
+	update.AdvertiseComponents(kiosk, kioskBeacon, time.Minute)
 	fmt.Println("kiosk advertises v1.1 over ad-hoc beacons")
 
 	// The device's updater notices and upgrades itself.

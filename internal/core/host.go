@@ -97,8 +97,6 @@ type Config struct {
 	Scheduler transport.Scheduler
 	// Registry is the local component store; default unlimited with LRU.
 	Registry *registry.Registry
-	// Context is the host's context service; default fresh.
-	Context *ctxsvc.Service
 	// Trust is the signature trust store; default empty.
 	Trust *security.TrustStore
 	// Policy governs acceptance of foreign units; default requires
@@ -177,7 +175,6 @@ func NewHost(cfg Config) (*Host, error) {
 		name:           cfg.Name,
 		sched:          cfg.Scheduler,
 		reg:            cfg.Registry,
-		ctx:            cfg.Context,
 		trust:          cfg.Trust,
 		pol:            cfg.Policy,
 		serveEval:      cfg.ServeEval,
@@ -189,15 +186,13 @@ func NewHost(cfg Config) (*Host, error) {
 		services:       make(map[string]ServiceFunc),
 		published:      make(map[string]bool),
 		pending:        make(map[uint64]*pendingReq),
+		ctx:            ctxsvc.New(cfg.Scheduler.Now, 0),
 	}
 	if h.name == "" {
 		h.name = cfg.Endpoint.Addr()
 	}
 	if h.reg == nil {
 		h.reg = registry.New(0, registry.WithClock(cfg.Scheduler.Now))
-	}
-	if h.ctx == nil {
-		h.ctx = ctxsvc.New(cfg.Scheduler.Now, 0)
 	}
 	if h.trust == nil {
 		h.trust = security.NewTrustStore()

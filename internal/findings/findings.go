@@ -1,18 +1,14 @@
 // Package findings defines the JSON schema of cmd/logmoblint's analyzer
-// diagnostics: the Report it emits with -json and reads back as its
-// baseline of grandfathered findings.
+// diagnostics: the Report it emits with -json.
 //
 // A Finding identifies itself by Tool and Check and is located by
-// File/Line/Col. Baseline matching deliberately ignores Line and Col — line
-// numbers drift with every edit, but a grandfathered finding is still the
-// same finding.
+// File/Line/Col.
 package findings
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 )
 
@@ -34,12 +30,6 @@ type Finding struct {
 // String renders the finding in the conventional file:line:col form.
 func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s (%s)", f.File, f.Line, f.Col, f.Message, f.Check)
-}
-
-// Key is the identity used for baseline matching: everything but the
-// position, which drifts with unrelated edits.
-func (f Finding) Key() string {
-	return f.Tool + "\x00" + f.Check + "\x00" + f.File + "\x00" + f.Message
 }
 
 // Report is the top-level JSON document.
@@ -82,27 +72,4 @@ func Decode(r io.Reader) (*Report, error) {
 		return nil, fmt.Errorf("findings: decode report: %w", err)
 	}
 	return &rep, nil
-}
-
-// LoadBaseline reads a baseline file: a Report whose findings are
-// grandfathered. A missing file is an empty baseline, so a fresh checkout
-// needs no placeholder.
-func LoadBaseline(path string) (map[string]bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return map[string]bool{}, nil
-		}
-		return nil, err
-	}
-	defer f.Close()
-	rep, err := Decode(f)
-	if err != nil {
-		return nil, fmt.Errorf("findings: baseline %s: %w", path, err)
-	}
-	keys := make(map[string]bool, len(rep.Findings))
-	for _, fd := range rep.Findings {
-		keys[fd.Key()] = true
-	}
-	return keys, nil
 }

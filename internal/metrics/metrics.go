@@ -1,5 +1,5 @@
 // Package metrics provides the measurement and reporting toolkit used by
-// logmob's experiment harness: counters and timers, aligned text tables for
+// logmob's experiment harness: observation series, aligned text tables for
 // the paper-style result tables, CSV export, and ASCII line charts for the
 // result figures.
 package metrics
@@ -12,20 +12,6 @@ import (
 	"strings"
 	"time"
 )
-
-// Counter is a monotonically increasing count.
-type Counter struct {
-	n int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta.
-func (c *Counter) Add(delta int64) { c.n += delta }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }
 
 // Series collects numeric observations and summarises them.
 type Series struct {

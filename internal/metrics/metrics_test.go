@@ -8,15 +8,6 @@ import (
 	"time"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Errorf("Value = %d", c.Value())
-	}
-}
-
 func TestSeriesStats(t *testing.T) {
 	var s Series
 	for _, v := range []float64{4, 1, 3, 2, 5} {

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 )
@@ -150,18 +149,30 @@ func (n *Network) ImpairAll(imp Impairment) {
 }
 
 // ImpairNode applies imp to every link touching node id. A zero imp removes
-// the node's rule.
+// the node's rule; an unknown id is ignored.
 func (n *Network) ImpairNode(id string, imp Impairment) {
-	if n.impNode == nil {
-		n.impNode = make(map[string]Impairment)
+	node := n.nodes[id]
+	if node == nil {
+		return
 	}
 	imp = imp.normalized()
-	if imp.IsZero() {
-		delete(n.impNode, id)
-	} else {
-		n.impNode[id] = imp
+	if node.orderIdx >= len(n.impNode) {
+		if imp.IsZero() {
+			return // no rule to remove, and no table made for the asking
+		}
+		n.impNode = append(n.impNode, make([]Impairment, len(n.list)-len(n.impNode))...)
 	}
+	n.impNode[node.orderIdx] = imp
 	n.recountImpaired()
+}
+
+// nodeImpairment returns node's own rule, zero if it has none: a node added
+// after the table was last grown lies past its end.
+func (n *Network) nodeImpairment(node *Node) Impairment {
+	if node.orderIdx >= len(n.impNode) {
+		return Impairment{}
+	}
+	return n.impNode[node.orderIdx]
 }
 
 // ImpairLink applies imp to the specific pair a-b (either direction). A
@@ -186,16 +197,16 @@ func (n *Network) recountImpaired() {
 
 // impairmentFor resolves the effective impairment of a transmission from
 // src to dst: the global rule composed with both endpoints' node rules and
-// the pair rule.
+// the pair rule. A node without a rule is skipped, not composed as a zero
+// rule: 1-(1-d) is not d in floating point, and the drop draws compare
+// against exactly the declared probability.
 func (n *Network) impairmentFor(src, dst *Node) (Impairment, bool) {
 	imp := n.impDefault
-	if len(n.impNode) > 0 {
-		if ni, ok := n.impNode[src.ID]; ok {
-			imp = composeImpairments(imp, ni)
-		}
-		if ni, ok := n.impNode[dst.ID]; ok {
-			imp = composeImpairments(imp, ni)
-		}
+	if ni := n.nodeImpairment(src); !ni.IsZero() {
+		imp = composeImpairments(imp, ni)
+	}
+	if ni := n.nodeImpairment(dst); !ni.IsZero() {
+		imp = composeImpairments(imp, ni)
 	}
 	if len(n.impLink) > 0 {
 		if li, ok := n.impLink[linkKey(src.ID, dst.ID)]; ok {
@@ -229,33 +240,33 @@ func (n *Network) applyImpairment(imp Impairment) (dropped bool, extra time.Dura
 
 // SetPartitionGroup assigns node id to a partition group. Nodes in
 // different groups cannot communicate — the partition is administrative and
-// severs even infrastructure links. Group 0 is the default; assigning it
-// removes the node's entry. Assignments snapshot group membership: a mobile
-// node keeps its group wherever it roams, until reassigned or cleared.
+// severs even infrastructure links. Group 0 is the default, also of nodes
+// added later. Assignments snapshot group membership: a mobile node keeps
+// its group wherever it roams, until reassigned or cleared.
 func (n *Network) SetPartitionGroup(id string, group int) {
-	if n.nodes[id] == nil {
+	node := n.nodes[id]
+	if node == nil || n.groupOf(node) == group {
 		return
 	}
-	cur, has := n.parts[id]
-	if group == 0 {
-		if has {
-			delete(n.parts, id)
-			n.bumpEpoch()
-		}
-		return
+	if len(n.parts) < len(n.list) {
+		n.parts = append(n.parts, make([]int, len(n.list)-len(n.parts))...)
 	}
-	if has && cur == group {
-		return
-	}
-	if n.parts == nil {
-		n.parts = make(map[string]int)
-	}
-	n.parts[id] = group
+	n.parts[node.orderIdx] = group
 	n.bumpEpoch()
 }
 
 // PartitionGroup returns the node's current partition group (0 = default).
-func (n *Network) PartitionGroup(id string) int { return n.parts[id] }
+func (n *Network) PartitionGroup(id string) int { return n.groupOf(n.nodes[id]) }
+
+// groupOf reads node's slot of the group table, which exists only between
+// the first assignment and ClearPartitions; an unknown node, and one past
+// the table's end (added since), is in the default group.
+func (n *Network) groupOf(node *Node) int {
+	if node == nil || node.orderIdx >= len(n.parts) {
+		return 0
+	}
+	return n.parts[node.orderIdx]
+}
 
 // ClearPartitions heals every partition, returning all nodes to group 0.
 func (n *Network) ClearPartitions() {
@@ -270,7 +281,7 @@ func (n *Network) ClearPartitions() {
 // Callers guard with len(n.parts) > 0 so the fault-free hot path pays one
 // length check.
 func (n *Network) partitionedPair(na, nb *Node) bool {
-	return n.parts[na.ID] != n.parts[nb.ID]
+	return n.groupOf(na) != n.groupOf(nb)
 }
 
 // --- churn ---
@@ -326,13 +337,15 @@ type ChurnStats struct {
 // Churn is a running ChurnSchedule. Stop halts it (crashed nodes still
 // rejoin as scheduled).
 type Churn struct {
-	net     *Network
-	sched   ChurnSchedule
-	nodes   []string
-	crashed map[string]bool
-	dutyOff map[string]bool
-	event   *Event
-	active  bool
+	net   *Network
+	sched ChurnSchedule
+	// nodes are the members in the order given, resolved once. An unknown ID
+	// keeps its slot as nil, so the member index — draw order, duty phase,
+	// and the index of crashed and dutyOff — is the caller's.
+	nodes            []*Node
+	crashed, dutyOff []bool
+	event            *Event
+	active           bool
 	// Stats accumulates over the churn's lifetime; read it after the run.
 	Stats ChurnStats
 }
@@ -344,10 +357,13 @@ func (n *Network) StartChurn(sched ChurnSchedule, nodeIDs ...string) *Churn {
 	c := &Churn{
 		net:     n,
 		sched:   sched,
-		nodes:   append([]string(nil), nodeIDs...),
-		crashed: make(map[string]bool),
-		dutyOff: make(map[string]bool),
+		nodes:   make([]*Node, len(nodeIDs)),
+		crashed: make([]bool, len(nodeIDs)),
+		dutyOff: make([]bool, len(nodeIDs)),
 		active:  true,
+	}
+	for i, id := range nodeIDs {
+		c.nodes[i] = n.nodes[id]
 	}
 	c.schedule()
 	return c
@@ -383,46 +399,45 @@ func (c *Churn) dutyOffAt(i int, now time.Duration) bool {
 func (c *Churn) step() {
 	now := c.net.Sim().Now()
 	duty := c.dutyCycling()
-	for i, id := range c.nodes {
-		node := c.net.Node(id)
-		if node == nil || c.crashed[id] {
+	for i, node := range c.nodes {
+		if node == nil || c.crashed[i] {
 			continue
 		}
 		if duty {
 			off := c.dutyOffAt(i, now)
-			if off != c.dutyOff[id] {
-				c.dutyOff[id] = off
-				c.net.SetUp(id, !off)
+			if off != c.dutyOff[i] {
+				c.dutyOff[i] = off
+				c.net.setUp(node, !off)
 			}
 			if off {
 				continue // a sleeping radio cannot also crash
 			}
 		}
 		if c.sched.CrashProb > 0 && node.Up && c.net.faultRand().Float64() < c.sched.CrashProb {
-			c.crash(i, id)
+			c.crash(i, node)
 		}
 	}
 }
 
 // crash takes node i down and schedules its rejoin.
-func (c *Churn) crash(i int, id string) {
+func (c *Churn) crash(i int, node *Node) {
 	down := c.sched.downtime()
 	if c.sched.DowntimeJitterTicks > 0 {
 		down += time.Duration(c.net.faultRand().Intn(c.sched.DowntimeJitterTicks+1)) * c.sched.tick()
 	}
-	c.crashed[id] = true
+	c.crashed[i] = true
 	c.Stats.Crashes++
-	c.net.SetUp(id, false)
+	c.net.setUp(node, false)
 	c.net.Sim().Schedule(down, func() {
-		delete(c.crashed, id)
+		c.crashed[i] = false
 		c.Stats.Rejoins++
 		c.Stats.Downtime += down
 		// Rejoin respects the duty cycle as of *now*, not as of the crash:
 		// a node whose duty slot is currently off stays asleep until the
 		// schedule turns it back on.
 		off := c.dutyOffAt(i, c.net.Sim().Now())
-		c.dutyOff[id] = off
-		c.net.SetUp(id, !off)
+		c.dutyOff[i] = off
+		c.net.setUp(node, !off)
 	})
 }
 
@@ -432,9 +447,4 @@ func (c *Churn) Stop() {
 	if c.event != nil {
 		c.event.Cancel()
 	}
-}
-
-// String renders the schedule for experiment table titles.
-func (cs ChurnSchedule) String() string {
-	return fmt.Sprintf("churn{p=%.3g/%v down=%v}", cs.CrashProb, cs.tick(), cs.downtime())
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // twoNodes builds a minimal connected pair with counting handlers.
@@ -166,6 +167,17 @@ func TestImpairmentComposition(t *testing.T) {
 	if _, on := net.impairmentFor(net.Node("a"), net.Node("c")); on {
 		t.Fatal("pair rule for a-b leaked onto a-c")
 	}
+	// A node added after the per-node table was made lies past its end: it
+	// has no rule, and giving it one grows the table.
+	net.ImpairNode("a", Impairment{Drop: 0.5})
+	net.AddNode("d", Position{Y: 20}, net.Node("a").Class)
+	if _, on := net.impairmentFor(net.Node("c"), net.Node("d")); on {
+		t.Fatal("node rule for a leaked onto c-d")
+	}
+	net.ImpairNode("d", Impairment{JitterTicks: 2})
+	if imp, _ := net.impairmentFor(net.Node("a"), net.Node("d")); imp.Drop != 0.5 || imp.JitterTicks != 2 {
+		t.Fatalf("a-d resolves to %+v, want a's drop composed with d's jitter", imp)
+	}
 }
 
 // TestFaultLayerInert is the inertness proof at the netsim level: with no
@@ -272,6 +284,96 @@ func TestPartitionSeversGroups(t *testing.T) {
 	if net.PartitionGroup("a") != 0 {
 		t.Fatal("group not reset by ClearPartitions")
 	}
+}
+
+// TestNodeAddedAfterPartitionIsDefaultGroup: the group table is as long as
+// the node list was at the last assignment, and a node past its end is in
+// group 0 — severed from every assigned group, connected to ungrouped peers.
+func TestNodeAddedAfterPartitionIsDefaultGroup(t *testing.T) {
+	net := NewNetwork(NewSim(5))
+	class := AdHoc
+	class.Range = 1000
+	for i, id := range []string{"g1", "g2", "free"} {
+		net.AddNode(id, Position{X: float64(i)}, class)
+	}
+	net.SetPartitionGroup("g1", 1)
+	net.SetPartitionGroup("g2", 2)
+	net.AddNode("late", Position{X: 3}, class)
+	if g := net.PartitionGroup("late"); g != 0 {
+		t.Fatalf("newcomer is in group %d, want the default", g)
+	}
+	if net.Connected("late", "g1") || net.Connected("g2", "late") {
+		t.Fatal("newcomer (group 0) reaches an assigned group")
+	}
+	if !net.Connected("late", "free") {
+		t.Fatal("newcomer is cut off from an ungrouped peer")
+	}
+	// Assigning the newcomer grows the table rather than indexing past it.
+	net.SetPartitionGroup("late", 1)
+	if !net.Connected("late", "g1") || net.Connected("late", "free") {
+		t.Fatal("newcomer did not move to group 1")
+	}
+	net.ClearPartitions()
+	for _, id := range []string{"g1", "g2", "free"} {
+		if !net.Connected("late", id) {
+			t.Fatalf("ClearPartitions left late severed from %s", id)
+		}
+	}
+}
+
+// TestFaultFreeNetworkHoldsNoFaultState: a world that injects no fault
+// allocates none of the layer's per-node tables and no fault RNG, however
+// large it grows, and Node carries no field for them (288 bytes is its
+// allocation size class; one more word moves every node to 320).
+func TestFaultFreeNetworkHoldsNoFaultState(t *testing.T) {
+	sim := NewSim(1)
+	net := NewNetwork(sim)
+	names := make([]string, 10000)
+	for i := range names {
+		names[i] = fmt.Sprintf("n%d", i)
+		net.AddNode(names[i], Position{X: float64(i % 100), Y: float64(i / 100)}, AdHoc)
+	}
+	net.StartMobility(&RandomWaypoint{FieldW: 100, FieldH: 100, SpeedMin: 1, SpeedMax: 2}, time.Second, names...)
+	sim.RunFor(time.Second)
+	if net.parts != nil || net.impNode != nil || net.faultRNG != nil || net.impaired {
+		t.Fatalf("fault-free network holds fault state: parts=%v impNode=%v rng=%v impaired=%v",
+			net.parts != nil, net.impNode != nil, net.faultRNG != nil, net.impaired)
+	}
+	if got := unsafe.Sizeof(Node{}); got > 288 {
+		t.Fatalf("Node is %d bytes, want <= 288", got)
+	}
+}
+
+// TestChurnUnknownIDKeepsItsSlot: members resolve once, and an ID that names
+// no node still occupies its index, so the others keep the duty phases —
+// slices 1 and 2 of 3 — that the member list declares. A node that takes the
+// ghost's name afterwards is not a member.
+func TestChurnUnknownIDKeepsItsSlot(t *testing.T) {
+	sim := NewSim(8)
+	net := NewNetwork(sim)
+	net.AddNode("a", Position{}, AdHoc)
+	net.AddNode("b", Position{X: 1}, AdHoc)
+	const period, on = 9 * time.Second, 6 * time.Second
+	churn := net.StartChurn(ChurnSchedule{Tick: time.Second, DutyPeriod: period, DutyOn: on}, "ghost", "a", "b")
+	net.AddNode("ghost", Position{X: 2}, AdHoc)
+	slept := 0
+	for i := 0; i < 3*9; i++ {
+		sim.RunFor(time.Second)
+		for idx, id := range []string{"ghost", "a", "b"} {
+			phase := period * time.Duration(idx) / 3
+			wantOff := id != "ghost" && (sim.Now()+phase)%period >= on
+			if off := !net.Node(id).Up; off != wantOff {
+				t.Fatalf("t=%v: %s off=%v, want %v (member index %d of 3)", sim.Now(), id, off, wantOff, idx)
+			}
+			if wantOff {
+				slept++
+			}
+		}
+	}
+	if slept == 0 {
+		t.Fatal("vacuous: nobody slept in three periods")
+	}
+	churn.Stop()
 }
 
 // TestChurnCrashAndRejoin checks that churn takes nodes down, brings them

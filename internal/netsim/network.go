@@ -249,12 +249,17 @@ type Network struct {
 	// Adversity layer (see faults.go). All zero-valued when no faults are
 	// injected, in which case none of it is consulted on the hot paths and
 	// the fault RNG is never drawn.
+	//
+	// impNode and parts are indexed by Node.orderIdx like the SoA slices
+	// above, but allocated on first use and never grown by AddNode (a node
+	// past the end has no rule and group 0) — a field on Node would bill
+	// every fault-free world for them.
 	faultRNG   *rand.Rand
 	impDefault Impairment
-	impNode    map[string]Impairment
+	impNode    []Impairment
 	impLink    map[[2]string]Impairment
 	impaired   bool
-	parts      map[string]int
+	parts      []int
 	faultStats FaultStats
 }
 
@@ -367,7 +372,14 @@ func (n *Network) SetHandler(id string, h Handler) {
 // node coming up re-arms on every attached mobility wheel, so a rejoin
 // resumes movement even if the node was parked as quiescent while down.
 func (n *Network) SetUp(id string, up bool) {
-	if node := n.nodes[id]; node != nil && node.Up != up {
+	if node := n.nodes[id]; node != nil {
+		n.setUp(node, up)
+	}
+}
+
+// setUp is SetUp on a resolved node.
+func (n *Network) setUp(node *Node, up bool) {
+	if node.Up != up {
 		node.Up = up
 		n.bumpEpoch()
 		if up {
@@ -630,10 +642,8 @@ func (n *Network) LinkState(id string) (bandwidthBps float64, latency time.Durat
 	loss = node.Class.Loss
 	if n.impaired {
 		imp := n.impDefault
-		if len(n.impNode) > 0 {
-			if ni, ok := n.impNode[id]; ok {
-				imp = composeImpairments(imp, ni)
-			}
+		if ni := n.nodeImpairment(node); !ni.IsZero() {
+			imp = composeImpairments(imp, ni)
 		}
 		if !imp.IsZero() {
 			if f := imp.BandwidthFactor; f > 0 && f < 1 {

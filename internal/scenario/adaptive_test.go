@@ -35,8 +35,8 @@ func senseSpec(workers int) *Spec {
 		Duration: 60 * time.Second,
 		Workers:  workers,
 		Faults: Faults{
-			Loss:  0.1,
-			Retry: RetryFault{Budget: 3, Timeout: time.Second},
+			Impairment: netsim.Impairment{Drop: 0.1},
+			Retry:      RetryFault{Budget: 3, Timeout: time.Second},
 		},
 		Sense: Sense{Tick: 2 * time.Second},
 		Workloads: []Workload{

@@ -28,15 +28,9 @@ type Faults struct {
 	// realisation. 0 derives the stream from the world seed alone.
 	Seed int64
 
-	// Loss, JitterTicks/JitterTick and BandwidthFactor impair every link in
-	// the world (composing with any per-population Links rules):
-	// Loss is an extra drop probability in [0,1); JitterTicks adds a
-	// uniform 0..N ticks of delivery latency (tick length JitterTick,
-	// default 100ms); BandwidthFactor in (0,1] scales link bandwidth.
-	Loss            float64
-	JitterTicks     int
-	JitterTick      time.Duration
-	BandwidthFactor float64
+	// Impairment degrades every link in the world, composing with any
+	// per-population Links rules.
+	netsim.Impairment
 
 	// Links impairs the links of specific populations.
 	Links []LinkFault
@@ -60,28 +54,14 @@ type Faults struct {
 type LinkFault struct {
 	// Pop names the impaired population.
 	Pop string
-	// Drop, JitterTicks/JitterTick and BandwidthFactor are as in Faults.
-	Drop            float64
-	JitterTicks     int
-	JitterTick      time.Duration
-	BandwidthFactor float64
+	netsim.Impairment
 }
 
 // ChurnFault runs a netsim.ChurnSchedule over one population.
 type ChurnFault struct {
 	// Pop names the churned population.
 	Pop string
-	// Tick is the churn evaluation interval (default 10s).
-	Tick time.Duration
-	// CrashProb is the per-tick crash probability of each up member.
-	CrashProb float64
-	// Downtime is how long a crashed member stays down (default 2*Tick),
-	// plus a uniform 0..DowntimeJitterTicks extra ticks.
-	Downtime            time.Duration
-	DowntimeJitterTicks int
-	// DutyPeriod/DutyOn, when both positive, duty-cycle the members'
-	// radios deterministically (up DutyOn out of every DutyPeriod).
-	DutyPeriod, DutyOn time.Duration
+	netsim.ChurnSchedule
 }
 
 // PartitionFault splits the world into two non-communicating groups during
@@ -104,28 +84,20 @@ type PartitionFault struct {
 }
 
 // FaultEvent replaces the world-wide impairment at a point in virtual time
-// (from world start). Zero fields mean "no impairment from here on", so an
-// event can also clear an earlier one.
+// (from world start). A zero Impairment means "no impairment from here on",
+// so an event can also clear an earlier one.
 type FaultEvent struct {
-	At              time.Duration
-	Loss            float64
-	JitterTicks     int
-	JitterTick      time.Duration
-	BandwidthFactor float64
+	At time.Duration
+	netsim.Impairment
 }
 
-// RetryFault configures the ack/retry transport layer.
-type RetryFault struct {
-	// Budget is the attempts per unicast message; 0 disables the layer.
-	Budget int
-	// Timeout is the per-attempt ack wait (default 2s).
-	Timeout time.Duration
-}
+// RetryFault configures the ack/retry transport layer (transport.Reliable);
+// a zero Budget leaves it off.
+type RetryFault = transport.ReliableConfig
 
 // IsZero reports whether the fault block changes nothing.
 func (f *Faults) IsZero() bool {
-	return f.Seed == 0 && f.Loss == 0 && f.JitterTicks == 0 && f.JitterTick == 0 &&
-		(f.BandwidthFactor == 0 || f.BandwidthFactor == 1) &&
+	return f.Seed == 0 && f.Impairment.IsZero() &&
 		len(f.Links) == 0 && len(f.Churn) == 0 && len(f.Partitions) == 0 &&
 		len(f.Events) == 0 && f.Retry.Budget == 0 && f.BeaconMissEvict == 0
 }
@@ -146,25 +118,25 @@ const maxPopulation = 200000
 func validProb(p float64) bool  { return !math.IsNaN(p) && p >= 0 && p < 1 }
 func validRatio(f float64) bool { return !math.IsNaN(f) && f >= 0 && f <= 1 }
 
-func validImpairment(what string, drop float64, jitterTicks int, jitterTick time.Duration, bw float64) error {
-	if !validProb(drop) {
-		return invalidf("%s drop probability %v outside [0,1)", what, drop)
+func validImpairment(what string, im netsim.Impairment) error {
+	if !validProb(im.Drop) {
+		return invalidf("%s drop probability %v outside [0,1)", what, im.Drop)
 	}
-	if jitterTicks < 0 || jitterTicks > 1<<20 {
-		return invalidf("%s jitter ticks %d outside [0, 2^20]", what, jitterTicks)
+	if im.JitterTicks < 0 || im.JitterTicks > 1<<20 {
+		return invalidf("%s jitter ticks %d outside [0, 2^20]", what, im.JitterTicks)
 	}
-	if jitterTick < 0 {
-		return invalidf("%s jitter tick %v negative", what, jitterTick)
+	if im.JitterTick < 0 {
+		return invalidf("%s jitter tick %v negative", what, im.JitterTick)
 	}
-	if !validRatio(bw) {
-		return invalidf("%s bandwidth factor %v outside [0,1]", what, bw)
+	if !validRatio(im.BandwidthFactor) {
+		return invalidf("%s bandwidth factor %v outside [0,1]", what, im.BandwidthFactor)
 	}
 	return nil
 }
 
 // validate checks the fault block against the spec's populations.
 func (f *Faults) validate(pops map[string]bool) error {
-	if err := validImpairment("global", f.Loss, f.JitterTicks, f.JitterTick, f.BandwidthFactor); err != nil {
+	if err := validImpairment("global", f.Impairment); err != nil {
 		return err
 	}
 	linkPops := make(map[string]bool, len(f.Links))
@@ -179,7 +151,7 @@ func (f *Faults) validate(pops map[string]bool) error {
 			return invalidf("population %q has more than one link fault", l.Pop)
 		}
 		linkPops[l.Pop] = true
-		if err := validImpairment(fmt.Sprintf("link fault %d", i), l.Drop, l.JitterTicks, l.JitterTick, l.BandwidthFactor); err != nil {
+		if err := validImpairment(fmt.Sprintf("link fault %d", i), l.Impairment); err != nil {
 			return err
 		}
 	}
@@ -242,7 +214,7 @@ func (f *Faults) validate(pops map[string]bool) error {
 		if e.At < 0 {
 			return invalidf("fault event %d at negative time %v", i, e.At)
 		}
-		if err := validImpairment(fmt.Sprintf("fault event %d", i), e.Loss, e.JitterTicks, e.JitterTick, e.BandwidthFactor); err != nil {
+		if err := validImpairment(fmt.Sprintf("fault event %d", i), e.Impairment); err != nil {
 			return err
 		}
 	}
@@ -326,15 +298,6 @@ func (s *Spec) CompileChecked(seed int64) (*World, error) {
 
 // --- compilation ---
 
-// retrySetup primes the world before any host exists, so AddHost can wrap
-// endpoints as they are created.
-func (f *Faults) retrySetup(w *World) {
-	if f.Retry.Budget > 0 {
-		w.retryOn = true
-		w.retryCfg = transport.ReliableConfig{Budget: f.Retry.Budget, Timeout: f.Retry.Timeout}
-	}
-}
-
 // compile wires the fault block into a fully built world (all populations,
 // beacons and mobility in place). It panics on an invalid block — use
 // Validate/CompileChecked to get errors instead.
@@ -352,27 +315,16 @@ func (f *Faults) compile(w *World, seed int64, s *Spec) {
 	if f.Seed != 0 {
 		w.Net.SetFaultSeed(seed + f.Seed)
 	}
-	if global := (netsim.Impairment{
-		Drop: f.Loss, JitterTicks: f.JitterTicks, JitterTick: f.JitterTick,
-		BandwidthFactor: f.BandwidthFactor,
-	}); !global.IsZero() {
-		w.Net.ImpairAll(global)
+	if !f.Impairment.IsZero() {
+		w.Net.ImpairAll(f.Impairment)
 	}
 	for _, l := range f.Links {
-		imp := netsim.Impairment{
-			Drop: l.Drop, JitterTicks: l.JitterTicks, JitterTick: l.JitterTick,
-			BandwidthFactor: l.BandwidthFactor,
-		}
 		for _, name := range w.Pops[l.Pop] {
-			w.Net.ImpairNode(name, imp)
+			w.Net.ImpairNode(name, l.Impairment)
 		}
 	}
 	for _, c := range f.Churn {
-		w.Churns = append(w.Churns, w.Net.StartChurn(netsim.ChurnSchedule{
-			Tick: c.Tick, CrashProb: c.CrashProb,
-			Downtime: c.Downtime, DowntimeJitterTicks: c.DowntimeJitterTicks,
-			DutyPeriod: c.DutyPeriod, DutyOn: c.DutyOn,
-		}, w.Pops[c.Pop]...))
+		w.Churns = append(w.Churns, w.Net.StartChurn(c.ChurnSchedule, w.Pops[c.Pop]...))
 	}
 	// Schedule partitions in chronological order: same-instant events fire
 	// in scheduling order, so a window healing exactly when the next one
@@ -388,12 +340,7 @@ func (f *Faults) compile(w *World, seed int64, s *Spec) {
 	}
 	for _, e := range f.Events {
 		e := e
-		w.Sim.Schedule(e.At, func() {
-			w.Net.ImpairAll(netsim.Impairment{
-				Drop: e.Loss, JitterTicks: e.JitterTicks, JitterTick: e.JitterTick,
-				BandwidthFactor: e.BandwidthFactor,
-			})
-		})
+		w.Sim.Schedule(e.At, func() { w.Net.ImpairAll(e.Impairment) })
 	}
 	if f.BeaconMissEvict > 0 {
 		for _, b := range w.Beacons {

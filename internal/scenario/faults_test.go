@@ -58,13 +58,14 @@ func faultySpec(f Faults) *Spec {
 
 func allFaults() Faults {
 	return Faults{
-		Loss:        0.2,
-		JitterTicks: 3,
-		Links:       []LinkFault{{Pop: "m", Drop: 0.05}},
-		Churn:       []ChurnFault{{Pop: "m", Tick: 10 * time.Second, CrashProb: 0.05, Downtime: 15 * time.Second}},
-		Partitions:  []PartitionFault{{At: 50 * time.Second, Heal: 90 * time.Second, SplitX: 150}},
-		Events:      []FaultEvent{{At: 70 * time.Second, Loss: 0.4}},
-		Retry:       RetryFault{Budget: 3, Timeout: 2 * time.Second},
+		Impairment: netsim.Impairment{Drop: 0.2, JitterTicks: 3},
+		Links:      []LinkFault{{Pop: "m", Impairment: netsim.Impairment{Drop: 0.05}}},
+		Churn: []ChurnFault{{Pop: "m", ChurnSchedule: netsim.ChurnSchedule{
+			Tick: 10 * time.Second, CrashProb: 0.05, Downtime: 15 * time.Second,
+		}}},
+		Partitions: []PartitionFault{{At: 50 * time.Second, Heal: 90 * time.Second, SplitX: 150}},
+		Events:     []FaultEvent{{At: 70 * time.Second, Impairment: netsim.Impairment{Drop: 0.4}}},
+		Retry:      RetryFault{Budget: 3, Timeout: 2 * time.Second},
 
 		BeaconMissEvict: 3,
 	}
@@ -112,10 +113,37 @@ func TestFaultsWorkersDifferential(t *testing.T) {
 
 // TestFaultsCompileWiring checks each declarative knob lands on the world:
 // impairments drop traffic, churn crashes members, the partition splits and
-// heals on schedule, retry wraps every host, beacons evict.
+// heals on schedule, retry wraps every host, beacons evict. The embedded
+// netsim values arrive unconverted: every field of the global, the per-Links
+// and the per-Event Impairment shows in the link state the network reports.
 func TestFaultsCompileWiring(t *testing.T) {
-	sp := faultySpec(allFaults())
+	f := allFaults()
+	link := netsim.Impairment{Drop: 0.05, JitterTicks: 5, JitterTick: 80 * time.Millisecond, BandwidthFactor: 0.5}
+	event := netsim.Impairment{Drop: 0.4, JitterTicks: 2, JitterTick: 50 * time.Millisecond, BandwidthFactor: 0.25}
+	f.Links[0].Impairment, f.Events[0].Impairment = link, event
+	sp := faultySpec(f)
 	w := sp.Compile(1)
+	// wantLink asserts the link state of node id: its class degraded by the
+	// given bandwidth factor, expected jitter and drop probability. The drop
+	// composes with the class's own loss as LinkState composes it (World.AddHost
+	// zeroes that loss today; the expectation does not lean on it).
+	wantLink := func(when, id string, factor float64, jitter time.Duration, drop float64) {
+		t.Helper()
+		class := w.Net.Node(id).Class
+		want := 1 - (1-class.Loss)*(1-drop)
+		bw, lat, loss := w.Net.LinkState(id)
+		if bw != class.BandwidthBps*factor || lat != class.Latency+jitter || math.Abs(loss-want) > 1e-12 {
+			t.Fatalf("%s: %s link state = (%v B/s, %v, loss %v), want (%v, %v, %v)",
+				when, id, bw, lat, loss, class.BandwidthBps*factor, class.Latency+jitter, want)
+		}
+	}
+	// A hub sees the global rule alone (3 ticks of the default 100ms: 150ms
+	// expected); a member of "m" composes it with the Links rule, whose
+	// 5x80ms jitter bound is the worse one.
+	wantLink("compiled", "hub0", 1, 150*time.Millisecond, f.Drop)
+	for _, id := range w.Pops["m"] {
+		wantLink("compiled", id, link.BandwidthFactor, 200*time.Millisecond, 1-(1-f.Drop)*(1-link.Drop))
+	}
 	if len(w.Reliables) != 32 {
 		t.Fatalf("%d reliable endpoints, want every host (32)", len(w.Reliables))
 	}
@@ -133,6 +161,7 @@ func TestFaultsCompileWiring(t *testing.T) {
 		t.Fatal("partition event did not split the hubs at t=60s")
 	}
 	w.Sim.Run(95 * time.Second)
+	wantLink("after the t=70s event", "hub1", event.BandwidthFactor, 50*time.Millisecond, event.Drop)
 	if w.Net.PartitionGroup("hub0") != 0 || w.Net.PartitionGroup("hub1") != 0 {
 		t.Fatal("partition did not heal at t=95s")
 	}
@@ -161,11 +190,11 @@ func TestFaultsInertByDefault(t *testing.T) {
 		return sp
 	}
 	_, zero := base(Faults{}).Run(5)
-	_, unity := base(Faults{BandwidthFactor: 1}).Run(5)
+	_, unity := base(Faults{Impairment: netsim.Impairment{BandwidthFactor: 1}}).Run(5)
 	if renderTable(zero) != renderTable(unity) {
 		t.Fatal("BandwidthFactor=1 is documented as unchanged but perturbed the run")
 	}
-	if !(&Faults{BandwidthFactor: 1}).IsZero() {
+	if !(&Faults{Impairment: netsim.Impairment{BandwidthFactor: 1}}).IsZero() {
 		t.Fatal("BandwidthFactor=1 must count as inert")
 	}
 	if w := base(Faults{}).Compile(5); w.Reliables != nil || w.Churns != nil {
@@ -202,6 +231,35 @@ func TestPartitionWindowsOutOfOrder(t *testing.T) {
 	}
 }
 
+// TestPartitionByPopulation covers the Pops selector, which no experiment
+// sets: alone it groups the named populations against everyone else; with
+// SplitX the line divides the named populations only and the rest keep the
+// default group, severed from both sides.
+func TestPartitionByPopulation(t *testing.T) {
+	sp := faultySpec(Faults{
+		Partitions: []PartitionFault{
+			{At: 30 * time.Second, Heal: 60 * time.Second, Pops: []string{"hub"}},
+			{At: 60 * time.Second, Heal: 90 * time.Second, Pops: []string{"hub"}, SplitX: 150},
+		},
+	})
+	w := sp.Compile(1)
+	groups := func() [3]int {
+		return [3]int{w.Net.PartitionGroup("hub0"), w.Net.PartitionGroup("hub1"), w.Net.PartitionGroup("m0")}
+	}
+	w.Sim.Run(45 * time.Second)
+	if g := groups(); g != [3]int{1, 1, 0} {
+		t.Fatalf("Pops alone: groups (hub0, hub1, m0) = %v, want [1 1 0]", g)
+	}
+	w.Sim.Run(75 * time.Second)
+	if g := groups(); g != [3]int{1, 2, 0} {
+		t.Fatalf("Pops with SplitX=150: groups (hub0, hub1, m0) = %v, want [1 2 0]", g)
+	}
+	w.Sim.Run(95 * time.Second)
+	if g := groups(); g != [3]int{} {
+		t.Fatalf("after the heal: groups = %v, want all default", g)
+	}
+}
+
 // TestSpecValidate enumerates hostile specs that must error (not panic).
 func TestSpecValidate(t *testing.T) {
 	valid := func() *Spec { return faultySpec(allFaults()) }
@@ -220,9 +278,9 @@ func TestSpecValidate(t *testing.T) {
 		}},
 		{"unnamed population", func(s *Spec) { s.Populations[0].Name = "" }},
 		{"NaN field", func(s *Spec) { s.Field.Width = math.NaN() }},
-		{"NaN loss", func(s *Spec) { s.Faults.Loss = math.NaN() }},
-		{"loss of 1", func(s *Spec) { s.Faults.Loss = 1 }},
-		{"negative loss", func(s *Spec) { s.Faults.Loss = -0.1 }},
+		{"NaN loss", func(s *Spec) { s.Faults.Drop = math.NaN() }},
+		{"loss of 1", func(s *Spec) { s.Faults.Drop = 1 }},
+		{"negative loss", func(s *Spec) { s.Faults.Drop = -0.1 }},
 		{"bandwidth factor > 1", func(s *Spec) { s.Faults.BandwidthFactor = 1.5 }},
 		{"negative jitter", func(s *Spec) { s.Faults.JitterTicks = -1 }},
 		{"unknown link pop", func(s *Spec) { s.Faults.Links[0].Pop = "ghost" }},
@@ -237,11 +295,12 @@ func TestSpecValidate(t *testing.T) {
 			s.Faults.Churn[0].DutyOn = s.Faults.Churn[0].Tick / 2
 		}},
 		{"duplicate link fault pop", func(s *Spec) {
-			s.Faults.Links = append(s.Faults.Links, LinkFault{Pop: s.Faults.Links[0].Pop, JitterTicks: 3})
+			s.Faults.Links = append(s.Faults.Links, LinkFault{Pop: s.Faults.Links[0].Pop, Impairment: netsim.Impairment{JitterTicks: 3}})
 		}},
 		{"partition heals before start", func(s *Spec) { s.Faults.Partitions[0].Heal = time.Second }},
 		{"partition without split", func(s *Spec) { s.Faults.Partitions[0].SplitX = 0 }},
 		{"NaN split", func(s *Spec) { s.Faults.Partitions[0].SplitX = math.NaN() }},
+		{"unknown partition pop", func(s *Spec) { s.Faults.Partitions[0].Pops = []string{"ghost"} }},
 		{"overlapping partitions", func(s *Spec) {
 			s.Faults.Partitions = append(s.Faults.Partitions,
 				PartitionFault{At: 60 * time.Second, Heal: 80 * time.Second, SplitX: 100})
@@ -280,12 +339,10 @@ func FuzzSpecCompile(f *testing.F) {
 			}},
 			Duration: time.Second,
 			Faults: Faults{
-				Loss:            loss,
-				JitterTicks:     jitterTicks,
-				BandwidthFactor: bw,
-				Churn: []ChurnFault{{
-					Pop: "n", Tick: time.Duration(churnTick) * time.Second, CrashProb: crash,
-				}},
+				Impairment: netsim.Impairment{Drop: loss, JitterTicks: jitterTicks, BandwidthFactor: bw},
+				Churn: []ChurnFault{{Pop: "n", ChurnSchedule: netsim.ChurnSchedule{
+					Tick: time.Duration(churnTick) * time.Second, CrashProb: crash,
+				}}},
 				Partitions: []PartitionFault{{
 					At:     time.Duration(pAt) * time.Second,
 					Heal:   time.Duration(pHeal) * time.Second,

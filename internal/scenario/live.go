@@ -223,19 +223,12 @@ func (l *Live) replayEval(e EvalOnce, target string) LiveRow {
 	ctx, cancel := context.WithTimeout(context.Background(), l.timeout())
 	defer cancel()
 	start := sched.Now()
-	stack, err := l.Client.EvalSync(ctx, target, u, e.Entry, e.Args)
-	if err != nil {
+	if _, err := l.Client.EvalSync(ctx, target, u, e.Entry, e.Args); err != nil {
 		row.Err = err
-		if e.OnResult != nil {
-			e.OnResult(nil, err)
-		}
 		return row
 	}
 	row.MedianMs = float64(sched.Now()-start) / float64(time.Millisecond)
 	row.Delivered = 1
-	if e.OnResult != nil {
-		e.OnResult(stack, nil)
-	}
 	return row
 }
 

@@ -172,7 +172,7 @@ func (s *Spec) Compile(seed int64) *World {
 	}
 	// The ack/retry layer wraps endpoints as hosts are created, so it must
 	// be primed before the first population compiles.
-	s.Faults.retrySetup(w)
+	w.retry = s.Faults.Retry
 	for pi := range s.Populations {
 		p := &s.Populations[pi]
 		count := p.Count

@@ -72,18 +72,12 @@ type EvalOnce struct {
 	Unit           UnitFunc
 	Entry          string
 	Args           []int64
-	// OnResult, if set, observes the result.
-	OnResult func(stack []int64, err error)
 }
 
 // Start implements Workload.
 func (e EvalOnce) Start(w *World) {
 	u := e.Unit(w)
-	w.Hosts[e.Client].Eval(e.Server, u, e.Entry, e.Args, func(stack []int64, err error) {
-		if e.OnResult != nil {
-			e.OnResult(stack, err)
-		}
-	})
+	w.Hosts[e.Client].Eval(e.Server, u, e.Entry, e.Args, func([]int64, error) {})
 }
 
 // FetchRun is the Code On Demand workload: the unit is published on Server,

@@ -65,9 +65,9 @@ type World struct {
 	// in declaration order; their Stats feed the Reliability probe.
 	Churns []*netsim.Churn
 
-	// retry configuration primed by Faults before hosts are built.
-	retryOn  bool
-	retryCfg transport.ReliableConfig
+	// retry is the spec's Faults.Retry, set before any host is built;
+	// Budget > 0 means every endpoint is wrapped.
+	retry transport.ReliableConfig
 }
 
 // NewWorld returns an empty deterministic world for the given seed: a
@@ -105,8 +105,8 @@ func (w *World) AddHost(name string, pos netsim.Position, class netsim.LinkClass
 	if err != nil {
 		panic(err) // nodes are added by the experiment itself; a clash is a bug
 	}
-	if w.retryOn {
-		rel := transport.NewReliable(ep, w.Sim, w.retryCfg)
+	if w.retry.Budget > 0 {
+		rel := transport.NewReliable(ep, w.Sim, w.retry)
 		if w.Reliables == nil {
 			w.Reliables = make(map[string]*transport.Reliable)
 		}

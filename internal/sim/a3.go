@@ -89,7 +89,7 @@ func runA3Config(seed int64, interval time.Duration) (meanS, maxS float64, beaco
 		if err := repo.Publish(v11); err != nil {
 			panic(err)
 		}
-		update.AdvertiseComponents(repo, update.ViaBeacon(repoBeacon), 3*interval)
+		update.AdvertiseComponents(repo, repoBeacon, 3*interval)
 	})
 	w.Sim.RunFor(10 * time.Minute)
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"logmob/internal/netsim"
 	"logmob/internal/scenario"
 )
 
@@ -60,13 +61,13 @@ func TestChaosWorkersDifferential(t *testing.T) {
 		faults scenario.Faults
 	}{
 		{"loss", scenario.Faults{
-			Loss: 0.3, JitterTicks: 3,
-			Retry: scenario.RetryFault{Budget: 3, Timeout: 2 * time.Second},
+			Impairment: netsim.Impairment{Drop: 0.3, JitterTicks: 3},
+			Retry:      scenario.RetryFault{Budget: 3, Timeout: 2 * time.Second},
 		}},
 		{"churn", scenario.Faults{
-			Churn: []scenario.ChurnFault{{
-				Pop: "a", Tick: 10 * time.Second, CrashProb: 0.05, Downtime: 15 * time.Second,
-			}},
+			Churn: []scenario.ChurnFault{{Pop: "a", ChurnSchedule: netsim.ChurnSchedule{
+				Tick: 10 * time.Second, CrashProb: 0.05, Downtime: 15 * time.Second,
+			}}},
 		}},
 		{"partition", scenario.Faults{
 			Partitions: []scenario.PartitionFault{{
@@ -79,10 +80,10 @@ func TestChaosWorkersDifferential(t *testing.T) {
 		// the sparse engine's rejoin/wake paths under the same byte-identical
 		// contract.
 		{"metropolis", scenario.Faults{
-			Loss: 0.15, JitterTicks: 2,
-			Churn: []scenario.ChurnFault{{
-				Pop: "r", Tick: 10 * time.Second, CrashProb: 0.03, Downtime: 25 * time.Second,
-			}},
+			Impairment: netsim.Impairment{Drop: 0.15, JitterTicks: 2},
+			Churn: []scenario.ChurnFault{{Pop: "r", ChurnSchedule: netsim.ChurnSchedule{
+				Tick: 10 * time.Second, CrashProb: 0.03, Downtime: 25 * time.Second,
+			}}},
 			Partitions: []scenario.PartitionFault{{
 				At: 50 * time.Second, Heal: 110 * time.Second, SplitX: 600,
 			}},
@@ -93,10 +94,10 @@ func TestChaosWorkersDifferential(t *testing.T) {
 		// node is down and resume on SetUp(true) rejoin without a per-host
 		// timer — while the timing wheel drains fault-jittered deliveries.
 		{"megacity", scenario.Faults{
-			Loss: 0.2, JitterTicks: 3,
-			Churn: []scenario.ChurnFault{{
-				Pop: "r", Tick: 8 * time.Second, CrashProb: 0.05, Downtime: 20 * time.Second,
-			}},
+			Impairment: netsim.Impairment{Drop: 0.2, JitterTicks: 3},
+			Churn: []scenario.ChurnFault{{Pop: "r", ChurnSchedule: netsim.ChurnSchedule{
+				Tick: 8 * time.Second, CrashProb: 0.05, Downtime: 20 * time.Second,
+			}}},
 			Partitions: []scenario.PartitionFault{{
 				At: 40 * time.Second, Heal: 95 * time.Second, SplitX: 700,
 			}},

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"logmob/internal/netsim"
 	"logmob/internal/scenario"
 )
 
@@ -74,11 +75,11 @@ func t13Spec(p map[string]float64) *scenario.Spec {
 	healAt := t13Warmup + 2*duration/3
 
 	faults := scenario.Faults{
-		Loss:        loss,
-		JitterTicks: 2, // up to 200ms of extra delay per message
+		// Up to 200ms of extra delay per message.
+		Impairment: netsim.Impairment{Drop: loss, JitterTicks: 2},
 		Events: []scenario.FaultEvent{
-			{At: escalate1, Loss: math.Min(1.5*loss, 0.6), JitterTicks: 3},
-			{At: escalate2, Loss: math.Min(2.5*loss, 0.75), JitterTicks: 4},
+			{At: escalate1, Impairment: netsim.Impairment{Drop: math.Min(1.5*loss, 0.6), JitterTicks: 3}},
+			{At: escalate2, Impairment: netsim.Impairment{Drop: math.Min(2.5*loss, 0.75), JitterTicks: 4}},
 		},
 		Partitions: []scenario.PartitionFault{
 			{At: partitionAt, Heal: healAt, SplitX: field / 2},
@@ -87,10 +88,10 @@ func t13Spec(p map[string]float64) *scenario.Spec {
 		BeaconMissEvict: 3,
 	}
 	if churn > 0 {
-		faults.Churn = []scenario.ChurnFault{{
-			Pop: "a", Tick: 10 * time.Second, CrashProb: churn,
+		faults.Churn = []scenario.ChurnFault{{Pop: "a", ChurnSchedule: netsim.ChurnSchedule{
+			Tick: 10 * time.Second, CrashProb: churn,
 			Downtime: 20 * time.Second, DowntimeJitterTicks: 2,
-		}}
+		}}}
 	}
 
 	return crowd{

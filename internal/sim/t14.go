@@ -220,20 +220,20 @@ func t14Build(p map[string]float64) (*scenario.Spec, map[string]*scenario.Adapti
 	// late regimes favour different paradigms even on one axis.
 	lateLoss := math.Min(2*loss, 0.5)
 	faults := scenario.Faults{
-		Loss:  loss,
-		Retry: scenario.RetryFault{Budget: 3, Timeout: 2 * time.Second},
+		Impairment: netsim.Impairment{Drop: loss},
+		Retry:      scenario.RetryFault{Budget: 3, Timeout: 2 * time.Second},
 	}
 	if loss > 0 {
 		faults.JitterTicks = 1
 		faults.Events = []scenario.FaultEvent{
-			{At: t14Warmup + duration/2, Loss: lateLoss, JitterTicks: 2},
+			{At: t14Warmup + duration/2, Impairment: netsim.Impairment{Drop: lateLoss, JitterTicks: 2}},
 		}
 	}
 	if churn > 0 {
-		faults.Churn = []scenario.ChurnFault{{
-			Pop: "station", Tick: 10 * time.Second, CrashProb: churn,
+		faults.Churn = []scenario.ChurnFault{{Pop: "station", ChurnSchedule: netsim.ChurnSchedule{
+			Tick: 10 * time.Second, CrashProb: churn,
 			Downtime: 15 * time.Second, DowntimeJitterTicks: 1,
-		}}
+		}}}
 	}
 
 	spec := &scenario.Spec{

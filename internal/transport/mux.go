@@ -59,9 +59,6 @@ func (m *Mux) Channel(id byte) Endpoint {
 	return &muxChannel{mux: m, id: id}
 }
 
-// Underlying returns the wrapped Endpoint.
-func (m *Mux) Underlying() Endpoint { return m.ep }
-
 type muxChannel struct {
 	mux *Mux
 	id  byte

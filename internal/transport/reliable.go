@@ -47,7 +47,8 @@ type relPending struct {
 // ReliableConfig tunes the ack/retry layer.
 type ReliableConfig struct {
 	// Budget is the total number of send attempts per message (first try
-	// included); 0 defaults to 3.
+	// included). Passed to NewReliable, 0 defaults to 3; in a scenario Spec
+	// (Faults.Retry) 0 means the layer is not installed at all.
 	Budget int
 	// Timeout is how long to wait for an ack before the next attempt;
 	// 0 defaults to 2s.

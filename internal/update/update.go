@@ -9,6 +9,8 @@
 package update
 
 import (
+	"maps"
+	"slices"
 	"time"
 
 	"logmob/internal/core"
@@ -25,27 +27,17 @@ const ServicePrefix = "component/"
 // VersionAttr is the advertisement attribute carrying the published version.
 const VersionAttr = "version"
 
-// Advertiser is the subset of discovery used to announce components
-// (satisfied by *discovery.Beacon and *discovery.LookupClient via small
-// adapters below).
+// Advertiser is the subset of discovery used to announce components:
+// a *discovery.Beacon as it is, a *discovery.LookupClient through ViaLookup.
 type Advertiser interface {
 	Advertise(ad discovery.Ad)
 }
-
-// beaconAdvertiser adapts *discovery.Beacon (whose Advertise matches
-// directly).
-type beaconAdvertiser struct{ b *discovery.Beacon }
-
-func (a beaconAdvertiser) Advertise(ad discovery.Ad) { a.b.Advertise(ad) }
 
 // lookupAdvertiser adapts *discovery.LookupClient, dropping the send error
 // (renewals retry).
 type lookupAdvertiser struct{ c *discovery.LookupClient }
 
 func (a lookupAdvertiser) Advertise(ad discovery.Ad) { _ = a.c.Advertise(ad) }
-
-// ViaBeacon wraps a Beacon as an Advertiser.
-func ViaBeacon(b *discovery.Beacon) Advertiser { return beaconAdvertiser{b: b} }
 
 // ViaLookup wraps a LookupClient as an Advertiser.
 func ViaLookup(c *discovery.LookupClient) Advertiser { return lookupAdvertiser{c: c} }
@@ -144,8 +136,10 @@ func (u *Updater) CheckNow() {
 			seen[m.Name] = m.Version
 		}
 	}
-	for name, localVersion := range seen {
-		name, localVersion := name, localVersion
+	// Each name sends a query, and message order decides every later RNG
+	// draw of a simulated run: query in name order, not map order.
+	for _, name := range slices.Sorted(maps.Keys(seen)) {
+		localVersion := seen[name]
 		u.finder.Find(discovery.Query{Service: ServicePrefix + name}, func(ads []discovery.Ad) {
 			best := bestAd(ads, localVersion)
 			if best == nil {

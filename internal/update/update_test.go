@@ -1,6 +1,8 @@
 package update
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -62,7 +64,7 @@ func TestAdvertiseComponents(t *testing.T) {
 	if err := r.repo.Publish(app.BuildCodec(r.id, "mp3", "2.0", 256)); err != nil {
 		t.Fatal(err)
 	}
-	n := AdvertiseComponents(r.repo, ViaBeacon(r.repoBeacon), time.Minute)
+	n := AdvertiseComponents(r.repo, r.repoBeacon, time.Minute)
 	if n != 2 {
 		t.Fatalf("advertised %d, want 2", n)
 	}
@@ -86,7 +88,7 @@ func TestUpdaterFetchesNewerVersion(t *testing.T) {
 	if err := r.repo.Publish(v11); err != nil {
 		t.Fatal(err)
 	}
-	AdvertiseComponents(r.repo, ViaBeacon(r.repoBeacon), time.Minute)
+	AdvertiseComponents(r.repo, r.repoBeacon, time.Minute)
 	r.sim.RunFor(5 * time.Second) // beacon propagates
 
 	var updates []string
@@ -123,7 +125,7 @@ func TestUpdaterIgnoresOlderAndEqual(t *testing.T) {
 	if err := r.repo.Publish(app.BuildCodec(r.id, "ogg", "1.5", 256)); err != nil {
 		t.Fatal(err)
 	}
-	AdvertiseComponents(r.repo, ViaBeacon(r.repoBeacon), time.Minute)
+	AdvertiseComponents(r.repo, r.repoBeacon, time.Minute)
 	r.sim.RunFor(5 * time.Second)
 
 	up := New(r.dev, r.devBeacon, r.sim, 10*time.Second)
@@ -149,7 +151,7 @@ func TestUpdaterVerifiesFetchedUpdate(t *testing.T) {
 	if err := r.repo.Publish(bad); err != nil {
 		t.Fatal(err)
 	}
-	AdvertiseComponents(r.repo, ViaBeacon(r.repoBeacon), time.Minute)
+	AdvertiseComponents(r.repo, r.repoBeacon, time.Minute)
 	r.sim.RunFor(5 * time.Second)
 
 	up := New(r.dev, r.devBeacon, r.sim, 10*time.Second)
@@ -222,5 +224,38 @@ func TestUpdaterViaLookup(t *testing.T) {
 
 	if _, ok := dev.Registry().GetAtLeast(app.CodecName("ogg"), "3.0"); !ok {
 		t.Fatalf("update via lookup service failed; stats %+v", up.Stats())
+	}
+}
+
+// recordingFinder answers nothing and remembers what it was asked, in order.
+type recordingFinder struct{ asked []string }
+
+func (f *recordingFinder) Find(q discovery.Query, cb func([]discovery.Ad)) {
+	f.asked = append(f.asked, q.Service)
+	cb(nil)
+}
+
+// TestCheckNowQueriesInNameOrder: every query is a message on the simulated
+// network, so the order CheckNow asks in must not be Go's map order. With
+// eight components, twenty passes all coming out sorted by chance is a
+// (1/8!)^20 event.
+func TestCheckNowQueriesInNameOrder(t *testing.T) {
+	r := newRig(t)
+	var want []string
+	for _, codec := range []string{"vorbis", "aac", "mp3", "flac", "opus", "ogg", "wav", "amr"} {
+		if err := r.dev.Registry().Put(app.BuildCodec(r.id, codec, "1.0", 64)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, ServicePrefix+app.CodecName(codec))
+	}
+	sort.Strings(want)
+	finder := &recordingFinder{}
+	up := New(r.dev, finder, r.sim, time.Minute)
+	for pass := 0; pass < 20; pass++ {
+		finder.asked = finder.asked[:0]
+		up.CheckNow()
+		if !slices.Equal(finder.asked, want) {
+			t.Fatalf("pass %d queried %v, want sorted %v", pass, finder.asked, want)
+		}
 	}
 }

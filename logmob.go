@@ -205,6 +205,13 @@ type (
 	// impairments, churn, timed partitions, ack/retry, beacon-miss
 	// eviction.
 	ScenarioFaults = scenario.Faults
+	// Impairment is the one degraded-link description — extra drop
+	// probability, tick-quantised jitter, bandwidth factor — embedded by
+	// ScenarioFaults, LinkFault and FaultEvent.
+	Impairment = netsim.Impairment
+	// ChurnSchedule is the crash/rejoin and duty-cycle schedule a ChurnFault
+	// runs over its population.
+	ChurnSchedule = netsim.ChurnSchedule
 	// LinkFault impairs one population's links.
 	LinkFault = scenario.LinkFault
 	// ChurnFault churns one population.

@@ -152,12 +152,11 @@ func TestFaultsThroughFacade(t *testing.T) {
 	}
 	spec, _ := festivalSpec(80)
 	spec.Faults = logmob.ScenarioFaults{
-		Loss:        0.2,
-		JitterTicks: 2,
-		Links:       []logmob.LinkFault{{Pop: "crowd", Drop: 0.05}},
-		Churn: []logmob.ChurnFault{{
-			Pop: "crowd", Tick: 10 * time.Second, CrashProb: 0.05, Downtime: 15 * time.Second,
-		}},
+		Impairment: logmob.Impairment{Drop: 0.2, JitterTicks: 2},
+		Links:      []logmob.LinkFault{{Pop: "crowd", Impairment: logmob.Impairment{Drop: 0.05}}},
+		Churn: []logmob.ChurnFault{{Pop: "crowd", ChurnSchedule: logmob.ChurnSchedule{
+			Tick: 10 * time.Second, CrashProb: 0.05, Downtime: 15 * time.Second,
+		}}},
 		Partitions: []logmob.PartitionFault{{
 			At: 90 * time.Second, Heal: 3 * time.Minute, SplitX: 200,
 		}},
@@ -185,7 +184,7 @@ func TestFaultsThroughFacade(t *testing.T) {
 	}
 
 	// Hostile specs error through the facade, too.
-	spec.Faults.Loss = 1.5
+	spec.Faults.Drop = 1.5
 	if err := spec.Validate(); err == nil {
 		t.Error("Validate accepted loss=1.5")
 	}
