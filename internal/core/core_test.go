@@ -635,14 +635,58 @@ func TestEnsureWithDepsFetchesClosure(t *testing.T) {
 	if got == nil || got.Manifest.Name != "app/main" {
 		t.Fatalf("unit = %+v", got)
 	}
-	// The whole closure is local and resolvable.
-	for _, name := range []string{"app/main", "lib/mid", "lib/base"} {
-		if !device.Registry().Has(name) {
-			t.Errorf("%s missing from device registry", name)
+	// The whole closure is local, each dependency at a version that
+	// satisfies its dependent.
+	for _, u := range []*lmu.Unit{app, mid} {
+		for _, d := range u.Manifest.Deps {
+			if _, ok := device.Registry().GetAtLeast(d.Name, d.MinVersion); !ok {
+				t.Errorf("%s's dependency %s >= %s missing from device registry", u.Manifest.Name, d.Name, d.MinVersion)
+			}
 		}
 	}
-	if _, err := device.Registry().Resolve("app/main"); err != nil {
-		t.Errorf("Resolve after EnsureWithDeps: %v", err)
+}
+
+// A dependency the remote holds only at a version below the dependent's
+// minimum is a missing dependency, even though a unit of that name exists.
+func TestEnsureWithDepsMinVersion(t *testing.T) {
+	w := newWorld(t)
+	server := w.addHost(t, "server", nil)
+	device := w.addHost(t, "device", nil)
+	lib := w.signedProgram("lib/core", addSrc) // version 1.0
+	app := w.signedProgram("app/main", addSrc)
+	app.Manifest.Deps = []lmu.Dep{{Name: "lib/core", MinVersion: "2.0"}}
+	w.id.Sign(app)
+	for _, u := range []*lmu.Unit{lib, app} {
+		if err := server.Publish(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ensure := func() error {
+		var gotErr error
+		done := false
+		device.EnsureWithDeps("server", "app/main", "", func(_ *lmu.Unit, err error) {
+			gotErr, done = err, true
+		})
+		w.sim.RunFor(time.Minute)
+		if !done {
+			t.Fatal("EnsureWithDeps never called back")
+		}
+		return gotErr
+	}
+	if err := ensure(); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("EnsureWithDeps with lib/core 1.0 < 2.0 = %v, want wrapped ErrNotFound", err)
+	}
+	lib2 := w.signedProgram("lib/core", addSrc)
+	lib2.Manifest.Version = "2.1"
+	w.id.Sign(lib2)
+	if err := server.Publish(lib2); err != nil {
+		t.Fatal(err)
+	}
+	if err := ensure(); err != nil {
+		t.Fatalf("EnsureWithDeps after lib/core 2.1 published: %v", err)
+	}
+	if u, ok := device.Registry().GetAtLeast("lib/core", "2.0"); !ok || u.Manifest.Version != "2.1" {
+		t.Errorf("device holds lib/core %v, want 2.1", u)
 	}
 }
 

@@ -100,7 +100,7 @@ type Config struct {
 	// Trust is the signature trust store; default empty.
 	Trust *security.TrustStore
 	// Policy governs acceptance of foreign units; default requires
-	// signatures from trusted signers.
+	// signatures (security.Verify has the rule a signature must meet).
 	Policy security.Policy
 	// ServeEval enables execution of incoming Remote Evaluation requests.
 	ServeEval bool
@@ -234,9 +234,6 @@ func (h *Host) Context() *ctxsvc.Service { return h.ctx }
 // ComputeRate returns the host's modelled CPU speed in VM instructions per
 // second of (virtual) time; 0 means computation is instantaneous.
 func (h *Host) ComputeRate() float64 { return h.computeRate }
-
-// Trust returns the host's trust store.
-func (h *Host) Trust() *security.TrustStore { return h.trust }
 
 // Neighbors lists addresses reachable in one hop.
 func (h *Host) Neighbors() []string { return h.kch.Neighbors() }

@@ -68,7 +68,8 @@ type Manifest struct {
 	Version string
 	// Kind classifies the unit.
 	Kind Kind
-	// Publisher names the identity expected to have signed the unit.
+	// Publisher names the identity that must have signed the unit; a
+	// signature by anyone else is rejected.
 	Publisher string
 	// Deps lists components that must be resolvable before this unit runs.
 	Deps []Dep
@@ -86,7 +87,8 @@ const (
 	SigFull SigMode = iota + 1
 	// SigCode covers only the unit's identity and code. Right for mobile
 	// agents, whose data and state legitimately mutate at every hop while
-	// the code must remain exactly what the publisher shipped.
+	// the code must remain exactly what the publisher shipped, and accepted
+	// on agents only.
 	SigCode
 )
 
@@ -142,9 +144,10 @@ func (u *Unit) Hash() [32]byte {
 	return h
 }
 
-// CodeHash returns the hash covering only the unit's identity and code
-// (SigCode coverage).
-func (u *Unit) CodeHash() [32]byte {
+// codeHash returns the hash covering only the unit's identity and code
+// (SigCode coverage): name, version, kind, publisher and code, but not Deps,
+// Attrs, Data or State.
+func (u *Unit) codeHash() [32]byte {
 	b := wire.GetBuffer()
 	b.PutString(u.Manifest.Name)
 	b.PutString(u.Manifest.Version)
@@ -159,7 +162,7 @@ func (u *Unit) CodeHash() [32]byte {
 // HashFor returns the hash covered by the given signature mode.
 func (u *Unit) HashFor(mode SigMode) [32]byte {
 	if mode == SigCode {
-		return u.CodeHash()
+		return u.codeHash()
 	}
 	return u.Hash()
 }
@@ -195,20 +198,23 @@ func (u *Unit) Size() int {
 }
 
 // Unpack parses a packed unit. The unit takes ownership of data: its Code,
-// State and Data values alias sub-ranges of it, so the caller must not
-// modify or recycle data after a successful Unpack. Every current producer
-// hands Unpack a freshly decoded copy, and aliasing turns the former
-// copy-per-field decode into a zero-copy one.
+// State and Data values alias sub-ranges of it (only Sig.Sig is copied), so
+// the caller must not modify or recycle data after a successful Unpack.
+// Every current producer hands Unpack a freshly decoded copy, and aliasing
+// turns the former copy-per-field decode into a zero-copy one.
 func Unpack(data []byte) (*Unit, error) {
 	r := wire.NewReader(data)
 	if v := r.Uint(); r.Err() == nil && v != packVersion {
 		return nil, fmt.Errorf("lmu: unsupported pack version %d", v)
 	}
 	u := &Unit{}
-	u.Manifest.Name = internString(r.AliasBytes())
-	u.Manifest.Version = internString(r.AliasBytes())
+	// Names, versions, publishers and data-space keys are interned: they
+	// repeat endlessly as units hop between hosts (every courier carries
+	// "dest", "payload", "_hops", ...).
+	u.Manifest.Name = r.InternString()
+	u.Manifest.Version = r.InternString()
 	u.Manifest.Kind = Kind(r.Byte())
-	u.Manifest.Publisher = internString(r.AliasBytes())
+	u.Manifest.Publisher = r.InternString()
 	nDeps := r.Uint()
 	if nDeps > uint64(len(data)) {
 		return nil, fmt.Errorf("lmu: dependency count %d implausible", nDeps)
@@ -225,13 +231,13 @@ func Unpack(data []byte) (*Unit, error) {
 	if nData > 0 {
 		u.Data = make(map[string][]byte, nData)
 		for i := uint64(0); i < nData && r.Err() == nil; i++ {
-			k := internString(r.AliasBytes())
+			k := r.InternString()
 			u.Data[k] = clip(r.AliasBytes())
 		}
 	}
 	u.State = clip(r.AliasBytes())
 	if r.Bool() {
-		u.Sig = &Signature{Signer: internString(r.AliasBytes()), Mode: SigMode(r.Byte()), Sig: clip(r.Bytes())}
+		u.Sig = &Signature{Signer: r.InternString(), Mode: SigMode(r.Byte()), Sig: clip(r.Bytes())}
 	}
 	if err := r.ExpectEOF(); err != nil {
 		return nil, fmt.Errorf("lmu: unpack: %w", err)
@@ -263,13 +269,6 @@ func Unpack(data []byte) (*Unit, error) {
 // instead of scribbling over neighbouring bytes of the shared backing array.
 func clip(b []byte) []byte {
 	return b[:len(b):len(b)]
-}
-
-// internString interns a decoded byte string via the wire-level table: unit
-// names, versions, publishers and data-space keys repeat endlessly as units
-// hop between hosts (every courier carries "dest", "payload", "_hops", ...).
-func internString(b []byte) string {
-	return wire.InternBytes(b)
 }
 
 // DataKeys returns the unit's data-space keys in sorted order — the indexing

@@ -18,12 +18,13 @@ import (
 	"logmob/internal/lmu"
 )
 
-// Errors returned by Put and Resolve.
+// Registry errors, matched with errors.Is.
 var (
 	// ErrQuotaExceeded reports that a unit cannot fit even after evicting
 	// everything evictable.
 	ErrQuotaExceeded = errors.New("registry: unit does not fit in quota")
-	// ErrNotFound reports a missing unit or dependency.
+	// ErrNotFound reports a missing unit; hosts wrap it when asked to run a
+	// component they do not store.
 	ErrNotFound = errors.New("registry: unit not found")
 )
 
@@ -34,16 +35,10 @@ type Entry struct {
 	Size int64
 	// Pinned entries are never evicted.
 	Pinned bool
-	// Added is when the entry was stored.
-	Added time.Duration
 	// LastUsed is when the entry was last returned by a lookup.
 	LastUsed time.Duration
 	// Uses counts lookups that returned this entry.
 	Uses int64
-}
-
-func (e *Entry) key() string {
-	return e.Unit.Manifest.Name + "@" + e.Unit.Manifest.Version
 }
 
 // EvictionPolicy chooses which unpinned entry to evict when space is needed.
@@ -173,9 +168,12 @@ func (r *Registry) Stats() Stats {
 	return r.stats
 }
 
-// Put stores a unit, replacing any entry with the same name and version and
-// evicting unpinned entries as needed. It fails with ErrQuotaExceeded if the
-// unit cannot fit.
+// Put stores a unit, evicting unpinned entries as needed. A unit with the
+// name and version of a stored entry replaces that entry in place, keeping
+// its pin and recency; the entry's bytes count as freed, and it is never
+// evicted to make room for its own replacement. Put fails with
+// ErrQuotaExceeded, leaving any replaced entry as it was, if the unit cannot
+// fit.
 func (r *Registry) Put(u *lmu.Unit) error {
 	size := int64(u.Size())
 	r.mu.Lock()
@@ -184,37 +182,42 @@ func (r *Registry) Put(u *lmu.Unit) error {
 		r.stats.Rejects++
 		return fmt.Errorf("%w: %s is %d bytes, quota %d", ErrQuotaExceeded, u.Manifest.Name, size, r.quota)
 	}
-	// Replace an identical name@version in place.
 	name := u.Manifest.Name
+	var old *Entry
 	for _, e := range r.entries[name] {
 		if e.Unit.Manifest.Version == u.Manifest.Version {
-			r.used += size - e.Size
-			e.Unit = u.Clone()
-			e.Size = size
-			e.Added = r.now()
-			r.stats.Puts++
-			return nil
+			old = e
+			break
 		}
 	}
-	if err := r.makeRoomLocked(size); err != nil {
+	var freed int64
+	if old != nil {
+		freed = old.Size
+	}
+	if err := r.makeRoomLocked(size-freed, old); err != nil {
 		r.stats.Rejects++
 		return fmt.Errorf("%w: %s needs %d bytes", err, u.Manifest.Name, size)
 	}
-	now := r.now()
-	e := &Entry{Unit: u.Clone(), Size: size, Added: now, LastUsed: now}
-	r.entries[name] = append(r.entries[name], e)
-	r.used += size
+	r.used += size - freed
 	r.stats.Puts++
+	if old != nil {
+		old.Unit = u.Clone()
+		old.Size = size
+		return nil
+	}
+	e := &Entry{Unit: u.Clone(), Size: size, LastUsed: r.now()}
+	r.entries[name] = append(r.entries[name], e)
 	return nil
 }
 
-// makeRoomLocked evicts until size fits. Caller holds the lock.
-func (r *Registry) makeRoomLocked(size int64) error {
+// makeRoomLocked evicts entries other than keep until size more bytes fit.
+// Caller holds the lock.
+func (r *Registry) makeRoomLocked(size int64, keep *Entry) error {
 	if r.quota <= 0 {
 		return nil
 	}
 	for r.used+size > r.quota {
-		candidates := r.evictableLocked()
+		candidates := r.evictableLocked(keep)
 		if len(candidates) == 0 {
 			return ErrQuotaExceeded
 		}
@@ -226,9 +229,9 @@ func (r *Registry) makeRoomLocked(size int64) error {
 	return nil
 }
 
-// evictableLocked returns unpinned entries in deterministic (name, version) order.
-// Caller holds the lock.
-func (r *Registry) evictableLocked() []*Entry {
+// evictableLocked returns unpinned entries other than keep in deterministic
+// (name, version) order. Caller holds the lock.
+func (r *Registry) evictableLocked(keep *Entry) []*Entry {
 	names := make([]string, 0, len(r.entries))
 	for name := range r.entries {
 		names = append(names, name)
@@ -237,7 +240,7 @@ func (r *Registry) evictableLocked() []*Entry {
 	var out []*Entry
 	for _, name := range names {
 		for _, e := range r.entries[name] {
-			if !e.Pinned {
+			if !e.Pinned && e != keep {
 				out = append(out, e)
 			}
 		}
@@ -349,59 +352,4 @@ func (r *Registry) List() []lmu.Manifest {
 		}
 	}
 	return out
-}
-
-// ExpireIdle removes every unpinned unit whose last use is older than
-// maxIdle, returning the number removed — the paper's "when the code is no
-// longer needed, the device can choose to delete it, conserving resources"
-// as a proactive sweep rather than quota-pressure eviction.
-func (r *Registry) ExpireIdle(maxIdle time.Duration) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cutoff := r.now() - maxIdle
-	removed := 0
-	for _, e := range r.evictableLocked() {
-		if e.LastUsed < cutoff {
-			r.removeEntryLocked(e)
-			r.stats.Evictions++
-			r.stats.BytesEvicted += e.Size
-			removed++
-		}
-	}
-	return removed
-}
-
-// Resolve returns the unit plus the transitive closure of its dependencies,
-// newest satisfying versions first encountered, in dependency-before-
-// dependent order. It fails with ErrNotFound naming the first missing
-// dependency.
-func (r *Registry) Resolve(name string) ([]*lmu.Unit, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var order []*lmu.Unit
-	visited := make(map[string]bool)
-	var visit func(name, minVersion string) error
-	visit = func(name, minVersion string) error {
-		if visited[name] {
-			return nil
-		}
-		e := r.bestLocked(name, minVersion)
-		if e == nil {
-			return fmt.Errorf("%w: %s (min version %q)", ErrNotFound, name, minVersion)
-		}
-		visited[name] = true
-		for _, d := range e.Unit.Manifest.Deps {
-			if err := visit(d.Name, d.MinVersion); err != nil {
-				return err
-			}
-		}
-		e.LastUsed = r.now()
-		e.Uses++
-		order = append(order, e.Unit)
-		return nil
-	}
-	if err := visit(name, ""); err != nil {
-		return nil, err
-	}
-	return order, nil
 }

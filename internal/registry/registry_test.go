@@ -100,6 +100,61 @@ func TestReplaceSameVersion(t *testing.T) {
 	}
 }
 
+// A same-version replacement goes through the same fit-or-evict path as a
+// new unit: the replaced entry's bytes count as freed, it keeps its pin, and
+// a replacement that cannot fit is refused with the old entry untouched.
+func TestReplaceSameVersionRespectsQuota(t *testing.T) {
+	a, b := unit("a", "1.0", 400), unit("b", "1.0", 400)
+	quota := int64(a.Size() + b.Size())
+	bigA := unit("a", "1.0", 780)
+	if int64(bigA.Size()) > quota || int64(bigA.Size()) <= quota-int64(b.Size()) {
+		t.Fatalf("sizes: quota %d, b %d, big a %d — big a must fit alone but not beside b", quota, b.Size(), bigA.Size())
+	}
+
+	// fill stores a and b at 1.0 and pins one of them.
+	fill := func(pinned string) *Registry {
+		r := New(quota)
+		for _, u := range []*lmu.Unit{a, b} {
+			if err := r.Put(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.Pin(pinned, "1.0", true)
+		return r
+	}
+
+	r := fill("a")
+	if err := r.Put(bigA); err != nil {
+		t.Fatalf("Put larger a: %v", err)
+	}
+	if r.Used() > quota {
+		t.Errorf("Used = %d exceeds quota %d after replacement", r.Used(), quota)
+	}
+	if r.Has("b") {
+		t.Error("b should have been evicted to fit the larger a")
+	}
+	if got, _ := r.Get("a"); got == nil || len(got.Code) != 780 {
+		t.Error("replacement not stored")
+	}
+	// a is now the only entry, so only its pin keeps b from evicting it.
+	if err := r.Put(b); !errors.Is(err, ErrQuotaExceeded) || !r.Has("a") {
+		t.Errorf("Put b = %v, a stored %v: the replacement lost its pin", err, r.Has("a"))
+	}
+
+	// The other way round: b is pinned and a cannot grow past it.
+	r = fill("b")
+	used := r.Used()
+	if err := r.Put(bigA); !errors.Is(err, ErrQuotaExceeded) {
+		t.Fatalf("Put larger a beside pinned b = %v, want ErrQuotaExceeded", err)
+	}
+	if r.Used() != used {
+		t.Errorf("Used = %d after refused replacement, want %d", r.Used(), used)
+	}
+	if got, ok := r.Get("a"); !ok || len(got.Code) != 400 {
+		t.Error("refused replacement disturbed the old entry")
+	}
+}
+
 func TestQuotaEvictionLRU(t *testing.T) {
 	var now time.Duration
 	clock := func() time.Duration { now += time.Second; return now }
@@ -269,85 +324,6 @@ func TestList(t *testing.T) {
 	}
 }
 
-func TestResolveDependencyClosure(t *testing.T) {
-	r := New(0)
-	base := unit("base", "1.0", 10)
-	mid := unit("mid", "1.0", 10)
-	mid.Manifest.Deps = []lmu.Dep{{Name: "base", MinVersion: "1.0"}}
-	app := unit("app", "1.0", 10)
-	app.Manifest.Deps = []lmu.Dep{{Name: "mid", MinVersion: "1.0"}, {Name: "base", MinVersion: "1.0"}}
-	for _, u := range []*lmu.Unit{base, mid, app} {
-		if err := r.Put(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	order, err := r.Resolve("app")
-	if err != nil {
-		t.Fatalf("Resolve: %v", err)
-	}
-	var names []string
-	for _, u := range order {
-		names = append(names, u.Manifest.Name)
-	}
-	if len(names) != 3 || names[0] != "base" || names[1] != "mid" || names[2] != "app" {
-		t.Errorf("Resolve order = %v, want [base mid app]", names)
-	}
-}
-
-func TestResolveMissingDep(t *testing.T) {
-	r := New(0)
-	app := unit("app", "1.0", 10)
-	app.Manifest.Deps = []lmu.Dep{{Name: "ghost", MinVersion: "2.0"}}
-	if err := r.Put(app); err != nil {
-		t.Fatal(err)
-	}
-	_, err := r.Resolve("app")
-	if !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Resolve = %v, want ErrNotFound", err)
-	}
-}
-
-func TestResolveMinVersionEnforced(t *testing.T) {
-	r := New(0)
-	if err := r.Put(unit("lib", "1.0", 10)); err != nil {
-		t.Fatal(err)
-	}
-	app := unit("app", "1.0", 10)
-	app.Manifest.Deps = []lmu.Dep{{Name: "lib", MinVersion: "2.0"}}
-	if err := r.Put(app); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Resolve("app"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Resolve = %v, want ErrNotFound for too-old dep", err)
-	}
-	if err := r.Put(unit("lib", "2.1", 10)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Resolve("app"); err != nil {
-		t.Fatalf("Resolve after upgrade: %v", err)
-	}
-}
-
-func TestResolveCycleTerminates(t *testing.T) {
-	r := New(0)
-	a := unit("a", "1.0", 10)
-	a.Manifest.Deps = []lmu.Dep{{Name: "b"}}
-	b := unit("b", "1.0", 10)
-	b.Manifest.Deps = []lmu.Dep{{Name: "a"}}
-	for _, u := range []*lmu.Unit{a, b} {
-		if err := r.Put(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	order, err := r.Resolve("a")
-	if err != nil {
-		t.Fatalf("Resolve: %v", err)
-	}
-	if len(order) != 2 {
-		t.Errorf("Resolve returned %d units, want 2", len(order))
-	}
-}
-
 func TestMultipleVersionsCoexist(t *testing.T) {
 	r := New(0)
 	if err := r.Put(unit("c", "1.0", 10)); err != nil {
@@ -389,50 +365,5 @@ func TestEvictionDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("nondeterministic eviction: %v vs %v", a, b)
 		}
-	}
-}
-
-func TestExpireIdle(t *testing.T) {
-	var now time.Duration
-	r := New(0, WithClock(func() time.Duration { return now }))
-	if err := r.Put(unit("hot", "1.0", 10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Put(unit("cold", "1.0", 10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Put(unit("pinned", "1.0", 10)); err != nil {
-		t.Fatal(err)
-	}
-	r.Pin("pinned", "1.0", true)
-
-	now = 100 * time.Second
-	r.Get("hot") // refresh hot's recency
-
-	now = 150 * time.Second
-	// cold was last used at t=0; hot at t=100; expire things idle > 60s.
-	removed := r.ExpireIdle(60 * time.Second)
-	if removed != 1 {
-		t.Fatalf("removed = %d, want 1", removed)
-	}
-	if r.Has("cold") {
-		t.Error("cold survived expiry")
-	}
-	if !r.Has("hot") || !r.Has("pinned") {
-		t.Error("hot or pinned expired incorrectly")
-	}
-	if s := r.Stats(); s.Evictions != 1 || s.BytesEvicted == 0 {
-		t.Errorf("stats = %+v", s)
-	}
-}
-
-func TestExpireIdleNothingIdle(t *testing.T) {
-	var now time.Duration
-	r := New(0, WithClock(func() time.Duration { return now }))
-	if err := r.Put(unit("a", "1.0", 10)); err != nil {
-		t.Fatal(err)
-	}
-	if removed := r.ExpireIdle(time.Hour); removed != 0 {
-		t.Errorf("removed = %d", removed)
 	}
 }

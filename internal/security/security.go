@@ -3,8 +3,9 @@
 // The paper: "Security mechanisms such as digital signatures can be used to
 // ensure the safety and authenticity of the downloaded code." Units are
 // signed with ed25519 over their canonical content hash; hosts verify
-// against a local trust store under a configurable policy before installing
-// or executing foreign code.
+// against a local trust store before installing or executing foreign code.
+// Who may sign a unit and how much of it the signature must cover are read
+// from the unit's own manifest, so every host applies the same rule.
 package security
 
 import (
@@ -26,9 +27,10 @@ var (
 	ErrUnknownSigner = errors.New("security: signer not in trust store")
 	// ErrBadSignature reports a signature that does not verify.
 	ErrBadSignature = errors.New("security: signature verification failed")
-	// ErrUntrusted reports a signer present but not trusted for the unit's
-	// publisher name.
-	ErrUntrusted = errors.New("security: signer does not match publisher")
+	// ErrUntrusted reports a signature that is not acceptable for the unit
+	// whatever its bytes: a signer other than the manifest's publisher, or a
+	// coverage mode the unit's kind does not allow.
+	ErrUntrusted = errors.New("security: signature not acceptable for this unit")
 )
 
 // Identity is a named ed25519 keypair.
@@ -64,19 +66,18 @@ func (id *Identity) Public() ed25519.PublicKey { return id.pub }
 // signature is replaced. Mutating the unit after signing invalidates the
 // signature.
 func (id *Identity) Sign(u *lmu.Unit) {
-	id.SignMode(u, lmu.SigFull)
+	id.sign(u, lmu.SigFull)
 }
 
 // SignCode attaches a code-only signature: it stays valid while the unit's
 // data and execution state mutate, which is what a mobile agent needs — the
 // publisher vouches for the code, and each hosting environment decides
-// whether to accept the travelling state.
+// whether to accept the travelling state. Verify accepts it on agents only.
 func (id *Identity) SignCode(u *lmu.Unit) {
-	id.SignMode(u, lmu.SigCode)
+	id.sign(u, lmu.SigCode)
 }
 
-// SignMode signs with an explicit coverage mode.
-func (id *Identity) SignMode(u *lmu.Unit, mode lmu.SigMode) {
+func (id *Identity) sign(u *lmu.Unit, mode lmu.SigMode) {
 	h := u.HashFor(mode)
 	u.Sig = &lmu.Signature{Signer: id.Name, Mode: mode, Sig: ed25519.Sign(id.priv, h[:])}
 }
@@ -119,29 +120,20 @@ func (t *TrustStore) Key(name string) (ed25519.PublicKey, bool) {
 	return k, ok
 }
 
-// Len returns the number of trusted keys.
-func (t *TrustStore) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.keys)
-}
-
-// Policy configures what a host accepts.
+// Policy configures what a host accepts beyond the rule Verify reads from
+// the unit itself.
 type Policy struct {
 	// AllowUnsigned accepts units with no signature. Default false: code
 	// from the network must be signed.
 	AllowUnsigned bool
-	// RequirePublisherMatch additionally requires the signer name to equal
-	// the manifest's Publisher field, preventing a trusted-but-different
-	// signer from impersonating another publisher.
-	RequirePublisherMatch bool
-	// RequireFullCoverage rejects code-only (SigCode) signatures. Right for
-	// component installation; wrong for accepting mobile agents.
-	RequireFullCoverage bool
 }
 
-// Verify checks the unit's signature against the trust store under the
-// policy. It returns nil if the unit is acceptable.
+// Verify checks the unit's signature against the trust store. It returns
+// nil if the unit is acceptable. An unsigned unit is acceptable only under
+// policy.AllowUnsigned. A signed one must be signed by a trusted key whose
+// name is the manifest's Publisher, with a coverage its kind allows: SigFull
+// on every kind, SigCode on agents only — a component, request or data unit
+// signed code-only would carry an unauthenticated data space.
 func Verify(u *lmu.Unit, trust *TrustStore, policy Policy) error {
 	if u.Sig == nil {
 		if policy.AllowUnsigned {
@@ -153,19 +145,15 @@ func Verify(u *lmu.Unit, trust *TrustStore, policy Policy) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownSigner, u.Sig.Signer)
 	}
-	if policy.RequirePublisherMatch && u.Sig.Signer != u.Manifest.Publisher {
+	if u.Sig.Signer != u.Manifest.Publisher {
 		return fmt.Errorf("%w: signed by %q, published by %q",
 			ErrUntrusted, u.Sig.Signer, u.Manifest.Publisher)
 	}
-	mode := u.Sig.Mode
-	if mode == 0 {
-		mode = lmu.SigFull
+	if u.Sig.Mode != lmu.SigFull && (u.Sig.Mode != lmu.SigCode || u.Manifest.Kind != lmu.KindAgent) {
+		return fmt.Errorf("%w: signature mode %d on %s %s",
+			ErrUntrusted, u.Sig.Mode, u.Manifest.Kind, u.Manifest.Name)
 	}
-	if policy.RequireFullCoverage && mode != lmu.SigFull {
-		return fmt.Errorf("%w: code-only signature on %s where full coverage is required",
-			ErrUntrusted, u.Manifest.Name)
-	}
-	h := u.HashFor(mode)
+	h := u.HashFor(u.Sig.Mode)
 	if !ed25519.Verify(key, h[:], u.Sig.Sig) {
 		return fmt.Errorf("%w: %s signed by %q", ErrBadSignature, u.Manifest.Name, u.Sig.Signer)
 	}

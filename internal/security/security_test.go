@@ -1,6 +1,7 @@
 package security
 
 import (
+	"crypto/ed25519"
 	"errors"
 	"testing"
 
@@ -100,13 +101,14 @@ func TestPublisherMatchPolicy(t *testing.T) {
 	trust.TrustIdentity(signer)
 	u := &lmu.Unit{Manifest: lmu.Manifest{Name: "x", Kind: lmu.KindComponent, Publisher: "acme"}}
 	signer.Sign(u)
-	// Without the policy the trusted third-party signature is fine.
-	if err := Verify(u, trust, Policy{}); err != nil {
-		t.Fatalf("Verify: %v", err)
-	}
-	// With it, the signer must be the publisher.
-	if err := Verify(u, trust, Policy{RequirePublisherMatch: true}); !errors.Is(err, ErrUntrusted) {
+	// A trusted signer still may not vouch for another publisher's unit.
+	if err := Verify(u, trust, Policy{}); !errors.Is(err, ErrUntrusted) {
 		t.Fatalf("Verify = %v, want ErrUntrusted", err)
+	}
+	u.Manifest.Publisher = signer.Name
+	signer.Sign(u)
+	if err := Verify(u, trust, Policy{}); err != nil {
+		t.Fatalf("Verify with matching publisher: %v", err)
 	}
 }
 
@@ -122,8 +124,8 @@ func TestRevoke(t *testing.T) {
 	if err := Verify(u, trust, Policy{}); !errors.Is(err, ErrUnknownSigner) {
 		t.Fatalf("Verify after revoke = %v, want ErrUnknownSigner", err)
 	}
-	if trust.Len() != 0 {
-		t.Errorf("Len = %d", trust.Len())
+	if _, ok := trust.Key("acme"); ok {
+		t.Error("revoked key still in the store")
 	}
 }
 
@@ -180,17 +182,19 @@ func TestCodeSignatureSurvivesStateMutation(t *testing.T) {
 	}
 }
 
-func TestRequireFullCoverageRejectsCodeSig(t *testing.T) {
+func TestComponentRejectsCodeSig(t *testing.T) {
 	id := MustNewIdentity("publisher")
 	trust := NewTrustStore()
 	trust.TrustIdentity(id)
-	u := &lmu.Unit{Manifest: lmu.Manifest{Name: "c", Kind: lmu.KindComponent}, Code: []byte{1}}
+	u := &lmu.Unit{Manifest: lmu.Manifest{Name: "c", Kind: lmu.KindComponent, Publisher: id.Name}, Code: []byte{1}}
 	id.SignCode(u)
-	if err := Verify(u, trust, Policy{RequireFullCoverage: true}); !errors.Is(err, ErrUntrusted) {
+	// A component is installed with its data space: code-only coverage
+	// would leave that data unauthenticated.
+	if err := Verify(u, trust, Policy{}); !errors.Is(err, ErrUntrusted) {
 		t.Fatalf("Verify = %v, want ErrUntrusted", err)
 	}
 	id.Sign(u)
-	if err := Verify(u, trust, Policy{RequireFullCoverage: true}); err != nil {
+	if err := Verify(u, trust, Policy{}); err != nil {
 		t.Fatalf("Verify full sig: %v", err)
 	}
 }
@@ -199,7 +203,7 @@ func TestSigModeSurvivesTransport(t *testing.T) {
 	id := MustNewIdentity("publisher")
 	trust := NewTrustStore()
 	trust.TrustIdentity(id)
-	u := &lmu.Unit{Manifest: lmu.Manifest{Name: "a", Kind: lmu.KindAgent}, Code: []byte{7}}
+	u := &lmu.Unit{Manifest: lmu.Manifest{Name: "a", Kind: lmu.KindAgent, Publisher: id.Name}, Code: []byte{7}}
 	id.SignCode(u)
 	got, err := lmu.Unpack(u.Pack())
 	if err != nil {
@@ -211,5 +215,41 @@ func TestSigModeSurvivesTransport(t *testing.T) {
 	}
 	if got.Sig.Mode != lmu.SigCode {
 		t.Errorf("Mode = %d, want SigCode", got.Sig.Mode)
+	}
+}
+
+// TestVerifyCoverageFollowsKind is the whole acceptance rule as a table: a
+// trusted key signing as the manifest's publisher, with full coverage on any
+// kind or code-only coverage on an agent. Every other combination is
+// ErrUntrusted — including mode bytes that are neither mode, whatever hash
+// they were signed over.
+func TestVerifyCoverageFollowsKind(t *testing.T) {
+	id := MustNewIdentity("acme")
+	trust := NewTrustStore()
+	trust.TrustIdentity(id)
+	kinds := []lmu.Kind{lmu.KindComponent, lmu.KindAgent, lmu.KindRequest, lmu.KindData}
+	modes := []lmu.SigMode{0, lmu.SigFull, lmu.SigCode, 3}
+	for _, kind := range kinds {
+		for _, mode := range modes {
+			for _, publisher := range []string{"acme", "other"} {
+				u := &lmu.Unit{
+					Manifest: lmu.Manifest{Name: "u", Version: "1.0", Kind: kind, Publisher: publisher},
+					Code:     []byte{1, 2},
+					Data:     map[string][]byte{"k": {3}},
+				}
+				// Sign over exactly the hash the mode byte names, so a
+				// rejection comes from the rule, not from a bad signature.
+				h := u.HashFor(mode)
+				u.Sig = &lmu.Signature{Signer: id.Name, Mode: mode, Sig: ed25519.Sign(id.priv, h[:])}
+				want := publisher == id.Name && (mode == lmu.SigFull || (mode == lmu.SigCode && kind == lmu.KindAgent))
+				err := Verify(u, trust, Policy{})
+				switch {
+				case want && err != nil:
+					t.Errorf("%s, mode %d, publisher %q: Verify = %v, want accepted", kind, mode, publisher, err)
+				case !want && !errors.Is(err, ErrUntrusted):
+					t.Errorf("%s, mode %d, publisher %q: Verify = %v, want ErrUntrusted", kind, mode, publisher, err)
+				}
+			}
+		}
 	}
 }

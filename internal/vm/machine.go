@@ -109,15 +109,6 @@ func (t *HostTable) Lookup(name string) (HostFunc, bool) {
 	return f, ok
 }
 
-// Names returns the registered capability names.
-func (t *HostTable) Names() []string {
-	out := make([]string, 0, len(t.funcs))
-	for name := range t.funcs {
-		out = append(out, name)
-	}
-	return out
-}
-
 // frame is one call activation. Locals are stored inline so that pushing a
 // frame costs a slice append rather than a heap allocation.
 type frame struct {
@@ -285,21 +276,6 @@ func (m *Machine) Ret1(v int64) []int64 {
 func (m *Machine) Ret2(a, b int64) []int64 {
 	m.resbuf[0], m.resbuf[1] = a, b
 	return m.resbuf[:2]
-}
-
-// Global returns global slot i, or 0 if out of range.
-func (m *Machine) Global(i int) int64 {
-	if i < 0 || i >= len(m.globals) {
-		return 0
-	}
-	return m.globals[i]
-}
-
-// SetGlobal assigns global slot i if in range.
-func (m *Machine) SetGlobal(i int, v int64) {
-	if i >= 0 && i < len(m.globals) {
-		m.globals[i] = v
-	}
 }
 
 func (m *Machine) fail(op Op, format string, args ...any) error {

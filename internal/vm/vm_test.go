@@ -655,19 +655,11 @@ func TestSetEntryUnknown(t *testing.T) {
 }
 
 func TestMachineAccessors(t *testing.T) {
-	prog := MustAssemble(".globals 2\n.entry main\nmain:\nhalt\n")
+	prog := MustAssemble(".entry main\nmain:\nhalt\n")
 	m, err := New(prog, nil, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetGlobal(1, 77)
-	if m.Global(1) != 77 {
-		t.Errorf("Global(1) = %d", m.Global(1))
-	}
-	if m.Global(99) != 0 {
-		t.Error("out-of-range Global should be 0")
-	}
-	m.SetGlobal(99, 1) // no-op, no panic
 	m.Push(5)
 	v, err := m.Pop()
 	if err != nil || v != 5 {

@@ -14,11 +14,9 @@ const (
 	opInt
 	opBool
 	opByte
-	opFloat
 	opString
 	opBytes
 	opStringMap
-	opBytesMap
 	opStringSlice
 	opCount
 )
@@ -37,16 +35,12 @@ func decodeScript(r *Reader, ops []byte) (vals []any, ok bool) {
 			v = r.Bool()
 		case opByte:
 			v = r.Byte()
-		case opFloat:
-			v = r.Float()
 		case opString:
 			v = r.String()
 		case opBytes:
 			v = r.Bytes()
 		case opStringMap:
 			v = r.StringMap()
-		case opBytesMap:
-			v = r.BytesMap()
 		case opStringSlice:
 			v = r.StringSlice()
 		}
@@ -71,16 +65,12 @@ func encodeScript(ops []byte, vals []any) []byte {
 			b.PutBool(vals[i].(bool))
 		case opByte:
 			b.PutByte(vals[i].(byte))
-		case opFloat:
-			b.PutFloat(vals[i].(float64))
 		case opString:
 			b.PutString(vals[i].(string))
 		case opBytes:
 			b.PutBytes(vals[i].([]byte))
 		case opStringMap:
 			b.PutStringMap(vals[i].(map[string]string))
-		case opBytesMap:
-			b.PutBytesMap(vals[i].(map[string][]byte))
 		case opStringSlice:
 			b.PutStringSlice(vals[i].([]string))
 		}
@@ -103,12 +93,21 @@ func FuzzWireRoundTrip(f *testing.F) {
 		return append(append([]byte{byte(len(ops))}, ops...), b.Bytes()...)
 	}
 	f.Add(mk([]byte{opUint, opInt}, func(b *Buffer) { b.PutUint(300); b.PutInt(-7) }))
-	f.Add(mk([]byte{opBool, opByte, opFloat}, func(b *Buffer) { b.PutBool(true); b.PutByte(0xfe); b.PutFloat(3.25) }))
+	f.Add(mk([]byte{opBool, opByte}, func(b *Buffer) { b.PutBool(true); b.PutByte(0xfe) }))
 	f.Add(mk([]byte{opString, opBytes}, func(b *Buffer) { b.PutString("beacon"); b.PutBytes([]byte{1, 2, 3}) }))
 	f.Add(mk([]byte{opStringMap}, func(b *Buffer) { b.PutStringMap(map[string]string{"svc": "festival/info", "v": "2"}) }))
-	f.Add(mk([]byte{opBytesMap}, func(b *Buffer) { b.PutBytesMap(map[string][]byte{"k": {9}}) }))
 	f.Add(mk([]byte{opStringSlice}, func(b *Buffer) { b.PutStringSlice([]string{"a", "b", "c"}) }))
-	f.Add([]byte{3, opUint, opString, opFloat, 0x80}) // deliberately truncated
+	f.Add(mk([]byte{opUint, opInt, opBool, opByte, opString, opBytes, opStringMap, opStringSlice}, func(b *Buffer) {
+		b.PutUint(1 << 40)
+		b.PutInt(-300)
+		b.PutBool(false)
+		b.PutByte(7)
+		b.PutString("courier")
+		b.PutBytes([]byte("payload"))
+		b.PutStringMap(map[string]string{"dest": "host-b"})
+		b.PutStringSlice([]string{"hop"})
+	}))
+	f.Add([]byte{3, opUint, opString, opBytes, 0x80}) // deliberately truncated
 	f.Add([]byte{1, opBytes, 0xff, 0xff, 0xff, 0xff, 0x7f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -127,17 +126,17 @@ func FuzzWireRoundTrip(f *testing.F) {
 		// Frame layer on the same raw bytes: must not panic and must not
 		// fabricate data (a returned frame re-frames to a prefix-compatible
 		// stream).
-		if frame, err := ReadFrame(bytes.NewReader(payload)); err == nil {
+		if frame, err := ReadFrameInto(bytes.NewReader(payload), nil); err == nil {
 			var out bytes.Buffer
 			if _, werr := WriteFrame(&out, frame); werr != nil {
 				t.Fatalf("WriteFrame of just-read frame failed: %v", werr)
 			}
-			back, rerr := ReadFrame(bytes.NewReader(out.Bytes()))
+			back, rerr := ReadFrameInto(bytes.NewReader(out.Bytes()), nil)
 			if rerr != nil || !bytes.Equal(back, frame) {
 				t.Fatalf("frame round trip changed payload: %v / %q vs %q", rerr, back, frame)
 			}
 		} else if err != io.EOF && frame != nil {
-			t.Fatalf("ReadFrame returned both a frame and error %v", err)
+			t.Fatalf("ReadFrameInto returned both a frame and error %v", err)
 		}
 
 		if !ok {
@@ -165,7 +164,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 // the way the transport read loops use it: one scratch buffer, drawn from
 // the process-wide pool, recycled across every frame of a stream. The fuzz
 // input is treated as a raw frame stream; a reference pass with
-// fresh-allocating ReadFrame fixes the expected frame sequence, then several
+// fresh-allocating ReadFrameInto(r, nil) fixes the expected frame sequence, then several
 // goroutines re-read the stream concurrently, each cycling its scratch
 // through GetBuffer/PutBuffer. Run under -race this catches any aliasing
 // between pooled buffers — two readers decoding into shared storage — and
@@ -189,7 +188,7 @@ func FuzzReadFramePooled(f *testing.F) {
 		var want [][]byte
 		ref := bytes.NewReader(data)
 		for {
-			frame, err := ReadFrame(ref)
+			frame, err := ReadFrameInto(ref, nil)
 			if err != nil {
 				break
 			}

@@ -4,10 +4,10 @@
 // The middleware's experiments reason about traffic volume, airtime and
 // monetary cost, so every on-wire byte must be attributable. wire gives all
 // subsystems one deterministic codec: unsigned varints, zigzag-encoded signed
-// varints, length-prefixed strings and byte slices, IEEE-754 floats and
-// nested sub-buffers. Decoding is performed through a Reader that latches the
-// first error, so call sites can decode a whole structure and check a single
-// error at the end.
+// varints, length-prefixed strings and byte slices, and nested sub-buffers.
+// Decoding is performed through a Reader that latches the first error, so
+// call sites can decode a whole structure and check a single error at the
+// end.
 package wire
 
 import (
@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"sync"
 )
@@ -26,7 +25,7 @@ const (
 	// MaxBytesLen is the largest length-prefixed byte slice or string the
 	// Reader will accept.
 	MaxBytesLen = 64 << 20 // 64 MiB
-	// MaxFrameLen is the largest frame ReadFrame will accept.
+	// MaxFrameLen is the largest frame ReadFrameInto will accept.
 	MaxFrameLen = 64 << 20
 )
 
@@ -47,11 +46,6 @@ var (
 // to use.
 type Buffer struct {
 	buf []byte
-}
-
-// NewBuffer returns a Buffer with the given initial capacity.
-func NewBuffer(capacity int) *Buffer {
-	return &Buffer{buf: make([]byte, 0, capacity)}
 }
 
 // bufferPool backs GetBuffer/PutBuffer. Encoding hot paths (kernel protocol
@@ -109,11 +103,6 @@ func (b *Buffer) PutBool(v bool) {
 // PutByte appends a single raw byte.
 func (b *Buffer) PutByte(v byte) {
 	b.buf = append(b.buf, v)
-}
-
-// PutFloat encodes v as 8 little-endian bytes of its IEEE-754 representation.
-func (b *Buffer) PutFloat(v float64) {
-	b.buf = binary.LittleEndian.AppendUint64(b.buf, math.Float64bits(v))
 }
 
 // PutString encodes s as a varint length followed by its bytes.
@@ -301,20 +290,6 @@ func (r *Reader) Byte() byte {
 	return v
 }
 
-// Float decodes 8 bytes as an IEEE-754 float64.
-func (r *Reader) Float() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.buf) {
-		r.fail(ErrTruncated)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return math.Float64frombits(v)
-}
-
 // String decodes a length-prefixed string.
 func (r *Reader) String() string {
 	return string(r.rawBytes())
@@ -388,24 +363,6 @@ func (r *Reader) StringMap() map[string]string {
 	return m
 }
 
-// BytesMap decodes a map encoded by Buffer.PutBytesMap.
-func (r *Reader) BytesMap() map[string][]byte {
-	n := r.Uint()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(r.Remaining()) {
-		r.fail(ErrTruncated)
-		return nil
-	}
-	m := make(map[string][]byte, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		k := r.String()
-		m[k] = r.Bytes()
-	}
-	return m
-}
-
 // StringSlice decodes a slice encoded by Buffer.PutStringSlice.
 func (r *Reader) StringSlice() []string {
 	n := r.Uint()
@@ -446,16 +403,12 @@ func WriteFrame(w io.Writer, payload []byte) (int, error) {
 	return n1 + n2, nil
 }
 
-// ReadFrame reads one length-prefixed frame from r. It returns io.EOF if the
-// stream ends cleanly before a new frame begins.
-func ReadFrame(r io.ByteReader) ([]byte, error) {
-	return ReadFrameInto(r, nil)
-}
-
-// ReadFrameInto is ReadFrame appending into buf[:0], reusing its capacity.
-// The returned slice aliases buf's storage (when capacity sufficed): callers
-// recycling a frame buffer across reads must finish with one frame before
-// reading the next, and must copy anything they keep.
+// ReadFrameInto reads one length-prefixed frame from r, appending it into
+// buf[:0] and reusing its capacity (a nil buf allocates). It returns io.EOF
+// if the stream ends cleanly before a new frame begins. The returned slice
+// aliases buf's storage (when capacity sufficed): callers recycling a frame
+// buffer across reads must finish with one frame before reading the next,
+// and must copy anything they keep.
 func ReadFrameInto(r io.ByteReader, buf []byte) ([]byte, error) {
 	length, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -483,14 +436,4 @@ func ReadFrameInto(r io.ByteReader, buf []byte) ([]byte, error) {
 		payload = append(payload, b)
 	}
 	return payload, nil
-}
-
-// UintLen returns the encoded size in bytes of v as an unsigned varint.
-func UintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }
