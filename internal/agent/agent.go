@@ -15,6 +15,15 @@
 // fuel budget with only the agent capability set, bounded in number, and
 // bounded in hop count.
 //
+// Ownership: the kernel decodes an arriving agent into a unit it recycles,
+// whose code, state and data values alias a frame the next arrival
+// overwrites. The platform hands a unit back (core.Host.RecycleAgent) in
+// exactly one place: when the onward migration of a unit that arrived here
+// is acknowledged. A unit that finishes here is never returned, since
+// OnDone's Record.Unit may be kept, and neither is a spawned one. Whatever
+// leaves an activation is copied out of the unit: a_deliver hands message
+// handlers a copy of the payload, and hop selections become strings.
+//
 // Concurrency: the platform runs agents inline on the goroutine that
 // delivers them (the simulator's event loop, or a TCP endpoint's reader
 // goroutine). It is designed for the single-goroutine simulator substrate;
@@ -363,8 +372,8 @@ func (a *activation) migrate() bool {
 	// stays valid for the failure-resume path without a defensive clone.
 	// The snapshot and the _prev marker are written into the unit's existing
 	// backing when the sizes line up: both regions are exclusively owned by
-	// their field (Unpack aliases disjoint ranges of the arrival frame), and
-	// snapshot size is stable hop over hop for a given agent.
+	// their field (UnpackFrom aliases disjoint ranges of the unit's frame),
+	// and snapshot size is stable hop over hop for a given agent.
 	sb := wire.GetBuffer()
 	a.m.SnapshotTo(sb)
 	a.unit.State = append(a.unit.State[:0], sb.Bytes()...)
@@ -378,8 +387,13 @@ func (a *activation) migrate() bool {
 	a.p.stats.Migrations++
 	a.p.host.SendAgent(dest, a.unit, func(err error) {
 		if err == nil {
-			// The agent now lives elsewhere; this activation is done.
+			// The agent now lives elsewhere; this activation is done. A
+			// unit that arrived here is the host's to reuse (package doc).
+			u, arrived := a.unit, a.hops > 0
 			a.p.putAct(a)
+			if arrived {
+				a.p.host.RecycleAgent(u)
+			}
 			return
 		}
 		// Refused or timed out: resume here, with the migrate call

@@ -1,6 +1,8 @@
 package agent
 
 import (
+	"bytes"
+
 	"logmob/internal/core"
 	"logmob/internal/lmu"
 	"logmob/internal/vm"
@@ -114,10 +116,12 @@ func NewCaps(extra ...vm.HostFunc) *vm.HostTable {
 		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
 			act := actOf(m)
 			act.p.stats.Deliveries++
+			// Handlers may keep the payload; the unit's frame is reused once
+			// the agent migrates on, so they get a copy.
 			act.p.host.DeliverLocal(
 				string(act.unit.Data[keyID]),
 				string(act.unit.Data[KeyTopic]),
-				act.unit.Data[KeyPayload],
+				bytes.Clone(act.unit.Data[KeyPayload]),
 			)
 			return m.Ret1(1), 0, nil
 		},

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"logmob/internal/netsim"
 	"logmob/internal/transport"
@@ -41,5 +42,13 @@ func BenchmarkKernelCallSim(b *testing.B) {
 		if !done {
 			b.Fatal("call never completed")
 		}
+	}
+}
+
+// A crowd allocates one Host per device (10k per metropolis op), so a field
+// added to Host must not push it out of its allocation size class.
+func TestHostSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Host{}); got > 416 {
+		t.Errorf("Host is %d bytes, want at most 416 (its size class)", got)
 	}
 }

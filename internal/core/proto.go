@@ -8,7 +8,7 @@ import (
 	"logmob/internal/wire"
 )
 
-// reader aliases the wire decoder for the pendingReq callback signature.
+// reader aliases the wire decoder for the handlers' signatures.
 type reader = wire.Reader
 
 // Kernel protocol message types.
@@ -28,8 +28,9 @@ const (
 
 // newRequest counts the request (count bumps the caller's sent counter),
 // allocates a request ID and registers its reply callback with a timeout, all
-// under one hold of h.mu. The callback fires exactly once.
-func (h *Host) newRequest(peer string, count func(*Stats), cb func(ok bool, errMsg string, payload *reader)) uint64 {
+// under one hold of h.mu. The callback fires exactly once; rest is the reply's
+// undecoded tail, borrowed for the duration of the call.
+func (h *Host) newRequest(peer string, count func(*Stats), cb func(ok bool, errMsg string, rest []byte)) uint64 {
 	h.mu.Lock()
 	count(&h.stats)
 	h.nextReq++
@@ -75,7 +76,7 @@ func (h *Host) putReqLocked(p *pendingReq) {
 
 // resolve completes a pending request with the remote's reply. Replies are
 // accepted only from the peer the request was sent to.
-func (h *Host) resolve(from string, id uint64, ok bool, errMsg string, payload *reader) {
+func (h *Host) resolve(from string, id uint64, ok bool, errMsg string, rest []byte) {
 	h.mu.Lock()
 	p, live := h.pending[id]
 	if live && p.peer != from {
@@ -92,7 +93,7 @@ func (h *Host) resolve(from string, id uint64, ok bool, errMsg string, payload *
 	h.putReqLocked(p)
 	h.mu.Unlock()
 	cancel()
-	cb(ok, errMsg, payload)
+	cb(ok, errMsg, rest)
 }
 
 // abandon cancels a pending request without invoking its callback, for use
@@ -132,11 +133,12 @@ func remoteErr(msg string) error {
 // Call invokes a Client/Server service on the host at to. cb receives the
 // reply frames or an error; it fires exactly once.
 func (h *Host) Call(to, service string, args [][]byte, cb func(results [][]byte, err error)) {
-	id := h.newRequest(to, func(s *Stats) { s.CallsSent++ }, func(ok bool, errMsg string, r *reader) {
+	id := h.newRequest(to, func(s *Stats) { s.CallsSent++ }, func(ok bool, errMsg string, rest []byte) {
 		if !ok {
 			cb(nil, remoteErr(errMsg))
 			return
 		}
+		r := wire.NewReader(rest)
 		n := r.Uint()
 		results := make([][]byte, 0, n)
 		for i := uint64(0); i < n && r.Err() == nil; i++ {
@@ -167,11 +169,12 @@ func (h *Host) Call(to, service string, args [][]byte, cb func(results [][]byte,
 // the final VM stack of the named entry point. The unit should be signed
 // acceptably for the remote's policy.
 func (h *Host) Eval(to string, unit *lmu.Unit, entry string, args []int64, cb func(stack []int64, err error)) {
-	id := h.newRequest(to, func(s *Stats) { s.EvalsSent++ }, func(ok bool, errMsg string, r *reader) {
+	id := h.newRequest(to, func(s *Stats) { s.EvalsSent++ }, func(ok bool, errMsg string, rest []byte) {
 		if !ok {
 			cb(nil, remoteErr(errMsg))
 			return
 		}
+		r := wire.NewReader(rest)
 		n := r.Uint()
 		stack := make([]int64, 0, n)
 		for i := uint64(0); i < n && r.Err() == nil; i++ {
@@ -202,11 +205,12 @@ func (h *Host) Eval(to string, unit *lmu.Unit, entry string, args []int64, cb fu
 // Fetch retrieves a published unit from the host at from (Code On Demand).
 // On success the unit has been verified and stored in the local registry.
 func (h *Host) Fetch(from, name, minVersion string, cb func(u *lmu.Unit, err error)) {
-	id := h.newRequest(from, func(s *Stats) { s.FetchesSent++ }, func(ok bool, errMsg string, r *reader) {
+	id := h.newRequest(from, func(s *Stats) { s.FetchesSent++ }, func(ok bool, errMsg string, rest []byte) {
 		if !ok {
 			cb(nil, remoteErr(errMsg))
 			return
 		}
+		r := wire.NewReader(rest)
 		packed := r.Bytes()
 		if r.Err() != nil {
 			cb(nil, fmt.Errorf("core: malformed fetch reply: %w", r.Err()))
@@ -309,7 +313,7 @@ func (h *Host) ensureDeps(remote string, deps []lmu.Dep, visited map[string]bool
 // the receiver accepted it; on acceptance the local copy should be
 // considered moved.
 func (h *Host) SendAgent(to string, unit *lmu.Unit, cb func(err error)) {
-	id := h.newRequest(to, func(s *Stats) { s.AgentsSent++ }, func(ok bool, errMsg string, r *reader) {
+	id := h.newRequest(to, func(s *Stats) { s.AgentsSent++ }, func(ok bool, errMsg string, _ []byte) {
 		if !ok {
 			cb(remoteErr(errMsg))
 			return
@@ -333,7 +337,7 @@ func (h *Host) SendAgent(to string, unit *lmu.Unit, cb func(err error)) {
 // Demand from; the receiver accepts only if configured with ServePublish
 // and the unit passes its verification policy.
 func (h *Host) PublishTo(to string, unit *lmu.Unit, cb func(err error)) {
-	id := h.newRequest(to, func(s *Stats) { s.PublishesSent++ }, func(ok bool, errMsg string, r *reader) {
+	id := h.newRequest(to, func(s *Stats) { s.PublishesSent++ }, func(ok bool, errMsg string, _ []byte) {
 		if !ok {
 			cb(remoteErr(errMsg))
 			return
@@ -368,7 +372,10 @@ func (h *Host) SendMessage(to, topic string, data []byte) error {
 }
 
 // DeliverLocal injects an application-level message into this host's own
-// handlers, as when an agent arrives and hands over its payload.
+// handlers, as when an agent arrives and hands over its payload. Handlers
+// may keep data, so the caller hands over bytes it owns and will not reuse:
+// a_deliver copies the payload out of the agent's recycled frame, as a
+// message from the wire is copied out of its transport frame.
 func (h *Host) DeliverLocal(from, topic string, data []byte) {
 	h.mu.Lock()
 	h.stats.MessagesIn++
@@ -394,7 +401,7 @@ func (h *Host) handle(from string, payload []byte) {
 		if r.Err() != nil {
 			return
 		}
-		h.resolve(from, id, ok, errMsg, r)
+		h.resolve(from, id, ok, errMsg, r.Rest())
 	case msgEval:
 		h.handleEval(from, r)
 	case msgFetch:
@@ -545,34 +552,40 @@ func (h *Host) handleFetch(from string, r *reader) {
 	})
 }
 
+// handleAgent decodes an arriving agent into a recycled unit: the frame is
+// borrowed from the transport, and UnpackFrom copies it into the unit's own
+// reused buffer. A unit the kernel refuses goes straight back to the pool;
+// an accepted one belongs to the agent handler until it calls RecycleAgent.
 func (h *Host) handleAgent(from string, r *reader) {
 	id := r.Uint()
-	packed := r.Bytes()
+	packed := r.AliasBytes()
 	if r.ExpectEOF() != nil {
 		return
 	}
 	h.mu.Lock()
 	handler := h.agentHandler
 	h.stats.AgentsIn++
-	h.mu.Unlock()
 	if handler == nil {
-		h.mu.Lock()
 		h.stats.AgentsRefused++
 		h.recordLocked("agent", from, "", false, "no agent runtime")
 		h.mu.Unlock()
 		h.reply(from, msgAgentAck, id, false, ErrRefused.Error(), nil)
 		return
 	}
-	u, err := lmu.Unpack(packed)
-	if err != nil {
+	u := h.getAgentLocked()
+	h.mu.Unlock()
+	if err := u.UnpackFrom(packed); err != nil {
+		h.RecycleAgent(u)
 		h.reply(from, msgAgentAck, id, false, err.Error(), nil)
 		return
 	}
 	if u.Manifest.Kind != lmu.KindAgent {
+		h.RecycleAgent(u)
 		h.reply(from, msgAgentAck, id, false, "unit is not an agent", nil)
 		return
 	}
 	if err := h.verify("agent", from, u); err != nil {
+		h.RecycleAgent(u)
 		h.mu.Lock()
 		h.stats.AgentsRefused++
 		h.mu.Unlock()

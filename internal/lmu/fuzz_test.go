@@ -2,6 +2,7 @@ package lmu_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -68,6 +69,42 @@ func flipOutcome(packed []byte, bit uint32, want *lmu.Unit, trust *security.Trus
 	return !reflect.DeepEqual(got, want), got
 }
 
+// dirtySource is what dirtyUnit decodes before the input under test: a
+// courier between hops, with a code, a data space and a state of its own.
+var dirtySource = (&lmu.Unit{
+	Manifest: lmu.Manifest{Name: "agent/dirty", Version: "9.9", Kind: lmu.KindAgent, Publisher: "someone",
+		Deps: []lmu.Dep{{Name: "lib/x", MinVersion: "2"}}, Attrs: map[string]string{"k": "v"}},
+	Code:  []byte{7, 7, 7, 7, 7, 7, 7, 7},
+	Data:  map[string][]byte{"dest": []byte("far-away-host"), "payload": []byte("left over"), "_hops": {0, 0, 0, 0, 0, 0, 0, 3}},
+	State: []byte{4, 4, 4, 4},
+	Sig:   &lmu.Signature{Signer: "someone", Mode: lmu.SigCode, Sig: []byte{1, 2}},
+}).Pack()
+
+// dirtyUnit returns a unit in the state a host recycles one in: it has
+// decoded another input and been changed the way a platform changes an
+// agent between hops — a _prev key added, its State grown past its frame.
+func dirtyUnit(t *testing.T) *lmu.Unit {
+	u := new(lmu.Unit)
+	if err := u.UnpackFrom(dirtySource); err != nil {
+		t.Fatalf("dirty source: %v", err)
+	}
+	u.Data["_prev"] = []byte("previous-host")
+	u.State = append(u.State, 5, 5, 5, 5, 5, 5)
+	return u
+}
+
+// sameExported reports whether a and b agree on every exported field: the
+// frame UnpackFrom keeps is the only field the two decoders may differ in.
+func sameExported(a, b *lmu.Unit) bool {
+	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		if va.Type().Field(i).IsExported() && !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzUnpack drives lmu.Unpack, the decoder every arriving unit passes
 // through, with arbitrary bytes. It checks that Unpack never panics; that a
 // unit it accepts re-packs to one it decodes identically; and that no
@@ -75,7 +112,9 @@ func flipOutcome(packed []byte, bit uint32, want *lmu.Unit, trust *security.Trus
 // of a full-signed unit, or any bit of a code-signed agent's name, version,
 // kind, publisher or code, makes Unpack fail, makes Verify fail, or decodes
 // to the very same unit (a has-signature byte of 3 still reads as true).
-// The second input picks the bit.
+// The second input picks the bit. Unit.UnpackFrom, the decoder a host runs
+// into a recycled unit, must agree with Unpack on every input, error verdict
+// included, and keep nothing of the bytes it was handed.
 func FuzzUnpack(f *testing.F) {
 	seeds := []*lmu.Unit{
 		{ // TestPackUnpackRoundTrip's unit
@@ -113,8 +152,19 @@ func FuzzUnpack(f *testing.F) {
 	trust.TrustIdentity(fuzzSigner)
 	f.Fuzz(func(t *testing.T, data []byte, bit uint32) {
 		u, err := lmu.Unpack(bytes.Clone(data))
+		reused, src := dirtyUnit(t), bytes.Clone(data)
+		ferr := reused.UnpackFrom(src)
+		if fmt.Sprint(ferr) != fmt.Sprint(err) {
+			t.Fatalf("UnpackFrom error %v, Unpack error %v", ferr, err)
+		}
 		if err != nil {
 			return
+		}
+		for i := range src {
+			src[i] ^= 0xFF
+		}
+		if !sameExported(reused, u) {
+			t.Fatalf("UnpackFrom into a reused unit != Unpack:\ngot  %+v\nwant %+v", reused, u)
 		}
 		again, err := lmu.Unpack(u.Pack())
 		if err != nil {

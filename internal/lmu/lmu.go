@@ -113,6 +113,10 @@ type Unit struct {
 	State []byte
 	// Sig is the optional signature envelope.
 	Sig *Signature
+
+	// frame is the buffer UnpackFrom copies its input into and the fields
+	// above alias; the next UnpackFrom reuses it. Unpack never sets it.
+	frame []byte
 }
 
 const packVersion = 1
@@ -201,13 +205,52 @@ func (u *Unit) Size() int {
 // State and Data values alias sub-ranges of it (only Sig.Sig is copied), so
 // the caller must not modify or recycle data after a successful Unpack.
 // Every current producer hands Unpack a freshly decoded copy, and aliasing
-// turns the former copy-per-field decode into a zero-copy one.
+// turns the former copy-per-field decode into a zero-copy one. A decoder
+// whose input is borrowed uses UnpackFrom instead.
 func Unpack(data []byte) (*Unit, error) {
+	u := &Unit{}
+	if err := u.decode(data); err != nil {
+		return nil, err
+	}
+	return u, nil
+}
+
+// maxKeptFrame bounds the frame a unit keeps for its next UnpackFrom, as
+// netsim bounds its recycled delivery buffers: a larger input is decoded
+// into a buffer only the decoded fields hold.
+const maxKeptFrame = 64 << 10
+
+// UnpackFrom parses a packed unit into u, replacing all of u's contents. It
+// does not take ownership of src: it copies src into a frame the unit owns,
+// and Code, State and the data values alias that frame (Sig.Sig is copied,
+// as in Unpack). The frame and u's cleared data map are reused by the next
+// UnpackFrom, which overwrites them, so nothing may still hold u's previous
+// byte slices. On error u's contents are unspecified until the next
+// successful decode.
+func (u *Unit) UnpackFrom(src []byte) error {
+	frame := u.frame
+	if cap(frame) < len(src) {
+		frame = make([]byte, len(src))
+	}
+	frame = frame[:len(src)]
+	copy(frame, src)
+	u.frame = nil
+	if cap(frame) <= maxKeptFrame {
+		u.frame = frame
+	}
+	return u.decode(frame)
+}
+
+// decode is the body of Unpack and UnpackFrom: it resets u, keeping only its
+// data map (cleared) and its frame, and decodes data into it, aliasing data.
+func (u *Unit) decode(data []byte) error {
+	m := u.Data
+	clear(m)
+	*u = Unit{Data: m, frame: u.frame}
 	r := wire.NewReader(data)
 	if v := r.Uint(); r.Err() == nil && v != packVersion {
-		return nil, fmt.Errorf("lmu: unsupported pack version %d", v)
+		return fmt.Errorf("lmu: unsupported pack version %d", v)
 	}
-	u := &Unit{}
 	// Names, versions, publishers and data-space keys are interned: they
 	// repeat endlessly as units hop between hosts (every courier carries
 	// "dest", "payload", "_hops", ...).
@@ -217,7 +260,7 @@ func Unpack(data []byte) (*Unit, error) {
 	u.Manifest.Publisher = r.InternString()
 	nDeps := r.Uint()
 	if nDeps > uint64(len(data)) {
-		return nil, fmt.Errorf("lmu: dependency count %d implausible", nDeps)
+		return fmt.Errorf("lmu: dependency count %d implausible", nDeps)
 	}
 	for i := uint64(0); i < nDeps && r.Err() == nil; i++ {
 		u.Manifest.Deps = append(u.Manifest.Deps, Dep{Name: r.String(), MinVersion: r.String()})
@@ -226,10 +269,12 @@ func Unpack(data []byte) (*Unit, error) {
 	u.Code = clip(r.AliasBytes())
 	nData := r.Uint()
 	if nData > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("lmu: unpack: %w", wire.ErrTruncated)
+		return fmt.Errorf("lmu: unpack: %w", wire.ErrTruncated)
 	}
 	if nData > 0 {
-		u.Data = make(map[string][]byte, nData)
+		if u.Data == nil {
+			u.Data = make(map[string][]byte, nData)
+		}
 		for i := uint64(0); i < nData && r.Err() == nil; i++ {
 			k := r.InternString()
 			u.Data[k] = clip(r.AliasBytes())
@@ -240,13 +285,13 @@ func Unpack(data []byte) (*Unit, error) {
 		u.Sig = &Signature{Signer: r.InternString(), Mode: SigMode(r.Byte()), Sig: clip(r.Bytes())}
 	}
 	if err := r.ExpectEOF(); err != nil {
-		return nil, fmt.Errorf("lmu: unpack: %w", err)
+		return fmt.Errorf("lmu: unpack: %w", err)
 	}
 	if u.Manifest.Name == "" {
-		return nil, fmt.Errorf("lmu: unit has empty name")
+		return fmt.Errorf("lmu: unit has empty name")
 	}
 	if u.Manifest.Kind < KindComponent || u.Manifest.Kind > KindData {
-		return nil, fmt.Errorf("lmu: unknown kind %d", u.Manifest.Kind)
+		return fmt.Errorf("lmu: unknown kind %d", u.Manifest.Kind)
 	}
 	// Normalise: empty decoded collections become nil for DeepEqual
 	// friendliness with freshly built units.
@@ -262,7 +307,7 @@ func Unpack(data []byte) (*Unit, error) {
 	if len(u.Manifest.Attrs) == 0 {
 		u.Manifest.Attrs = nil
 	}
-	return u, nil
+	return nil
 }
 
 // clip forces cap == len so a later append on an aliased slice reallocates

@@ -184,10 +184,15 @@ func (b *Buffer) PutStringMap(m map[string]string) {
 	}
 }
 
-// PutBytesMap encodes m (string to byte slice) sorted by key.
+// PutBytesMap encodes m (string to byte slice) sorted by key. Up to 16 keys
+// are sorted in a stack array: a unit's data space is packed at every hop.
 func (b *Buffer) PutBytesMap(m map[string][]byte) {
 	b.PutUint(uint64(len(m)))
-	keys := make([]string, 0, len(m))
+	var stack [16]string
+	keys := stack[:0]
+	if len(m) > len(stack) {
+		keys = make([]string, 0, len(m))
+	}
 	for k := range m {
 		keys = append(keys, k)
 	}
@@ -233,6 +238,10 @@ func (r *Reader) Err() error { return r.err }
 
 // Remaining returns the number of undecoded bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
+
+// Rest returns the undecoded bytes without consuming them; they alias the
+// Reader's input.
+func (r *Reader) Rest() []byte { return r.buf[r.off:] }
 
 // ExpectEOF latches ErrTrailing if any bytes remain undecoded.
 func (r *Reader) ExpectEOF() error {
