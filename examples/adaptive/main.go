@@ -31,7 +31,6 @@ func main() {
 		Pop: "device", ServerPop: "station",
 		Model:        task,
 		Gap:          2 * time.Second,
-		FreshCode:    true,
 		BatteryAware: true,
 		Objective:    logmob.ParadigmObjective{BytesWeight: 0.3, LatencyWeight: 600, EnergyWeight: 0.3},
 		Label:        "adaptive",

@@ -56,7 +56,7 @@ func main() {
 		ui.Manifest.Name, ui.Manifest.Version, ui.Size(), ui.Sig.Signer)
 
 	stop := app.StartGeofencing(net, "phone", user.Context(),
-		[]app.Geofence{{Name: "cinema-lobby", Center: cinemaPos, Radius: 60}}, time.Second)
+		[]app.Geofence{{Name: "cinema-lobby", Center: cinemaPos, Radius: 60}})
 	defer stop()
 
 	visit := 0

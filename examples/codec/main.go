@@ -6,12 +6,14 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"time"
 
 	"logmob"
 	"logmob/internal/app"
+	"logmob/internal/core"
 	"logmob/internal/registry"
 )
 
@@ -66,13 +68,21 @@ func main() {
 
 	player := &app.Player{Host: device, Repo: "repo", Samples: 128}
 	zipf := app.NewZipf(formats, 1.1, 7)
-	var play func(i int)
-	play = func(i int) {
-		if i >= plays {
-			return
-		}
-		format := fmt.Sprintf("fmt-%02d", zipf.Next())
+	next := func() string { return fmt.Sprintf("fmt-%02d", zipf.Next()) }
+	retries := 0
+	var play func(i int, format string)
+	play = func(i int, format string) {
 		player.Play(format, func(checksum int64, hit bool, err error) {
+			// WLAN loses a small share of messages (LinkClass.Loss), and core
+			// times a request out when its request or reply is lost, without
+			// retrying. So the player retries a timed-out play itself, as a
+			// scenario.FetchWave client retries a failed fetch.
+			if errors.Is(err, core.ErrTimeout) {
+				retries++
+				fmt.Printf("play %2d: %s timed out, retrying\n", i, format)
+				play(i, format)
+				return
+			}
 			if err != nil {
 				log.Fatalf("play %s: %v", format, err)
 			}
@@ -85,17 +95,20 @@ func main() {
 			} else if i == 12 {
 				fmt.Println("...")
 			}
-			play(i + 1)
+			if i+1 < plays {
+				play(i+1, next())
+			}
 		})
 	}
-	play(0)
+	play(0, next())
 	sim.RunFor(time.Hour)
 
+	// player.Plays counts every attempt; a retried play is one play.
 	stats := device.Registry().Stats()
 	usage := net.UsageOf("device")
-	fmt.Printf("\n%d plays: %d fetches, %d cache hits (%.0f%%), %d evictions\n",
-		player.Plays, player.Fetches, player.Hits,
-		100*float64(player.Hits)/float64(player.Plays), stats.Evictions)
+	fmt.Printf("\n%d plays (%d retried): %d fetches, %d cache hits (%.0f%%), %d evictions\n",
+		plays, retries, player.Fetches, player.Hits,
+		100*float64(player.Hits)/float64(plays), stats.Evictions)
 	fmt.Printf("device storage in use: %d / %d bytes\n", device.Registry().Used(), devQuota)
 	fmt.Printf("link traffic: %d bytes (preloading all would store %d bytes)\n",
 		usage.BytesRecv, int64(formats)*int64(catalogue[0].Size()))

@@ -66,19 +66,22 @@ func main() {
 			sim.Now().Round(time.Second), data, from)
 	})
 
-	// The conventional baseline: route end-to-end, retrying every second.
-	// A retry only succeeds while a complete multi-hop path exists at send
-	// time; in this sparse field that never happens.
-	msgr := baseline.NewMessenger(net)
-	msgr.Deadline = 10 * time.Minute
-	routedAttempts := 0
-	msgr.Send("field-post", "hospital", []byte("need supplies"),
+	// The conventional baseline: route end-to-end, retransmitting every
+	// second until the hospital sees the message. A retransmission only gets
+	// through while a complete multi-hop path exists at send time; in this
+	// sparse field that never happens. The routed message carries its own
+	// mux channel byte, so the hospital observes it beside the kernel
+	// protocol.
+	const routedChan = 9
+	routed := false
+	dst.Mux().Channel(routedChan).SetHandler(func(string, []byte) { routed = true })
+	msgr := baseline.NewMessenger(net, 10*time.Minute)
+	msgr.SendUntilConfirmed("field-post", "hospital", append([]byte{routedChan}, "need supplies"...),
+		func() bool { return routed },
 		func(o baseline.MessageOutcome) {
-			routedAttempts = o.Attempts
 			fmt.Printf("t=%-8v end-to-end routing gave up: delivered=%v after %d attempts\n",
 				sim.Now().Round(time.Second), o.Delivered, o.Attempts)
 		})
-	_ = routedAttempts
 
 	// The agent: store-carry-forward courier.
 	if _, err := platforms["field-post"].Spawn("courier", agent.CourierProgram,

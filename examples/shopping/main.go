@@ -88,13 +88,7 @@ func shopWithAgent() (cost float64, bestCents int64) {
 		Seed: 2, Caps: caps,
 		OnDone: func(r logmob.AgentRecord) { record = r },
 	})
-	shopper := &logmob.Unit{
-		Manifest: logmob.Manifest{Name: "shopper", Version: "1.0", Kind: logmob.KindAgent, Publisher: "user"},
-		Code:     app.ShopperProgram.Encode(),
-		Data:     app.NewShopperData("phone", "camera", names),
-	}
-	id.SignCode(shopper)
-	if _, err := plat.SpawnUnit(shopper, "main"); err != nil {
+	if _, err := plat.SpawnUnit(app.BuildShopper(id, "phone", "camera", names), "main"); err != nil {
 		log.Fatal(err)
 	}
 	sim.RunFor(20 * time.Minute)

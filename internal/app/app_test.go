@@ -7,7 +7,6 @@ import (
 	"logmob/internal/agent"
 	"logmob/internal/core"
 	"logmob/internal/ctxsvc"
-	"logmob/internal/lmu"
 	"logmob/internal/netsim"
 	"logmob/internal/security"
 	"logmob/internal/transport"
@@ -170,13 +169,7 @@ func TestShopperAgentFindsBestPrice(t *testing.T) {
 		OnDone: func(rec agent.Record) { final = rec },
 	})
 
-	unit := &lmu.Unit{
-		Manifest: lmu.Manifest{Name: "shopper", Version: "1.0", Kind: lmu.KindAgent, Publisher: r.id.Name},
-		Code:     ShopperProgram.Encode(),
-		Data:     NewShopperData("home", "widget", vendors),
-	}
-	r.id.SignCode(unit)
-	if _, err := homePlat.SpawnUnit(unit, "main"); err != nil {
+	if _, err := homePlat.SpawnUnit(BuildShopper(r.id, "home", "widget", vendors), "main"); err != nil {
 		t.Fatal(err)
 	}
 	r.sim.RunFor(2 * time.Minute)
@@ -211,13 +204,7 @@ func TestShopperSkipsUnstockedVendor(t *testing.T) {
 	var final agent.Record
 	hp := agent.NewPlatform(home, agent.Env{Seed: 3, Caps: caps,
 		OnDone: func(rec agent.Record) { final = rec }})
-	unit := &lmu.Unit{
-		Manifest: lmu.Manifest{Name: "shopper", Version: "1.0", Kind: lmu.KindAgent, Publisher: r.id.Name},
-		Code:     ShopperProgram.Encode(),
-		Data:     NewShopperData("home", "widget", []string{"shop-a", "shop-b"}),
-	}
-	r.id.SignCode(unit)
-	if _, err := hp.SpawnUnit(unit, "main"); err != nil {
+	if _, err := hp.SpawnUnit(BuildShopper(r.id, "home", "widget", []string{"shop-a", "shop-b"}), "main"); err != nil {
 		t.Fatal(err)
 	}
 	r.sim.RunFor(2 * time.Minute)
@@ -267,8 +254,7 @@ func TestCinemaWalkIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop := StartGeofencing(r.net, "user", user.Context(),
-		[]Geofence{{Name: "cinema-lobby", Center: netsim.Position{X: 100, Y: 100}, Radius: 60}},
-		time.Second)
+		[]Geofence{{Name: "cinema-lobby", Center: netsim.Position{X: 100, Y: 100}, Radius: 60}})
 	defer stop()
 
 	var readyIn time.Duration
@@ -321,27 +307,6 @@ func TestPrimeCountCorrect(t *testing.T) {
 		if len(stack) != 1 || stack[0] != want {
 			t.Errorf("primes(%d) = %v, want %d", n, stack, want)
 		}
-	}
-}
-
-func TestChecksumMatchesGo(t *testing.T) {
-	payload := []byte("the quick brown fox")
-	want := int64(0)
-	for _, b := range payload {
-		want = want*31 + int64(b)
-	}
-	r := newRigFixed(t)
-	h := r.addHost(t, "dev", netsim.Position{}, netsim.WLAN, nil)
-	job := BuildChecksumJob(r.id, payload)
-	if err := h.Registry().Put(job); err != nil {
-		t.Fatal(err)
-	}
-	stack, err := h.RunComponent("job/checksum", "main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stack) != 1 || stack[0] != want {
-		t.Errorf("checksum = %v, want %d", stack, want)
 	}
 }
 

@@ -67,18 +67,14 @@ type Geofence struct {
 	Radius float64
 }
 
-// Contains reports whether pos is inside the fence.
-func (g Geofence) Contains(pos netsim.Position) bool {
-	return pos.Dist(g.Center) <= g.Radius
-}
+// geofenceTick is how often the location sensor reads the node's position.
+const geofenceTick = time.Second
 
-// StartGeofencing is the scenario's location sensor: every tick it resolves
-// the node's position against the fences and updates the context service's
-// location attribute ("roaming" when in none). It returns a stop function.
-func StartGeofencing(net *netsim.Network, nodeID string, ctx *ctxsvc.Service, fences []Geofence, tick time.Duration) func() {
-	if tick <= 0 {
-		tick = time.Second
-	}
+// StartGeofencing is the scenario's location sensor: every geofenceTick it
+// resolves the node's position against the fences and updates the context
+// service's location attribute ("roaming" when in none). It returns a stop
+// function.
+func StartGeofencing(net *netsim.Network, nodeID string, ctx *ctxsvc.Service, fences []Geofence) func() {
 	stopped := false
 	var step func()
 	step = func() {
@@ -89,7 +85,7 @@ func StartGeofencing(net *netsim.Network, nodeID string, ctx *ctxsvc.Service, fe
 		if node != nil {
 			loc := "roaming"
 			for _, f := range fences {
-				if f.Contains(node.Pos()) {
+				if node.Pos().Dist(f.Center) <= f.Radius {
 					loc = f.Name
 					break
 				}
@@ -98,7 +94,7 @@ func StartGeofencing(net *netsim.Network, nodeID string, ctx *ctxsvc.Service, fe
 				ctx.SetStr(ctxsvc.KeyLocation, loc)
 			}
 		}
-		net.Sim().Schedule(tick, step)
+		net.Sim().Schedule(geofenceTick, step)
 	}
 	step()
 	return func() { stopped = true }

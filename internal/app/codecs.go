@@ -67,8 +67,8 @@ done:
 	halt
 `
 
-// CodecProgram is the assembled decoder shared by all synthetic codecs.
-var CodecProgram = vm.MustAssemble(codecSource)
+// codecProgram is the assembled decoder shared by all synthetic codecs.
+var codecProgram = vm.MustAssemble(codecSource)
 
 // CodecName returns the unit name for a format, e.g. "codec/ogg".
 func CodecName(format string) string { return "codec/" + format }
@@ -92,7 +92,7 @@ func BuildCodec(publisher *security.Identity, format string, version string, tab
 			Publisher: publisher.Name,
 			Attrs:     map[string]string{"format": format},
 		},
-		Code: CodecProgram.Encode(),
+		Code: codecProgram.Encode(),
 		Data: map[string][]byte{"table": table},
 	}
 	publisher.Sign(u)
@@ -162,10 +162,6 @@ type Player struct {
 // needed. cb receives the decode checksum.
 func (p *Player) Play(format string, cb func(checksum int64, hit bool, err error)) {
 	p.Plays++
-	samples := p.Samples
-	if samples <= 0 {
-		samples = 256
-	}
 	p.Host.Ensure(p.Repo, CodecName(format), "", func(u *lmu.Unit, hit bool, err error) {
 		if err != nil {
 			cb(0, hit, err)
@@ -176,7 +172,7 @@ func (p *Player) Play(format string, cb func(checksum int64, hit bool, err error
 		} else {
 			p.Fetches++
 		}
-		stack, rerr := p.Host.RunComponent(CodecName(format), "decode", samples)
+		stack, rerr := p.Host.RunComponent(CodecName(format), "decode", p.Samples)
 		if rerr != nil {
 			cb(0, hit, rerr)
 			return

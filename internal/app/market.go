@@ -8,6 +8,8 @@ import (
 	"logmob/internal/agent"
 	"logmob/internal/core"
 	"logmob/internal/ctxsvc"
+	"logmob/internal/lmu"
+	"logmob/internal/security"
 	"logmob/internal/vm"
 )
 
@@ -17,8 +19,8 @@ import (
 // user." The comparator is interactive catalogue browsing over the costed
 // link (BrowseCS).
 
-// PriceKey is the context key prefix a vendor stores product prices under.
-const PriceKey = "price."
+// priceKey is the context key prefix a vendor stores product prices under.
+const priceKey = "price."
 
 // SetupVendor configures a host as a shop: product prices go into its
 // context service, and two Client/Server services are registered for the
@@ -26,7 +28,7 @@ const PriceKey = "price."
 // "shop/price" (price lookup).
 func SetupVendor(h *core.Host, prices map[string]float64, pageSize int) {
 	for product, price := range prices {
-		h.Context().SetNum(ctxsvc.Key(PriceKey+product), price)
+		h.Context().SetNum(ctxsvc.Key(priceKey+product), price)
 	}
 	page := make([]byte, pageSize)
 	for i := range page {
@@ -39,7 +41,7 @@ func SetupVendor(h *core.Host, prices map[string]float64, pageSize int) {
 		if len(args) != 1 {
 			return nil, fmt.Errorf("shop/price: want 1 arg, got %d", len(args))
 		}
-		price := h.Context().GetNum(ctxsvc.Key(PriceKey+string(args[0])), -1)
+		price := h.Context().GetNum(ctxsvc.Key(priceKey+string(args[0])), -1)
 		out := make([]byte, 8)
 		binary.BigEndian.PutUint64(out, math.Float64bits(price))
 		return [][]byte{out}, nil
@@ -56,7 +58,7 @@ func VendorCaps() []vm.HostFunc {
 		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
 			p, u := agent.Current(m)
 			product := string(u.Data["product"])
-			price := p.Host().Context().GetNum(ctxsvc.Key(PriceKey+product), -1)
+			price := p.Host().Context().GetNum(ctxsvc.Key(priceKey+product), -1)
 			if price < 0 {
 				return m.Ret1(-1), 0, nil
 			}
@@ -65,10 +67,10 @@ func VendorCaps() []vm.HostFunc {
 	}}
 }
 
-// ShopperSource is the shopping agent: it walks its itinerary of vendor
+// shopperSource is the shopping agent: it walks its itinerary of vendor
 // hosts, queries each local price, remembers the best, returns home and
 // halts with [bestVendorIndex, bestPriceCents] on its stack.
-const ShopperSource = `
+const shopperSource = `
 .globals 3            ; g0 = itinerary index, g1 = best cents, g2 = best index
 .entry main
 main:
@@ -128,24 +130,32 @@ done:
 	halt              ; stack: [best index, best cents]
 `
 
-// ShopperProgram is the assembled shopping agent.
-var ShopperProgram = vm.MustAssemble(ShopperSource)
-
-// NewShopperData builds the data space for a shopping agent: the product to
-// buy, the vendor itinerary, and home as the return destination.
-func NewShopperData(home, product string, vendors []string) map[string][]byte {
-	return map[string][]byte{
-		agent.KeyDest:      []byte(home),
-		"product":          []byte(product),
-		agent.KeyItinerary: agent.EncodeItinerary(vendors),
+// BuildShopper creates the code-signed shopping agent: it carries the
+// product to buy and the vendor itinerary, and returns to home.
+func BuildShopper(publisher *security.Identity, home, product string, vendors []string) *lmu.Unit {
+	u := &lmu.Unit{
+		Manifest: lmu.Manifest{
+			Name:      "shopper",
+			Version:   "1.0",
+			Kind:      lmu.KindAgent,
+			Publisher: publisher.Name,
+		},
+		Code: vm.MustAssemble(shopperSource).Encode(),
+		Data: map[string][]byte{
+			agent.KeyDest:      []byte(home),
+			"product":          []byte(product),
+			agent.KeyItinerary: agent.EncodeItinerary(vendors),
+		},
 	}
+	publisher.SignCode(u)
+	return u
 }
 
-// BrowseResult reports an interactive browsing session.
+// BrowseResult reports an interactive browsing session: the best quote
+// found, or -1 for both when no vendor stocks the product.
 type BrowseResult struct {
 	BestCents  int64
 	BestVendor int
-	Errors     int
 }
 
 // BrowseCS is the Client/Server baseline: the user's device pages through
@@ -165,7 +175,6 @@ func BrowseCS(h *core.Host, vendors []string, product string, pagesPerVendor int
 			if p < pagesPerVendor {
 				h.Call(vendors[i], "shop/page", nil, func(_ [][]byte, err error) {
 					if err != nil {
-						res.Errors++
 						visit(i + 1) // vendor unusable; move on
 						return
 					}
@@ -181,8 +190,6 @@ func BrowseCS(h *core.Host, vendors []string, product string, pagesPerVendor int
 						res.BestCents = cents
 						res.BestVendor = i
 					}
-				} else if err != nil {
-					res.Errors++
 				}
 				visit(i + 1)
 			})

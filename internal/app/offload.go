@@ -10,10 +10,10 @@ import (
 // distribute computations to more powerful hosts ... allowing for faster
 // application execution."
 
-// PrimeCountSource counts primes <= n by trial division: a genuinely
+// primeCountSource counts primes <= n by trial division: a genuinely
 // CPU-bound workload whose instruction count scales superlinearly, so the
 // local-versus-offload tradeoff is real.
-const PrimeCountSource = `
+const primeCountSource = `
 .entry main
 main:                 ; arg: n
 	store 0           ; n
@@ -71,7 +71,7 @@ notprime:
 `
 
 // PrimeCountProgram is the assembled workload.
-var PrimeCountProgram = vm.MustAssemble(PrimeCountSource)
+var PrimeCountProgram = vm.MustAssemble(primeCountSource)
 
 // BuildPrimeJob packages the prime-count workload as a signed Remote
 // Evaluation request.
@@ -84,60 +84,6 @@ func BuildPrimeJob(publisher *security.Identity) *lmu.Unit {
 			Publisher: publisher.Name,
 		},
 		Code: PrimeCountProgram.Encode(),
-	}
-	publisher.Sign(u)
-	return u
-}
-
-// ChecksumSource folds the bytes of data blob 0 into a checksum — the
-// data-light, code-light counterpoint to the prime job.
-const ChecksumSource = `
-.entry main
-main:
-	push 0
-	host blob_len
-	store 0          ; len
-	push 0
-	store 1          ; acc
-	push 0
-	store 2          ; i
-loop:
-	load 2
-	load 0
-	ge
-	jnz done
-	push 0
-	load 2
-	host blob_byte
-	load 1
-	push 31
-	mul
-	add
-	store 1          ; acc = acc*31 + b
-	load 2
-	push 1
-	add
-	store 2
-	jmp loop
-done:
-	load 1
-	halt
-`
-
-// ChecksumProgram is the assembled checksum workload.
-var ChecksumProgram = vm.MustAssemble(ChecksumSource)
-
-// BuildChecksumJob packages a checksum over payload as a signed REV request.
-func BuildChecksumJob(publisher *security.Identity, payload []byte) *lmu.Unit {
-	u := &lmu.Unit{
-		Manifest: lmu.Manifest{
-			Name:      "job/checksum",
-			Version:   "1.0",
-			Kind:      lmu.KindRequest,
-			Publisher: publisher.Name,
-		},
-		Code: ChecksumProgram.Encode(),
-		Data: map[string][]byte{"payload": append([]byte(nil), payload...)},
 	}
 	publisher.Sign(u)
 	return u

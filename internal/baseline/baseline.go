@@ -17,31 +17,17 @@ import (
 	"logmob/internal/registry"
 )
 
-// PreloadResult reports what happened when a unit set was preinstalled.
-type PreloadResult struct {
-	// Installed counts units that fit.
-	Installed int
-	// RejectedUnits names units that did not fit the quota.
-	RejectedUnits []string
-	// Footprint is the bytes consumed.
-	Footprint int64
-}
-
 // Preload installs every unit into the registry up front, pinning each so
-// nothing is evictable — the no-logical-mobility deployment model. Units
-// that do not fit are reported, not installed.
-func Preload(reg *registry.Registry, units []*lmu.Unit) PreloadResult {
-	var res PreloadResult
+// nothing is evictable — the no-logical-mobility deployment model — and
+// returns the bytes consumed. Units that do not fit the quota are not
+// installed.
+func Preload(reg *registry.Registry, units []*lmu.Unit) (footprint int64) {
 	for _, u := range units {
-		if err := reg.Put(u); err != nil {
-			res.RejectedUnits = append(res.RejectedUnits, u.Manifest.Name)
-			continue
+		if err := reg.Put(u); err == nil {
+			reg.Pin(u.Manifest.Name, u.Manifest.Version, true)
 		}
-		reg.Pin(u.Manifest.Name, u.Manifest.Version, true)
-		res.Installed++
 	}
-	res.Footprint = reg.Used()
-	return res
+	return reg.Used()
 }
 
 // MessageOutcome describes one end-to-end message attempt stream.
@@ -49,59 +35,31 @@ type MessageOutcome struct {
 	Delivered   bool
 	DeliveredAt time.Duration
 	Attempts    int
-	Hops        int
 }
 
+// retryInterval is the Messenger's retransmission interval.
+const retryInterval = time.Second
+
 // Messenger delivers payloads over the current routed topology,
-// retrying on a fixed interval until delivery or deadline. It models a
+// retransmitting on a fixed interval until delivery or deadline. It models a
 // conventional MANET routing layer: a message gets through only while a
 // multi-hop path exists end to end at send time.
 type Messenger struct {
-	net *netsim.Network
-	// Retry is the retransmission interval. Default 1s.
-	Retry time.Duration
-	// Deadline bounds how long a message is retried. Default 5 minutes.
-	Deadline time.Duration
+	net      *netsim.Network
+	deadline time.Duration
 }
 
-// NewMessenger builds a messenger over net.
-func NewMessenger(net *netsim.Network) *Messenger {
-	return &Messenger{net: net, Retry: time.Second, Deadline: 5 * time.Minute}
-}
-
-// Send starts delivering payload from src to dst, invoking done exactly once
-// with the outcome. The destination node must have a handler installed by
-// the caller (delivery is observed through it); Send itself only reports
-// transmission success, so the caller should treat Delivered as "handed to
-// the routing layer with a complete path present".
-func (m *Messenger) Send(src, dst string, payload []byte, done func(MessageOutcome)) {
-	sim := m.net.Sim()
-	start := sim.Now()
-	outcome := MessageOutcome{}
-	var attempt func()
-	attempt = func() {
-		outcome.Attempts++
-		hops, err := m.net.SendRouted(src, dst, payload)
-		if err == nil {
-			outcome.Delivered = true
-			outcome.DeliveredAt = sim.Now()
-			outcome.Hops = hops
-			done(outcome)
-			return
-		}
-		if sim.Now()-start+m.Retry > m.Deadline {
-			done(outcome)
-			return
-		}
-		sim.Schedule(m.Retry, attempt)
-	}
-	attempt()
+// NewMessenger builds a messenger over net that retries each message for
+// up to deadline.
+func NewMessenger(net *netsim.Network, deadline time.Duration) *Messenger {
+	return &Messenger{net: net, deadline: deadline}
 }
 
 // SendUntilConfirmed keeps retransmitting payload until confirmed reports
 // true (the caller's destination handler observed the message) or the
-// deadline passes. This is the fair comparator for agent delivery: losses
-// and mid-route topology changes trigger retransmission.
+// deadline passes, and then calls done once. This is the fair comparator for
+// agent delivery: losses and mid-route topology changes trigger
+// retransmission.
 func (m *Messenger) SendUntilConfirmed(src, dst string, payload []byte, confirmed func() bool, done func(MessageOutcome)) {
 	sim := m.net.Sim()
 	start := sim.Now()
@@ -114,15 +72,14 @@ func (m *Messenger) SendUntilConfirmed(src, dst string, payload []byte, confirme
 			done(outcome)
 			return
 		}
-		if sim.Now()-start > m.Deadline {
+		if sim.Now()-start > m.deadline {
 			done(outcome)
 			return
 		}
 		outcome.Attempts++
-		if hops, err := m.net.SendRouted(src, dst, payload); err == nil {
-			outcome.Hops = hops
-		}
-		sim.Schedule(m.Retry, attempt)
+		// An unroutable send is not an error here: the next attempt retries.
+		_, _ = m.net.SendRouted(src, dst, payload)
+		sim.Schedule(retryInterval, attempt)
 	}
 	attempt()
 }

@@ -18,24 +18,24 @@ func unit(name string, payload int) *lmu.Unit {
 
 func TestPreloadAllFit(t *testing.T) {
 	reg := registry.New(0)
-	res := Preload(reg, []*lmu.Unit{unit("a", 100), unit("b", 200)})
-	if res.Installed != 2 || len(res.RejectedUnits) != 0 {
-		t.Fatalf("result = %+v", res)
+	footprint := Preload(reg, []*lmu.Unit{unit("a", 100), unit("b", 200)})
+	if n := len(reg.List()); n != 2 {
+		t.Fatalf("installed %d units, want 2", n)
 	}
-	if res.Footprint != reg.Used() || res.Footprint == 0 {
-		t.Errorf("Footprint = %d", res.Footprint)
+	if footprint != reg.Used() || footprint == 0 {
+		t.Errorf("footprint = %d", footprint)
 	}
 }
 
 func TestPreloadOverflow(t *testing.T) {
 	small := unit("a", 100)
 	reg := registry.New(int64(small.Size()) + 10)
-	res := Preload(reg, []*lmu.Unit{unit("a", 100), unit("b", 100), unit("c", 100)})
-	if res.Installed != 1 {
-		t.Errorf("Installed = %d, want 1", res.Installed)
+	footprint := Preload(reg, []*lmu.Unit{unit("a", 100), unit("b", 100), unit("c", 100)})
+	if n := len(reg.List()); n != 1 {
+		t.Errorf("installed %d units, want 1", n)
 	}
-	if len(res.RejectedUnits) != 2 {
-		t.Errorf("Rejected = %v", res.RejectedUnits)
+	if footprint != int64(small.Size()) {
+		t.Errorf("footprint = %d, want %d", footprint, small.Size())
 	}
 	// Preloaded units are pinned: nothing can evict them.
 	if err := reg.Put(unit("d", 100)); err == nil {
@@ -54,11 +54,11 @@ func TestMessengerDeliversWhenConnected(t *testing.T) {
 	arrived := false
 	net.SetHandler("b", func(string, []byte) { arrived = true })
 
-	m := NewMessenger(net)
+	m := NewMessenger(net, 5*time.Minute)
 	var out MessageOutcome
-	m.Send("a", "b", []byte("x"), func(o MessageOutcome) { out = o })
+	m.SendUntilConfirmed("a", "b", []byte("x"), func() bool { return arrived }, func(o MessageOutcome) { out = o })
 	sim.RunFor(time.Minute)
-	if !out.Delivered || out.Hops != 2 || out.Attempts != 1 {
+	if !out.Delivered || out.Attempts != 1 {
 		t.Errorf("outcome = %+v", out)
 	}
 	if !arrived {
@@ -73,12 +73,12 @@ func TestMessengerRetriesThroughPartition(t *testing.T) {
 	c.Loss = 0
 	net.AddNode("a", netsim.Position{X: 0, Y: 0}, c)
 	net.AddNode("b", netsim.Position{X: 500, Y: 0}, c)
-	net.SetHandler("b", func(string, []byte) {})
+	arrived := false
+	net.SetHandler("b", func(string, []byte) { arrived = true })
 
-	m := NewMessenger(net)
-	m.Deadline = time.Minute
+	m := NewMessenger(net, time.Minute)
 	var out MessageOutcome
-	m.Send("a", "b", []byte("x"), func(o MessageOutcome) { out = o })
+	m.SendUntilConfirmed("a", "b", []byte("x"), func() bool { return arrived }, func(o MessageOutcome) { out = o })
 	// Heal the partition at t=10s by walking b into range.
 	sim.Schedule(10*time.Second, func() {
 		net.SetPos("b", netsim.Position{X: 20, Y: 0})
@@ -102,11 +102,10 @@ func TestMessengerGivesUpAtDeadline(t *testing.T) {
 	c.Loss = 0
 	net.AddNode("a", netsim.Position{X: 0, Y: 0}, c)
 	net.AddNode("b", netsim.Position{X: 500, Y: 0}, c)
-	m := NewMessenger(net)
-	m.Deadline = 10 * time.Second
+	m := NewMessenger(net, 10*time.Second)
 	var out MessageOutcome
 	fired := 0
-	m.Send("a", "b", []byte("x"), func(o MessageOutcome) { out = o; fired++ })
+	m.SendUntilConfirmed("a", "b", []byte("x"), func() bool { return false }, func(o MessageOutcome) { out = o; fired++ })
 	sim.RunFor(time.Minute)
 	if fired != 1 {
 		t.Fatalf("done fired %d times", fired)
@@ -129,8 +128,7 @@ func TestSendUntilConfirmedSurvivesLoss(t *testing.T) {
 	got := false
 	net.SetHandler("b", func(string, []byte) { got = true })
 
-	m := NewMessenger(net)
-	m.Deadline = 5 * time.Minute
+	m := NewMessenger(net, 5*time.Minute)
 	var out MessageOutcome
 	m.SendUntilConfirmed("a", "b", []byte("x"), func() bool { return got }, func(o MessageOutcome) { out = o })
 	sim.RunFor(10 * time.Minute)

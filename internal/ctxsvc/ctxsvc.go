@@ -51,12 +51,6 @@ type Value struct {
 	Str string
 }
 
-// Num returns a numeric value.
-func Num(f float64) Value { return Value{Num: f} }
-
-// Str returns a string value.
-func Str(s string) Value { return Value{Str: s} }
-
 // String renders the value for tables and logs.
 func (v Value) String() string {
 	if v.Str != "" {
@@ -136,16 +130,10 @@ func (s *Service) Set(k Key, v Value) {
 }
 
 // SetNum is Set with a numeric value.
-func (s *Service) SetNum(k Key, f float64) { s.Set(k, Num(f)) }
+func (s *Service) SetNum(k Key, f float64) { s.Set(k, Value{Num: f}) }
 
 // SetStr is Set with a string value.
-func (s *Service) SetStr(k Key, str string) { s.Set(k, Str(str)) }
-
-// Get returns the current value of k.
-func (s *Service) Get(k Key) (Value, bool) {
-	v, ok := s.attrs[k]
-	return v, ok
-}
+func (s *Service) SetStr(k Key, str string) { s.Set(k, Value{Str: str}) }
 
 // GetNum returns the numeric value of k, or fallback if unset.
 func (s *Service) GetNum(k Key, fallback float64) float64 {
@@ -176,7 +164,9 @@ func (s *Service) History(k Key, n int) []Sample {
 }
 
 // Subscribe registers fn for updates of k whose value satisfies pred (nil
-// pred matches everything). fn runs synchronously inside Set.
+// pred matches everything). fn runs synchronously inside Set, and may
+// subscribe or cancel; a subscription cancelled during a Set still receives
+// that Set.
 func (s *Service) Subscribe(k Key, pred func(Value) bool, fn func(Key, Value)) *Subscription {
 	s.nextID++
 	id := s.nextID
@@ -185,18 +175,12 @@ func (s *Service) Subscribe(k Key, pred func(Value) bool, fn func(Key, Value)) *
 		list := s.subs[k]
 		for i, sub := range list {
 			if sub.id == id {
-				s.subs[k] = append(list[:i], list[i+1:]...)
+				// Copy on write: a Set may be ranging over list, and
+				// shifting it in place would skip the next subscriber and
+				// run the last one twice. The copy costs Cancel, not Set.
+				s.subs[k] = append(list[:i:i], list[i+1:]...)
 				return
 			}
 		}
 	}}
-}
-
-// Keys returns all attribute keys currently set, in no particular order.
-func (s *Service) Keys() []Key {
-	out := make([]Key, 0, len(s.attrs))
-	for k := range s.attrs {
-		out = append(out, k)
-	}
-	return out
 }

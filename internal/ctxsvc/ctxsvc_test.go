@@ -26,12 +26,6 @@ func TestSetGet(t *testing.T) {
 	if got := s.GetStr("missing", "dflt"); got != "dflt" {
 		t.Errorf("fallback = %q", got)
 	}
-	if _, ok := s.Get("missing"); ok {
-		t.Error("Get on missing key reported ok")
-	}
-	if len(s.Keys()) != 2 {
-		t.Errorf("Keys = %v", s.Keys())
-	}
 }
 
 func TestSubscribeNotifies(t *testing.T) {
@@ -81,6 +75,41 @@ func TestMultipleSubscribersAndSelectiveCancel(t *testing.T) {
 	s.SetNum(KeyBattery, 2)
 	if a != 1 || b != 2 {
 		t.Errorf("a=%d b=%d", a, b)
+	}
+}
+
+// TestCancelInsideCallback: a subscriber that cancels itself from inside
+// its callback must not disturb delivery of the same Set to the others, nor
+// of later Sets.
+func TestCancelInsideCallback(t *testing.T) {
+	s, _ := newSvc()
+	var a, b, c int
+	var subA *Subscription
+	subA = s.Subscribe(KeyBattery, nil, func(Key, Value) { a++; subA.Cancel() })
+	s.Subscribe(KeyBattery, nil, func(Key, Value) { b++ })
+	s.Subscribe(KeyBattery, nil, func(Key, Value) { c++ })
+	s.SetNum(KeyBattery, 1)
+	if a != 1 || b != 1 || c != 1 {
+		t.Fatalf("after one Set: A=%d B=%d C=%d, want 1 1 1", a, b, c)
+	}
+	s.SetNum(KeyBattery, 2)
+	if a != 1 || b != 2 || c != 2 {
+		t.Errorf("after two Sets: A=%d B=%d C=%d, want 1 2 2", a, b, c)
+	}
+}
+
+// TestCancelledDuringSetStillReceivesIt pins the documented contract: the
+// subscriber list a Set delivers to is fixed when the Set starts.
+func TestCancelledDuringSetStillReceivesIt(t *testing.T) {
+	s, _ := newSvc()
+	var b int
+	var subB *Subscription
+	s.Subscribe(KeyBattery, nil, func(Key, Value) { subB.Cancel() })
+	subB = s.Subscribe(KeyBattery, nil, func(Key, Value) { b++ })
+	s.SetNum(KeyBattery, 1)
+	s.SetNum(KeyBattery, 2)
+	if b != 1 {
+		t.Errorf("B fired %d times, want 1 (the Set that cancelled it)", b)
 	}
 }
 
@@ -159,8 +188,8 @@ func TestValueString(t *testing.T) {
 		v    Value
 		want string
 	}{
-		{Num(1.5), "1.5"},
-		{Str("adhoc"), "adhoc"},
+		{Value{Num: 1.5}, "1.5"},
+		{Value{Str: "adhoc"}, "adhoc"},
 		{Value{Num: 2, Str: "x"}, "x(2)"},
 		{Value{}, "0"},
 	}

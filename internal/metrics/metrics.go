@@ -53,20 +53,6 @@ func (s *Series) Mean() float64 {
 	return s.Sum() / float64(len(s.vals))
 }
 
-// Min returns the smallest observation, or 0 with none.
-func (s *Series) Min() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	m := s.vals[0]
-	for _, v := range s.vals[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Max returns the largest observation, or 0 with none.
 func (s *Series) Max() float64 {
 	if len(s.vals) == 0 {
@@ -105,20 +91,6 @@ func (s *Series) Percentile(p float64) float64 {
 
 // Median returns the 50th percentile.
 func (s *Series) Median() float64 { return s.Percentile(50) }
-
-// Stddev returns the population standard deviation.
-func (s *Series) Stddev() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	sum := 0.0
-	for _, v := range s.vals {
-		d := v - mean
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(s.vals)))
-}
 
 // Table accumulates rows and renders them as an aligned text table or CSV.
 type Table struct {
@@ -243,17 +215,17 @@ type Chart struct {
 	XLabel string
 	YLabel string
 	names  []string
-	series map[string][]Point
+	series map[string][]point
 }
 
-// Point is one (x, y) sample.
-type Point struct {
+// point is one (x, y) sample.
+type point struct {
 	X, Y float64
 }
 
 // NewChart creates an empty chart.
 func NewChart(title, xlabel, ylabel string) *Chart {
-	return &Chart{Title: title, XLabel: xlabel, YLabel: ylabel, series: make(map[string][]Point)}
+	return &Chart{Title: title, XLabel: xlabel, YLabel: ylabel, series: make(map[string][]point)}
 }
 
 // Add appends a point to the named series.
@@ -261,20 +233,21 @@ func (c *Chart) Add(series string, x, y float64) {
 	if _, ok := c.series[series]; !ok {
 		c.names = append(c.names, series)
 	}
-	c.series[series] = append(c.series[series], Point{X: x, Y: y})
+	c.series[series] = append(c.series[series], point{X: x, Y: y})
 }
 
 // markers distinguish series in the plot.
 var markers = []byte{'*', 'o', '+', 'x', '#', '@'}
 
-// Render draws the chart with the given plot area size.
-func (c *Chart) Render(w io.Writer, width, height int) {
-	if width < 16 {
-		width = 60
-	}
-	if height < 4 {
-		height = 16
-	}
+// The plot area of every rendered chart, in characters.
+const (
+	chartWidth  = 64
+	chartHeight = 16
+)
+
+// Render draws the chart.
+func (c *Chart) Render(w io.Writer) {
+	const width, height = chartWidth, chartHeight
 	minX, maxX := math.Inf(1), math.Inf(-1)
 	minY, maxY := math.Inf(1), math.Inf(-1)
 	total := 0
@@ -322,22 +295,15 @@ func (c *Chart) Render(w io.Writer, width, height int) {
 	}
 	fmt.Fprintf(w, "  %10.3g +%s\n", minY, strings.Repeat("-", width))
 	fmt.Fprintf(w, "  %10s  %-.3g%s%.3g  (%s)\n", "", minX,
-		strings.Repeat(" ", max(1, width-18)), maxX, c.XLabel)
+		strings.Repeat(" ", width-18), maxX, c.XLabel)
 	for si, name := range c.names {
 		fmt.Fprintf(w, "  %c = %s\n", markers[si%len(markers)], name)
 	}
 }
 
-// String renders the chart with default dimensions.
+// String renders the chart to a string.
 func (c *Chart) String() string {
 	var sb strings.Builder
-	c.Render(&sb, 64, 16)
+	c.Render(&sb)
 	return sb.String()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -116,8 +116,6 @@ type FaultStats struct {
 	Drops int64
 	// Jittered counts messages delayed by a nonzero jitter draw.
 	Jittered int64
-	// JitterTime is the cumulative extra latency injected.
-	JitterTime time.Duration
 }
 
 // SetFaultSeed seeds the dedicated fault RNG. Fault decisions (impairment
@@ -230,7 +228,6 @@ func (n *Network) applyImpairment(imp Impairment) (dropped bool, extra time.Dura
 		if ticks := n.faultRand().Intn(imp.JitterTicks + 1); ticks > 0 {
 			extra = time.Duration(ticks) * imp.jitterTick()
 			n.faultStats.Jittered++
-			n.faultStats.JitterTime += extra
 		}
 	}
 	return false, extra

@@ -53,10 +53,6 @@ type Adaptive struct {
 	// (default 2s); Deadline is the per-task watchdog that declares an
 	// unresponsive task failed and moves on (default 45s).
 	Gap, Deadline time.Duration
-	// FreshCode versions the shipped unit per task, so COD cannot amortise
-	// one fetch over the whole stream — the code of each task is new, as a
-	// per-interaction bundle would be.
-	FreshCode bool
 	// Fixed pins every task to one paradigm (a control group); 0 adapts.
 	Fixed policy.Paradigm
 	// Objective, Hysteresis and BatteryAware configure each client's
@@ -400,10 +396,10 @@ func (a *Adaptive) startClient(w *World, ci int, name string, servers []string) 
 		seq++
 		a.Stats.Started++
 		model := a.modelFor(seq)
-		version := "1.0"
-		if a.FreshCode {
-			version = fmt.Sprintf("%d.0", seq)
-		}
+		// The shipped unit is versioned per task, so COD cannot amortise
+		// one fetch over the whole stream — the code of each task is new, as
+		// a per-interaction bundle would be.
+		version := fmt.Sprintf("%d.0", seq)
 		// Control groups pinned away from the code-shipping paradigms
 		// never touch the unit: building and publishing it would be pure
 		// registry churn (REV ships the client's own copy; only COD
@@ -417,7 +413,7 @@ func (a *Adaptive) startClient(w *World, ci int, name string, servers []string) 
 			// Publish pins, so the previous task's bundle — dead the
 			// moment this one exists — is dropped explicitly or the
 			// registry would grow by one pinned unit per task.
-			if a.FreshCode && seq > 1 {
+			if seq > 1 {
 				w.Hosts[server].Registry().Remove(unitName, fmt.Sprintf("%d.0", seq-1))
 			}
 			if err := w.Hosts[server].Publish(unit); err != nil {
@@ -451,7 +447,7 @@ func (a *Adaptive) startClient(w *World, ci int, name string, servers []string) 
 			}
 			// A fetched fresh-code bundle is single-use: drop the stale
 			// version from the client registry (no-op for non-COD tasks).
-			if a.FreshCode && taskSeq > 1 {
+			if taskSeq > 1 {
 				h.Registry().Remove(unitName, fmt.Sprintf("%d.0", taskSeq-1))
 			}
 			w.Sim.Schedule(a.gap(), launch)

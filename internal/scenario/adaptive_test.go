@@ -157,7 +157,6 @@ func TestAdaptiveWorkloadCompletesTasks(t *testing.T) {
 			Interactions: 6, ReqBytes: 64, ReplyBytes: 64,
 			CodeBytes: 1500, StateBytes: 128, ResultBytes: 16,
 		},
-		FreshCode: true,
 	}
 	_, table := adaptiveSpec(wl, Faults{}, 0).Run(1)
 	if wl.Stats.Completed == 0 {
@@ -199,8 +198,7 @@ func TestAdaptiveFixedParadigms(t *testing.T) {
 					CodeBytes: 1200, StateBytes: 64, ResultBytes: 16,
 					ComputeUnits: 0.2, // exercises the compute paths of every paradigm
 				},
-				FreshCode: true,
-				Fixed:     p,
+				Fixed: p,
 			}
 			adaptiveSpec(wl, Faults{}, 0).Run(2)
 			if wl.Stats.Completed == 0 {
@@ -225,7 +223,6 @@ func TestAdaptiveSwitchesUnderBatteryDrain(t *testing.T) {
 			Interactions: 8, ReqBytes: 96, ReplyBytes: 96,
 			CodeBytes: 3000, StateBytes: 128, ResultBytes: 16,
 		},
-		FreshCode:    true,
 		BatteryAware: true,
 	}
 	_, table := adaptiveSpec(wl, Faults{Retry: RetryFault{Budget: 2, Timeout: time.Second}}, 3e5).Run(5)

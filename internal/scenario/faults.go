@@ -65,22 +65,13 @@ type ChurnFault struct {
 }
 
 // PartitionFault splits the world into two non-communicating groups during
-// [At, Heal), measured in virtual time from world start (warmup included).
-// Either SplitX or Pops selects the split:
-//
-//   - SplitX > 0: a geographic split — nodes west of x=SplitX versus the
-//     rest, membership snapshotted at At (a node that roams across the
-//     line afterwards stays in its group, like a crowd split by jamming).
-//   - Pops: the named populations versus everyone else.
-//
-// With both set, the geographic split is applied to the named populations
-// only; nodes outside them keep the default group, which — partition
-// groups being equivalence classes — severs them from BOTH sides for the
-// window (a node cannot straddle a split).
+// [At, Heal), measured in virtual time from world start (warmup included):
+// nodes west of x=SplitX versus the rest, membership snapshotted at At (a
+// node that roams across the line afterwards stays in its group, like a
+// crowd split by jamming).
 type PartitionFault struct {
 	At, Heal time.Duration
 	SplitX   float64
-	Pops     []string
 }
 
 // FaultEvent replaces the world-wide impairment at a point in virtual time
@@ -194,16 +185,8 @@ func (f *Faults) validate(pops map[string]bool) error {
 		if p.Heal <= p.At {
 			return invalidf("partition %d heals at %v, not after its start %v", i, p.Heal, p.At)
 		}
-		if math.IsNaN(p.SplitX) || math.IsInf(p.SplitX, 0) || p.SplitX < 0 {
-			return invalidf("partition %d split line %v is not a finite coordinate", i, p.SplitX)
-		}
-		if p.SplitX == 0 && len(p.Pops) == 0 {
-			return invalidf("partition %d selects no split (need SplitX or Pops)", i)
-		}
-		for _, pop := range p.Pops {
-			if !pops[pop] {
-				return invalidf("partition %d names unknown population %q", i, pop)
-			}
+		if math.IsNaN(p.SplitX) || math.IsInf(p.SplitX, 0) || p.SplitX <= 0 {
+			return invalidf("partition %d split line %v is not a positive finite coordinate", i, p.SplitX)
 		}
 		if i > 0 && p.At < windows[i-1].Heal {
 			return invalidf("partition windows overlap: [%v,%v) and [%v,%v)",
@@ -352,27 +335,12 @@ func (f *Faults) compile(w *World, seed int64, s *Spec) {
 // applyPartition snapshots group membership for one partition event, in
 // node creation order.
 func (w *World) applyPartition(p PartitionFault) {
-	assign := func(name string) {
-		if p.SplitX > 0 {
-			if w.Net.Node(name).Pos().X < p.SplitX {
-				w.Net.SetPartitionGroup(name, 1)
-			} else {
-				w.Net.SetPartitionGroup(name, 2)
-			}
-		} else {
-			w.Net.SetPartitionGroup(name, 1)
-		}
-	}
-	if len(p.Pops) > 0 {
-		for _, pop := range p.Pops {
-			for _, name := range w.Pops[pop] {
-				assign(name)
-			}
-		}
-		return
-	}
 	for _, name := range w.Net.Nodes() {
-		assign(name)
+		if w.Net.Node(name).Pos().X < p.SplitX {
+			w.Net.SetPartitionGroup(name, 1)
+		} else {
+			w.Net.SetPartitionGroup(name, 2)
+		}
 	}
 }
 

@@ -231,35 +231,6 @@ func TestPartitionWindowsOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestPartitionByPopulation covers the Pops selector, which no experiment
-// sets: alone it groups the named populations against everyone else; with
-// SplitX the line divides the named populations only and the rest keep the
-// default group, severed from both sides.
-func TestPartitionByPopulation(t *testing.T) {
-	sp := faultySpec(Faults{
-		Partitions: []PartitionFault{
-			{At: 30 * time.Second, Heal: 60 * time.Second, Pops: []string{"hub"}},
-			{At: 60 * time.Second, Heal: 90 * time.Second, Pops: []string{"hub"}, SplitX: 150},
-		},
-	})
-	w := sp.Compile(1)
-	groups := func() [3]int {
-		return [3]int{w.Net.PartitionGroup("hub0"), w.Net.PartitionGroup("hub1"), w.Net.PartitionGroup("m0")}
-	}
-	w.Sim.Run(45 * time.Second)
-	if g := groups(); g != [3]int{1, 1, 0} {
-		t.Fatalf("Pops alone: groups (hub0, hub1, m0) = %v, want [1 1 0]", g)
-	}
-	w.Sim.Run(75 * time.Second)
-	if g := groups(); g != [3]int{1, 2, 0} {
-		t.Fatalf("Pops with SplitX=150: groups (hub0, hub1, m0) = %v, want [1 2 0]", g)
-	}
-	w.Sim.Run(95 * time.Second)
-	if g := groups(); g != [3]int{} {
-		t.Fatalf("after the heal: groups = %v, want all default", g)
-	}
-}
-
 // TestSpecValidate enumerates hostile specs that must error (not panic).
 func TestSpecValidate(t *testing.T) {
 	valid := func() *Spec { return faultySpec(allFaults()) }
@@ -300,7 +271,6 @@ func TestSpecValidate(t *testing.T) {
 		{"partition heals before start", func(s *Spec) { s.Faults.Partitions[0].Heal = time.Second }},
 		{"partition without split", func(s *Spec) { s.Faults.Partitions[0].SplitX = 0 }},
 		{"NaN split", func(s *Spec) { s.Faults.Partitions[0].SplitX = math.NaN() }},
-		{"unknown partition pop", func(s *Spec) { s.Faults.Partitions[0].Pops = []string{"ghost"} }},
 		{"overlapping partitions", func(s *Spec) {
 			s.Faults.Partitions = append(s.Faults.Partitions,
 				PartitionFault{At: 60 * time.Second, Heal: 80 * time.Second, SplitX: 100})

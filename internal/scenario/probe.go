@@ -32,7 +32,7 @@ type TopologyEpochs struct{}
 
 // Collect implements Probe.
 func (TopologyEpochs) Collect(w *World, t *metrics.Table) {
-	t.AddRow("topology epochs", w.Transport.TopologyEpoch())
+	t.AddRow("topology epochs", w.Net.TopologyEpoch())
 }
 
 // BeaconTraffic reports beacon broadcast and reception totals over every

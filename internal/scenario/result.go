@@ -24,7 +24,7 @@ func (r *Result) Render(w io.Writer) {
 		fmt.Fprintln(w)
 	}
 	for _, c := range r.Charts {
-		c.Render(w, 64, 16)
+		c.Render(w)
 		fmt.Fprintln(w)
 	}
 	for _, n := range r.Notes {

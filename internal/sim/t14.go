@@ -193,12 +193,11 @@ func t14Build(p map[string]float64) (*scenario.Spec, map[string]*scenario.Adapti
 		})
 		wl := &scenario.Adaptive{
 			Pop: g.name, ServerPop: "station",
-			Mix:       t14Mix(),
-			Gap:       t14Gap,
-			Deadline:  t14Deadline,
-			FreshCode: true,
-			Fixed:     g.fixed,
-			Label:     g.name,
+			Mix:      t14Mix(),
+			Gap:      t14Gap,
+			Deadline: t14Deadline,
+			Fixed:    g.fixed,
+			Label:    g.name,
 		}
 		if g.fixed == 0 {
 			// Latency carries the objective while the battery is healthy

@@ -54,11 +54,11 @@ func runT2(seed int64) *Result {
 		w := scenario.NewWorld(seed)
 		reg := registry.New(0)
 		units := app.CodecCatalogue(w.ID, t2Formats, t2TableSize)
-		pre := baseline.Preload(reg, units)
-		table.AddRow("preload-all", pre.Footprint, 0, "100.0", 0, "0")
+		footprint := baseline.Preload(reg, units)
+		table.AddRow("preload-all", footprint, 0, "100.0", 0, "0")
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"preload-all needs %d bytes of device storage; the quota devices have is %d",
-			pre.Footprint, int64(t2Quota)*int64(units[0].Size())))
+			footprint, int64(t2Quota)*int64(units[0].Size())))
 	}
 
 	// --- cod-cache: fetch on demand under quota.

@@ -65,8 +65,7 @@ func runDisaster(seed int64, n int, speed float64) disasterOutcome {
 			w := newDisasterWorld(pairSeed, n, speed)
 			delivered := false
 			w.Net.SetHandler("n1", func(string, []byte) { delivered = true })
-			m := baseline.NewMessenger(w.Net)
-			m.Deadline = disasterDeadline
+			m := baseline.NewMessenger(w.Net, disasterDeadline)
 			var outcome baseline.MessageOutcome
 			m.SendUntilConfirmed("n0", "n1", make([]byte, disasterMsgSize),
 				func() bool { return delivered },

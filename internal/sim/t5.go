@@ -99,14 +99,7 @@ func runT5Vendors(seed int64, sweep []int) *Result {
 				Workloads: []scenario.Workload{scenario.SpawnAgent{
 					Host: "home", Entry: "main",
 					Unit: func(w *scenario.World) *lmu.Unit {
-						unit := &lmu.Unit{
-							Manifest: lmu.Manifest{Name: "shopper", Version: "1.0",
-								Kind: lmu.KindAgent, Publisher: w.ID.Name},
-							Code: app.ShopperProgram.Encode(),
-							Data: app.NewShopperData("home", "widget", names),
-						}
-						w.ID.SignCode(unit)
-						return unit
+						return app.BuildShopper(w.ID, "home", "widget", names)
 					},
 				}},
 			}

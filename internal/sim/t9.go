@@ -78,7 +78,7 @@ func runT9Walk(seed int64, class netsim.LinkClass) (first, ret time.Duration, fe
 	}
 
 	stop := app.StartGeofencing(w.Net, "user", user.Context(),
-		[]app.Geofence{{Name: "cinema", Center: venuePos, Radius: 60}}, time.Second)
+		[]app.Geofence{{Name: "cinema", Center: venuePos, Radius: 60}})
 	defer stop()
 
 	var visits []time.Duration

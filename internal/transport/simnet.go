@@ -20,11 +20,6 @@ func NewSimNetwork(net *netsim.Network) *SimNetwork {
 // Scheduler returns the simulator's virtual-time scheduler.
 func (s *SimNetwork) Scheduler() Scheduler { return s.net.Sim() }
 
-// TopologyEpoch mirrors netsim.Network.TopologyEpoch: it advances whenever
-// simulated connectivity may have changed, letting transport users detect
-// neighbor-set churn without re-querying Neighbors.
-func (s *SimNetwork) TopologyEpoch() uint64 { return s.net.TopologyEpoch() }
-
 // Endpoint returns the Endpoint for an existing simulated node.
 func (s *SimNetwork) Endpoint(id string) (Endpoint, error) {
 	if s.net.Node(id) == nil {

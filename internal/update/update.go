@@ -2,10 +2,11 @@
 //
 // The paper: "Next generation middleware should be able to ... use COD
 // techniques to dynamically update itself." Providers advertise the
-// components they publish (with version attributes) through either discovery
-// style; an Updater on each device periodically compares those
-// advertisements against its local registry and fetches anything newer —
-// Code On Demand applied to the middleware's own component base.
+// components they publish, with version attributes (AdvertiseComponents does
+// it over beacons); an Updater on each device periodically asks either
+// discovery style's Finder for those advertisements, compares them against
+// its local registry and fetches anything newer — Code On Demand applied to
+// the middleware's own component base.
 package update
 
 import (
@@ -19,43 +20,28 @@ import (
 	"logmob/internal/transport"
 )
 
-// ServicePrefix is the discovery service namespace for component
+// servicePrefix is the discovery service namespace for component
 // advertisements: a unit named "codec/ogg" is advertised as
 // "component/codec/ogg".
-const ServicePrefix = "component/"
+const servicePrefix = "component/"
 
-// VersionAttr is the advertisement attribute carrying the published version.
-const VersionAttr = "version"
+// versionAttr is the advertisement attribute carrying the published version.
+const versionAttr = "version"
 
-// Advertiser is the subset of discovery used to announce components:
-// a *discovery.Beacon as it is, a *discovery.LookupClient through ViaLookup.
-type Advertiser interface {
-	Advertise(ad discovery.Ad)
-}
-
-// lookupAdvertiser adapts *discovery.LookupClient, dropping the send error
-// (renewals retry).
-type lookupAdvertiser struct{ c *discovery.LookupClient }
-
-func (a lookupAdvertiser) Advertise(ad discovery.Ad) { _ = a.c.Advertise(ad) }
-
-// ViaLookup wraps a LookupClient as an Advertiser.
-func ViaLookup(c *discovery.LookupClient) Advertiser { return lookupAdvertiser{c: c} }
-
-// AdvertiseComponents announces every component the host currently
+// AdvertiseComponents announces on b every component the host currently
 // publishes, with its newest version, under the component namespace.
 // Call it again after publishing new versions.
-func AdvertiseComponents(h *core.Host, adv Advertiser, ttl time.Duration) int {
+func AdvertiseComponents(h *core.Host, b *discovery.Beacon, ttl time.Duration) int {
 	count := 0
 	for _, name := range h.Published() {
 		u, ok := h.Registry().Get(name)
 		if !ok {
 			continue
 		}
-		adv.Advertise(discovery.Ad{
-			Service:  ServicePrefix + name,
+		b.Advertise(discovery.Ad{
+			Service:  servicePrefix + name,
 			Provider: h.Addr(),
-			Attrs:    map[string]string{VersionAttr: u.Manifest.Version},
+			Attrs:    map[string]string{versionAttr: u.Manifest.Version},
 			TTL:      ttl,
 		})
 		count++
@@ -86,12 +72,9 @@ type Updater struct {
 	stats   Stats
 }
 
-// New builds an updater that checks every interval using finder to learn
-// about newer versions.
+// New builds an updater that checks every interval (positive) using finder
+// to learn about newer versions.
 func New(h *core.Host, finder discovery.Finder, sched transport.Scheduler, interval time.Duration) *Updater {
-	if interval <= 0 {
-		interval = time.Minute
-	}
 	return &Updater{host: h, finder: finder, sched: sched, interval: interval}
 }
 
@@ -111,7 +94,7 @@ func (u *Updater) tick() {
 	if !u.running {
 		return
 	}
-	u.CheckNow()
+	u.checkNow()
 	u.cancel = u.sched.After(u.interval, u.tick)
 }
 
@@ -124,8 +107,8 @@ func (u *Updater) Stop() {
 	}
 }
 
-// CheckNow performs one update pass over every locally held component.
-func (u *Updater) CheckNow() {
+// checkNow performs one update pass over every locally held component.
+func (u *Updater) checkNow() {
 	u.stats.Checks++
 	seen := map[string]string{} // name -> newest local version
 	for _, m := range u.host.Registry().List() {
@@ -140,12 +123,12 @@ func (u *Updater) CheckNow() {
 	// draw of a simulated run: query in name order, not map order.
 	for _, name := range slices.Sorted(maps.Keys(seen)) {
 		localVersion := seen[name]
-		u.finder.Find(discovery.Query{Service: ServicePrefix + name}, func(ads []discovery.Ad) {
+		u.finder.Find(discovery.Query{Service: servicePrefix + name}, func(ads []discovery.Ad) {
 			best := bestAd(ads, localVersion)
 			if best == nil {
 				return
 			}
-			remote := best.Attrs[VersionAttr]
+			remote := best.Attrs[versionAttr]
 			u.stats.Fetches++
 			u.host.Fetch(best.Provider, name, remote, func(unit *lmu.Unit, err error) {
 				if err != nil {
@@ -166,11 +149,11 @@ func (u *Updater) CheckNow() {
 func bestAd(ads []discovery.Ad, local string) *discovery.Ad {
 	var best *discovery.Ad
 	for i := range ads {
-		v := ads[i].Attrs[VersionAttr]
+		v := ads[i].Attrs[versionAttr]
 		if v == "" || lmu.CompareVersions(v, local) <= 0 {
 			continue
 		}
-		if best == nil || lmu.CompareVersions(v, best.Attrs[VersionAttr]) > 0 {
+		if best == nil || lmu.CompareVersions(v, best.Attrs[versionAttr]) > 0 {
 			best = &ads[i]
 		}
 	}

@@ -70,9 +70,9 @@ func TestAdvertiseComponents(t *testing.T) {
 	}
 	r.sim.RunFor(5 * time.Second)
 	var got []discovery.Ad
-	r.devBeacon.Find(discovery.Query{Service: ServicePrefix + app.CodecName("ogg")},
+	r.devBeacon.Find(discovery.Query{Service: servicePrefix + app.CodecName("ogg")},
 		func(ads []discovery.Ad) { got = ads })
-	if len(got) != 1 || got[0].Attrs[VersionAttr] != "1.0" {
+	if len(got) != 1 || got[0].Attrs[versionAttr] != "1.0" {
 		t.Fatalf("ads = %+v", got)
 	}
 }
@@ -214,7 +214,16 @@ func TestUpdaterViaLookup(t *testing.T) {
 	if err := repo.Publish(app.BuildCodec(id, "ogg", "3.0", 256)); err != nil {
 		t.Fatal(err)
 	}
-	AdvertiseComponents(repo, ViaLookup(repoClient), time.Minute)
+	// AdvertiseComponents speaks beacons; through a lookup service the
+	// provider registers the same advertisement itself.
+	if err := repoClient.Advertise(discovery.Ad{
+		Service:  servicePrefix + app.CodecName("ogg"),
+		Provider: repo.Addr(),
+		Attrs:    map[string]string{versionAttr: "3.0"},
+		TTL:      time.Minute,
+	}); err != nil {
+		t.Fatal(err)
+	}
 	sim.RunFor(5 * time.Second)
 
 	up := New(dev, devClient, sim, 10*time.Second)
@@ -236,7 +245,7 @@ func (f *recordingFinder) Find(q discovery.Query, cb func([]discovery.Ad)) {
 }
 
 // TestCheckNowQueriesInNameOrder: every query is a message on the simulated
-// network, so the order CheckNow asks in must not be Go's map order. With
+// network, so the order checkNow asks in must not be Go's map order. With
 // eight components, twenty passes all coming out sorted by chance is a
 // (1/8!)^20 event.
 func TestCheckNowQueriesInNameOrder(t *testing.T) {
@@ -246,14 +255,14 @@ func TestCheckNowQueriesInNameOrder(t *testing.T) {
 		if err := r.dev.Registry().Put(app.BuildCodec(r.id, codec, "1.0", 64)); err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, ServicePrefix+app.CodecName(codec))
+		want = append(want, servicePrefix+app.CodecName(codec))
 	}
 	sort.Strings(want)
 	finder := &recordingFinder{}
 	up := New(r.dev, finder, r.sim, time.Minute)
 	for pass := 0; pass < 20; pass++ {
 		finder.asked = finder.asked[:0]
-		up.CheckNow()
+		up.checkNow()
 		if !slices.Equal(finder.asked, want) {
 			t.Fatalf("pass %d queried %v, want sorted %v", pass, finder.asked, want)
 		}
