@@ -22,13 +22,14 @@
 // is acknowledged. A unit that finishes here is never returned, since
 // OnDone's Record.Unit may be kept, and neither is a spawned one. Whatever
 // leaves an activation is copied out of the unit: a_deliver hands message
-// handlers a copy of the payload, and hop selections become strings.
+// handlers a copy of the payload, and a hop selection is a string that owns
+// its bytes: interned (wire.InternBytes), or the neighbor's own ID.
 //
 // Concurrency: the platform runs agents inline on the goroutine that
 // delivers them (the simulator's event loop, or a TCP endpoint's reader
 // goroutine). It is designed for the single-goroutine simulator substrate;
 // hosting agents over the TCP transport with multiple peers requires
-// external serialisation of the kernel's agent handler.
+// external serialisation of the kernel's agent runtime calls.
 package agent
 
 import (
@@ -149,8 +150,8 @@ type Platform struct {
 	nbrScratch []string
 }
 
-// NewPlatform attaches an agent runtime to h. The platform installs itself
-// as the host's agent handler.
+// NewPlatform attaches an agent platform to h, which it registers as the
+// host's core.AgentRuntime.
 func NewPlatform(h *core.Host, env Env) *Platform {
 	if env.MaxFuel <= 0 {
 		env.MaxFuel = 1_000_000
@@ -165,7 +166,7 @@ func NewPlatform(h *core.Host, env Env) *Platform {
 		env.Caps = standardCaps
 	}
 	p := &Platform{host: h, env: env}
-	h.SetAgentHandler(p.onArrival)
+	h.SetAgentRuntime(p)
 	return p
 }
 
@@ -229,26 +230,28 @@ func (p *Platform) SpawnUnit(u *lmu.Unit, entry string) (string, error) {
 	return id, nil
 }
 
-// onArrival is the kernel's agent handler: admission control, then
-// activation.
-func (p *Platform) onArrival(from string, u *lmu.Unit, ack func(bool, string)) {
+// Admit implements core.AgentRuntime: admission control for an arriving
+// agent. It enforces the hop budget (reporting the agent as dropped) and
+// the resident capacity, and counts the hop into the unit's _hops.
+func (p *Platform) Admit(u *lmu.Unit) (bool, string) {
 	hops := dataCounter(u, keyHops) + 1
 	if hops > p.env.MaxHops {
 		p.stats.Dropped++
 		p.finish(u, nil, hops, StatusDropped, "hop budget exceeded")
-		ack(false, "hop budget exceeded")
-		return
+		return false, "hop budget exceeded"
 	}
 	if p.resident >= p.env.MaxResident {
 		p.stats.Dropped++
-		ack(false, "agent capacity exhausted")
-		return
+		return false, "agent capacity exhausted"
 	}
 	setDataCounter(u, keyHops, hops)
 	p.stats.Arrived++
-	ack(true, "")
-	p.activate(u, hops)
+	return true, ""
 }
+
+// Start implements core.AgentRuntime: it activates an admitted agent, whose
+// arrival the kernel has already acknowledged.
+func (p *Platform) Start(u *lmu.Unit) { p.activate(u, dataCounter(u, keyHops)) }
 
 // activation is one run of an agent on this host. Activations (and their
 // embedded machines) are recycled through the platform's freelist: an
@@ -264,6 +267,9 @@ type activation struct {
 	sleepMs int64  // sleep duration requested by a_sleep
 	itin    []string
 	itinOK  bool
+	// migrated is the method value a.onMigrated, bound once when the
+	// activation is first allocated, so a migration allocates no callback.
+	migrated func(error)
 }
 
 // ExecCtx lets the base capabilities find the unit context.
@@ -285,6 +291,7 @@ func (p *Platform) getAct(u *lmu.Unit, hops int64) *activation {
 		p.actPool = p.actPool[:n-1]
 	} else {
 		a = &activation{}
+		a.migrated = a.onMigrated
 	}
 	a.p, a.unit, a.hops = p, u, hops
 	a.next, a.sleepMs = "", 0
@@ -385,36 +392,39 @@ func (a *activation) migrate() bool {
 		a.unit.Data[keyPrev] = []byte(name)
 	}
 	a.p.stats.Migrations++
-	a.p.host.SendAgent(dest, a.unit, func(err error) {
-		if err == nil {
-			// The agent now lives elsewhere; this activation is done. A
-			// unit that arrived here is the host's to reuse (package doc).
-			u, arrived := a.unit, a.hops > 0
-			a.p.putAct(a)
-			if arrived {
-				a.p.host.RecycleAgent(u)
-			}
-			return
-		}
-		// Refused or timed out: resume here, with the migrate call
-		// reporting failure.
-		a.p.stats.MigrationFailures++
-		prog, derr := a.p.host.CachedProgram(a.unit.Code)
-		if derr != nil {
-			a.p.finish(a.unit, nil, a.hops, StatusFailed, derr.Error())
-			a.p.putAct(a)
-			return
-		}
-		if rerr := a.m.RestoreInto(prog, a.p.env.Caps, a.p.env.MaxFuel, a.unit.State); rerr != nil {
-			a.p.finish(a.unit, nil, a.hops, StatusFailed, rerr.Error())
-			a.p.putAct(a)
-			return
-		}
-		a.m.Ctx = a
-		a.patchMigrateResult(0)
-		a.drive()
-	})
+	a.p.host.SendAgent(dest, a.unit, a.migrated)
 	return true
+}
+
+// onMigrated receives the outcome of the transfer migrate started.
+func (a *activation) onMigrated(err error) {
+	if err == nil {
+		// The agent now lives elsewhere; this activation is done. A unit
+		// that arrived here is the host's to reuse (package doc).
+		u, arrived := a.unit, a.hops > 0
+		a.p.putAct(a)
+		if arrived {
+			a.p.host.RecycleAgent(u)
+		}
+		return
+	}
+	// Refused or timed out: resume here, with the migrate call reporting
+	// failure.
+	a.p.stats.MigrationFailures++
+	prog, derr := a.p.host.CachedProgram(a.unit.Code)
+	if derr != nil {
+		a.p.finish(a.unit, nil, a.hops, StatusFailed, derr.Error())
+		a.p.putAct(a)
+		return
+	}
+	if rerr := a.m.RestoreInto(prog, a.p.env.Caps, a.p.env.MaxFuel, a.unit.State); rerr != nil {
+		a.p.finish(a.unit, nil, a.hops, StatusFailed, rerr.Error())
+		a.p.putAct(a)
+		return
+	}
+	a.m.Ctx = a
+	a.patchMigrateResult(0)
+	a.drive()
 }
 
 // patchMigrateResult replaces the optimistic migrate result on top of the

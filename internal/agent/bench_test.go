@@ -58,31 +58,18 @@ done:
 	}
 }
 
-// TestRelayHopAllocs pins what one steady-state relay hop allocates: an agent
-// bouncing between two hosts on a LAN, from one arrival to the next. An
-// arrival decodes into the unit its host recycled when the agent last left
-// it, with no frame copy and no heap reader, so what is left is 7
-// allocations:
-//   - the ack closure and its acked flag (core.handleAgent);
-//   - the migrate callback (agent), the reply closure wrapping it
-//     (core.SendAgent) and the request's timeout closure (core.newRequest);
-//   - the timeout's scheduler event and the func value cancelling it
-//     (netsim.Sim.After).
-//
-// The packed frames and both deliveries ride pooled buffers and recycled
-// events. Past the first timeouts the scheduler's wheel still grows a bucket
-// a few times per hundred hops, which AllocsPerRun's whole-number average
-// drops. Cutting the closures and the timer is the next step, not this one.
-func TestRelayHopAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
+// relayPair is two hosts, node-a and node-b, in range of each other on class,
+// each with an agent platform, plus a step function that runs the simulator
+// to the next agent arrival on either. The names are longer than one byte on
+// purpose: Go converts a one-byte []byte to a string without allocating, so
+// one-byte names would hide a conversion on the hop path.
+func relayPair(t *testing.T, class netsim.LinkClass) (plats []*Platform, hop func()) {
+	t.Helper()
 	s := netsim.NewSim(1)
 	net := netsim.NewNetwork(s)
 	sn := transport.NewSimNetwork(net)
-	var plats []*Platform
-	for _, name := range []string{"a", "b"} {
-		net.AddNode(name, netsim.Position{}, netsim.LAN)
+	for i, name := range []string{"node-a", "node-b"} {
+		net.AddNode(name, netsim.Position{X: float64(10 * i)}, class)
 		ep, err := sn.Endpoint(name)
 		if err != nil {
 			t.Fatal(err)
@@ -96,8 +83,46 @@ func TestRelayHopAllocs(t *testing.T) {
 		}
 		plats = append(plats, NewPlatform(h, Env{Seed: 1, MaxHops: 1 << 40}))
 	}
+	arrivals := func() int64 { return plats[0].Stats().Arrived + plats[1].Stats().Arrived }
+	hop = func() {
+		for next := arrivals() + 1; arrivals() < next; {
+			if !s.Step() {
+				t.Fatal("the bouncing agent stopped")
+			}
+		}
+	}
+	return plats, hop
+}
+
+// pinHopAllocs warms a bouncing agent up past the first 10 s request
+// timeouts, so the scheduler's free list holds the timer events those
+// superseded and the wheel's spare buckets cover the 10 s horizon, then pins
+// a steady-state hop at zero allocations.
+func pinHopAllocs(t *testing.T, plats []*Platform, hop func()) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for plats[0].Host().Scheduler().Now() < 15*time.Second {
+		hop()
+	}
+	if got := testing.AllocsPerRun(1000, hop); got != 0 {
+		t.Errorf("a relay hop allocates %v times, want 0", got)
+	}
+}
+
+// TestRelayHopAllocs pins what one steady-state relay hop allocates: an agent
+// bouncing between two hosts on a LAN, from one arrival to the next,
+// selecting each hop from a data blob. An arrival decodes into the unit its
+// host recycled when the agent last left it; the ack is the runtime's
+// verdict, with no closure; the request is a recycled record whose timer
+// re-arms on a recycled event; the migration callback is bound once per
+// pooled activation; the selected hop is interned. So it allocates nothing.
+func TestRelayHopAllocs(t *testing.T) {
+	plats, hop := relayPair(t, netsim.LAN)
 	// "~a" and "~b" sort after every platform key, so they are the last two
-	// blobs: at an even hop count (on a) select b, at an odd one select a.
+	// blobs: at an even hop count (on node-a) select node-b, at an odd one
+	// select node-a.
 	prog := vm.MustAssemble(`
 .entry main
 main:
@@ -115,23 +140,28 @@ loop:
 	pop
 	jmp loop
 `)
-	if _, err := plats[0].Spawn("bouncer", prog, map[string][]byte{"~a": []byte("a"), "~b": []byte("b")}, "main"); err != nil {
+	if _, err := plats[0].Spawn("bouncer", prog, map[string][]byte{"~a": []byte("node-a"), "~b": []byte("node-b")}, "main"); err != nil {
 		t.Fatal(err)
 	}
-	arrivals := func() int64 { return plats[0].Stats().Arrived + plats[1].Stats().Arrived }
-	hop := func() {
-		for next := arrivals() + 1; arrivals() < next; {
-			if !s.Step() {
-				t.Fatal("the bouncing agent stopped")
-			}
-		}
+	pinHopAllocs(t, plats, hop)
+}
+
+// TestCourierHopAllocs pins T3's own relay hop at zero: the store-carry-
+// forward courier on an ad-hoc link, choosing its next hop with
+// a_select_toward_dest. Its destination is on neither host, so it bounces
+// between the two for good, each time reading the neighbor set (borrowed,
+// not copied) and comparing its destination and previous host as bytes. The
+// link is lossless: a lost ack would duplicate the agent (transfer is
+// at-least-once), and a growing crowd of agents is not a steady state.
+func TestCourierHopAllocs(t *testing.T) {
+	class := netsim.AdHoc
+	class.Loss = 0
+	plats, hop := relayPair(t, class)
+	data := NewCourierData("node-z", "disaster", make([]byte, 256))
+	if _, err := plats[0].Spawn("courier", CourierProgram, data, "main"); err != nil {
+		t.Fatal(err)
 	}
-	for s.Now() < 15*time.Second { // past the first 10 s request timeouts
-		hop()
-	}
-	if got := testing.AllocsPerRun(1000, hop); got != 7 {
-		t.Errorf("a relay hop allocates %v times, want 7", got)
-	}
+	pinHopAllocs(t, plats, hop)
 }
 
 // newBenchPlatform attaches an agent runtime with a fixed seed.

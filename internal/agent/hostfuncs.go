@@ -6,6 +6,7 @@ import (
 	"logmob/internal/core"
 	"logmob/internal/lmu"
 	"logmob/internal/vm"
+	"logmob/internal/wire"
 )
 
 // actOf resolves the activation a capability is executing for.
@@ -76,7 +77,7 @@ func NewCaps(extra ...vm.HostFunc) *vm.HostTable {
 		Name: "a_select_toward_dest", Arity: 0,
 		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
 			act := actOf(m)
-			next := act.p.pickNeighbor(string(act.unit.Data[KeyDest]), string(act.unit.Data[keyPrev]))
+			next := act.p.pickNeighbor(act.unit.Data[KeyDest], act.unit.Data[keyPrev])
 			if next == "" {
 				return m.Ret1(0), 0, nil
 			}
@@ -92,7 +93,7 @@ func NewCaps(extra ...vm.HostFunc) *vm.HostTable {
 			if !ok {
 				return m.Ret1(0), 0, nil
 			}
-			act.next = string(hop)
+			act.next = wire.InternBytes(hop)
 			return m.Ret1(1), 0, nil
 		},
 	})
@@ -145,7 +146,7 @@ func NewCaps(extra ...vm.HostFunc) *vm.HostTable {
 		Name: "a_select_dest", Arity: 0,
 		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
 			act := actOf(m)
-			dest := string(act.unit.Data[KeyDest])
+			dest := wire.InternBytes(act.unit.Data[KeyDest])
 			if dest == "" {
 				return m.Ret1(0), 0, nil
 			}
@@ -180,17 +181,19 @@ func NewCaps(extra ...vm.HostFunc) *vm.HostTable {
 
 // pickNeighbor chooses the next hop: the destination if directly reachable,
 // otherwise a random neighbor, avoiding prev unless it is the only option.
-func (p *Platform) pickNeighbor(dest, prev string) string {
+// dest and prev are the agent's data values, compared without conversion;
+// the result is the neighbor's own ID, so nothing here allocates.
+func (p *Platform) pickNeighbor(dest, prev []byte) string {
 	neighbors := p.host.Neighbors()
 	if len(neighbors) == 0 {
 		return ""
 	}
 	candidates := p.nbrScratch[:0]
 	for _, n := range neighbors {
-		if n == dest {
-			return dest
+		if n == string(dest) {
+			return n
 		}
-		if n != prev {
+		if n != string(prev) {
 			candidates = append(candidates, n)
 		}
 	}

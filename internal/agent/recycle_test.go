@@ -150,7 +150,7 @@ func TestSpawnedUnitSurvivesRecycling(t *testing.T) {
 func TestRefusedAgentResumesIntact(t *testing.T) {
 	w, _ := recycleWorld(t)
 	w.addHost(t, "c", netsim.Position{X: 5}, Env{})
-	w.hosts["c"].SetAgentHandler(nil) // c refuses every agent
+	w.hosts["c"].SetAgentRuntime(nil) // c refuses every agent
 	prog := vm.MustAssemble(`
 .globals 2
 .entry main

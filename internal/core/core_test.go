@@ -378,6 +378,14 @@ func TestEnsureCachesLocally(t *testing.T) {
 	}
 }
 
+// startAll is an AgentRuntime that admits every agent and starts it by
+// handing it to the func.
+type startAll func(u *lmu.Unit)
+
+func (f startAll) Admit(*lmu.Unit) (bool, string) { return true, "" }
+
+func (f startAll) Start(u *lmu.Unit) { f(u) }
+
 func TestSendAgentRequiresHandler(t *testing.T) {
 	w := newWorld(t)
 	w.addHost(t, "receiver", nil)
@@ -402,10 +410,7 @@ func TestSendAgentAcceptedByHandler(t *testing.T) {
 	sender := w.addHost(t, "sender", nil)
 
 	var arrived *lmu.Unit
-	receiver.SetAgentHandler(func(from string, u *lmu.Unit, ack func(bool, string)) {
-		arrived = u
-		ack(true, "")
-	})
+	receiver.SetAgentRuntime(startAll(func(u *lmu.Unit) { arrived = u }))
 	agent := &lmu.Unit{
 		Manifest: lmu.Manifest{Name: "agent/x", Version: "1", Kind: lmu.KindAgent, Publisher: w.id.Name},
 		Code:     vm.MustAssemble(".entry main\nmain:\nhalt\n").Encode(),
@@ -432,7 +437,7 @@ func TestSendAgentRejectsNonAgentKind(t *testing.T) {
 	w := newWorld(t)
 	receiver := w.addHost(t, "receiver", nil)
 	sender := w.addHost(t, "sender", nil)
-	receiver.SetAgentHandler(func(from string, u *lmu.Unit, ack func(bool, string)) { ack(true, "") })
+	receiver.SetAgentRuntime(startAll(func(*lmu.Unit) {}))
 	comp := w.signedProgram("not/agent", addSrc)
 	var got error
 	sender.SendAgent("receiver", comp, func(err error) { got = err })

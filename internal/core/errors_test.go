@@ -1,0 +1,72 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"logmob/internal/lmu"
+	"logmob/internal/netsim"
+)
+
+// TestKernelErrorsMatchFormatted pins the typed errors that replaced
+// fmt.Errorf on the refusal and send-failure paths: each reads exactly as
+// the formatted error did, and errors.Is and errors.As see the same chain
+// through it. Every send-failure case runs the real operation against a
+// peer that is down, so the kernel's own mapping from operation to text is
+// what is checked.
+func TestKernelErrorsMatchFormatted(t *testing.T) {
+	w := newWorld(t)
+	a := w.addHost(t, "a", nil)
+	w.addHost(t, "down", nil)
+	w.net.SetUp("down", false)
+	unit := w.signedProgram("tool/x", addSrc)
+
+	var got error
+	keep := func(err error) { got = err }
+	for _, c := range []struct {
+		name   string
+		run    func()
+		format string
+		args   []any
+	}{
+		{"call", func() { a.Call("down", "ping", nil, func(_ [][]byte, err error) { keep(err) }) }, "core: call %s at %s: %w", []any{"ping", "down"}},
+		{"eval", func() { a.Eval("down", unit, "main", nil, func(_ []int64, err error) { keep(err) }) }, "core: eval at %s: %w", []any{"down"}},
+		{"fetch", func() { a.Fetch("down", "tool/x", "", func(_ *lmu.Unit, err error) { keep(err) }) }, "core: fetch %s from %s: %w", []any{"tool/x", "down"}},
+		{"agent", func() { a.SendAgent("down", unit, keep) }, "core: send agent to %s: %w", []any{"down"}},
+		{"publish", func() { a.PublishTo("down", unit, keep) }, "core: publish to %s: %w", []any{"down"}},
+		{"message", func() { keep(a.SendMessage("down", "sms", nil)) }, "core: message to %s: %w", []any{"down"}},
+	} {
+		got = nil
+		c.run()
+		var unreachable *netsim.ErrUnreachable
+		if !errors.As(got, &unreachable) {
+			t.Fatalf("%s: %v does not wrap the transport's *netsim.ErrUnreachable", c.name, got)
+		}
+		sameError(t, c.name, got, fmt.Errorf(c.format, append(c.args, unreachable)...))
+	}
+	for _, msg := range []string{"hop budget exceeded", "agent capacity exhausted", "unit is not an agent"} {
+		sameError(t, msg, remoteErr(msg), fmt.Errorf("%w: %s", ErrRemote, msg))
+	}
+	if s := a.Stats(); s.Timeouts != 0 || len(a.pending) != 0 {
+		t.Errorf("failed sends left %d requests pending (%d timeouts)", len(a.pending), s.Timeouts)
+	}
+}
+
+// sameError fails unless got reads as want, and errors.Is and errors.As
+// answer alike for both.
+func sameError(t *testing.T, name string, got, want error) {
+	t.Helper()
+	if got.Error() != want.Error() {
+		t.Errorf("%s: %q, want %q", name, got, want)
+	}
+	for _, target := range []error{ErrRemote, ErrTimeout, ErrNoService, ErrRefused, ErrNotFound} {
+		if g, w := errors.Is(got, target), errors.Is(want, target); g != w {
+			t.Errorf("%s: errors.Is(err, %v) = %v, want %v", name, target, g, w)
+		}
+	}
+	var g, w *netsim.ErrUnreachable
+	if okG, okW := errors.As(got, &g), errors.As(want, &w); okG != okW || g != w {
+		t.Errorf("%s: errors.As(*netsim.ErrUnreachable) = %v %v, want %v %v", name, okG, g, okW, w)
+	}
+}

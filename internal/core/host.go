@@ -51,11 +51,23 @@ var (
 // argument frames and returns reply frames.
 type ServiceFunc func(from string, args [][]byte) ([][]byte, error)
 
-// AgentHandler is installed by the agent runtime to receive verified
-// incoming agents. ack must be called exactly once to confirm or refuse the
-// transfer back to the sender. The handler owns unit, whose byte slices
-// alias a frame the host reuses once the unit is handed to RecycleAgent.
-type AgentHandler func(from string, unit *lmu.Unit, ack func(accepted bool, reason string))
+// AgentRuntime is the agent platform as the kernel sees it. For every
+// verified arriving agent the kernel asks Admit for a verdict, acknowledges
+// the transfer to the sender with it, and only then calls Start for an
+// admitted agent. So the sender hears exactly one ack, before anything the
+// agent does here.
+//
+// From Admit on the runtime owns unit, whose byte slices alias a frame the
+// host reuses once the unit is handed to RecycleAgent. A unit Admit refuses
+// is not reused by the kernel: the runtime may have reported it.
+type AgentRuntime interface {
+	// Admit decides whether unit may run here, and records its admission
+	// (hop count and the like). A refusal gives the reason the sender sees;
+	// "" stands for ErrRefused.
+	Admit(unit *lmu.Unit) (accepted bool, reason string)
+	// Start runs an admitted agent.
+	Start(unit *lmu.Unit)
+}
 
 // MessageHandler receives application-level messages (e.g. a courier
 // agent delivering its payload).
@@ -141,29 +153,47 @@ type Host struct {
 	requestTimeout time.Duration
 	auditCap       int
 
-	mu           sync.Mutex
-	services     map[string]ServiceFunc // guarded by mu
-	published    map[string]bool        // name -> fetchable; guarded by mu
-	pending      map[uint64]*pendingReq // guarded by mu
-	reqPool      []*pendingReq          // recycled request records, guarded by mu
-	nextReq      uint64                 // guarded by mu
-	agentHandler AgentHandler           // guarded by mu
-	units        *unitPool              // nil until a unit is recycled; guarded by mu
-	msgHandlers  []MessageHandler       // guarded by mu
-	evalPool     []*evalState           // guarded by mu
-	progCache    map[string]*vm.Program // guarded by mu
-	audit        []AuditEvent           // guarded by mu
-	auditNext    int                    // guarded by mu
-	stats        Stats                  // guarded by mu
+	mu          sync.Mutex
+	services    map[string]ServiceFunc // guarded by mu
+	published   map[string]bool        // name -> fetchable; guarded by mu
+	pending     map[uint64]*pendingReq // guarded by mu
+	reqFree     *pendingReq            // recycled request records, linked by next; guarded by mu
+	reqFreeN    int                    // records on reqFree, at most 64; guarded by mu
+	nextReq     uint64                 // guarded by mu
+	agents      AgentRuntime           // guarded by mu
+	units       *unitPool              // nil until a unit is recycled; guarded by mu
+	msgHandlers []MessageHandler       // guarded by mu
+	evalPool    []*evalState           // guarded by mu
+	progCache   map[string]*vm.Program // guarded by mu
+	audit       []AuditEvent           // guarded by mu
+	auditNext   int                    // guarded by mu
+	stats       Stats                  // guarded by mu
 }
 
+// pendingReq is one outstanding request: it is the request, from newRequest
+// until a reply, its timeout or a send failure removes it from Host.pending.
+// Records are recycled, each with the timeout timer it made once, bound to
+// its own expire method, so issuing a request allocates nothing here. The
+// free list threads through the records themselves (next), which keeps a
+// Host in its size class.
 type pendingReq struct {
+	h    *Host
+	next *pendingReq // the next free record, while this one is free
 	// peer is the address the request was sent to; replies from anyone
 	// else are ignored (a peer cannot answer another peer's request).
-	peer   string
-	cb     func(ok bool, errMsg string, rest []byte)
-	cancel func()
+	peer     string
+	id       uint64
+	deadline time.Duration // when the armed timer is due
+	// Exactly one of cb and done is set: cb takes the raw reply (Call, Eval,
+	// Fetch), done only its verdict (SendAgent, PublishTo).
+	cb    replyFunc
+	done  func(error)
+	timer transport.Timer
 }
+
+// replyFunc receives a request's outcome: the remote's verdict and error
+// string, and the reply's undecoded tail, borrowed for the call.
+type replyFunc func(ok bool, errMsg string, rest []byte)
 
 // unitPool holds a host's recycled arrival units, at most 64. Most hosts of a
 // crowd never receive an agent, so the pool is allocated when the first unit
@@ -290,10 +320,12 @@ func (h *Host) Close() error {
 	h.closed = true
 	pending := h.pending
 	h.pending = make(map[uint64]*pendingReq)
+	for _, p := range pending {
+		p.timer.Stop()
+	}
 	h.mu.Unlock()
 	for _, p := range pending {
-		p.cancel()
-		p.cb(false, "host closed", nil)
+		complete(p.cb, p.done, false, "host closed", nil)
 	}
 	return h.kch.Close()
 }
@@ -312,11 +344,12 @@ func (h *Host) OnMessage(fn MessageHandler) {
 	h.msgHandlers = append(h.msgHandlers, fn)
 }
 
-// SetAgentHandler installs the agent runtime's arrival hook.
-func (h *Host) SetAgentHandler(fn AgentHandler) {
+// SetAgentRuntime installs the agent runtime that arriving agents are
+// handed to; nil refuses every agent.
+func (h *Host) SetAgentRuntime(rt AgentRuntime) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.agentHandler = fn
+	h.agents = rt
 }
 
 // RecycleAgent hands an arrived agent unit back to the host, whose next

@@ -27,50 +27,70 @@ const (
 )
 
 // newRequest counts the request (count bumps the caller's sent counter),
-// allocates a request ID and registers its reply callback with a timeout, all
-// under one hold of h.mu. The callback fires exactly once; rest is the reply's
-// undecoded tail, borrowed for the duration of the call.
-func (h *Host) newRequest(peer string, count func(*Stats), cb func(ok bool, errMsg string, rest []byte)) uint64 {
+// takes a request record with a fresh ID, registers it with its callback and
+// arms its timeout, all under one hold of h.mu. Exactly one of cb and done
+// is non-nil, and it fires exactly once (see complete).
+func (h *Host) newRequest(peer string, count func(*Stats), cb replyFunc, done func(error)) uint64 {
 	h.mu.Lock()
 	count(&h.stats)
 	h.nextReq++
-	id := h.nextReq
-	var p *pendingReq
-	if k := len(h.reqPool); k > 0 {
-		p = h.reqPool[k-1]
-		h.reqPool[k-1] = nil
-		h.reqPool = h.reqPool[:k-1]
-		p.peer, p.cb = peer, cb
+	p := h.reqFree
+	if p != nil {
+		h.reqFree, p.next = p.next, nil
+		h.reqFreeN--
 	} else {
-		p = &pendingReq{peer: peer, cb: cb}
+		p = &pendingReq{h: h}
+		p.timer = h.sched.NewTimer(p.expire)
 	}
-	p.cancel = h.sched.After(h.requestTimeout, func() {
-		h.mu.Lock()
-		p2, live := h.pending[id]
-		if !live {
-			h.mu.Unlock()
-			return
-		}
-		delete(h.pending, id)
-		h.stats.Timeouts++
-		cb2 := p2.cb
-		h.putReqLocked(p2)
-		h.mu.Unlock()
-		cb2(false, ErrTimeout.Error(), nil)
-	})
-	h.pending[id] = p
+	p.peer, p.id, p.cb, p.done = peer, h.nextReq, cb, done
+	p.deadline = h.sched.Now() + h.requestTimeout
+	p.timer.Reset(h.requestTimeout)
+	h.pending[p.id] = p
 	h.mu.Unlock()
-	return id
+	return p.id
 }
 
-// putReqLocked recycles a request record once it has been removed from
-// pending and no path can touch it again (the timeout closure rechecks
-// pending under the lock, so a recycled record is never reached through a
-// stale timer). The caller holds h.mu — the hold that removed the record.
+// expire is the request's timer body. It times the request out only if, under
+// h.mu, the record is still pending under its own ID and its deadline has
+// passed: a wall-clock firing that raced a reply, a recycle and a re-arm
+// finds the record gone or not yet due, and does nothing.
+func (p *pendingReq) expire() {
+	h := p.h
+	h.mu.Lock()
+	if h.pending[p.id] != p || h.sched.Now() < p.deadline {
+		h.mu.Unlock()
+		return
+	}
+	delete(h.pending, p.id)
+	h.stats.Timeouts++
+	cb, done := p.cb, p.done
+	h.putReqLocked(p)
+	h.mu.Unlock()
+	complete(cb, done, false, ErrTimeout.Error(), nil)
+}
+
+// putReqLocked stops a request's timer and recycles its record. The caller
+// holds h.mu — the hold that removed the record from pending — so no path
+// reaches the record as that request again.
 func (h *Host) putReqLocked(p *pendingReq) {
-	p.peer, p.cb, p.cancel = "", nil, nil
-	if len(h.reqPool) < 64 {
-		h.reqPool = append(h.reqPool, p)
+	p.timer.Stop()
+	p.peer, p.cb, p.done = "", nil, nil
+	if h.reqFreeN < 64 {
+		p.next, h.reqFree = h.reqFree, p
+		h.reqFreeN++
+	}
+}
+
+// complete hands a request's outcome to the callback it registered: cb gets
+// it raw, done gets nil or the remote's error.
+func complete(cb replyFunc, done func(error), ok bool, errMsg string, rest []byte) {
+	switch {
+	case cb != nil:
+		cb(ok, errMsg, rest)
+	case ok:
+		done(nil)
+	default:
+		done(remoteErr(errMsg))
 	}
 }
 
@@ -89,28 +109,30 @@ func (h *Host) resolve(from string, id uint64, ok bool, errMsg string, rest []by
 		return // duplicate or post-timeout reply
 	}
 	delete(h.pending, id)
-	cancel, cb := p.cancel, p.cb
+	cb, done := p.cb, p.done
 	h.putReqLocked(p)
 	h.mu.Unlock()
-	cancel()
-	cb(ok, errMsg, rest)
+	complete(cb, done, ok, errMsg, rest)
 }
 
 // abandon cancels a pending request without invoking its callback, for use
 // on the send-failure path where the caller reports the error itself.
 func (h *Host) abandon(id uint64) {
 	h.mu.Lock()
-	p, live := h.pending[id]
-	if !live {
-		h.mu.Unlock()
-		return
+	if p, live := h.pending[id]; live {
+		delete(h.pending, id)
+		h.putReqLocked(p)
 	}
-	delete(h.pending, id)
-	cancel := p.cancel
-	h.putReqLocked(p)
 	h.mu.Unlock()
-	cancel()
 }
+
+// remoteError is an error string reported by the remote host that names no
+// kernel error: "core: remote error: <msg>", matching ErrRemote.
+type remoteError string
+
+func (e remoteError) Error() string { return ErrRemote.Error() + ": " + string(e) }
+
+func (e remoteError) Unwrap() error { return ErrRemote }
 
 // remoteErr converts a reply's error string into a kernel error.
 func remoteErr(msg string) error {
@@ -126,9 +148,51 @@ func remoteErr(msg string) error {
 	case "":
 		return ErrRemote
 	default:
-		return fmt.Errorf("%w: %s", ErrRemote, msg)
+		return remoteError(msg)
 	}
 }
+
+// sendError reports a request or message the transport would not send. It
+// names the operation and the peer, and wraps the transport's error.
+type sendError struct {
+	op      sendOp
+	subject string // the service (opCall) or unit name (opFetch)
+	peer    string
+	err     error
+}
+
+// sendOp is the kernel operation a sendError reports.
+type sendOp uint8
+
+const (
+	opCall sendOp = iota
+	opEval
+	opFetch
+	opAgent
+	opPublish
+	opMessage
+)
+
+func (e *sendError) Error() string {
+	var head string
+	switch e.op {
+	case opCall:
+		head = "core: call " + e.subject + " at "
+	case opEval:
+		head = "core: eval at "
+	case opFetch:
+		head = "core: fetch " + e.subject + " from "
+	case opAgent:
+		head = "core: send agent to "
+	case opPublish:
+		head = "core: publish to "
+	default:
+		head = "core: message to "
+	}
+	return head + e.peer + ": " + e.err.Error()
+}
+
+func (e *sendError) Unwrap() error { return e.err }
 
 // Call invokes a Client/Server service on the host at to. cb receives the
 // reply frames or an error; it fires exactly once.
@@ -149,7 +213,7 @@ func (h *Host) Call(to, service string, args [][]byte, cb func(results [][]byte,
 			return
 		}
 		cb(results, nil)
-	})
+	}, nil)
 	b := wire.GetBuffer()
 	defer wire.PutBuffer(b)
 	b.PutByte(msgCall)
@@ -161,7 +225,7 @@ func (h *Host) Call(to, service string, args [][]byte, cb func(results [][]byte,
 	}
 	if err := h.kch.Send(to, b.Bytes()); err != nil {
 		h.abandon(id)
-		cb(nil, fmt.Errorf("core: call %s at %s: %w", service, to, err))
+		cb(nil, &sendError{op: opCall, subject: service, peer: to, err: err})
 	}
 }
 
@@ -185,7 +249,7 @@ func (h *Host) Eval(to string, unit *lmu.Unit, entry string, args []int64, cb fu
 			return
 		}
 		cb(stack, nil)
-	})
+	}, nil)
 	b := wire.GetBuffer()
 	defer wire.PutBuffer(b)
 	b.PutByte(msgEval)
@@ -198,7 +262,7 @@ func (h *Host) Eval(to string, unit *lmu.Unit, entry string, args []int64, cb fu
 	}
 	if err := h.kch.Send(to, b.Bytes()); err != nil {
 		h.abandon(id)
-		cb(nil, fmt.Errorf("core: eval at %s: %w", to, err))
+		cb(nil, &sendError{op: opEval, peer: to, err: err})
 	}
 }
 
@@ -233,7 +297,7 @@ func (h *Host) Fetch(from, name, minVersion string, cb func(u *lmu.Unit, err err
 		h.stats.FetchesOK++
 		h.mu.Unlock()
 		cb(u, nil)
-	})
+	}, nil)
 	b := wire.GetBuffer()
 	defer wire.PutBuffer(b)
 	b.PutByte(msgFetch)
@@ -242,7 +306,7 @@ func (h *Host) Fetch(from, name, minVersion string, cb func(u *lmu.Unit, err err
 	b.PutString(minVersion)
 	if err := h.kch.Send(from, b.Bytes()); err != nil {
 		h.abandon(id)
-		cb(nil, fmt.Errorf("core: fetch %s from %s: %w", name, from, err))
+		cb(nil, &sendError{op: opFetch, subject: name, peer: from, err: err})
 	}
 }
 
@@ -313,13 +377,7 @@ func (h *Host) ensureDeps(remote string, deps []lmu.Dep, visited map[string]bool
 // the receiver accepted it; on acceptance the local copy should be
 // considered moved.
 func (h *Host) SendAgent(to string, unit *lmu.Unit, cb func(err error)) {
-	id := h.newRequest(to, func(s *Stats) { s.AgentsSent++ }, func(ok bool, errMsg string, _ []byte) {
-		if !ok {
-			cb(remoteErr(errMsg))
-			return
-		}
-		cb(nil)
-	})
+	id := h.newRequest(to, func(s *Stats) { s.AgentsSent++ }, nil, cb)
 	b := wire.GetBuffer()
 	defer wire.PutBuffer(b)
 	b.PutByte(msgAgent)
@@ -327,7 +385,7 @@ func (h *Host) SendAgent(to string, unit *lmu.Unit, cb func(err error)) {
 	b.PutPacked(unit)
 	if err := h.kch.Send(to, b.Bytes()); err != nil {
 		h.abandon(id)
-		cb(fmt.Errorf("core: send agent to %s: %w", to, err))
+		cb(&sendError{op: opAgent, peer: to, err: err})
 	}
 }
 
@@ -337,13 +395,7 @@ func (h *Host) SendAgent(to string, unit *lmu.Unit, cb func(err error)) {
 // Demand from; the receiver accepts only if configured with ServePublish
 // and the unit passes its verification policy.
 func (h *Host) PublishTo(to string, unit *lmu.Unit, cb func(err error)) {
-	id := h.newRequest(to, func(s *Stats) { s.PublishesSent++ }, func(ok bool, errMsg string, _ []byte) {
-		if !ok {
-			cb(remoteErr(errMsg))
-			return
-		}
-		cb(nil)
-	})
+	id := h.newRequest(to, func(s *Stats) { s.PublishesSent++ }, nil, cb)
 	b := wire.GetBuffer()
 	defer wire.PutBuffer(b)
 	b.PutByte(msgPublish)
@@ -351,7 +403,7 @@ func (h *Host) PublishTo(to string, unit *lmu.Unit, cb func(err error)) {
 	b.PutPacked(unit)
 	if err := h.kch.Send(to, b.Bytes()); err != nil {
 		h.abandon(id)
-		cb(fmt.Errorf("core: publish to %s: %w", to, err))
+		cb(&sendError{op: opPublish, peer: to, err: err})
 	}
 }
 
@@ -366,7 +418,7 @@ func (h *Host) SendMessage(to, topic string, data []byte) error {
 	b.PutString(topic)
 	b.PutBytes(data)
 	if err := h.kch.Send(to, b.Bytes()); err != nil {
-		return fmt.Errorf("core: message to %s: %w", to, err)
+		return &sendError{op: opMessage, peer: to, err: err}
 	}
 	return nil
 }
@@ -555,7 +607,9 @@ func (h *Host) handleFetch(from string, r *reader) {
 // handleAgent decodes an arriving agent into a recycled unit: the frame is
 // borrowed from the transport, and UnpackFrom copies it into the unit's own
 // reused buffer. A unit the kernel refuses goes straight back to the pool;
-// an accepted one belongs to the agent handler until it calls RecycleAgent.
+// one that reaches the runtime belongs to it (AgentRuntime). The runtime's
+// verdict is acked before an admitted agent starts, so its onward sends
+// follow the ack.
 func (h *Host) handleAgent(from string, r *reader) {
 	id := r.Uint()
 	packed := r.AliasBytes()
@@ -563,9 +617,9 @@ func (h *Host) handleAgent(from string, r *reader) {
 		return
 	}
 	h.mu.Lock()
-	handler := h.agentHandler
+	rt := h.agents
 	h.stats.AgentsIn++
-	if handler == nil {
+	if rt == nil {
 		h.stats.AgentsRefused++
 		h.recordLocked("agent", from, "", false, "no agent runtime")
 		h.mu.Unlock()
@@ -592,24 +646,18 @@ func (h *Host) handleAgent(from string, r *reader) {
 		h.reply(from, msgAgentAck, id, false, err.Error(), nil)
 		return
 	}
-	acked := false
-	handler(from, u, func(accepted bool, reason string) {
-		if acked {
-			return
+	if accepted, reason := rt.Admit(u); !accepted {
+		h.mu.Lock()
+		h.stats.AgentsRefused++
+		h.mu.Unlock()
+		if reason == "" {
+			reason = ErrRefused.Error()
 		}
-		acked = true
-		if !accepted {
-			h.mu.Lock()
-			h.stats.AgentsRefused++
-			h.mu.Unlock()
-			if reason == "" {
-				reason = ErrRefused.Error()
-			}
-			h.reply(from, msgAgentAck, id, false, reason, nil)
-			return
-		}
-		h.reply(from, msgAgentAck, id, true, "", nil)
-	})
+		h.reply(from, msgAgentAck, id, false, reason, nil)
+		return
+	}
+	h.reply(from, msgAgentAck, id, true, "", nil)
+	rt.Start(u)
 }
 
 func (h *Host) handlePublish(from string, r *reader) {

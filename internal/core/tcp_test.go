@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -109,10 +111,7 @@ func TestTCPKernelAllParadigms(t *testing.T) {
 
 	// MA over TCP: agent transfer at the kernel level.
 	got := make(chan *lmu.Unit, 1)
-	server.SetAgentHandler(func(from string, u *lmu.Unit, ack func(bool, string)) {
-		ack(true, "")
-		got <- u
-	})
+	server.SetAgentRuntime(startAll(func(u *lmu.Unit) { got <- u }))
 	agentUnit := &lmu.Unit{
 		Manifest: lmu.Manifest{Name: "agent/x", Version: "1.0", Kind: lmu.KindAgent, Publisher: "publisher"},
 		Code:     vm.MustAssemble(".entry main\nmain:\nhalt\n").Encode(),
@@ -169,6 +168,85 @@ func TestTCPCallSyncContextCancel(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
+}
+
+// TestTCPReplyRacesTimeout runs calls whose replies land around their
+// deadline on a wall clock, so a reply (on a reader goroutine) and its
+// request's timeout (on a timer goroutine) race. Each client calls in a loop,
+// so the next call reuses the record, and re-arms the timer, of one whose
+// reply may have beaten a firing already under way. Every callback must run
+// exactly once, with the reply or ErrTimeout, and never time out early (a
+// stale firing must not expire the record's next request). Under -race this
+// also holds the hand-off of a record and its timer free of data races.
+func TestTCPReplyRacesTimeout(t *testing.T) {
+	trust := security.NewTrustStore()
+	server := newTCPHost(t, trust, nil)
+	const timeout = 3 * time.Millisecond
+	server.RegisterService("late", func(_ string, args [][]byte) ([][]byte, error) {
+		// Reply between half and one and a half deadlines after the call.
+		time.Sleep(time.Duration(32+args[0][0]%64) * timeout / 64)
+		return args, nil
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+
+	// Clients on connections of their own, so the server serves them in
+	// parallel and none queues behind another's late reply.
+	const clients, calls = 4, 50
+	var fired [clients * calls]atomic.Int32
+	var replied, timedOut atomic.Int32
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		client := newTCPHost(t, trust, func(cfg *Config) { cfg.RequestTimeout = timeout })
+		for { // dial first, so the first raced call does not pay for it
+			if _, err := client.CallSync(ctx, server.Addr(), "late", [][]byte{{0}}); err == nil {
+				break
+			} else if ctx.Err() != nil {
+				t.Fatalf("warm-up call: %v", err)
+			}
+			time.Sleep(2 * timeout) // let the late reply clear the server
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				n := c*calls + i
+				first := make(chan error, 1)
+				start := time.Now()
+				client.Call(server.Addr(), "late", [][]byte{{byte(n * 37)}}, func(_ [][]byte, err error) {
+					if fired[n].Add(1) == 1 {
+						first <- err
+					}
+				})
+				select {
+				case err := <-first:
+					switch {
+					case err == nil:
+						replied.Add(1)
+					case errors.Is(err, ErrTimeout):
+						timedOut.Add(1)
+						if early := time.Since(start); early < timeout {
+							t.Errorf("call %d timed out after %v, before its %v deadline", n, early, timeout)
+						}
+						time.Sleep(timeout) // let the late reply clear the server
+					default:
+						t.Errorf("call %d: %v", n, err)
+					}
+				case <-ctx.Done():
+					t.Errorf("call %d's callback never ran", n)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	time.Sleep(10 * timeout) // let stray replies and timer firings land
+	for n := range fired {
+		if got := fired[n].Load(); got != 1 {
+			t.Errorf("call %d's callback ran %d times, want 1", n, got)
+		}
+	}
+	t.Logf("%d replied, %d timed out", replied.Load(), timedOut.Load())
 }
 
 func TestTCPConcurrentCalls(t *testing.T) {

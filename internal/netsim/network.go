@@ -460,20 +460,24 @@ func (n *Network) connectedNodes(na, nb *Node) bool {
 
 // Neighbors returns the IDs of all nodes currently connected to id, in
 // insertion order.
-func (n *Network) Neighbors(id string) []string {
+func (n *Network) Neighbors(id string) []string { return n.AppendNeighbors(nil, id) }
+
+// AppendNeighbors appends what Neighbors(id) returns to dst and returns the
+// extended slice, so a caller that asks again and again can reuse one.
+func (n *Network) AppendNeighbors(dst []string, id string) []string {
 	node := n.nodes[id]
 	if node == nil {
-		return nil
+		return dst
 	}
 	nbrs := n.neighborsOf(node)
 	if len(nbrs) == 0 {
-		return nil
+		return dst
 	}
-	out := make([]string, len(nbrs))
-	for i, nb := range nbrs {
-		out[i] = nb.ID
+	dst = slices.Grow(dst, len(nbrs))
+	for _, nb := range nbrs {
+		dst = append(dst, nb.ID)
 	}
-	return out
+	return dst
 }
 
 // neighborsOf returns node's neighbor set in insertion order, serving it

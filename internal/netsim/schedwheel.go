@@ -107,6 +107,15 @@ type wheelQueue struct {
 	// cancelled ones not yet discarded; inWheel counts buckets only.
 	count   int
 	inWheel int
+	// free is the owning Sim's free list: peek returns to it the cancelled
+	// timer events it discards, which nothing else references (see timer).
+	free *[]*Event
+	// spare holds the emptied arrays of coarse buckets (levels 1 and up)
+	// that cascades pulled, for the next coarse bucket to fill from empty.
+	// Level 0 keeps each bucket's own array warm (drainSlot); a coarse slot
+	// comes round once a revolution, so its own array would idle, and the
+	// pool holds no more arrays than were ever in use at once.
+	spare [][]*Event
 }
 
 func (w *wheelQueue) len() int { return w.count }
@@ -131,7 +140,13 @@ func (w *wheelQueue) place(e *Event, slot int64) {
 	for l := 0; l < schedLevels; l++ {
 		shift := uint(schedLevelBits * l)
 		if (slot>>shift)-(w.cur>>shift) < schedSlots {
-			w.levels[l].put(int((slot>>shift)&schedSlotMask), e)
+			lv, idx := &w.levels[l], int((slot>>shift)&schedSlotMask)
+			if k := len(w.spare); l > 0 && k > 0 && lv.buckets[idx] == nil {
+				lv.buckets[idx] = w.spare[k-1]
+				w.spare[k-1] = nil
+				w.spare = w.spare[:k-1]
+			}
+			lv.put(idx, e)
 			w.inWheel++
 			return
 		}
@@ -142,11 +157,16 @@ func (w *wheelQueue) place(e *Event, slot int64) {
 func (w *wheelQueue) peek() *Event {
 	for {
 		for len(w.due) > 0 {
-			if !w.due[0].canceled {
-				return w.due[0]
+			e := w.due[0]
+			if !e.canceled {
+				return e
 			}
 			heap.Pop(&w.due)
 			w.count--
+			if e.timer != nil {
+				*e = Event{}
+				*w.free = append(*w.free, e)
+			}
 		}
 		if w.count == 0 {
 			return nil
@@ -209,10 +229,15 @@ func (w *wheelQueue) cascade() {
 			continue
 		}
 		pulled := w.levels[l].take(int((w.cur >> shift) & schedSlotMask))
+		if pulled == nil {
+			continue
+		}
 		w.inWheel -= len(pulled)
 		for _, e := range pulled {
 			w.place(e, int64(e.at)>>schedQuantumBits)
 		}
+		clear(pulled)
+		w.spare = append(w.spare, pulled[:0])
 	}
 	if len(w.overflow) > 0 && w.cur&(1<<(schedLevelBits*(schedLevels-1))-1) == 0 {
 		pending := w.overflow

@@ -6,13 +6,20 @@ import (
 	"time"
 )
 
-// FuzzTimingWheelScheduler drives random After/cancel/advance scripts
-// against two simulators at once — the timing wheel and the binary-heap
-// oracle — and demands the full firing transcript (event id at virtual
-// time) and final clock/pending state match exactly. Delays are drawn so
-// scripts cross quantum boundaries, pile events onto one instant (FIFO
-// within a deadline), re-arm from inside callbacks (the beacon cadence
-// shape), and reach past level-0 into the coarser wheels.
+// FuzzTimingWheelScheduler drives random After/cancel/advance scripts, and
+// Reset/Stop scripts on a few reusable timers, against two simulators at
+// once — the timing wheel and the binary-heap oracle — and demands the full
+// firing transcript (event id at virtual time) and final clock/pending state
+// match exactly. Delays are drawn so scripts cross quantum boundaries, pile
+// events onto one instant (FIFO within a deadline), re-arm from inside
+// callbacks (the beacon cadence shape), and reach past level-0 into the
+// coarser wheels.
+//
+// A timer must fire exactly at the deadline of its live Reset, once, and
+// never after Stop. The wheel recycles the events that Reset and Stop
+// supersede (the heap does not), so a recycled event that still fired for
+// its old Reset would show up as a firing at a stale deadline or a second
+// firing for one Reset.
 func FuzzTimingWheelScheduler(f *testing.F) {
 	// Beacon cadence: periodic re-arm at one interval, then advance.
 	f.Add([]byte{0, 30, 0, 30, 0, 30, 3, 3, 3, 3})
@@ -20,15 +27,48 @@ func FuzzTimingWheelScheduler(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 1, 2, 5, 3, 3})
 	// Far-future arms that must cascade down through the levels.
 	f.Add([]byte{0, 200, 0, 250, 0, 1, 4, 4, 4, 3, 3, 3})
+	// A request timer re-armed before it is due, stopped, re-armed from its
+	// own callback, with deliveries of other timers reusing its events.
+	f.Add([]byte{5, 0, 12, 1, 5, 1, 7, 0, 5, 0, 2, 0, 6, 1, 2, 5, 2, 62, 2, 3, 120, 5, 3, 17, 0, 4})
+	// Reset, Stop, a Step that discards (and recycles) the stopped event,
+	// Reset again: a timer still holding the recycled event would cancel it.
+	f.Add([]byte{5, 1, 3, 0, 6, 1, 2, 5, 1, 0, 0})
 
+	const nTimers = 4
 	f.Fuzz(func(t *testing.T, data []byte) {
 		type world struct {
 			sim     *Sim
 			log     []string
 			cancels []func()
+			timers  [nTimers]interface {
+				Reset(d time.Duration)
+				Stop()
+			}
+			// due is each timer's live deadline, -1 when it must not fire;
+			// rearm is how many more times its callback re-arms it.
+			due   [nTimers]time.Duration
+			rearm [nTimers]int
 		}
 		mk := func(build func(int64) *Sim) *world {
-			return &world{sim: build(9)}
+			w := &world{sim: build(9)}
+			for k := range w.timers {
+				w.due[k] = -1
+				w.timers[k] = w.sim.NewTimer(func() {
+					now := w.sim.Now()
+					if w.due[k] != now {
+						t.Fatalf("timer %d fired at %v, want its live deadline %v (-1: stopped or already fired)", k, now, w.due[k])
+					}
+					w.due[k] = -1
+					w.log = append(w.log, fmt.Sprintf("T%d@%v", k, now))
+					if w.rearm[k] > 0 { // re-arm from inside the callback
+						w.rearm[k]--
+						d := time.Duration(k+1) * 7 * time.Millisecond
+						w.due[k] = now + d
+						w.timers[k].Reset(d)
+					}
+				})
+			}
+			return w
 		}
 		worlds := [2]*world{mk(NewSim), mk(newSimHeap)}
 
@@ -78,7 +118,7 @@ func FuzzTimingWheelScheduler(f *testing.F) {
 		steps := 0
 		for pos < len(data) && steps < 200 {
 			steps++
-			switch op := next(); op % 5 {
+			switch op := next(); op % 7 {
 			case 0: // After
 				arm(delay(next()), next())
 			case 1: // cancel an outstanding timer
@@ -101,6 +141,19 @@ func FuzzTimingWheelScheduler(f *testing.F) {
 				for _, w := range worlds {
 					w.sim.RunUntilIdle(2_000_000)
 				}
+			case 5: // Reset a timer, pending or not
+				k, d, rearm := int(next())%nTimers, delay(next()), int(next())%3
+				for _, w := range worlds {
+					w.due[k] = w.sim.Now() + d
+					w.rearm[k] = rearm
+					w.timers[k].Reset(d)
+				}
+			case 6: // Stop a timer, pending or not
+				k := int(next()) % nTimers
+				for _, w := range worlds {
+					w.timers[k].Stop()
+					w.due[k] = -1
+				}
 			}
 			if worlds[0].sim.Now() != worlds[1].sim.Now() {
 				t.Fatalf("clocks diverged: wheel %v heap %v", worlds[0].sim.Now(), worlds[1].sim.Now())
@@ -119,6 +172,13 @@ func FuzzTimingWheelScheduler(f *testing.F) {
 		}
 		if worlds[0].sim.Pending() != worlds[1].sim.Pending() {
 			t.Fatalf("pending diverged: wheel %d heap %d", worlds[0].sim.Pending(), worlds[1].sim.Pending())
+		}
+		for _, w := range worlds {
+			for k, due := range w.due {
+				if due != -1 {
+					t.Fatalf("timer %d never fired for its Reset due at %v", k, due)
+				}
+			}
 		}
 	})
 }

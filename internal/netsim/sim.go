@@ -32,10 +32,10 @@ type Sim struct {
 	seq   uint64
 	rng   *rand.Rand
 	seed  int64
-	// free holds recycled delivery events. Only typed delivery events land
-	// here: they are created internally and never handed to callers, so no
-	// outside reference can observe the reuse. Events returned by Schedule
-	// (and the cancel closures from After) are never recycled.
+	// free holds recycled delivery and timer events. Only those land here:
+	// they are created internally and never handed to callers, so no outside
+	// reference can observe the reuse. Events returned by Schedule (and the
+	// cancel closures from After) are never recycled.
 	free []*Event
 	// runFree holds recycled receiver lists of broadcast runs (see joinRun).
 	// They live here rather than on the recycled events: most events are
@@ -48,7 +48,9 @@ type Sim struct {
 // wheel (see schedwheel.go); it fires events in exactly the same (time,
 // sequence) order as the binary-heap engine the tests keep as an oracle.
 func NewSim(seed int64) *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(seed)), seed: seed, queue: &wheelQueue{}}
+	s := &Sim{rng: rand.New(rand.NewSource(seed)), seed: seed}
+	s.queue = &wheelQueue{free: &s.free}
+	return s
 }
 
 // Seed returns the seed the simulator was built with, so derived RNG
@@ -82,6 +84,10 @@ type Event struct {
 	run      []*Node
 	data     []byte
 	air      time.Duration
+	// timer, when non-nil, marks a timer's event (src is then nil): firing
+	// runs timer.fn. Once its timer supersedes or stops it, nothing but the
+	// queue holds the event, so the queue recycles it when it discards it.
+	timer    *timer
 	canceled bool
 	pooled   bool
 }
@@ -93,13 +99,33 @@ func (e *Event) Cancel() { e.canceled = true }
 // Schedule runs fn after delay of virtual time. A negative delay is treated
 // as zero. Events scheduled for the same instant fire in scheduling order.
 func (s *Sim) Schedule(delay time.Duration, fn func()) *Event {
+	e := &Event{fn: fn}
+	s.file(e, delay)
+	return e
+}
+
+// file stamps e with its deadline, delay from now (a negative delay is
+// zero), and the next sequence number, and queues it. Every event enters
+// the queue here, so all of them share one clock and one sequence counter.
+func (s *Sim) file(e *Event, delay time.Duration) {
 	if delay < 0 {
 		delay = 0
 	}
-	e := &Event{at: s.now + delay, seq: s.seq, fn: fn}
+	e.at = s.now + delay
+	e.seq = s.seq
 	s.seq++
 	s.queue.push(e)
-	return e
+}
+
+// newEvent takes a cleared event from the free list, or allocates one.
+func (s *Sim) newEvent() *Event {
+	if k := len(s.free); k > 0 {
+		e := s.free[k-1]
+		s.free[k-1] = nil
+		s.free = s.free[:k-1]
+		return e
+	}
+	return &Event{}
 }
 
 // scheduleDelivery schedules a typed message-delivery event: the
@@ -109,27 +135,53 @@ func (s *Sim) Schedule(delay time.Duration, fn func()) *Event {
 // Schedule: same clock, same sequence counter. The event is returned so a
 // broadcast can fold its following receivers into it (joinRun).
 func (s *Sim) scheduleDelivery(delay time.Duration, src, dst *Node, data []byte, air time.Duration, pooled bool) *Event {
-	if delay < 0 {
-		delay = 0
-	}
-	var e *Event
-	if k := len(s.free); k > 0 {
-		e = s.free[k-1]
-		s.free[k-1] = nil
-		s.free = s.free[:k-1]
-	} else {
-		e = &Event{}
-	}
-	e.at = s.now + delay
-	e.seq = s.seq
+	e := s.newEvent()
 	e.src = src
 	e.dst = dst
 	e.data = data
 	e.air = air
 	e.pooled = pooled
-	s.seq++
-	s.queue.push(e)
+	s.file(e, delay)
 	return e
+}
+
+// timer is the simulator's transport.Timer. It owns at most one pending
+// event, taken from the free list: Reset files a fresh one exactly as
+// Schedule would at that moment, and Reset and Stop cancel the old one and
+// drop their reference to it, so only the queue still holds it (it recycles
+// it on discard). A superseded event can therefore never fire, and a
+// recycled one is never reached through its old timer.
+type timer struct {
+	s  *Sim
+	fn func()
+	ev *Event // the pending event; nil when stopped or fired
+}
+
+// NewTimer implements the transport.Scheduler contract: it returns a
+// stopped timer that runs fn each time it fires. The result type is
+// transport.Timer, spelled out because netsim cannot import transport.
+func (s *Sim) NewTimer(fn func()) interface {
+	Reset(d time.Duration)
+	Stop()
+} {
+	return &timer{s: s, fn: fn}
+}
+
+// Reset arms the timer to fire after d, superseding any pending firing.
+func (t *timer) Reset(d time.Duration) {
+	t.Stop()
+	e := t.s.newEvent()
+	e.timer = t
+	t.ev = e
+	t.s.file(e, d)
+}
+
+// Stop cancels a pending firing, if any.
+func (t *timer) Stop() {
+	if t.ev != nil {
+		t.ev.canceled = true
+		t.ev = nil
+	}
 }
 
 // joinRun files dst as one more receiver of the pending delivery e instead
@@ -166,10 +218,18 @@ func (s *Sim) joinRun(e *Event, delay time.Duration, dst *Node, air time.Duratio
 // can immediately reuse the event for anything it schedules. A run is swept
 // in list order — dst, then run[0], run[1], … — and recycled after the
 // sweep: a handler that re-broadcasts mid-sweep must not be handed the
-// receiver list still being walked. Plain callback events were handed to
-// their scheduler and are never recycled.
+// receiver list still being walked. A timer's event is recycled before its
+// callback runs, which may Reset the timer at once. Plain callback events
+// were handed to their scheduler and are never recycled.
 func (s *Sim) fire(e *Event) {
 	if e.src == nil {
+		if t := e.timer; t != nil {
+			t.ev = nil // a cancelled event never fires, so e was t's pending one
+			*e = Event{}
+			s.free = append(s.free, e)
+			t.fn()
+			return
+		}
 		e.fn()
 		return
 	}

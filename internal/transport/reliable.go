@@ -38,10 +38,16 @@ type Reliable struct {
 
 // relPending is one in-flight unicast: it stays in the pending map from
 // first send until acked or given up, so an ack can never race a retry
-// into a window where the slot is missing.
+// into a window where the slot is missing. Records are recycled, each with
+// the retry timer it made once, bound to its own expire method.
 type relPending struct {
+	r        *Reliable
+	to       string
+	seq      uint64
+	frame    []byte // built per send: a retry sends it outside the lock
 	attempts int
-	cancel   func()
+	deadline time.Duration // when the armed retry timer is due
+	timer    Timer
 }
 
 // ReliableConfig tunes the ack/retry layer.
@@ -125,38 +131,48 @@ func (r *Reliable) Send(to string, payload []byte) error {
 	r.nextSeq++
 	seq := r.nextSeq
 	r.stats.Sent++
-	// The frame is captured by the retry timer and must survive until the
-	// message is acked or abandoned, so it cannot come from a pool.
+	// The frame is held by the record until the message is acked or
+	// abandoned, and a retry sends it outside the lock, so it cannot come
+	// from a pool.
 	var fb wire.Buffer
 	fb.PutByte(relData)
 	fb.PutUint(seq)
 	fb.PutBytes(payload)
 	frame := fb.Bytes()
 	p := r.getRelLocked()
-	p.attempts = 1
+	p.to, p.seq, p.frame, p.attempts = to, seq, frame, 1
 	// Arm the slot and the timer under one critical section: the timer
 	// callback and the ack path both take the lock first, so neither can
 	// observe a half-armed state — even on wall-clock schedulers where
 	// they run on other goroutines.
-	p.cancel = r.sched.After(r.cfg.timeout(), func() { r.timeout(to, seq, frame) })
+	r.armLocked(p)
 	r.pending[seq] = p
 	r.mu.Unlock()
 	_ = r.ep.Send(to, frame) // a sync error is just a faster lost frame
 	return nil
 }
 
-// timeout is the retry timer body: re-send with the budget's blessing, or
+// armLocked (re)arms p's retry timer (r.mu must be held).
+func (r *Reliable) armLocked(p *relPending) {
+	d := r.cfg.timeout()
+	p.deadline = r.sched.Now() + d
+	p.timer.Reset(d)
+}
+
+// expire is the retry timer body: re-send with the budget's blessing, or
 // give up. The pending entry stays in the map across retries, so a late
-// ack always finds it.
-func (r *Reliable) timeout(to string, seq uint64, frame []byte) {
+// ack always finds it. A firing for a record that has since been acked,
+// recycled and re-armed (a wall-clock race) finds it either gone or not yet
+// due, and returns.
+func (p *relPending) expire() {
+	r := p.r
 	r.mu.Lock()
-	p := r.pending[seq]
-	if p == nil {
+	if r.pending[p.seq] != p || r.sched.Now() < p.deadline {
 		r.mu.Unlock()
-		return // acked (or closed) in the meantime
+		return // acked, closed or re-armed since this firing began
 	}
 	if p.attempts >= r.cfg.budget() {
-		delete(r.pending, seq)
+		delete(r.pending, p.seq)
 		r.stats.GaveUp++
 		r.putRelLocked(p)
 		r.mu.Unlock()
@@ -164,7 +180,8 @@ func (r *Reliable) timeout(to string, seq uint64, frame []byte) {
 	}
 	p.attempts++
 	r.stats.Retries++
-	p.cancel = r.sched.After(r.cfg.timeout(), func() { r.timeout(to, seq, frame) })
+	r.armLocked(p)
+	to, frame := p.to, p.frame
 	r.mu.Unlock()
 	_ = r.ep.Send(to, frame)
 }
@@ -192,7 +209,6 @@ func (r *Reliable) SetHandler(h Handler) {
 func (r *Reliable) Close() error {
 	r.mu.Lock()
 	for seq, p := range r.pending {
-		p.cancel()
 		delete(r.pending, seq)
 		r.putRelLocked(p)
 	}
@@ -200,10 +216,8 @@ func (r *Reliable) Close() error {
 	return r.ep.Close()
 }
 
-// getRelLocked takes a pending record from the free list (r.mu must be
-// held). Records are recycled only after leaving the pending map with any
-// retry timer cancelled or fired, so no stale path can reach a reused
-// record.
+// getRelLocked takes a pending record from the free list, or makes one with
+// its timer (r.mu must be held).
 func (r *Reliable) getRelLocked() *relPending {
 	if k := len(r.relFree); k > 0 {
 		p := r.relFree[k-1]
@@ -211,20 +225,20 @@ func (r *Reliable) getRelLocked() *relPending {
 		r.relFree = r.relFree[:k-1]
 		return p
 	}
-	return &relPending{}
+	p := &relPending{r: r}
+	p.timer = r.sched.NewTimer(p.expire)
+	return p
 }
 
+// putRelLocked stops p's timer and recycles p (r.mu must be held, and p must
+// have left the pending map in the same hold). A firing already under way
+// then finds p out of the map, or re-armed and not yet due.
 func (r *Reliable) putRelLocked(p *relPending) {
-	p.attempts, p.cancel = 0, nil
+	p.timer.Stop()
+	p.to, p.frame, p.attempts = "", nil, 0
 	if len(r.relFree) < 64 {
 		r.relFree = append(r.relFree, p)
 	}
-}
-
-func (r *Reliable) putRel(p *relPending) {
-	r.mu.Lock()
-	r.putRelLocked(p)
-	r.mu.Unlock()
 }
 
 // dispatch handles incoming frames: data is acked and delivered, acks
@@ -258,16 +272,12 @@ func (r *Reliable) dispatch(from string, payload []byte) {
 			return
 		}
 		r.mu.Lock()
-		p := r.pending[seq]
-		if p != nil {
+		if p := r.pending[seq]; p != nil {
 			delete(r.pending, seq)
 			r.stats.Acked++
+			r.putRelLocked(p)
 		}
 		r.mu.Unlock()
-		if p != nil {
-			p.cancel()
-			r.putRel(p)
-		}
 	case relBcast:
 		data := rd.AliasBytes()
 		if rd.Err() != nil {

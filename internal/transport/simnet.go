@@ -29,8 +29,9 @@ func (s *SimNetwork) Endpoint(id string) (Endpoint, error) {
 }
 
 type simEndpoint struct {
-	net *netsim.Network
-	id  string
+	net  *netsim.Network
+	id   string
+	nbrs []string // Neighbors' result, reused call over call
 }
 
 var _ Endpoint = (*simEndpoint)(nil)
@@ -46,7 +47,8 @@ func (e *simEndpoint) Broadcast(payload []byte) int {
 }
 
 func (e *simEndpoint) Neighbors() []string {
-	return e.net.Neighbors(e.id)
+	e.nbrs = e.net.AppendNeighbors(e.nbrs[:0], e.id)
+	return e.nbrs
 }
 
 func (e *simEndpoint) SetHandler(h Handler) {

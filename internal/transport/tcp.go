@@ -376,3 +376,19 @@ func (s *WallScheduler) After(d time.Duration, fn func()) func() {
 	t := time.AfterFunc(d, fn)
 	return func() { t.Stop() }
 }
+
+// NewTimer returns a stopped timer whose firings run fn on their own
+// goroutine. It wraps time.AfterFunc, whose Reset and Stop never wait for a
+// running callback.
+func (s *WallScheduler) NewTimer(fn func()) Timer {
+	t := time.AfterFunc(time.Hour, fn)
+	t.Stop()
+	return wallTimer{t}
+}
+
+// wallTimer adapts a *time.Timer to Timer, dropping its results.
+type wallTimer struct{ t *time.Timer }
+
+func (w wallTimer) Reset(d time.Duration) { w.t.Reset(d) }
+
+func (w wallTimer) Stop() { w.t.Stop() }

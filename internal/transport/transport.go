@@ -25,7 +25,8 @@ type Endpoint interface {
 	// Broadcast transmits payload to every neighbor/known peer. It returns
 	// the number of peers targeted. Best effort.
 	Broadcast(payload []byte) int
-	// Neighbors lists the addresses currently reachable in one hop.
+	// Neighbors lists the addresses currently reachable in one hop. The
+	// slice is borrowed until the next call: copy it to keep it.
 	Neighbors() []string
 	// SetHandler installs the receive callback. Must be called before any
 	// message can be delivered.
@@ -41,4 +42,25 @@ type Scheduler interface {
 	// After runs fn once after d. The returned function cancels the
 	// callback if it has not fired.
 	After(d time.Duration, fn func()) (cancel func())
+	// NewTimer returns a stopped Timer that runs fn each time it fires.
+	NewTimer(fn func()) Timer
+}
+
+// Timer is a reusable one-shot callback: made once, re-armed for every use,
+// so a request or retry that is armed per message costs no allocation.
+// Reset(d) arms it to run its function once after d, superseding any pending
+// firing; Stop cancels a pending firing. Neither waits for a callback that is
+// already running, so both are safe under a lock the callback takes.
+//
+// On a wall-clock scheduler a firing that had already begun when Reset or
+// Stop was called still runs. A caller that recycles what its callback
+// touches rechecks, under its lock, that the record is still live and its
+// deadline has passed (core's request records and Reliable's retry records
+// both do). Over the simulator a superseded firing never runs.
+//
+// Timer is an alias of an unnamed interface so that netsim, which this
+// package imports, can return one without importing it.
+type Timer = interface {
+	Reset(d time.Duration)
+	Stop()
 }

@@ -211,4 +211,32 @@ func TestWallScheduler(t *testing.T) {
 		t.Error("cancelled After fired")
 	case <-time.After(60 * time.Millisecond):
 	}
+
+	// A timer starts stopped, fires once per Reset, a second Reset
+	// supersedes the first, and Stop cancels.
+	ticks := make(chan time.Duration, 4)
+	tm := s.NewTimer(func() { ticks <- s.Now() })
+	select {
+	case <-ticks:
+		t.Error("a new timer fired before any Reset")
+	case <-time.After(30 * time.Millisecond):
+	}
+	armed := s.Now()
+	tm.Reset(time.Hour)
+	tm.Reset(10 * time.Millisecond)
+	select {
+	case at := <-ticks:
+		if at-armed < 10*time.Millisecond {
+			t.Errorf("timer fired %v after Reset(10ms)", at-armed)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("reset timer never fired")
+	}
+	tm.Reset(20 * time.Millisecond)
+	tm.Stop()
+	select {
+	case <-ticks:
+		t.Error("timer fired again: after one firing, or after Stop")
+	case <-time.After(60 * time.Millisecond):
+	}
 }
