@@ -112,7 +112,8 @@ func sameExported(a, b *lmu.Unit) bool {
 // of a full-signed unit, or any bit of a code-signed agent's name, version,
 // kind, publisher or code, makes Unpack fail, makes Verify fail, or decodes
 // to the very same unit (a has-signature byte of 3 still reads as true).
-// The second input picks the bit. Unit.UnpackFrom, the decoder a host runs
+// The second input picks the bit. Size must equal the packed length of
+// every unit it decodes or signs. Unit.UnpackFrom, the decoder a host runs
 // into a recycled unit, must agree with Unpack on every input, error verdict
 // included, and keep nothing of the bytes it was handed.
 func FuzzUnpack(f *testing.F) {
@@ -176,6 +177,11 @@ func FuzzUnpack(f *testing.F) {
 
 		full := signedFull(u)
 		packed := full.Pack()
+		for _, s := range []*lmu.Unit{u, full} {
+			if s.Size() != len(s.Pack()) {
+				t.Fatalf("Size() = %d, len(Pack()) = %d", s.Size(), len(s.Pack()))
+			}
+		}
 		if err := security.Verify(full, trust, security.Policy{}); err != nil {
 			t.Fatalf("fresh full signature rejected: %v", err)
 		}

@@ -120,10 +120,37 @@ func TestUnpackRejectsTrailing(t *testing.T) {
 	}
 }
 
+// TestSizeMatchesPack holds Size to the length Pack writes: signed and
+// unsigned, nil and empty data spaces, lengths on each side of a varint
+// width, and a 256 KiB codec like the ones wire_bulk moves.
 func TestSizeMatchesPack(t *testing.T) {
-	u := sampleUnit()
-	if u.Size() != len(u.Pack()) {
-		t.Errorf("Size() = %d, Pack len = %d", u.Size(), len(u.Pack()))
+	sig := func(mode SigMode, n int) *Signature {
+		return &Signature{Signer: "acme", Mode: mode, Sig: make([]byte, n)}
+	}
+	cases := []struct {
+		name string
+		edit func(u *Unit)
+	}{
+		{"unsigned", func(u *Unit) {}},
+		{"full-signed", func(u *Unit) { u.Sig = sig(SigFull, 64) }},
+		{"code-signed agent", func(u *Unit) { u.Manifest.Kind = KindAgent; u.Sig = sig(SigCode, 64) }},
+		{"short signature", func(u *Unit) { u.Sig = sig(SigFull, 1) }},
+		{"minimal, nil data", func(u *Unit) { *u = Unit{Manifest: Manifest{Name: "x", Kind: KindData}} }},
+		{"empty data map", func(u *Unit) { u.Data = map[string][]byte{} }},
+		{"nil data value", func(u *Unit) { u.Data[""] = nil }},
+		{"name of 128 bytes", func(u *Unit) { u.Manifest.Name = string(make([]byte, 128)) }},
+		{"code of 127 bytes", func(u *Unit) { u.Code = make([]byte, 127) }},
+		{"code of 128 bytes", func(u *Unit) { u.Code = make([]byte, 128) }},
+		{"state of 16384 bytes", func(u *Unit) { u.State = make([]byte, 16384) }},
+		{"data value of 16383 bytes", func(u *Unit) { u.Data["big"] = make([]byte, 16383) }},
+		{"256 KiB codec", func(u *Unit) { u.Data["table"] = make([]byte, 256<<10); u.Sig = sig(SigFull, 64) }},
+	}
+	for _, c := range cases {
+		u := sampleUnit()
+		c.edit(u)
+		if got, want := u.Size(), len(u.Pack()); got != want {
+			t.Errorf("%s: Size() = %d, len(Pack()) = %d", c.name, got, want)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 package netsim
 
-import "sort"
+import "slices"
 
 // wheelIdle marks a member with no armed wake slot.
 const wheelIdle int64 = -1 << 62
@@ -92,7 +92,7 @@ func (w *timeWheel) collect(slot int64, out []int32) []int32 {
 	}
 	delete(w.slots, slot)
 	if !s.sorted {
-		sort.Slice(s.members, func(a, b int) bool { return s.members[a] < s.members[b] })
+		slices.Sort(s.members)
 	}
 	for _, i := range s.members {
 		// Skip stale entries: cancelled, re-armed earlier (already fired),

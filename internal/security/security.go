@@ -82,10 +82,31 @@ func (id *Identity) sign(u *lmu.Unit, mode lmu.SigMode) {
 	u.Sig = &lmu.Signature{Signer: id.Name, Mode: mode, Sig: ed25519.Sign(id.priv, h[:])}
 }
 
+// memoMax bounds a trust store's memo of verified signatures. A full memo is
+// dropped and started afresh: the units that keep arriving refill it at once.
+const memoMax = 256
+
+// memoKey names one verified signature's coverage: the signer, the mode and
+// the hash that mode covers. Name, version, kind and publisher are inside
+// the hash in both modes, and data and state are inside it only under
+// SigFull, so nothing else of the unit can change a verdict.
+type memoKey struct {
+	signer string
+	mode   lmu.SigMode
+	hash   [32]byte
+}
+
 // TrustStore maps signer names to public keys. Safe for concurrent use.
+//
+// It also remembers the signatures it has verified, so a unit that arrives
+// again pays its hash but not its ed25519 verification. A memo entry holds
+// the exact signature bytes that verified over its key under the key then
+// trusted; Trust and Revoke drop the memo, and a failed verification never
+// enters it.
 type TrustStore struct {
-	mu   sync.RWMutex
-	keys map[string]ed25519.PublicKey // guarded by mu
+	mu       sync.RWMutex
+	keys     map[string]ed25519.PublicKey            // guarded by mu
+	verified map[memoKey][ed25519.SignatureSize]byte // guarded by mu; nil until the first verified signature
 }
 
 // NewTrustStore returns an empty store.
@@ -98,6 +119,7 @@ func (t *TrustStore) Trust(name string, key ed25519.PublicKey) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.keys[name] = append(ed25519.PublicKey(nil), key...)
+	t.verified = nil
 }
 
 // TrustIdentity records the identity's public key under its name.
@@ -110,6 +132,7 @@ func (t *TrustStore) Revoke(name string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	delete(t.keys, name)
+	t.verified = nil
 }
 
 // Key returns the key trusted under name.
@@ -118,6 +141,34 @@ func (t *TrustStore) Key(name string) (ed25519.PublicKey, bool) {
 	defer t.mu.RUnlock()
 	k, ok := t.keys[name]
 	return k, ok
+}
+
+// seen reports whether sig has already verified over k under the key now
+// trusted as k.signer: Trust and Revoke drop the memo, so an entry outlives
+// no change of key.
+func (t *TrustStore) seen(k memoKey, sig []byte) bool {
+	if len(sig) != ed25519.SignatureSize {
+		return false
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	v, hit := t.verified[k]
+	return hit && v == [ed25519.SignatureSize]byte(sig)
+}
+
+// remember records that sig verified over k under key; having verified, sig
+// is ed25519.SignatureSize bytes long. It records nothing if k.signer no
+// longer maps to key: a Trust or Revoke ran since Verify read the key.
+func (t *TrustStore) remember(k memoKey, key ed25519.PublicKey, sig []byte) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if cur, ok := t.keys[k.signer]; !ok || !cur.Equal(key) {
+		return
+	}
+	if t.verified == nil || len(t.verified) >= memoMax {
+		t.verified = make(map[memoKey][ed25519.SignatureSize]byte)
+	}
+	t.verified[k] = [ed25519.SignatureSize]byte(sig)
 }
 
 // Policy configures what a host accepts beyond the rule Verify reads from
@@ -134,6 +185,11 @@ type Policy struct {
 // name is the manifest's Publisher, with a coverage its kind allows: SigFull
 // on every kind, SigCode on agents only — a component, request or data unit
 // signed code-only would carry an unauthenticated data space.
+//
+// Every rule runs on every call, before the covered hash is computed, so a
+// unit the rules refuse is never hashed. Only the ed25519 check is skipped,
+// when the trust store has already verified these signature bytes over this
+// hash for this signer.
 func Verify(u *lmu.Unit, trust *TrustStore, policy Policy) error {
 	if u.Sig == nil {
 		if policy.AllowUnsigned {
@@ -153,9 +209,13 @@ func Verify(u *lmu.Unit, trust *TrustStore, policy Policy) error {
 		return fmt.Errorf("%w: signature mode %d on %s %s",
 			ErrUntrusted, u.Sig.Mode, u.Manifest.Kind, u.Manifest.Name)
 	}
-	h := u.HashFor(u.Sig.Mode)
-	if !ed25519.Verify(key, h[:], u.Sig.Sig) {
+	k := memoKey{signer: u.Sig.Signer, mode: u.Sig.Mode, hash: u.HashFor(u.Sig.Mode)}
+	if trust.seen(k, u.Sig.Sig) {
+		return nil
+	}
+	if !ed25519.Verify(key, k.hash[:], u.Sig.Sig) {
 		return fmt.Errorf("%w: %s signed by %q", ErrBadSignature, u.Manifest.Name, u.Sig.Signer)
 	}
+	trust.remember(k, key, u.Sig.Sig)
 	return nil
 }

@@ -117,8 +117,10 @@ func TestRevoke(t *testing.T) {
 	trust := NewTrustStore()
 	trust.TrustIdentity(id)
 	u := signedUnit(t, id)
-	if err := Verify(u, trust, Policy{}); err != nil {
-		t.Fatalf("Verify before revoke: %v", err)
+	for range 2 { // the second verification is a memo hit
+		if err := Verify(u, trust, Policy{}); err != nil {
+			t.Fatalf("Verify before revoke: %v", err)
+		}
 	}
 	trust.Revoke("acme")
 	if err := Verify(u, trust, Policy{}); !errors.Is(err, ErrUnknownSigner) {
@@ -126,6 +128,9 @@ func TestRevoke(t *testing.T) {
 	}
 	if _, ok := trust.Key("acme"); ok {
 		t.Error("revoked key still in the store")
+	}
+	if n := memoLen(trust); n != 0 {
+		t.Errorf("memo holds %d entries after revoke", n)
 	}
 }
 
