@@ -21,15 +21,19 @@ type tcpConn struct {
 	mu sync.Mutex // serialises frame writes on c
 }
 
-func (tc *tcpConn) writeFrame(frame []byte) (int, error) {
+// write puts one whole frame, built by wire.Buffer.StartFrame and Frame, on
+// the connection in a single Write.
+func (tc *tcpConn) write(frame []byte) (int, error) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	return wire.WriteFrame(tc.c, frame)
+	return tc.c.Write(frame)
 }
 
-// TCPUsage counts an endpoint's application traffic (hello frames included),
-// mirroring what the simulator meters per node so live runs can report the
-// same traffic rows as simulated ones.
+// TCPUsage counts an endpoint's application traffic, mirroring what the
+// simulator meters per node so live runs can report the same traffic rows as
+// simulated ones. Both ends count the same thing: whole frames, length prefix
+// included, hello frames included, so one end's sent equals the other's
+// received once the connection is quiet.
 type TCPUsage struct {
 	MsgsSent, BytesSent int64
 	MsgsRecv, BytesRecv int64
@@ -145,7 +149,8 @@ func (e *TCPEndpoint) acceptLoop() {
 // readLoop consumes frames from tc. peer is the canonical remote address
 // once known; for inbound connections it is learned from the first frame.
 // The caller must have tracked the connection (which reserves the reader's
-// waitgroup slot).
+// waitgroup slot). The handler is lent each payload inside the connection's
+// frame buffer, which the next frame overwrites (see Handler).
 func (e *TCPEndpoint) readLoop(tc *tcpConn, peer string) {
 	defer e.wg.Done()
 	defer e.untrack(tc.c)
@@ -161,13 +166,17 @@ func (e *TCPEndpoint) readLoop(tc *tcpConn, peer string) {
 		}
 		buf = frame
 		r := wire.NewReader(frame)
-		from := r.String()
-		payload := r.Bytes()
-		if r.ExpectEOF() != nil || from == "" {
+		sender := r.AliasBytes()
+		payload := r.AliasBytes()
+		if r.ExpectEOF() != nil || len(sender) == 0 {
 			continue // malformed frame; skip
 		}
 		e.msgsRecv.Add(1)
-		e.bytesRecv.Add(int64(len(frame)))
+		e.bytesRecv.Add(int64(wire.FrameLen(len(frame))))
+		from := peer
+		if string(sender) != peer {
+			from = string(sender)
+		}
 		if peer == "" {
 			peer = from
 			e.adoptConn(peer, tc)
@@ -274,21 +283,25 @@ func (e *TCPEndpoint) dial(to string) (net.Conn, error) {
 		return nil, fmt.Errorf("transport: dial %s: %w", to, err)
 	}
 	hello := wire.GetBuffer()
+	hello.StartFrame()
 	hello.PutString(e.addr)
 	hello.PutBytes(nil)
-	n, err := wire.WriteFrame(conn, hello.Bytes())
+	n, err := conn.Write(hello.Frame())
 	wire.PutBuffer(hello)
 	if err != nil {
 		conn.Close()
-		return nil, err
+		return nil, fmt.Errorf("transport: hello to %s: %w", to, err)
 	}
+	e.msgsSent.Add(1)
 	e.bytesSent.Add(int64(n))
 	return conn, nil
 }
 
-// Send transmits payload to the endpoint listening at to. The write holds
-// only the target connection's lock, so a slow or backpressured peer cannot
-// stall sends to other peers, Neighbors, SetHandler or Close.
+// Send transmits payload to the endpoint listening at to. The frame (length
+// prefix, sender address, payload) is built in one pooled buffer and leaves
+// in one Write, which holds only the target connection's lock, so a slow or
+// backpressured peer cannot stall sends to other peers, Neighbors,
+// SetHandler or Close.
 func (e *TCPEndpoint) Send(to string, payload []byte) error {
 	tc, err := e.getConn(to)
 	if err != nil {
@@ -296,9 +309,10 @@ func (e *TCPEndpoint) Send(to string, payload []byte) error {
 	}
 	frame := wire.GetBuffer()
 	defer wire.PutBuffer(frame)
+	frame.StartFrame()
 	frame.PutString(e.addr)
 	frame.PutBytes(payload)
-	n, err := tc.writeFrame(frame.Bytes())
+	n, err := tc.write(frame.Frame())
 	if err != nil {
 		e.dropConn(to, tc)
 		e.untrack(tc.c)

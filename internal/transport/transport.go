@@ -14,6 +14,11 @@ import (
 // Handler receives a message addressed to the endpoint. Simulator handlers
 // run on the simulation goroutine and must not block; TCP handlers run on the
 // connection's reader goroutine.
+//
+// The payload is borrowed until the handler returns, on every Endpoint:
+// netsim's recycled delivery buffer, the TCP connection's frame buffer, a
+// Mux or Reliable frame around either. The next delivery overwrites it, so
+// a handler copies whatever it keeps past its return.
 type Handler func(from string, payload []byte)
 
 // Endpoint sends and receives framed messages for one host address.

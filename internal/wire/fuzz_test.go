@@ -183,6 +183,8 @@ func FuzzReadFramePooled(f *testing.F) {
 	f.Add(stream(bytes.Repeat([]byte{0xab}, 4096), []byte{1}))
 	f.Add([]byte{0x05, 1, 2})                   // truncated payload
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x7f}) // header over MaxFrameLen
+	// A frame longer than one read step, then another.
+	f.Add(stream(bytes.Repeat([]byte{0xcd}, 64<<10+3), []byte("after")))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Reference pass: fresh allocation per frame, copies retained.
 		var want [][]byte

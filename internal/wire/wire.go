@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -397,19 +398,51 @@ func unzigzag(v uint64) int64 {
 	return int64(v>>1) ^ -int64(v&1)
 }
 
-// WriteFrame writes payload to w preceded by a varint length prefix and
-// returns the total number of bytes written.
+// frameRoom is the room StartFrame reserves for a frame's length prefix: the
+// widest uvarint.
+const frameRoom = binary.MaxVarintLen64
+
+// frameStep bounds the first bulk read of a frame's payload. Every later
+// read takes at most as many bytes as the frame already holds, so a frame
+// never costs much more memory than the bytes that actually arrived.
+const frameStep = 64 << 10
+
+// StartFrame empties b and reserves room for a frame's length prefix. The
+// values put after it form the frame's body; Frame then returns the whole
+// frame, so a frame built this way reaches a stream in one Write.
+func (b *Buffer) StartFrame() {
+	b.buf = slices.Grow(b.buf[:0], frameRoom)[:frameRoom]
+}
+
+// Frame writes the length prefix of the body put since StartFrame into the
+// reserved room, right-aligned against the body, and returns the framed
+// bytes: what ReadFrameInto reads back. Like Bytes, it aliases b.
+func (b *Buffer) Frame() []byte {
+	body := uint64(len(b.buf) - frameRoom)
+	start := frameRoom - uvarintLen(body)
+	binary.PutUvarint(b.buf[start:], body)
+	return b.buf[start:]
+}
+
+// FrameLen returns the bytes a frame with a body of n bytes takes on a
+// stream, its length prefix included.
+func FrameLen(n int) int { return uvarintLen(uint64(n)) + n }
+
+// uvarintLen returns the encoded length of v as an unsigned varint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// WriteFrame writes payload to w, preceded by its varint length prefix, in a
+// single Write, and returns the number of bytes written.
 func WriteFrame(w io.Writer, payload []byte) (int, error) {
-	hdr := binary.AppendUvarint(nil, uint64(len(payload)))
-	n1, err := w.Write(hdr)
+	b := GetBuffer()
+	defer PutBuffer(b)
+	b.StartFrame()
+	b.PutRaw(payload)
+	n, err := w.Write(b.Frame())
 	if err != nil {
-		return n1, fmt.Errorf("wire: write frame header: %w", err)
+		return n, fmt.Errorf("wire: write frame: %w", err)
 	}
-	n2, err := w.Write(payload)
-	if err != nil {
-		return n1 + n2, fmt.Errorf("wire: write frame payload: %w", err)
-	}
-	return n1 + n2, nil
+	return n, nil
 }
 
 // ReadFrameInto reads one length-prefixed frame from r, appending it into
@@ -418,7 +451,10 @@ func WriteFrame(w io.Writer, payload []byte) (int, error) {
 // aliases buf's storage (when capacity sufficed): callers recycling a frame
 // buffer across reads must finish with one frame before reading the next,
 // and must copy anything they keep.
-func ReadFrameInto(r io.ByteReader, buf []byte) ([]byte, error) {
+func ReadFrameInto(r interface {
+	io.Reader
+	io.ByteReader
+}, buf []byte) ([]byte, error) {
 	length, err := binary.ReadUvarint(r)
 	if err != nil {
 		if errors.Is(err, io.EOF) {
@@ -432,17 +468,18 @@ func ReadFrameInto(r io.ByteReader, buf []byte) ([]byte, error) {
 	// Grow with the bytes actually read instead of trusting the header: a
 	// corrupt or hostile 2-byte stream can claim a MaxFrameLen frame, and
 	// committing the full allocation before the first payload byte turns
-	// that into a 64 MiB allocation per bad frame.
+	// that into a 64 MiB allocation per bad frame. So the payload arrives in
+	// steps, each at most as long as what is already in hand.
 	payload := buf[:0]
-	if cap(payload) == 0 {
-		payload = make([]byte, 0, min(length, 64<<10))
-	}
-	for i := uint64(0); i < length; i++ {
-		b, err := r.ReadByte()
-		if err != nil {
+	for have := 0; have < int(length); have = len(payload) {
+		end := min(int(length), have+max(have, frameStep))
+		if cap(payload) < end {
+			payload = append(make([]byte, 0, end), payload...)
+		}
+		payload = payload[:end]
+		if _, err := io.ReadFull(r, payload[have:]); err != nil {
 			return nil, fmt.Errorf("wire: read frame payload: %w", ErrTruncated)
 		}
-		payload = append(payload, b)
 	}
 	return payload, nil
 }

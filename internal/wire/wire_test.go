@@ -1,11 +1,14 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -264,37 +267,93 @@ func TestBytesDoesNotAliasInput(t *testing.T) {
 	}
 }
 
+// frameSizes straddle the read steps: the first step is frameStep (64 KiB)
+// and each later one at most doubles what is in hand.
+var frameSizes = []int{0, 1, 64<<10 - 1, 64 << 10, 64<<10 + 1, 256 << 10, 1<<20 + 3}
+
+// patterned returns n bytes that differ from their neighbours, so a step
+// that lands one byte early or late shows up as a changed payload.
+func patterned(n int) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte(i*7 + i>>8)
+	}
+	return p
+}
+
+// rawFrame is the frame format written out by hand: uvarint(len) | body.
+func rawFrame(body []byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
+}
+
+// TestFrameRoundTrip reads frames of every size in frameSizes through a
+// 16-byte bufio.Reader, recycling one buffer, each frame followed by a short
+// sentinel frame. A read step that takes one byte past the frame eats the
+// sentinel's prefix; one that stops a byte short misaligns the sentinel.
 func TestFrameRoundTrip(t *testing.T) {
-	payloads := [][]byte{{}, {1}, bytes.Repeat([]byte{0xAA}, 1000)}
-	var buf bytes.Buffer
-	for _, p := range payloads {
-		if _, err := WriteFrame(&buf, p); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
+	sentinel := []byte("end")
+	var buf []byte
+	for _, n := range frameSizes {
+		payload := patterned(n)
+		var stream bytes.Buffer
+		for _, p := range [][]byte{payload, sentinel} {
+			if _, err := WriteFrame(&stream, p); err != nil {
+				t.Fatalf("WriteFrame: %v", err)
+			}
 		}
-	}
-	for _, want := range payloads {
-		got, err := ReadFrameInto(&buf, nil)
+		br := bufio.NewReaderSize(&stream, 16)
+		got, err := ReadFrameInto(br, buf)
 		if err != nil {
-			t.Fatalf("ReadFrameInto: %v", err)
+			t.Fatalf("%d bytes: %v", n, err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("frame = %v, want %v", got, want)
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("%d bytes: frame differs from what was written", n)
 		}
-	}
-	if _, err := ReadFrameInto(&buf, nil); err != io.EOF {
-		t.Fatalf("ReadFrameInto at end = %v, want io.EOF", err)
+		buf = got
+		if got, err := ReadFrameInto(br, nil); err != nil || !bytes.Equal(got, sentinel) {
+			t.Fatalf("%d bytes: sentinel after the frame = %q, %v", n, got, err)
+		}
+		if _, err := ReadFrameInto(br, nil); err != io.EOF {
+			t.Fatalf("%d bytes: ReadFrameInto at end = %v, want io.EOF", n, err)
+		}
 	}
 }
 
+// TestFrameTruncatedPayload cuts a frame of every size in frameSizes inside
+// each read step and expects ErrTruncated, through a small bufio.Reader and
+// into a recycled buffer.
 func TestFrameTruncatedPayload(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := WriteFrame(&buf, []byte{1, 2, 3, 4}); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
+	buf := make([]byte, 0, 1<<20)
+	for _, n := range frameSizes {
+		frame := rawFrame(patterned(n))
+		prefix := len(frame) - n
+		for _, cut := range cutsInsideSteps(n) {
+			br := bufio.NewReaderSize(bytes.NewReader(frame[:prefix+cut]), 16)
+			if _, err := ReadFrameInto(br, buf); !errors.Is(err, ErrTruncated) {
+				t.Errorf("%d bytes cut after %d: %v, want ErrTruncated", n, cut, err)
+			}
+		}
 	}
-	trunc := bytes.NewBuffer(buf.Bytes()[:3])
-	if _, err := ReadFrameInto(trunc, nil); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("ReadFrameInto = %v, want ErrTruncated", err)
+}
+
+// cutsInsideSteps returns payload offsets short of n on both sides of every
+// step boundary (64 KiB, then each doubling) and in the middle of each step.
+func cutsInsideSteps(n int) []int {
+	var cuts []int
+	add := func(c int) {
+		if c >= 0 && c < n {
+			cuts = append(cuts, c)
+		}
 	}
+	lo := 0
+	for hi := 64 << 10; lo < n; lo, hi = hi, 2*hi {
+		end := min(hi, n)
+		add(lo)
+		add(lo + 1)
+		add((lo + end) / 2)
+		add(end - 1)
+	}
+	return cuts
 }
 
 func TestFrameTooLarge(t *testing.T) {
@@ -302,6 +361,74 @@ func TestFrameTooLarge(t *testing.T) {
 	hdr.PutUint(MaxFrameLen + 1)
 	if _, err := ReadFrameInto(bytes.NewBuffer(hdr.Bytes()), nil); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("ReadFrameInto = %v, want ErrTooLarge", err)
+	}
+}
+
+// TestFrameHostileHeaderCostsWhatArrives pins the read bound: a header that
+// claims MaxFrameLen followed by 10 bytes costs one first step of memory,
+// not the 64 MiB the header asks for.
+func TestFrameHostileHeaderCostsWhatArrives(t *testing.T) {
+	stream := append(binary.AppendUvarint(nil, MaxFrameLen), make([]byte, 10)...)
+	r := bytes.NewReader(stream)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrameInto(r, nil)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("ReadFrameInto = %v, want ErrTruncated", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 128<<10 {
+		t.Errorf("a %d-byte stream claiming %d bytes allocated %d bytes, want < 128 KiB", len(stream), MaxFrameLen, got)
+	}
+}
+
+// countingWriter counts the Write calls it receives.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestWriteFrameOneWrite pins that a frame reaches its writer in one Write,
+// prefix and payload together, byte for byte the hand-built format.
+func TestWriteFrameOneWrite(t *testing.T) {
+	for _, n := range []int{0, 300, 256 << 10} {
+		payload := patterned(n)
+		var w countingWriter
+		written, err := WriteFrame(&w, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.writes != 1 {
+			t.Errorf("%d bytes: %d Writes, want 1", n, w.writes)
+		}
+		if want := rawFrame(payload); !bytes.Equal(w.Bytes(), want) || written != len(want) {
+			t.Errorf("%d bytes: wrote %d bytes that differ from uvarint(len) | payload", n, written)
+		}
+	}
+}
+
+// TestStartFrame checks that a frame built in a reused buffer is the
+// hand-built format and FrameLen long, at every prefix width boundary.
+func TestStartFrame(t *testing.T) {
+	var b Buffer
+	b.PutString("left over from the last use")
+	for _, n := range []int{0, 1, 127, 128, 16383, 16384, 1 << 21} {
+		body := patterned(n)
+		b.StartFrame()
+		b.PutRaw(body)
+		got := b.Frame()
+		if !bytes.Equal(got, rawFrame(body)) {
+			t.Errorf("%d-byte body: frame differs from uvarint(len) | body", n)
+		}
+		if len(got) != FrameLen(n) {
+			t.Errorf("FrameLen(%d) = %d, frame is %d bytes", n, FrameLen(n), len(got))
+		}
 	}
 }
 
