@@ -12,79 +12,80 @@
 // Output modes:
 //
 //   - default: file:line:col: message (check) lines, one per finding.
-//   - -json: a findings.Report document.
+//   - -json: one document, {"tool": "logmoblint", "findings": [...]}, whose
+//     findings are lint.Result values.
+//
+// File paths are relative to the working directory, so reports are
+// machine-independent. The exit code is 1 when there are findings, 2 when
+// the packages cannot be loaded, and 0 otherwise.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
-	"logmob/internal/findings"
 	"logmob/internal/lint"
 )
 
-func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON findings.Report")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	patterns := flag.Args()
+// report is the -json document.
+type report struct {
+	Tool     string        `json:"tool"`
+	Findings []lint.Result `json:"findings"`
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("logmoblint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.Bool("json", false, "emit findings as one JSON document")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
 	wd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "logmoblint: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "logmoblint: %v\n", err)
+		return 2
 	}
-
 	pkgs, err := lint.Load(wd, patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "logmoblint: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "logmoblint: %v\n", err)
+		return 2
 	}
-
-	report := Report(wd, lint.Run(lint.All(), pkgs))
+	results := lint.Run(lint.All(), pkgs)
+	for i, r := range results {
+		if rel, err := filepath.Rel(wd, r.File); err == nil && !strings.HasPrefix(rel, "..") {
+			results[i].File = filepath.ToSlash(rel)
+		}
+	}
 
 	if *jsonOut {
-		if err := report.Encode(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "logmoblint: %v\n", err)
-			os.Exit(2)
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(report{Tool: "logmoblint", Findings: results}); err != nil {
+			fmt.Fprintf(stderr, "logmoblint: %v\n", err)
+			return 2
 		}
 	} else {
-		for _, f := range report.Findings {
-			fmt.Println(f)
+		for _, r := range results {
+			fmt.Fprintf(stdout, "%s:%d:%d: %s (%s)\n", r.File, r.Line, r.Col, r.Message, r.Check)
 		}
-		if len(report.Findings) == 0 {
-			fmt.Printf("logmoblint: %d packages clean\n", len(pkgs))
+		if len(results) == 0 {
+			fmt.Fprintf(stdout, "logmoblint: %d packages clean\n", len(pkgs))
 		}
 	}
-	if len(report.Findings) > 0 {
-		os.Exit(1)
+	if len(results) > 0 {
+		return 1
 	}
-}
-
-// Report converts analyzer results into the findings schema, with
-// file paths made relative to root so reports are machine-independent.
-func Report(root string, results []lint.Result) *findings.Report {
-	rep := &findings.Report{Tool: "logmoblint"}
-	for _, r := range results {
-		file := r.File
-		if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
-			file = rel
-		}
-		rep.Findings = append(rep.Findings, findings.Finding{
-			Tool:    "logmoblint",
-			Check:   r.Check,
-			File:    filepath.ToSlash(file),
-			Line:    r.Line,
-			Col:     r.Col,
-			Message: r.Message,
-		})
-	}
-	rep.Sort()
-	return rep
+	return 0
 }

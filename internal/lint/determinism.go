@@ -7,22 +7,10 @@ import (
 	"strings"
 )
 
-// simPackages is the set of package-path leaf names the determinism analyzer
-// patrols: the packages whose behaviour must be a pure function of the
-// configured seed so goldens and the workers-differential tests stay
-// byte-identical. Wall-clock reads, global RNG draws and map-order escapes
-// anywhere else (transport wall schedulers, cmd mains, tests) are out of
-// scope.
-var simPackages = map[string]bool{
-	"netsim":    true,
-	"scenario":  true,
-	"sim":       true,
-	"discovery": true,
-	"adapt":     true,
-	"metrics":   true,
-}
-
-// Determinism proves the simulation packages compute from the seed alone.
+// Determinism proves that every library package computes from the seed
+// alone, so goldens and the workers-differential tests stay byte-identical.
+// A `package main` owns its clock and its output and is not patrolled; the
+// nine examples' output is pinned byte for byte by TestExamples instead.
 //
 // Checks:
 //
@@ -40,7 +28,6 @@ var simPackages = map[string]bool{
 //	             or interleaved with RNG draws.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "flag wall-clock reads, global RNG use and map-iteration-order escapes in simulation packages",
 	Checks: []string{
 		"wallclock", "globalrand", "maporder",
 	},
@@ -48,8 +35,7 @@ var Determinism = &Analyzer{
 }
 
 func runDeterminism(pass *Pass) {
-	parts := strings.Split(pass.Pkg.ImportPath, "/")
-	if !simPackages[parts[len(parts)-1]] {
+	if pass.Pkg.Types.Name() == "main" {
 		return
 	}
 	for _, f := range pass.Pkg.Files {
@@ -58,7 +44,7 @@ func runDeterminism(pass *Pass) {
 			case *ast.CallExpr:
 				checkClockAndRand(pass, n)
 			case *ast.RangeStmt:
-				checkMapOrder(pass, f, n)
+				checkMapOrder(pass, n)
 			}
 			return true
 		})
@@ -95,7 +81,7 @@ func checkClockAndRand(pass *Pass, call *ast.CallExpr) {
 	case "time":
 		if wallclockFuncs[sel.Sel.Name] {
 			pass.Reportf(call.Pos(), "wallclock",
-				"time.%s reads the host clock in a simulation package; use Sim time, or annotate a deliberate timing probe with //lint:allow wallclock <reason>",
+				"time.%s reads the host clock in a library package; use Sim time, or annotate a deliberate timing probe with //lint:allow wallclock <reason>",
 				sel.Sel.Name)
 		}
 	case "math/rand", "math/rand/v2":
@@ -109,7 +95,7 @@ func checkClockAndRand(pass *Pass, call *ast.CallExpr) {
 
 // checkMapOrder flags range-over-map loops whose iteration order can leak
 // into results.
-func checkMapOrder(pass *Pass, file *ast.File, rng *ast.RangeStmt) {
+func checkMapOrder(pass *Pass, rng *ast.RangeStmt) {
 	t := pass.TypeOf(rng.X)
 	if t == nil {
 		return
@@ -187,7 +173,7 @@ func checkMapOrder(pass *Pass, file *ast.File, rng *ast.RangeStmt) {
 				report(n.Pos(), "loop-derived value sent on a channel")
 			}
 		case *ast.CallExpr:
-			checkOrderedCall(pass, rng, n, usesTaint, report)
+			checkOrderedCall(pass, n, usesTaint, report)
 		}
 		return true
 	})
@@ -209,13 +195,7 @@ func checkOrderedStore(pass *Pass, rng *ast.RangeStmt, lhs ast.Expr, rhs ast.Nod
 			// built-in append: the target is arg 0.
 			if target, ok := call.Args[0].(*ast.Ident); ok {
 				if obj := outer(target); obj != nil {
-					taintedArgs := false
-					for _, a := range call.Args[1:] {
-						if usesTaint(a) {
-							taintedArgs = true
-						}
-					}
-					if taintedArgs && !sortedLater(pass, rng, obj) {
+					if anyTainted(call.Args[1:], usesTaint) && !sortedLater(pass, rng, obj) {
 						report(call.Pos(), "append of loop-derived values to outer slice "+target.Name)
 					}
 				}
@@ -238,7 +218,7 @@ func checkOrderedStore(pass *Pass, rng *ast.RangeStmt, lhs ast.Expr, rhs ast.Nod
 
 // checkOrderedCall flags calls inside a map-range body that consume RNG or
 // emit output, both of which serialise the map's random order into the run.
-func checkOrderedCall(pass *Pass, rng *ast.RangeStmt, call *ast.CallExpr, usesTaint func(ast.Node) bool, report func(token.Pos, string)) {
+func checkOrderedCall(pass *Pass, call *ast.CallExpr, usesTaint func(ast.Node) bool, report func(token.Pos, string)) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		// fmt.X handled below needs a selector; plain calls pass.
@@ -300,11 +280,7 @@ func isBuiltinAppend(pass *Pass, call *ast.CallExpr) bool {
 	if !ok || id.Name != "append" || len(call.Args) == 0 {
 		return false
 	}
-	obj := pass.Pkg.Info.Uses[id]
-	if obj == nil {
-		return true // unresolved: only the builtin is spelled append here
-	}
-	_, isBuiltin := obj.(*types.Builtin)
+	_, isBuiltin := pass.Pkg.Info.Uses[id].(*types.Builtin)
 	return isBuiltin
 }
 

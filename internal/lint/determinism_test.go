@@ -8,5 +8,8 @@ import (
 )
 
 func TestDeterminism(t *testing.T) {
-	linttest.Run(t, lint.Determinism, "internal/lint/testdata/src/determinism/netsim")
+	linttest.Run(t, lint.Determinism,
+		"internal/lint/testdata/src/determinism/netsim",
+		"internal/lint/testdata/src/determinism/ledger",
+		"internal/lint/testdata/src/determinism/command")
 }

@@ -15,11 +15,12 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -34,16 +35,14 @@ type Diagnostic struct {
 // can emit; the runner uses it to validate //lint:allow directives.
 type Analyzer struct {
 	Name   string
-	Doc    string
 	Checks []string
 	Run    func(*Pass)
 }
 
 // Pass carries one analyzer's view of one package.
 type Pass struct {
-	Analyzer *Analyzer
-	Pkg      *Package
-	diags    []Diagnostic
+	Pkg   *Package
+	diags []Diagnostic
 }
 
 // Reportf records a diagnostic for check at pos.
@@ -69,14 +68,15 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 	return p.Pkg.Info.ObjectOf(id)
 }
 
-// Result is a resolved diagnostic, positioned and attributed.
+// Result is a resolved diagnostic, positioned and attributed. It is also
+// the JSON schema of cmd/logmoblint -json.
 type Result struct {
-	Analyzer string
-	Check    string
-	File     string // as reported by the FileSet (absolute or build-relative)
-	Line     int
-	Col      int
-	Message  string
+	Analyzer string `json:"analyzer"`
+	Check    string `json:"check"`
+	File     string `json:"file"` // as reported by the FileSet (absolute or build-relative)
+	Line     int    `json:"line"` // 1-based
+	Col      int    `json:"col"`  // 1-based
+	Message  string `json:"message"`
 }
 
 // directive is one parsed //lint:allow comment. It suppresses matching
@@ -91,8 +91,8 @@ type directive struct {
 	used   bool
 }
 
-// DirectivePrefix is the comment prefix recognised as a lint directive.
-const DirectivePrefix = "//lint:allow"
+// directivePrefix is the comment prefix recognised as a lint directive.
+const directivePrefix = "//lint:allow"
 
 // parseDirectives extracts every //lint:allow directive in the package.
 // Malformed directives (no check, or no reason) are returned as diagnostics
@@ -104,10 +104,10 @@ func parseDirectives(pkg *Package) ([]*directive, []Result) {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, DirectivePrefix) {
+				if !strings.HasPrefix(c.Text, directivePrefix) {
 					continue
 				}
-				rest := strings.TrimPrefix(c.Text, DirectivePrefix)
+				rest := strings.TrimPrefix(c.Text, directivePrefix)
 				if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
 					continue // e.g. //lint:allowance — not ours
 				}
@@ -151,24 +151,26 @@ func Run(analyzers []*Analyzer, pkgs []*Package) []Result {
 		dirs, bad := parseDirectives(pkg)
 		out = append(out, bad...)
 
-		byLine := map[string][]*directive{} // "file\x00line" -> directives
-		lineKey := func(file string, line int) string {
-			return fmt.Sprintf("%s\x00%d", file, line)
+		type fileLine struct {
+			file string
+			line int
 		}
+		byLine := map[fileLine][]*directive{}
 		for _, d := range dirs {
 			// Trailing form covers its own line; standalone form covers the
 			// line below. Registering both keeps the parser source-free.
-			byLine[lineKey(d.file, d.line)] = append(byLine[lineKey(d.file, d.line)], d)
-			byLine[lineKey(d.file, d.line+1)] = append(byLine[lineKey(d.file, d.line+1)], d)
+			for _, k := range []fileLine{{d.file, d.line}, {d.file, d.line + 1}} {
+				byLine[k] = append(byLine[k], d)
+			}
 		}
 
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Pkg: pkg}
+			pass := &Pass{Pkg: pkg}
 			a.Run(pass)
 			for _, diag := range pass.diags {
 				posn := pkg.Fset.Position(diag.Pos)
 				suppressed := false
-				for _, d := range byLine[lineKey(posn.Filename, posn.Line)] {
+				for _, d := range byLine[fileLine{posn.Filename, posn.Line}] {
 					if d.check == diag.Check {
 						d.used = true
 						suppressed = true
@@ -200,21 +202,14 @@ func Run(analyzers []*Analyzer, pkgs []*Package) []Result {
 		}
 	}
 
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		if a.Check != b.Check {
-			return a.Check < b.Check
-		}
-		return a.Message < b.Message
+	slices.SortFunc(out, func(a, b Result) int {
+		return cmp.Or(
+			cmp.Compare(a.File, b.File),
+			cmp.Compare(a.Line, b.Line),
+			cmp.Compare(a.Col, b.Col),
+			cmp.Compare(a.Check, b.Check),
+			cmp.Compare(a.Message, b.Message),
+		)
 	})
 	return out
 }

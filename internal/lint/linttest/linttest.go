@@ -28,17 +28,21 @@ import (
 // `// want ...` comment.
 var wantRe = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 
-// Run loads the fixture package rooted at dir (relative to the module root)
-// and checks analyzer a against the fixture's want comments.
-func Run(t *testing.T, a *lint.Analyzer, dir string) {
+// Run loads the fixture packages rooted at dirs (relative to the module
+// root) and checks analyzer a against the fixtures' want comments.
+func Run(t *testing.T, a *lint.Analyzer, dirs ...string) {
 	t.Helper()
 	root, err := moduleRoot()
 	if err != nil {
 		t.Fatalf("linttest: %v", err)
 	}
-	pkgs, err := lint.Load(root, "./"+filepath.ToSlash(dir))
+	patterns := make([]string, len(dirs))
+	for i, dir := range dirs {
+		patterns[i] = "./" + filepath.ToSlash(dir)
+	}
+	pkgs, err := lint.Load(root, patterns...)
 	if err != nil {
-		t.Fatalf("linttest: load %s: %v", dir, err)
+		t.Fatalf("linttest: load %s: %v", dirs, err)
 	}
 	results := lint.Run([]*lint.Analyzer{a}, pkgs)
 
@@ -104,13 +108,9 @@ func Run(t *testing.T, a *lint.Analyzer, dir string) {
 		}
 	}
 
-	// Keep fixtures honest: files must actually have been loaded.
-	var n int
-	for _, pkg := range pkgs {
-		n += len(pkg.Files)
-	}
-	if n == 0 {
-		t.Fatalf("linttest: fixture %s loaded no files", dir)
+	// Keep fixtures honest: every package must actually have been loaded.
+	if len(pkgs) != len(dirs) {
+		t.Fatalf("linttest: fixtures %s loaded %d packages", dirs, len(pkgs))
 	}
 }
 

@@ -18,22 +18,18 @@ import (
 
 // Package is one loaded, typechecked package ready for analysis.
 type Package struct {
-	ImportPath string
-	Dir        string
-	Fset       *token.FileSet
-	Files      []*ast.File
-	Types      *types.Package
-	Info       *types.Info
+	Fset  *token.FileSet
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	Export     string
 	GoFiles    []string
-	Standard   bool
 	DepOnly    bool
 	Error      *struct{ Err string }
 }
@@ -49,7 +45,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,Name,Export,GoFiles,Standard,DepOnly,Error"}, patterns...)
+	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,Export,GoFiles,DepOnly,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -93,9 +89,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 
 	var pkgs []*Package
 	for _, t := range targets {
-		if t.Name == "main" && t.Standard {
-			continue
-		}
 		var files []*ast.File
 		for _, name := range t.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil, parser.ParseComments)
@@ -117,14 +110,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lint: typecheck %s: %w", t.ImportPath, err)
 		}
-		pkgs = append(pkgs, &Package{
-			ImportPath: t.ImportPath,
-			Dir:        t.Dir,
-			Fset:       fset,
-			Files:      files,
-			Types:      tpkg,
-			Info:       info,
-		})
+		pkgs = append(pkgs, &Package{Fset: fset, Files: files, Types: tpkg, Info: info})
 	}
 	return pkgs, nil
 }

@@ -18,18 +18,12 @@ import (
 // Check: lockguard.
 var LockGuard = &Analyzer{
 	Name:   "lockguard",
-	Doc:    "prove annotated struct fields are only touched while their guarding mutex is held",
 	Checks: []string{"lockguard"},
 	Run:    runLockGuard,
 }
 
 // guardedRe matches the annotation inside a field's doc or trailing comment.
 var guardedRe = regexp.MustCompile(`guarded by (\w+)`)
-
-// guardInfo maps a struct's fields to the sibling mutex field guarding them.
-type guardInfo struct {
-	fields map[string]string // field name -> mutex field name
-}
 
 func runLockGuard(pass *Pass) {
 	guards := collectGuards(pass)
@@ -53,9 +47,10 @@ func runLockGuard(pass *Pass) {
 }
 
 // collectGuards finds every `guarded by` annotation on struct fields in the
-// package, keyed by the struct's *types.Named object.
-func collectGuards(pass *Pass) map[types.Object]*guardInfo {
-	out := map[types.Object]*guardInfo{}
+// package: per struct type, a map from field name to the sibling mutex field
+// guarding it.
+func collectGuards(pass *Pass) map[types.Object]map[string]string {
+	out := map[types.Object]map[string]string{}
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
@@ -66,7 +61,7 @@ func collectGuards(pass *Pass) map[types.Object]*guardInfo {
 			if !ok {
 				return true
 			}
-			var gi *guardInfo
+			var gi map[string]string
 			fieldNames := map[string]bool{}
 			for _, field := range st.Fields.List {
 				for _, name := range field.Names {
@@ -92,10 +87,10 @@ func collectGuards(pass *Pass) map[types.Object]*guardInfo {
 					continue
 				}
 				if gi == nil {
-					gi = &guardInfo{fields: map[string]string{}}
+					gi = map[string]string{}
 				}
 				for _, name := range field.Names {
-					gi.fields[name.Name] = mu
+					gi[name.Name] = mu
 				}
 			}
 			if gi != nil {
@@ -124,7 +119,7 @@ const (
 // conservative: they don't).
 type lockWalker struct {
 	pass   *Pass
-	guards map[types.Object]*guardInfo
+	guards map[types.Object]map[string]string
 	held   map[string]lockKind
 }
 
@@ -145,7 +140,7 @@ func (w *lockWalker) walkStmts(list []ast.Stmt) {
 func (w *lockWalker) walkStmt(s ast.Stmt) {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok && w.applyLockCall(call, false) {
+		if call, ok := s.X.(*ast.CallExpr); ok && w.applyLockCall(call) {
 			return
 		}
 		w.checkExpr(s.X)
@@ -242,7 +237,7 @@ func (w *lockWalker) walkStmt(s ast.Stmt) {
 
 // applyLockCall recognises x.mu.Lock()/RLock()/Unlock()/RUnlock() and
 // updates the held set. Returns true if the call was a lock operation.
-func (w *lockWalker) applyLockCall(call *ast.CallExpr, deferred bool) bool {
+func (w *lockWalker) applyLockCall(call *ast.CallExpr) bool {
 	key, op, ok := w.lockOp(call)
 	if !ok {
 		return false
@@ -255,9 +250,7 @@ func (w *lockWalker) applyLockCall(call *ast.CallExpr, deferred bool) bool {
 			w.held[key] = lockShared
 		}
 	case "Unlock", "RUnlock":
-		if !deferred {
-			delete(w.held, key)
-		}
+		delete(w.held, key)
 	}
 	return true
 }
@@ -326,7 +319,7 @@ func (w *lockWalker) checkExpr(n ast.Node) {
 			fresh.walkStmts(m.Body.List)
 			return false
 		case *ast.CallExpr:
-			if w.applyLockCall(m, false) {
+			if w.applyLockCall(m) {
 				return false
 			}
 		case *ast.SelectorExpr:
@@ -351,7 +344,7 @@ func (w *lockWalker) checkFieldAccess(sel *ast.SelectorExpr, write bool) {
 	if gi == nil {
 		return
 	}
-	mu, guarded := gi.fields[sel.Sel.Name]
+	mu, guarded := gi[sel.Sel.Name]
 	if !guarded {
 		return
 	}

@@ -4,11 +4,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 )
 
-// PoolDiscipline proves the wire buffer pool stays balanced and pooled
-// netsim payloads are not retained.
+// PoolDiscipline proves the wire buffer pool stays balanced and borrowed
+// delivery payloads are not retained.
 //
 // Checks:
 //
@@ -18,14 +19,16 @@ import (
 //	                 storing it into a field, map, slice or channel, or
 //	                 capturing it in a closure is an ownership transfer and
 //	                 must carry //lint:allow pooldiscipline <reason>.
-//	poolretain     — inside a netsim delivery handler (func(from string,
-//	                 payload []byte)), the payload is network-owned: it may
-//	                 be read and copied, but aliasing it into state that
-//	                 outlives the handler (field/map/slice stores, non-
-//	                 spread appends, closure captures) is a retention bug.
+//	poolretain     — inside a delivery handler (func(from string, payload
+//	                 []byte)) installed with SetHandler, as a literal or as
+//	                 a function or method value of the same package, the
+//	                 payload is borrowed from the endpoint (a netsim
+//	                 delivery buffer, a TCP frame buffer): it may be read
+//	                 and copied, but aliasing it into state that outlives
+//	                 the handler (field/map/slice stores, non-spread
+//	                 appends, closure captures) is a retention bug.
 var PoolDiscipline = &Analyzer{
 	Name:   "pooldiscipline",
-	Doc:    "prove wire.GetBuffer/PutBuffer balance on all paths and no retention of pooled netsim payloads",
 	Checks: []string{"pooldiscipline", "poolretain"},
 	Run:    runPoolDiscipline,
 }
@@ -323,20 +326,9 @@ func (t *bufTracker) walkLoopBody(body *ast.BlockStmt) {
 	t.mergeInto(after, false, entry, false)
 }
 
-func (t *bufTracker) snapshot() map[types.Object]bufState {
-	c := make(map[types.Object]bufState, len(t.state))
-	for k, v := range t.state {
-		c[k] = v
-	}
-	return c
-}
+func (t *bufTracker) snapshot() map[types.Object]bufState { return maps.Clone(t.state) }
 
-func (t *bufTracker) restore(s map[types.Object]bufState) {
-	t.state = make(map[types.Object]bufState, len(s))
-	for k, v := range s {
-		t.state[k] = v
-	}
-}
+func (t *bufTracker) restore(s map[types.Object]bufState) { t.state = maps.Clone(s) }
 
 func (t *bufTracker) mergeInto(a map[types.Object]bufState, aTerm bool, b map[types.Object]bufState, bTerm bool) {
 	t.mergeAll([]map[types.Object]bufState{a, b}, []bool{aTerm, bTerm})
@@ -369,8 +361,6 @@ func (t *bufTracker) mergeAll(states []map[types.Object]bufState, terms []bool) 
 	for obj, n := range seen {
 		if n < live && merged[obj] != bufReleased {
 			merged[obj] = bufPartial
-		} else if n < live && merged[obj] == bufReleased {
-			// acquired and released entirely within a branch: balanced.
 		}
 	}
 	if live == 0 {
@@ -453,35 +443,57 @@ func (t *bufTracker) reportEscape(pos token.Pos, obj types.Object, how string) {
 
 // --- handler retention ---
 
-// checkHandlerRetention inspects function literals installed as netsim
-// delivery handlers (arguments to a SetHandler call, or explicit
-// netsim.Handler conversions) for aliasing of the pooled payload parameter.
+// checkHandlerRetention inspects the delivery handlers installed by a
+// SetHandler call or a Handler conversion: function literals, and functions
+// or method values declared in the same package, for aliasing of the
+// borrowed payload parameter.
 func checkHandlerRetention(pass *Pass, call *ast.CallExpr) {
-	var lits []*ast.FuncLit
 	switch fun := call.Fun.(type) {
 	case *ast.SelectorExpr:
-		if fun.Sel.Name == "SetHandler" {
-			for _, a := range call.Args {
-				if fl, ok := a.(*ast.FuncLit); ok {
-					lits = append(lits, fl)
-				}
-			}
+		if fun.Sel.Name != "SetHandler" {
+			return
 		}
 	case *ast.Ident:
-		// Handler(func(...){...}) conversion.
-		if obj := pass.Pkg.Info.Uses[fun]; obj != nil {
-			if tn, ok := obj.(*types.TypeName); ok && tn.Name() == "Handler" {
-				for _, a := range call.Args {
-					if fl, ok := a.(*ast.FuncLit); ok {
-						lits = append(lits, fl)
-					}
-				}
+		if tn, ok := pass.Pkg.Info.Uses[fun].(*types.TypeName); !ok || tn.Name() != "Handler" {
+			return
+		}
+	default:
+		return
+	}
+	for _, a := range call.Args {
+		if ftype, body := handlerFunc(pass, a); body != nil {
+			checkPayloadAliasing(pass, ftype, body)
+		}
+	}
+}
+
+// handlerFunc returns the signature and body of a handler argument: a
+// function literal, or a function or method value whose declaration is in
+// the package. Anything else yields a nil body.
+func handlerFunc(pass *Pass, arg ast.Expr) (*ast.FuncType, *ast.BlockStmt) {
+	var id *ast.Ident
+	switch a := arg.(type) {
+	case *ast.FuncLit:
+		return a.Type, a.Body
+	case *ast.Ident:
+		id = a
+	case *ast.SelectorExpr:
+		id = a.Sel
+	default:
+		return nil, nil
+	}
+	fn, ok := pass.Pkg.Info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() != pass.Pkg.Types {
+		return nil, nil
+	}
+	for _, f := range pass.Pkg.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && pass.Pkg.Info.Defs[fd.Name] == fn.Origin() {
+				return fd.Type, fd.Body
 			}
 		}
 	}
-	for _, fl := range lits {
-		checkPayloadAliasing(pass, fl)
-	}
+	return nil, nil
 }
 
 // checkPayloadAliasing flags retention of the handler's []byte payload
@@ -489,13 +501,9 @@ func checkHandlerRetention(pass *Pass, call *ast.CallExpr) {
 // composite-literal stores and closure captures. Spread appends
 // (append(dst, p...)), copy, string conversion and plain argument passing
 // copy or borrow and pass.
-func checkPayloadAliasing(pass *Pass, fl *ast.FuncLit) {
-	params := fl.Type.Params
-	if params == nil || len(params.List) == 0 {
-		return
-	}
+func checkPayloadAliasing(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt) {
 	var payload types.Object
-	for _, field := range params.List {
+	for _, field := range ftype.Params.List {
 		for _, name := range field.Names {
 			obj := pass.Pkg.Info.Defs[name]
 			if obj == nil {
@@ -517,9 +525,9 @@ func checkPayloadAliasing(pass *Pass, fl *ast.FuncLit) {
 	}
 	report := func(pos token.Pos, how string) {
 		pass.Reportf(pos, "poolretain",
-			"netsim payload %s %s; the buffer is recycled when the handler returns — copy the bytes instead", payload.Name(), how)
+			"%s %s; the payload is borrowed and its buffer is recycled when the handler returns — copy the bytes instead", payload.Name(), how)
 	}
-	ast.Inspect(fl.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for i, rhs := range n.Rhs {
@@ -537,7 +545,7 @@ func checkPayloadAliasing(pass *Pass, fl *ast.FuncLit) {
 					if obj := pass.Pkg.Info.Defs[lhs]; obj != nil {
 						continue // fresh local alias: only a problem if it escapes; kept simple
 					}
-					if obj := pass.Pkg.Info.Uses[lhs]; obj != nil && !withinNode(fl, obj.Pos()) {
+					if obj := pass.Pkg.Info.Uses[lhs]; obj != nil && (obj.Pos() < ftype.Params.Pos() || obj.Pos() >= body.End()) {
 						report(n.Pos(), "is assigned to a variable that outlives the handler")
 					}
 				case *ast.SelectorExpr, *ast.IndexExpr:
@@ -573,9 +581,4 @@ func checkPayloadAliasing(pass *Pass, fl *ast.FuncLit) {
 		}
 		return true
 	})
-}
-
-// withinNode reports whether pos falls inside n's source span.
-func withinNode(n ast.Node, pos token.Pos) bool {
-	return n.Pos() <= pos && pos < n.End()
 }

@@ -1,7 +1,7 @@
-// Package netsim is a determinism-analyzer fixture. Its import path ends in
-// a simulation package name, so all three determinism checks apply. Each
-// `// want` comment pins the diagnostic the line must earn; lines without
-// one must stay silent.
+// Package netsim is a determinism-analyzer fixture. It is a library
+// package, so all three determinism checks apply. Each `// want` comment
+// pins the diagnostic the line must earn; lines without one must stay
+// silent.
 package netsim
 
 import (

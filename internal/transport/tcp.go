@@ -379,15 +379,18 @@ var _ Scheduler = (*WallScheduler)(nil)
 
 // NewWallScheduler returns a scheduler whose clock starts now.
 func NewWallScheduler() *WallScheduler {
+	//lint:allow wallclock WallScheduler is the real-time Scheduler; its clock is the host's by design
 	return &WallScheduler{start: time.Now()}
 }
 
 // Now returns elapsed wall time since the scheduler was created.
+//
+//lint:allow wallclock elapsed host time is what a wall-clock scheduler reports
 func (s *WallScheduler) Now() time.Duration { return time.Since(s.start) }
 
 // After runs fn on its own goroutine after d.
 func (s *WallScheduler) After(d time.Duration, fn func()) func() {
-	t := time.AfterFunc(d, fn)
+	t := time.AfterFunc(d, fn) //lint:allow wallclock a wall-clock scheduler fires on host time
 	return func() { t.Stop() }
 }
 
@@ -395,7 +398,7 @@ func (s *WallScheduler) After(d time.Duration, fn func()) func() {
 // goroutine. It wraps time.AfterFunc, whose Reset and Stop never wait for a
 // running callback.
 func (s *WallScheduler) NewTimer(fn func()) Timer {
-	t := time.AfterFunc(time.Hour, fn)
+	t := time.AfterFunc(time.Hour, fn) //lint:allow wallclock a wall-clock timer fires on host time; created stopped
 	t.Stop()
 	return wallTimer{t}
 }

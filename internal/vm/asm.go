@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -180,32 +181,43 @@ func Disassemble(p *Program) string {
 		fmt.Fprintf(&sb, ".globals %d\n", p.Globals)
 	}
 
-	// Give every jump target and entry a label.
-	labelAt := make(map[int]string)
-	for name, addr := range p.Entries {
-		labelAt[addr] = name
+	// Give every entry its label, in name order so the text is the same on
+	// every call, and every other jump target a generated one. Entries that
+	// share an address all label it; a jump names the first.
+	names := make([]string, 0, len(p.Entries))
+	for name := range p.Entries {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	labelsAt := make(map[int][]string)
+	for _, name := range names {
+		addr := p.Entries[name]
+		labelsAt[addr] = append(labelsAt[addr], name)
 		fmt.Fprintf(&sb, ".entry %s\n", name)
 	}
 	next := 0
 	for _, in := range p.Code {
 		if in.Op.isJump() {
 			addr := int(in.Arg)
-			if _, ok := labelAt[addr]; !ok {
-				labelAt[addr] = fmt.Sprintf("L%d", next)
+			if len(labelsAt[addr]) == 0 {
+				labelsAt[addr] = []string{fmt.Sprintf("L%d", next)}
 				next++
 			}
 		}
 	}
-
-	for i, in := range p.Code {
-		if label, ok := labelAt[i]; ok {
+	labels := func(addr int) {
+		for _, label := range labelsAt[addr] {
 			fmt.Fprintf(&sb, "%s:\n", label)
 		}
+	}
+
+	for i, in := range p.Code {
+		labels(i)
 		switch {
 		case in.Op == OpHost:
 			fmt.Fprintf(&sb, "\t%s %s\n", in.Op, p.Imports[in.Arg])
 		case in.Op.isJump():
-			fmt.Fprintf(&sb, "\t%s %s\n", in.Op, labelAt[int(in.Arg)])
+			fmt.Fprintf(&sb, "\t%s %s\n", in.Op, labelsAt[int(in.Arg)][0])
 		case in.Op.hasArg():
 			fmt.Fprintf(&sb, "\t%s %d\n", in.Op, in.Arg)
 		default:
@@ -214,8 +226,6 @@ func Disassemble(p *Program) string {
 	}
 	// A label pointing one past the last instruction (possible for a
 	// forward jump used as an end marker) is emitted trailing.
-	if label, ok := labelAt[len(p.Code)]; ok {
-		fmt.Fprintf(&sb, "%s:\n", label)
-	}
+	labels(len(p.Code))
 	return sb.String()
 }

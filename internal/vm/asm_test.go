@@ -175,3 +175,27 @@ func TestDisassembleHostNames(t *testing.T) {
 		t.Errorf("Disassemble output missing host name:\n%s", text)
 	}
 }
+
+// Two entries at one address: the disassembly is the same text on every
+// call, labels the address with both names, and reassembles to the same
+// bytes.
+func TestDisassembleAliasedEntries(t *testing.T) {
+	prog := MustAssemble(".entry b\n.entry a\na:\nb:\npush 1\nhalt\n")
+	want := Disassemble(prog)
+	for i := 0; i < 50; i++ {
+		text := Disassemble(prog)
+		if text != want {
+			t.Fatalf("call %d disassembled differently:\n%s\nvs\n%s", i, text, want)
+		}
+		prog2, err := Assemble(text)
+		if err != nil {
+			t.Fatalf("reassemble: %v\n%s", err, text)
+		}
+		if string(prog2.Encode()) != string(prog.Encode()) {
+			t.Fatalf("round trip changed the program:\n%s", text)
+		}
+	}
+	if !strings.Contains(want, ".entry a\n.entry b\n") {
+		t.Errorf("entries not in name order:\n%s", want)
+	}
+}

@@ -229,10 +229,16 @@ func (p *Program) Validate() error {
 			}
 		}
 	}
+	// Report the first bad entry in name order, so the error is the same on
+	// every call; the success path allocates nothing.
+	found, bad, badAddr := false, "", 0
 	for name, addr := range p.Entries {
-		if addr < 0 || addr >= len(p.Code) {
-			return fmt.Errorf("vm: entry %q at %d out of range", name, addr)
+		if (addr < 0 || addr >= len(p.Code)) && (!found || name < bad) {
+			found, bad, badAddr = true, name, addr
 		}
+	}
+	if found {
+		return fmt.Errorf("vm: entry %q at %d out of range", bad, badAddr)
 	}
 	p.validated = true
 	return nil

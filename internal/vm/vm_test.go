@@ -605,6 +605,7 @@ func TestValidateRejectsBadPrograms(t *testing.T) {
 		{"global-out-of-range", Program{Code: []Instr{{Op: OpGLoad, Arg: 0}}}},
 		{"local-out-of-range", Program{Code: []Instr{{Op: OpLoad, Arg: MaxLocals}}}},
 		{"entry-out-of-range", Program{Code: []Instr{{Op: OpHalt}}, Entries: map[string]int{"x": 9}}},
+		{"unnamed-entry-out-of-range", Program{Code: []Instr{{Op: OpHalt}}, Entries: map[string]int{"": 9}}},
 		{"too-many-globals", Program{Globals: MaxGlobals + 1}},
 	}
 	for _, c := range cases {
@@ -613,6 +614,18 @@ func TestValidateRejectsBadPrograms(t *testing.T) {
 				t.Error("Validate accepted a bad program")
 			}
 		})
+	}
+}
+
+// With several entries out of range, Validate names the first by name on
+// every call.
+func TestValidateNamesFirstBadEntry(t *testing.T) {
+	const want = `vm: entry "a" at 7 out of range`
+	for i := 0; i < 50; i++ {
+		p := Program{Code: []Instr{{Op: OpHalt}}, Entries: map[string]int{"c": 9, "a": 7, "b": 8, "ok": 0}}
+		if err := p.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: Validate = %v, want %s", i, err, want)
+		}
 	}
 }
 
