@@ -198,7 +198,6 @@ func run(args []string, stdout, stderr io.Writer) (exit int) {
 		}
 	}
 
-	runner := scenario.Runner{Seeds: scenario.Seeds(*seed, *seeds), Parallel: *parallel}
 	var report []*jsonExperiment
 	for _, e := range selected {
 		points := []float64{0}
@@ -240,7 +239,7 @@ func run(args []string, stdout, stderr io.Writer) (exit int) {
 					fmt.Fprintf(stdout, "running %s (%s) ...\n", e.ID, e.Title)
 				}
 			}
-			multi := runner.Run(fn)
+			multi := scenario.RunSeeds(*seed, *seeds, *parallel, fn)
 			if *jsonOut {
 				report = append(report, jsonify(e, label, multi))
 			} else {

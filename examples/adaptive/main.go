@@ -65,7 +65,7 @@ func main() {
 		},
 		Sense:     logmob.ScenarioSense{Tick: 2 * time.Second},
 		Workloads: []logmob.ScenarioWorkload{stream},
-		Probes:    []logmob.ScenarioProbe{logmob.DecisionsProbe{Of: stream}},
+		Probes:    []logmob.ScenarioProbe{stream},
 	}
 
 	world, table := logmob.RunSpec(spec, 42)

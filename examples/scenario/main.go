@@ -54,7 +54,7 @@ func festival(attendees int) *logmob.Scenario {
 		TargetPop: "stage", SourcePop: "crowd",
 		SrcMin: 150, SrcMax: 350,
 		PayloadBytes: 200,
-		NamePrefix:   "courier", TopicPrefix: "festival/courier",
+		TopicPrefix:  "festival/courier",
 	}
 
 	return &logmob.Scenario{
@@ -95,8 +95,8 @@ func festival(attendees int) *logmob.Scenario {
 			logmob.MeanNeighborsProbe{Pop: "crowd"},
 			logmob.BeaconTrafficProbe{},
 			logmob.CoverageProbe{Pop: "crowd", Service: "festival/info"},
-			logmob.AgentHopsProbe{Label: "courier hops / failed"},
-			logmob.DeliveriesProbe{Of: fleet},
+			logmob.AgentHopsProbe{},
+			fleet,
 			logmob.NetTrafficProbe{},
 		},
 		TableTitle: fmt.Sprintf("Festival: %d attendees, %gx%gm field, range %gm",

@@ -99,8 +99,8 @@ type Decision struct {
 }
 
 // historyCap bounds an engine's retained trajectory (oldest dropped). A
-// stream decides once per task, seconds apart, and the Decisions probe
-// splits the trajectory into run halves, so the cap is far above any
+// stream decides once per task, seconds apart, and scenario.Adaptive's probe
+// rows split the trajectory into run halves, so the cap is far above any
 // realistic run: it exists so that a runaway caller cannot grow an engine
 // without bound, not to trim a real one.
 const historyCap = 1 << 20
@@ -108,14 +108,13 @@ const historyCap = 1 << 20
 // Engine executes TaskSpecs on one host — under its decider (Run), which it
 // consults before every interaction, or under a pinned paradigm (RunAs) —
 // and keeps the decision trajectory: which paradigm ran when, how often the
-// selection switched, and the model regret of each choice, for the Decisions
-// probe to report. Like the kernel it serves, it is driven from the event
+// selection switched, and the model regret of each choice, for
+// scenario.Adaptive to report. Like the kernel it serves, it is driven from the event
 // loop and is not goroutine-safe.
 type Engine struct {
 	host    *core.Host
 	decider policy.Decider
 
-	executions map[policy.Paradigm]int64
 	// allowed backs the executable set handed to the decider, so a decision
 	// allocates nothing.
 	allowed   [4]policy.Paradigm
@@ -134,16 +133,7 @@ func NewEngine(h *core.Host, d policy.Decider) *Engine {
 		obj.EnergyWeight = 0.05
 		d = &policy.AdaptiveDecider{Objective: obj, BatteryAware: true}
 	}
-	return &Engine{host: h, decider: d, executions: make(map[policy.Paradigm]int64)}
-}
-
-// Executions returns how many tasks ran under each paradigm.
-func (e *Engine) Executions() map[policy.Paradigm]int64 {
-	out := make(map[policy.Paradigm]int64, len(e.executions))
-	for k, v := range e.executions {
-		out[k] = v
-	}
-	return out
+	return &Engine{host: h, decider: d}
 }
 
 // Decisions returns how many tasks the engine has decided.
@@ -210,7 +200,6 @@ func (e *Engine) RunAs(chosen policy.Paradigm, spec *TaskSpec, cb func(Outcome, 
 		cb(Outcome{Paradigm: chosen}, fmt.Errorf("%w: %v", ErrNoOperation, chosen))
 		return
 	}
-	e.executions[chosen]++
 	switch chosen {
 	case policy.CS:
 		e.runCS(spec, cb)
@@ -250,7 +239,7 @@ func (e *Engine) runCS(spec *TaskSpec, cb func(Outcome, error)) {
 				cb(Outcome{Paradigm: policy.CS, Rounds: i}, err)
 				return
 			}
-			last = DecodeInts(results)
+			last = decodeInts(results)
 			round(i + 1)
 		})
 	}
@@ -324,8 +313,8 @@ func EncodeInts(values []int64) [][]byte {
 	return out
 }
 
-// DecodeInts parses 8-byte frames back to int64s; other frames are skipped.
-func DecodeInts(frames [][]byte) []int64 {
+// decodeInts parses 8-byte frames back to int64s; other frames are skipped.
+func decodeInts(frames [][]byte) []int64 {
 	var out []int64
 	for _, f := range frames {
 		if len(f) != 8 {

@@ -525,6 +525,9 @@ done:
 	}
 }
 
+// TestHostCloseFailsPending checks that Close fails every pending request,
+// in the order the requests were made rather than in map order, and that a
+// second Close is a no-op.
 func TestHostCloseFailsPending(t *testing.T) {
 	w := newWorld(t)
 	client := w.addHost(t, "client", func(c *Config) { c.RequestTimeout = time.Hour })
@@ -533,14 +536,27 @@ func TestHostCloseFailsPending(t *testing.T) {
 	w.net.AddNode("mute", netsim.Position{}, class)
 	w.net.SetHandler("mute", func(string, []byte) {})
 
-	var got error
-	client.Call("mute", "svc", nil, func(_ [][]byte, err error) { got = err })
+	const n = 64
+	var order []int
+	for i := 0; i < n; i++ {
+		client.Call("mute", "svc", nil, func(_ [][]byte, err error) {
+			if err == nil {
+				t.Errorf("call %d did not fail", i)
+			}
+			order = append(order, i)
+		})
+	}
 	w.sim.RunFor(time.Second)
 	if err := client.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if got == nil {
-		t.Fatal("pending call not failed on Close")
+	if len(order) != n {
+		t.Fatalf("Close failed %d of %d pending calls", len(order), n)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("callback %d was call %d; order %v", i, got, order)
+		}
 	}
 	if err := client.Close(); err != nil {
 		t.Errorf("second Close: %v", err)

@@ -19,6 +19,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -310,7 +311,7 @@ func (h *Host) recordLocked(kind, peer, subject string, ok bool, detail string) 
 }
 
 // Close detaches the kernel from its endpoint and fails all pending
-// requests.
+// requests, oldest first.
 func (h *Host) Close() error {
 	h.mu.Lock()
 	if h.closed {
@@ -318,12 +319,16 @@ func (h *Host) Close() error {
 		return nil
 	}
 	h.closed = true
-	pending := h.pending
-	h.pending = make(map[uint64]*pendingReq)
-	for _, p := range pending {
+	pending := make([]*pendingReq, 0, len(h.pending))
+	for _, p := range h.pending {
 		p.timer.Stop()
+		pending = append(pending, p)
 	}
+	h.pending = make(map[uint64]*pendingReq)
 	h.mu.Unlock()
+	// Request IDs are issued in order, so sorting by ID fails the callbacks
+	// in the order they were registered, on every run.
+	slices.SortFunc(pending, func(a, b *pendingReq) int { return cmp.Compare(a.id, b.id) })
 	for _, p := range pending {
 		complete(p.cb, p.done, false, "host closed", nil)
 	}

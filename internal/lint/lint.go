@@ -134,17 +134,24 @@ func parseDirectives(pkg *Package) ([]*directive, []Result) {
 	return dirs, bad
 }
 
-// Run applies every analyzer to every package and returns the surviving
-// diagnostics as sorted Results. //lint:allow directives suppress matching
-// diagnostics by (check, file, line); directives that suppress nothing, or
-// name a check no running analyzer owns, are reported themselves.
-func Run(analyzers []*Analyzer, pkgs []*Package) []Result {
-	known := map[string]bool{}
+// checks returns the set of check ids the analyzers own.
+func checks(analyzers []*Analyzer) map[string]bool {
+	set := map[string]bool{}
 	for _, a := range analyzers {
 		for _, c := range a.Checks {
-			known[c] = true
+			set[c] = true
 		}
 	}
+	return set
+}
+
+// Run applies every analyzer to every package and returns the surviving
+// diagnostics as sorted Results. //lint:allow directives suppress matching
+// diagnostics by (check, file, line); a directive that suppresses nothing
+// although its analyzer ran, or that names a check no analyzer in All owns,
+// is reported itself.
+func Run(analyzers []*Analyzer, pkgs []*Package) []Result {
+	running, known := checks(analyzers), checks(All())
 
 	var out []Result
 	for _, pkg := range pkgs {
@@ -188,16 +195,26 @@ func Run(analyzers []*Analyzer, pkgs []*Package) []Result {
 		}
 
 		// Directives for checks the running analyzer set owns must have
-		// earned their keep; stale exemptions otherwise accumulate silently.
+		// earned their keep, and a misspelled check suppresses nothing;
+		// stale or mistyped exemptions otherwise accumulate silently.
+		// Directives for an analyzer this run leaves out are not judged.
 		for _, d := range dirs {
-			if d.used || !known[d.check] {
+			var msg string
+			switch {
+			case d.used:
+				continue
+			case !known[d.check]:
+				msg = fmt.Sprintf("//lint:allow names unknown check %q", d.check)
+			case running[d.check]:
+				msg = fmt.Sprintf("unused //lint:allow %s directive: nothing to suppress here", d.check)
+			default:
 				continue
 			}
 			posn := pkg.Fset.Position(d.pos)
 			out = append(out, Result{
 				Analyzer: "lint", Check: "directive",
 				File: posn.Filename, Line: posn.Line, Col: posn.Column,
-				Message: fmt.Sprintf("unused //lint:allow %s directive: nothing to suppress here", d.check),
+				Message: msg,
 			})
 		}
 	}

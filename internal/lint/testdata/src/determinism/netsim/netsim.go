@@ -23,6 +23,13 @@ func Probe() time.Time {
 	return time.Now() //lint:allow wallclock fixture models a deliberate timing probe
 }
 
+// Misspelled carries a directive whose check no analyzer owns: it suppresses
+// nothing, and is reported itself.
+func Misspelled() int {
+	//lint:allow wallclok fixture misspells the check name // want `//lint:allow names unknown check "wallclok"`
+	return 0
+}
+
 // GlobalRand exercises the globalrand check; draws from a seeded generator
 // pass.
 func GlobalRand(r *rand.Rand) int {

@@ -308,7 +308,9 @@ type ChurnSchedule struct {
 	DutyPeriod, DutyOn time.Duration
 }
 
-func (cs ChurnSchedule) tick() time.Duration {
+// Interval returns the evaluation interval the schedule runs at: Tick, or
+// its 10s default. It is the one place that knows the default.
+func (cs ChurnSchedule) Interval() time.Duration {
 	if cs.Tick > 0 {
 		return cs.Tick
 	}
@@ -319,7 +321,7 @@ func (cs ChurnSchedule) downtime() time.Duration {
 	if cs.Downtime > 0 {
 		return cs.Downtime
 	}
-	return 2 * cs.tick()
+	return 2 * cs.Interval()
 }
 
 // ChurnStats records churn outcomes.
@@ -367,7 +369,7 @@ func (n *Network) StartChurn(sched ChurnSchedule, nodeIDs ...string) *Churn {
 }
 
 func (c *Churn) schedule() {
-	c.event = c.net.Sim().Schedule(c.sched.tick(), func() {
+	c.event = c.net.Sim().Schedule(c.sched.Interval(), func() {
 		if !c.active {
 			return
 		}
@@ -420,7 +422,7 @@ func (c *Churn) step() {
 func (c *Churn) crash(i int, node *Node) {
 	down := c.sched.downtime()
 	if c.sched.DowntimeJitterTicks > 0 {
-		down += time.Duration(c.net.faultRand().Intn(c.sched.DowntimeJitterTicks+1)) * c.sched.tick()
+		down += time.Duration(c.net.faultRand().Intn(c.sched.DowntimeJitterTicks+1)) * c.sched.Interval()
 	}
 	c.crashed[i] = true
 	c.Stats.Crashes++

@@ -291,15 +291,6 @@ func estimate(p Paradigm, t Task, l Link, e Env) Estimate {
 	}
 }
 
-// EstimateAll evaluates all four paradigms for the task.
-func EstimateAll(t Task, l Link, e Env) []Estimate {
-	out := make([]Estimate, 0, 4)
-	for _, p := range Paradigms() {
-		out = append(out, estimate(p, t, l, e))
-	}
-	return out
-}
-
 // Objective weights the decider's optimisation.
 type Objective struct {
 	// BytesWeight, LatencyWeight (per second), CostWeight and EnergyWeight

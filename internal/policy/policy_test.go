@@ -99,18 +99,6 @@ func TestCost(t *testing.T) {
 	}
 }
 
-func TestEstimateAll(t *testing.T) {
-	ests := EstimateAll(Task{Interactions: 5, ReqBytes: 10, ReplyBytes: 10}, Link{BandwidthBps: 1e6}, Env{})
-	if len(ests) != 4 {
-		t.Fatalf("EstimateAll len = %d", len(ests))
-	}
-	for i, p := range Paradigms() {
-		if ests[i].Paradigm != p {
-			t.Errorf("order: ests[%d] = %s, want %s", i, ests[i].Paradigm, p)
-		}
-	}
-}
-
 func TestCostDeciderPrefersCODForChattyTasks(t *testing.T) {
 	d := &CostDecider{}
 	// Many rounds of device-side interaction; shipping the work out (REV/MA)
@@ -148,8 +136,8 @@ func TestCostDeciderUsesContextLink(t *testing.T) {
 	task := Task{Interactions: 50, ReqBytes: 200, ReplyBytes: 800, CodeBytes: 2000, StateBytes: 100, ResultBytes: 100}
 	got := pick(d, task, ctx)
 	if got == CS {
-		t.Errorf("Choose = CS despite costed link; estimates = %+v",
-			EstimateAll(task, LinkFromContext(ctx), EnvFromContext(ctx)))
+		t.Errorf("Choose = CS despite costed link; CS estimate = %+v",
+			estimate(CS, task, LinkFromContext(ctx), EnvFromContext(ctx)))
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 // This file is the act-and-measure half of the adaptation loop: the
 // Adaptive workload runs a continuous task stream through a per-client
 // adapt.Engine, re-selecting CS/REV/COD/MA before every interaction from
-// the context the Sense layer keeps live; the Decisions probe renders the
-// resulting trajectory. Pinning Fixed turns the same workload into a
+// the context the Sense layer keeps live, and, as its own probe, renders
+// the resulting trajectory. Pinning Fixed turns the same workload into a
 // fixed-paradigm control group, so an experiment can race the adaptive
 // engine against all four paradigms over identical task streams.
 
@@ -61,11 +61,11 @@ type Adaptive struct {
 	Objective    policy.Objective
 	Hysteresis   float64
 	BatteryAware bool
-	// Label names the stream in the Decisions probe; default Pop.
+	// Label names the stream in its probe rows; default Pop.
 	Label string
 
-	// Stats is filled in while the scenario runs; point a Decisions probe
-	// at the same Adaptive value (fields are only read after the run).
+	// Stats is filled in while the scenario runs; list the same *Adaptive
+	// in Spec.Probes to report it (fields are only read after the run).
 	Stats AdaptiveStats
 
 	engines   []*adapt.Engine
@@ -564,22 +564,12 @@ func (mc *maClient) forget(topic string) {
 // shapes are contiguous); pinned streams carry one engine per client.
 func (a *Adaptive) Engines() []*adapt.Engine { return a.engines }
 
-// Decisions reports an Adaptive stream's trajectory: completion counts,
-// the paradigm share (overall and per run half, so re-selection over time
-// is visible), switch totals, model regret and battery survival.
-type Decisions struct {
-	Of *Adaptive
-	// Prefix labels the rows; default the workload's label.
-	Prefix string
-}
-
-// Collect implements Probe.
-func (p Decisions) Collect(w *World, t *metrics.Table) {
-	a := p.Of
-	prefix := p.Prefix
-	if prefix == "" {
-		prefix = a.label()
-	}
+// Collect implements Probe: the stream's trajectory under its label —
+// completion counts, the paradigm share (overall and per run half, so
+// re-selection over time is visible), switch totals, model regret and
+// battery survival.
+func (a *Adaptive) Collect(w *World, t *metrics.Table) {
+	prefix := a.label()
 	s := &a.Stats
 	t.AddRow(prefix+" tasks done", fmt.Sprintf("%d/%d", s.Completed, s.Started))
 	if s.Completion.N() > 0 {

@@ -143,7 +143,7 @@ func adaptiveSpec(wl *Adaptive, faults Faults, budget float64) *Spec {
 		Faults:    faults,
 		Sense:     Sense{Tick: 2 * time.Second},
 		Workloads: []Workload{wl},
-		Probes:    []Probe{Decisions{Of: wl}},
+		Probes:    []Probe{wl},
 	}
 }
 

@@ -166,11 +166,7 @@ func (f *Faults) validate(pops map[string]bool) error {
 			// The square wave is sampled once per churn tick; a period that
 			// does not span multiple ticks aliases into a frozen on/off
 			// pattern instead of a duty cycle.
-			tick := c.Tick
-			if tick <= 0 {
-				tick = 10 * time.Second
-			}
-			if c.DutyPeriod <= tick {
+			if tick := c.Interval(); c.DutyPeriod <= tick {
 				return invalidf("churn fault %d duty period %v does not exceed the %v churn tick", i, c.DutyPeriod, tick)
 			}
 		}

@@ -265,6 +265,11 @@ func TestSpecValidate(t *testing.T) {
 			s.Faults.Churn[0].DutyPeriod = s.Faults.Churn[0].Tick
 			s.Faults.Churn[0].DutyOn = s.Faults.Churn[0].Tick / 2
 		}},
+		{"duty period within the default churn tick", func(s *Spec) {
+			s.Faults.Churn[0].Tick = 0
+			s.Faults.Churn[0].DutyPeriod = 10 * time.Second
+			s.Faults.Churn[0].DutyOn = 5 * time.Second
+		}},
 		{"duplicate link fault pop", func(s *Spec) {
 			s.Faults.Links = append(s.Faults.Links, LinkFault{Pop: s.Faults.Links[0].Pop, Impairment: netsim.Impairment{JitterTicks: 3}})
 		}},

@@ -96,6 +96,11 @@ func (l *Live) OnAgentDone(rec agent.Record) {
 	if l.agentDone == nil {
 		return
 	}
+	// The platform calls this from its own delivery path, which must never
+	// block on Replay. A record nobody waits for (an agent that finished
+	// after its Replay timed out, or one that arrived from elsewhere and
+	// finished here) stays in the buffer; past 64 of those, records are
+	// dropped.
 	select {
 	case l.agentDone <- rec:
 	default:

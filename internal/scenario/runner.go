@@ -31,33 +31,6 @@ func SetDefaultWorkers(w int) {
 // DefaultWorkers returns the worker count newly built worlds inherit.
 func DefaultWorkers() int { return int(defaultWorkers.Load()) }
 
-// RunFunc produces one replicate's result for a seed. Each invocation must
-// build its own world (one Sim per seed), so replicates are independent and
-// safe to run in parallel.
-type RunFunc func(seed int64) *Result
-
-// Runner executes a run function across many seeds and aggregates the
-// replicate tables. Per-seed determinism is preserved: a seed's result is
-// identical whether it runs serially or in parallel.
-type Runner struct {
-	// Seeds are the replicate seeds, in presentation order.
-	Seeds []int64
-	// Parallel bounds concurrent replicates; <=1 runs serially.
-	Parallel int
-}
-
-// Seeds returns n consecutive seeds starting at base (empty for n <= 0).
-func Seeds(base int64, n int) []int64 {
-	if n < 0 {
-		n = 0
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = base + int64(i)
-	}
-	return out
-}
-
 // Replicate is one seed's result.
 type Replicate struct {
 	Seed   int64
@@ -66,42 +39,43 @@ type Replicate struct {
 
 // MultiResult is a replicated run: per-seed results plus the aggregate.
 type MultiResult struct {
-	ID    string
-	Title string
-	// Replicates are the per-seed results, in Seeds order.
+	// Replicates are the per-seed results, in seed order.
 	Replicates []Replicate
 	// Aggregate holds the replicate tables combined cell-wise into
 	// mean±stddev summaries. It is nil for a single replicate.
 	Aggregate *Result
 }
 
-// Run executes fn once per seed (Parallel at a time) and aggregates the
-// results.
-func (r Runner) Run(fn RunFunc) *MultiResult {
-	reps := make([]Replicate, len(r.Seeds))
-	if r.Parallel > 1 && len(r.Seeds) > 1 {
-		sem := make(chan struct{}, r.Parallel)
+// RunSeeds runs fn once for each of the n consecutive seeds starting at
+// base, parallel at a time (<= 1 runs serially), and aggregates the
+// replicate tables. Each call of fn must build its own world (one Sim per
+// seed), so replicates are independent and a seed's result is identical
+// whether it runs serially or in parallel.
+func RunSeeds(base int64, n, parallel int, fn func(seed int64) *Result) *MultiResult {
+	reps := make([]Replicate, max(n, 0))
+	run := func(i int) {
+		seed := base + int64(i)
+		reps[i] = Replicate{Seed: seed, Result: fn(seed)}
+	}
+	if parallel > 1 && len(reps) > 1 {
+		sem := make(chan struct{}, parallel)
 		var wg sync.WaitGroup
-		for i, seed := range r.Seeds {
+		for i := range reps {
 			wg.Add(1)
-			go func(i int, seed int64) {
+			go func() {
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				reps[i] = Replicate{Seed: seed, Result: fn(seed)}
-			}(i, seed)
+				run(i)
+			}()
 		}
 		wg.Wait()
 	} else {
-		for i, seed := range r.Seeds {
-			reps[i] = Replicate{Seed: seed, Result: fn(seed)}
+		for i := range reps {
+			run(i)
 		}
 	}
 	out := &MultiResult{Replicates: reps}
-	if len(reps) > 0 && reps[0].Result != nil {
-		out.ID = reps[0].Result.ID
-		out.Title = reps[0].Result.Title
-	}
 	if len(reps) > 1 {
 		out.Aggregate = aggregate(reps)
 	}

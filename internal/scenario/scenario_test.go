@@ -63,7 +63,7 @@ func TestCallsWorkloadMovesTraffic(t *testing.T) {
 		ReqBytes: 100, ReplyBytes: 400, Rounds: 5,
 	}, 10*time.Minute)
 	w, _ := spec.Run(1)
-	u := w.Usage("device")
+	u := w.Net.UsageOf("device")
 	if u.BytesSent < 5*100 || u.BytesRecv < 5*400 {
 		t.Errorf("device moved %d/%d bytes, want at least the 5 payload rounds",
 			u.BytesSent, u.BytesRecv)
@@ -96,14 +96,13 @@ func TestSpecRunDeterministic(t *testing.T) {
 
 func TestRunnerParallelMatchesSerial(t *testing.T) {
 	run := func(parallel int) []string {
-		r := Runner{Seeds: Seeds(1, 4), Parallel: parallel}
-		multi := r.Run(func(seed int64) *Result {
+		multi := RunSeeds(1, 4, parallel, func(seed int64) *Result {
 			spec := twoNodeSpec(Calls{
 				Client: "device", Server: "server", Service: "work",
 				ReqBytes: 50, ReplyBytes: 200, Rounds: 3,
 			}, 5*time.Minute)
 			w, _ := spec.Run(seed)
-			u := w.Usage("device")
+			u := w.Net.UsageOf("device")
 			res := &Result{ID: "x", Title: "x"}
 			res.Notes = append(res.Notes, fmt.Sprintf("%d/%d", u.BytesSent, u.BytesRecv))
 			return res
@@ -128,8 +127,7 @@ func TestRunnerAggregateStable(t *testing.T) {
 		tab.AddRow("score", fmt.Sprintf("%d", 10*seed))
 		return &Result{ID: "agg", Title: "agg", Tables: []*metrics.Table{tab}}
 	}
-	r := Runner{Seeds: Seeds(1, 3), Parallel: 3}
-	a, b := r.Run(fn), r.Run(fn)
+	a, b := RunSeeds(1, 3, 3, fn), RunSeeds(1, 3, 3, fn)
 	if a.Aggregate == nil || b.Aggregate == nil {
 		t.Fatal("aggregate missing")
 	}

@@ -46,12 +46,6 @@ func (p PlacePoints) Place(_ *World, i int) netsim.Position {
 	return netsim.Position{}
 }
 
-// PlaceFunc adapts a function to a Placement.
-type PlaceFunc func(w *World, i int) netsim.Position
-
-// Place implements Placement.
-func (f PlaceFunc) Place(w *World, i int) netsim.Position { return f(w, i) }
-
 // CapsFactory lists the extra agent capabilities a population's platforms
 // contribute; it receives the compiled world so capabilities can consult the
 // network (e.g. geographic routing). It runs once per population: the result
@@ -173,6 +167,11 @@ func (s *Spec) Compile(seed int64) *World {
 	// The ack/retry layer wraps endpoints as hosts are created, so it must
 	// be primed before the first population compiles.
 	w.retry = s.Faults.Retry
+	// One shared beacon cadence per distinct interval: every member's beacon
+	// joins its interval's batch in creation order, so a whole interval
+	// class costs one scheduler timer and broadcasts in canonical node order
+	// (see discovery.BeaconBatch).
+	batches := map[time.Duration]*discovery.BeaconBatch{}
 	for pi := range s.Populations {
 		p := &s.Populations[pi]
 		count := p.Count
@@ -222,11 +221,14 @@ func (s *Spec) Compile(seed int64) *World {
 				if p.AdSelf != "" {
 					b.Advertise(discovery.Ad{Service: p.AdSelf + name})
 				}
-				// Batched cadence: one scheduler timer per interval for the
-				// whole world instead of one per host, broadcasting in
-				// creation (canonical) order. Add also sends the immediate
-				// first beacon, exactly as Start would here.
-				w.BeaconBatch(p.Beacon).Add(b)
+				// Add also sends the immediate first beacon, exactly as Start
+				// would here.
+				batch := batches[p.Beacon]
+				if batch == nil {
+					batch = discovery.NewBeaconBatch(w.Sim, p.Beacon)
+					batches[p.Beacon] = batch
+				}
+				batch.Add(b)
 				w.Beacons[name] = b
 			}
 			if p.Setup != nil {
@@ -278,14 +280,4 @@ func (s *Spec) Run(seed int64) (*World, *metrics.Table) {
 		}
 	}
 	return w, table
-}
-
-// RunResult runs the spec and wraps the summary table in a Result.
-func (s *Spec) RunResult(id string, seed int64) *Result {
-	_, table := s.Run(seed)
-	res := &Result{ID: id, Title: s.Name}
-	if table != nil {
-		res.Tables = append(res.Tables, table)
-	}
-	return res
 }

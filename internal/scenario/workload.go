@@ -121,9 +121,11 @@ type FetchWave struct {
 	Args  []int64
 	// Retry is the per-node retry interval (default 15s of virtual time).
 	Retry time.Duration
+	// Prefix labels the wave's probe rows ("guide" reads "guides fetched").
+	Prefix string
 
-	// Stats is filled in while the scenario runs; point a Fetches probe at
-	// the same FetchWave value (fields are only read after the run).
+	// Stats is filled in while the scenario runs; list the same *FetchWave
+	// in Spec.Probes to report it (fields are only read after the run).
 	Stats FetchWaveStats
 }
 
@@ -191,6 +193,18 @@ func (f *FetchWave) Start(w *World) {
 	}
 }
 
+// Collect implements Probe: how much of the population has the unit, and
+// the median time to get it.
+func (f *FetchWave) Collect(_ *World, t *metrics.Table) {
+	s := &f.Stats
+	t.AddRow(f.Prefix+"s fetched", fmt.Sprintf("%d/%d", s.Fetched, s.Clients))
+	if s.Done.N() > 0 {
+		t.AddRow(f.Prefix+" median fetch s", fmt.Sprintf("%.1f", s.Done.Median()-s.Start))
+	} else {
+		t.AddRow(f.Prefix+" median fetch s", "-")
+	}
+}
+
 // SpawnAgent is the Mobile Agent workload: launch one agent on Host's
 // platform, either from a raw program + data space or from a pre-built unit.
 type SpawnAgent struct {
@@ -235,16 +249,13 @@ type Couriers struct {
 	// courier is skipped when no unused source is in the band.
 	SrcMin, SrcMax float64
 	PayloadBytes   int
-	// NamePrefix and TopicPrefix name courier c NamePrefix+c with topic
-	// TopicPrefix+c.
-	NamePrefix  string
+	// TopicPrefix names courier c's topic TopicPrefix+c; the courier itself
+	// is "courier"+c. Couriers run GreedyCourierProgram, so the source
+	// population's platforms must carry GreedyGeoCaps.
 	TopicPrefix string
-	// Program is the courier bytecode; nil uses GreedyCourierProgram, which
-	// requires the population's platforms to carry GreedyGeoCaps.
-	Program *vm.Program
 
-	// Stats is filled in while the scenario runs; point Delivery probes at
-	// the same Couriers value (fields are only read after the run).
+	// Stats is filled in while the scenario runs; list the same *Couriers
+	// in Spec.Probes to report it (fields are only read after the run).
 	Stats CourierStats
 }
 
@@ -283,10 +294,6 @@ func (c *Couriers) Start(w *World) {
 		})
 	}
 	c.Stats.SpawnStart = w.Sim.Now().Seconds()
-	prog := c.Program
-	if prog == nil {
-		prog = GreedyCourierProgram
-	}
 	used := make(map[string]bool)
 	for i := 0; i < c.Count; i++ {
 		target := targets[i%len(targets)]
@@ -306,12 +313,26 @@ func (c *Couriers) Start(w *World) {
 			continue // no source currently in the band; skip this courier
 		}
 		used[src] = true
-		_, err := w.Platforms[src].Spawn(fmt.Sprintf("%s%d", c.NamePrefix, i), prog,
+		_, err := w.Platforms[src].Spawn(fmt.Sprintf("courier%d", i), GreedyCourierProgram,
 			agent.NewCourierData(target, fmt.Sprintf("%s%d", c.TopicPrefix, i),
 				make([]byte, c.PayloadBytes)), "main")
 		if err != nil {
 			panic(err)
 		}
 		c.Stats.Spawned++
+	}
+}
+
+// Collect implements Probe: delivery counts and the median first-delivery
+// time. The denominator is the couriers actually spawned: a target can lack
+// an unused source in the band on some seeds, and a spawn gap must not read
+// as a delivery failure.
+func (c *Couriers) Collect(_ *World, t *metrics.Table) {
+	s := &c.Stats
+	t.AddRow("couriers delivered", fmt.Sprintf("%d/%d", len(s.DeliveredBy), s.Spawned))
+	if s.Delivered.N() > 0 {
+		t.AddRow("courier median delivery s", fmt.Sprintf("%.1f", s.Delivered.Median()-s.SpawnStart))
+	} else {
+		t.AddRow("courier median delivery s", "-")
 	}
 }

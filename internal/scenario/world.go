@@ -4,7 +4,7 @@
 // mobile-code paradigms, and probes — and compiles into a World, the public
 // replacement for the experiment harness's former private environment.
 //
-// A Runner executes a Spec (or any seed-parameterised run function) across
+// RunSeeds executes a Spec (or any seed-parameterised run function) across
 // many seeds, optionally in parallel with one Sim per seed, and aggregates
 // the replicate tables into mean±stddev summaries. Parameter sweeps are
 // plain data: rebuild the Spec per value of the swept axis.
@@ -12,7 +12,6 @@ package scenario
 
 import (
 	"fmt"
-	"time"
 
 	"logmob/internal/agent"
 	"logmob/internal/core"
@@ -27,8 +26,6 @@ import (
 // workloads. Experiments may also build one imperatively with NewWorld and
 // AddHost.
 type World struct {
-	// Seed is the deterministic seed the world was built with.
-	Seed int64
 	// Field is the world's field dimensions (zero for point worlds).
 	Field Field
 	// Sim drives the virtual clock.
@@ -49,10 +46,6 @@ type World struct {
 	// Beacons maps node name to its discovery beacon, for populations that
 	// enable beaconing.
 	Beacons map[string]*discovery.Beacon
-	// batches holds one shared beacon cadence per distinct interval:
-	// compiled populations coalesce onto one scheduler timer per interval
-	// instead of one per host (see discovery.BeaconBatch).
-	batches map[time.Duration]*discovery.BeaconBatch
 	// Pops maps population name to its node names in creation order.
 	Pops map[string][]string
 	// Records collects every agent that finished on a compiled population's
@@ -81,7 +74,6 @@ func NewWorld(seed int64) *World {
 	trust := security.NewTrustStore()
 	trust.TrustIdentity(id)
 	return &World{
-		Seed:      seed,
 		Sim:       s,
 		Net:       n,
 		Transport: transport.NewSimNetwork(n),
@@ -128,11 +120,6 @@ func (w *World) AddHost(name string, pos netsim.Position, class netsim.LinkClass
 	return h
 }
 
-// Usage is shorthand for the traffic account of one node's link.
-func (w *World) Usage(name string) netsim.Usage {
-	return w.Net.UsageOf(name)
-}
-
 // LastRecord returns the most recent finished-agent record whose unit name
 // matches, and whether one exists.
 func (w *World) LastRecord(unitName string) (agent.Record, bool) {
@@ -143,22 +130,6 @@ func (w *World) LastRecord(unitName string) (agent.Record, bool) {
 		}
 	}
 	return agent.Record{}, false
-}
-
-// BeaconBatch returns the world's shared beacon cadence for one interval,
-// creating it on first use. Compiled populations add every member's beacon
-// here in creation order, so a whole interval class costs one scheduler
-// timer and broadcasts in canonical node order.
-func (w *World) BeaconBatch(interval time.Duration) *discovery.BeaconBatch {
-	if w.batches == nil {
-		w.batches = make(map[time.Duration]*discovery.BeaconBatch)
-	}
-	g := w.batches[interval]
-	if g == nil {
-		g = discovery.NewBeaconBatch(w.Sim, interval)
-		w.batches[interval] = g
-	}
-	return g
 }
 
 // nodeName names the i-th member of a population.

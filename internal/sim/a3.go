@@ -99,6 +99,6 @@ func runA3Config(seed int64, interval time.Duration) (meanS, maxS float64, beaco
 	}
 	// Beacon traffic: everything the repo sent (its beacons dominate; device
 	// beacons are empty and not transmitted).
-	u := w.Usage("repo")
+	u := w.Net.UsageOf("repo")
 	return lat.Mean(), lat.Max(), u.BytesSent
 }

@@ -188,8 +188,7 @@ func TestT13AggregatesAcrossSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replicated experiment run in -short mode")
 	}
-	runner := scenario.Runner{Seeds: scenario.Seeds(1, 3), Parallel: 3}
-	multi := runner.Run(func(seed int64) *Result {
+	multi := scenario.RunSeeds(1, 3, 3, func(seed int64) *Result {
 		return T13().RunWith(seed, t13ShortParams)
 	})
 	if multi.Aggregate == nil || len(multi.Aggregate.Tables) == 0 {

@@ -58,8 +58,8 @@ type crowd struct {
 	// Reliability rows.
 	faults scenario.Faults
 
-	beaconStats bool   // show topology epochs + beacon traffic
-	cacheLabel  string // beacon-cache row label; "" omits the row
+	beaconStats bool // show topology epochs + beacon traffic
+	beaconCache bool // show the mean cached presence ads
 }
 
 // codWave describes a crowd experiment's Code-on-Demand component.
@@ -67,7 +67,7 @@ type codWave struct {
 	unit, version string
 	size          int // coefficient table, bytes
 	retry         time.Duration
-	prefix        string // Fetches row prefix
+	prefix        string // FetchWave row prefix
 }
 
 // spec compiles the crowd into a scenario.Spec under the given table title.
@@ -118,7 +118,6 @@ func (c crowd) spec(title string) *scenario.Spec {
 		SrcMin:       c.srcMin,
 		SrcMax:       c.srcMax,
 		PayloadBytes: crowdMsgSize,
-		NamePrefix:   "courier",
 		TopicPrefix:  c.ns + "/courier",
 	}
 	workloads := []scenario.Workload{fleet}
@@ -126,8 +125,8 @@ func (c crowd) spec(title string) *scenario.Spec {
 	if c.beaconStats {
 		probes = append(probes, scenario.TopologyEpochs{}, scenario.BeaconTraffic{})
 	}
-	if c.cacheLabel != "" {
-		probes = append(probes, scenario.BeaconCache{Pop: c.people, Label: c.cacheLabel})
+	if c.beaconCache {
+		probes = append(probes, scenario.BeaconCache{Pop: c.people})
 	}
 	probes = append(probes, scenario.Coverage{Pop: c.people, Service: c.ns + "/info"})
 	if c.csRounds > 0 {
@@ -144,14 +143,12 @@ func (c crowd) spec(title string) *scenario.Spec {
 				return app.BuildCodec(w.ID, cod.unit, cod.version, cod.size)
 			},
 			Entry: "decode", Args: []int64{8},
-			Retry: cod.retry,
+			Retry: cod.retry, Prefix: cod.prefix,
 		}
 		workloads = append([]scenario.Workload{wave}, workloads...)
-		probes = append(probes, scenario.Fetches{Of: wave, Prefix: cod.prefix})
+		probes = append(probes, wave)
 	}
-	probes = append(probes,
-		scenario.AgentHops{Label: "courier hops / failed"},
-		scenario.Deliveries{Of: fleet})
+	probes = append(probes, scenario.AgentHops{}, fleet)
 	if !c.faults.IsZero() {
 		probes = append(probes, scenario.Reliability{})
 	}

@@ -41,7 +41,12 @@ type Experiment struct {
 func FromSpec(id, title, motivation string, defaults map[string]float64,
 	build func(params map[string]float64) *scenario.Spec, notes ...string) Experiment {
 	runWith := func(seed int64, params map[string]float64) *Result {
-		res := build(withDefaults(defaults, params)).RunResult(id, seed)
+		spec := build(withDefaults(defaults, params))
+		_, table := spec.Run(seed)
+		res := &Result{ID: id, Title: spec.Name}
+		if table != nil {
+			res.Tables = append(res.Tables, table)
+		}
 		res.Notes = append(res.Notes, notes...)
 		return res
 	}

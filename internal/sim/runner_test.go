@@ -39,8 +39,7 @@ func TestT11ParallelReplicatesMatchSerial(t *testing.T) {
 	}
 	e := T11()
 	run := func(parallel int) *scenario.MultiResult {
-		r := scenario.Runner{Seeds: scenario.Seeds(1, 4), Parallel: parallel}
-		return r.Run(func(seed int64) *Result { return e.RunWith(seed, t11Small) })
+		return scenario.RunSeeds(1, 4, parallel, func(seed int64) *Result { return e.RunWith(seed, t11Small) })
 	}
 	serial, par := run(1), run(4)
 	for i := range serial.Replicates {

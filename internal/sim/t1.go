@@ -135,7 +135,7 @@ func measureT1(seed, n int64) map[policy.Paradigm]int64 {
 	out := make(map[policy.Paradigm]int64, 4)
 
 	deviceBytes := func(w *scenario.World) int64 {
-		u := w.Usage("device")
+		u := w.Net.UsageOf("device")
 		return u.BytesSent + u.BytesRecv
 	}
 

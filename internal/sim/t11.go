@@ -68,7 +68,7 @@ func t11Spec(p map[string]float64) *scenario.Spec {
 		speedMin: 1, speedMax: 5, pause: 5 * time.Second,
 		warmup: t11Warmup, duration: t11Deadline,
 		couriers: int(p["couriers"]), srcMin: t11SrcMin, srcMax: t11SrcMax,
-		beaconStats: true, cacheLabel: "mean cached presence ads",
+		beaconStats: true, beaconCache: true,
 	}.spec(fmt.Sprintf(
 		"Table T11: %d attendees + %d stages, %gx%gm field, range %gm, %v deadline",
 		attendees, stages, field, field, radio, t11Deadline))

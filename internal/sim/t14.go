@@ -150,11 +150,12 @@ func t14Build(p map[string]float64) (*scenario.Spec, map[string]*scenario.Adapti
 	}
 	// Every group places client i at the same spot: a ring slot around its
 	// station. Co-location makes the groups' radio conditions identical.
-	ring := scenario.PlaceFunc(func(w *scenario.World, i int) netsim.Position {
+	ring := make(scenario.PlacePoints, clients)
+	for i := range ring {
 		st := stationPos[i%t14Stations]
 		angle := 2 * math.Pi * float64(i) / float64(clients)
-		return netsim.Position{X: st.X + t14RingR*math.Cos(angle), Y: st.Y + t14RingR*math.Sin(angle)}
-	})
+		ring[i] = netsim.Position{X: st.X + t14RingR*math.Cos(angle), Y: st.Y + t14RingR*math.Sin(angle)}
+	}
 
 	pops := []scenario.Population{{
 		Name: "station", Count: t14Stations, Place: stationPos,
@@ -210,7 +211,7 @@ func t14Build(p map[string]float64) (*scenario.Spec, map[string]*scenario.Adapti
 		}
 		groups[g.name] = wl
 		workloads = append(workloads, wl)
-		probes = append(probes, scenario.Decisions{Of: wl})
+		probes = append(probes, wl)
 		sensePops = append(sensePops, g.name)
 	}
 	probes = append(probes, scenario.Reliability{}, scenario.NetTraffic{})

@@ -93,7 +93,7 @@ func runT2(seed int64) *Result {
 		}
 		play(0)
 		w.Sim.RunFor(4 * time.Hour)
-		u := w.Usage("device")
+		u := w.Net.UsageOf("device")
 		stats := device.Registry().Stats()
 		hitPct := 100 * float64(player.Hits) / float64(player.Plays)
 		table.AddRow("cod-cache", device.Registry().Used(), u.BytesSent+u.BytesRecv,
@@ -128,7 +128,7 @@ func runT2(seed int64) *Result {
 		}
 		play(0)
 		w.Sim.RunFor(4 * time.Hour)
-		u := w.Usage("device")
+		u := w.Net.UsageOf("device")
 		table.AddRow("cs-remote", 0, u.BytesSent+u.BytesRecv, "-", 0,
 			fmt.Sprintf("%.1f", playLatency.Mean()))
 	}

@@ -104,7 +104,7 @@ func runT5Vendors(seed int64, sweep []int) *Result {
 				}},
 			}
 			w, _ := spec.Run(seed)
-			u := w.Usage("home")
+			u := w.Net.UsageOf("home")
 			best := int64(-1)
 			if final, ok := w.LastRecord("shopper"); ok {
 				if n := len(final.Stack); n >= 2 {
@@ -132,7 +132,7 @@ func runT5Vendors(seed int64, sweep []int) *Result {
 				})},
 			}
 			w, _ := spec.Run(seed)
-			u := w.Usage("home")
+			u := w.Net.UsageOf("home")
 			table.AddRow(vendors, "CS browse", u.BytesSent+u.BytesRecv,
 				fmt.Sprintf("%.4f", u.Cost), fmt.Sprintf("%.1f", u.Airtime.Seconds()), result.BestCents)
 			chart.Add("CS", float64(vendors), u.Cost)

@@ -103,6 +103,6 @@ func runT9Walk(seed int64, class netsim.LinkClass) (first, ret time.Duration, fe
 	if len(visits) < 2 {
 		panic(fmt.Sprintf("T9: expected 2 walk-ins, got %d", len(visits)))
 	}
-	u := w.Usage("user")
+	u := w.Net.UsageOf("user")
 	return visits[0], visits[1], u.BytesRecv
 }

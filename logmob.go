@@ -259,11 +259,15 @@ type (
 
 // Workloads.
 type (
-	// CourierWorkload launches a store-carry-forward courier fleet.
+	// CourierWorkload launches a store-carry-forward courier fleet. A
+	// *CourierWorkload is also the probe that reports its deliveries.
 	CourierWorkload = scenario.Couriers
 	// AdaptiveWorkload runs a continuous task stream through per-client
 	// adaptation engines, re-selecting the paradigm per interaction from
 	// live sensed context (or pinned to one paradigm as a control group).
+	// An *AdaptiveWorkload is also the probe that reports its trajectory:
+	// completions per paradigm, decision share over time, switches, regret,
+	// battery survival.
 	AdaptiveWorkload = scenario.Adaptive
 )
 
@@ -280,16 +284,10 @@ type (
 	CoverageProbe = scenario.Coverage
 	// BeaconTrafficProbe reports beacon broadcast/reception totals.
 	BeaconTrafficProbe = scenario.BeaconTraffic
-	// AgentHopsProbe reports agent migration totals.
+	// AgentHopsProbe reports courier (agent) migration totals.
 	AgentHopsProbe = scenario.AgentHops
-	// DeliveriesProbe reports courier delivery statistics.
-	DeliveriesProbe = scenario.Deliveries
 	// NetTrafficProbe reports whole-network traffic totals.
 	NetTrafficProbe = scenario.NetTraffic
-	// DecisionsProbe reports an AdaptiveWorkload's trajectory: completions
-	// per paradigm, decision share over time, switches, regret, battery
-	// survival.
-	DecisionsProbe = scenario.Decisions
 )
 
 // GreedyGeoCaps provides the geo_pick_greedy capability the couriers of a
@@ -304,7 +302,7 @@ func RunSpec(s *Scenario, seed int64) (*scenario.World, *Table) { return s.Run(s
 // RunSeeds replicates a run function across n seeds starting at base,
 // parallel at a time, and aggregates the per-seed tables.
 func RunSeeds(base int64, n, parallel int, fn func(seed int64) *ScenarioResult) *MultiResult {
-	return scenario.Runner{Seeds: scenario.Seeds(base, n), Parallel: parallel}.Run(fn)
+	return scenario.RunSeeds(base, n, parallel, fn)
 }
 
 // NewResultTable creates an empty result table with the given column

@@ -23,7 +23,7 @@ func festivalSpec(attendees int) (*logmob.Scenario, *logmob.CourierWorkload) {
 		TargetPop: "stage", SourcePop: "crowd",
 		SrcMin: 100, SrcMax: 300,
 		PayloadBytes: 200,
-		NamePrefix:   "courier", TopicPrefix: "festival/courier",
+		TopicPrefix:  "festival/courier",
 	}
 	spec := &logmob.Scenario{
 		Name:  "festival via facade",
@@ -63,8 +63,8 @@ func festivalSpec(attendees int) (*logmob.Scenario, *logmob.CourierWorkload) {
 			logmob.MeanNeighborsProbe{Pop: "crowd"},
 			logmob.BeaconTrafficProbe{},
 			logmob.CoverageProbe{Pop: "crowd", Service: "festival/info"},
-			logmob.AgentHopsProbe{Label: "courier hops / failed"},
-			logmob.DeliveriesProbe{Of: fleet},
+			logmob.AgentHopsProbe{},
+			fleet,
 			logmob.NetTrafficProbe{},
 		},
 		TableTitle: "festival via facade",
