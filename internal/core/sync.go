@@ -8,10 +8,13 @@ import (
 
 // Blocking wrappers over the kernel's asynchronous paradigm APIs.
 //
-// These are for hosts on the real TCP transport (cmd/logmobd and other
-// daemons), where handlers run on their own goroutines and blocking is safe.
-// Over the simulator the event loop is single-goroutine: a blocking call
-// from inside it would deadlock, so simulator code uses the callback forms.
+// These are for code on the real TCP transport (cmd/logmobd and other
+// daemons) that runs on a goroutine of its own. They must not be called from
+// inside a handler or a kernel callback: over TCP those run on the
+// connection's read goroutine (see transport.Handler), and the reply a *Sync
+// call waits for could only be read by that same goroutine. Over the
+// simulator the event loop is single-goroutine, with the same effect, so
+// simulator code uses the callback forms.
 
 // await runs one asynchronous kernel call to completion or ctx cancellation.
 // The channel is buffered so a reply landing after the caller gave up does

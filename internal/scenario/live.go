@@ -99,8 +99,8 @@ func (l *Live) OnAgentDone(rec agent.Record) {
 	// The platform calls this from its own delivery path, which must never
 	// block on Replay. A record nobody waits for (an agent that finished
 	// after its Replay timed out, or one that arrived from elsewhere and
-	// finished here) stays in the buffer; past 64 of those, records are
-	// dropped.
+	// finished here) stays in the buffer until the next agent replay reads
+	// past it; past 64 of those, records are dropped.
 	select {
 	case l.agentDone <- rec:
 	default:
@@ -270,7 +270,9 @@ func (l *Live) replayFetch(f FetchRun, target string) LiveRow {
 
 // replayAgent launches the workload's agent on the client platform and
 // waits for it to finish back home (the OnAgentDone hook), which for
-// itinerary agents means the full migration round trip completed.
+// itinerary agents means the full migration round trip completed. Records
+// of other agents are skipped: only the one with the ID the spawn returned
+// is this replay's.
 func (l *Live) replayAgent(s SpawnAgent) LiveRow {
 	row := LiveRow{Workload: s.Name, Paradigm: "mobile-agent", Target: "itinerary", Ops: 1}
 	if l.Platform == nil {
@@ -279,13 +281,14 @@ func (l *Live) replayAgent(s SpawnAgent) LiveRow {
 	}
 	sched := l.Client.Scheduler()
 	start := sched.Now()
+	var id string
 	var err error
 	if s.Unit != nil {
 		u := l.mintUnit(s.Unit)
 		row.Workload = u.Manifest.Name
-		_, err = l.Platform.SpawnUnit(u, s.Entry)
+		id, err = l.Platform.SpawnUnit(u, s.Entry)
 	} else {
-		_, err = l.Platform.Spawn(s.Name, s.Program, s.Data, s.Entry)
+		id, err = l.Platform.Spawn(s.Name, s.Program, s.Data, s.Entry)
 	}
 	if err != nil {
 		row.Err = err
@@ -293,16 +296,21 @@ func (l *Live) replayAgent(s SpawnAgent) LiveRow {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), l.timeout())
 	defer cancel()
-	select {
-	case rec := <-l.agentDone:
-		row.MedianMs = float64(sched.Now()-start) / float64(time.Millisecond)
-		if rec.Status == agent.StatusCompleted {
-			row.Delivered = 1
-		} else {
-			row.Err = fmt.Errorf("live: agent finished with status %d: %s", rec.Status, rec.Detail)
+	for {
+		select {
+		case rec := <-l.agentDone:
+			if rec.ID != id {
+				continue // another agent's, such as one whose replay timed out
+			}
+			row.MedianMs = float64(sched.Now()-start) / float64(time.Millisecond)
+			if rec.Status == agent.StatusCompleted {
+				row.Delivered = 1
+			} else {
+				row.Err = fmt.Errorf("live: agent finished with status %d: %s", rec.Status, rec.Detail)
+			}
+		case <-ctx.Done():
+			row.Err = fmt.Errorf("live: agent round trip: %w", ctx.Err())
 		}
-	case <-ctx.Done():
-		row.Err = fmt.Errorf("live: agent round trip: %w", ctx.Err())
+		return row
 	}
-	return row
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -172,5 +173,85 @@ func TestLiveClusterReplay(t *testing.T) {
 	}
 	if res.Delivered < 8 {
 		t.Errorf("total delivered %d, want >= 8", res.Delivered)
+	}
+}
+
+// serialScheduler runs every After callback under mu, so a test that holds
+// mu excludes itself from an agent a callback is resuming: agent.Platform is
+// not safe for concurrent use.
+type serialScheduler struct {
+	transport.Scheduler
+	mu *sync.Mutex
+}
+
+func (s serialScheduler) After(d time.Duration, fn func()) func() {
+	return s.Scheduler.After(d, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		fn()
+	})
+}
+
+// TestLiveReplayAgentSkipsStaleRecord replays an agent that outlives its
+// replay's timeout and then fails, and, once its record has arrived late, a
+// second agent that completes at once. The second replay must report its own
+// record, not the first agent's stale one.
+func TestLiveReplayAgentSkipsStaleRecord(t *testing.T) {
+	ep, err := transport.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	var mu sync.Mutex
+	h, err := core.NewHost(core.Config{
+		Endpoint:  ep,
+		Scheduler: serialScheduler{transport.NewWallScheduler(), &mu},
+		Policy:    security.Policy{AllowUnsigned: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	var live *Live
+	late := make(chan struct{})
+	p := agent.NewPlatform(h, agent.Env{OnDone: func(rec agent.Record) {
+		live.OnAgentDone(rec)
+		if rec.Status != agent.StatusCompleted {
+			close(late)
+		}
+	}})
+	live = NewLive(h, nil)
+	live.Platform = p
+	live.Timeout = 50 * time.Millisecond
+
+	slowFail := vm.MustAssemble(`
+.entry main
+main:
+	push 200
+	host a_sleep
+	pop
+	halt
+`)
+	quick := vm.MustAssemble(`
+.entry main
+main:
+	halt
+`)
+	mu.Lock()
+	first := live.Replay("late", []Workload{SpawnAgent{Name: "late", Program: slowFail, Entry: "main"}})
+	mu.Unlock()
+	if err := first.Rows[0].Err; err == nil {
+		t.Fatal("the slow agent's replay did not time out")
+	}
+	select {
+	case <-late:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the slow agent never finished")
+	}
+	mu.Lock() // the slow agent's callback has returned
+	defer mu.Unlock()
+	second := live.Replay("quick", []Workload{SpawnAgent{Name: "quick", Program: quick, Entry: "main"}})
+	if row := second.Rows[0]; row.Err != nil || row.Delivered != 1 {
+		t.Errorf("second replay: delivered %d, err %v; want its own completed record", row.Delivered, row.Err)
 	}
 }

@@ -69,8 +69,9 @@ var _ Endpoint = (*muxChannel)(nil)
 func (c *muxChannel) Addr() string { return c.mux.ep.Addr() }
 
 // Send frames the payload in a pooled buffer: no Endpoint implementation
-// retains the frame past the call (netsim copies, TCP writes synchronously,
-// Reliable re-frames into its own buffer), so it can be recycled on return.
+// retains the frame past the call (netsim copies, TCP writes it or copies it
+// into the connection's queue, Reliable re-frames into its own buffer), so
+// it can be recycled on return.
 func (c *muxChannel) Send(to string, payload []byte) error {
 	b := wire.GetBuffer()
 	defer wire.PutBuffer(b)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -13,20 +14,108 @@ import (
 	"logmob/internal/wire"
 )
 
-// tcpConn is one live TCP connection plus its write lock. Frame writes are
-// serialised per connection, not per endpoint, so one backpressured peer
-// stalls only senders to that peer.
+// maxQueued caps the bytes a connection's write queue holds. A frame that
+// would overflow it is written directly, after whatever is queued.
+const maxQueued = 64 << 10
+
+// readBuffer sizes a read loop's bufio buffer: a burst of small frames
+// arrives in one read, and a queued burst of replies can leave in one write.
+const readBuffer = 64 << 10
+
+// closeFlushWait bounds how long Close spends handing queued frames to the
+// kernel, over all connections together, before it closes them.
+const closeFlushWait = 100 * time.Millisecond
+
+// tcpConn is one live TCP connection plus its write queue. Frames that
+// become ready together leave in one Write: while the read loop has the
+// connection corked, or while another goroutine is writing to it, a frame
+// that fits is appended to q and its sender returns at once. The goroutine
+// that owns the write side empties q before it gives the socket up, and no
+// goroutine holds mu during a Write, so a peer that stops reading stalls
+// only the goroutine writing to it. The zero value (with c set) is ready.
 type tcpConn struct {
 	c  net.Conn
-	mu sync.Mutex // serialises frame writes on c
+	mu sync.Mutex
+	// q holds queued frames, whole and in send order; spare is the buffer
+	// the owner last wrote, reused as the next q.
+	q, spare []byte // guarded by mu
+	corked   bool   // guarded by mu; the read loop holds frames back while input waits
+	writing  bool   // guarded by mu; a goroutine owns c's write side
+	// idle is signalled when writing clears; its L is mu, set on first Wait.
+	idle sync.Cond
 }
 
-// write puts one whole frame, built by wire.Buffer.StartFrame and Frame, on
-// the connection in a single Write.
-func (tc *tcpConn) write(frame []byte) (int, error) {
+// write sends one whole frame, built by wire.Buffer.StartFrame and Frame.
+// The frame is queued if the connection is corked or being written and it
+// fits; otherwise the caller takes the write side, waiting for the owner if
+// there is one, and writes the queue, then the frame, then whatever was
+// queued meanwhile.
+func (tc *tcpConn) write(frame []byte) error {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	return tc.c.Write(frame)
+	if (tc.corked || tc.writing) && len(tc.q)+len(frame) <= maxQueued {
+		tc.q = append(tc.q, frame...)
+		return nil
+	}
+	for tc.writing {
+		if tc.idle.L == nil {
+			tc.idle.L = &tc.mu
+		}
+		tc.idle.Wait()
+	}
+	tc.writing = true
+	return tc.drainLocked(frame)
+}
+
+// cork holds the frames sent from now on in the queue, until uncork.
+func (tc *tcpConn) cork() {
+	tc.mu.Lock()
+	tc.corked = true
+	tc.mu.Unlock()
+}
+
+// uncork lets frames leave again and writes what was queued, unless another
+// goroutine owns the write side. That owner drains the queue, and neither
+// caller, the read loop or Close, may wait behind its Write: the peer may
+// have stopped reading.
+func (tc *tcpConn) uncork() error {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	tc.corked = false
+	if tc.writing || len(tc.q) == 0 {
+		return nil
+	}
+	tc.writing = true
+	return tc.drainLocked(nil)
+}
+
+// drainLocked writes the queue, then frame if it is not nil, then whatever
+// was queued during those writes, until the queue is empty; then it gives
+// the write side up. The caller holds mu and owns the write side; mu is
+// released around each Write so that senders keep queueing. After a failed
+// Write the queue is dropped with the connection.
+func (tc *tcpConn) drainLocked(frame []byte) error {
+	var err error
+	for err == nil && (len(tc.q) > 0 || frame != nil) {
+		out := tc.q
+		tc.q = tc.spare[:0]
+		tc.mu.Unlock()
+		if len(out) > 0 {
+			_, err = tc.c.Write(out)
+		}
+		if err == nil && frame != nil {
+			_, err = tc.c.Write(frame)
+			frame = nil
+		}
+		tc.mu.Lock()
+		tc.spare = out[:0]
+	}
+	if err != nil {
+		tc.q = tc.q[:0]
+	}
+	tc.writing = false
+	tc.idle.Broadcast()
+	return err
 }
 
 // TCPUsage counts an endpoint's application traffic, mirroring what the
@@ -50,7 +139,7 @@ type TCPEndpoint struct {
 	mu      sync.Mutex
 	conns   map[string]*tcpConn // peer -> adopted conn; guarded by mu
 	dialing map[string]*tcpDial // in-flight dials by peer; guarded by mu
-	live    map[net.Conn]bool   // every open conn, adopted or not; guarded by mu
+	live    map[*tcpConn]bool   // every open conn, adopted or not; guarded by mu
 	handler Handler             // guarded by mu
 	closed  bool                // guarded by mu
 	wg      sync.WaitGroup
@@ -81,7 +170,7 @@ func ListenTCP(listenAddr string) (*TCPEndpoint, error) {
 		addr:    ln.Addr().String(),
 		conns:   make(map[string]*tcpConn),
 		dialing: make(map[string]*tcpDial),
-		live:    make(map[net.Conn]bool),
+		live:    make(map[*tcpConn]bool),
 	}
 	e.wg.Add(1)
 	go e.acceptLoop()
@@ -112,23 +201,23 @@ func (e *TCPEndpoint) SetHandler(h Handler) {
 // critical section with Close, so every connection is either closed by
 // Close or was never tracked — an accepted-but-silent inbound conn can no
 // longer be missed and hang wg.Wait.
-func (e *TCPEndpoint) track(c net.Conn) bool {
+func (e *TCPEndpoint) track(tc *tcpConn) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return false
 	}
-	e.live[c] = true
+	e.live[tc] = true
 	e.wg.Add(1)
 	return true
 }
 
 // untrack removes a connection from the live set and closes it.
-func (e *TCPEndpoint) untrack(c net.Conn) {
+func (e *TCPEndpoint) untrack(tc *tcpConn) {
 	e.mu.Lock()
-	delete(e.live, c)
+	delete(e.live, tc)
 	e.mu.Unlock()
-	c.Close()
+	tc.c.Close()
 }
 
 func (e *TCPEndpoint) acceptLoop() {
@@ -138,11 +227,12 @@ func (e *TCPEndpoint) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		if !e.track(conn) {
+		tc := &tcpConn{c: conn}
+		if !e.track(tc) {
 			conn.Close()
 			return
 		}
-		go e.readLoop(&tcpConn{c: conn}, "")
+		go e.readLoop(tc, "")
 	}
 }
 
@@ -151,17 +241,34 @@ func (e *TCPEndpoint) acceptLoop() {
 // The caller must have tracked the connection (which reserves the reader's
 // waitgroup slot). The handler is lent each payload inside the connection's
 // frame buffer, which the next frame overwrites (see Handler).
+//
+// The loop corks tc while it dispatches a frame with more input buffered
+// behind it, so that what the dispatches send leaves in one write. A
+// dispatch with nothing behind it runs uncorked: it may be long (a large
+// unit's verify), and frames other goroutines send meanwhile should not wait
+// for it. Before blocking for input the loop corks once more, across one
+// yield, so that the goroutines its dispatches woke queue their next frames
+// and those leave together too.
 func (e *TCPEndpoint) readLoop(tc *tcpConn, peer string) {
 	defer e.wg.Done()
-	defer e.untrack(tc.c)
-	br := bufio.NewReader(tc.c)
+	defer e.untrack(tc)
+	defer func() {
+		if peer != "" {
+			e.dropConn(peer, tc)
+		}
+	}()
+	br := bufio.NewReaderSize(tc.c, readBuffer)
 	var buf []byte // per-connection frame buffer, reused across reads
 	for {
+		if br.Buffered() == 0 {
+			tc.cork()
+			runtime.Gosched()
+			if tc.uncork() != nil {
+				return
+			}
+		}
 		frame, err := wire.ReadFrameInto(br, buf)
 		if err != nil {
-			if peer != "" {
-				e.dropConn(peer, tc)
-			}
 			return
 		}
 		buf = frame
@@ -180,6 +287,11 @@ func (e *TCPEndpoint) readLoop(tc *tcpConn, peer string) {
 		if peer == "" {
 			peer = from
 			e.adoptConn(peer, tc)
+		}
+		if br.Buffered() > 0 {
+			tc.cork()
+		} else if tc.uncork() != nil {
+			return
 		}
 		e.mu.Lock()
 		h := e.handler
@@ -249,7 +361,7 @@ func (e *TCPEndpoint) getConn(to string) (*tcpConn, error) {
 			conn.Close()
 		} else {
 			tc = &tcpConn{c: conn}
-			e.live[conn] = true
+			e.live[tc] = true
 			e.wg.Add(1)
 			// Adopt the dialed conn unless an inbound conn from the same
 			// peer was adopted while the dial was in flight (crossed
@@ -298,10 +410,11 @@ func (e *TCPEndpoint) dial(to string) (net.Conn, error) {
 }
 
 // Send transmits payload to the endpoint listening at to. The frame (length
-// prefix, sender address, payload) is built in one pooled buffer and leaves
-// in one Write, which holds only the target connection's lock, so a slow or
-// backpressured peer cannot stall sends to other peers, Neighbors,
-// SetHandler or Close.
+// prefix, sender address, payload) is built in one pooled buffer and handed
+// to the target connection, which writes it at once or copies it into its
+// queue (see tcpConn). Either way only that connection is involved, so a
+// slow or backpressured peer cannot stall sends to other peers, Neighbors,
+// SetHandler or Close. A queued frame counts as sent.
 func (e *TCPEndpoint) Send(to string, payload []byte) error {
 	tc, err := e.getConn(to)
 	if err != nil {
@@ -312,14 +425,14 @@ func (e *TCPEndpoint) Send(to string, payload []byte) error {
 	frame.StartFrame()
 	frame.PutString(e.addr)
 	frame.PutBytes(payload)
-	n, err := tc.write(frame.Frame())
-	if err != nil {
+	out := frame.Frame()
+	if err := tc.write(out); err != nil {
 		e.dropConn(to, tc)
-		e.untrack(tc.c)
+		e.untrack(tc)
 		return fmt.Errorf("transport: send to %s: %w", to, err)
 	}
 	e.msgsSent.Add(1)
-	e.bytesSent.Add(int64(n))
+	e.bytesSent.Add(int64(len(out)))
 	return nil
 }
 
@@ -350,7 +463,8 @@ func (e *TCPEndpoint) Neighbors() []string {
 // Close shuts the listener and every live connection down — adopted or not,
 // so a connection that was accepted but never sent its hello cannot keep a
 // read loop (and therefore Close) waiting — and waits for all reader
-// goroutines to exit.
+// goroutines to exit. Each connection's queued frames are handed to the
+// kernel first, for closeFlushWait at most over all of them.
 func (e *TCPEndpoint) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -359,13 +473,20 @@ func (e *TCPEndpoint) Close() error {
 	}
 	e.closed = true
 	err := e.ln.Close()
-	for c := range e.live {
-		c.Close()
+	live := make([]*tcpConn, 0, len(e.live))
+	for tc := range e.live {
+		live = append(live, tc) //lint:allow maporder each connection is flushed and closed on its own; no result depends on the order
 	}
 	for peer := range e.conns {
 		delete(e.conns, peer)
 	}
 	e.mu.Unlock()
+	deadline := time.Now().Add(closeFlushWait) //lint:allow wallclock a write deadline is host time by definition
+	for _, tc := range live {
+		tc.c.SetWriteDeadline(deadline) // the conn is closed next, so an owner's Write ends either way
+		tc.uncork()
+		tc.c.Close()
+	}
 	e.wg.Wait()
 	return err
 }

@@ -122,20 +122,17 @@ func TestTCPMalformedHello(t *testing.T) {
 	closeWithin(t, e, 2*time.Second)
 }
 
-// TestTCPSendStallIsolation is the regression test for the endpoint-wide
-// send lock: a peer that stops reading (its socket buffers full) must stall
-// only sends to that peer. Sends to other peers, Neighbors, SetHandler and
-// Close must all stay live.
-func TestTCPSendStallIsolation(t *testing.T) {
-	e := newTCP(t)
-	healthy := newTCP(t)
-
-	// The stalled peer: a raw conn that sends its hello, then never reads.
+// stallWriter connects a raw peer to e that sends its hello as "stall-peer"
+// and then never reads, and saturates e's connection to it from a writer
+// goroutine until that goroutine is blocked in a Write. It returns the raw
+// peer's connection.
+func stallWriter(t *testing.T, e *TCPEndpoint) net.Conn {
+	t.Helper()
 	stall, err := net.Dial("tcp", e.Addr())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer stall.Close()
+	t.Cleanup(func() { stall.Close() })
 	if tcp, ok := stall.(*net.TCPConn); ok {
 		tcp.SetReadBuffer(4096) // shrink the window so the writer blocks fast
 	}
@@ -150,8 +147,6 @@ func TestTCPSendStallIsolation(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Saturate the stalled peer's connection from a writer goroutine until
-	// the write path blocks.
 	var wrote atomic.Int64
 	go func() {
 		payload := make([]byte, 1<<20)
@@ -172,6 +167,17 @@ func TestTCPSendStallIsolation(t *testing.T) {
 			t.Fatal("writer never blocked; cannot exercise the stall")
 		}
 	}
+	return stall
+}
+
+// TestTCPSendStallIsolation is the regression test for the endpoint-wide
+// send lock: a peer that stops reading (its socket buffers full) must stall
+// only sends to that peer. Sends to other peers, Neighbors, SetHandler and
+// Close must all stay live.
+func TestTCPSendStallIsolation(t *testing.T) {
+	e := newTCP(t)
+	healthy := newTCP(t)
+	stallWriter(t, e)
 
 	// With the write blocked, every other endpoint operation must respond.
 	got := make(chan string, 1)
@@ -205,6 +211,37 @@ func TestTCPSendStallIsolation(t *testing.T) {
 	}
 
 	// Close must unblock the stalled writer and terminate.
+	closeWithin(t, e, 3*time.Second)
+}
+
+// TestTCPReadWhileWriterStalled blocks a goroutine writing to a peer that
+// never reads, then has that peer send ten frames: the connection's read
+// loop must deliver them all, never waiting behind the stalled Write.
+func TestTCPReadWhileWriterStalled(t *testing.T) {
+	e := newTCP(t)
+	const k = 10
+	got := make(chan struct{}, k)
+	e.SetHandler(func(from string, payload []byte) { got <- struct{}{} })
+	stall := stallWriter(t, e)
+
+	b := wire.GetBuffer()
+	defer wire.PutBuffer(b)
+	for i := 0; i < k; i++ {
+		b.Reset()
+		b.PutString("stall-peer")
+		b.PutBytes([]byte{byte(i)})
+		if _, err := wire.WriteFrame(stall, b.Bytes()); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	deadline := time.After(2 * time.Second)
+	for i := 0; i < k; i++ {
+		select {
+		case <-got:
+		case <-deadline:
+			t.Fatalf("%d of %d frames delivered while a writer was stalled", i, k)
+		}
+	}
 	closeWithin(t, e, 3*time.Second)
 }
 
@@ -351,5 +388,63 @@ func TestTCPConcurrentChaos(t *testing.T) {
 	// Sends after Close must fail fast, not hang.
 	if err := e.Send(peers[0].Addr(), []byte("late")); err == nil {
 		t.Error("Send after Close succeeded")
+	}
+}
+
+// TestTCPQueuedFramesKeepSendOrder has four goroutines send numbered frames,
+// small ones and some larger than the write queue, over one connection to a
+// peer that echoes each back. The echoes make both read loops cork while
+// the senders keep sending, so frames are queued, drained by whichever
+// goroutine owns the write side, and written past the queue. Each sender's
+// frames must arrive whole and in its order, at the peer and back home.
+func TestTCPQueuedFramesKeepSendOrder(t *testing.T) {
+	a, b := newTCP(t), newTCP(t)
+	const workers, frames = 4, 200
+	// inOrder returns a handler that checks each worker's numbers arrive in
+	// sequence and counts the frames.
+	inOrder := func(name string, got *atomic.Int64) Handler {
+		next := make([]int, workers) // only the one read loop touches it
+		return func(from string, payload []byte) {
+			w, seq := int(payload[0]), int(payload[1])<<8|int(payload[2])
+			if seq != next[w] {
+				t.Errorf("%s: worker %d frame %d arrived when %d was due", name, w, seq, next[w])
+			}
+			next[w] = seq + 1
+			got.Add(1)
+		}
+	}
+	var atB, atA atomic.Int64
+	check := inOrder("peer", &atB)
+	b.SetHandler(func(from string, payload []byte) {
+		check(from, payload)
+		if err := b.Send(from, payload); err != nil {
+			t.Errorf("echo: %v", err)
+		}
+	})
+	a.SetHandler(inOrder("home", &atA))
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for seq := 0; seq < frames; seq++ {
+				size := 3 + seq%50
+				if seq%50 == 0 {
+					size = maxQueued + 1000
+				}
+				p := make([]byte, size)
+				p[0], p[1], p[2] = byte(w), byte(seq>>8), byte(seq)
+				if err := a.Send(b.Addr(), p); err != nil {
+					t.Errorf("worker %d frame %d: %v", w, seq, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	waitFor(t, func() bool { return atA.Load() == workers*frames })
+	if n := atB.Load(); n != workers*frames {
+		t.Errorf("peer got %d frames, want %d", n, workers*frames)
 	}
 }

@@ -13,7 +13,8 @@ import (
 
 // Handler receives a message addressed to the endpoint. Simulator handlers
 // run on the simulation goroutine and must not block; TCP handlers run on the
-// connection's reader goroutine.
+// connection's reader goroutine, and frames a TCP handler sends may leave
+// only once the frames already buffered behind its own have been dispatched.
 //
 // The payload is borrowed until the handler returns, on every Endpoint:
 // netsim's recycled delivery buffer, the TCP connection's frame buffer, a
