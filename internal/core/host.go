@@ -109,7 +109,8 @@ type Config struct {
 	Endpoint transport.Endpoint
 	// Scheduler provides time and timers (virtual or wall-clock).
 	Scheduler transport.Scheduler
-	// Registry is the local component store; default unlimited with LRU.
+	// Registry is the local component store; default unlimited with LRU,
+	// made when the host first stores a unit or Registry is called.
 	Registry *registry.Registry
 	// Trust is the signature trust store; default empty.
 	Trust *security.TrustStore
@@ -141,8 +142,8 @@ type Host struct {
 	mux   *transport.Mux
 	kch   transport.Endpoint // kernel channel
 	sched transport.Scheduler
-	reg   *registry.Registry
-	ctx   *ctxsvc.Service
+	reg   *registry.Registry // nil until first use (Registry); guarded by mu
+	ctx   *ctxsvc.Service    // nil until first use (Context); guarded by mu
 	trust *security.TrustStore
 	pol   security.Policy
 
@@ -154,6 +155,8 @@ type Host struct {
 	requestTimeout time.Duration
 	auditCap       int
 
+	// The three maps are nil until their first write: most hosts of a crowd
+	// never offer a service, publish a unit or issue a request.
 	mu          sync.Mutex
 	services    map[string]ServiceFunc // guarded by mu
 	published   map[string]bool        // name -> fetchable; guarded by mu
@@ -223,16 +226,9 @@ func NewHost(cfg Config) (*Host, error) {
 		computeRate:    cfg.ComputeRate,
 		requestTimeout: cfg.RequestTimeout,
 		auditCap:       cfg.AuditCap,
-		services:       make(map[string]ServiceFunc),
-		published:      make(map[string]bool),
-		pending:        make(map[uint64]*pendingReq),
-		ctx:            ctxsvc.New(cfg.Scheduler.Now, 0),
 	}
 	if h.name == "" {
 		h.name = cfg.Endpoint.Addr()
-	}
-	if h.reg == nil {
-		h.reg = registry.New(0, registry.WithClock(cfg.Scheduler.Now))
 	}
 	if h.trust == nil {
 		h.trust = security.NewTrustStore()
@@ -265,11 +261,33 @@ func (h *Host) Mux() *transport.Mux { return h.mux }
 // Scheduler returns the host's time source.
 func (h *Host) Scheduler() transport.Scheduler { return h.sched }
 
-// Registry returns the host's component store.
-func (h *Host) Registry() *registry.Registry { return h.reg }
+// Registry returns the host's component store, making it on first use.
+func (h *Host) Registry() *registry.Registry {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.reg == nil {
+		h.reg = registry.New(0, registry.WithClock(h.sched.Now))
+	}
+	return h.reg
+}
 
-// Context returns the host's context service.
-func (h *Host) Context() *ctxsvc.Service { return h.ctx }
+// storedRegistry returns the host's component store if something has made
+// it, or nil, which reads as an empty store: a lookup makes no registry.
+func (h *Host) storedRegistry() *registry.Registry {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.reg
+}
+
+// Context returns the host's context service, making it on first use.
+func (h *Host) Context() *ctxsvc.Service {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.ctx == nil {
+		h.ctx = ctxsvc.New(h.sched.Now, 0)
+	}
+	return h.ctx
+}
 
 // ComputeRate returns the host's modelled CPU speed in VM instructions per
 // second of (virtual) time; 0 means computation is instantaneous.
@@ -324,7 +342,7 @@ func (h *Host) Close() error {
 		p.timer.Stop()
 		pending = append(pending, p)
 	}
-	h.pending = make(map[uint64]*pendingReq)
+	h.pending = nil
 	h.mu.Unlock()
 	// Request IDs are issued in order, so sorting by ID fails the callbacks
 	// in the order they were registered, on every run.
@@ -339,6 +357,9 @@ func (h *Host) Close() error {
 func (h *Host) RegisterService(name string, fn ServiceFunc) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if h.services == nil {
+		h.services = make(map[string]ServiceFunc)
+	}
 	h.services[name] = fn
 }
 
@@ -392,12 +413,16 @@ func (h *Host) getAgentLocked() *lmu.Unit {
 // Publish makes a unit available for Fetch (Code On Demand, server side).
 // The unit is pinned in the registry so local eviction never unpublishes it.
 func (h *Host) Publish(u *lmu.Unit) error {
-	if err := h.reg.Put(u); err != nil {
+	reg := h.Registry()
+	if err := reg.Put(u); err != nil {
 		return fmt.Errorf("core: publish %s: %w", u.Manifest.Name, err)
 	}
-	h.reg.Pin(u.Manifest.Name, u.Manifest.Version, true)
+	reg.Pin(u.Manifest.Name, u.Manifest.Version, true)
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if h.published == nil {
+		h.published = make(map[string]bool)
+	}
 	h.published[u.Manifest.Name] = true
 	return nil
 }
@@ -433,7 +458,7 @@ func (h *Host) verify(kind, from string, u *lmu.Unit) error {
 // Demand: fetch once, then run on the device. It returns the machine's final
 // stack.
 func (h *Host) RunComponent(name, entry string, args ...int64) ([]int64, error) {
-	u, ok := h.reg.Get(name)
+	u, ok := h.storedRegistry().Get(name)
 	if !ok {
 		return nil, fmt.Errorf("core: component %s: %w", name, registry.ErrNotFound)
 	}
@@ -444,7 +469,7 @@ func (h *Host) RunComponent(name, entry string, args ...int64) ([]int64, error) 
 // RunComponentSteps is RunComponent also reporting the VM instruction count,
 // which experiments combine with a CPU rate to model local compute time.
 func (h *Host) RunComponentSteps(name, entry string, args ...int64) ([]int64, int64, error) {
-	u, ok := h.reg.Get(name)
+	u, ok := h.storedRegistry().Get(name)
 	if !ok {
 		return nil, 0, fmt.Errorf("core: component %s: %w", name, registry.ErrNotFound)
 	}

@@ -45,6 +45,9 @@ func (h *Host) newRequest(peer string, count func(*Stats), cb replyFunc, done fu
 	p.peer, p.id, p.cb, p.done = peer, h.nextReq, cb, done
 	p.deadline = h.sched.Now() + h.requestTimeout
 	p.timer.Reset(h.requestTimeout)
+	if h.pending == nil {
+		h.pending = make(map[uint64]*pendingReq)
+	}
 	h.pending[p.id] = p
 	h.mu.Unlock()
 	return p.id
@@ -289,7 +292,7 @@ func (h *Host) Fetch(from, name, minVersion string, cb func(u *lmu.Unit, err err
 			cb(nil, err)
 			return
 		}
-		if err := h.reg.Put(u); err != nil {
+		if err := h.Registry().Put(u); err != nil {
 			cb(nil, fmt.Errorf("core: store fetched unit: %w", err))
 			return
 		}
@@ -314,7 +317,7 @@ func (h *Host) Fetch(from, name, minVersion string, cb func(u *lmu.Unit, err err
 // stored locally, then returns the local unit. This is the COD fast path:
 // cache hits cost no traffic.
 func (h *Host) Ensure(remote, name, minVersion string, cb func(u *lmu.Unit, hit bool, err error)) {
-	if u, ok := h.reg.GetAtLeast(name, minVersion); ok {
+	if u, ok := h.storedRegistry().GetAtLeast(name, minVersion); ok {
 		cb(u, true, nil)
 		return
 	}
@@ -586,7 +589,7 @@ func (h *Host) handleFetch(from string, r *reader) {
 		return
 	}
 	h.mu.Lock()
-	pub := h.published[name]
+	pub, reg := h.published[name], h.reg
 	h.stats.FetchesServed++
 	h.recordLocked("fetch", from, name, pub, "")
 	h.mu.Unlock()
@@ -594,7 +597,7 @@ func (h *Host) handleFetch(from string, r *reader) {
 		h.reply(from, msgFetchReply, id, false, ErrNotFound.Error(), nil)
 		return
 	}
-	u, ok := h.reg.GetAtLeast(name, minVersion)
+	u, ok := reg.GetAtLeast(name, minVersion)
 	if !ok {
 		h.reply(from, msgFetchReply, id, false, ErrNotFound.Error(), nil)
 		return

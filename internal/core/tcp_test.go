@@ -3,12 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"logmob/internal/ctxsvc"
 	"logmob/internal/lmu"
+	"logmob/internal/registry"
 	"logmob/internal/security"
 	"logmob/internal/transport"
 	"logmob/internal/vm"
@@ -276,5 +279,100 @@ func TestTCPConcurrentCalls(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Errorf("call %d: %v", i, err)
 		}
+	}
+}
+
+// TestTCPFirstUseIsRaceFree: a host's registry and context service are made
+// by whichever goroutine uses them first. Over TCP each connection has its
+// own read goroutine, so two peers can make that first use at once. Here,
+// on a fresh host, two fetch replies store into the registry and then ask
+// for the context service, while two service calls ask for both, all
+// released together. The two calls meet at a rendezvous inside their
+// handlers, so both first uses run with nothing ordering them, and each
+// side records what it saw in a slot of its own, adding no lock. Under
+// -race a plain nil-check-then-create is reported. Without -race, a second
+// registry that replaced the first loses a fetched unit.
+func TestTCPFirstUseIsRaceFree(t *testing.T) {
+	id := security.MustNewIdentity("publisher")
+	trust := security.NewTrustStore()
+	trust.TrustIdentity(id)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	nop := func(string, [][]byte) ([][]byte, error) { return nil, nil }
+	const n = 2
+	var peers [n]*Host
+	for i := range peers {
+		p := newTCPHost(t, trust, nil)
+		u := &lmu.Unit{
+			Manifest: lmu.Manifest{Name: fmt.Sprintf("unit/%d", i), Version: "1.0", Kind: lmu.KindComponent, Publisher: id.Name},
+			Code:     vm.MustAssemble(addSrc).Encode(),
+		}
+		id.Sign(u)
+		if err := p.Publish(u); err != nil {
+			t.Fatal(err)
+		}
+		p.RegisterService("nop", nop)
+		peers[i] = p
+	}
+	type seen struct {
+		reg *registry.Registry
+		ctx *ctxsvc.Service
+	}
+	for round := 0; round < 10; round++ {
+		h := newTCPHost(t, trust, nil)
+		var byCall, byFetch [n]seen
+		var inside sync.WaitGroup
+		inside.Add(n)
+		h.RegisterService("nop", nop)
+		h.RegisterService("touch", func(_ string, args [][]byte) ([][]byte, error) {
+			inside.Done()
+			inside.Wait()
+			byCall[args[0][0]] = seen{h.Registry(), h.Context()}
+			return nil, nil
+		})
+		// Open every connection first, so no raced use waits on a dial.
+		for _, p := range peers {
+			if _, err := h.CallSync(ctx, p.Addr(), "nop", nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.CallSync(ctx, h.Addr(), "nop", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if reg, c, _, _, _ := held(h); reg || c {
+			t.Fatalf("round %d: registry or context made before the race", round)
+		}
+		start := make(chan struct{})
+		errs := make(chan error, 2*n)
+		for i, p := range peers {
+			go func() {
+				<-start
+				h.Fetch(p.Addr(), fmt.Sprintf("unit/%d", i), "", func(_ *lmu.Unit, err error) {
+					byFetch[i].ctx = h.Context()
+					errs <- err
+				})
+			}()
+			go func() {
+				<-start
+				_, err := p.CallSync(ctx, h.Addr(), "touch", [][]byte{{byte(i)}})
+				errs <- err
+			}()
+		}
+		close(start)
+		for range 2 * n {
+			if err := <-errs; err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+		reg, c := h.Registry(), h.Context()
+		for i := range n {
+			if !reg.Has(fmt.Sprintf("unit/%d", i)) {
+				t.Fatalf("round %d: unit/%d was stored in a registry the host no longer holds", round, i)
+			}
+			if byCall[i] != (seen{reg, c}) || byFetch[i].ctx != c {
+				t.Fatalf("round %d: peer %d saw a registry or context other than the host's", round, i)
+			}
+		}
+		h.Close()
 	}
 }

@@ -11,10 +11,9 @@ import (
 // would otherwise keep one timer record and one re-arm closure per host
 // alive in the scheduler at all times; the batch keeps exactly one, and
 // broadcasts for its members in the order they were added (worlds add in
-// canonical node order), reusing one pooled scratch buffer for any frame
-// rebuilds. Members also share one frameMemo, so a frame n of them hear is
-// decoded once, not n times. A lone beacon is a batch of one (see
-// Beacon.Start).
+// canonical node order). Members also share one frameMemo, so a frame n of
+// them hear is decoded once, not n times. A lone beacon is a batch of one
+// (see Beacon.Start).
 //
 // Per member: the first beacon goes out the moment the member is added or
 // started, the neighbor-table sweep runs on the shared tick, and a member that Stops
@@ -27,8 +26,7 @@ type BeaconBatch struct {
 	sched    transport.Scheduler
 	interval time.Duration
 	members  []*Beacon
-	running  int // members currently running
-	scratch  []string
+	running  int       // members currently running
 	memo     frameMemo // decoded frames, shared by every member
 	stop     func()    // cancels the armed timer; nil while running == 0
 }
@@ -72,7 +70,7 @@ func (g *BeaconBatch) Add(b *Beacon) {
 func (g *BeaconBatch) start(b *Beacon) {
 	b.running = true
 	g.running++
-	g.scratch = b.tickOnce(g.scratch)
+	b.tickOnce()
 	if g.stop == nil {
 		g.stop = g.sched.After(g.interval, g.tick)
 	}
@@ -89,7 +87,7 @@ func (g *BeaconBatch) stopped() {
 func (g *BeaconBatch) tick() {
 	for _, b := range g.members {
 		if b.running {
-			g.scratch = b.tickOnce(g.scratch)
+			b.tickOnce()
 		}
 	}
 	g.stop = g.sched.After(g.interval, g.tick)

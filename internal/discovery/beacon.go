@@ -2,7 +2,8 @@ package discovery
 
 import (
 	"bytes"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"logmob/internal/transport"
@@ -25,10 +26,10 @@ type Beacon struct {
 	ep       transport.Endpoint
 	sched    transport.Scheduler
 	interval time.Duration
-	local    map[string]Ad // service -> own ad
-	frame    []byte        // cached encoded beacon; nil after local changes
-	nbrs     []neighbor    // what was heard; a sender's newest record is its last
-	memo     frameMemo     // the batch's once Add ran; private (lazily made) before
+	local    []Ad       // own ads, one per service, sorted by Service
+	frame    []byte     // cached encoded beacon; nil after local changes
+	nbrs     []neighbor // what was heard; a sender's newest record is its last
+	memo     frameMemo  // the batch's once Add ran; private (lazily made) before
 	running  bool
 	batch    *BeaconBatch // owns the cadence; set by Start or BeaconBatch.Add
 	// Heard counts beacon messages received.
@@ -116,12 +117,7 @@ func NewBeacon(ep transport.Endpoint, sched transport.Scheduler, interval time.D
 	if interval <= 0 {
 		interval = 5 * time.Second
 	}
-	b := &Beacon{
-		ep:       ep,
-		sched:    sched,
-		interval: interval,
-		local:    make(map[string]Ad),
-	}
+	b := &Beacon{ep: ep, sched: sched, interval: interval}
 	ep.SetHandler(b.handle)
 	return b
 }
@@ -136,16 +132,31 @@ func (b *Beacon) Advertise(ad Ad) {
 	if ad.TTL <= 0 {
 		ad.TTL = 3 * b.interval
 	}
-	b.local[ad.Service] = ad
+	if i, found := b.findLocal(ad.Service); found {
+		b.local[i] = ad
+	} else {
+		b.local = slices.Insert(b.local, i, ad)
+	}
 	b.frame = nil
 }
 
 // Withdraw removes a local advertisement. Neighbors expire it by TTL: the
 // next, changed frame replaces what they hold for the services it still
-// carries and leaves the withdrawn one to run out.
+// carries and leaves the withdrawn one to run out. Withdrawing a service
+// that is not advertised changes nothing.
 func (b *Beacon) Withdraw(service string) {
-	delete(b.local, service)
-	b.frame = nil
+	if i, found := b.findLocal(service); found {
+		b.local = slices.Delete(b.local, i, i+1)
+		b.frame = nil
+	}
+}
+
+// findLocal returns where service's own ad sits in b.local, or where it
+// would be inserted.
+func (b *Beacon) findLocal(service string) (int, bool) {
+	return slices.BinarySearchFunc(b.local, service, func(ad Ad, s string) int {
+		return strings.Compare(ad.Service, s)
+	})
 }
 
 // Start begins periodic broadcasting. The first beacon goes out immediately;
@@ -170,31 +181,22 @@ func (b *Beacon) Start() {
 // the same sweep, so a Find between ticks sees exactly what lazy-only
 // expiry produced.) The encoded frame only depends on the ad set (TTLs are
 // relative), so it is built once per Advertise/Withdraw and reused across
-// ticks. scratch is the batch's reusable sort buffer for frame rebuilds;
-// the possibly-grown buffer is returned so it pools across members.
-func (b *Beacon) tickOnce(scratch []string) []string {
+// ticks. The ads go out in service order, the order b.local keeps.
+func (b *Beacon) tickOnce() {
 	b.sweep()
 	if len(b.local) == 0 {
-		return scratch
+		return
 	}
 	if b.frame == nil {
 		var buf wire.Buffer
 		buf.PutUint(uint64(len(b.local)))
-		// Deterministic order.
-		scratch = scratch[:0]
-		for s := range b.local {
-			scratch = append(scratch, s)
-		}
-		sort.Strings(scratch)
-		for _, s := range scratch {
-			ad := b.local[s]
+		for _, ad := range b.local {
 			ad.encode(&buf)
 		}
 		b.frame = buf.Bytes()
 	}
 	b.ep.Broadcast(b.frame)
 	b.Sent++
-	return scratch
 }
 
 // Stop halts broadcasting. Cached remote ads continue to expire naturally.

@@ -1,7 +1,9 @@
 package discovery
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -287,5 +289,53 @@ func TestBeaconBatchSharesDecoding(t *testing.T) {
 	lone.handle("s", frame)
 	if lone.nbrs[0].frame == members[0].nbrs[0].frame {
 		t.Fatal("a beacon outside the batch shares the batch's memo")
+	}
+}
+
+// TestBeaconOwnAds pins the beacon's own-ad list. Whatever order services
+// are advertised in, the frame carries them by service, the bytes
+// encodeFrame gives for the sorted set. Advertising a service again
+// replaces its ad. Withdrawing a service that is not advertised changes
+// nothing, not even the cached frame.
+func TestBeaconOwnAds(t *testing.T) {
+	const ivl = 5 * time.Second
+	services := []string{"", "a", "a/b", "ab", "b", "cinema", "market", "zz"}
+	sorted := make([]Ad, len(services))
+	for i, s := range services {
+		sorted[i] = Ad{Service: s, Provider: "me", TTL: 3 * ivl}
+	}
+	want := encodeFrame(sorted...)
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20; trial++ {
+		ep := &tapeEndpoint{addr: "me"}
+		s := &tapeSender{ep: ep, b: NewBeacon(ep, netsim.NewSim(1), ivl)}
+		for _, i := range rng.Perm(len(services)) {
+			s.b.Advertise(Ad{Service: services[i]})
+		}
+		if got := s.frameNow(); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: shuffled Advertise gives frame %x, want %x", trial, got, want)
+		}
+	}
+
+	ep := &tapeEndpoint{addr: "me"}
+	s := &tapeSender{ep: ep, b: NewBeacon(ep, netsim.NewSim(1), ivl)}
+	s.b.Advertise(Ad{Service: "b"})
+	s.b.Advertise(Ad{Service: "a"})
+	s.b.Advertise(Ad{Service: "b", TTL: time.Minute, Attrs: map[string]string{"v": "2"}})
+	a := Ad{Service: "a", Provider: "me", TTL: 3 * ivl}
+	b := Ad{Service: "b", Provider: "me", TTL: time.Minute, Attrs: map[string]string{"v": "2"}}
+	frame := s.frameNow()
+	if want := encodeFrame(a, b); !bytes.Equal(frame, want) {
+		t.Fatalf("re-advertising b gives frame %x, want %x", frame, want)
+	}
+	for _, unknown := range []string{"", "0", "aa", "c"} {
+		s.b.Withdraw(unknown)
+		if got := s.frameNow(); &got[0] != &frame[0] {
+			t.Fatalf("withdrawing unknown service %q rebuilt the frame", unknown)
+		}
+	}
+	s.b.Withdraw("a")
+	if got, want := s.frameNow(), encodeFrame(b); !bytes.Equal(got, want) {
+		t.Fatalf("after withdrawing a the frame is %x, want %x", got, want)
 	}
 }

@@ -105,8 +105,7 @@ func BenchmarkLookupRegisterFind(b *testing.B) {
 // BenchmarkBeaconCadence measures one beacon interval of discovery traffic
 // over a dense grid of ad-hoc nodes, n batches of one (each Start arms its
 // own cadence) vs one BeaconBatch of n: the shared batch replaces n timer
-// re-arms per interval with one wheel callback and shares a single sorted
-// scratch across every member's frame rebuild.
+// re-arms per interval with one wheel callback.
 func BenchmarkBeaconCadence(b *testing.B) {
 	const ivl = 30 * time.Second
 	for _, mode := range []string{"perhost", "batch"} {

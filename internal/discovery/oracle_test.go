@@ -86,7 +86,7 @@ func (o *oracleCache) live() []Ad {
 }
 
 // find mirrors the old Beacon.Find: cached matches, then the listener's own.
-func (o *oracleCache) find(q Query, local map[string]Ad) []Ad {
+func (o *oracleCache) find(q Query, local []Ad) []Ad {
 	var out []Ad
 	for _, ad := range o.live() {
 		if q.Matches(ad) {
@@ -157,7 +157,7 @@ type tapeSender struct {
 
 func (s *tapeSender) frameNow() []byte {
 	s.ep.last = nil
-	s.b.tickOnce(nil)
+	s.b.tickOnce()
 	return s.ep.last
 }
 

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/types"
 	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -13,7 +14,9 @@ import (
 // without an intervening release; deferred unlocks keep the lock held to
 // function end). Writes under an RWMutex require the exclusive lock; reads
 // accept RLock. Functions whose names end in "Locked" are callee-side
-// conventions — the caller holds the lock — and are exempt.
+// conventions — the caller holds the lock — and are exempt; in turn, a call
+// x.fooLocked(…) outside such a function must hold one of the mutexes that
+// guard fields of x's type, in either mode.
 //
 // Check: lockguard.
 var LockGuard = &Analyzer{
@@ -322,6 +325,7 @@ func (w *lockWalker) checkExpr(n ast.Node) {
 			if w.applyLockCall(m) {
 				return false
 			}
+			w.checkLockedCall(m)
 		case *ast.SelectorExpr:
 			w.checkFieldAccess(m, false)
 		}
@@ -360,4 +364,35 @@ func (w *lockWalker) checkFieldAccess(sel *ast.SelectorExpr, write bool) {
 	w.pass.Reportf(sel.Pos(), "lockguard",
 		"field %s.%s is %s without holding %s (declared `guarded by %s`)",
 		recv.Obj().Name(), sel.Sel.Name, verb, key, mu)
+}
+
+// checkLockedCall reports a call x.fooLocked(…) made while none of the
+// mutexes guarding x's fields is held. A method of a type with no guarded
+// field names no mutex, and is not checked.
+func (w *lockWalker) checkLockedCall(call *ast.CallExpr) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || !strings.HasSuffix(sel.Sel.Name, "Locked") {
+		return
+	}
+	selection, ok := w.pass.Pkg.Info.Selections[sel]
+	if !ok || selection.Kind() != types.MethodVal {
+		return
+	}
+	recv := namedType(selection.Recv())
+	if recv == nil || w.guards[recv.Obj()] == nil {
+		return
+	}
+	var mus []string
+	for _, mu := range w.guards[recv.Obj()] {
+		key := types.ExprString(sel.X) + "." + mu
+		if w.held[key] != lockNone {
+			return
+		}
+		mus = append(mus, key)
+	}
+	slices.Sort(mus)
+	mus = slices.Compact(mus)
+	w.pass.Reportf(sel.Pos(), "lockguard",
+		"%s is called without holding %s (its name says the caller holds the lock)",
+		types.ExprString(sel), strings.Join(mus, " or "))
 }

@@ -45,6 +45,36 @@ func (c *counter) AfterUnlock() {
 // bumpLocked follows the caller-holds-the-lock naming convention: exempt.
 func (c *counter) bumpLocked() { c.n++ }
 
+// resetLocked calls another helper of the convention: its own caller holds
+// the lock, so it is exempt too.
+func (c *counter) resetLocked() {
+	c.n = 0
+	c.bumpLocked()
+}
+
+// Bump holds the lock across the helper call: clean.
+func (c *counter) Bump() {
+	c.mu.Lock()
+	c.resetLocked()
+	c.mu.Unlock()
+}
+
+// BumpRacy calls the helper without the lock, and after releasing it.
+func (c *counter) BumpRacy() {
+	c.bumpLocked() // want `c\.bumpLocked is called without holding c\.mu`
+	c.mu.Lock()
+	c.bumpLocked()
+	c.mu.Unlock()
+	c.bumpLocked() // want `c\.bumpLocked is called without holding c\.mu`
+}
+
+// BumpOther holds the wrong counter's lock.
+func (c *counter) BumpOther(o *counter) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	o.bumpLocked() // want `o\.bumpLocked is called without holding o\.mu`
+}
+
 // Spawn shows why goroutine bodies start with no locks held: the spawned
 // work runs after the enclosing function's critical section.
 func (c *counter) Spawn() {
@@ -91,6 +121,16 @@ func (t *table) Put(k string, v int) {
 	t.m[k] = v
 }
 
+// sizeLocked reads under whatever lock its caller holds.
+func (t *table) sizeLocked() int { return len(t.m) }
+
+// Size holds the shared lock across the helper call: clean.
+func (t *table) Size() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.sizeLocked()
+}
+
 // Unguarded touches the map with no lock at all.
 func (t *table) Unguarded(k string, v int) {
 	t.m[k] = v // want `read without holding t\.mu`
@@ -102,3 +142,11 @@ type broken struct {
 
 // Use keeps broken referenced so the fixture compiles without vet noise.
 func Use(b *broken) int { return b.n }
+
+type plain struct{ n int }
+
+// stepLocked belongs to a type with no guarded field: no mutex to hold.
+func (p *plain) stepLocked() { p.n++ }
+
+// Step calls it with no lock: clean.
+func (p *plain) Step() { p.stepLocked() }

@@ -271,8 +271,12 @@ func (r *Registry) Get(name string) (*lmu.Unit, bool) {
 }
 
 // GetAtLeast returns the newest stored version of name that is >= minVersion
-// ("" accepts any).
+// ("" accepts any). A nil registry is an empty store that counts nothing: a
+// host makes its registry only when it first stores a unit.
 func (r *Registry) GetAtLeast(name, minVersion string) (*lmu.Unit, bool) {
+	if r == nil {
+		return nil, false
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e := r.bestLocked(name, minVersion)
