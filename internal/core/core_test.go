@@ -476,11 +476,9 @@ func TestRunComponentMissing(t *testing.T) {
 	}
 }
 
-func TestBlobHostFunctions(t *testing.T) {
-	w := newWorld(t)
-	h := w.addHost(t, "solo", nil)
-	// Sum the bytes of blob 0 ("data" key sorts first among one key).
-	src := `
+// blobSumSrc sums the bytes of blob 0 (the first data key in sorted order)
+// and leaves [blob_count, sum] on the stack.
+const blobSumSrc = `
 .entry main
 main:
 	push 0
@@ -507,9 +505,13 @@ done:
 	load 1
 	halt
 `
+
+func TestBlobHostFunctions(t *testing.T) {
+	w := newWorld(t)
+	h := w.addHost(t, "solo", nil)
 	u := &lmu.Unit{
 		Manifest: lmu.Manifest{Name: "tool/sum", Version: "1.0", Kind: lmu.KindComponent, Publisher: w.id.Name},
-		Code:     vm.MustAssemble(src).Encode(),
+		Code:     vm.MustAssemble(blobSumSrc).Encode(),
 		Data:     map[string][]byte{"payload": {1, 2, 3, 4, 5}},
 	}
 	w.id.Sign(u)

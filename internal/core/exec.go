@@ -145,6 +145,9 @@ func (h *Host) getEval() *evalState {
 	return &evalState{}
 }
 
+// putEval returns s to the pool with its unit reference cleared: an eval's
+// unit aliases a frame the transport recycles, and a pooled context must
+// not point into it.
 func (h *Host) putEval(s *evalState) {
 	s.ec.SetUnit(nil, nil)
 	h.mu.Lock()

@@ -526,9 +526,13 @@ func (h *Host) handleCall(from string, r *reader) {
 	})
 }
 
+// handleEval decodes the request unit in place, aliasing the frame the
+// transport lends for this call: nothing keeps the unit past the return.
+// verify keeps only a digest, CachedProgram copies the code into its key,
+// the VM decodes its own program, and putEval clears the context's unit.
 func (h *Host) handleEval(from string, r *reader) {
 	id := r.Uint()
-	packed := r.Bytes()
+	packed := r.AliasBytes()
 	entry := r.String()
 	n := r.Uint()
 	if r.Err() != nil || n > uint64(r.Remaining())+1 {

@@ -114,12 +114,17 @@ func New(now func() time.Duration, histCap int) *Service {
 }
 
 // Set updates an attribute, records history and notifies matching
-// subscribers.
+// subscribers. A full history drops its oldest sample by shifting the rest
+// down in place, so it never reallocates.
 func (s *Service) Set(k Key, v Value) {
 	s.attrs[k] = v
-	h := append(s.history[k], Sample{At: s.now(), Value: v})
-	if len(h) > s.histCap {
-		h = h[len(h)-s.histCap:]
+	smp := Sample{At: s.now(), Value: v}
+	h := s.history[k]
+	if len(h) < s.histCap {
+		h = append(h, smp)
+	} else {
+		copy(h, h[1:])
+		h[len(h)-1] = smp
 	}
 	s.history[k] = h
 	for _, sub := range s.subs[k] {

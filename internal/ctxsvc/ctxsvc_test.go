@@ -200,6 +200,30 @@ func TestValueString(t *testing.T) {
 	}
 }
 
+// A steady-state Set with no subscriber allocates nothing: a full history
+// drops its oldest sample in place instead of growing a new array.
+func TestSetFullHistoryAllocs(t *testing.T) {
+	s, now := newSvc() // histCap 4
+	for i := 0; i < 8; i++ {
+		s.SetNum(KeyBattery, float64(i))
+	}
+	// One run is 64 Sets: AllocsPerRun rounds its mean down, and a history
+	// that reallocates does so about once per histCap Sets.
+	allocs := testing.AllocsPerRun(10, func() {
+		for range 64 {
+			*now += time.Second
+			s.SetNum(KeyBattery, float64(*now))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("64 Sets on a full history allocate %v times, want 0", allocs)
+	}
+	h := s.History(KeyBattery, 0)
+	if len(h) != 4 || h[3].At != *now || h[0].At != *now-3*time.Second {
+		t.Errorf("history after the steady state = %+v", h)
+	}
+}
+
 func TestDefaultHistCap(t *testing.T) {
 	s := New(func() time.Duration { return 0 }, 0)
 	for i := 0; i < 100; i++ {

@@ -32,29 +32,28 @@ func signedAgent(u *lmu.Unit) *lmu.Unit {
 	return s
 }
 
-// codeCovered returns the byte spans of u.Pack() that SigCode covers: the
-// identity (name, version, kind, publisher — contiguous after the pack
-// version) and the code. It re-encodes the packing prefix; the caller checks
-// that the prefix matches, so a layout change fails loudly here.
-func codeCovered(u *lmu.Unit) (prefix []byte, ident, code [2]int) {
+// codeCovered returns the byte span of u.Pack() that SigCode covers: the
+// manifest (name, version, kind, publisher, dependencies, attributes) and
+// the code, contiguous after the pack version. It re-encodes the packing
+// prefix; the caller checks that the prefix matches, so a layout change
+// fails loudly here.
+func codeCovered(u *lmu.Unit) (prefix []byte, span [2]int) {
 	var b wire.Buffer
 	b.PutUint(1) // pack version
-	ident[0] = b.Len()
+	span[0] = b.Len()
 	b.PutString(u.Manifest.Name)
 	b.PutString(u.Manifest.Version)
 	b.PutByte(byte(u.Manifest.Kind))
 	b.PutString(u.Manifest.Publisher)
-	ident[1] = b.Len()
 	b.PutUint(uint64(len(u.Manifest.Deps)))
 	for _, d := range u.Manifest.Deps {
 		b.PutString(d.Name)
 		b.PutString(d.MinVersion)
 	}
 	b.PutStringMap(u.Manifest.Attrs)
-	code[0] = b.Len()
 	b.PutBytes(u.Code)
-	code[1] = b.Len()
-	return b.Bytes(), ident, code
+	span[1] = b.Len()
+	return b.Bytes(), span
 }
 
 // flipOutcome unpacks packed with one bit flipped and reports whether the
@@ -109,9 +108,9 @@ func sameExported(a, b *lmu.Unit) bool {
 // through, with arbitrary bytes. It checks that Unpack never panics; that a
 // unit it accepts re-packs to one it decodes identically; and that no
 // single-bit change to a signed unit's bytes forges a unit: flipping any bit
-// of a full-signed unit, or any bit of a code-signed agent's name, version,
-// kind, publisher or code, makes Unpack fail, makes Verify fail, or decodes
-// to the very same unit (a has-signature byte of 3 still reads as true).
+// of a full-signed unit, or any bit of a code-signed agent's manifest or
+// code, makes Unpack fail, makes Verify fail, or decodes to the very same
+// unit (a has-signature byte of 3 still reads as true).
 // The second input picks the bit. Size must equal the packed length of
 // every unit it decodes or signs. Unit.UnpackFrom, the decoder a host runs
 // into a recycled unit, must agree with Unpack on every input, error verdict
@@ -192,21 +191,15 @@ func FuzzUnpack(f *testing.F) {
 
 		agent := signedAgent(u)
 		packed = agent.Pack()
-		prefix, ident, code := codeCovered(agent)
+		prefix, span := codeCovered(agent)
 		if !bytes.HasPrefix(packed, prefix) {
 			t.Fatal("codeCovered's layout no longer matches Pack")
 		}
 		if err := security.Verify(agent, trust, security.Policy{}); err != nil {
 			t.Fatalf("fresh code signature rejected: %v", err)
 		}
-		// Map the bit onto the covered spans only.
-		covered := uint32(8 * (ident[1] - ident[0] + code[1] - code[0]))
-		b := bit % covered
-		if span := uint32(8 * (ident[1] - ident[0])); b < span {
-			b += uint32(8 * ident[0])
-		} else {
-			b += uint32(8*code[0]) - span
-		}
+		// Map the bit onto the covered span only.
+		b := bit%uint32(8*(span[1]-span[0])) + uint32(8*span[0])
 		if forged, got := flipOutcome(packed, b, agent, trust); forged {
 			t.Fatalf("bit %d of a code-signed agent's covered bytes forged a unit that verifies:\ngot  %+v\nwant %+v",
 				b, got, agent)

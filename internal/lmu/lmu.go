@@ -85,10 +85,10 @@ const (
 	// SigFull covers the complete unit content (manifest, code, data,
 	// state). Right for immutable components: any change invalidates it.
 	SigFull SigMode = iota + 1
-	// SigCode covers only the unit's identity and code. Right for mobile
-	// agents, whose data and state legitimately mutate at every hop while
-	// the code must remain exactly what the publisher shipped, and accepted
-	// on agents only.
+	// SigCode covers the unit's manifest and code, not its data or state.
+	// Right for mobile agents, whose data and state legitimately mutate at
+	// every hop while the code, dependencies and attributes must remain
+	// exactly what the publisher shipped, and accepted on agents only.
 	SigCode
 )
 
@@ -124,6 +124,15 @@ const packVersion = 1
 // appendSigned encodes everything covered by the signature.
 func (u *Unit) appendSigned(b *wire.Buffer) {
 	b.PutUint(packVersion)
+	u.appendManifest(b)
+	b.PutBytes(u.Code)
+	b.PutBytesMap(u.Data)
+	b.PutBytes(u.State)
+}
+
+// appendManifest encodes the manifest: identity, kind, publisher,
+// dependencies and attributes.
+func (u *Unit) appendManifest(b *wire.Buffer) {
 	b.PutString(u.Manifest.Name)
 	b.PutString(u.Manifest.Version)
 	b.PutByte(byte(u.Manifest.Kind))
@@ -134,9 +143,6 @@ func (u *Unit) appendSigned(b *wire.Buffer) {
 		b.PutString(d.MinVersion)
 	}
 	b.PutStringMap(u.Manifest.Attrs)
-	b.PutBytes(u.Code)
-	b.PutBytesMap(u.Data)
-	b.PutBytes(u.State)
 }
 
 // Hash returns the unit's full content hash (SigFull coverage).
@@ -148,15 +154,12 @@ func (u *Unit) Hash() [32]byte {
 	return h
 }
 
-// codeHash returns the hash covering only the unit's identity and code
-// (SigCode coverage): name, version, kind, publisher and code, but not Deps,
-// Attrs, Data or State.
+// codeHash returns the hash covering the unit's manifest and code (SigCode
+// coverage): everything but Data and State, which a mobile agent changes at
+// every hop.
 func (u *Unit) codeHash() [32]byte {
 	b := wire.GetBuffer()
-	b.PutString(u.Manifest.Name)
-	b.PutString(u.Manifest.Version)
-	b.PutByte(byte(u.Manifest.Kind))
-	b.PutString(u.Manifest.Publisher)
+	u.appendManifest(b)
 	b.PutBytes(u.Code)
 	h := sha256.Sum256(b.Bytes())
 	wire.PutBuffer(b)
@@ -203,10 +206,13 @@ func (u *Unit) Size() int {
 
 // Unpack parses a packed unit. The unit takes ownership of data: its Code,
 // State and Data values alias sub-ranges of it (only Sig.Sig is copied), so
-// the caller must not modify or recycle data after a successful Unpack.
-// Every current producer hands Unpack a freshly decoded copy, and aliasing
-// turns the former copy-per-field decode into a zero-copy one. A decoder
-// whose input is borrowed uses UnpackFrom instead.
+// the caller must not modify or recycle data while the unit is in use.
+// Aliasing turns the former copy-per-field decode into a zero-copy one. A
+// unit that is kept (a fetched or published unit the registry adopts) is
+// unpacked from a copy the caller owns; a unit dropped before a borrowed
+// input is recycled (core's Remote Evaluation request) may be unpacked from
+// that input directly. A decoder that keeps a unit decoded from borrowed
+// input uses UnpackFrom instead.
 func Unpack(data []byte) (*Unit, error) {
 	u := &Unit{}
 	if err := u.decode(data); err != nil {

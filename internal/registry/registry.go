@@ -174,6 +174,11 @@ func (r *Registry) Stats() Stats {
 // evicted to make room for its own replacement. Put fails with
 // ErrQuotaExceeded, leaving any replaced entry as it was, if the unit cannot
 // fit.
+//
+// Put adopts u: the registry keeps the pointer it is given, not a copy, and
+// Get hands that same pointer to every caller. A unit given to the registry
+// or returned by it is read-only; a caller that goes on to change a unit it
+// stored clones it first. A Put that fails adopts nothing.
 func (r *Registry) Put(u *lmu.Unit) error {
 	size := int64(u.Size())
 	r.mu.Lock()
@@ -201,11 +206,11 @@ func (r *Registry) Put(u *lmu.Unit) error {
 	r.used += size - freed
 	r.stats.Puts++
 	if old != nil {
-		old.Unit = u.Clone()
+		old.Unit = u
 		old.Size = size
 		return nil
 	}
-	e := &Entry{Unit: u.Clone(), Size: size, LastUsed: r.now()}
+	e := &Entry{Unit: u, Size: size, LastUsed: r.now()}
 	r.entries[name] = append(r.entries[name], e)
 	return nil
 }

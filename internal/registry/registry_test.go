@@ -39,16 +39,40 @@ func TestPutGet(t *testing.T) {
 	}
 }
 
-func TestPutClonesUnit(t *testing.T) {
+// Put adopts and Get shares: the registry keeps the pointer it was given,
+// as a new entry and as a same-version replacement, and a Put that fails
+// adopts nothing, leaving the stored entry as it was.
+func TestPutAdoptsUnit(t *testing.T) {
 	r := New(0)
 	u := unit("c", "1.0", 10)
 	if err := r.Put(u); err != nil {
 		t.Fatal(err)
 	}
-	u.Code[0] = 0xFF // mutate after Put
-	got, _ := r.Get("c")
-	if got.Code[0] == 0xFF {
-		t.Error("registry aliases caller's unit")
+	if got, _ := r.Get("c"); got != u {
+		t.Error("Get does not return the unit that was Put")
+	}
+	v := unit("c", "1.0", 20)
+	if err := r.Put(v); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := r.Get("c"); got != v {
+		t.Error("Get does not return the same-version replacement that was Put")
+	}
+
+	small := New(int64(v.Size()))
+	if err := small.Put(v); err != nil {
+		t.Fatal(err)
+	}
+	used := small.Used()
+	big := unit("c", "1.0", 400)
+	if err := small.Put(big); !errors.Is(err, ErrQuotaExceeded) {
+		t.Fatalf("Put past the quota = %v, want ErrQuotaExceeded", err)
+	}
+	if got, _ := small.Get("c"); got != v || len(got.Code) != 20 {
+		t.Error("a failed Put replaced the stored entry")
+	}
+	if small.Used() != used {
+		t.Errorf("Used = %d after a failed Put, want %d", small.Used(), used)
 	}
 }
 

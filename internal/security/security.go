@@ -87,9 +87,9 @@ func (id *Identity) sign(u *lmu.Unit, mode lmu.SigMode) {
 const memoMax = 256
 
 // memoKey names one verified signature's coverage: the signer, the mode and
-// the hash that mode covers. Name, version, kind and publisher are inside
-// the hash in both modes, and data and state are inside it only under
-// SigFull, so nothing else of the unit can change a verdict.
+// the hash that mode covers. The manifest and the code are inside the hash
+// in both modes, and data and state are inside it only under SigFull, so
+// nothing else of the unit can change a verdict.
 type memoKey struct {
 	signer string
 	mode   lmu.SigMode

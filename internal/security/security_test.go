@@ -187,6 +187,49 @@ func TestCodeSignatureSurvivesStateMutation(t *testing.T) {
 	}
 }
 
+// A code signature covers the whole manifest: a host between two hops that
+// rewrites a code-signed agent's dependencies or attributes breaks it.
+func TestCodeSignatureCoversDepsAndAttrs(t *testing.T) {
+	id := MustNewIdentity("publisher")
+	trust := NewTrustStore()
+	trust.TrustIdentity(id)
+	rewrites := []struct {
+		name string
+		fn   func(*lmu.Manifest)
+	}{
+		{"add a dep", func(m *lmu.Manifest) { m.Deps = append(m.Deps, lmu.Dep{Name: "lib/evil", MinVersion: "1"}) }},
+		{"lower a dep's version", func(m *lmu.Manifest) { m.Deps[0].MinVersion = "0.1" }},
+		{"drop the deps", func(m *lmu.Manifest) { m.Deps = nil }},
+		{"change an attr", func(m *lmu.Manifest) { m.Attrs["role"] = "admin" }},
+		{"add an attr", func(m *lmu.Manifest) { m.Attrs["extra"] = "x" }},
+		{"drop the attrs", func(m *lmu.Manifest) { m.Attrs = nil }},
+	}
+	for _, rw := range rewrites {
+		t.Run(rw.name, func(t *testing.T) {
+			agent := &lmu.Unit{
+				Manifest: lmu.Manifest{
+					Name: "agent/courier", Version: "1.0", Kind: lmu.KindAgent, Publisher: id.Name,
+					Deps:  []lmu.Dep{{Name: "lib/route", MinVersion: "2.0"}},
+					Attrs: map[string]string{"role": "courier"},
+				},
+				Code: []byte{9, 9, 9},
+			}
+			id.SignCode(agent)
+			got, err := lmu.Unpack(agent.Pack())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Verify(got, trust, Policy{}); err != nil {
+				t.Fatalf("Verify before the rewrite: %v", err)
+			}
+			rw.fn(&got.Manifest)
+			if err := Verify(got, trust, Policy{}); !errors.Is(err, ErrBadSignature) {
+				t.Fatalf("Verify after the rewrite = %v, want ErrBadSignature", err)
+			}
+		})
+	}
+}
+
 func TestComponentRejectsCodeSig(t *testing.T) {
 	id := MustNewIdentity("publisher")
 	trust := NewTrustStore()

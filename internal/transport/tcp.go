@@ -41,6 +41,7 @@ type tcpConn struct {
 	q, spare []byte // guarded by mu
 	corked   bool   // guarded by mu; the read loop holds frames back while input waits
 	writing  bool   // guarded by mu; a goroutine owns c's write side
+	closed   bool   // guarded by mu; Close has flushed the queue, nothing more is taken
 	// idle is signalled when writing clears; its L is mu, set on first Wait.
 	idle sync.Cond
 }
@@ -49,11 +50,12 @@ type tcpConn struct {
 // The frame is queued if the connection is corked or being written and it
 // fits; otherwise the caller takes the write side, waiting for the owner if
 // there is one, and writes the queue, then the frame, then whatever was
-// queued meanwhile.
+// queued meanwhile. Once Close has flushed the connection, write fails with
+// ErrClosed: a queued frame would never leave.
 func (tc *tcpConn) write(frame []byte) error {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	if (tc.corked || tc.writing) && len(tc.q)+len(frame) <= maxQueued {
+	if (tc.corked || tc.writing) && !tc.closed && len(tc.q)+len(frame) <= maxQueued {
 		tc.q = append(tc.q, frame...)
 		return nil
 	}
@@ -62,6 +64,9 @@ func (tc *tcpConn) write(frame []byte) error {
 			tc.idle.L = &tc.mu
 		}
 		tc.idle.Wait()
+	}
+	if tc.closed {
+		return ErrClosed
 	}
 	tc.writing = true
 	return tc.drainLocked(frame)
@@ -81,6 +86,20 @@ func (tc *tcpConn) cork() {
 func (tc *tcpConn) uncork() error {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
+	return tc.uncorkLocked()
+}
+
+// shut is Close's uncork: in the same hold it refuses every later write, so
+// no frame is queued behind the last flush.
+func (tc *tcpConn) shut() error {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	tc.closed = true
+	return tc.uncorkLocked()
+}
+
+// uncorkLocked is uncork's body. The caller holds mu.
+func (tc *tcpConn) uncorkLocked() error {
 	tc.corked = false
 	if tc.writing || len(tc.q) == 0 {
 		return nil
@@ -484,7 +503,7 @@ func (e *TCPEndpoint) Close() error {
 	deadline := time.Now().Add(closeFlushWait) //lint:allow wallclock a write deadline is host time by definition
 	for _, tc := range live {
 		tc.c.SetWriteDeadline(deadline) // the conn is closed next, so an owner's Write ends either way
-		tc.uncork()
+		tc.shut()
 		tc.c.Close()
 	}
 	e.wg.Wait()

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -248,6 +249,43 @@ func TestTCPCloseFlushesQueuedFrame(t *testing.T) {
 	}
 	if string(got[0]) != "queued" {
 		t.Errorf("the peer got %q, want the queued frame", got[0])
+	}
+}
+
+// TestTCPWriteAfterCloseReportsClosed is the regression test for a frame
+// lost with a nil error: a Send that fetched its connection before Close
+// began writes after Close has flushed it, while the read loop has corked
+// it again for a frame it is still dispatching. The frame used to be queued
+// behind the last flush, and Send returned nil; now the write fails with
+// ErrClosed and nothing is queued.
+func TestTCPWriteAfterCloseReportsClosed(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	near, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	far, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer far.Close()
+	e := newTCP(t)
+	tc, _ := adopt(e, "peer:1", near)
+
+	closeWithin(t, e, 2*time.Second)
+	tc.cork() // the read loop, dispatching a frame it had buffered
+	if err := tc.write(handFrame(e.Addr(), []byte("late"))); !errors.Is(err, ErrClosed) {
+		t.Errorf("write after Close = %v, want ErrClosed", err)
+	}
+	tc.mu.Lock()
+	queued := len(tc.q)
+	tc.mu.Unlock()
+	if queued != 0 {
+		t.Errorf("%d bytes queued on a connection Close has flushed", queued)
 	}
 }
 
