@@ -565,6 +565,60 @@ func TestHostCloseFailsPending(t *testing.T) {
 	}
 }
 
+// TestRequestsOnClosedHostFailAtOnce checks that once Close returns, each
+// kind of request calls back before it returns, once, with an error that
+// wraps transport.ErrClosed: nothing leaves, so the remote serves nothing
+// and no timeout fires later.
+func TestRequestsOnClosedHostFailAtOnce(t *testing.T) {
+	w := newWorld(t)
+	server := w.addHost(t, "server", func(c *Config) { c.ServePublish = true })
+	client := w.addHost(t, "client", nil)
+	server.RegisterService("echo", func(_ string, args [][]byte) ([][]byte, error) { return args, nil })
+	unit := w.signedProgram("adder", addSrc)
+	if err := server.Publish(unit); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Close(); err != nil {
+		t.Fatal(err)
+	}
+	requests := []struct {
+		name  string
+		issue func(done func(error))
+	}{
+		{"Call", func(done func(error)) {
+			client.Call("server", "echo", nil, func(_ [][]byte, err error) { done(err) })
+		}},
+		{"Eval", func(done func(error)) {
+			client.Eval("server", unit, "main", []int64{1, 2}, func(_ []int64, err error) { done(err) })
+		}},
+		{"Fetch", func(done func(error)) {
+			client.Fetch("server", "adder", "", func(_ *lmu.Unit, err error) { done(err) })
+		}},
+		{"SendAgent", func(done func(error)) { client.SendAgent("server", unit, done) }},
+		{"PublishTo", func(done func(error)) { client.PublishTo("server", unit, done) }},
+	}
+	calls := make([]int, len(requests))
+	for i, r := range requests {
+		var got error
+		r.issue(func(err error) { calls[i]++; got = err })
+		if calls[i] != 1 || !errors.Is(got, transport.ErrClosed) {
+			t.Errorf("%s on a closed host: %d callbacks before it returned, error %v; want one wrapping transport.ErrClosed", r.name, calls[i], got)
+		}
+	}
+	w.sim.RunFor(time.Minute) // well past the request timeout
+	for i, r := range requests {
+		if calls[i] != 1 {
+			t.Errorf("%s called back %d times", r.name, calls[i])
+		}
+	}
+	if s := client.Stats(); s.Timeouts != 0 {
+		t.Errorf("%d requests timed out on a closed host", s.Timeouts)
+	}
+	if s := server.Stats(); s != (Stats{}) {
+		t.Errorf("the remote of a closed host served %+v", s)
+	}
+}
+
 func TestConcurrentRequestsKeepIDsApart(t *testing.T) {
 	w := newWorld(t)
 	server := w.addHost(t, "server", nil)

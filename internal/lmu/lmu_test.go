@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"logmob/internal/wire"
 )
 
 func sampleUnit() *Unit {
@@ -150,6 +152,29 @@ func TestSizeMatchesPack(t *testing.T) {
 		c.edit(u)
 		if got, want := u.Size(), len(u.Pack()); got != want {
 			t.Errorf("%s: Size() = %d, len(Pack()) = %d", c.name, got, want)
+		}
+	}
+}
+
+// TestEncodeAllocs pins that encoding a unit with attributes allocates
+// nothing once the buffers are warm: both of its maps sort their keys on
+// the stack.
+func TestEncodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled buffers")
+	}
+	u := sampleUnit()
+	var b wire.Buffer
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Hash", func() { u.Hash() }},
+		{"Size", func() { u.Size() }},
+		{"PackTo", func() { b.Reset(); u.PackTo(&b) }},
+	} {
+		if got := testing.AllocsPerRun(100, c.fn); got != 0 {
+			t.Errorf("%s of a unit with one attribute allocates %v times, want 0", c.name, got)
 		}
 	}
 }

@@ -16,19 +16,19 @@ import (
 // hysteresis so the selection is stable between genuinely different
 // regimes instead of flapping on the boundary.
 
-// EWMA is an exponentially weighted moving average over a sensed stream.
+// ewma is an exponentially weighted moving average over a sensed stream.
 // The zero value is ready to use with the given alpha.
-type EWMA struct {
-	// Alpha is the weight of the newest sample in (0,1]; 1 disables
+type ewma struct {
+	// alpha is the weight of the newest sample in (0,1]; 1 disables
 	// smoothing. Values outside the range are treated as 1.
-	Alpha float64
+	alpha float64
 	val   float64
 	init  bool
 }
 
-// Observe folds one sample in and returns the smoothed value.
-func (e *EWMA) Observe(x float64) float64 {
-	a := e.Alpha
+// observe folds one sample in and returns the smoothed value.
+func (e *ewma) observe(x float64) float64 {
+	a := e.alpha
 	if a <= 0 || a > 1 || math.IsNaN(a) {
 		a = 1
 	}
@@ -60,7 +60,7 @@ type AdaptiveDecider struct {
 	// lowest-energy paradigm before the radio dies.
 	BatteryAware bool
 
-	bwF, rttF, lossF, energyF, battF EWMA
+	bwF, rttF, lossF, energyF, battF ewma
 	current                          Paradigm
 }
 
@@ -92,22 +92,22 @@ func (d *AdaptiveDecider) hysteresis() float64 {
 func (d *AdaptiveDecider) link(ctx *ctxsvc.Service) (Link, float64) {
 	raw := LinkFromContext(ctx)
 	a := d.alpha()
-	for _, f := range []*EWMA{&d.bwF, &d.rttF, &d.lossF, &d.energyF, &d.battF} {
-		f.Alpha = a
+	for _, f := range []*ewma{&d.bwF, &d.rttF, &d.lossF, &d.energyF, &d.battF} {
+		f.alpha = a
 	}
 	smoothed := Link{
-		BandwidthBps:  d.bwF.Observe(raw.BandwidthBps),
-		RTT:           time.Duration(d.rttF.Observe(raw.RTT.Seconds()) * float64(time.Second)),
+		BandwidthBps:  d.bwF.observe(raw.BandwidthBps),
+		RTT:           time.Duration(d.rttF.observe(raw.RTT.Seconds()) * float64(time.Second)),
 		CostPerByte:   raw.CostPerByte,
-		Loss:          d.lossF.Observe(raw.loss()),
+		Loss:          d.lossF.observe(raw.loss()),
 		LossPenalty:   raw.LossPenalty,
-		EnergyPerByte: d.energyF.Observe(raw.EnergyPerByte),
+		EnergyPerByte: d.energyF.observe(raw.EnergyPerByte),
 	}
 	battery := 1.0
 	if ctx != nil {
 		battery = ctx.GetNum(ctxsvc.KeyBattery, 1)
 	}
-	battery = d.battF.Observe(clamp01(battery))
+	battery = d.battF.observe(clamp01(battery))
 	return smoothed, battery
 }
 

@@ -9,17 +9,17 @@ import (
 )
 
 func TestEWMASmoothing(t *testing.T) {
-	e := EWMA{Alpha: 0.5}
-	if got := e.Observe(10); got != 10 {
+	e := ewma{alpha: 0.5}
+	if got := e.observe(10); got != 10 {
 		t.Fatalf("first sample = %v, want 10", got)
 	}
-	if got := e.Observe(0); got != 5 {
+	if got := e.observe(0); got != 5 {
 		t.Fatalf("second sample = %v, want 5", got)
 	}
 	// Alpha outside (0,1] disables smoothing.
-	raw := EWMA{Alpha: 7}
-	raw.Observe(10)
-	if got := raw.Observe(2); got != 2 {
+	raw := ewma{alpha: 7}
+	raw.observe(10)
+	if got := raw.observe(2); got != 2 {
 		t.Fatalf("unsmoothed = %v, want 2", got)
 	}
 }

@@ -270,24 +270,22 @@ func cpuFactorOr(f float64) float64 {
 	return f
 }
 
-// Estimate bundles the per-paradigm predictions for a task.
-type Estimate struct {
-	Paradigm Paradigm
-	Bytes    int64
-	Latency  time.Duration
-	Cost     float64
-	// Energy is the predicted battery drain (see EnergyCost).
-	Energy float64
+// prediction bundles one paradigm's predictions for a task.
+type prediction struct {
+	bytes   int64
+	latency time.Duration
+	cost    float64
+	// energy is the predicted battery drain (see EnergyCost).
+	energy float64
 }
 
 // estimate evaluates one paradigm.
-func estimate(p Paradigm, t Task, l Link, e Env) Estimate {
-	return Estimate{
-		Paradigm: p,
-		Bytes:    Traffic(p, t),
-		Latency:  Latency(p, t, l, e),
-		Cost:     Cost(p, t, l),
-		Energy:   EnergyCost(p, t, l),
+func estimate(p Paradigm, t Task, l Link, e Env) prediction {
+	return prediction{
+		bytes:   Traffic(p, t),
+		latency: Latency(p, t, l, e),
+		cost:    Cost(p, t, l),
+		energy:  EnergyCost(p, t, l),
 	}
 }
 
@@ -307,14 +305,14 @@ func DefaultObjective() Objective {
 	return Objective{BytesWeight: 1, LatencyWeight: 100}
 }
 
-func (o Objective) score(e Estimate) float64 {
+func (o Objective) score(e prediction) float64 {
 	if o.BytesWeight == 0 && o.LatencyWeight == 0 && o.CostWeight == 0 && o.EnergyWeight == 0 {
 		o.BytesWeight = 1
 	}
-	return o.BytesWeight*float64(e.Bytes) +
-		o.LatencyWeight*e.Latency.Seconds() +
-		o.CostWeight*e.Cost +
-		o.EnergyWeight*e.Energy
+	return o.BytesWeight*float64(e.bytes) +
+		o.LatencyWeight*e.latency.Seconds() +
+		o.CostWeight*e.cost +
+		o.EnergyWeight*e.energy
 }
 
 // Decider chooses a paradigm for a task given the host's current context.

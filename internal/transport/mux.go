@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"logmob/internal/wire"
 )
@@ -62,6 +63,9 @@ func (m *Mux) Channel(id byte) Endpoint {
 type muxChannel struct {
 	mux *Mux
 	id  byte
+	// closed is final for this view; a fresh Channel(id) may take the slot
+	// again. Atomic because a TCP sender can race Close.
+	closed atomic.Bool
 }
 
 var _ Endpoint = (*muxChannel)(nil)
@@ -73,6 +77,9 @@ func (c *muxChannel) Addr() string { return c.mux.ep.Addr() }
 // into the connection's queue, Reliable re-frames into its own buffer), so
 // it can be recycled on return.
 func (c *muxChannel) Send(to string, payload []byte) error {
+	if c.closed.Load() {
+		return ErrClosed
+	}
 	b := wire.GetBuffer()
 	defer wire.PutBuffer(b)
 	b.PutByte(c.id)
@@ -81,6 +88,9 @@ func (c *muxChannel) Send(to string, payload []byte) error {
 }
 
 func (c *muxChannel) Broadcast(payload []byte) int {
+	if c.closed.Load() {
+		return 0
+	}
 	b := wire.GetBuffer()
 	defer wire.PutBuffer(b)
 	b.PutByte(c.id)
@@ -107,8 +117,11 @@ func (c *muxChannel) SetHandler(h Handler) {
 	m.handlers[id] = h
 }
 
-// Close detaches the channel's handler; the underlying endpoint stays open.
+// Close detaches the channel's handler and ends this view: later sends fail
+// with ErrClosed. The underlying endpoint stays open.
 func (c *muxChannel) Close() error {
-	c.SetHandler(nil)
+	if !c.closed.Swap(true) {
+		c.SetHandler(nil)
+	}
 	return nil
 }

@@ -31,6 +31,8 @@ type Reliable struct {
 	mu      sync.Mutex
 	handler Handler                // guarded by mu
 	nextSeq uint64                 // guarded by mu
+	// pending is nil once Close has run: that is the closed flag, and a
+	// separate bool would move Reliable up a size class.
 	pending map[uint64]*relPending // guarded by mu
 	relFree []*relPending          // recycled pending records, guarded by mu
 	stats   ReliableStats          // guarded by mu
@@ -121,13 +123,18 @@ func (r *Reliable) Stats() ReliableStats {
 	return r.stats
 }
 
-// Send implements Endpoint. It always returns nil: a synchronous failure
-// (peer out of range, down) consumes an attempt and is retried like a lost
-// frame, because under churn and mobility the peer may be back before the
-// budget runs out. Callers needing a completion signal use their own
-// request timeouts, as the kernel does.
+// Send implements Endpoint. It returns nil unless the layer is closed: a
+// synchronous failure (peer out of range, down) consumes an attempt and is
+// retried like a lost frame, because under churn and mobility the peer may
+// be back before the budget runs out. Callers needing a completion signal
+// use their own request timeouts, as the kernel does. After Close it
+// returns ErrClosed and arms nothing.
 func (r *Reliable) Send(to string, payload []byte) error {
 	r.mu.Lock()
+	if r.pending == nil {
+		r.mu.Unlock()
+		return ErrClosed
+	}
 	r.nextSeq++
 	seq := r.nextSeq
 	r.stats.Sent++
@@ -205,13 +212,14 @@ func (r *Reliable) SetHandler(h Handler) {
 	r.mu.Unlock()
 }
 
-// Close implements Endpoint: outstanding retries are cancelled.
+// Close implements Endpoint: outstanding retries are cancelled, and later
+// sends fail.
 func (r *Reliable) Close() error {
 	r.mu.Lock()
-	for seq, p := range r.pending {
-		delete(r.pending, seq)
+	for _, p := range r.pending {
 		r.putRelLocked(p)
 	}
+	r.pending = nil
 	r.mu.Unlock()
 	return r.ep.Close()
 }

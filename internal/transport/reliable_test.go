@@ -28,31 +28,6 @@ func reliablePair(t *testing.T, seed int64, cfg ReliableConfig) (*netsim.Sim, *n
 	return sim, net, NewReliable(epA, sim, cfg), NewReliable(epB, sim, cfg)
 }
 
-// TestReliableDeliversAndAcks checks the clean path: one send, one ack, no
-// retries, payload intact through the framing.
-func TestReliableDeliversAndAcks(t *testing.T) {
-	sim, _, ra, rb := reliablePair(t, 1, ReliableConfig{})
-	var got []string
-	rb.SetHandler(func(from string, payload []byte) {
-		got = append(got, from+":"+string(payload))
-	})
-	ra.SetHandler(func(string, []byte) {})
-	if err := ra.Send("b", []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	sim.RunFor(10 * time.Second)
-	if len(got) != 1 || got[0] != "a:hello" {
-		t.Fatalf("delivered %v, want [a:hello]", got)
-	}
-	st := ra.Stats()
-	if st.Sent != 1 || st.Acked != 1 || st.Retries != 0 || st.GaveUp != 0 {
-		t.Fatalf("clean-path stats %+v", st)
-	}
-	if rb.Stats().AcksSent != 1 {
-		t.Fatalf("receiver acks %d, want 1", rb.Stats().AcksSent)
-	}
-}
-
 // TestReliableRetriesThroughLoss injects heavy impairment loss and checks
 // that retries push delivery well above the raw link rate, with every
 // outcome accounted as acked or given up.
@@ -124,28 +99,6 @@ func TestReliableRecoversRejoiningPeer(t *testing.T) {
 	st := ra.Stats()
 	if st.Acked != 1 || st.GaveUp != 0 || st.Retries == 0 {
 		t.Fatalf("stats %+v, want acked-after-retry", st)
-	}
-}
-
-// TestReliableBroadcastPassthrough checks broadcasts are delivered without
-// acks or retries.
-func TestReliableBroadcastPassthrough(t *testing.T) {
-	sim, _, ra, rb := reliablePair(t, 5, ReliableConfig{})
-	var got []byte
-	rb.SetHandler(func(_ string, payload []byte) { got = append([]byte(nil), payload...) })
-	ra.SetHandler(func(string, []byte) {})
-	if n := ra.Broadcast([]byte("beacon")); n != 1 {
-		t.Fatalf("broadcast targeted %d, want 1", n)
-	}
-	sim.RunFor(5 * time.Second)
-	if string(got) != "beacon" {
-		t.Fatalf("broadcast delivered %q", got)
-	}
-	if st := ra.Stats(); st.Sent != 0 || st.Acked != 0 {
-		t.Fatalf("broadcast leaked into unicast stats: %+v", st)
-	}
-	if st := rb.Stats(); st.AcksSent != 0 {
-		t.Fatalf("broadcast was acked: %+v", st)
 	}
 }
 

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -338,9 +337,6 @@ func (e *TCPEndpoint) dropConn(peer string, tc *tcpConn) {
 		delete(e.conns, peer)
 	}
 }
-
-// ErrClosed reports an operation on a closed endpoint.
-var ErrClosed = errors.New("transport: endpoint closed")
 
 // getConn returns the adopted connection to a peer, dialing one if needed.
 // Concurrent callers for the same peer share a single dial: the losers wait

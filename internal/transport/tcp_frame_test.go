@@ -288,26 +288,3 @@ func TestTCPWriteAfterCloseReportsClosed(t *testing.T) {
 		t.Errorf("%d bytes queued on a connection Close has flushed", queued)
 	}
 }
-
-// TestTCPUsageAgreesAcrossConnection is the regression test for counters
-// that disagreed between the two ends: the sender counted length prefixes
-// but not the hello as a message, the receiver the reverse. After k sends
-// and a quiet connection, A's sent must equal B's received.
-func TestTCPUsageAgreesAcrossConnection(t *testing.T) {
-	a, b := newTCP(t), newTCP(t)
-	b.SetHandler(func(string, []byte) {})
-	const k = 3
-	for i := 0; i < k; i++ {
-		if err := a.Send(b.Addr(), make([]byte, 300)); err != nil {
-			t.Fatalf("Send: %v", err)
-		}
-	}
-	waitFor(t, func() bool { return b.Usage().MsgsRecv >= k+1 }) // the k messages and the hello
-	sent, recv := a.Usage(), b.Usage()
-	if sent.MsgsSent != recv.MsgsRecv || sent.BytesSent != recv.BytesRecv {
-		t.Errorf("A sent %d msgs / %d B, B received %d msgs / %d B", sent.MsgsSent, sent.BytesSent, recv.MsgsRecv, recv.BytesRecv)
-	}
-	if sent.MsgsSent != k+1 {
-		t.Errorf("A sent %d msgs, want %d messages and the hello", sent.MsgsSent, k+1)
-	}
-}

@@ -8,8 +8,12 @@
 package transport
 
 import (
+	"errors"
 	"time"
 )
+
+// ErrClosed reports an operation on a closed endpoint.
+var ErrClosed = errors.New("transport: endpoint closed")
 
 // Handler receives a message addressed to the endpoint. Simulator handlers
 // run on the simulation goroutine and must not block; TCP handlers run on the
@@ -19,7 +23,9 @@ import (
 // The payload is borrowed until the handler returns, on every Endpoint:
 // netsim's recycled delivery buffer, the TCP connection's frame buffer, a
 // Mux or Reliable frame around either. The next delivery overwrites it, so
-// a handler copies whatever it keeps past its return.
+// a handler copies whatever it keeps past its return. A handler must not
+// write to the payload: the receivers of one netsim broadcast share a
+// single copy.
 type Handler func(from string, payload []byte)
 
 // Endpoint sends and receives framed messages for one host address.
@@ -37,7 +43,10 @@ type Endpoint interface {
 	// SetHandler installs the receive callback. Must be called before any
 	// message can be delivered.
 	SetHandler(h Handler)
-	// Close releases the endpoint's resources.
+	// Close releases the endpoint's resources. It is idempotent. Once it
+	// returns the handler is not called again and Send fails: with
+	// ErrClosed, except on a simulated endpoint, whose Close takes the node
+	// down so that netsim reports it unreachable.
 	Close() error
 }
 

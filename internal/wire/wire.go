@@ -179,17 +179,26 @@ func (b *Buffer) PutPacked(p Packer) {
 // PutStringMap encodes m sorted by key so that the encoding is deterministic.
 func (b *Buffer) PutStringMap(m map[string]string) {
 	b.PutUint(uint64(len(m)))
-	for _, k := range sortedKeys(m) {
+	var stack [16]string
+	for _, k := range sortedKeys(m, &stack) {
 		b.PutString(k)
 		b.PutString(m[k])
 	}
 }
 
-// PutBytesMap encodes m (string to byte slice) sorted by key. Up to 16 keys
-// are sorted in a stack array: a unit's data space is packed at every hop.
+// PutBytesMap encodes m (string to byte slice) sorted by key.
 func (b *Buffer) PutBytesMap(m map[string][]byte) {
 	b.PutUint(uint64(len(m)))
 	var stack [16]string
+	for _, k := range sortedKeys(m, &stack) {
+		b.PutString(k)
+		b.PutBytes(m[k])
+	}
+}
+
+// sortedKeys returns m's keys in order, in the caller's stack array when
+// they fit: a unit's attributes and data space are packed at every hop.
+func sortedKeys[V any](m map[string]V, stack *[16]string) []string {
 	keys := stack[:0]
 	if len(m) > len(stack) {
 		keys = make([]string, 0, len(m))
@@ -198,10 +207,7 @@ func (b *Buffer) PutBytesMap(m map[string][]byte) {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	for _, k := range keys {
-		b.PutString(k)
-		b.PutBytes(m[k])
-	}
+	return keys
 }
 
 // PutStringSlice encodes ss as a count followed by each string.
@@ -210,15 +216,6 @@ func (b *Buffer) PutStringSlice(ss []string) {
 	for _, s := range ss {
 		b.PutString(s)
 	}
-}
-
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
 }
 
 // Reader decodes values from a byte slice. The first decoding error is
