@@ -568,7 +568,8 @@ func TestHostCloseFailsPending(t *testing.T) {
 // TestRequestsOnClosedHostFailAtOnce checks that once Close returns, each
 // kind of request calls back before it returns, once, with an error that
 // wraps transport.ErrClosed: nothing leaves, so the remote serves nothing
-// and no timeout fires later.
+// and no timeout fires later. A closed host takes no request at all: no sent
+// counter moves and the request table Close emptied stays nil.
 func TestRequestsOnClosedHostFailAtOnce(t *testing.T) {
 	w := newWorld(t)
 	server := w.addHost(t, "server", func(c *Config) { c.ServePublish = true })
@@ -611,8 +612,11 @@ func TestRequestsOnClosedHostFailAtOnce(t *testing.T) {
 			t.Errorf("%s called back %d times", r.name, calls[i])
 		}
 	}
-	if s := client.Stats(); s.Timeouts != 0 {
-		t.Errorf("%d requests timed out on a closed host", s.Timeouts)
+	if s := client.Stats(); s != (Stats{}) {
+		t.Errorf("a closed host counted %+v, want nothing", s)
+	}
+	if client.reqs != nil {
+		t.Errorf("a closed host took request records: %d pending, %d capacity", len(client.reqs), cap(client.reqs))
 	}
 	if s := server.Stats(); s != (Stats{}) {
 		t.Errorf("the remote of a closed host served %+v", s)

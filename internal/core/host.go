@@ -19,7 +19,6 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -155,14 +154,12 @@ type Host struct {
 	requestTimeout time.Duration
 	auditCap       int
 
-	// The three maps are nil until their first write: most hosts of a crowd
-	// never offer a service, publish a unit or issue a request.
+	// The maps and reqs are nil until their first write: most hosts of a
+	// crowd never offer a service, publish a unit or issue a request.
 	mu          sync.Mutex
 	services    map[string]ServiceFunc // guarded by mu
 	published   map[string]bool        // name -> fetchable; guarded by mu
-	pending     map[uint64]*pendingReq // guarded by mu
-	reqFree     *pendingReq            // recycled request records, linked by next; guarded by mu
-	reqFreeN    int                    // records on reqFree, at most 64; guarded by mu
+	reqs        []*pendingReq          // pending in ID order, then free records; guarded by mu
 	nextReq     uint64                 // guarded by mu
 	agents      AgentRuntime           // guarded by mu
 	units       *unitPool              // nil until a unit is recycled; guarded by mu
@@ -175,14 +172,13 @@ type Host struct {
 }
 
 // pendingReq is one outstanding request: it is the request, from newRequest
-// until a reply, its timeout or a send failure removes it from Host.pending.
+// until a reply, its timeout or a send failure removes it from Host.reqs.
 // Records are recycled, each with the timeout timer it made once, bound to
-// its own expire method, so issuing a request allocates nothing here. The
-// free list threads through the records themselves (next), which keeps a
-// Host in its size class.
+// its own expire method, so issuing a request allocates nothing here. Free
+// records are parked in Host.reqs[len:cap], as many as the host's peak of
+// pending requests.
 type pendingReq struct {
-	h    *Host
-	next *pendingReq // the next free record, while this one is free
+	h *Host
 	// peer is the address the request was sent to; replies from anyone
 	// else are ignored (a peer cannot answer another peer's request).
 	peer     string
@@ -337,16 +333,14 @@ func (h *Host) Close() error {
 		return nil
 	}
 	h.closed = true
-	pending := make([]*pendingReq, 0, len(h.pending))
-	for _, p := range h.pending {
+	pending := h.reqs
+	h.reqs = nil
+	for _, p := range pending {
 		p.timer.Stop()
-		pending = append(pending, p)
 	}
-	h.pending = nil
 	h.mu.Unlock()
-	// Request IDs are issued in order, so sorting by ID fails the callbacks
-	// in the order they were registered, on every run.
-	slices.SortFunc(pending, func(a, b *pendingReq) int { return cmp.Compare(a.id, b.id) })
+	// The table is in ID order, so the callbacks fail in the order they were
+	// registered, on every run.
 	for _, p := range pending {
 		complete(p.cb, p.done, false, "host closed", nil)
 	}

@@ -13,7 +13,7 @@ import (
 func held(h *Host) (reg, ctx, services, published, pending bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.reg != nil, h.ctx != nil, h.services != nil, h.published != nil, h.pending != nil
+	return h.reg != nil, h.ctx != nil, h.services != nil, h.published != nil, h.reqs != nil
 }
 
 // TestFreshHostCarriesNothingUnused: a host is built without a context

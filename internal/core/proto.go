@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"logmob/internal/lmu"
+	"logmob/internal/transport"
 	"logmob/internal/wire"
 )
 
@@ -29,28 +32,46 @@ const (
 // newRequest counts the request (count bumps the caller's sent counter),
 // takes a request record with a fresh ID, registers it with its callback and
 // arms its timeout, all under one hold of h.mu. Exactly one of cb and done
-// is non-nil, and it fires exactly once (see complete).
+// is non-nil, and it fires exactly once (see complete): a closed host takes
+// no request and returns ID 0, which sendRequest fails at once.
 func (h *Host) newRequest(peer string, count func(*Stats), cb replyFunc, done func(error)) uint64 {
 	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.closed {
+		return 0
+	}
 	count(&h.stats)
 	h.nextReq++
-	p := h.reqFree
-	if p != nil {
-		h.reqFree, p.next = p.next, nil
-		h.reqFreeN--
-	} else {
+	n := len(h.reqs)
+	h.reqs = slices.Grow(h.reqs, 1)[:n+1] // a parked record, or a nil slot
+	p := h.reqs[n]
+	if p == nil {
 		p = &pendingReq{h: h}
 		p.timer = h.sched.NewTimer(p.expire)
+		h.reqs[n] = p
 	}
 	p.peer, p.id, p.cb, p.done = peer, h.nextReq, cb, done
 	p.deadline = h.sched.Now() + h.requestTimeout
 	p.timer.Reset(h.requestTimeout)
-	if h.pending == nil {
-		h.pending = make(map[uint64]*pendingReq)
-	}
-	h.pending[p.id] = p
-	h.mu.Unlock()
 	return p.id
+}
+
+// sendRequest sends request id's frame to peer. When the host took no
+// request or the transport will not send, it cancels the request without
+// invoking its callback and returns why; the caller reports the error.
+func (h *Host) sendRequest(id uint64, peer string, frame []byte) error {
+	err := transport.ErrClosed
+	if id != 0 {
+		err = h.kch.Send(peer, frame)
+	}
+	if err != nil {
+		h.mu.Lock()
+		if i, live := h.findReqLocked(id); live {
+			h.removeReqLocked(i)
+		}
+		h.mu.Unlock()
+	}
+	return err
 }
 
 // expire is the request's timer body. It times the request out only if, under
@@ -60,28 +81,33 @@ func (h *Host) newRequest(peer string, count func(*Stats), cb replyFunc, done fu
 func (p *pendingReq) expire() {
 	h := p.h
 	h.mu.Lock()
-	if h.pending[p.id] != p || h.sched.Now() < p.deadline {
+	i, live := h.findReqLocked(p.id)
+	if !live || h.reqs[i] != p || h.sched.Now() < p.deadline {
 		h.mu.Unlock()
 		return
 	}
-	delete(h.pending, p.id)
 	h.stats.Timeouts++
 	cb, done := p.cb, p.done
-	h.putReqLocked(p)
+	h.removeReqLocked(i)
 	h.mu.Unlock()
 	complete(cb, done, false, ErrTimeout.Error(), nil)
 }
 
-// putReqLocked stops a request's timer and recycles its record. The caller
-// holds h.mu — the hold that removed the record from pending — so no path
-// reaches the record as that request again.
-func (h *Host) putReqLocked(p *pendingReq) {
+// findReqLocked binary-searches the pending requests for id.
+func (h *Host) findReqLocked(id uint64) (int, bool) {
+	return slices.BinarySearchFunc(h.reqs, id, func(p *pendingReq, id uint64) int { return cmp.Compare(p.id, id) })
+}
+
+// removeReqLocked takes request i out of the table, stops its timer and
+// parks its record just past the table's end for reuse. The caller holds
+// h.mu, so no path reaches the record as that request again.
+func (h *Host) removeReqLocked(i int) {
+	p, n := h.reqs[i], len(h.reqs)-1
 	p.timer.Stop()
 	p.peer, p.cb, p.done = "", nil, nil
-	if h.reqFreeN < 64 {
-		p.next, h.reqFree = h.reqFree, p
-		h.reqFreeN++
-	}
+	copy(h.reqs[i:], h.reqs[i+1:])
+	h.reqs[n] = p
+	h.reqs = h.reqs[:n]
 }
 
 // complete hands a request's outcome to the callback it registered: cb gets
@@ -101,8 +127,8 @@ func complete(cb replyFunc, done func(error), ok bool, errMsg string, rest []byt
 // accepted only from the peer the request was sent to.
 func (h *Host) resolve(from string, id uint64, ok bool, errMsg string, rest []byte) {
 	h.mu.Lock()
-	p, live := h.pending[id]
-	if live && p.peer != from {
+	i, live := h.findReqLocked(id)
+	if live && h.reqs[i].peer != from {
 		h.recordLocked("forged-reply", from, "", false, "reply from wrong peer")
 		h.mu.Unlock()
 		return
@@ -111,22 +137,10 @@ func (h *Host) resolve(from string, id uint64, ok bool, errMsg string, rest []by
 		h.mu.Unlock()
 		return // duplicate or post-timeout reply
 	}
-	delete(h.pending, id)
-	cb, done := p.cb, p.done
-	h.putReqLocked(p)
+	cb, done := h.reqs[i].cb, h.reqs[i].done
+	h.removeReqLocked(i)
 	h.mu.Unlock()
 	complete(cb, done, ok, errMsg, rest)
-}
-
-// abandon cancels a pending request without invoking its callback, for use
-// on the send-failure path where the caller reports the error itself.
-func (h *Host) abandon(id uint64) {
-	h.mu.Lock()
-	if p, live := h.pending[id]; live {
-		delete(h.pending, id)
-		h.putReqLocked(p)
-	}
-	h.mu.Unlock()
 }
 
 // remoteError is an error string reported by the remote host that names no
@@ -226,8 +240,7 @@ func (h *Host) Call(to, service string, args [][]byte, cb func(results [][]byte,
 	for _, a := range args {
 		b.PutBytes(a)
 	}
-	if err := h.kch.Send(to, b.Bytes()); err != nil {
-		h.abandon(id)
+	if err := h.sendRequest(id, to, b.Bytes()); err != nil {
 		cb(nil, &sendError{op: opCall, subject: service, peer: to, err: err})
 	}
 }
@@ -263,8 +276,7 @@ func (h *Host) Eval(to string, unit *lmu.Unit, entry string, args []int64, cb fu
 	for _, a := range args {
 		b.PutInt(a)
 	}
-	if err := h.kch.Send(to, b.Bytes()); err != nil {
-		h.abandon(id)
+	if err := h.sendRequest(id, to, b.Bytes()); err != nil {
 		cb(nil, &sendError{op: opEval, peer: to, err: err})
 	}
 }
@@ -307,8 +319,7 @@ func (h *Host) Fetch(from, name, minVersion string, cb func(u *lmu.Unit, err err
 	b.PutUint(id)
 	b.PutString(name)
 	b.PutString(minVersion)
-	if err := h.kch.Send(from, b.Bytes()); err != nil {
-		h.abandon(id)
+	if err := h.sendRequest(id, from, b.Bytes()); err != nil {
 		cb(nil, &sendError{op: opFetch, subject: name, peer: from, err: err})
 	}
 }
@@ -386,8 +397,7 @@ func (h *Host) SendAgent(to string, unit *lmu.Unit, cb func(err error)) {
 	b.PutByte(msgAgent)
 	b.PutUint(id)
 	b.PutPacked(unit)
-	if err := h.kch.Send(to, b.Bytes()); err != nil {
-		h.abandon(id)
+	if err := h.sendRequest(id, to, b.Bytes()); err != nil {
 		cb(&sendError{op: opAgent, peer: to, err: err})
 	}
 }
@@ -404,8 +414,7 @@ func (h *Host) PublishTo(to string, unit *lmu.Unit, cb func(err error)) {
 	b.PutByte(msgPublish)
 	b.PutUint(id)
 	b.PutPacked(unit)
-	if err := h.kch.Send(to, b.Bytes()); err != nil {
-		h.abandon(id)
+	if err := h.sendRequest(id, to, b.Bytes()); err != nil {
 		cb(&sendError{op: opPublish, peer: to, err: err})
 	}
 }

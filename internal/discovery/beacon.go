@@ -28,7 +28,7 @@ type Beacon struct {
 	interval time.Duration
 	local    []Ad       // own ads, one per service, sorted by Service
 	frame    []byte     // cached encoded beacon; nil after local changes
-	nbrs     []neighbor // what was heard; a sender's newest record is its last
+	nbrs     []neighbor // what was heard, in order of last hearing
 	memo     frameMemo  // the batch's once Add ran; private (lazily made) before
 	running  bool
 	batch    *BeaconBatch // owns the cadence; set by Start or BeaconBatch.Add
@@ -54,12 +54,12 @@ var _ Finder = (*Beacon)(nil)
 // neighbor is one sender's standing claim: the frame it broadcast and when
 // this listener last heard exactly those bytes from it. The sender's address
 // is frame.from; tag stands in for it while probing the table, so a miss
-// costs one word compare per record instead of a string compare.
+// costs one word compare per record instead of a string compare. The table
+// is kept in order of last hearing, so a later record is a later claim.
 type neighbor struct {
 	frame   *decodedFrame
 	tag     uint64 // senderTag(frame.from)
 	heardAt time.Duration
-	seq     int64 // the listener's Heard count at reception: later claims win
 }
 
 // senderTag folds an address's length and last eight bytes — where node IDs
@@ -210,9 +210,10 @@ func (b *Beacon) Stop() {
 }
 
 // handle hears one beacon. The common case — a sender already in the table
-// repeating the frame it sent last round — is one scan and one overwrite.
-// Anything else goes through the memo; a frame that fails any decode check
-// changes no state at all.
+// repeating the frame it sent last round — is one scan and a move of its
+// record to the end, which keeps the table in hearing order. Anything else
+// goes through the memo; a frame that fails any decode check changes no
+// state at all.
 func (b *Beacon) handle(from string, payload []byte) {
 	now, tag := b.sched.Now(), senderTag(from)
 	known := false
@@ -222,7 +223,9 @@ func (b *Beacon) handle(from string, payload []byte) {
 			continue
 		}
 		if r.frame.is(payload) {
-			r.heardAt, r.seq = now, b.Heard
+			moved := neighbor{frame: r.frame, tag: tag, heardAt: now}
+			copy(b.nbrs[i:], b.nbrs[i+1:])
+			b.nbrs[len(b.nbrs)-1] = moved
 			b.Heard++
 			return
 		}
@@ -235,7 +238,6 @@ func (b *Beacon) handle(from string, payload []byte) {
 			return
 		}
 	}
-	seq := b.Heard
 	b.Heard++
 	if len(f.ads) == 0 {
 		return // nothing to store, nothing worth sharing
@@ -250,7 +252,7 @@ func (b *Beacon) handle(from string, payload []byte) {
 		b.supersede(f, tag)
 	}
 	f.refs++
-	b.nbrs = append(b.nbrs, neighbor{frame: f, tag: tag, heardAt: now, seq: seq})
+	b.nbrs = append(b.nbrs, neighbor{frame: f, tag: tag, heardAt: now})
 }
 
 // decodeFrame decodes one beacon frame, or returns nil if any check fails.
@@ -277,7 +279,7 @@ func decodeFrame(from string, payload []byte) *decodedFrame {
 		return nil
 	}
 	f.bytes = append([]byte(nil), payload...)
-	f.ads = latestPerKey(f.ads, nil)
+	f.ads = latestPerKey(f.ads)
 	f.maxTTL = maxLeaseOf(f.ads)
 	return f
 }
@@ -291,27 +293,22 @@ func maxLeaseOf(ads []Ad) time.Duration {
 }
 
 // latestPerKey drops, in place, every ad that a later claim for the same
-// (provider, service) overrides. seqs[i] ranks ads[i]; nil means slice order.
-func latestPerKey(ads []Ad, seqs []int64) []Ad {
+// (provider, service) overrides.
+func latestPerKey(ads []Ad) []Ad {
 	if len(ads) < 2 {
 		return ads
 	}
 	at := make(map[adKey]int, len(ads))
 	k := 0
-	for i, ad := range ads {
+	for _, ad := range ads {
 		key := adKey{ad.Provider, ad.Service}
 		j, dup := at[key]
 		if !dup {
 			j = k
 			at[key] = j
 			k++
-		} else if seqs != nil && seqs[i] < seqs[j] {
-			continue
 		}
 		ads[j] = ad
-		if seqs != nil {
-			seqs[j] = seqs[i]
-		}
 	}
 	return ads[:k]
 }
@@ -425,29 +422,25 @@ func (b *Beacon) senderHeardAt(i int) time.Duration {
 
 // cached returns the live cached ads matching q, unsorted. When every record
 // is plain no (provider, service) can appear twice; otherwise the most
-// recently heard claim for a pair wins, as it would have overwritten the
-// earlier one in a keyed store.
+// recently heard claim for a pair — the later in the table — wins, as it
+// would have overwritten the earlier one in a keyed store.
 func (b *Beacon) cached(q Query) []Ad {
 	plain := b.sweepPlain()
 	now := b.sched.Now()
 	var out []Ad
-	var seqs []int64
 	for _, r := range b.nbrs {
 		for _, ad := range r.frame.ads {
 			if r.heardAt+leaseTTL(ad) <= now || plain && !q.Matches(ad) {
 				continue
 			}
 			out = append(out, ad)
-			if !plain {
-				seqs = append(seqs, r.seq)
-			}
 		}
 	}
 	if plain {
 		return out
 	}
 	k := 0
-	for _, ad := range latestPerKey(out, seqs) {
+	for _, ad := range latestPerKey(out) {
 		if q.Matches(ad) {
 			out[k] = ad
 			k++

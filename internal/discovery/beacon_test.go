@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"logmob/internal/netsim"
 	"logmob/internal/wire"
@@ -116,6 +117,38 @@ func TestBeaconForeignProvider(t *testing.T) {
 	check("all expired", "", 0, 0)
 	if len(b.nbrs) != 0 || len(b.memo) != 0 {
 		t.Fatalf("%d records, %d memo entries left after everything expired", len(b.nbrs), len(b.memo))
+	}
+}
+
+// TestBeaconRepeatedClaimsInHearingOrder: two senders claim the same
+// (provider, service), heard at one instant and then again, unchanged and in
+// the opposite order. The table keeps records in order of last hearing, so
+// the claim heard second in the second round is the one reported.
+func TestBeaconRepeatedClaimsInHearingOrder(t *testing.T) {
+	_, ep, b := tapeListener(5 * time.Second)
+	frames := make(map[string][]byte)
+	for _, via := range []string{"a", "b"} {
+		frames[via] = encodeFrame(Ad{Service: "print", Provider: "printer", Attrs: map[string]string{"via": via}, TTL: time.Minute})
+		ep.deliver(via, frames[via])
+	}
+	for _, round := range []struct{ first, second, want string }{{"b", "a", "a"}, {"a", "b", "b"}} {
+		ep.deliver(round.first, frames[round.first])
+		ep.deliver(round.second, frames[round.second])
+		got := findAll(b, Query{Service: "print"})
+		if len(got) != 1 || got[0].Attrs["via"] != round.want {
+			t.Fatalf("heard %s then %s: Find(print) = %+v, want the claim via %s once", round.first, round.second, got, round.want)
+		}
+		if len(b.nbrs) != 2 || b.CacheSize() != 1 {
+			t.Fatalf("heard %s then %s: %d records, CacheSize %d; want 2 and 1", round.first, round.second, len(b.nbrs), b.CacheSize())
+		}
+	}
+}
+
+// TestNeighborRecordSize: a listener keeps one record per neighbor, and a
+// crowd keeps hundreds of thousands of them.
+func TestNeighborRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(neighbor{}); got != 24 {
+		t.Errorf("neighbor is %d bytes, want 24", got)
 	}
 }
 

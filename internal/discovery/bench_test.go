@@ -17,10 +17,13 @@ import (
 //	known          a sender in its table repeating last round's frame
 //	new_sender     a sender new to it whose frame its batch already decoded
 //	changed_frame  a known sender whose ad set changed since last round
+//
+// and known_kiosk is known at a kiosk-sized table of 900 records, where the
+// move of the heard record to the table's end is longest.
 func BenchmarkBeaconHear(b *testing.B) {
 	const ivl = 20 * time.Second
-	const table = 45
-	setup := func() (*netsim.Sim, *Beacon, *Beacon, []string, [][]byte) {
+	const festival, kiosk = 45, 900
+	setup := func(table int) (*netsim.Sim, *Beacon, *Beacon, []string, [][]byte) {
 		sim := netsim.NewSim(1)
 		g := NewBeaconBatch(sim, ivl)
 		other := NewBeacon(&tapeEndpoint{addr: "other"}, sim, ivl)
@@ -41,17 +44,22 @@ func BenchmarkBeaconHear(b *testing.B) {
 		return sim, other, l, from, frames
 	}
 
-	b.Run("known", func(b *testing.B) {
-		_, _, l, from, frames := setup()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			k := i % table
-			l.handle(from[k], frames[k])
+	known := func(table int) func(*testing.B) {
+		return func(b *testing.B) {
+			_, _, l, from, frames := setup(table)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % table
+				l.handle(from[k], frames[k])
+			}
 		}
-	})
+	}
+	b.Run("known", known(festival))
+	b.Run("known_kiosk", known(kiosk))
 	b.Run("new_sender", func(b *testing.B) {
-		_, _, l, from, frames := setup()
+		const table = festival
+		_, _, l, from, frames := setup(table)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -68,7 +76,7 @@ func BenchmarkBeaconHear(b *testing.B) {
 		}
 	})
 	b.Run("changed_frame", func(b *testing.B) {
-		_, _, l, from, _ := setup()
+		_, _, l, from, _ := setup(festival)
 		var alt [2][]byte
 		alt[0] = encodeFrame(Ad{Service: "presence", Provider: from[7], TTL: 3 * ivl}, Ad{Service: "print", Provider: from[7], TTL: 3 * ivl})
 		alt[1] = encodeFrame(Ad{Service: "presence", Provider: from[7], Attrs: map[string]string{"k": "v"}, TTL: 3 * ivl})

@@ -65,3 +65,28 @@ func TestCompiledResidentFootprint(t *testing.T) {
 		t.Errorf("a compiled resident holds %d B live, above the %d B ceiling", perHost, ceiling)
 	}
 }
+
+// TestRunningResidentFootprint is the running counterpart: the heap the same
+// world holds after 120 s of virtual time, four beacon rounds with the crowd
+// roaming, divided by its hosts. What a resident then keeps beyond its
+// compiled footprint is mostly its beacon's neighbor table, a record per
+// sender heard inside the ads' TTL. With 32-byte records it was 3,256 B, with
+// 24-byte ones 3,082 B (linux/amd64). The ceiling is 3,082 B plus 10 %.
+func TestRunningResidentFootprint(t *testing.T) {
+	const residents, ceiling = 2000, 3390
+	spec := metroSpec(residents)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w := spec.Compile(1)
+	w.Sim.RunFor(120 * time.Second)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	hosts := len(w.Hosts)
+	perHost := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(hosts)
+	runtime.KeepAlive(w)
+	t.Logf("%d hosts, %d B live per host after 120 s", hosts, perHost)
+	if perHost > ceiling {
+		t.Errorf("a running resident holds %d B live, above the %d B ceiling", perHost, ceiling)
+	}
+}

@@ -29,8 +29,8 @@ type Reliable struct {
 	cfg   ReliableConfig
 
 	mu      sync.Mutex
-	handler Handler                // guarded by mu
-	nextSeq uint64                 // guarded by mu
+	handler Handler // guarded by mu
+	nextSeq uint64  // guarded by mu
 	// pending is nil once Close has run: that is the closed flag, and a
 	// separate bool would move Reliable up a size class.
 	pending map[uint64]*relPending // guarded by mu
