@@ -206,6 +206,10 @@ func cmdEval(args []string) error {
 	if *to == "" || *src == "" {
 		return fmt.Errorf("eval: -to and -src are required")
 	}
+	ints, err := parseInts(*argList)
+	if err != nil {
+		return fmt.Errorf("eval: %w", err)
+	}
 	text, err := os.ReadFile(*src)
 	if err != nil {
 		return err
@@ -224,7 +228,7 @@ func cmdEval(args []string) error {
 	}
 	defer h.Close()
 	done := make(chan error, 1)
-	h.Eval(*to, unit, *entry, parseInts(*argList), func(stack []int64, err error) {
+	h.Eval(*to, unit, *entry, ints, func(stack []int64, err error) {
 		if err == nil {
 			fmt.Printf("stack: %v\n", stack)
 		}
@@ -246,6 +250,10 @@ func cmdFetch(args []string) error {
 	if *to == "" {
 		return fmt.Errorf("fetch: -to is required")
 	}
+	ints, err := parseInts(*argList)
+	if err != nil {
+		return fmt.Errorf("fetch: %w", err)
+	}
 	h, err := clientHost()
 	if err != nil {
 		return err
@@ -258,7 +266,7 @@ func cmdFetch(args []string) error {
 			return
 		}
 		fmt.Printf("fetched %s@%s (%d bytes)\n", u.Manifest.Name, u.Manifest.Version, u.Size())
-		stack, err := h.RunComponent(*name, *entry, parseInts(*argList)...)
+		stack, err := h.RunComponent(*name, *entry, ints...)
 		if err == nil {
 			fmt.Printf("local run stack: %v\n", stack)
 		}
@@ -267,20 +275,22 @@ func cmdFetch(args []string) error {
 	return wait(done, *timeout)
 }
 
-func parseInts(list string) []int64 {
+// parseInts parses a comma-separated -args list. A value that is not an
+// integer fails the whole list: an eval shipped with fewer arguments than
+// asked for would compute something else.
+func parseInts(list string) ([]int64, error) {
 	if list == "" {
-		return nil
+		return nil, nil
 	}
 	var out []int64
 	for _, s := range strings.Split(list, ",") {
 		v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "logmobd: ignoring bad integer %q\n", s)
-			continue
+			return nil, fmt.Errorf("-args: bad integer %q", s)
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
 }
 
 func wait(done chan error, timeout time.Duration) error {

@@ -104,11 +104,10 @@ func main() {
 	sim.RunFor(time.Hour)
 
 	// player.Plays counts every attempt; a retried play is one play.
-	stats := device.Registry().Stats()
 	usage := net.UsageOf("device")
 	fmt.Printf("\n%d plays (%d retried): %d fetches, %d cache hits (%.0f%%), %d evictions\n",
 		plays, retries, player.Fetches, player.Hits,
-		100*float64(player.Hits)/float64(plays), stats.Evictions)
+		100*float64(player.Hits)/float64(plays), device.Registry().Evictions())
 	fmt.Printf("device storage in use: %d / %d bytes\n", device.Registry().Used(), devQuota)
 	fmt.Printf("link traffic: %d bytes (preloading all would store %d bytes)\n",
 		usage.BytesRecv, int64(formats)*int64(catalogue[0].Size()))

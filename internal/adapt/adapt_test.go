@@ -149,9 +149,16 @@ func TestChattyGoesCODAndResultMatches(t *testing.T) {
 	if out.Rounds != 500 {
 		t.Errorf("rounds = %d", out.Rounds)
 	}
-	// COD fetched once; kernel stats show a single fetch despite 500 rounds.
-	if s := r.device.Stats(); s.FetchesSent != 1 {
-		t.Errorf("FetchesSent = %d", s.FetchesSent)
+	// COD fetched once: the server's audit log holds a single fetch despite
+	// 500 rounds.
+	fetches := 0
+	for _, ev := range r.server.Audit() {
+		if ev.Kind == "fetch" {
+			fetches++
+		}
+	}
+	if fetches != 1 {
+		t.Errorf("server served %d fetches, want 1", fetches)
 	}
 }
 
@@ -233,8 +240,8 @@ func TestRunAsRefusesWhatTheSpecCannotExecute(t *testing.T) {
 			t.Errorf("pinned to %v without an operation for it: err = %v, want ErrNoOperation", p, gotErr)
 		}
 	}
-	if s := r.device.Stats(); s.CallsSent+s.EvalsSent+s.FetchesSent+s.AgentsSent != 0 {
-		t.Errorf("refused pins sent requests: %+v", s)
+	if u := r.net.UsageOf("device"); u.MsgsSent != 0 {
+		t.Errorf("refused pins sent %d messages", u.MsgsSent)
 	}
 }
 

@@ -96,17 +96,11 @@ type Record struct {
 	Detail string
 }
 
-// Stats counts platform activity.
+// Stats counts the migrations agents started from this platform, and those
+// that failed and resumed here.
 type Stats struct {
-	Spawned           int64
-	Arrived           int64
 	Migrations        int64
 	MigrationFailures int64
-	Deliveries        int64
-	Completed         int64
-	Failed            int64
-	Dropped           int64
-	Sleeping          int64
 }
 
 // Env configures the protected environment agents run in.
@@ -182,7 +176,7 @@ func (p *Platform) rand() *rand.Rand {
 // Host returns the kernel host this platform runs on.
 func (p *Platform) Host() *core.Host { return p.host }
 
-// Stats returns a snapshot of the platform counters.
+// Stats returns a snapshot of the migration counters.
 func (p *Platform) Stats() Stats { return p.stats }
 
 // Spawn creates an agent from prog with the given data space and starts it
@@ -204,7 +198,6 @@ func (p *Platform) Spawn(name string, prog *vm.Program, data map[string][]byte, 
 	for k, v := range data {
 		u.Data[k] = append([]byte(nil), v...)
 	}
-	p.stats.Spawned++
 	p.activate(u, 0)
 	return id, nil
 }
@@ -225,7 +218,6 @@ func (p *Platform) SpawnUnit(u *lmu.Unit, entry string) (string, error) {
 	}
 	u.Data[keyID] = []byte(id)
 	u.Data[keyEntry] = []byte(entry)
-	p.stats.Spawned++
 	p.activate(u, 0)
 	return id, nil
 }
@@ -236,16 +228,13 @@ func (p *Platform) SpawnUnit(u *lmu.Unit, entry string) (string, error) {
 func (p *Platform) Admit(u *lmu.Unit) (bool, string) {
 	hops := dataCounter(u, keyHops) + 1
 	if hops > p.env.MaxHops {
-		p.stats.Dropped++
 		p.finish(u, nil, hops, StatusDropped, "hop budget exceeded")
 		return false, "hop budget exceeded"
 	}
 	if p.resident >= p.env.MaxResident {
-		p.stats.Dropped++
 		return false, "agent capacity exhausted"
 	}
 	setDataCounter(u, keyHops, hops)
-	p.stats.Arrived++
 	return true, ""
 }
 
@@ -337,12 +326,10 @@ func (a *activation) drive() {
 		err := a.m.Run()
 		switch {
 		case err != nil:
-			a.p.stats.Failed++
 			a.p.finish(a.unit, a.m.Stack(), a.hops, StatusFailed, err.Error())
 			a.p.putAct(a)
 			return
 		case a.m.Status() == vm.StatusHalted:
-			a.p.stats.Completed++
 			a.p.finish(a.unit, a.m.Stack(), a.hops, StatusCompleted, "")
 			a.p.putAct(a)
 			return
@@ -354,7 +341,6 @@ func (a *activation) drive() {
 			a.sleep()
 			return
 		default:
-			a.p.stats.Failed++
 			a.p.finish(a.unit, a.m.Stack(), a.hops, StatusFailed,
 				fmt.Sprintf("unexpected machine status %v", a.m.Status()))
 			a.p.putAct(a)
@@ -443,7 +429,6 @@ func (a *activation) sleep() {
 		ms = 0
 	}
 	a.p.resident++
-	a.p.stats.Sleeping++
 	a.p.host.Scheduler().After(time.Duration(ms)*time.Millisecond, func() {
 		a.p.resident--
 		a.m.Refuel(a.p.env.MaxFuel - a.m.Fuel())

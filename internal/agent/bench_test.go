@@ -83,7 +83,8 @@ func relayPair(t *testing.T, class netsim.LinkClass) (plats []*Platform, hop fun
 		}
 		plats = append(plats, NewPlatform(h, Env{Seed: 1, MaxHops: 1 << 40}))
 	}
-	arrivals := func() int64 { return plats[0].Stats().Arrived + plats[1].Stats().Arrived }
+	atA, atB := countArrivals(plats[0]), countArrivals(plats[1])
+	arrivals := func() int64 { return *atA + *atB }
 	hop = func() {
 		for next := arrivals() + 1; arrivals() < next; {
 			if !s.Step() {

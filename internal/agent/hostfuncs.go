@@ -116,7 +116,6 @@ func NewCaps(extra ...vm.HostFunc) *vm.HostTable {
 		Name: "a_deliver", Arity: 0,
 		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
 			act := actOf(m)
-			act.p.stats.Deliveries++
 			// Handlers may keep the payload; the unit's frame is reused once
 			// the agent migrates on, so they get a copy.
 			act.p.host.DeliverLocal(

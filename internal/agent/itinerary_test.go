@@ -223,7 +223,7 @@ fail:
 		t.Fatalf("record = %+v", r)
 	}
 	// The agent completed on b.
-	if w.platforms["b"].Stats().Arrived != 1 {
+	if *w.arrived["b"] != 1 {
 		t.Error("agent did not arrive at b")
 	}
 }
@@ -273,9 +273,8 @@ func TestSMSThroughMessageCentre(t *testing.T) {
 		return p
 	}
 	sender := mk("phone-a", netsim.GPRS)
-	centre := mk("sms-centre", netsim.LAN)
+	atCentre := countArrivals(mk("sms-centre", netsim.LAN))
 	recipient := mk("phone-b", netsim.GPRS)
-	_ = centre
 
 	var deliveredAt time.Duration
 	var payload []byte
@@ -320,7 +319,7 @@ func TestSMSThroughMessageCentre(t *testing.T) {
 	if deliveredAt-wakeAt > 15*time.Second {
 		t.Errorf("delivery lag after wake = %v", deliveredAt-wakeAt)
 	}
-	if platforms["sms-centre"].Stats().Arrived != 1 {
+	if *atCentre != 1 {
 		t.Error("agent never arrived at the centre")
 	}
 }

@@ -53,14 +53,14 @@ func passAgents(t *testing.T, w *world, n int) {
 	t.Helper()
 	walker := vm.MustAssemble(itineraryWalkerSource)
 	itin := EncodeItinerary([]string{"b", "a"})
-	before := w.platforms["b"].Stats().Arrived
+	before := *w.arrived["b"]
 	for i := 0; i < n; i++ {
 		if _, err := w.platforms["a"].Spawn("passer", walker, map[string][]byte{KeyItinerary: itin}, "main"); err != nil {
 			t.Fatal(err)
 		}
 		w.sim.RunFor(time.Second)
 	}
-	if got := w.platforms["b"].Stats().Arrived - before; got != int64(n) {
+	if got := *w.arrived["b"] - before; got != int64(n) {
 		t.Fatalf("%d of %d passing agents reached b", got, n)
 	}
 }
@@ -135,8 +135,8 @@ func TestSpawnedUnitSurvivesRecycling(t *testing.T) {
 	// contents: the snapshot and _prev are written before the transfer.
 	snap := u.Clone()
 	w.sim.RunFor(time.Second)
-	if w.platforms["a"].Stats().Migrations != 1 || w.platforms["b"].Stats().Arrived != 1 {
-		t.Fatalf("the spawned agent did not leave: a %+v, b %+v", w.platforms["a"].Stats(), w.platforms["b"].Stats())
+	if w.platforms["a"].Stats().Migrations != 1 || *w.arrived["b"] != 1 {
+		t.Fatalf("the spawned agent did not leave: a %+v, %d arrived at b", w.platforms["a"].Stats(), *w.arrived["b"])
 	}
 	passAgents(t, w, 50)
 	if got := u.Clone(); !reflect.DeepEqual(got, snap) {

@@ -68,18 +68,6 @@ func (c Config) deadAfter() int {
 	return 3
 }
 
-// Stats counts membership activity.
-type Stats struct {
-	// Joins counts addresses that entered the peer set (re-joins included).
-	Joins int64
-	// Evictions counts peers dropped after missing DeadAfter probes.
-	Evictions int64
-	// HellosSent and HellosRecv count join/announce frames.
-	HellosSent, HellosRecv int64
-	// PingsSent and PongsRecv count liveness probe round-trips.
-	PingsSent, PongsRecv int64
-}
-
 // Node is one cluster member: a membership view maintained over an Endpoint.
 type Node struct {
 	ep    transport.Endpoint // reliable-wrapped cluster channel
@@ -89,7 +77,6 @@ type Node struct {
 
 	mu     sync.Mutex
 	peers  map[string]int // addr -> missed probe count; guarded by mu
-	stats  Stats          // guarded by mu
 	closed bool           // guarded by mu
 	cancel func()         // pending probe timer; guarded by mu
 }
@@ -134,13 +121,6 @@ func (n *Node) Peers() []string {
 	return out
 }
 
-// Stats returns a copy of the membership counters.
-func (n *Node) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stats
-}
-
 // Close stops probing and detaches from the channel. The underlying
 // endpoint mux stays open.
 func (n *Node) Close() error {
@@ -171,9 +151,6 @@ func (n *Node) touch(addr string) (joined bool) {
 	}
 	_, known := n.peers[addr]
 	n.peers[addr] = 0
-	if !known {
-		n.stats.Joins++
-	}
 	return !known
 }
 
@@ -189,11 +166,6 @@ func (n *Node) dispatch(from string, payload []byte) {
 		list := r.StringSlice()
 		if r.Err() != nil || r.ExpectEOF() != nil {
 			return
-		}
-		if kind == kindHello {
-			n.mu.Lock()
-			n.stats.HellosRecv++
-			n.mu.Unlock()
 		}
 		if n.touch(from) {
 			n.joined(from)
@@ -223,9 +195,6 @@ func (n *Node) dispatch(from string, payload []byte) {
 		if r.ExpectEOF() != nil {
 			return
 		}
-		n.mu.Lock()
-		n.stats.PongsRecv++
-		n.mu.Unlock()
 		if n.touch(from) {
 			n.joined(from)
 		}
@@ -251,7 +220,6 @@ func (n *Node) tick() {
 		n.peers[addr] = missed + 1
 		probe = append(probe, addr)
 	}
-	n.stats.Evictions += int64(len(evicted))
 	var reseed []string
 	for _, s := range n.cfg.Seeds {
 		if s == n.self {
@@ -273,9 +241,6 @@ func (n *Node) tick() {
 		}
 	}
 	for _, addr := range probe {
-		n.mu.Lock()
-		n.stats.PingsSent++
-		n.mu.Unlock()
 		n.send(addr, kindPing, nil)
 	}
 	for _, addr := range reseed {
@@ -290,9 +255,6 @@ func (n *Node) joined(addr string) {
 }
 
 func (n *Node) sendHello(to string) {
-	n.mu.Lock()
-	n.stats.HellosSent++
-	n.mu.Unlock()
 	n.send(to, kindHello, n.Peers())
 }
 

@@ -45,10 +45,11 @@ func BenchmarkKernelCallSim(b *testing.B) {
 	}
 }
 
-// A crowd allocates one Host per device (10k per metropolis op), so a field
-// added to Host must not push it out of its allocation size class.
-func TestHostSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(Host{}); got > 416 {
-		t.Errorf("Host is %d bytes, want at most 416 (its size class)", got)
+// TestHostSize pins Host to Go's 288-byte allocation size class. A crowd
+// allocates one Host per device (10k per metropolis op), and the next class
+// up is 320 bytes: one more word costs every resident 32 bytes.
+func TestHostSize(t *testing.T) {
+	if got := unsafe.Sizeof(Host{}); got > 288 {
+		t.Errorf("Host is %d bytes, want at most 288 (its size class)", got)
 	}
 }

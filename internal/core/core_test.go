@@ -66,6 +66,17 @@ func (w *world) addHost(t *testing.T, name string, mutate func(*Config)) *Host {
 	return h
 }
 
+// audited counts h's retained audit events of kind.
+func audited(h *Host, kind string) int {
+	n := 0
+	for _, ev := range h.Audit() {
+		if ev.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
 // addProg builds a signed component unit around the given assembly.
 func (w *world) signedProgram(name, src string) *lmu.Unit {
 	u := &lmu.Unit{
@@ -108,11 +119,8 @@ func TestCallRoundTrip(t *testing.T) {
 	if len(results) != 3 || string(results[0]) != "client" || string(results[1]) != "a" {
 		t.Errorf("results = %q", results)
 	}
-	if s := client.Stats(); s.CallsSent != 1 {
-		t.Errorf("client stats = %+v", s)
-	}
-	if s := server.Stats(); s.CallsServed != 1 {
-		t.Errorf("server stats = %+v", s)
+	if n := audited(server, "call"); n != 1 {
+		t.Errorf("server audited %d calls, want 1", n)
 	}
 }
 
@@ -173,13 +181,14 @@ func TestCallTimeoutWithSilentPeer(t *testing.T) {
 	w.net.SetHandler("mute", func(string, []byte) {})
 
 	var got error
-	client.Call("mute", "echo", nil, func(_ [][]byte, err error) { got = err })
+	called := 0
+	client.Call("mute", "echo", nil, func(_ [][]byte, err error) { got = err; called++ })
 	w.sim.RunFor(10 * time.Second)
 	if !errors.Is(got, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", got)
 	}
-	if s := client.Stats(); s.Timeouts != 1 {
-		t.Errorf("Timeouts = %d", s.Timeouts)
+	if called != 1 || len(client.reqs) != 0 {
+		t.Errorf("callback fired %d times, %d requests pending; want 1 and 0", called, len(client.reqs))
 	}
 }
 
@@ -232,18 +241,10 @@ func TestEvalRejectsUnsigned(t *testing.T) {
 	if got == nil {
 		t.Fatal("unsigned eval accepted")
 	}
-	if s := server.Stats(); s.VerifyFailures != 1 {
-		t.Errorf("VerifyFailures = %d", s.VerifyFailures)
-	}
-	// The rejection is in the audit log.
-	found := false
-	for _, ev := range server.Audit() {
-		if ev.Kind == "verify-fail" && ev.Subject == "job/add" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("verify failure not audited")
+	// The rejection is in the audit log, once.
+	audit := server.Audit()
+	if len(audit) != 1 || audit[0].Kind != "verify-fail" || audit[0].Subject != "job/add" {
+		t.Errorf("audit = %+v, want one verify-fail for job/add", audit)
 	}
 }
 
@@ -309,8 +310,8 @@ decode:
 	if len(stack) != 1 || stack[0] != 42 {
 		t.Errorf("stack = %v", stack)
 	}
-	if s := device.Stats(); s.FetchesOK != 1 {
-		t.Errorf("FetchesOK = %d", s.FetchesOK)
+	if n := audited(device, "fetch-in"); n != 1 {
+		t.Errorf("device audited %d verified fetches, want 1", n)
 	}
 }
 
@@ -373,8 +374,8 @@ func TestEnsureCachesLocally(t *testing.T) {
 	if len(hits) != 2 || hits[0] || !hits[1] {
 		t.Errorf("hits = %v, want [false true]", hits)
 	}
-	if s := device.Stats(); s.FetchesSent != 1 {
-		t.Errorf("FetchesSent = %d, want 1 (second Ensure is a cache hit)", s.FetchesSent)
+	if n := audited(server, "fetch"); n != 1 {
+		t.Errorf("server served %d fetches, want 1 (second Ensure is a cache hit)", n)
 	}
 }
 
@@ -463,8 +464,8 @@ func TestUserMessages(t *testing.T) {
 	if gotFrom != "a" || gotTopic != "sms" || string(gotData) != "hello" {
 		t.Errorf("message = %q %q %q", gotFrom, gotTopic, gotData)
 	}
-	if s := b.Stats(); s.MessagesIn != 1 {
-		t.Errorf("MessagesIn = %d", s.MessagesIn)
+	if n := audited(b, "message"); n != 1 {
+		t.Errorf("b audited %d messages, want 1", n)
 	}
 }
 
@@ -568,8 +569,8 @@ func TestHostCloseFailsPending(t *testing.T) {
 // TestRequestsOnClosedHostFailAtOnce checks that once Close returns, each
 // kind of request calls back before it returns, once, with an error that
 // wraps transport.ErrClosed: nothing leaves, so the remote serves nothing
-// and no timeout fires later. A closed host takes no request at all: no sent
-// counter moves and the request table Close emptied stays nil.
+// and no timeout fires later. A closed host takes no request at all: the
+// request table Close emptied stays nil.
 func TestRequestsOnClosedHostFailAtOnce(t *testing.T) {
 	w := newWorld(t)
 	server := w.addHost(t, "server", func(c *Config) { c.ServePublish = true })
@@ -612,14 +613,11 @@ func TestRequestsOnClosedHostFailAtOnce(t *testing.T) {
 			t.Errorf("%s called back %d times", r.name, calls[i])
 		}
 	}
-	if s := client.Stats(); s != (Stats{}) {
-		t.Errorf("a closed host counted %+v, want nothing", s)
-	}
 	if client.reqs != nil {
 		t.Errorf("a closed host took request records: %d pending, %d capacity", len(client.reqs), cap(client.reqs))
 	}
-	if s := server.Stats(); s != (Stats{}) {
-		t.Errorf("the remote of a closed host served %+v", s)
+	if audit := server.Audit(); len(audit) != 0 {
+		t.Errorf("the remote of a closed host served %+v", audit)
 	}
 }
 

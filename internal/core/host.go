@@ -83,21 +83,6 @@ type AuditEvent struct {
 	Detail  string
 }
 
-// Stats counts kernel activity, for experiment tables.
-type Stats struct {
-	CallsSent, CallsServed   int64
-	EvalsSent, EvalsServed   int64
-	FetchesSent, FetchesOK   int64
-	FetchesServed            int64
-	AgentsSent, AgentsIn     int64
-	AgentsRefused            int64
-	PublishesSent            int64
-	PublishesServed          int64
-	VerifyFailures           int64
-	Timeouts                 int64
-	MessagesIn, MessagesSent int64
-}
-
 // Config assembles a Host. Endpoint and Scheduler are required; everything
 // else has working defaults.
 type Config struct {
@@ -168,7 +153,6 @@ type Host struct {
 	progCache   map[string]*vm.Program // guarded by mu
 	audit       []AuditEvent           // guarded by mu
 	auditNext   int                    // guarded by mu
-	stats       Stats                  // guarded by mu
 }
 
 // pendingReq is one outstanding request: it is the request, from newRequest
@@ -198,8 +182,8 @@ type replyFunc func(ok bool, errMsg string, rest []byte)
 // unitPool holds a host's recycled arrival units, at most 64. Most hosts of a
 // crowd never receive an agent, so the pool is allocated when the first unit
 // is recycled rather than carried by every Host: with a pointer in place of
-// a slice header, and closed in the flags' padding, a Host keeps its 416-byte
-// size class (TestHostSizeClass).
+// a slice header, and closed in the flags' padding, a Host keeps its 288-byte
+// size class (TestHostSize).
 type unitPool struct{ free []*lmu.Unit }
 
 // NewHost builds a kernel from cfg.
@@ -291,13 +275,6 @@ func (h *Host) ComputeRate() float64 { return h.computeRate }
 
 // Neighbors lists addresses reachable in one hop.
 func (h *Host) Neighbors() []string { return h.kch.Neighbors() }
-
-// Stats returns a snapshot of the kernel counters.
-func (h *Host) Stats() Stats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.stats
-}
 
 // Audit returns the retained audit events, oldest first.
 func (h *Host) Audit() []AuditEvent {
@@ -433,13 +410,13 @@ func (h *Host) Published() []string {
 	return out
 }
 
-// verify checks a foreign unit under the host's policy, with accounting.
+// verify checks a foreign unit under the host's policy and records the
+// verdict in the audit log.
 func (h *Host) verify(kind, from string, u *lmu.Unit) error {
 	err := security.Verify(u, h.trust, h.pol)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if err != nil {
-		h.stats.VerifyFailures++
 		h.recordLocked("verify-fail", from, u.Manifest.Name, false, err.Error())
 		return err
 	}

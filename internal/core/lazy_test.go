@@ -121,7 +121,16 @@ func TestConfiguredRegistryKept(t *testing.T) {
 		got = u
 	})
 	w.sim.RunFor(time.Second)
-	if got == nil || mine.Stats().Hits != 1 {
-		t.Fatalf("the fetch was not served from the configured registry (hits %d)", mine.Stats().Hits)
+	if got == nil {
+		t.Fatal("the fetch was not served")
+	}
+	// Taken out of the configured registry, the unit is no longer served,
+	// though it is still published: the host serves from that registry.
+	mine.Remove("codec/ogg", "1.0")
+	var err error
+	device.Fetch("server", "codec/ogg", "", func(_ *lmu.Unit, e error) { err = e })
+	w.sim.RunFor(time.Second)
+	if !errors.Is(err, ErrNotFound) {
+		t.Fatalf("fetch after removing the unit from the configured registry: %v, want ErrNotFound", err)
 	}
 }

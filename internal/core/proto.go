@@ -29,18 +29,16 @@ const (
 	msgPublishReply
 )
 
-// newRequest counts the request (count bumps the caller's sent counter),
-// takes a request record with a fresh ID, registers it with its callback and
-// arms its timeout, all under one hold of h.mu. Exactly one of cb and done
-// is non-nil, and it fires exactly once (see complete): a closed host takes
-// no request and returns ID 0, which sendRequest fails at once.
-func (h *Host) newRequest(peer string, count func(*Stats), cb replyFunc, done func(error)) uint64 {
+// newRequest takes a request record with a fresh ID, registers it with its
+// callback and arms its timeout, all under one hold of h.mu. Exactly one of
+// cb and done is non-nil, and it fires exactly once (see complete): a closed
+// host takes no request and returns ID 0, which sendRequest fails at once.
+func (h *Host) newRequest(peer string, cb replyFunc, done func(error)) uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return 0
 	}
-	count(&h.stats)
 	h.nextReq++
 	n := len(h.reqs)
 	h.reqs = slices.Grow(h.reqs, 1)[:n+1] // a parked record, or a nil slot
@@ -86,7 +84,6 @@ func (p *pendingReq) expire() {
 		h.mu.Unlock()
 		return
 	}
-	h.stats.Timeouts++
 	cb, done := p.cb, p.done
 	h.removeReqLocked(i)
 	h.mu.Unlock()
@@ -214,7 +211,7 @@ func (e *sendError) Unwrap() error { return e.err }
 // Call invokes a Client/Server service on the host at to. cb receives the
 // reply frames or an error; it fires exactly once.
 func (h *Host) Call(to, service string, args [][]byte, cb func(results [][]byte, err error)) {
-	id := h.newRequest(to, func(s *Stats) { s.CallsSent++ }, func(ok bool, errMsg string, rest []byte) {
+	id := h.newRequest(to, func(ok bool, errMsg string, rest []byte) {
 		if !ok {
 			cb(nil, remoteErr(errMsg))
 			return
@@ -249,7 +246,7 @@ func (h *Host) Call(to, service string, args [][]byte, cb func(results [][]byte,
 // the final VM stack of the named entry point. The unit should be signed
 // acceptably for the remote's policy.
 func (h *Host) Eval(to string, unit *lmu.Unit, entry string, args []int64, cb func(stack []int64, err error)) {
-	id := h.newRequest(to, func(s *Stats) { s.EvalsSent++ }, func(ok bool, errMsg string, rest []byte) {
+	id := h.newRequest(to, func(ok bool, errMsg string, rest []byte) {
 		if !ok {
 			cb(nil, remoteErr(errMsg))
 			return
@@ -284,7 +281,7 @@ func (h *Host) Eval(to string, unit *lmu.Unit, entry string, args []int64, cb fu
 // Fetch retrieves a published unit from the host at from (Code On Demand).
 // On success the unit has been verified and stored in the local registry.
 func (h *Host) Fetch(from, name, minVersion string, cb func(u *lmu.Unit, err error)) {
-	id := h.newRequest(from, func(s *Stats) { s.FetchesSent++ }, func(ok bool, errMsg string, rest []byte) {
+	id := h.newRequest(from, func(ok bool, errMsg string, rest []byte) {
 		if !ok {
 			cb(nil, remoteErr(errMsg))
 			return
@@ -308,9 +305,6 @@ func (h *Host) Fetch(from, name, minVersion string, cb func(u *lmu.Unit, err err
 			cb(nil, fmt.Errorf("core: store fetched unit: %w", err))
 			return
 		}
-		h.mu.Lock()
-		h.stats.FetchesOK++
-		h.mu.Unlock()
 		cb(u, nil)
 	}, nil)
 	b := wire.GetBuffer()
@@ -391,7 +385,7 @@ func (h *Host) ensureDeps(remote string, deps []lmu.Dep, visited map[string]bool
 // the receiver accepted it; on acceptance the local copy should be
 // considered moved.
 func (h *Host) SendAgent(to string, unit *lmu.Unit, cb func(err error)) {
-	id := h.newRequest(to, func(s *Stats) { s.AgentsSent++ }, nil, cb)
+	id := h.newRequest(to, nil, cb)
 	b := wire.GetBuffer()
 	defer wire.PutBuffer(b)
 	b.PutByte(msgAgent)
@@ -408,7 +402,7 @@ func (h *Host) SendAgent(to string, unit *lmu.Unit, cb func(err error)) {
 // Demand from; the receiver accepts only if configured with ServePublish
 // and the unit passes its verification policy.
 func (h *Host) PublishTo(to string, unit *lmu.Unit, cb func(err error)) {
-	id := h.newRequest(to, func(s *Stats) { s.PublishesSent++ }, nil, cb)
+	id := h.newRequest(to, nil, cb)
 	b := wire.GetBuffer()
 	defer wire.PutBuffer(b)
 	b.PutByte(msgPublish)
@@ -421,9 +415,6 @@ func (h *Host) PublishTo(to string, unit *lmu.Unit, cb func(err error)) {
 
 // SendMessage delivers an application-level message to the host at to.
 func (h *Host) SendMessage(to, topic string, data []byte) error {
-	h.mu.Lock()
-	h.stats.MessagesSent++
-	h.mu.Unlock()
 	b := wire.GetBuffer()
 	defer wire.PutBuffer(b)
 	b.PutByte(msgUser)
@@ -442,7 +433,6 @@ func (h *Host) SendMessage(to, topic string, data []byte) error {
 // message from the wire is copied out of its transport frame.
 func (h *Host) DeliverLocal(from, topic string, data []byte) {
 	h.mu.Lock()
-	h.stats.MessagesIn++
 	handlers := make([]MessageHandler, len(h.msgHandlers))
 	copy(handlers, h.msgHandlers)
 	h.recordLocked("message", from, topic, true, "")
@@ -515,7 +505,6 @@ func (h *Host) handleCall(from string, r *reader) {
 	}
 	h.mu.Lock()
 	fn, ok := h.services[service]
-	h.stats.CallsServed++
 	h.recordLocked("call", from, service, ok, "")
 	h.mu.Unlock()
 	if !ok {
@@ -554,11 +543,7 @@ func (h *Host) handleEval(from string, r *reader) {
 	if r.ExpectEOF() != nil {
 		return
 	}
-	h.mu.Lock()
-	serve := h.serveEval
-	h.stats.EvalsServed++
-	h.mu.Unlock()
-	if !serve {
+	if !h.serveEval {
 		h.reply(from, msgEvalReply, id, false, ErrRefused.Error(), nil)
 		return
 	}
@@ -603,7 +588,6 @@ func (h *Host) handleFetch(from string, r *reader) {
 	}
 	h.mu.Lock()
 	pub, reg := h.published[name], h.reg
-	h.stats.FetchesServed++
 	h.recordLocked("fetch", from, name, pub, "")
 	h.mu.Unlock()
 	if !pub {
@@ -634,9 +618,7 @@ func (h *Host) handleAgent(from string, r *reader) {
 	}
 	h.mu.Lock()
 	rt := h.agents
-	h.stats.AgentsIn++
 	if rt == nil {
-		h.stats.AgentsRefused++
 		h.recordLocked("agent", from, "", false, "no agent runtime")
 		h.mu.Unlock()
 		h.reply(from, msgAgentAck, id, false, ErrRefused.Error(), nil)
@@ -656,16 +638,10 @@ func (h *Host) handleAgent(from string, r *reader) {
 	}
 	if err := h.verify("agent", from, u); err != nil {
 		h.RecycleAgent(u)
-		h.mu.Lock()
-		h.stats.AgentsRefused++
-		h.mu.Unlock()
 		h.reply(from, msgAgentAck, id, false, err.Error(), nil)
 		return
 	}
 	if accepted, reason := rt.Admit(u); !accepted {
-		h.mu.Lock()
-		h.stats.AgentsRefused++
-		h.mu.Unlock()
 		if reason == "" {
 			reason = ErrRefused.Error()
 		}
@@ -682,14 +658,10 @@ func (h *Host) handlePublish(from string, r *reader) {
 	if r.ExpectEOF() != nil {
 		return
 	}
-	h.mu.Lock()
-	serve := h.servePublish
-	h.stats.PublishesServed++
-	if !serve {
+	if !h.servePublish {
+		h.mu.Lock()
 		h.recordLocked("publish", from, "", false, "publishing disabled")
-	}
-	h.mu.Unlock()
-	if !serve {
+		h.mu.Unlock()
 		h.reply(from, msgPublishReply, id, false, ErrRefused.Error(), nil)
 		return
 	}

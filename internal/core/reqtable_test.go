@@ -120,9 +120,6 @@ func TestRequestTableOutOfOrder(t *testing.T) {
 	w.sim.RunFor(time.Second)
 	expect("stale and forged replies")
 	pending("after stale and forged replies", 3)
-	if s := client.Stats(); s.CallsSent != 7 || s.Timeouts != 1 {
-		t.Fatalf("stats %+v, want 7 calls sent and 1 timeout", s)
-	}
 	peer.reply(t, "client", 5, "r5")
 	w.sim.RunFor(time.Second)
 	expect("c5 answered", "c5=r5")

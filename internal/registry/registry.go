@@ -101,27 +101,16 @@ func (SizeGreedy) Victim(candidates []*Entry) *Entry {
 	return victim
 }
 
-// Stats counts registry activity.
-type Stats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-	Puts      int64
-	Rejects   int64
-	// BytesEvicted is the cumulative size of evicted units.
-	BytesEvicted int64
-}
-
 // Registry is a quota-bounded store of versioned units. Safe for concurrent
 // use.
 type Registry struct {
-	mu      sync.Mutex
-	quota   int64
-	used    int64 // guarded by mu
-	policy  EvictionPolicy
-	now     func() time.Duration
-	entries map[string][]*Entry // name -> entries, any version order; guarded by mu
-	stats   Stats               // guarded by mu
+	mu        sync.Mutex
+	quota     int64
+	used      int64 // guarded by mu
+	evictions int64 // guarded by mu
+	policy    EvictionPolicy
+	now       func() time.Duration
+	entries   map[string][]*Entry // name -> entries, any version order; guarded by mu
 }
 
 // Option configures a Registry.
@@ -161,11 +150,11 @@ func (r *Registry) Used() int64 {
 	return r.used
 }
 
-// Stats returns a snapshot of the activity counters.
-func (r *Registry) Stats() Stats {
+// Evictions returns how many entries the quota has evicted so far.
+func (r *Registry) Evictions() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.stats
+	return r.evictions
 }
 
 // Put stores a unit, evicting unpinned entries as needed. A unit with the
@@ -184,7 +173,6 @@ func (r *Registry) Put(u *lmu.Unit) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.quota > 0 && size > r.quota {
-		r.stats.Rejects++
 		return fmt.Errorf("%w: %s is %d bytes, quota %d", ErrQuotaExceeded, u.Manifest.Name, size, r.quota)
 	}
 	name := u.Manifest.Name
@@ -200,11 +188,9 @@ func (r *Registry) Put(u *lmu.Unit) error {
 		freed = old.Size
 	}
 	if err := r.makeRoomLocked(size-freed, old); err != nil {
-		r.stats.Rejects++
 		return fmt.Errorf("%w: %s needs %d bytes", err, u.Manifest.Name, size)
 	}
 	r.used += size - freed
-	r.stats.Puts++
 	if old != nil {
 		old.Unit = u
 		old.Size = size
@@ -228,8 +214,7 @@ func (r *Registry) makeRoomLocked(size int64, keep *Entry) error {
 		}
 		victim := r.policy.Victim(candidates)
 		r.removeEntryLocked(victim)
-		r.stats.Evictions++
-		r.stats.BytesEvicted += victim.Size
+		r.evictions++
 	}
 	return nil
 }
@@ -269,15 +254,14 @@ func (r *Registry) removeEntryLocked(victim *Entry) {
 	r.used -= victim.Size
 }
 
-// Get returns the newest stored version of name, counting a hit or miss and
-// refreshing recency.
+// Get returns the newest stored version of name, refreshing its recency.
 func (r *Registry) Get(name string) (*lmu.Unit, bool) {
 	return r.GetAtLeast(name, "")
 }
 
 // GetAtLeast returns the newest stored version of name that is >= minVersion
-// ("" accepts any). A nil registry is an empty store that counts nothing: a
-// host makes its registry only when it first stores a unit.
+// ("" accepts any). A nil registry is an empty store: a host makes its
+// registry only when it first stores a unit.
 func (r *Registry) GetAtLeast(name, minVersion string) (*lmu.Unit, bool) {
 	if r == nil {
 		return nil, false
@@ -286,12 +270,10 @@ func (r *Registry) GetAtLeast(name, minVersion string) (*lmu.Unit, bool) {
 	defer r.mu.Unlock()
 	e := r.bestLocked(name, minVersion)
 	if e == nil {
-		r.stats.Misses++
 		return nil, false
 	}
 	e.LastUsed = r.now()
 	e.Uses++
-	r.stats.Hits++
 	return e.Unit, true
 }
 
@@ -310,8 +292,8 @@ func (r *Registry) bestLocked(name, minVersion string) *Entry {
 	return found
 }
 
-// Has reports whether any version of name is stored, without touching the
-// hit/miss counters or recency.
+// Has reports whether any version of name is stored, without touching
+// recency.
 func (r *Registry) Has(name string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()

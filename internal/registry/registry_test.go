@@ -33,9 +33,8 @@ func TestPutGet(t *testing.T) {
 	if _, ok := r.Get("codec/none"); ok {
 		t.Error("Get hit on absent unit")
 	}
-	s := r.Stats()
-	if s.Hits != 1 || s.Misses != 1 || s.Puts != 1 {
-		t.Errorf("Stats = %+v", s)
+	if got, want := r.Used(), int64(u.Size()); got != want {
+		t.Errorf("Used = %d after one Put, want %d", got, want)
 	}
 }
 
@@ -203,8 +202,11 @@ func TestQuotaEvictionLRU(t *testing.T) {
 			t.Errorf("%s missing", want)
 		}
 	}
-	if s := r.Stats(); s.Evictions != 1 || s.BytesEvicted == 0 {
-		t.Errorf("Stats = %+v", s)
+	if got := r.Evictions(); got != 1 {
+		t.Errorf("Evictions = %d, want 1", got)
+	}
+	if got, want := r.Used(), quota; got != want {
+		t.Errorf("Used = %d after evicting for c3, want %d", got, want)
 	}
 }
 
@@ -285,7 +287,8 @@ func TestPinPreventsEviction(t *testing.T) {
 
 func TestAllPinnedRejects(t *testing.T) {
 	r := New(unitSize(100))
-	if err := r.Put(unit("a", "1.0", 100)); err != nil {
+	a := unit("a", "1.0", 100)
+	if err := r.Put(a); err != nil {
 		t.Fatal(err)
 	}
 	r.Pin("a", "1.0", true)
@@ -293,8 +296,8 @@ func TestAllPinnedRejects(t *testing.T) {
 	if !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("Put = %v, want ErrQuotaExceeded", err)
 	}
-	if s := r.Stats(); s.Rejects != 1 {
-		t.Errorf("Rejects = %d", s.Rejects)
+	if r.Has("b") || !r.Has("a") || r.Used() != int64(a.Size()) {
+		t.Errorf("a rejected Put changed the store: has a %v, has b %v, used %d", r.Has("a"), r.Has("b"), r.Used())
 	}
 }
 

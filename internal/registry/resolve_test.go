@@ -26,16 +26,19 @@ func dep(name, version string, deps ...lmu.Dep) *lmu.Unit {
 }
 
 // resolve stores units in a fresh registry and runs EnsureWithDeps for name
-// against it. It returns the number of fetches the host sent, the
-// registry's counters and the callback's error.
-func resolve(t *testing.T, name string, units ...*lmu.Unit) (int64, registry.Stats, error) {
+// against it. It returns the number of fetches the peer served, the number of
+// lookups that hit the registry and the callback's error. A hit is counted
+// through the registry's clock, which a lookup reads only when it finds a
+// unit, to refresh that unit's recency.
+func resolve(t *testing.T, name string, units ...*lmu.Unit) (fetches, hits int, err error) {
 	t.Helper()
-	reg := registry.New(0)
+	reg := registry.New(0, registry.WithClock(func() time.Duration { hits++; return 0 }))
 	for _, u := range units {
 		if err := reg.Put(u); err != nil {
 			t.Fatal(err)
 		}
 	}
+	hits = 0 // a new entry reads the clock too
 	sim := netsim.NewSim(1)
 	net := netsim.NewNetwork(sim)
 	sn := transport.NewSimNetwork(net)
@@ -68,24 +71,29 @@ func resolve(t *testing.T, name string, units ...*lmu.Unit) (int64, registry.Sta
 	if !done {
 		t.Fatal("EnsureWithDeps never called back")
 	}
-	return hosts["device"].Stats().FetchesSent, reg.Stats(), gotErr
+	for _, ev := range hosts["peer"].Audit() {
+		if ev.Kind == "fetch" {
+			fetches++
+		}
+	}
+	return fetches, hits, gotErr
 }
 
 func TestResolveDependencyClosure(t *testing.T) {
 	base := dep("base", "1.0")
 	mid := dep("mid", "1.0", lmu.Dep{Name: "base", MinVersion: "1.0"})
 	app := dep("app", "1.0", lmu.Dep{Name: "mid", MinVersion: "1.0"}, lmu.Dep{Name: "base", MinVersion: "1.0"})
-	fetches, st, err := resolve(t, "app", base, mid, app)
+	fetches, hits, err := resolve(t, "app", base, mid, app)
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
 	}
 	if fetches != 0 {
-		t.Errorf("resolve sent %d fetches for a closure the registry holds, want 0", fetches)
+		t.Errorf("resolve fetched %d units for a closure the registry holds, want 0", fetches)
 	}
 	// app, mid and base each looked up once: base, reached through both mid
 	// and app, is not walked twice.
-	if st.Hits != 3 || st.Misses != 0 {
-		t.Errorf("registry hits/misses = %d/%d, want 3/0", st.Hits, st.Misses)
+	if hits != 3 {
+		t.Errorf("registry hits = %d, want 3", hits)
 	}
 }
 
@@ -96,20 +104,20 @@ func TestResolveMissingDep(t *testing.T) {
 		t.Fatalf("resolve = %v, want wrapped ErrNotFound", err)
 	}
 	if fetches != 1 {
-		t.Errorf("resolve sent %d fetches, want 1 for the missing dependency", fetches)
+		t.Errorf("resolve fetched %d times, want 1 for the missing dependency", fetches)
 	}
 }
 
 func TestResolveCycleTerminates(t *testing.T) {
 	a := dep("a", "1.0", lmu.Dep{Name: "b"})
 	b := dep("b", "1.0", lmu.Dep{Name: "a"})
-	fetches, st, err := resolve(t, "a", a, b)
+	fetches, hits, err := resolve(t, "a", a, b)
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
 	}
 	// a, b, then a again as b's dependency; a's own dependency b is already
 	// visited, so the walk stops there.
-	if fetches != 0 || st.Hits != 3 {
-		t.Errorf("resolve of a<->b: %d fetches, %d hits; want 0 fetches, 3 hits", fetches, st.Hits)
+	if fetches != 0 || hits != 3 {
+		t.Errorf("resolve of a<->b: %d fetches, %d hits; want 0 fetches, 3 hits", fetches, hits)
 	}
 }

@@ -67,10 +67,9 @@ func runA1(seed int64) *Result {
 		play(0)
 		w.Sim.RunFor(8 * time.Hour)
 		u := w.Net.UsageOf("device")
-		stats := device.Registry().Stats()
 		hitPct := 100 * float64(player.Hits) / float64(player.Plays)
 		table.AddRow(pol.Name(), fmt.Sprintf("%.1f", hitPct),
-			u.BytesSent+u.BytesRecv, stats.Evictions)
+			u.BytesSent+u.BytesRecv, device.Registry().Evictions())
 	}
 	res.Tables = append(res.Tables, table)
 	res.Notes = append(res.Notes,

@@ -94,10 +94,9 @@ func runT2(seed int64) *Result {
 		play(0)
 		w.Sim.RunFor(4 * time.Hour)
 		u := w.Net.UsageOf("device")
-		stats := device.Registry().Stats()
 		hitPct := 100 * float64(player.Hits) / float64(player.Plays)
 		table.AddRow("cod-cache", device.Registry().Used(), u.BytesSent+u.BytesRecv,
-			fmt.Sprintf("%.1f", hitPct), stats.Evictions,
+			fmt.Sprintf("%.1f", hitPct), device.Registry().Evictions(),
 			fmt.Sprintf("%.1f", playLatency.Mean()))
 	}
 
