@@ -17,13 +17,16 @@
 //
 // Ownership: the kernel decodes an arriving agent into a unit it recycles,
 // whose code, state and data values alias a frame the next arrival
-// overwrites. The platform hands a unit back (core.Host.RecycleAgent) in
-// exactly one place: when the onward migration of a unit that arrived here
-// is acknowledged. A unit that finishes here is never returned, since
-// OnDone's Record.Unit may be kept, and neither is a spawned one. Whatever
-// leaves an activation is copied out of the unit: a_deliver hands message
-// handlers a copy of the payload, and a hop selection is a string that owns
-// its bytes: interned (wire.InternBytes), or the neighbor's own ID.
+// overwrites. A unit that arrived here goes back to its host
+// (core.Host.RecycleAgent) when its visit ends, however it ends: when its
+// onward migration is acknowledged, when it finishes, fails or cannot be
+// activated, and, by the kernel, when Admit refuses it. A spawned unit stays
+// its spawner's. So OnDone's Record.Unit is lent for the call, as a
+// transport handler's payload is: a hook that keeps a record keeps the
+// fields it read, and Record.Name names the unit. Whatever leaves an
+// activation is copied out of the unit: a_deliver hands message handlers a
+// copy of the payload, and a hop selection is a string that owns its bytes:
+// interned (wire.InternBytes), or the neighbor's own ID.
 //
 // Concurrency: the platform runs agents inline on the goroutine that
 // delivers them (the simulator's event loop, or a TCP endpoint's reader
@@ -40,6 +43,7 @@ import (
 
 	"logmob/internal/core"
 	"logmob/internal/lmu"
+	"logmob/internal/transport"
 	"logmob/internal/vm"
 	"logmob/internal/wire"
 )
@@ -86,9 +90,13 @@ const (
 	StatusDropped
 )
 
-// Record describes a finished agent, passed to the completion hook.
+// Record describes a finished agent, passed to the completion hook. Unit is
+// lent for the hook's call: a unit that arrived here is recycled once the
+// hook returns, so a hook that keeps the record clears Unit (or copies what
+// it needs) first. Name is the unit's name, which the record owns.
 type Record struct {
 	ID     string
+	Name   string
 	Unit   *lmu.Unit
 	Stack  []int64
 	Hops   int64
@@ -256,9 +264,11 @@ type activation struct {
 	sleepMs int64  // sleep duration requested by a_sleep
 	itin    []string
 	itinOK  bool
-	// migrated is the method value a.onMigrated, bound once when the
-	// activation is first allocated, so a migration allocates no callback.
+	// migrated is the method value a.onMigrated, and wake the timer that
+	// runs a.onWake, both bound once when the activation is first
+	// allocated, so neither a migration nor a sleep allocates a callback.
 	migrated func(error)
+	wake     transport.Timer
 }
 
 // ExecCtx lets the base capabilities find the unit context.
@@ -281,6 +291,7 @@ func (p *Platform) getAct(u *lmu.Unit, hops int64) *activation {
 	} else {
 		a = &activation{}
 		a.migrated = a.onMigrated
+		a.wake = p.host.Scheduler().NewTimer(a.onWake)
 	}
 	a.p, a.unit, a.hops = p, u, hops
 	a.next, a.sleepMs = "", 0
@@ -298,12 +309,12 @@ func (p *Platform) putAct(a *activation) {
 
 // activate builds a machine for the unit (fresh or restored) and drives it.
 func (p *Platform) activate(u *lmu.Unit, hops int64) {
+	act := p.getAct(u, hops)
 	prog, err := p.host.CachedProgram(u.Code)
 	if err != nil {
-		p.finish(u, nil, hops, StatusFailed, fmt.Sprintf("decode: %v", err))
+		act.end(nil, StatusFailed, fmt.Sprintf("decode: %v", err))
 		return
 	}
-	act := p.getAct(u, hops)
 	if len(u.State) > 0 {
 		err = act.m.RestoreInto(prog, p.env.Caps, p.env.MaxFuel, u.State)
 	} else {
@@ -312,12 +323,27 @@ func (p *Platform) activate(u *lmu.Unit, hops int64) {
 		}
 	}
 	if err != nil {
-		p.finish(u, nil, hops, StatusFailed, err.Error())
-		p.putAct(act)
+		act.end(nil, StatusFailed, err.Error())
 		return
 	}
 	act.m.Ctx = act
 	act.drive()
+}
+
+// end reports the activation's terminal outcome and releases it.
+func (a *activation) end(stack []int64, status Status, detail string) {
+	a.p.finish(a.unit, stack, a.hops, status, detail)
+	a.release()
+}
+
+// release returns the activation to the pool and a unit that arrived here to
+// its host (package doc): the agent has finished or now lives elsewhere.
+func (a *activation) release() {
+	u, arrived := a.unit, a.hops > 0
+	a.p.putAct(a)
+	if arrived {
+		a.p.host.RecycleAgent(u)
+	}
 }
 
 // drive runs the machine until it halts, migrates, sleeps or dies.
@@ -326,12 +352,10 @@ func (a *activation) drive() {
 		err := a.m.Run()
 		switch {
 		case err != nil:
-			a.p.finish(a.unit, a.m.Stack(), a.hops, StatusFailed, err.Error())
-			a.p.putAct(a)
+			a.end(a.m.Stack(), StatusFailed, err.Error())
 			return
 		case a.m.Status() == vm.StatusHalted:
-			a.p.finish(a.unit, a.m.Stack(), a.hops, StatusCompleted, "")
-			a.p.putAct(a)
+			a.end(a.m.Stack(), StatusCompleted, "")
 			return
 		case a.m.Status() == vm.StatusTrapped && a.m.TrapCode() == TrapMigrate:
 			if a.migrate() {
@@ -341,9 +365,7 @@ func (a *activation) drive() {
 			a.sleep()
 			return
 		default:
-			a.p.finish(a.unit, a.m.Stack(), a.hops, StatusFailed,
-				fmt.Sprintf("unexpected machine status %v", a.m.Status()))
-			a.p.putAct(a)
+			a.end(a.m.Stack(), StatusFailed, fmt.Sprintf("unexpected machine status %v", a.m.Status()))
 			return
 		}
 	}
@@ -385,13 +407,7 @@ func (a *activation) migrate() bool {
 // onMigrated receives the outcome of the transfer migrate started.
 func (a *activation) onMigrated(err error) {
 	if err == nil {
-		// The agent now lives elsewhere; this activation is done. A unit
-		// that arrived here is the host's to reuse (package doc).
-		u, arrived := a.unit, a.hops > 0
-		a.p.putAct(a)
-		if arrived {
-			a.p.host.RecycleAgent(u)
-		}
+		a.release() // the agent now lives elsewhere
 		return
 	}
 	// Refused or timed out: resume here, with the migrate call reporting
@@ -399,13 +415,11 @@ func (a *activation) onMigrated(err error) {
 	a.p.stats.MigrationFailures++
 	prog, derr := a.p.host.CachedProgram(a.unit.Code)
 	if derr != nil {
-		a.p.finish(a.unit, nil, a.hops, StatusFailed, derr.Error())
-		a.p.putAct(a)
+		a.end(nil, StatusFailed, derr.Error())
 		return
 	}
 	if rerr := a.m.RestoreInto(prog, a.p.env.Caps, a.p.env.MaxFuel, a.unit.State); rerr != nil {
-		a.p.finish(a.unit, nil, a.hops, StatusFailed, rerr.Error())
-		a.p.putAct(a)
+		a.end(nil, StatusFailed, rerr.Error())
 		return
 	}
 	a.m.Ctx = a
@@ -429,11 +443,14 @@ func (a *activation) sleep() {
 		ms = 0
 	}
 	a.p.resident++
-	a.p.host.Scheduler().After(time.Duration(ms)*time.Millisecond, func() {
-		a.p.resident--
-		a.m.Refuel(a.p.env.MaxFuel - a.m.Fuel())
-		a.drive()
-	})
+	a.wake.Reset(time.Duration(ms) * time.Millisecond)
+}
+
+// onWake resumes a sleeping agent with a full fuel budget.
+func (a *activation) onWake() {
+	a.p.resident--
+	a.m.Refuel(a.p.env.MaxFuel - a.m.Fuel())
+	a.drive()
 }
 
 // finish reports a terminal agent outcome.
@@ -441,6 +458,7 @@ func (p *Platform) finish(u *lmu.Unit, stack []int64, hops int64, status Status,
 	if p.env.OnDone != nil {
 		p.env.OnDone(Record{
 			ID:     string(u.Data[keyID]),
+			Name:   u.Manifest.Name,
 			Unit:   u,
 			Stack:  stack,
 			Hops:   hops,

@@ -42,20 +42,23 @@ func newWorld(t *testing.T) *world {
 // countArrivals installs, as p's host's agent runtime, p itself wrapped to
 // count the arriving agents it admits, and returns that count.
 func countArrivals(p *Platform) *int64 {
-	c := &arrivalCounter{Platform: p}
+	c := &admitCounter{AgentRuntime: p}
 	p.Host().SetAgentRuntime(c)
-	return &c.n
+	return &c.admitted
 }
 
-type arrivalCounter struct {
-	*Platform
-	n int64
+// admitCounter wraps an agent runtime to count the arrivals it is asked to
+// admit, and how many of them it admitted.
+type admitCounter struct {
+	core.AgentRuntime
+	asked, admitted int64
 }
 
-func (c *arrivalCounter) Admit(u *lmu.Unit) (bool, string) {
-	ok, reason := c.Platform.Admit(u)
+func (c *admitCounter) Admit(u *lmu.Unit) (bool, string) {
+	c.asked++
+	ok, reason := c.AgentRuntime.Admit(u)
 	if ok {
-		c.n++
+		c.admitted++
 	}
 	return ok, reason
 }

@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -95,11 +96,11 @@ func relayPair(t *testing.T, class netsim.LinkClass) (plats []*Platform, hop fun
 	return plats, hop
 }
 
-// pinHopAllocs warms a bouncing agent up past the first 10 s request
+// steadyHopAllocs warms a bouncing agent up past the first 10 s request
 // timeouts, so the scheduler's free list holds the timer events those
-// superseded and the wheel's spare buckets cover the 10 s horizon, then pins
-// a steady-state hop at zero allocations.
-func pinHopAllocs(t *testing.T, plats []*Platform, hop func()) {
+// superseded and the wheel's spare buckets cover the 10 s horizon, then
+// returns what one steady-state hop allocates.
+func steadyHopAllocs(t *testing.T, plats []*Platform, hop func()) float64 {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -107,7 +108,13 @@ func pinHopAllocs(t *testing.T, plats []*Platform, hop func()) {
 	for plats[0].Host().Scheduler().Now() < 15*time.Second {
 		hop()
 	}
-	if got := testing.AllocsPerRun(1000, hop); got != 0 {
+	return testing.AllocsPerRun(1000, hop)
+}
+
+// pinHopAllocs pins a steady-state hop at zero allocations.
+func pinHopAllocs(t *testing.T, plats []*Platform, hop func()) {
+	t.Helper()
+	if got := steadyHopAllocs(t, plats, hop); got != 0 {
 		t.Errorf("a relay hop allocates %v times, want 0", got)
 	}
 }
@@ -163,6 +170,39 @@ func TestCourierHopAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	pinHopAllocs(t, plats, hop)
+}
+
+// TestRefusedHopAllocs pins T3's most frequent arrival: a courier past its
+// hop budget keeps retrying a neighbor that drops it. The refused arrival
+// decodes into the unit its host recycled from the previous refusal, and the
+// sender reads the refusal's reason from the intern table, so a refusal
+// allocates no unit, frame, data map or reason string. The one allocation
+// left is the reason's box as the error the migration callback receives.
+func TestRefusedHopAllocs(t *testing.T) {
+	class := netsim.AdHoc
+	class.Loss = 0
+	plats, _ := relayPair(t, class)
+	at := &admitCounter{AgentRuntime: plats[1]}
+	plats[1].Host().SetAgentRuntime(at)
+	s := plats[1].Host().Scheduler().(*netsim.Sim)
+	hop := func() {
+		for next := at.asked + 1; at.asked < next; {
+			if !s.Step() {
+				t.Fatal("the refused courier stopped retrying")
+			}
+		}
+	}
+	data := NewCourierData("node-z", "disaster", make([]byte, 256))
+	data[keyHops] = binary.BigEndian.AppendUint64(nil, uint64(plats[1].env.MaxHops))
+	if _, err := plats[0].Spawn("courier", CourierProgram, data, "main"); err != nil {
+		t.Fatal(err)
+	}
+	if got := steadyHopAllocs(t, plats, hop); got > 1 {
+		t.Errorf("a refused hop allocates %v times, want at most 1 (the error's box)", got)
+	}
+	if at.asked < 1000 || at.admitted != 0 {
+		t.Errorf("node-b admitted %d of %d arrivals, want none", at.admitted, at.asked)
+	}
 }
 
 // newBenchPlatform attaches an agent runtime with a fixed seed.

@@ -12,10 +12,11 @@ import (
 )
 
 // An arriving agent is decoded into a unit its host recycles once the agent's
-// onward migration is acknowledged: the next arrival overwrites the unit's
-// frame and data map. These tests hold what must survive that reuse. Each
-// sends 50 more agents through the same hosts after the fact, so a unit that
-// was handed back when it should not have been is refilled before the check.
+// visit ends, by an acknowledged onward migration or by finishing there: the
+// next arrival overwrites the unit's frame and data map. These tests hold
+// what must survive that reuse. Each sends 50 more agents through the same
+// hosts after the fact, so a unit that was handed back when it should not
+// have been is refilled before the check.
 
 // deliverThereAndBack goes to itinerary stop 0, delivers its payload there,
 // returns to stop 1 and halts.
@@ -92,15 +93,30 @@ func TestDeliveredPayloadSurvivesRecycling(t *testing.T) {
 	}
 }
 
-// OnDone may keep Record.Unit: a unit that finishes is never handed back,
-// even one that arrived.
+// OnDone's Record.Unit is lent for the call: an arrived unit that finishes
+// goes back to its host, and the next arrival decodes into it. During the
+// call it holds the unit as the agent finished, and what the hook copied out
+// of it survives the later arrivals.
 func TestFinishedUnitSurvivesRecycling(t *testing.T) {
 	w, itin := recycleWorld(t)
 	var done *lmu.Unit
 	var snap *lmu.Unit
+	var reused int
 	w.platforms["a"].env.OnDone = func(r Record) {
-		if done == nil {
+		switch {
+		case done == nil:
+			if r.Name != "courier" || r.Unit.Manifest.Name != r.Name {
+				t.Errorf("Record.Name = %q, unit %q, want courier", r.Name, r.Unit.Manifest.Name)
+			}
+			if got := string(r.Unit.Data[KeyPayload]); got != "keep me" {
+				t.Errorf("Record.Unit's payload = %q in OnDone, want \"keep me\"", got)
+			}
+			if got := dataCounter(r.Unit, keyHops); got != r.Hops || got != 2 {
+				t.Errorf("Record.Unit's _hops = %d, Record.Hops %d, want 2", got, r.Hops)
+			}
 			done, snap = r.Unit, r.Unit.Clone()
+		case r.Unit == done:
+			reused++
 		}
 	}
 	data := NewCourierData("b", "t", []byte("keep me"))
@@ -112,9 +128,13 @@ func TestFinishedUnitSurvivesRecycling(t *testing.T) {
 	if done == nil || len(snap.State) == 0 {
 		t.Fatalf("no arrived unit finished at a: %+v", w.records)
 	}
+	want := snap.Clone()
 	passAgents(t, w, 50)
-	if got := done.Clone(); !reflect.DeepEqual(got, snap) {
-		t.Errorf("Record.Unit changed after later arrivals:\ngot  %+v\nwant %+v", got, snap)
+	if !reflect.DeepEqual(snap, want) {
+		t.Errorf("the copy OnDone kept changed after later arrivals:\ngot  %+v\nwant %+v", snap, want)
+	}
+	if reused != 50 {
+		t.Errorf("%d of the 50 later agents finished in the recycled unit, want all", reused)
 	}
 }
 
@@ -182,6 +202,14 @@ main:
 	gload 0
 	halt
 `)
+	var payload string
+	keep := w.platforms["a"].env.OnDone
+	w.platforms["a"].env.OnDone = func(r Record) {
+		if r.Name == "stubborn" {
+			payload = string(r.Unit.Data[KeyPayload]) // lent for this call
+		}
+		keep(r)
+	}
 	var delivered []string
 	w.hosts["b"].OnMessage(func(_, topic string, data []byte) {
 		if topic == "refused" {
@@ -207,7 +235,7 @@ main:
 	}
 	var rec *Record
 	for i := range w.records {
-		if w.records[i].Unit.Manifest.Name == "stubborn" {
+		if w.records[i].Name == "stubborn" {
 			rec = &w.records[i]
 		}
 	}
@@ -217,7 +245,7 @@ main:
 	if rec.Status != StatusCompleted || !reflect.DeepEqual(rec.Stack, []int64{0, 4242}) {
 		t.Errorf("refused agent finished %v %q with stack %v, want completed [0 4242]", rec.Status, rec.Detail, rec.Stack)
 	}
-	if got := string(rec.Unit.Data[KeyPayload]); got != "still here" {
-		t.Errorf("refused agent's payload = %q", got)
+	if payload != "still here" {
+		t.Errorf("refused agent's payload = %q", payload)
 	}
 }

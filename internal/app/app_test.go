@@ -163,10 +163,17 @@ func TestShopperAgentFindsBestPrice(t *testing.T) {
 		agent.NewPlatform(vh, agent.Env{Seed: int64(i + 1), Caps: caps})
 	}
 	var final agent.Record
+	var product string
 	homePlat := agent.NewPlatform(home, agent.Env{
-		Seed:   9,
-		Caps:   caps,
-		OnDone: func(rec agent.Record) { final = rec },
+		Seed: 9,
+		Caps: caps,
+		// The unit is lent for the call: read its data space here.
+		OnDone: func(rec agent.Record) {
+			final = rec
+			if rec.Unit.Data != nil {
+				product = string(rec.Unit.Data["product"])
+			}
+		},
 	})
 
 	if _, err := homePlat.SpawnUnit(BuildShopper(r.id, "home", "widget", vendors), "main"); err != nil {
@@ -186,7 +193,7 @@ func TestShopperAgentFindsBestPrice(t *testing.T) {
 		t.Errorf("best = vendor %d @ %d cents, want vendor 1 @ 450", bestIdx, bestCents)
 	}
 	// The agent must have returned: it finished on the home platform.
-	if final.Unit.Data == nil || string(final.Unit.Data["product"]) != "widget" {
+	if product != "widget" {
 		t.Error("agent data lost")
 	}
 }

@@ -18,6 +18,7 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -33,6 +34,11 @@ const (
 	kindPing  byte = 3 // liveness probe
 	kindPong  byte = 4 // liveness answer
 )
+
+// maxHellosPerFrame bounds the unseen addresses one hello or peers frame
+// makes a node hello. The rest of a long list is reached through the
+// answers: every peer that replies lists its own view.
+const maxHellosPerFrame = 16
 
 // Config tunes a cluster node.
 type Config struct {
@@ -154,6 +160,27 @@ func (n *Node) touch(addr string) (joined bool) {
 	return !known
 }
 
+// unseen returns the first maxHellosPerFrame distinct addresses of list that
+// are neither in the peer set, nor the node's own, nor from, nor "".
+func (n *Node) unseen(from string, list []string) []string {
+	var out []string
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return nil
+	}
+	for _, addr := range list {
+		if len(out) == maxHellosPerFrame {
+			break
+		}
+		if _, known := n.peers[addr]; known || addr == "" || addr == n.self || addr == from || slices.Contains(out, addr) {
+			continue
+		}
+		out = append(out, addr)
+	}
+	return out
+}
+
 // dispatch handles one cluster frame. It runs on the transport's delivery
 // context (event loop over the simulator, reader goroutine over TCP), so it
 // must not block; every send below is asynchronous at the transport layer
@@ -173,12 +200,12 @@ func (n *Node) dispatch(from string, payload []byte) {
 		// Peer exchange: a third-party address we have never seen gets a
 		// hello, so it learns us and we get its view. The sender itself is
 		// never helloed back — it already knows us — which keeps the
-		// exchange from ping-ponging forever.
-		for _, addr := range list {
-			if n.touch(addr) {
-				n.joined(addr)
-				n.sendHello(addr)
-			}
+		// exchange from ping-ponging forever. A listed address joins only
+		// when a frame arrives from it, and one frame hellos at most
+		// maxHellosPerFrame of them: what a list of made-up addresses costs
+		// is bounded by the constant, not by the list.
+		for _, addr := range n.unseen(from, list) {
+			n.sendHello(addr)
 		}
 		if kind == kindHello {
 			n.sendPeers(from)

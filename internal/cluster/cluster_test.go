@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -191,4 +192,37 @@ func TestBootstrapJoinHealOverTCP(t *testing.T) {
 	eventually(t, 10*time.Second, "c2 to rejoin", sees(c2, seed, b.Addr()))
 	eventually(t, 10*time.Second, "a to re-learn c", sees(a, b.Addr(), cAddr))
 	eventually(t, 10*time.Second, "b to re-learn c", sees(b, seed, cAddr))
+}
+
+// TestHelloListingMadeUpAddresses feeds a node one hello that lists 1,000
+// addresses nobody answers from. None of them joins the peer set, the node
+// hellos only maxHellosPerFrame of them, and with every retry and probe that
+// follows it sends fewer bytes than the frame it read.
+func TestHelloListingMadeUpAddresses(t *testing.T) {
+	sim := netsim.NewSim(1)
+	net := netsim.NewNetwork(sim)
+	net.AddNode("self", netsim.Position{}, netsim.LAN)
+	ep, err := transport.NewSimNetwork(net).Endpoint("self")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := &sendCounter{Endpoint: ep}
+	n := Join(raw, sim, Config{})
+	defer n.Close()
+	list := make([]string, 1000)
+	for i := range list {
+		list[i] = fmt.Sprintf("made-up-%04d", i)
+	}
+	hello := clusterFrame(kindHello, list...)
+	n.dispatch("liar", hello)
+	if got := n.Peers(); len(got) != 1 || got[0] != "liar" {
+		t.Errorf("the hello left %d peers, want only its sender", len(got))
+	}
+	if raw.sent > maxHellosPerFrame+1 {
+		t.Errorf("the hello made the node send %d frames, want at most %d", raw.sent, maxHellosPerFrame+1)
+	}
+	sim.RunFor(time.Minute) // retries and probes, until the liar is evicted
+	if raw.bytes >= len(hello) {
+		t.Errorf("one %d-byte hello made the node send %d bytes in %d frames", len(hello), raw.bytes, raw.sent)
+	}
 }

@@ -9,14 +9,16 @@ import (
 	"logmob/internal/wire"
 )
 
-// sendCounter is an Endpoint that counts the frames sent through it.
+// sendCounter is an Endpoint that counts the frames sent through it, and
+// their bytes.
 type sendCounter struct {
 	transport.Endpoint
-	sent int
+	sent, bytes int
 }
 
 func (c *sendCounter) Send(to string, payload []byte) error {
 	c.sent++
+	c.bytes += len(payload)
 	return c.Endpoint.Send(to, payload)
 }
 
@@ -52,7 +54,9 @@ func decodeFrame(payload []byte) ([]string, bool) {
 // already knows one peer. It must never panic; its peer set stays sorted,
 // unique and free of its own address and ""; a frame that does not decode
 // changes neither the peer set nor what the node sends; and a frame that
-// does adds no peer but its sender and the addresses it lists. The seed
+// does adds no peer but its sender (a listed address joins only once a frame
+// arrives from it) and sends at most maxHellosPerFrame hellos plus one
+// answer, a peers frame or a pong. The seed
 // corpus in testdata/fuzz holds real hello, peers, ping and pong frames,
 // frames from the node itself and from "", and frames that do not decode.
 func FuzzClusterDispatch(f *testing.F) {
@@ -86,9 +90,12 @@ func FuzzClusterDispatch(f *testing.F) {
 			return
 		}
 		for _, p := range after {
-			if !slices.Contains(before, p) && p != from && !slices.Contains(list, p) {
+			if !slices.Contains(before, p) && p != from {
 				t.Fatalf("peer %q joined from a frame by %q listing %q", p, from, list)
 			}
+		}
+		if got := raw.sent - sent; got > maxHellosPerFrame+1 {
+			t.Fatalf("a frame by %q listing %d addresses made the node send %d frames, want at most %d", from, len(list), got, maxHellosPerFrame+1)
 		}
 	})
 }

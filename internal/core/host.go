@@ -57,9 +57,10 @@ type ServiceFunc func(from string, args [][]byte) ([][]byte, error)
 // admitted agent. So the sender hears exactly one ack, before anything the
 // agent does here.
 //
-// From Admit on the runtime owns unit, whose byte slices alias a frame the
-// host reuses once the unit is handed to RecycleAgent. A unit Admit refuses
-// is not reused by the kernel: the runtime may have reported it.
+// Unit's byte slices alias a frame the host reuses once the unit is handed to
+// RecycleAgent. Admit borrows unit for the call: the kernel recycles a unit
+// Admit refuses. Start hands an admitted unit to the runtime, which recycles
+// it when the agent's visit ends.
 type AgentRuntime interface {
 	// Admit decides whether unit may run here, and records its admission
 	// (hop count and the like). A refusal gives the reason the sender sees;

@@ -451,7 +451,7 @@ func (h *Host) handle(from string, payload []byte) {
 	case msgCallReply, msgEvalReply, msgFetchReply, msgAgentAck, msgPublishReply:
 		id := r.Uint()
 		ok := r.Bool()
-		errMsg := r.String()
+		errMsg := r.InternString() // a refusal's reason repeats endlessly
 		if r.Err() != nil {
 			return
 		}
@@ -606,8 +606,8 @@ func (h *Host) handleFetch(from string, r *reader) {
 
 // handleAgent decodes an arriving agent into a recycled unit: the frame is
 // borrowed from the transport, and UnpackFrom copies it into the unit's own
-// reused buffer. A unit the kernel refuses goes straight back to the pool;
-// one that reaches the runtime belongs to it (AgentRuntime). The runtime's
+// reused buffer. A unit the kernel or Admit refuses goes straight back to
+// the pool; one that starts belongs to the runtime (AgentRuntime). The runtime's
 // verdict is acked before an admitted agent starts, so its onward sends
 // follow the ack.
 func (h *Host) handleAgent(from string, r *reader) {
@@ -646,6 +646,7 @@ func (h *Host) handleAgent(from string, r *reader) {
 			reason = ErrRefused.Error()
 		}
 		h.reply(from, msgAgentAck, id, false, reason, nil)
+		h.RecycleAgent(u)
 		return
 	}
 	h.reply(from, msgAgentAck, id, true, "", nil)

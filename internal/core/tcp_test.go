@@ -376,3 +376,55 @@ func TestTCPFirstUseIsRaceFree(t *testing.T) {
 		h.Close()
 	}
 }
+
+// TestTCPAgentUnitIsRecycled runs arrivals over loopback through a runtime
+// that finishes each one as it starts, handing its unit back to the host:
+// the next arrival decodes into that same unit, on the read loop.
+func TestTCPAgentUnitIsRecycled(t *testing.T) {
+	id := security.MustNewIdentity("publisher")
+	trust := security.NewTrustStore()
+	trust.TrustIdentity(id)
+	server := newTCPHost(t, trust, nil)
+	client := newTCPHost(t, trust, nil)
+
+	type arrival struct {
+		u       *lmu.Unit
+		payload string
+	}
+	arrivals := make(chan arrival, 1)
+	server.SetAgentRuntime(startAll(func(u *lmu.Unit) {
+		a := arrival{u, string(u.Data["payload"])}
+		server.RecycleAgent(u) // the agent finished here
+		arrivals <- a
+	}))
+	agent := &lmu.Unit{
+		Manifest: lmu.Manifest{Name: "agent/x", Version: "1", Kind: lmu.KindAgent, Publisher: id.Name},
+		Code:     vm.MustAssemble(".entry main\nmain:\nhalt\n").Encode(),
+		Data:     map[string][]byte{},
+	}
+	id.SignCode(agent)
+
+	var first *lmu.Unit
+	for i := 0; i < 20; i++ {
+		agent.Data["payload"] = []byte(fmt.Sprintf("visit-%02d", i))
+		acked := make(chan error, 1)
+		client.SendAgent(server.Addr(), agent, func(err error) { acked <- err })
+		if err := <-acked; err != nil {
+			t.Fatalf("SendAgent %d: %v", i, err)
+		}
+		var a arrival
+		select {
+		case a = <-arrivals:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("arrival %d never started", i)
+		}
+		if want := fmt.Sprintf("visit-%02d", i); a.payload != want {
+			t.Errorf("arrival %d carried %q, want %q", i, a.payload, want)
+		}
+		if first == nil {
+			first = a.u
+		} else if a.u != first {
+			t.Errorf("arrival %d decoded into a new unit, not the one the first arrival left", i)
+		}
+	}
+}

@@ -101,6 +101,7 @@ func (l *Live) OnAgentDone(rec agent.Record) {
 	// after its Replay timed out, or one that arrived from elsewhere and
 	// finished here) stays in the buffer until the next agent replay reads
 	// past it; past 64 of those, records are dropped.
+	rec.Unit = nil // lent for this call only
 	select {
 	case l.agentDone <- rec:
 	default:

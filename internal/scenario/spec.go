@@ -209,7 +209,7 @@ func (s *Spec) Compile(seed int64) *World {
 					Seed:    seed + p.AgentSeedOffset + int64(i),
 					MaxHops: p.MaxHops,
 					Caps:    caps,
-					OnDone:  func(r agent.Record) { w.Records = append(w.Records, r) },
+					OnDone:  w.keepRecord,
 				})
 			}
 			if p.Beacon > 0 {

@@ -49,7 +49,8 @@ type World struct {
 	// Pops maps population name to its node names in creation order.
 	Pops map[string][]string
 	// Records collects every agent that finished on a compiled population's
-	// platform, in completion order.
+	// platform, in completion order. A record's Unit is nil: the platform
+	// lends it only for the OnDone call.
 	Records []agent.Record
 	// Reliables maps node name to its ack/retry transport layer, for
 	// worlds compiled with Faults.Retry enabled.
@@ -120,12 +121,18 @@ func (w *World) AddHost(name string, pos netsim.Position, class netsim.LinkClass
 	return h
 }
 
+// keepRecord is a compiled platform's OnDone: it keeps r without the unit
+// the platform lent for the call.
+func (w *World) keepRecord(r agent.Record) {
+	r.Unit = nil
+	w.Records = append(w.Records, r)
+}
+
 // LastRecord returns the most recent finished-agent record whose unit name
 // matches, and whether one exists.
 func (w *World) LastRecord(unitName string) (agent.Record, bool) {
 	for i := len(w.Records) - 1; i >= 0; i-- {
-		r := w.Records[i]
-		if r.Unit != nil && r.Unit.Manifest.Name == unitName {
+		if r := w.Records[i]; r.Name == unitName {
 			return r, true
 		}
 	}

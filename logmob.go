@@ -112,7 +112,10 @@ type (
 	AgentPlatform = agent.Platform
 	// AgentEnv configures the protected agent environment.
 	AgentEnv = agent.Env
-	// AgentRecord describes a finished agent.
+	// AgentRecord describes a finished agent. Its Unit is lent for the
+	// AgentEnv.OnDone call only: a unit that arrived is recycled once the
+	// hook returns, so a hook that keeps the record reads the unit there
+	// and keeps what it read (Name names the unit).
 	AgentRecord = agent.Record
 )
 
