@@ -269,6 +269,10 @@ type activation struct {
 	// allocated, so neither a migration nor a sleep allocates a callback.
 	migrated func(error)
 	wake     transport.Timer
+	// prev is the host's name as bytes, made with migrated and wake and
+	// never written: migrate stores this one slice as every departure's
+	// _prev, so a migration allocates no copy of the name.
+	prev []byte
 }
 
 // ExecCtx lets the base capabilities find the unit context.
@@ -292,6 +296,7 @@ func (p *Platform) getAct(u *lmu.Unit, hops int64) *activation {
 		a = &activation{}
 		a.migrated = a.onMigrated
 		a.wake = p.host.Scheduler().NewTimer(a.onWake)
+		a.prev = []byte(p.host.Name())
 	}
 	a.p, a.unit, a.hops = p, u, hops
 	a.next, a.sleepMs = "", 0
@@ -385,20 +390,17 @@ func (a *activation) migrate() bool {
 	// with the optimistic result (1) on the stack. SendAgent packs the unit
 	// synchronously and retains only the packed frame, so the unit itself
 	// stays valid for the failure-resume path without a defensive clone.
-	// The snapshot and the _prev marker are written into the unit's existing
-	// backing when the sizes line up: both regions are exclusively owned by
-	// their field (UnpackFrom aliases disjoint ranges of the unit's frame),
-	// and snapshot size is stable hop over hop for a given agent.
+	// The snapshot is written into the unit's existing backing when the
+	// sizes line up: that region is exclusively owned by State (UnpackFrom
+	// aliases disjoint ranges of the unit's frame), and snapshot size is
+	// stable hop over hop for a given agent. _prev shares the activation's
+	// name slice, which is safe because nothing writes a data value in place
+	// but setDataCounter, on its own keys, and RecycleAgent clears the map.
 	sb := wire.GetBuffer()
 	a.m.SnapshotTo(sb)
 	a.unit.State = append(a.unit.State[:0], sb.Bytes()...)
 	wire.PutBuffer(sb)
-	name := a.p.host.Name()
-	if prev := a.unit.Data[keyPrev]; len(prev) == len(name) {
-		copy(prev, name)
-	} else {
-		a.unit.Data[keyPrev] = []byte(name)
-	}
+	a.unit.Data[keyPrev] = a.prev
 	a.p.stats.Migrations++
 	a.p.host.SendAgent(dest, a.unit, a.migrated)
 	return true

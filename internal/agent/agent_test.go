@@ -413,6 +413,7 @@ func TestUnsignedAgentRefusedByStrictHost(t *testing.T) {
 	net := netsim.NewNetwork(sim)
 	sn := transport.NewSimNetwork(net)
 
+	var audit []core.AuditEvent // the strict host's
 	mk := func(name string, pos netsim.Position, allowUnsigned bool) *Platform {
 		class := netsim.AdHoc
 		class.Loss = 0
@@ -421,10 +422,14 @@ func TestUnsignedAgentRefusedByStrictHost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := core.NewHost(core.Config{
+		cfg := core.Config{
 			Name: name, Endpoint: ep, Scheduler: sim,
 			Policy: security.Policy{AllowUnsigned: allowUnsigned},
-		})
+		}
+		if !allowUnsigned {
+			cfg.Audit = func(ev core.AuditEvent) { audit = append(audit, ev) }
+		}
+		h, err := core.NewHost(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -442,7 +447,7 @@ func TestUnsignedAgentRefusedByStrictHost(t *testing.T) {
 	if delivered {
 		t.Fatal("strict host executed an unsigned agent")
 	}
-	if !slices.ContainsFunc(pb.Host().Audit(), func(ev core.AuditEvent) bool { return ev.Kind == "verify-fail" }) {
+	if !slices.ContainsFunc(audit, func(ev core.AuditEvent) bool { return ev.Kind == "verify-fail" }) {
 		t.Error("verify failure not audited")
 	}
 }

@@ -59,17 +59,21 @@ done:
 	}
 }
 
-// relayPair is two hosts, node-a and node-b, in range of each other on class,
-// each with an agent platform, plus a step function that runs the simulator
-// to the next agent arrival on either. The names are longer than one byte on
-// purpose: Go converts a one-byte []byte to a string without allocating, so
-// one-byte names would hide a conversion on the hop path.
-func relayPair(t *testing.T, class netsim.LinkClass) (plats []*Platform, hop func()) {
+// relayPair is two hosts, named names or else node-a and node-b, in range of
+// each other on class, each with an agent platform, plus a step function that
+// runs the simulator to the next agent arrival on either. The names are
+// longer than one byte on purpose: Go converts a one-byte []byte to a string
+// without allocating, so one-byte names would hide a conversion on the hop
+// path.
+func relayPair(t *testing.T, class netsim.LinkClass, names ...string) (plats []*Platform, hop func()) {
 	t.Helper()
+	if names == nil {
+		names = []string{"node-a", "node-b"}
+	}
 	s := netsim.NewSim(1)
 	net := netsim.NewNetwork(s)
 	sn := transport.NewSimNetwork(net)
-	for i, name := range []string{"node-a", "node-b"} {
+	for i, name := range names {
 		net.AddNode(name, netsim.Position{X: float64(10 * i)}, class)
 		ep, err := sn.Endpoint(name)
 		if err != nil {
@@ -160,16 +164,22 @@ loop:
 // between the two for good, each time reading the neighbor set (borrowed,
 // not copied) and comparing its destination and previous host as bytes. The
 // link is lossless: a lost ack would duplicate the agent (transfer is
-// at-least-once), and a growing crowd of agents is not a steady state.
+// at-least-once), and a growing crowd of agents is not a steady state. The
+// second pair's names differ in length, as T3's do, so each departure's
+// _prev replaces a value of another length.
 func TestCourierHopAllocs(t *testing.T) {
-	class := netsim.AdHoc
-	class.Loss = 0
-	plats, hop := relayPair(t, class)
-	data := NewCourierData("node-z", "disaster", make([]byte, 256))
-	if _, err := plats[0].Spawn("courier", CourierProgram, data, "main"); err != nil {
-		t.Fatal(err)
+	for _, names := range [][]string{{"node-a", "node-b"}, {"node-a", "relay-node-b"}} {
+		t.Run(names[1], func(t *testing.T) {
+			class := netsim.AdHoc
+			class.Loss = 0
+			plats, hop := relayPair(t, class, names...)
+			data := NewCourierData("node-z", "disaster", make([]byte, 256))
+			if _, err := plats[0].Spawn("courier", CourierProgram, data, "main"); err != nil {
+				t.Fatal(err)
+			}
+			pinHopAllocs(t, plats, hop)
+		})
 	}
-	pinHopAllocs(t, plats, hop)
 }
 
 // TestRefusedHopAllocs pins T3's most frequent arrival: a courier past its

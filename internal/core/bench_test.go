@@ -45,11 +45,12 @@ func BenchmarkKernelCallSim(b *testing.B) {
 	}
 }
 
-// TestHostSize pins Host to Go's 288-byte allocation size class. A crowd
+// TestHostSize pins Host to Go's 256-byte allocation size class. A crowd
 // allocates one Host per device (10k per metropolis op), and the next class
-// up is 320 bytes: one more word costs every resident 32 bytes.
+// up is 288 bytes: one more word costs every resident 32 bytes. The audit
+// sink is a func value (one word) rather than an interface (two) for this.
 func TestHostSize(t *testing.T) {
-	if got := unsafe.Sizeof(Host{}); got > 288 {
-		t.Errorf("Host is %d bytes, want at most 288 (its size class)", got)
+	if got := unsafe.Sizeof(Host{}); got > 256 {
+		t.Errorf("Host is %d bytes, want at most 256 (its size class)", got)
 	}
 }

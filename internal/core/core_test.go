@@ -66,10 +66,18 @@ func (w *world) addHost(t *testing.T, name string, mutate func(*Config)) *Host {
 	return h
 }
 
-// audited counts h's retained audit events of kind.
-func audited(h *Host, kind string) int {
+// auditLog keeps the events a host hands its audit sink. Pass install as
+// addHost's mutate, or call it from one.
+type auditLog []AuditEvent
+
+func (l *auditLog) install(c *Config) {
+	c.Audit = func(ev AuditEvent) { *l = append(*l, ev) }
+}
+
+// count counts the recorded events of kind.
+func (l auditLog) count(kind string) int {
 	n := 0
-	for _, ev := range h.Audit() {
+	for _, ev := range l {
 		if ev.Kind == kind {
 			n++
 		}
@@ -98,7 +106,8 @@ main:
 
 func TestCallRoundTrip(t *testing.T) {
 	w := newWorld(t)
-	server := w.addHost(t, "server", nil)
+	var audit auditLog
+	server := w.addHost(t, "server", audit.install)
 	client := w.addHost(t, "client", nil)
 
 	server.RegisterService("echo", func(from string, args [][]byte) ([][]byte, error) {
@@ -119,7 +128,7 @@ func TestCallRoundTrip(t *testing.T) {
 	if len(results) != 3 || string(results[0]) != "client" || string(results[1]) != "a" {
 		t.Errorf("results = %q", results)
 	}
-	if n := audited(server, "call"); n != 1 {
+	if n := audit.count("call"); n != 1 {
 		t.Errorf("server audited %d calls, want 1", n)
 	}
 }
@@ -230,7 +239,8 @@ func TestEvalRefusedWhenDisabled(t *testing.T) {
 
 func TestEvalRejectsUnsigned(t *testing.T) {
 	w := newWorld(t)
-	server := w.addHost(t, "server", nil)
+	var audit auditLog
+	w.addHost(t, "server", audit.install)
 	client := w.addHost(t, "client", nil)
 	unit := w.signedProgram("job/add", addSrc)
 	unit.Sig = nil // strip signature
@@ -242,7 +252,6 @@ func TestEvalRejectsUnsigned(t *testing.T) {
 		t.Fatal("unsigned eval accepted")
 	}
 	// The rejection is in the audit log, once.
-	audit := server.Audit()
 	if len(audit) != 1 || audit[0].Kind != "verify-fail" || audit[0].Subject != "job/add" {
 		t.Errorf("audit = %+v, want one verify-fail for job/add", audit)
 	}
@@ -278,7 +287,8 @@ func TestEvalRuntimeErrorReported(t *testing.T) {
 func TestPublishFetchRun(t *testing.T) {
 	w := newWorld(t)
 	server := w.addHost(t, "server", nil)
-	device := w.addHost(t, "device", nil)
+	var audit auditLog
+	device := w.addHost(t, "device", audit.install)
 	unit := w.signedProgram("codec/ogg", `
 .entry decode
 decode:
@@ -310,7 +320,7 @@ decode:
 	if len(stack) != 1 || stack[0] != 42 {
 		t.Errorf("stack = %v", stack)
 	}
-	if n := audited(device, "fetch-in"); n != 1 {
+	if n := audit.count("fetch-in"); n != 1 {
 		t.Errorf("device audited %d verified fetches, want 1", n)
 	}
 }
@@ -354,7 +364,8 @@ func TestFetchRejectsTamperedUnit(t *testing.T) {
 
 func TestEnsureCachesLocally(t *testing.T) {
 	w := newWorld(t)
-	server := w.addHost(t, "server", nil)
+	var audit auditLog
+	server := w.addHost(t, "server", audit.install)
 	device := w.addHost(t, "device", nil)
 	unit := w.signedProgram("codec/ogg", addSrc)
 	if err := server.Publish(unit); err != nil {
@@ -374,7 +385,7 @@ func TestEnsureCachesLocally(t *testing.T) {
 	if len(hits) != 2 || hits[0] || !hits[1] {
 		t.Errorf("hits = %v, want [false true]", hits)
 	}
-	if n := audited(server, "fetch"); n != 1 {
+	if n := audit.count("fetch"); n != 1 {
 		t.Errorf("server served %d fetches, want 1 (second Ensure is a cache hit)", n)
 	}
 }
@@ -451,7 +462,8 @@ func TestSendAgentRejectsNonAgentKind(t *testing.T) {
 func TestUserMessages(t *testing.T) {
 	w := newWorld(t)
 	a := w.addHost(t, "a", nil)
-	b := w.addHost(t, "b", nil)
+	var audit auditLog
+	b := w.addHost(t, "b", audit.install)
 	var gotFrom, gotTopic string
 	var gotData []byte
 	b.OnMessage(func(from, topic string, data []byte) {
@@ -464,7 +476,7 @@ func TestUserMessages(t *testing.T) {
 	if gotFrom != "a" || gotTopic != "sms" || string(gotData) != "hello" {
 		t.Errorf("message = %q %q %q", gotFrom, gotTopic, gotData)
 	}
-	if n := audited(b, "message"); n != 1 {
+	if n := audit.count("message"); n != 1 {
 		t.Errorf("b audited %d messages, want 1", n)
 	}
 }
@@ -573,7 +585,8 @@ func TestHostCloseFailsPending(t *testing.T) {
 // request table Close emptied stays nil.
 func TestRequestsOnClosedHostFailAtOnce(t *testing.T) {
 	w := newWorld(t)
-	server := w.addHost(t, "server", func(c *Config) { c.ServePublish = true })
+	var audit auditLog
+	server := w.addHost(t, "server", func(c *Config) { c.ServePublish = true; audit.install(c) })
 	client := w.addHost(t, "client", nil)
 	server.RegisterService("echo", func(_ string, args [][]byte) ([][]byte, error) { return args, nil })
 	unit := w.signedProgram("adder", addSrc)
@@ -616,7 +629,7 @@ func TestRequestsOnClosedHostFailAtOnce(t *testing.T) {
 	if client.reqs != nil {
 		t.Errorf("a closed host took request records: %d pending, %d capacity", len(client.reqs), cap(client.reqs))
 	}
-	if audit := server.Audit(); len(audit) != 0 {
+	if len(audit) != 0 {
 		t.Errorf("the remote of a closed host served %+v", audit)
 	}
 }
@@ -660,27 +673,6 @@ func TestNewHostValidation(t *testing.T) {
 	ep, _ := w.sn.Endpoint("n")
 	if _, err := NewHost(Config{Endpoint: ep}); err == nil {
 		t.Error("NewHost with no scheduler should fail")
-	}
-}
-
-func TestAuditRingBounded(t *testing.T) {
-	w := newWorld(t)
-	server := w.addHost(t, "server", func(c *Config) { c.AuditCap = 8 })
-	client := w.addHost(t, "client", nil)
-	server.RegisterService("ping", func(string, [][]byte) ([][]byte, error) { return nil, nil })
-	for i := 0; i < 20; i++ {
-		client.Call("server", "ping", nil, func([][]byte, error) {})
-		w.sim.RunFor(time.Second)
-	}
-	audit := server.Audit()
-	if len(audit) != 8 {
-		t.Fatalf("audit len = %d, want 8", len(audit))
-	}
-	// Oldest-first ordering.
-	for i := 1; i < len(audit); i++ {
-		if audit[i].At < audit[i-1].At {
-			t.Fatal("audit not oldest-first")
-		}
 	}
 }
 

@@ -108,10 +108,11 @@ func RegisterBaseCtxCaps(t *vm.HostTable) {
 		Name: "log", Arity: 1,
 		Fn: func(m *vm.Machine, args []int64) ([]int64, int64, error) {
 			c := MachineExecCtx(m)
-			h := c.Host
-			h.mu.Lock()
-			h.recordLocked("vm-log", h.name, c.Unit.Manifest.Name, true, fmt.Sprintf("%d", args[0]))
-			h.mu.Unlock()
+			if h := c.Host; h.audit != nil {
+				h.mu.Lock()
+				h.recordLocked("vm-log", h.name, c.Unit.Manifest.Name, true, fmt.Sprintf("%d", args[0]))
+				h.mu.Unlock()
+			}
 			return nil, 0, nil
 		},
 	})

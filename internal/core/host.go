@@ -11,7 +11,8 @@
 // A Host is the paper's "protected environment": every foreign unit is
 // verified against the host's trust store and policy before it touches the
 // registry or the VM, foreign code runs fuel-metered with only the host
-// capabilities the host grants, and everything is recorded in an audit log.
+// capabilities the host grants, and every security-relevant event is handed
+// to the audit sink, if one is installed (Config.Audit).
 //
 // The kernel is callback-based so the same code runs over the deterministic
 // simulator (handlers fire inside the event loop) and over real TCP
@@ -74,7 +75,9 @@ type AgentRuntime interface {
 // agent delivering its payload).
 type MessageHandler func(from, topic string, data []byte)
 
-// AuditEvent records one security-relevant kernel event.
+// AuditEvent records one security-relevant kernel event. Its strings are Go
+// strings the kernel owns (decoded with r.String() or interned), so none of
+// them aliases a frame lent to a handler, and a sink may keep the event.
 type AuditEvent struct {
 	At      time.Duration
 	Kind    string // "call", "eval", "fetch", "agent", "verify-fail", ...
@@ -117,8 +120,11 @@ type Config struct {
 	ComputeRate float64
 	// RequestTimeout bounds Call/Eval/Fetch waits; default 10s.
 	RequestTimeout time.Duration
-	// AuditCap bounds the audit ring; default 256 events.
-	AuditCap int
+	// Audit, if set, receives every security-relevant kernel event as it
+	// happens; when nil, nothing is recorded. It runs under the host's lock,
+	// so calls arrive one at a time even over TCP, and it must not call back
+	// into the Host.
+	Audit func(AuditEvent)
 }
 
 // Host is one device's middleware kernel.
@@ -138,7 +144,7 @@ type Host struct {
 	evalFuel       int64
 	computeRate    float64
 	requestTimeout time.Duration
-	auditCap       int
+	audit          func(AuditEvent) // immutable; called under mu
 
 	// The maps and reqs are nil until their first write: most hosts of a
 	// crowd never offer a service, publish a unit or issue a request.
@@ -152,8 +158,6 @@ type Host struct {
 	msgHandlers []MessageHandler       // guarded by mu
 	evalPool    []*evalState           // guarded by mu
 	progCache   map[string]*vm.Program // guarded by mu
-	audit       []AuditEvent           // guarded by mu
-	auditNext   int                    // guarded by mu
 }
 
 // pendingReq is one outstanding request: it is the request, from newRequest
@@ -183,7 +187,7 @@ type replyFunc func(ok bool, errMsg string, rest []byte)
 // unitPool holds a host's recycled arrival units, at most 64. Most hosts of a
 // crowd never receive an agent, so the pool is allocated when the first unit
 // is recycled rather than carried by every Host: with a pointer in place of
-// a slice header, and closed in the flags' padding, a Host keeps its 288-byte
+// a slice header, and closed in the flags' padding, a Host keeps its 256-byte
 // size class (TestHostSize).
 type unitPool struct{ free []*lmu.Unit }
 
@@ -206,7 +210,7 @@ func NewHost(cfg Config) (*Host, error) {
 		evalFuel:       cfg.EvalFuel,
 		computeRate:    cfg.ComputeRate,
 		requestTimeout: cfg.RequestTimeout,
-		auditCap:       cfg.AuditCap,
+		audit:          cfg.Audit,
 	}
 	if h.name == "" {
 		h.name = cfg.Endpoint.Addr()
@@ -219,9 +223,6 @@ func NewHost(cfg Config) (*Host, error) {
 	}
 	if h.requestTimeout <= 0 {
 		h.requestTimeout = 10 * time.Second
-	}
-	if h.auditCap <= 0 {
-		h.auditCap = 256
 	}
 	h.mux = transport.NewMux(cfg.Endpoint)
 	h.kch = h.mux.Channel(transport.ChanKernel)
@@ -277,29 +278,14 @@ func (h *Host) ComputeRate() float64 { return h.computeRate }
 // Neighbors lists addresses reachable in one hop.
 func (h *Host) Neighbors() []string { return h.kch.Neighbors() }
 
-// Audit returns the retained audit events, oldest first.
-func (h *Host) Audit() []AuditEvent {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]AuditEvent, 0, len(h.audit))
-	// audit is a ring; auditNext is the oldest slot once full.
-	if len(h.audit) == h.auditCap {
-		out = append(out, h.audit[h.auditNext:]...)
-		out = append(out, h.audit[:h.auditNext]...)
-		return out
-	}
-	return append(out, h.audit...)
-}
-
-// recordLocked appends an audit event. Caller must hold h.mu.
+// recordLocked hands an audit event to the sink, if one is installed.
+// Caller must hold h.mu, which serialises the sink's calls. A caller whose
+// detail costs something to build checks h.audit first.
 func (h *Host) recordLocked(kind, peer, subject string, ok bool, detail string) {
-	ev := AuditEvent{At: h.sched.Now(), Kind: kind, Peer: peer, Subject: subject, OK: ok, Detail: detail}
-	if len(h.audit) < h.auditCap {
-		h.audit = append(h.audit, ev)
+	if h.audit == nil {
 		return
 	}
-	h.audit[h.auditNext] = ev
-	h.auditNext = (h.auditNext + 1) % h.auditCap
+	h.audit(AuditEvent{At: h.sched.Now(), Kind: kind, Peer: peer, Subject: subject, OK: ok, Detail: detail})
 }
 
 // Close detaches the kernel from its endpoint and fails all pending
@@ -411,10 +397,13 @@ func (h *Host) Published() []string {
 	return out
 }
 
-// verify checks a foreign unit under the host's policy and records the
-// verdict in the audit log.
+// verify checks a foreign unit under the host's policy and hands the
+// verdict to the audit sink.
 func (h *Host) verify(kind, from string, u *lmu.Unit) error {
 	err := security.Verify(u, h.trust, h.pol)
+	if h.audit == nil {
+		return err
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if err != nil {

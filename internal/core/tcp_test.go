@@ -428,3 +428,94 @@ func TestTCPAgentUnitIsRecycled(t *testing.T) {
 		}
 	}
 }
+
+// TestTCPAuditSinkIsRaceFree: over TCP each peer's connection has its own
+// read goroutine, and the host calls its audit sink from whichever one
+// serves the event. Two peers call, evaluate, fetch and send agents into one
+// host at once. The sink appends to a plain slice and relies on the host's
+// lock alone, so under -race a sink call made outside that lock is
+// reported. Every served event is recorded exactly once, under its peer.
+func TestTCPAuditSinkIsRaceFree(t *testing.T) {
+	id := security.MustNewIdentity("publisher")
+	trust := security.NewTrustStore()
+	trust.TrustIdentity(id)
+	var events []AuditEvent // written by the sink, under server.mu
+	server := newTCPHost(t, trust, func(c *Config) {
+		c.Audit = func(ev AuditEvent) { events = append(events, ev) }
+	})
+	server.RegisterService("echo", func(_ string, args [][]byte) ([][]byte, error) { return args, nil })
+	server.SetAgentRuntime(startAll(server.RecycleAgent)) // each agent finishes as it starts
+	unit := func(name string, kind lmu.Kind) *lmu.Unit {
+		u := &lmu.Unit{
+			Manifest: lmu.Manifest{Name: name, Version: "1.0", Kind: kind, Publisher: id.Name},
+			Code:     vm.MustAssemble(addSrc).Encode(),
+		}
+		id.Sign(u)
+		return u
+	}
+	if err := server.Publish(unit("tool/add", lmu.KindComponent)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+
+	const peers, rounds = 2, 25
+	kinds := []string{"call", "eval", "fetch", "agent"}
+	var clients [peers]*Host
+	start := make(chan struct{})
+	errs := make(chan error, peers)
+	for i := range clients {
+		c := newTCPHost(t, trust, nil)
+		clients[i] = c
+		job, agent := unit("job/add", lmu.KindRequest), unit("agent/x", lmu.KindAgent)
+		go func() {
+			<-start
+			for range rounds {
+				if _, err := c.CallSync(ctx, server.Addr(), "echo", nil); err != nil {
+					errs <- err
+					return
+				}
+				if _, err := c.EvalSync(ctx, server.Addr(), job, "main", []int64{1, 2}); err != nil {
+					errs <- err
+					return
+				}
+				if _, err := c.FetchSync(ctx, server.Addr(), "tool/add", ""); err != nil {
+					errs <- err
+					return
+				}
+				if err := c.SendAgentSync(ctx, server.Addr(), agent); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	close(start)
+	for range peers {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	server.mu.Lock() // orders every sink call before the reads below
+	got := make(map[string]int)
+	for _, ev := range events {
+		if !ev.OK {
+			t.Errorf("event %+v failed", ev)
+		}
+		got[ev.Kind+" "+ev.Peer]++
+	}
+	n := len(events)
+	server.mu.Unlock()
+	for _, c := range clients {
+		for _, kind := range kinds {
+			if k := got[kind+" "+c.Addr()]; k != rounds {
+				t.Errorf("%d %q events from %s, want %d", k, kind, c.Addr(), rounds)
+			}
+		}
+	}
+	if want := peers * rounds * len(kinds); n != want {
+		t.Errorf("%d events recorded, want %d: %v", n, want, got)
+	}
+}

@@ -54,6 +54,12 @@ func resolve(t *testing.T, name string, units ...*lmu.Unit) (fetches, hits int, 
 		cfg := core.Config{Name: n, Endpoint: ep, Scheduler: sim}
 		if n == "device" {
 			cfg.Registry = reg
+		} else {
+			cfg.Audit = func(ev core.AuditEvent) {
+				if ev.Kind == "fetch" {
+					fetches++
+				}
+			}
 		}
 		if hosts[n], err = core.NewHost(cfg); err != nil {
 			t.Fatal(err)
@@ -70,11 +76,6 @@ func resolve(t *testing.T, name string, units ...*lmu.Unit) (fetches, hits int, 
 	sim.RunFor(time.Minute)
 	if !done {
 		t.Fatal("EnsureWithDeps never called back")
-	}
-	for _, ev := range hosts["peer"].Audit() {
-		if ev.Kind == "fetch" {
-			fetches++
-		}
 	}
 	return fetches, hits, gotErr
 }

@@ -19,6 +19,17 @@ const (
 	MaxGlobals = 4 << 10
 )
 
+// What a recycled machine keeps of the stack and frames its earlier runs
+// grew. Reinit (and so RestoreInto) drops a buffer whose capacity is above
+// these, so one hostile run, a stack overflow or recursion to MaxFrames, both
+// within a host's default fuel, does not leave about 1.2 MB pinned in a
+// host's machine pool for the host's life. Ordinary programs stay well below
+// both, so a warm machine still reinitialises without allocating.
+const (
+	retainStack  = 1 << 10 // operand slots, 8 KiB
+	retainFrames = 16      // frames of 520 B each
+)
+
 // Status is the run state of a Machine after Run returns.
 type Status uint8
 
@@ -156,9 +167,10 @@ func New(prog *Program, host *HostTable, fuel int64) (*Machine, error) {
 }
 
 // Reinit resets m in place to run prog from a clean state, reusing the
-// machine's existing stack, frame, global and link storage. It is equivalent
-// to New but allocation-free once the machine has warmed up, which lets
-// hosts that evaluate many short programs keep a machine pool.
+// machine's existing stack, frame, global and link storage up to the
+// retention bounds. It is equivalent to New but allocation-free once the
+// machine has warmed up, which lets hosts that evaluate many short programs
+// keep a machine pool.
 func (m *Machine) Reinit(prog *Program, host *HostTable, fuel int64) error {
 	if err := prog.Validate(); err != nil {
 		return err
@@ -167,6 +179,9 @@ func (m *Machine) Reinit(prog *Program, host *HostTable, fuel int64) error {
 	m.host = host
 	m.pc = 0
 	m.stack = m.stack[:0]
+	if cap(m.stack) > retainStack {
+		m.stack = nil
+	}
 	m.fuel = fuel
 	m.status = StatusReady
 	m.trap = 0
@@ -183,6 +198,9 @@ func (m *Machine) Reinit(prog *Program, host *HostTable, fuel int64) error {
 	}
 	if err := m.link(); err != nil {
 		return err
+	}
+	if cap(m.frames) > retainFrames {
+		m.frames = nil
 	}
 	m.frames = append(m.frames[:0], frame{retPC: -1})
 	return nil

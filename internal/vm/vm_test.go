@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // runToHalt assembles src, runs entry with args and returns the final stack.
@@ -499,6 +500,61 @@ func TestCallDepthLimit(t *testing.T) {
 	err = m.Run()
 	if err == nil || !strings.Contains(err.Error(), "call depth") {
 		t.Fatalf("Run = %v, want call depth error", err)
+	}
+}
+
+// TestRecycledMachineDropsHostileGrowth pins what a pooled machine retains
+// after hostile runs: one that overflows the stack and one that recurses to
+// MaxFrames, each within a host's default fuel of 10^6. A host keeps such a
+// machine for its life (core's eval pool, agent's activation pool), so a
+// Reinit or RestoreInto that kept their growth would pin about 1.2 MB.
+func TestRecycledMachineDropsHostileGrowth(t *testing.T) {
+	const fuel = 1_000_000
+	overflow := MustAssemble(".entry main\nmain:\npush 1\njmp main\n")
+	recurse := MustAssemble(".entry main\nmain:\ncall main\n")
+	tiny := MustAssemble(".entry main\nmain:\npush 1\nhalt\n")
+	var m Machine
+	hostile := func() {
+		t.Helper()
+		for _, p := range []*Program{overflow, recurse} {
+			if err := m.Reinit(p, nil, fuel); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.SetEntry("main"); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Run(); err == nil {
+				t.Fatal("a hostile run finished without error")
+			}
+		}
+	}
+	const bound = retainStack*8 + retainFrames*int(unsafe.Sizeof(frame{}))
+	retained := func() int { return cap(m.stack)*8 + cap(m.frames)*int(unsafe.Sizeof(frame{})) }
+
+	hostile()
+	if err := m.Reinit(tiny, nil, fuel); err != nil {
+		t.Fatal(err)
+	}
+	if got := retained(); got > bound {
+		t.Errorf("after Reinit the machine keeps %d B of stack and frames, want at most %d", got, bound)
+	}
+	if err := m.SetEntry("main"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	snap := m.Snapshot()
+
+	hostile()
+	if err := m.RestoreInto(tiny, nil, fuel, snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := retained(); got > bound {
+		t.Errorf("after RestoreInto the machine keeps %d B of stack and frames, want at most %d", got, bound)
+	}
+	if st := m.Stack(); len(st) != 1 || st[0] != 1 {
+		t.Errorf("restored stack = %v, want [1]", st)
 	}
 }
 
