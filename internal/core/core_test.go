@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -66,25 +65,6 @@ func (w *world) addHost(t *testing.T, name string, mutate func(*Config)) *Host {
 	return h
 }
 
-// auditLog keeps the events a host hands its audit sink. Pass install as
-// addHost's mutate, or call it from one.
-type auditLog []AuditEvent
-
-func (l *auditLog) install(c *Config) {
-	c.Audit = func(ev AuditEvent) { *l = append(*l, ev) }
-}
-
-// count counts the recorded events of kind.
-func (l auditLog) count(kind string) int {
-	n := 0
-	for _, ev := range l {
-		if ev.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
 // addProg builds a signed component unit around the given assembly.
 func (w *world) signedProgram(name, src string) *lmu.Unit {
 	u := &lmu.Unit{
@@ -104,79 +84,30 @@ main:
 	halt
 `
 
-func TestCallRoundTrip(t *testing.T) {
-	w := newWorld(t)
-	var audit auditLog
-	server := w.addHost(t, "server", audit.install)
-	client := w.addHost(t, "client", nil)
-
-	server.RegisterService("echo", func(from string, args [][]byte) ([][]byte, error) {
-		out := [][]byte{[]byte(from)}
-		return append(out, args...), nil
-	})
-
-	var results [][]byte
-	var callErr error
-	client.Call("server", "echo", [][]byte{[]byte("a"), []byte("b")}, func(r [][]byte, err error) {
-		results, callErr = r, err
-	})
-	w.sim.RunFor(time.Second)
-
-	if callErr != nil {
-		t.Fatalf("Call: %v", callErr)
-	}
-	if len(results) != 3 || string(results[0]) != "client" || string(results[1]) != "a" {
-		t.Errorf("results = %q", results)
-	}
-	if n := audit.count("call"); n != 1 {
-		t.Errorf("server audited %d calls, want 1", n)
-	}
-}
-
-func TestCallNoSuchService(t *testing.T) {
-	w := newWorld(t)
-	w.addHost(t, "server", nil)
-	client := w.addHost(t, "client", nil)
-	var got error
-	client.Call("server", "ghost", nil, func(_ [][]byte, err error) { got = err })
-	w.sim.RunFor(time.Second)
-	if !errors.Is(got, ErrNoService) {
-		t.Fatalf("err = %v, want ErrNoService", got)
-	}
-}
-
-func TestCallServiceError(t *testing.T) {
-	w := newWorld(t)
-	server := w.addHost(t, "server", nil)
-	client := w.addHost(t, "client", nil)
-	server.RegisterService("fail", func(string, [][]byte) ([][]byte, error) {
-		return nil, errors.New("boom")
-	})
-	var got error
-	client.Call("server", "fail", nil, func(_ [][]byte, err error) { got = err })
-	w.sim.RunFor(time.Second)
-	if got == nil || !errors.Is(got, ErrRemote) {
-		t.Fatalf("err = %v, want wrapped ErrRemote", got)
-	}
-}
-
-func TestCallTimeout(t *testing.T) {
+// TestCallToDownPeerFailsAtOnce: a simulated send to a peer that is down
+// fails before Call returns, so the callback fires once, then and there,
+// with the simulator's *netsim.ErrUnreachable, and no request is left
+// pending to time out later. TestCallTimeoutWithSilentPeer covers a send
+// that leaves and is never answered.
+func TestCallToDownPeerFailsAtOnce(t *testing.T) {
 	w := newWorld(t)
 	client := w.addHost(t, "client", func(c *Config) { c.RequestTimeout = 2 * time.Second })
 	w.addHost(t, "server", nil)
-	w.net.SetUp("server", false) // server vanishes after handshake world setup
+	w.net.SetUp("server", false)
 
 	var got error
 	called := 0
 	client.Call("server", "echo", nil, func(_ [][]byte, err error) { got = err; called++ })
-	w.sim.RunFor(10 * time.Second)
-	if called != 1 {
-		t.Fatalf("callback fired %d times", called)
+	var unreachable *netsim.ErrUnreachable
+	if called != 1 || !errors.As(got, &unreachable) {
+		t.Fatalf("before Call returned: %d callbacks, error %v; want one wrapping *netsim.ErrUnreachable", called, got)
 	}
-	// Send fails fast (unreachable), which is also acceptable; timeout path
-	// needs the send to succeed but no reply. Either way an error arrives.
-	if got == nil {
-		t.Fatal("expected error")
+	if len(client.reqs) != 0 {
+		t.Errorf("%d requests pending after the send failed, want 0", len(client.reqs))
+	}
+	w.sim.RunFor(10 * time.Second) // past the request timeout
+	if called != 1 {
+		t.Errorf("callback fired %d times, want once", called)
 	}
 }
 
@@ -201,195 +132,6 @@ func TestCallTimeoutWithSilentPeer(t *testing.T) {
 	}
 }
 
-func TestEvalRoundTrip(t *testing.T) {
-	w := newWorld(t)
-	w.addHost(t, "server", nil)
-	client := w.addHost(t, "client", nil)
-	unit := w.signedProgram("job/add", addSrc)
-	unit.Manifest.Kind = lmu.KindRequest
-	w.id.Sign(unit)
-
-	var stack []int64
-	var evalErr error
-	client.Eval("server", unit, "main", []int64{20, 22}, func(s []int64, err error) {
-		stack, evalErr = s, err
-	})
-	w.sim.RunFor(time.Second)
-	if evalErr != nil {
-		t.Fatalf("Eval: %v", evalErr)
-	}
-	if len(stack) != 1 || stack[0] != 42 {
-		t.Errorf("stack = %v", stack)
-	}
-}
-
-func TestEvalRefusedWhenDisabled(t *testing.T) {
-	w := newWorld(t)
-	w.addHost(t, "server", func(c *Config) { c.ServeEval = false })
-	client := w.addHost(t, "client", nil)
-	unit := w.signedProgram("job/add", addSrc)
-
-	var got error
-	client.Eval("server", unit, "main", []int64{1, 2}, func(_ []int64, err error) { got = err })
-	w.sim.RunFor(time.Second)
-	if !errors.Is(got, ErrRefused) {
-		t.Fatalf("err = %v, want ErrRefused", got)
-	}
-}
-
-func TestEvalRejectsUnsigned(t *testing.T) {
-	w := newWorld(t)
-	var audit auditLog
-	w.addHost(t, "server", audit.install)
-	client := w.addHost(t, "client", nil)
-	unit := w.signedProgram("job/add", addSrc)
-	unit.Sig = nil // strip signature
-
-	var got error
-	client.Eval("server", unit, "main", []int64{1, 2}, func(_ []int64, err error) { got = err })
-	w.sim.RunFor(time.Second)
-	if got == nil {
-		t.Fatal("unsigned eval accepted")
-	}
-	// The rejection is in the audit log, once.
-	if len(audit) != 1 || audit[0].Kind != "verify-fail" || audit[0].Subject != "job/add" {
-		t.Errorf("audit = %+v, want one verify-fail for job/add", audit)
-	}
-}
-
-func TestEvalFuelBound(t *testing.T) {
-	w := newWorld(t)
-	w.addHost(t, "server", func(c *Config) { c.EvalFuel = 100 })
-	client := w.addHost(t, "client", nil)
-	unit := w.signedProgram("job/spin", ".entry main\nmain:\nloop:\njmp loop\n")
-
-	var got error
-	client.Eval("server", unit, "main", nil, func(_ []int64, err error) { got = err })
-	w.sim.RunFor(time.Second)
-	if got == nil {
-		t.Fatal("runaway eval not bounded")
-	}
-}
-
-func TestEvalRuntimeErrorReported(t *testing.T) {
-	w := newWorld(t)
-	w.addHost(t, "server", nil)
-	client := w.addHost(t, "client", nil)
-	unit := w.signedProgram("job/div0", ".entry main\nmain:\npush 1\npush 0\ndiv\nhalt\n")
-	var got error
-	client.Eval("server", unit, "main", nil, func(_ []int64, err error) { got = err })
-	w.sim.RunFor(time.Second)
-	if got == nil || !errors.Is(got, ErrRemote) {
-		t.Fatalf("err = %v, want remote runtime error", got)
-	}
-}
-
-func TestPublishFetchRun(t *testing.T) {
-	w := newWorld(t)
-	server := w.addHost(t, "server", nil)
-	var audit auditLog
-	device := w.addHost(t, "device", audit.install)
-	unit := w.signedProgram("codec/ogg", `
-.entry decode
-decode:
-	push 3
-	mul
-	halt
-`)
-	if err := server.Publish(unit); err != nil {
-		t.Fatalf("Publish: %v", err)
-	}
-
-	var fetched *lmu.Unit
-	var fetchErr error
-	device.Fetch("server", "codec/ogg", "", func(u *lmu.Unit, err error) {
-		fetched, fetchErr = u, err
-	})
-	w.sim.RunFor(time.Second)
-	if fetchErr != nil {
-		t.Fatalf("Fetch: %v", fetchErr)
-	}
-	if fetched.Manifest.Version != "1.0" {
-		t.Errorf("fetched %+v", fetched.Manifest)
-	}
-	// Unit landed in the local registry; run it locally (the COD payoff).
-	stack, err := device.RunComponent("codec/ogg", "decode", 14)
-	if err != nil {
-		t.Fatalf("RunComponent: %v", err)
-	}
-	if len(stack) != 1 || stack[0] != 42 {
-		t.Errorf("stack = %v", stack)
-	}
-	if n := audit.count("fetch-in"); n != 1 {
-		t.Errorf("device audited %d verified fetches, want 1", n)
-	}
-}
-
-func TestFetchUnpublished(t *testing.T) {
-	w := newWorld(t)
-	server := w.addHost(t, "server", nil)
-	device := w.addHost(t, "device", nil)
-	// In the registry but not published: must not be served.
-	unit := w.signedProgram("secret/tool", addSrc)
-	if err := server.Registry().Put(unit); err != nil {
-		t.Fatal(err)
-	}
-	var got error
-	device.Fetch("server", "secret/tool", "", func(_ *lmu.Unit, err error) { got = err })
-	w.sim.RunFor(time.Second)
-	if !errors.Is(got, ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound", got)
-	}
-}
-
-func TestFetchRejectsTamperedUnit(t *testing.T) {
-	w := newWorld(t)
-	server := w.addHost(t, "server", nil)
-	device := w.addHost(t, "device", nil)
-	unit := w.signedProgram("codec/bad", addSrc)
-	unit.Data = map[string][]byte{"extra": {1}} // mutate after signing
-	if err := server.Publish(unit); err != nil {
-		t.Fatal(err)
-	}
-	var got error
-	device.Fetch("server", "codec/bad", "", func(_ *lmu.Unit, err error) { got = err })
-	w.sim.RunFor(time.Second)
-	if got == nil {
-		t.Fatal("tampered unit accepted")
-	}
-	if device.Registry().Has("codec/bad") {
-		t.Error("tampered unit stored in registry")
-	}
-}
-
-func TestEnsureCachesLocally(t *testing.T) {
-	w := newWorld(t)
-	var audit auditLog
-	server := w.addHost(t, "server", audit.install)
-	device := w.addHost(t, "device", nil)
-	unit := w.signedProgram("codec/ogg", addSrc)
-	if err := server.Publish(unit); err != nil {
-		t.Fatal(err)
-	}
-
-	hits := make([]bool, 0, 2)
-	for i := 0; i < 2; i++ {
-		device.Ensure("server", "codec/ogg", "", func(u *lmu.Unit, hit bool, err error) {
-			if err != nil {
-				t.Fatalf("Ensure: %v", err)
-			}
-			hits = append(hits, hit)
-		})
-		w.sim.RunFor(time.Second)
-	}
-	if len(hits) != 2 || hits[0] || !hits[1] {
-		t.Errorf("hits = %v, want [false true]", hits)
-	}
-	if n := audit.count("fetch"); n != 1 {
-		t.Errorf("server served %d fetches, want 1 (second Ensure is a cache hit)", n)
-	}
-}
-
 // startAll is an AgentRuntime that admits every agent and starts it by
 // handing it to the func.
 type startAll func(u *lmu.Unit)
@@ -397,89 +139,6 @@ type startAll func(u *lmu.Unit)
 func (f startAll) Admit(*lmu.Unit) (bool, string) { return true, "" }
 
 func (f startAll) Start(u *lmu.Unit) { f(u) }
-
-func TestSendAgentRequiresHandler(t *testing.T) {
-	w := newWorld(t)
-	w.addHost(t, "receiver", nil)
-	sender := w.addHost(t, "sender", nil)
-	agent := &lmu.Unit{
-		Manifest: lmu.Manifest{Name: "agent/x", Version: "1", Kind: lmu.KindAgent, Publisher: w.id.Name},
-		Code:     vm.MustAssemble(".entry main\nmain:\nhalt\n").Encode(),
-	}
-	w.id.SignCode(agent)
-
-	var got error
-	sender.SendAgent("receiver", agent, func(err error) { got = err })
-	w.sim.RunFor(time.Second)
-	if !errors.Is(got, ErrRefused) {
-		t.Fatalf("err = %v, want ErrRefused without agent runtime", got)
-	}
-}
-
-func TestSendAgentAcceptedByHandler(t *testing.T) {
-	w := newWorld(t)
-	receiver := w.addHost(t, "receiver", nil)
-	sender := w.addHost(t, "sender", nil)
-
-	var arrived *lmu.Unit
-	receiver.SetAgentRuntime(startAll(func(u *lmu.Unit) { arrived = u }))
-	agent := &lmu.Unit{
-		Manifest: lmu.Manifest{Name: "agent/x", Version: "1", Kind: lmu.KindAgent, Publisher: w.id.Name},
-		Code:     vm.MustAssemble(".entry main\nmain:\nhalt\n").Encode(),
-		Data:     map[string][]byte{"dest": []byte("receiver")},
-	}
-	w.id.SignCode(agent)
-
-	var got error
-	fired := false
-	sender.SendAgent("receiver", agent, func(err error) { got = err; fired = true })
-	w.sim.RunFor(time.Second)
-	if !fired || got != nil {
-		t.Fatalf("ack fired=%v err=%v", fired, got)
-	}
-	if arrived == nil || arrived.Manifest.Name != "agent/x" {
-		t.Fatalf("arrived = %+v", arrived)
-	}
-	if string(arrived.Data["dest"]) != "receiver" {
-		t.Errorf("agent data lost in transfer")
-	}
-}
-
-func TestSendAgentRejectsNonAgentKind(t *testing.T) {
-	w := newWorld(t)
-	receiver := w.addHost(t, "receiver", nil)
-	sender := w.addHost(t, "sender", nil)
-	receiver.SetAgentRuntime(startAll(func(*lmu.Unit) {}))
-	comp := w.signedProgram("not/agent", addSrc)
-	var got error
-	sender.SendAgent("receiver", comp, func(err error) { got = err })
-	w.sim.RunFor(time.Second)
-	if got == nil {
-		t.Fatal("non-agent unit accepted by agent transfer")
-	}
-}
-
-func TestUserMessages(t *testing.T) {
-	w := newWorld(t)
-	a := w.addHost(t, "a", nil)
-	var audit auditLog
-	b := w.addHost(t, "b", audit.install)
-	var gotFrom, gotTopic string
-	var gotData []byte
-	b.OnMessage(func(from, topic string, data []byte) {
-		gotFrom, gotTopic, gotData = from, topic, data
-	})
-	if err := a.SendMessage("b", "sms", []byte("hello")); err != nil {
-		t.Fatalf("SendMessage: %v", err)
-	}
-	w.sim.RunFor(time.Second)
-	if gotFrom != "a" || gotTopic != "sms" || string(gotData) != "hello" {
-		t.Errorf("message = %q %q %q", gotFrom, gotTopic, gotData)
-	}
-	if n := audit.count("message"); n != 1 {
-		t.Errorf("b audited %d messages, want 1", n)
-	}
-}
 
 func TestRunComponentMissing(t *testing.T) {
 	w := newWorld(t)
@@ -575,91 +234,6 @@ func TestHostCloseFailsPending(t *testing.T) {
 	}
 	if err := client.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
-	}
-}
-
-// TestRequestsOnClosedHostFailAtOnce checks that once Close returns, each
-// kind of request calls back before it returns, once, with an error that
-// wraps transport.ErrClosed: nothing leaves, so the remote serves nothing
-// and no timeout fires later. A closed host takes no request at all: the
-// request table Close emptied stays nil.
-func TestRequestsOnClosedHostFailAtOnce(t *testing.T) {
-	w := newWorld(t)
-	var audit auditLog
-	server := w.addHost(t, "server", func(c *Config) { c.ServePublish = true; audit.install(c) })
-	client := w.addHost(t, "client", nil)
-	server.RegisterService("echo", func(_ string, args [][]byte) ([][]byte, error) { return args, nil })
-	unit := w.signedProgram("adder", addSrc)
-	if err := server.Publish(unit); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Close(); err != nil {
-		t.Fatal(err)
-	}
-	requests := []struct {
-		name  string
-		issue func(done func(error))
-	}{
-		{"Call", func(done func(error)) {
-			client.Call("server", "echo", nil, func(_ [][]byte, err error) { done(err) })
-		}},
-		{"Eval", func(done func(error)) {
-			client.Eval("server", unit, "main", []int64{1, 2}, func(_ []int64, err error) { done(err) })
-		}},
-		{"Fetch", func(done func(error)) {
-			client.Fetch("server", "adder", "", func(_ *lmu.Unit, err error) { done(err) })
-		}},
-		{"SendAgent", func(done func(error)) { client.SendAgent("server", unit, done) }},
-		{"PublishTo", func(done func(error)) { client.PublishTo("server", unit, done) }},
-	}
-	calls := make([]int, len(requests))
-	for i, r := range requests {
-		var got error
-		r.issue(func(err error) { calls[i]++; got = err })
-		if calls[i] != 1 || !errors.Is(got, transport.ErrClosed) {
-			t.Errorf("%s on a closed host: %d callbacks before it returned, error %v; want one wrapping transport.ErrClosed", r.name, calls[i], got)
-		}
-	}
-	w.sim.RunFor(time.Minute) // well past the request timeout
-	for i, r := range requests {
-		if calls[i] != 1 {
-			t.Errorf("%s called back %d times", r.name, calls[i])
-		}
-	}
-	if client.reqs != nil {
-		t.Errorf("a closed host took request records: %d pending, %d capacity", len(client.reqs), cap(client.reqs))
-	}
-	if len(audit) != 0 {
-		t.Errorf("the remote of a closed host served %+v", audit)
-	}
-}
-
-func TestConcurrentRequestsKeepIDsApart(t *testing.T) {
-	w := newWorld(t)
-	server := w.addHost(t, "server", nil)
-	client := w.addHost(t, "client", nil)
-	server.RegisterService("id", func(from string, args [][]byte) ([][]byte, error) {
-		return args, nil
-	})
-	results := map[string]string{}
-	for i := 0; i < 10; i++ {
-		arg := fmt.Sprintf("req-%d", i)
-		client.Call("server", "id", [][]byte{[]byte(arg)}, func(r [][]byte, err error) {
-			if err != nil {
-				t.Errorf("call %s: %v", arg, err)
-				return
-			}
-			results[arg] = string(r[0])
-		})
-	}
-	w.sim.RunFor(5 * time.Second)
-	if len(results) != 10 {
-		t.Fatalf("got %d results", len(results))
-	}
-	for k, v := range results {
-		if k != v {
-			t.Errorf("reply mismatch: %q -> %q", k, v)
-		}
 	}
 }
 
@@ -812,40 +386,5 @@ func TestEnsureWithDepsCycleTerminates(t *testing.T) {
 	}
 	if !device.Registry().Has("lib/b") {
 		t.Error("lib/b not fetched")
-	}
-}
-
-// Remote Evaluation links against the base capability set only: a job
-// importing anything else (here an agent capability) fails to link rather
-// than running with more authority than the host grants.
-func TestEvalOfUngrantedCapabilityFailsToLink(t *testing.T) {
-	w := newWorld(t)
-	w.addHost(t, "plain", nil)
-	client := w.addHost(t, "client", nil)
-	unit := w.signedProgram("job/ask", ".entry main\nmain:\nhost a_deliver\nhalt\n")
-	var got error
-	client.Eval("plain", unit, "main", nil, func(_ []int64, err error) { got = err })
-	w.sim.RunFor(time.Second)
-	if got == nil {
-		t.Fatal("capability leak: plain host linked a_deliver for an evaluation")
-	}
-}
-
-func TestFetchIntoFullRegistry(t *testing.T) {
-	w := newWorld(t)
-	server := w.addHost(t, "server", nil)
-	// Device registry too small for the published unit.
-	device := w.addHost(t, "device", func(c *Config) {
-		c.Registry = registry.New(10, registry.WithClock(w.sim.Now))
-	})
-	unit := w.signedProgram("big/unit", addSrc)
-	if err := server.Publish(unit); err != nil {
-		t.Fatal(err)
-	}
-	var got error
-	device.Fetch("server", "big/unit", "", func(_ *lmu.Unit, err error) { got = err })
-	w.sim.RunFor(time.Second)
-	if !errors.Is(got, registry.ErrQuotaExceeded) {
-		t.Fatalf("err = %v, want quota error", got)
 	}
 }

@@ -53,15 +53,6 @@ func (h *Host) FetchSync(ctx context.Context, from, name, minVersion string) (*l
 	return await(ctx, func(done func(*lmu.Unit, error)) { h.Fetch(from, name, minVersion, done) })
 }
 
-// SendAgentSync transfers an agent and waits for the receiver's accept or
-// refuse.
-func (h *Host) SendAgentSync(ctx context.Context, to string, unit *lmu.Unit) error {
-	_, err := await(ctx, func(done func(struct{}, error)) {
-		h.SendAgent(to, unit, func(err error) { done(struct{}{}, err) })
-	})
-	return err
-}
-
 // PublishToSync pushes a unit to a remote host for Fetch service there and
 // waits for its accept or refuse.
 func (h *Host) PublishToSync(ctx context.Context, to string, unit *lmu.Unit) error {

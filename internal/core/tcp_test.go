@@ -41,121 +41,6 @@ func newTCPHost(t *testing.T, trust *security.TrustStore, mutate func(*Config)) 
 	return h
 }
 
-func TestTCPKernelAllParadigms(t *testing.T) {
-	id := security.MustNewIdentity("publisher")
-	trust := security.NewTrustStore()
-	trust.TrustIdentity(id)
-
-	server := newTCPHost(t, trust, nil)
-	client := newTCPHost(t, trust, nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	// CS over TCP.
-	server.RegisterService("upper", func(from string, args [][]byte) ([][]byte, error) {
-		out := make([][]byte, len(args))
-		for i, a := range args {
-			up := make([]byte, len(a))
-			for j, c := range a {
-				if c >= 'a' && c <= 'z' {
-					c -= 32
-				}
-				up[j] = c
-			}
-			out[i] = up
-		}
-		return out, nil
-	})
-	results, err := client.CallSync(ctx, server.Addr(), "upper", [][]byte{[]byte("hello")})
-	if err != nil {
-		t.Fatalf("CallSync: %v", err)
-	}
-	if string(results[0]) != "HELLO" {
-		t.Errorf("CallSync = %q", results[0])
-	}
-
-	// REV over TCP.
-	job := &lmu.Unit{
-		Manifest: lmu.Manifest{Name: "job/add", Version: "1.0", Kind: lmu.KindRequest, Publisher: "publisher"},
-		Code:     vm.MustAssemble(".entry main\nmain:\nadd\nhalt\n").Encode(),
-	}
-	id.Sign(job)
-	stack, err := client.EvalSync(ctx, server.Addr(), job, "main", []int64{40, 2})
-	if err != nil {
-		t.Fatalf("EvalSync: %v", err)
-	}
-	if len(stack) != 1 || stack[0] != 42 {
-		t.Errorf("EvalSync stack = %v", stack)
-	}
-
-	// COD over TCP.
-	comp := &lmu.Unit{
-		Manifest: lmu.Manifest{Name: "tool/neg", Version: "2.0", Kind: lmu.KindComponent, Publisher: "publisher"},
-		Code:     vm.MustAssemble(".entry main\nmain:\nneg\nhalt\n").Encode(),
-	}
-	id.Sign(comp)
-	if err := server.Publish(comp); err != nil {
-		t.Fatal(err)
-	}
-	fetched, err := client.FetchSync(ctx, server.Addr(), "tool/neg", "")
-	if err != nil {
-		t.Fatalf("FetchSync: %v", err)
-	}
-	if fetched.Manifest.Version != "2.0" {
-		t.Errorf("fetched version %s", fetched.Manifest.Version)
-	}
-	local, err := client.RunComponent("tool/neg", "main", 7)
-	if err != nil {
-		t.Fatalf("RunComponent: %v", err)
-	}
-	if local[0] != -7 {
-		t.Errorf("local run = %v", local)
-	}
-
-	// MA over TCP: agent transfer at the kernel level.
-	got := make(chan *lmu.Unit, 1)
-	server.SetAgentRuntime(startAll(func(u *lmu.Unit) { got <- u }))
-	agentUnit := &lmu.Unit{
-		Manifest: lmu.Manifest{Name: "agent/x", Version: "1.0", Kind: lmu.KindAgent, Publisher: "publisher"},
-		Code:     vm.MustAssemble(".entry main\nmain:\nhalt\n").Encode(),
-		Data:     map[string][]byte{"k": []byte("v")},
-	}
-	id.SignCode(agentUnit)
-	if err := client.SendAgentSync(ctx, server.Addr(), agentUnit); err != nil {
-		t.Fatalf("SendAgentSync: %v", err)
-	}
-	select {
-	case u := <-got:
-		if string(u.Data["k"]) != "v" {
-			t.Errorf("agent data = %v", u.Data)
-		}
-	case <-ctx.Done():
-		t.Fatal("agent never arrived")
-	}
-}
-
-func TestTCPKernelRejectsUnsigned(t *testing.T) {
-	trust := security.NewTrustStore() // trusts nobody
-	server := newTCPHost(t, trust, nil)
-	client := newTCPHost(t, trust, func(c *Config) {
-		c.Policy = security.Policy{AllowUnsigned: true} // client itself is lax
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	job := &lmu.Unit{
-		Manifest: lmu.Manifest{Name: "job/x", Version: "1.0", Kind: lmu.KindRequest},
-		Code:     vm.MustAssemble(".entry main\nmain:\nhalt\n").Encode(),
-	}
-	_, err := client.EvalSync(ctx, server.Addr(), job, "main", nil)
-	if err == nil {
-		t.Fatal("unsigned eval accepted over TCP")
-	}
-	if !errors.Is(err, ErrRemote) {
-		t.Errorf("err = %v, want wrapped remote error", err)
-	}
-}
-
 func TestTCPCallSyncContextCancel(t *testing.T) {
 	trust := security.NewTrustStore()
 	server := newTCPHost(t, trust, nil)
@@ -250,36 +135,6 @@ func TestTCPReplyRacesTimeout(t *testing.T) {
 		}
 	}
 	t.Logf("%d replied, %d timed out", replied.Load(), timedOut.Load())
-}
-
-func TestTCPConcurrentCalls(t *testing.T) {
-	trust := security.NewTrustStore()
-	server := newTCPHost(t, trust, nil)
-	client := newTCPHost(t, trust, nil)
-	server.RegisterService("echo", func(from string, args [][]byte) ([][]byte, error) {
-		return args, nil
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	const n = 20
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		i := i
-		go func() {
-			arg := []byte{byte(i)}
-			results, err := client.CallSync(ctx, server.Addr(), "echo", [][]byte{arg})
-			if err == nil && (len(results) != 1 || results[0][0] != byte(i)) {
-				err = errors.New("reply mismatch")
-			}
-			errs <- err
-		}()
-	}
-	for i := 0; i < n; i++ {
-		if err := <-errs; err != nil {
-			t.Errorf("call %d: %v", i, err)
-		}
-	}
 }
 
 // TestTCPFirstUseIsRaceFree: a host's registry and context service are made
@@ -483,7 +338,9 @@ func TestTCPAuditSinkIsRaceFree(t *testing.T) {
 					errs <- err
 					return
 				}
-				if err := c.SendAgentSync(ctx, server.Addr(), agent); err != nil {
+				if _, err := await(ctx, func(done func(struct{}, error)) {
+					c.SendAgent(server.Addr(), agent, func(err error) { done(struct{}{}, err) })
+				}); err != nil {
 					errs <- err
 					return
 				}
@@ -518,4 +375,16 @@ func TestTCPAuditSinkIsRaceFree(t *testing.T) {
 	if want := peers * rounds * len(kinds); n != want {
 		t.Errorf("%d events recorded, want %d: %v", n, want, got)
 	}
+}
+
+// TestTCPKernelAllParadigms runs one tape row of each paradigm over TCP:
+// client/server, remote evaluation, code on demand and a mobile agent.
+func TestTCPKernelAllParadigms(t *testing.T) {
+	runTapeRows(t, "tcp", "call_echo", "eval_ok", "fetch_and_run", "agent_out_and_back")
+}
+
+// TestTCPArrivalsOwnTheirBytes runs the lending rows over TCP: every
+// arrival that decodes a unit from a lent payload must keep nothing of it.
+func TestTCPArrivalsOwnTheirBytes(t *testing.T) {
+	runTapeRows(t, "tcp", "lend_eval", "lend_fetch", "lend_publish")
 }
