@@ -17,7 +17,9 @@ import (
 	"logmob/internal/vm"
 )
 
-// newTCPHost builds a kernel on a real loopback TCP endpoint.
+// newTCPHost builds a kernel on a real loopback TCP endpoint. Its cleanup
+// closes the host and then the endpoint, whose Close waits for the
+// endpoint's read loops, so no listener or reader outlives the test.
 func newTCPHost(t *testing.T, trust *security.TrustStore, mutate func(*Config)) *Host {
 	t.Helper()
 	ep, err := transport.ListenTCP("127.0.0.1:0")
@@ -37,7 +39,10 @@ func newTCPHost(t *testing.T, trust *security.TrustStore, mutate func(*Config)) 
 	if err != nil {
 		t.Fatalf("NewHost: %v", err)
 	}
-	t.Cleanup(func() { h.Close() })
+	t.Cleanup(func() {
+		h.Close()
+		ep.Close()
+	})
 	return h
 }
 
@@ -45,9 +50,15 @@ func TestTCPCallSyncContextCancel(t *testing.T) {
 	trust := security.NewTrustStore()
 	server := newTCPHost(t, trust, nil)
 	client := newTCPHost(t, trust, func(c *Config) { c.RequestTimeout = time.Hour })
-	// A service that never returns within the test's patience.
+	// A service that never returns within the test's patience. It blocks
+	// on release, which the cleanup registered here closes before the
+	// hosts' cleanups (registered earlier) close the endpoints: a read loop
+	// still inside the service would keep the server endpoint's Close
+	// waiting.
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
 	server.RegisterService("slow", func(string, [][]byte) ([][]byte, error) {
-		time.Sleep(5 * time.Second)
+		<-release
 		return nil, nil
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)

@@ -347,16 +347,17 @@ func TestStepCountsEventsNotReceptions(t *testing.T) {
 }
 
 // TestEventSize pins Event to the 112-byte allocation class it had before
-// it carried a receiver list. Every Sim.Schedule/After allocates one
-// (core's request timeouts: some 440 k per T3 run), and 120 bytes would land
-// in the 128-byte class.
+// it carried a receiver list and a bucket link. Every Sim.Schedule/After
+// allocates one (FetchWave's retries among them), and 120 bytes would land
+// in the 128-byte class. Core's request timeouts and agents' wake-ups are
+// timers, whose events are recycled, so they allocate few.
 func TestEventSize(t *testing.T) {
 	if got := unsafe.Sizeof(Event{}); got > 112 {
 		t.Fatalf("Event is %d bytes, want <= 112", got)
 	}
 }
 
-// TestBroadcastAllocs: once the free lists and wheel buckets are warm, a
+// TestBroadcastAllocs: once the free lists and the due heap are warm, a
 // broadcast to eight neighbours allocates its shared payload copy and
 // nothing else — no event, no receiver list — and a unicast send-and-deliver
 // allocates nothing.
@@ -384,7 +385,7 @@ func TestBroadcastAllocs(t *testing.T) {
 		}
 		s.RunUntilIdle(0)
 	}
-	for i := 0; i < 1000; i++ { // every level-0 wheel bucket gets its capacity
+	for i := 0; i < 1000; i++ { // the free lists and the due heap get their capacity
 		bcast()
 		send()
 	}

@@ -3,6 +3,7 @@ package netsim
 import (
 	"container/heap"
 	"math/rand"
+	"time"
 )
 
 // This file holds the reference implementations the production engines are
@@ -44,6 +45,29 @@ func (q *heapQueue) len() int { return q.h.Len() }
 // bit-identical runs on either engine.
 func newSimHeap(seed int64) *Sim {
 	return &Sim{rng: rand.New(rand.NewSource(seed)), seed: seed, queue: &heapQueue{}}
+}
+
+// refTimer is a timer as Schedule and Cancel spell it: Reset cancels the
+// pending event and schedules a fresh one, Stop cancels it. It takes one
+// sequence number per Reset, as Sim's timer does, so the two fire at the
+// same instants in the same (at, seq) order; FuzzTimingWheelScheduler runs
+// it on the heap oracle against Sim's re-keying timer on the wheel.
+type refTimer struct {
+	s  *Sim
+	fn func()
+	ev *Event
+}
+
+func (t *refTimer) Reset(d time.Duration) {
+	t.Stop()
+	t.ev = t.s.Schedule(d, t.fn)
+}
+
+func (t *refTimer) Stop() {
+	if t.ev != nil {
+		t.ev.Cancel()
+		t.ev = nil
+	}
 }
 
 // --- linear-scan oracles ---

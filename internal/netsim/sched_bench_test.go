@@ -43,6 +43,31 @@ func BenchmarkSchedulerArm(b *testing.B) {
 	}
 }
 
+// BenchmarkTimerRearm measures the request-timer cycle: a 10 s timeout
+// armed for a request, stopped by its reply half a millisecond later, and
+// re-armed by the next request half a millisecond after that, beside a 2 ms
+// ticker that keeps a live event due first, as a busy world does (see
+// TestTimerRearmHoldsOneEvent). The timer keeps its one queued event and
+// re-keys it, so a warm cycle allocates nothing however many cycles fit
+// inside one timeout.
+func BenchmarkTimerRearm(b *testing.B) {
+	s := NewSim(1)
+	var tick interface {
+		Reset(d time.Duration)
+		Stop()
+	}
+	tick = s.NewTimer(func() { tick.Reset(2 * time.Millisecond) })
+	tick.Reset(2 * time.Millisecond)
+	tm := s.NewTimer(func() { b.Fatal("a stopped request timer fired") })
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tm.Reset(10 * time.Second)
+		s.RunFor(500 * time.Microsecond)
+		tm.Stop()
+		s.RunFor(500 * time.Microsecond)
+	}
+}
+
 // BenchmarkBroadcastFanout measures one broadcast end to end — charge k
 // hops, arm, pop, deliver to k no-op handlers — at the fan-outs a beacon
 // sees. With jitter off all k receivers share one instant and ride one

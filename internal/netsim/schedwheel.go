@@ -51,14 +51,20 @@ const (
 )
 
 // schedLevel is one wheel level: 256 buckets plus an occupancy bitmap so
-// empty stretches are skipped word-at-a-time instead of slot-at-a-time.
+// empty stretches are skipped word-at-a-time instead of slot-at-a-time. A
+// bucket is a singly-linked list through Event.next, newest first: the
+// order inside a bucket never matters, because a level-0 bucket resolves
+// through the due heap and a coarser one re-places its events one by one.
+// So filing and draining allocate nothing, and an empty bucket costs one
+// pointer.
 type schedLevel struct {
-	buckets [schedSlots][]*Event
+	buckets [schedSlots]*Event
 	occ     [schedSlots / 64]uint64
 }
 
 func (l *schedLevel) put(idx int, e *Event) {
-	l.buckets[idx] = append(l.buckets[idx], e)
+	e.next = l.buckets[idx]
+	l.buckets[idx] = e
 	l.occ[idx>>6] |= 1 << (uint(idx) & 63)
 }
 
@@ -78,23 +84,21 @@ func (l *schedLevel) nextOccupied(from int) int {
 	}
 }
 
-// take removes and returns bucket idx's events (nil when empty).
-func (l *schedLevel) take(idx int) []*Event {
-	b := l.buckets[idx]
-	if len(b) == 0 {
-		return nil
-	}
+// take removes bucket idx and returns its list (nil when empty).
+func (l *schedLevel) take(idx int) *Event {
+	head := l.buckets[idx]
 	l.buckets[idx] = nil
 	l.occ[idx>>6] &^= 1 << (uint(idx) & 63)
-	return b
+	return head
 }
 
 // wheelQueue is the hashed hierarchical timing wheel.
 type wheelQueue struct {
 	levels [schedLevels]schedLevel
-	// overflow holds events beyond the top level's horizon, re-placed when
-	// the top level turns over (or when the wheel is otherwise empty).
-	overflow []*Event
+	// overflow lists (through Event.next) the events beyond the top level's
+	// horizon, re-placed when the top level turns over (or when the wheel is
+	// otherwise empty).
+	overflow *Event
 	// due holds the events of every already-reached slot, ordered by
 	// (at, seq): the wheel's quantum is coarser than event deadlines, so the
 	// current slot's events resolve their exact order through this heap.
@@ -110,12 +114,6 @@ type wheelQueue struct {
 	// free is the owning Sim's free list: peek returns to it the cancelled
 	// timer events it discards, which nothing else references (see timer).
 	free *[]*Event
-	// spare holds the emptied arrays of coarse buckets (levels 1 and up)
-	// that cascades pulled, for the next coarse bucket to fill from empty.
-	// Level 0 keeps each bucket's own array warm (drainSlot); a coarse slot
-	// comes round once a revolution, so its own array would idle, and the
-	// pool holds no more arrays than were ever in use at once.
-	spare [][]*Event
 }
 
 func (w *wheelQueue) len() int { return w.count }
@@ -140,18 +138,13 @@ func (w *wheelQueue) place(e *Event, slot int64) {
 	for l := 0; l < schedLevels; l++ {
 		shift := uint(schedLevelBits * l)
 		if (slot>>shift)-(w.cur>>shift) < schedSlots {
-			lv, idx := &w.levels[l], int((slot>>shift)&schedSlotMask)
-			if k := len(w.spare); l > 0 && k > 0 && lv.buckets[idx] == nil {
-				lv.buckets[idx] = w.spare[k-1]
-				w.spare[k-1] = nil
-				w.spare = w.spare[:k-1]
-			}
-			lv.put(idx, e)
+			w.levels[l].put(int((slot>>shift)&schedSlotMask), e)
 			w.inWheel++
 			return
 		}
 	}
-	w.overflow = append(w.overflow, e)
+	e.next = w.overflow
+	w.overflow = e
 }
 
 func (w *wheelQueue) peek() *Event {
@@ -194,8 +187,8 @@ func (w *wheelQueue) advance() {
 			// Only overflow events remain: jump straight to the horizon
 			// boundary that re-admits the earliest of them instead of
 			// turning the empty wheel billions of slots.
-			min := int64(w.overflow[0].at) >> schedQuantumBits
-			for _, e := range w.overflow[1:] {
+			min := int64(w.overflow.at) >> schedQuantumBits
+			for e := w.overflow.next; e != nil; e = e.next {
 				if s := int64(e.at) >> schedQuantumBits; s < min {
 					min = s
 				}
@@ -228,36 +221,34 @@ func (w *wheelQueue) cascade() {
 		if w.cur&(1<<shift-1) != 0 {
 			continue
 		}
-		pulled := w.levels[l].take(int((w.cur >> shift) & schedSlotMask))
-		if pulled == nil {
-			continue
-		}
-		w.inWheel -= len(pulled)
-		for _, e := range pulled {
+		for e := w.levels[l].take(int((w.cur >> shift) & schedSlotMask)); e != nil; {
+			next := e.next
+			w.inWheel--
 			w.place(e, int64(e.at)>>schedQuantumBits)
+			e = next
 		}
-		clear(pulled)
-		w.spare = append(w.spare, pulled[:0])
 	}
-	if len(w.overflow) > 0 && w.cur&(1<<(schedLevelBits*(schedLevels-1))-1) == 0 {
-		pending := w.overflow
+	if w.overflow != nil && w.cur&(1<<(schedLevelBits*(schedLevels-1))-1) == 0 {
+		e := w.overflow
 		w.overflow = nil
-		for _, e := range pending {
+		for e != nil {
+			next := e.next
 			w.place(e, int64(e.at)>>schedQuantumBits)
+			e = next
 		}
 	}
 }
 
-// drainSlot moves level-0 bucket idx into the due heap, keeping the
-// bucket's capacity warm for the slots that reuse it.
+// drainSlot moves level-0 bucket idx into the due heap, which advance
+// only drains into when it is empty: the bucket's events are appended and
+// ordered by one heap.Init, not pushed one by one in list order.
 func (w *wheelQueue) drainSlot(idx int) {
-	l := &w.levels[0]
-	b := l.buckets[idx]
-	for i, e := range b {
-		heap.Push(&w.due, e)
-		b[i] = nil
+	for e := w.levels[0].take(idx); e != nil; {
+		next := e.next
+		e.next = nil
+		w.due = append(w.due, e)
+		w.inWheel--
+		e = next
 	}
-	w.inWheel -= len(b)
-	l.buckets[idx] = b[:0]
-	l.occ[idx>>6] &^= 1 << (uint(idx) & 63)
+	heap.Init(&w.due)
 }

@@ -16,10 +16,12 @@ import (
 // coarser wheels.
 //
 // A timer must fire exactly at the deadline of its live Reset, once, and
-// never after Stop. The wheel recycles the events that Reset and Stop
-// supersede (the heap does not), so a recycled event that still fired for
-// its old Reset would show up as a firing at a stale deadline or a second
-// firing for one Reset.
+// never after Stop. The wheel world runs Sim's timers, which keep one
+// queued event each and re-key it when it reaches the front; the heap world
+// runs refTimer, which cancels and re-schedules. A re-keyed event that
+// fired under a stale key, early in time or early among the events of its
+// own instant, or a recycled event still reached through its old timer,
+// shows up as a transcript that differs from the heap's.
 func FuzzTimingWheelScheduler(f *testing.F) {
 	// Beacon cadence: periodic re-arm at one interval, then advance.
 	f.Add([]byte{0, 30, 0, 30, 0, 30, 3, 3, 3, 3})
@@ -33,6 +35,26 @@ func FuzzTimingWheelScheduler(f *testing.F) {
 	// Reset, Stop, a Step that discards (and recycles) the stopped event,
 	// Reset again: a timer still holding the recycled event would cancel it.
 	f.Add([]byte{5, 1, 3, 0, 6, 1, 2, 5, 1, 0, 0})
+	// A Reset later than the queued event: an After at 132 ms, then timer 0
+	// Reset to 22 ms and again to 132 ms. Its event stays queued at 22 ms
+	// and is re-filed there under the later key, so it fires after the After.
+	f.Add([]byte{0, 12, 1, 5, 0, 2, 0, 5, 0, 12, 0, 4})
+	// A Reset earlier than the queued event (the orphan path): 132 ms, then
+	// 22 ms, then an After at 77 ms, and a window past all three. The 132 ms
+	// event is cancelled and a fresh one filed at 22 ms; a timer that kept
+	// the 132 ms event would fire only after the After had moved the clock
+	// past 22 ms.
+	f.Add([]byte{5, 0, 12, 0, 5, 0, 2, 0, 0, 7, 1, 3, 12, 4})
+	// Stop and Reset at the stale event's own instant: an After and timer 0
+	// both due at 22 ms; a Step fires the After, leaving the clock at 22 ms
+	// with timer 0's event at the front; an After(0), then Stop and Reset(0).
+	// The timer's key is now (22 ms, a later seq), so the After(0) fires
+	// first; comparing only the instant would fire the timer first.
+	f.Add([]byte{0, 2, 1, 5, 0, 2, 0, 2, 0, 0, 1, 6, 0, 5, 0, 0, 0, 4})
+	// A re-arm from the timer's own callback: timer 0 due at 22 ms re-arms
+	// itself twice, timer 1 due at 77 ms once, with a Reset of timer 0 in
+	// between that its queued event absorbs.
+	f.Add([]byte{5, 0, 2, 2, 5, 1, 7, 1, 3, 2, 5, 0, 7, 2, 4})
 
 	const nTimers = 4
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -49,11 +71,11 @@ func FuzzTimingWheelScheduler(f *testing.F) {
 			due   [nTimers]time.Duration
 			rearm [nTimers]int
 		}
-		mk := func(build func(int64) *Sim) *world {
+		mk := func(build func(int64) *Sim, ref bool) *world {
 			w := &world{sim: build(9)}
 			for k := range w.timers {
 				w.due[k] = -1
-				w.timers[k] = w.sim.NewTimer(func() {
+				fn := func() {
 					now := w.sim.Now()
 					if w.due[k] != now {
 						t.Fatalf("timer %d fired at %v, want its live deadline %v (-1: stopped or already fired)", k, now, w.due[k])
@@ -66,11 +88,16 @@ func FuzzTimingWheelScheduler(f *testing.F) {
 						w.due[k] = now + d
 						w.timers[k].Reset(d)
 					}
-				})
+				}
+				if ref {
+					w.timers[k] = &refTimer{s: w.sim, fn: fn}
+				} else {
+					w.timers[k] = w.sim.NewTimer(fn)
+				}
 			}
 			return w
 		}
-		worlds := [2]*world{mk(NewSim), mk(newSimHeap)}
+		worlds := [2]*world{mk(NewSim, false), mk(newSimHeap, true)}
 
 		pos := 0
 		next := func() byte {

@@ -136,3 +136,122 @@ func TestWheelPendingCancelled(t *testing.T) {
 		})
 	}
 }
+
+// TestTimerRearmHoldsOneEvent runs the request-timer shape: a 10 s timeout
+// armed for a request, stopped by its reply half a millisecond later and
+// re-armed by the next request, 10,000 times at 1 ms spacing. The timer
+// keeps its one queued event and re-keys it, so the queue holds nothing
+// else of it, a warm cycle allocates nothing, and the timer fires once, at
+// the last Reset's deadline. A timer that filed a fresh event per Reset
+// would leave some 10,000 stopped ones queued.
+//
+// A ticker re-arming every 2 ms stands for the rest of a world: some live
+// event is always due before the request timer's, as in any busy world, so
+// the queue cannot discard a stopped event early on its way to the next
+// live one.
+func TestTimerRearmHoldsOneEvent(t *testing.T) {
+	const timeout, cycles = 10 * time.Second, 10_000
+	s := NewSim(1)
+	var tick interface {
+		Reset(d time.Duration)
+		Stop()
+	}
+	tick = s.NewTimer(func() { tick.Reset(2 * time.Millisecond) })
+	tick.Reset(2 * time.Millisecond)
+	var fired []time.Duration
+	tm := s.NewTimer(func() { fired = append(fired, s.Now()) })
+	maxPending, n := 0, 0
+	watch := func() {
+		if p := s.Pending(); p > maxPending {
+			maxPending = p
+		}
+	}
+	cycle := func() {
+		tm.Reset(timeout)
+		watch()
+		s.RunFor(500 * time.Microsecond)
+		tm.Stop()
+		watch()
+		s.RunFor(500 * time.Microsecond)
+		watch()
+		n++
+	}
+	for n < 1000 {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Errorf("a warm Reset/Stop cycle allocates %v, want 0", allocs)
+	}
+	for n < cycles {
+		cycle()
+	}
+	if maxPending > 2 {
+		t.Fatalf("Pending reached %d over %d Reset/Stop cycles, want <= 2 (the timer's event and the ticker's)", maxPending, n)
+	}
+	last := s.Now()
+	tm.Reset(timeout)
+	s.Run(last + 2*timeout)
+	if len(fired) != 1 || fired[0] != last+timeout {
+		t.Fatalf("timer fired at %v, want once at %v", fired, last+timeout)
+	}
+}
+
+// TestWheelKeepsNoBucketStorage files events into all four wheel levels and
+// the overflow list of a fresh Sim, then drains them. Buckets and the
+// overflow list are lists through the events, so nothing is allocated
+// besides the events (made beforehand here) and the due heap (sized
+// beforehand); the free list is not touched, since plain events are never
+// recycled.
+func TestWheelKeepsNoBucketStorage(t *testing.T) {
+	delays := []time.Duration{
+		0, 300 * time.Microsecond, 5 * time.Millisecond, 200 * time.Millisecond, // level 0
+		time.Second, 30 * time.Second, // level 1
+		10 * time.Minute, 3 * time.Hour, // level 2
+		5 * time.Hour, 8 * time.Hour, // level 3
+		60 * 24 * time.Hour, 90 * 24 * time.Hour, // overflow
+	}
+	const perDelay = 3
+	// testing.AllocsPerRun runs its function once to warm up and once
+	// measured: each run gets a fresh Sim of its own.
+	sims := make([]*Sim, 2)
+	events := make([][]Event, len(sims))
+	for i := range sims {
+		sims[i] = NewSim(1)
+		sims[i].queue.(*wheelQueue).due = make(eventHeap, 0, perDelay*len(delays))
+		events[i] = make([]Event, perDelay*len(delays))
+	}
+	var s *Sim
+	fired := make([]time.Duration, 0, perDelay*len(delays))
+	record := func() { fired = append(fired, s.Now()) }
+	run := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		s, fired = sims[run], fired[:0]
+		for i := range events[run] {
+			e := &events[run][i]
+			e.fn = record
+			s.file(e, delays[i%len(delays)])
+		}
+		run++
+		w := s.queue.(*wheelQueue)
+		for l := range w.levels {
+			if w.levels[l].occ == [schedSlots / 64]uint64{} {
+				t.Errorf("no event filed at wheel level %d", l)
+			}
+		}
+		if w.overflow == nil {
+			t.Error("no event filed in the overflow list")
+		}
+		s.RunUntilIdle(0)
+	})
+	if allocs != 0 {
+		t.Errorf("filing and draining every level of a fresh wheel allocated %v, want 0", allocs)
+	}
+	if len(fired) != perDelay*len(delays) {
+		t.Fatalf("%d events fired, want %d", len(fired), perDelay*len(delays))
+	}
+	for i := range fired {
+		if want := delays[i/perDelay]; fired[i] != want {
+			t.Fatalf("event %d fired at %v, want %v", i, fired[i], want)
+		}
+	}
+}

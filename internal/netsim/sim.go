@@ -40,7 +40,7 @@ type Sim struct {
 	// runFree holds recycled receiver lists of broadcast runs (see joinRun).
 	// They live here rather than on the recycled events: most events are
 	// singles and never need one.
-	runFree [][]*Node
+	runFree []*runList
 }
 
 // NewSim returns a simulator whose PRNG is seeded with seed. Identical seeds
@@ -77,19 +77,32 @@ type Event struct {
 	// simulator's free list. Nodes are never removed from a network, so the
 	// pointers stay valid for as long as the event is pending.
 	//
-	// run, when non-empty, lists further receivers of the same broadcast
+	// run, when non-nil, lists further receivers of the same broadcast
 	// whose own events would have held seq+1, seq+2, … at this same instant
 	// with this same air: one event stands for all of them (see joinRun).
+	// It is a pointer, not a slice, so that Event stays in the 112-byte
+	// allocation class with next beside it (TestEventSize).
 	src, dst *Node
-	run      []*Node
+	run      *runList
 	data     []byte
 	air      time.Duration
 	// timer, when non-nil, marks a timer's event (src is then nil): firing
-	// runs timer.fn. Once its timer supersedes or stops it, nothing but the
-	// queue holds the event, so the queue recycles it when it discards it.
-	timer    *timer
+	// runs timer.fn. A timer queues at most one event at a time and re-keys
+	// it rather than filing another (see timer); an event it has orphaned
+	// is cancelled, and the queue recycles it when it discards it.
+	timer *timer
+	// next links the event into its wheel bucket or the overflow list
+	// (schedwheel.go); it is meaningless once the event has left them.
+	next     *Event
 	canceled bool
 	pooled   bool
+}
+
+// runList is a broadcast run's receiver list: one allocation holding the
+// slice header and its first eight slots, recycled through Sim.runFree.
+type runList struct {
+	nodes  []*Node
+	inline [8]*Node
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
@@ -104,17 +117,22 @@ func (s *Sim) Schedule(delay time.Duration, fn func()) *Event {
 	return e
 }
 
-// file stamps e with its deadline, delay from now (a negative delay is
-// zero), and the next sequence number, and queues it. Every event enters
-// the queue here, so all of them share one clock and one sequence counter.
+// file stamps e with a fresh key and queues it.
 func (s *Sim) file(e *Event, delay time.Duration) {
+	e.at, e.seq = s.key(delay)
+	s.queue.push(e)
+}
+
+// key returns the (at, seq) key of an event filed now to fire after delay
+// (a negative delay is zero), consuming the next sequence number. Every key
+// is made here, by file or by a timer's Reset, so all events share one
+// clock and one sequence counter.
+func (s *Sim) key(delay time.Duration) (time.Duration, uint64) {
 	if delay < 0 {
 		delay = 0
 	}
-	e.at = s.now + delay
-	e.seq = s.seq
 	s.seq++
-	s.queue.push(e)
+	return s.now + delay, s.seq - 1
 }
 
 // newEvent takes a cleared event from the free list, or allocates one.
@@ -145,16 +163,24 @@ func (s *Sim) scheduleDelivery(delay time.Duration, src, dst *Node, data []byte,
 	return e
 }
 
-// timer is the simulator's transport.Timer. It owns at most one pending
-// event, taken from the free list: Reset files a fresh one exactly as
-// Schedule would at that moment, and Reset and Stop cancel the old one and
-// drop their reference to it, so only the queue still holds it (it recycles
-// it on discard). A superseded event can therefore never fire, and a
-// recycled one is never reached through its old timer.
+// timer is the simulator's transport.Timer. It owns at most one queued
+// event, taken from the free list, and keeps its live deadline as the
+// (at, seq) key that a fresh event filed by its last Reset would carry.
+// Reset takes that key from Sim.key, as Sim.file does, so every other
+// event keeps its order, but it files nothing while the queued event is
+// keyed no later than the new deadline: the event stays, and when it
+// reaches the front of the queue (Sim.front) it is re-filed under the
+// timer's key, or recycled if Stop has disarmed the timer. A request timer
+// that a reply stops and the next request re-arms thus holds one event,
+// not one per request. Only a Reset to an earlier deadline files a fresh
+// event; it cancels the queued one, which the queue then recycles.
 type timer struct {
-	s  *Sim
-	fn func()
-	ev *Event // the pending event; nil when stopped or fired
+	s     *Sim
+	fn    func()
+	ev    *Event // the queued event; nil when none is queued
+	at    time.Duration
+	seq   uint64
+	armed bool // at and seq are live: Reset since the last Stop or firing
 }
 
 // NewTimer implements the transport.Scheduler contract: it returns a
@@ -169,18 +195,52 @@ func (s *Sim) NewTimer(fn func()) interface {
 
 // Reset arms the timer to fire after d, superseding any pending firing.
 func (t *timer) Reset(d time.Duration) {
-	t.Stop()
-	e := t.s.newEvent()
+	s := t.s
+	t.at, t.seq = s.key(d)
+	t.armed = true
+	if e := t.ev; e != nil {
+		if e.at <= t.at { // its seq is older, so it is keyed before (at, seq)
+			return
+		}
+		e.canceled = true
+	}
+	e := s.newEvent()
 	e.timer = t
+	e.at, e.seq = t.at, t.seq
 	t.ev = e
-	t.s.file(e, d)
+	s.queue.push(e)
 }
 
-// Stop cancels a pending firing, if any.
-func (t *timer) Stop() {
-	if t.ev != nil {
-		t.ev.canceled = true
-		t.ev = nil
+// Stop cancels a pending firing, if any. The queued event stays until it
+// reaches the front of the queue, where it is recycled or, after a later
+// Reset, re-filed.
+func (t *timer) Stop() { t.armed = false }
+
+// front returns the earliest event that would fire, or nil when none is
+// queued. A timer's event that comes to the front out of date is dealt with
+// first: recycled if its timer is disarmed, re-filed under the timer's key
+// if a Reset moved the deadline on. The full (at, seq) key is compared, so
+// a Reset at the queued event's own instant still fires after whatever was
+// filed before it.
+func (s *Sim) front() *Event {
+	for {
+		e := s.queue.peek()
+		if e == nil {
+			return nil
+		}
+		t := e.timer
+		if t == nil || (t.armed && e.at == t.at && e.seq == t.seq) {
+			return e
+		}
+		s.queue.pop()
+		if !t.armed {
+			t.ev = nil
+			*e = Event{}
+			s.free = append(s.free, e)
+			continue
+		}
+		e.at, e.seq = t.at, t.seq
+		s.queue.push(e)
 	}
 }
 
@@ -196,35 +256,46 @@ func (t *timer) Stop() {
 // sequence number and fires after the run, as it did after the last of the
 // separate events.
 func (s *Sim) joinRun(e *Event, delay time.Duration, dst *Node, air time.Duration) bool {
-	if e.at != s.now+delay || e.air != air || s.seq != e.seq+1+uint64(len(e.run)) {
+	if e.at != s.now+delay || e.air != air || s.seq != e.seq+1+uint64(e.run.len()) {
 		return false
 	}
-	if e.run == nil {
+	r := e.run
+	if r == nil {
 		if k := len(s.runFree); k > 0 {
-			e.run = s.runFree[k-1]
+			r = s.runFree[k-1]
 			s.runFree[k-1] = nil
 			s.runFree = s.runFree[:k-1]
 		} else {
-			e.run = make([]*Node, 0, 8)
+			r = &runList{}
+			r.nodes = r.inline[:0]
 		}
+		e.run = r
 	}
-	e.run = append(e.run, dst)
+	r.nodes = append(r.nodes, dst)
 	s.seq++
 	return true
+}
+
+// len is the number of receivers on the list; a nil list has none.
+func (r *runList) len() int {
+	if r == nil {
+		return 0
+	}
+	return len(r.nodes)
 }
 
 // fire executes a popped event. A single typed delivery is recycled into the
 // free list first (its parameters are copied out), so the delivery handler
 // can immediately reuse the event for anything it schedules. A run is swept
-// in list order — dst, then run[0], run[1], … — and recycled after the
-// sweep: a handler that re-broadcasts mid-sweep must not be handed the
-// receiver list still being walked. A timer's event is recycled before its
+// in list order — dst, then run.nodes[0], run.nodes[1], … — and recycled
+// after the sweep: a handler that re-broadcasts mid-sweep must not be handed
+// the receiver list still being walked. A timer's event is recycled before its
 // callback runs, which may Reset the timer at once. Plain callback events
 // were handed to their scheduler and are never recycled.
 func (s *Sim) fire(e *Event) {
 	if e.src == nil {
 		if t := e.timer; t != nil {
-			t.ev = nil // a cancelled event never fires, so e was t's pending one
+			t.ev, t.armed = nil, false // a cancelled event never fires, so e was t's queued one
 			*e = Event{}
 			s.free = append(s.free, e)
 			t.fn()
@@ -242,11 +313,13 @@ func (s *Sim) fire(e *Event) {
 	}
 	// Only Broadcast builds runs, and its payload is shared, never pooled.
 	net.deliver(src, dst, data, air, false)
-	for _, d := range run {
+	for _, d := range run.nodes {
 		net.deliver(src, d, data, air, false)
 	}
-	clear(run)
-	s.runFree = append(s.runFree, run[:0])
+	clear(run.nodes)
+	clear(run.inline[:]) // stale once nodes outgrew it
+	run.nodes = run.nodes[:0]
+	s.runFree = append(s.runFree, run)
 	*e = Event{}
 	s.free = append(s.free, e)
 }
@@ -256,10 +329,11 @@ func (s *Sim) fire(e *Event) {
 // (see joinRun), so Step, Pending and RunUntilIdle's guard count events, not
 // receptions.
 func (s *Sim) Step() bool {
-	e := s.queue.pop()
+	e := s.front()
 	if e == nil {
 		return false
 	}
+	s.queue.pop()
 	if e.at > s.now {
 		s.now = e.at
 	}
@@ -271,7 +345,7 @@ func (s *Sim) Step() bool {
 // clock to until. Events at exactly until do fire.
 func (s *Sim) Run(until time.Duration) {
 	for {
-		e := s.queue.peek()
+		e := s.front()
 		if e == nil || e.at > until {
 			break
 		}
@@ -306,8 +380,9 @@ func (s *Sim) RunUntilIdle(maxEvents int) {
 }
 
 // Pending returns the number of events in the queue, including cancelled
-// events that have not yet been discarded. Like Step it counts events, not
-// receptions: a pending broadcast run is one.
+// events and stopped timers' events that have not yet been discarded (a
+// timer holds at most one). Like Step it counts events, not receptions: a
+// pending broadcast run is one.
 func (s *Sim) Pending() int { return s.queue.len() }
 
 // After implements the transport.Scheduler contract: it schedules fn after d
