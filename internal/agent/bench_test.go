@@ -184,10 +184,10 @@ func TestCourierHopAllocs(t *testing.T) {
 
 // TestRefusedHopAllocs pins T3's most frequent arrival: a courier past its
 // hop budget keeps retrying a neighbor that drops it. The refused arrival
-// decodes into the unit its host recycled from the previous refusal, and the
-// sender reads the refusal's reason from the intern table, so a refusal
-// allocates no unit, frame, data map or reason string. The one allocation
-// left is the reason's box as the error the migration callback receives.
+// decodes into the unit its host recycled from the previous refusal, the
+// sender reads the refusal's reason from the intern table, and the error the
+// migration callback receives is the one value core memoizes for that
+// reason. So a refused hop allocates nothing, like a relay hop.
 func TestRefusedHopAllocs(t *testing.T) {
 	class := netsim.AdHoc
 	class.Loss = 0
@@ -207,8 +207,8 @@ func TestRefusedHopAllocs(t *testing.T) {
 	if _, err := plats[0].Spawn("courier", CourierProgram, data, "main"); err != nil {
 		t.Fatal(err)
 	}
-	if got := steadyHopAllocs(t, plats, hop); got > 1 {
-		t.Errorf("a refused hop allocates %v times, want at most 1 (the error's box)", got)
+	if got := steadyHopAllocs(t, plats, hop); got != 0 {
+		t.Errorf("a refused hop allocates %v times, want 0", got)
 	}
 	if at.asked < 1000 || at.admitted != 0 {
 		t.Errorf("node-b admitted %d of %d arrivals, want none", at.admitted, at.asked)

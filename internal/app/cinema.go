@@ -8,6 +8,7 @@ import (
 	"logmob/internal/lmu"
 	"logmob/internal/netsim"
 	"logmob/internal/security"
+	"logmob/internal/transport"
 	"logmob/internal/vm"
 )
 
@@ -75,12 +76,8 @@ const geofenceTick = time.Second
 // service's location attribute ("roaming" when in none). It returns a stop
 // function.
 func StartGeofencing(net *netsim.Network, nodeID string, ctx *ctxsvc.Service, fences []Geofence) func() {
-	stopped := false
-	var step func()
-	step = func() {
-		if stopped {
-			return
-		}
+	var tick transport.Timer
+	step := func() {
 		node := net.Node(nodeID)
 		if node != nil {
 			loc := "roaming"
@@ -94,10 +91,11 @@ func StartGeofencing(net *netsim.Network, nodeID string, ctx *ctxsvc.Service, fe
 				ctx.SetStr(ctxsvc.KeyLocation, loc)
 			}
 		}
-		net.Sim().Schedule(geofenceTick, step)
+		tick.Reset(geofenceTick)
 	}
+	tick = net.Sim().NewTimer(step)
 	step()
-	return func() { stopped = true }
+	return tick.Stop
 }
 
 // AutoService wires the paper's walk-in flow on a user device: when the

@@ -15,6 +15,7 @@ import (
 	"logmob/internal/lmu"
 	"logmob/internal/netsim"
 	"logmob/internal/registry"
+	"logmob/internal/transport"
 )
 
 // Preload installs every unit into the registry up front, pinning each so
@@ -61,25 +62,40 @@ func NewMessenger(net *netsim.Network, deadline time.Duration) *Messenger {
 // agent delivery: losses and mid-route topology changes trigger
 // retransmission.
 func (m *Messenger) SendUntilConfirmed(src, dst string, payload []byte, confirmed func() bool, done func(MessageOutcome)) {
-	sim := m.net.Sim()
-	start := sim.Now()
-	outcome := MessageOutcome{}
-	var attempt func()
-	attempt = func() {
-		if confirmed() {
-			outcome.Delivered = true
-			outcome.DeliveredAt = sim.Now()
-			done(outcome)
-			return
-		}
-		if sim.Now()-start > m.deadline {
-			done(outcome)
-			return
-		}
-		outcome.Attempts++
-		// An unroutable send is not an error here: the next attempt retries.
-		_, _ = m.net.SendRouted(src, dst, payload)
-		sim.Schedule(retryInterval, attempt)
+	msg := &message{m: m, src: src, dst: dst, payload: payload, confirmed: confirmed, done: done, start: m.net.Sim().Now()}
+	msg.attempt()
+}
+
+// message is one SendUntilConfirmed stream. Its retry timer is made on the
+// first retransmission and re-armed by each later one.
+type message struct {
+	m         *Messenger
+	src, dst  string
+	payload   []byte
+	confirmed func() bool
+	done      func(MessageOutcome)
+	start     time.Duration
+	outcome   MessageOutcome
+	timer     transport.Timer // nil until the first retransmission
+}
+
+func (msg *message) attempt() {
+	sim := msg.m.net.Sim()
+	if msg.confirmed() {
+		msg.outcome.Delivered = true
+		msg.outcome.DeliveredAt = sim.Now()
+		msg.done(msg.outcome)
+		return
 	}
-	attempt()
+	if sim.Now()-msg.start > msg.m.deadline {
+		msg.done(msg.outcome)
+		return
+	}
+	msg.outcome.Attempts++
+	// An unroutable send is not an error here: the next attempt retries.
+	_, _ = msg.m.net.SendRouted(msg.src, msg.dst, msg.payload)
+	if msg.timer == nil {
+		msg.timer = sim.NewTimer(msg.attempt)
+	}
+	msg.timer.Reset(retryInterval)
 }

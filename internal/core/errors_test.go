@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"logmob/internal/lmu"
@@ -69,4 +70,58 @@ func sameError(t *testing.T, name string, got, want error) {
 	if okG, okW := errors.As(got, &g), errors.As(want, &w); okG != okW || g != w {
 		t.Errorf("%s: errors.As(*netsim.ErrUnreachable) = %v %v, want %v %v", name, okG, g, okW, w)
 	}
+}
+
+// errSink keeps the errors the allocation checks make from being optimised
+// away.
+var errSink error
+
+// TestRemoteErrMemo pins the memo behind remoteErr: a repeated reason is
+// answered with the one boxed error and allocates nothing; the memo stops
+// filling at its bound, and a reason past the bound, or longer than the
+// memo keeps, is still boxed and reads exactly as before.
+func TestRemoteErrMemo(t *testing.T) {
+	var m errMemo
+	want := func(msg string) error { return fmt.Errorf("%w: %s", ErrRemote, msg) }
+	const reason = "hop budget exceeded"
+	first := m.get(reason)
+	sameError(t, reason, first, want(reason))
+	if got := testing.AllocsPerRun(100, func() { errSink = m.get(reason) }); got != 0 {
+		t.Errorf("a repeated reason allocates %v times, want 0", got)
+	}
+	if m.get(reason) != first {
+		t.Error("a repeated reason did not compare equal to its first error")
+	}
+	for i := range 2 * remoteErrMemoMax {
+		msg := fmt.Sprintf("reason %d", i)
+		sameError(t, msg, m.get(msg), want(msg))
+	}
+	if len(m.errs) != remoteErrMemoMax {
+		t.Errorf("the memo holds %d reasons, want its bound %d", len(m.errs), remoteErrMemoMax)
+	}
+	past := fmt.Sprintf("reason %d", 2*remoteErrMemoMax-1)
+	if got := testing.AllocsPerRun(100, func() { errSink = m.get(past) }); got != 1 {
+		t.Errorf("a reason past the bound allocates %v times, want 1 (its box)", got)
+	}
+	if m.get(past) != m.get(past) {
+		t.Error("equal reasons past the bound do not compare equal")
+	}
+	long := strings.Repeat("x", remoteErrMemoMaxLen+1)
+	var fresh errMemo
+	sameError(t, "long reason", fresh.get(long), want(long))
+	if len(fresh.errs) != 0 {
+		t.Error("the memo kept a reason longer than its length bound")
+	}
+
+	// remoteErr itself: the kernel's sentinels are still themselves, and any
+	// other reason reads as ErrRemote's.
+	for _, sentinel := range []error{ErrTimeout, ErrNoService, ErrRefused, ErrNotFound} {
+		if got := remoteErr(sentinel.Error()); got != sentinel {
+			t.Errorf("remoteErr(%q) = %v, want the sentinel", sentinel.Error(), got)
+		}
+	}
+	if remoteErr("") != ErrRemote {
+		t.Error(`remoteErr("") is not ErrRemote`)
+	}
+	sameError(t, reason, remoteErr(reason), want(reason))
 }

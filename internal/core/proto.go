@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"logmob/internal/lmu"
@@ -162,8 +163,53 @@ func remoteErr(msg string) error {
 	case "":
 		return ErrRemote
 	default:
+		return remoteErrs.get(msg)
+	}
+}
+
+// remoteErrs is the memo behind remoteErr: a refusal's reason repeats
+// endlessly (a courier past its hop budget retries the same neighbor), and
+// boxing the reason as an error allocated on every refusal. Peers choose
+// the text, so the memo is bounded in entries and in reason length; past
+// either bound each call boxes a fresh value.
+var remoteErrs errMemo
+
+const (
+	remoteErrMemoMax    = 64
+	remoteErrMemoMaxLen = 64
+)
+
+// errMemo maps a reason to its one boxed remoteError. It is safe for
+// concurrent use: the TCP endpoint resolves replies on one read loop per
+// peer.
+type errMemo struct {
+	mu   sync.RWMutex
+	errs map[string]error
+}
+
+// get returns msg's remoteError, the memoized one when there is one.
+func (m *errMemo) get(msg string) error {
+	if len(msg) > remoteErrMemoMaxLen {
 		return remoteError(msg)
 	}
+	m.mu.RLock()
+	err, ok := m.errs[msg]
+	m.mu.RUnlock()
+	if ok {
+		return err
+	}
+	err = remoteError(msg)
+	m.mu.Lock()
+	if prev, ok := m.errs[msg]; ok {
+		err = prev // another read loop got here first
+	} else if len(m.errs) < remoteErrMemoMax {
+		if m.errs == nil {
+			m.errs = make(map[string]error, remoteErrMemoMax)
+		}
+		m.errs[msg] = err
+	}
+	m.mu.Unlock()
+	return err
 }
 
 // sendError reports a request or message the transport would not send. It

@@ -399,3 +399,51 @@ func TestTCPKernelAllParadigms(t *testing.T) {
 func TestTCPArrivalsOwnTheirBytes(t *testing.T) {
 	runTapeRows(t, "tcp", "lend_eval", "lend_fetch", "lend_publish")
 }
+
+// TestTCPRefusalsShareTheirErrors has one peer refuse two hosts' calls
+// with a few repeating reasons, so the two hosts' read loops resolve
+// refusals, and fill the remoteErr memo, at once. The hosts share nothing
+// else, so no lock of theirs orders the memo's accesses. Every error must
+// read as the formatted one, match ErrRemote, and compare equal to every
+// other error of its reason. Under -race this holds the memo free of data
+// races.
+func TestTCPRefusalsShareTheirErrors(t *testing.T) {
+	trust := security.NewTrustStore()
+	server := newTCPHost(t, trust, nil)
+	reasons := []string{"tcp refusal: busy", "tcp refusal: quota", "tcp refusal: policy"}
+	server.RegisterService("refuse", func(_ string, args [][]byte) ([][]byte, error) {
+		return nil, errors.New(reasons[args[0][0]])
+	})
+	const perHost = 200
+	type result struct {
+		reason int
+		err    error
+	}
+	results := make(chan result, 2*perHost)
+	var wg sync.WaitGroup
+	for range 2 {
+		h := newTCPHost(t, trust, nil)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perHost {
+				r := i % len(reasons)
+				h.Call(server.Addr(), "refuse", [][]byte{{byte(r)}}, func(_ [][]byte, err error) {
+					results <- result{r, err}
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	first := make([]error, len(reasons))
+	for range 2 * perHost {
+		res := <-results
+		msg := reasons[res.reason]
+		sameError(t, msg, res.err, fmt.Errorf("%w: %s", ErrRemote, msg))
+		if first[res.reason] == nil {
+			first[res.reason] = res.err
+		} else if res.err != first[res.reason] {
+			t.Fatalf("two refusals for %q compare unequal: %v and %v", msg, res.err, first[res.reason])
+		}
+	}
+}

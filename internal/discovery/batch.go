@@ -26,9 +26,9 @@ type BeaconBatch struct {
 	sched    transport.Scheduler
 	interval time.Duration
 	members  []*Beacon
-	running  int       // members currently running
-	memo     frameMemo // decoded frames, shared by every member
-	stop     func()    // cancels the armed timer; nil while running == 0
+	running  int             // members currently running
+	memo     frameMemo       // decoded frames, shared by every member
+	timer    transport.Timer // the shared tick, made by the first start; armed while running > 0
 }
 
 // NewBeaconBatch returns an empty batch broadcasting every interval.
@@ -71,16 +71,18 @@ func (g *BeaconBatch) start(b *Beacon) {
 	b.running = true
 	g.running++
 	b.tickOnce()
-	if g.stop == nil {
-		g.stop = g.sched.After(g.interval, g.tick)
+	if g.running == 1 {
+		if g.timer == nil {
+			g.timer = g.sched.NewTimer(g.tick)
+		}
+		g.timer.Reset(g.interval)
 	}
 }
 
 // stopped accounts for one member that just stopped running.
 func (g *BeaconBatch) stopped() {
 	if g.running--; g.running == 0 {
-		g.stop()
-		g.stop = nil
+		g.timer.Stop()
 	}
 }
 
@@ -90,7 +92,7 @@ func (g *BeaconBatch) tick() {
 			b.tickOnce()
 		}
 	}
-	g.stop = g.sched.After(g.interval, g.tick)
+	g.timer.Reset(g.interval)
 }
 
 // Len returns the number of registered members, running or not.

@@ -343,8 +343,7 @@ type Churn struct {
 	// and the index of crashed and dutyOff — is the caller's.
 	nodes            []*Node
 	crashed, dutyOff []bool
-	event            *Event
-	active           bool
+	timer            *timer // the tick, re-armed from its own callback
 	// Stats accumulates over the churn's lifetime; read it after the run.
 	Stats ChurnStats
 }
@@ -359,23 +358,19 @@ func (n *Network) StartChurn(sched ChurnSchedule, nodeIDs ...string) *Churn {
 		nodes:   make([]*Node, len(nodeIDs)),
 		crashed: make([]bool, len(nodeIDs)),
 		dutyOff: make([]bool, len(nodeIDs)),
-		active:  true,
 	}
 	for i, id := range nodeIDs {
 		c.nodes[i] = n.nodes[id]
 	}
-	c.schedule()
+	c.timer = n.sim.newTimer(c.onTick)
+	c.timer.Reset(sched.Interval())
 	return c
 }
 
-func (c *Churn) schedule() {
-	c.event = c.net.Sim().Schedule(c.sched.Interval(), func() {
-		if !c.active {
-			return
-		}
-		c.step()
-		c.schedule()
-	})
+// onTick is one churn tick and the re-arm of the next.
+func (c *Churn) onTick() {
+	c.step()
+	c.timer.Reset(c.sched.Interval())
 }
 
 // dutyCycling reports whether the schedule defines a meaningful duty cycle.
@@ -441,9 +436,4 @@ func (c *Churn) crash(i int, node *Node) {
 }
 
 // Stop halts churn evaluation. Safe to call more than once.
-func (c *Churn) Stop() {
-	c.active = false
-	if c.event != nil {
-		c.event.Cancel()
-	}
-}
+func (c *Churn) Stop() { c.timer.Stop() }

@@ -510,3 +510,40 @@ func TestChurnDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("differential vacuous: drops=%d crashes=%d", f1.Drops, c1.Crashes)
 	}
 }
+
+// TestChurnTickAllocs pins a warm churn tick at zero allocations: the tick
+// re-arms its one timer from the timer's own callback. The schedule only
+// duty-cycles (a crash's rejoin is a one-shot Schedule, which allocates), so
+// every tick still walks each member and some flip.
+func TestChurnTickAllocs(t *testing.T) {
+	sim := NewSim(8)
+	net := NewNetwork(sim)
+	names := []string{"a", "b", "c"}
+	for i, id := range names {
+		net.AddNode(id, Position{X: float64(i)}, AdHoc)
+	}
+	churn := net.StartChurn(ChurnSchedule{Tick: time.Second, DutyPeriod: 9 * time.Second, DutyOn: 6 * time.Second}, names...)
+	tick := func() { sim.RunFor(time.Second) }
+	for i := 0; i < 1000; i++ {
+		tick()
+	}
+	flips := 0
+	up := net.Node("a").Up
+	count := func() {
+		tick()
+		if net.Node("a").Up != up {
+			up = !up
+			flips++
+		}
+	}
+	if got := testing.AllocsPerRun(200, count); got != 0 {
+		t.Errorf("a warm churn tick allocates %v times, want 0", got)
+	}
+	if flips == 0 {
+		t.Error("vacuous: no member changed state")
+	}
+	churn.Stop()
+	if sim.RunUntilIdle(0); sim.Pending() != 0 {
+		t.Errorf("%d events pending after Stop and a drain", sim.Pending())
+	}
+}

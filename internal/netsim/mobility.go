@@ -212,7 +212,7 @@ type Mobility struct {
 	planner Planner  // model's two-phase half, nil when not implemented
 	quiesce Quiescer // model's sparse-tick half, nil = dense (arm every tick)
 	tick    time.Duration
-	event   *Event
+	timer   *timer // the tick, re-armed from its own callback
 	active  bool
 	start   time.Duration // virtual time of StartMobility; tick k fires at start + k*tick
 	tickIdx int64         // index of the last fired tick
@@ -270,19 +270,18 @@ func (n *Network) StartMobility(model MobilityModel, tick time.Duration, nodeIDs
 		m.arm(int32(i), node)
 	}
 	n.wakers = append(n.wakers, m)
-	m.schedule()
+	m.timer = n.sim.newTimer(m.onTick)
+	m.timer.Reset(tick)
 	return m
 }
 
-func (m *Mobility) schedule() {
-	m.event = m.net.Sim().Schedule(m.tick, func() {
-		if !m.active {
-			return
-		}
-		m.tickIdx++
-		m.stepDue()
-		m.schedule()
-	})
+// onTick is the mobility tick: it steps the due set and re-arms the timer,
+// taking the next tick's key after the step's own events, as a fresh
+// Schedule here would.
+func (m *Mobility) onTick() {
+	m.tickIdx++
+	m.stepDue()
+	m.timer.Reset(m.tick)
 }
 
 // slotFor maps a virtual instant to the first tick slot firing at or after
@@ -438,8 +437,6 @@ func (m *Mobility) bucketByRegion(w int) [][]int32 {
 // Stop halts movement. Safe to call more than once.
 func (m *Mobility) Stop() {
 	m.active = false
-	if m.event != nil {
-		m.event.Cancel()
-	}
+	m.timer.Stop()
 	m.net.removeWaker(m)
 }

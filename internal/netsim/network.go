@@ -214,6 +214,11 @@ type Network struct {
 	// invalidates every per-node cached neighbor set.
 	epoch   uint64
 	scratch []*Node // reusable candidate buffer for grid queries
+	// routePrev and routeQueue are Route's BFS scratch, made by the first
+	// Route: the tree's parent per node (by orderIdx, nil when unvisited)
+	// and the FIFO of visited nodes. Both are cleared before Route returns.
+	routePrev  []*Node
+	routeQueue []*Node
 	// payloadFree recycles unicast delivery buffers: a buffer is taken at
 	// transmit time, handed to the destination handler, and returned to the
 	// list when the handler returns. Broadcast payloads are excluded (they
@@ -570,29 +575,50 @@ func (n *Network) Route(a, b string) []string {
 	if src == dst {
 		return []string{a}
 	}
-	prev := map[*Node]*Node{src: src}
-	queue := []*Node{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	// prev is indexed by orderIdx; the queue lists exactly the nodes whose
+	// entry is set, so clearing through it leaves prev all nil again.
+	if len(n.routePrev) < len(n.list) {
+		n.routePrev = make([]*Node, len(n.list))
+	}
+	prev, queue := n.routePrev, append(n.routeQueue[:0], src)
+	prev[src.orderIdx] = src
+	var path []string
+	for head := 0; head < len(queue) && path == nil; head++ {
+		cur := queue[head]
 		for _, next := range n.neighborsOf(cur) {
-			if _, seen := prev[next]; seen {
+			if prev[next.orderIdx] != nil {
 				continue
 			}
-			prev[next] = cur
-			if next == dst {
-				var path []string
-				for at := dst; ; at = prev[at] {
-					path = append([]string{at.ID}, path...)
-					if at == src {
-						return path
-					}
-				}
-			}
+			prev[next.orderIdx] = cur
 			queue = append(queue, next)
+			if next == dst {
+				path = routePath(prev, src, dst)
+				break
+			}
 		}
 	}
-	return nil
+	for _, node := range queue {
+		prev[node.orderIdx] = nil
+	}
+	n.routeQueue = queue[:0] // nodes are never removed, so it pins nothing
+	return path
+}
+
+// routePath reads the BFS tree prev back from dst to src into one slice of
+// exactly the path's length.
+func routePath(prev []*Node, src, dst *Node) []string {
+	hops := 1
+	for at := dst; at != src; at = prev[at.orderIdx] {
+		hops++
+	}
+	path := make([]string, hops)
+	for at := dst; ; at = prev[at.orderIdx] {
+		hops--
+		path[hops] = at.ID
+		if at == src {
+			return path
+		}
+	}
 }
 
 // ErrUnreachable reports that no usable link exists for a send.

@@ -246,9 +246,17 @@ func TestRoute(t *testing.T) {
 	if !net.Reachable("a", "b") {
 		t.Error("Reachable = false")
 	}
+	// The BFS scratch belongs to the network, so a warm route allocates
+	// only the path it returns, and a failed one nothing.
+	if got := testing.AllocsPerRun(100, func() { path = net.Route("a", "b") }); got != 1 {
+		t.Errorf("a warm Route allocates %v times, want 1 (its path)", got)
+	}
 	net.SetUp("m", false)
 	if net.Reachable("a", "b") {
 		t.Error("Reachable = true after relay down")
+	}
+	if got := testing.AllocsPerRun(100, func() { path = net.Route("a", "b") }); got != 0 || path != nil {
+		t.Errorf("a failed Route allocates %v times and returns %v, want 0 and nil", got, path)
 	}
 }
 
@@ -392,5 +400,35 @@ func TestMobilityChangesConnectivity(t *testing.T) {
 	s.Run(20 * time.Second)
 	if !net.Connected("fixed", "walker") {
 		t.Error("walker should be in range after walking in")
+	}
+}
+
+// TestMobilityTickAllocs pins a warm mobility tick at zero allocations: the
+// tick re-arms its one timer from the timer's own callback, so it files a
+// recycled event and no closure. The walkers stay inside one small field,
+// so the step itself allocates nothing once its buffers have grown.
+func TestMobilityTickAllocs(t *testing.T) {
+	s := NewSim(3)
+	net := NewNetwork(s)
+	names := []string{"a", "b", "c", "d"}
+	for i, id := range names {
+		net.AddNode(id, Position{X: float64(i), Y: 1}, losslessAdHoc())
+	}
+	model := &RandomWaypoint{FieldW: 10, FieldH: 10, SpeedMin: 1, SpeedMax: 2}
+	m := net.StartMobility(model, time.Second, names...)
+	tick := func() { s.RunFor(time.Second) }
+	for i := 0; i < 1000; i++ {
+		tick()
+	}
+	before := net.Node("a").Pos()
+	if got := testing.AllocsPerRun(200, tick); got != 0 {
+		t.Errorf("a warm mobility tick allocates %v times, want 0", got)
+	}
+	if net.Node("a").Pos() == before {
+		t.Error("vacuous: the walkers did not move")
+	}
+	m.Stop()
+	if s.RunUntilIdle(0); s.Pending() != 0 {
+		t.Errorf("%d events pending after Stop and a drain", s.Pending())
 	}
 }

@@ -104,3 +104,18 @@ func BenchmarkBroadcastFanout(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWheelFarEvents measures a queue that is sparse in time: each op
+// files events 2 and 40 virtual days out and drains them, so the wheel
+// crosses 38 empty days between them (see TestWheelSkipsEmptyRevolutions).
+func BenchmarkWheelFarEvents(b *testing.B) {
+	const day = 24 * time.Hour
+	s := NewSim(1)
+	fn := func() {}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Schedule(2*day, fn)
+		s.Schedule(40*day, fn)
+		s.RunUntilIdle(0)
+	}
+}

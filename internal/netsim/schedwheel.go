@@ -68,6 +68,16 @@ func (l *schedLevel) put(idx int, e *Event) {
 	l.occ[idx>>6] |= 1 << (uint(idx) & 63)
 }
 
+// empty reports whether no bucket of the level is occupied.
+func (l *schedLevel) empty() bool {
+	for _, word := range l.occ {
+		if word != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // nextOccupied returns the smallest occupied bucket index >= from, or -1.
 func (l *schedLevel) nextOccupied(from int) int {
 	w := from >> 6
@@ -206,8 +216,52 @@ func (w *wheelQueue) advance() {
 			w.cur = w.cur&^schedSlotMask + int64(j) + 1
 			return
 		}
-		w.cur = w.cur&^schedSlotMask + schedSlots
+		w.cur = w.nextBoundary()
 	}
+}
+
+// nextBoundary returns where advance goes once level 0 holds nothing for the
+// rest of the clock's revolution. If level 0 holds anything at all, it is
+// the next revolution, whose first slots those events fill. Otherwise no
+// event can come due before some coarser level's next occupied bucket
+// cascades down (or overflow is re-examined), so it is the earliest such
+// block boundary: the wheel skips empty revolutions a whole coarse block at
+// a time rather than 256 quanta per turn. Every boundary crossed on the way
+// has an empty bucket, so skipping its cascade loses nothing.
+func (w *wheelQueue) nextBoundary() int64 {
+	next := w.cur&^schedSlotMask + schedSlots
+	if !w.levels[0].empty() {
+		return next
+	}
+	target := int64(-1)
+	for l := 1; l < schedLevels; l++ {
+		shift := uint(schedLevelBits * l)
+		block := w.cur >> shift
+		// Level l holds only blocks after the clock's own (its current
+		// block was cascaded on entry), so the cyclic scan starts at the
+		// next one and wraps at most once.
+		from := int((block + 1) & schedSlotMask)
+		j := w.levels[l].nextOccupied(from)
+		if j < 0 {
+			if j = w.levels[l].nextOccupied(0); j < 0 {
+				continue
+			}
+		}
+		at := (block + 1 + int64((j-from)&schedSlotMask)) << shift
+		if target < 0 || at < target {
+			target = at
+		}
+	}
+	if w.overflow != nil {
+		const top = schedLevelBits * (schedLevels - 1)
+		if at := (w.cur>>top + 1) << top; target < 0 || at < target {
+			target = at
+		}
+	}
+	if target < next {
+		return next
+	}
+	return target
 }
 
 // cascade pulls down, for every level whose block boundary the clock sits

@@ -255,3 +255,36 @@ func TestWheelKeepsNoBucketStorage(t *testing.T) {
 		}
 	}
 }
+
+// TestWheelSkipsEmptyRevolutions files two events 2 and 40 virtual days out
+// and drains them, ten times over on one Sim. Between the two only level 3
+// holds anything, and level 0 is empty for 38 days, about 12 million of its
+// 268 ms revolutions. advance must jump to the next occupied coarse bucket,
+// not turn level 0 through each revolution: turning them took about 0.23 s
+// per round, the jump a few microseconds, so the bound is far from both.
+func TestWheelSkipsEmptyRevolutions(t *testing.T) {
+	const day = 24 * time.Hour
+	const rounds = 10
+	s := NewSim(1)
+	var fired []time.Duration
+	start := time.Now()
+	for r := 0; r < rounds; r++ {
+		for _, d := range []time.Duration{40 * day, 2 * day} {
+			s.Schedule(d, func() { fired = append(fired, s.Now()) })
+		}
+		s.RunUntilIdle(0)
+	}
+	elapsed := time.Since(start)
+	if len(fired) != 2*rounds {
+		t.Fatalf("%d events fired, want %d", len(fired), 2*rounds)
+	}
+	for r := 0; r < rounds; r++ {
+		base := time.Duration(r) * 40 * day
+		if got := fired[2*r : 2*r+2]; got[0] != base+2*day || got[1] != base+40*day {
+			t.Fatalf("round %d fired at %v, want [%v %v]", r, got, base+2*day, base+40*day)
+		}
+	}
+	if elapsed > 100*time.Millisecond {
+		t.Errorf("%d rounds of two far events took %v, want well under 100ms", rounds, elapsed)
+	}
+}

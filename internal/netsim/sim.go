@@ -35,7 +35,8 @@ type Sim struct {
 	// free holds recycled delivery and timer events. Only those land here:
 	// they are created internally and never handed to callers, so no outside
 	// reference can observe the reuse. Events returned by Schedule (and the
-	// cancel closures from After) are never recycled.
+	// cancel closures from After) are never recycled, so recurring work
+	// re-arms a timer rather than calling Schedule again.
 	free []*Event
 	// runFree holds recycled receiver lists of broadcast runs (see joinRun).
 	// They live here rather than on the recycled events: most events are
@@ -190,8 +191,13 @@ func (s *Sim) NewTimer(fn func()) interface {
 	Reset(d time.Duration)
 	Stop()
 } {
-	return &timer{s: s, fn: fn}
+	return s.newTimer(fn)
 }
+
+// newTimer is NewTimer with the concrete type, for netsim's own recurring
+// work (the mobility and churn ticks): each re-arms its one timer from the
+// timer's callback, so a tick files a recycled event and allocates nothing.
+func (s *Sim) newTimer(fn func()) *timer { return &timer{s: s, fn: fn} }
 
 // Reset arms the timer to fire after d, superseding any pending firing.
 func (t *timer) Reset(d time.Duration) {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"logmob/internal/ctxsvc"
+	"logmob/internal/transport"
 )
 
 // Sense is the live context-sensing block of a Spec: it closes the gap
@@ -80,14 +81,14 @@ func (s *Sense) compile(w *World, spec *Spec) {
 		}
 	}
 	windows := make(map[string]*retryWindow, len(names))
-	var sample func()
-	sample = func() {
+	var tick transport.Timer
+	tick = w.Sim.NewTimer(func() {
 		for _, name := range names {
 			sampleNode(w, name, windows)
 		}
-		w.Sim.Schedule(s.Tick, sample)
-	}
-	w.Sim.Schedule(s.Tick, sample)
+		tick.Reset(s.Tick)
+	})
+	tick.Reset(s.Tick)
 }
 
 // sampleNode writes one node's sensed attributes into its host context.

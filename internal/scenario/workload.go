@@ -6,8 +6,11 @@ import (
 	"time"
 
 	"logmob/internal/agent"
+	"logmob/internal/core"
 	"logmob/internal/lmu"
 	"logmob/internal/metrics"
+	"logmob/internal/netsim"
+	"logmob/internal/transport"
 	"logmob/internal/vm"
 )
 
@@ -164,32 +167,64 @@ func (f *FetchWave) Start(w *World) {
 	// Reset, not accumulate: the same FetchWave value may be started once
 	// per seed when a Spec is reused across runs.
 	f.Stats = FetchWaveStats{Start: w.Sim.Now().Seconds(), Clients: len(clients)}
+	wave := &fetchWave{f: f, w: w, servers: servers, unit: unit.Manifest.Name, retry: retry}
 	for _, name := range clients {
-		h := w.Hosts[name]
-		node := w.Net.Node(name)
-		var attempt func()
-		attempt = func() {
-			// Aim at the currently nearest server; the node may have roamed
-			// since the last attempt.
-			best, bestD := "", math.Inf(1)
-			for _, s := range servers {
-				if d := w.Net.Node(s).Pos().Dist(node.Pos()); d < bestD {
-					best, bestD = s, d
-				}
-			}
-			h.Fetch(best, unit.Manifest.Name, "", func(u *lmu.Unit, err error) {
-				if err != nil {
-					w.Sim.Schedule(retry, attempt)
-					return
-				}
-				f.Stats.Fetched++
-				f.Stats.Done.Observe(w.Sim.Now().Seconds())
-				if f.Entry != "" {
-					_, _ = h.RunComponent(u.Manifest.Name, f.Entry, f.Args...)
-				}
-			})
+		c := &waveClient{wave: wave, h: w.Hosts[name], node: w.Net.Node(name)}
+		c.done = c.fetched
+		c.attempt()
+	}
+}
+
+// fetchWave is what a started FetchWave's clients share.
+type fetchWave struct {
+	f       *FetchWave
+	w       *World
+	servers []string
+	unit    string
+	retry   time.Duration
+}
+
+// waveClient is one member of a FetchWave. Its Fetch callback is bound once,
+// and its retry timer is made on the first failure and re-armed by every
+// later one, so a client that keeps missing its server allocates nothing of
+// its own per retry.
+type waveClient struct {
+	wave  *fetchWave
+	h     *core.Host
+	node  *netsim.Node
+	done  func(*lmu.Unit, error) // c.fetched, bound once
+	timer transport.Timer        // nil until the first failure
+}
+
+// attempt fetches the unit from the currently nearest server; the node may
+// have roamed since the last attempt.
+func (c *waveClient) attempt() {
+	wv := c.wave
+	best, bestD := "", math.Inf(1)
+	for _, s := range wv.servers {
+		if d := wv.w.Net.Node(s).Pos().Dist(c.node.Pos()); d < bestD {
+			best, bestD = s, d
 		}
-		attempt()
+	}
+	c.h.Fetch(best, wv.unit, "", c.done)
+}
+
+// fetched completes an attempt: a failure re-arms the retry, a success
+// records the fetch and runs Entry.
+func (c *waveClient) fetched(u *lmu.Unit, err error) {
+	wv := c.wave
+	if err != nil {
+		if c.timer == nil {
+			c.timer = wv.w.Sim.NewTimer(c.attempt)
+		}
+		c.timer.Reset(wv.retry)
+		return
+	}
+	f := wv.f
+	f.Stats.Fetched++
+	f.Stats.Done.Observe(wv.w.Sim.Now().Seconds())
+	if f.Entry != "" {
+		_, _ = c.h.RunComponent(u.Manifest.Name, f.Entry, f.Args...)
 	}
 }
 

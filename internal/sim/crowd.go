@@ -11,6 +11,7 @@ import (
 	"logmob/internal/metrics"
 	"logmob/internal/netsim"
 	"logmob/internal/scenario"
+	"logmob/internal/transport"
 )
 
 // crowdMsgSize is the payload, in bytes, of every courier message and CS
@@ -224,13 +225,17 @@ func (c *campedClients) Start(w *scenario.World) {
 		client := w.Hosts[csName]
 		remaining := c.rounds
 		var call func()
+		var callRetry transport.Timer // made on the first failure
 		call = func() {
 			if remaining <= 0 {
 				return
 			}
 			client.Call(point, c.ns+"/echo", [][]byte{req}, func(_ [][]byte, err error) {
 				if err != nil {
-					w.Sim.Schedule(10*time.Second, call)
+					if callRetry == nil {
+						callRetry = w.Sim.NewTimer(call)
+					}
+					callRetry.Reset(10 * time.Second)
 					return
 				}
 				remaining--
@@ -251,13 +256,17 @@ func (c *campedClients) Start(w *scenario.World) {
 		w.ID.Sign(job)
 		done := false
 		var eval func()
+		var evalRetry transport.Timer // made on the first failure
 		eval = func() {
 			if done {
 				return
 			}
 			evalClient.Eval(point, job, "decode", []int64{8}, func(_ []int64, err error) {
 				if err != nil {
-					w.Sim.Schedule(15*time.Second, eval)
+					if evalRetry == nil {
+						evalRetry = w.Sim.NewTimer(eval)
+					}
+					evalRetry.Reset(15 * time.Second)
 					return
 				}
 				if !done {

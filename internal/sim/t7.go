@@ -114,8 +114,8 @@ func runT7Config(seed int64, churn float64) (centralOK, beaconOK float64) {
 
 	// Churn: every 15s each non-lookup node flips a coin and, if unlucky,
 	// goes down for 10s.
-	var churnTick func()
-	churnTick = func() {
+	var churnTick transport.Timer
+	churnTick = sim.NewTimer(func() {
 		for _, name := range names[1:] {
 			if sim.Rand().Float64() < churn {
 				n := name
@@ -123,9 +123,9 @@ func runT7Config(seed int64, churn float64) (centralOK, beaconOK float64) {
 				sim.Schedule(10*time.Second, func() { net.SetUp(n, true) })
 			}
 		}
-		sim.Schedule(15*time.Second, churnTick)
-	}
-	sim.Schedule(15*time.Second, churnTick)
+		churnTick.Reset(15 * time.Second)
+	})
+	churnTick.Reset(15 * time.Second)
 
 	// Warm up caches and leases.
 	sim.RunFor(20 * time.Second)

@@ -68,7 +68,7 @@ type Updater struct {
 	OnUpdate func(name, provider, oldVersion, newVersion string)
 
 	running bool
-	cancel  func()
+	timer   transport.Timer // the check cadence, made by the first Start
 	stats   Stats
 }
 
@@ -87,23 +87,25 @@ func (u *Updater) Start() {
 		return
 	}
 	u.running = true
+	if u.timer == nil {
+		u.timer = u.sched.NewTimer(u.tick)
+	}
 	u.tick()
 }
 
 func (u *Updater) tick() {
 	if !u.running {
-		return
+		return // a wall-clock firing that began before Stop
 	}
 	u.checkNow()
-	u.cancel = u.sched.After(u.interval, u.tick)
+	u.timer.Reset(u.interval)
 }
 
 // Stop halts periodic checking.
 func (u *Updater) Stop() {
 	u.running = false
-	if u.cancel != nil {
-		u.cancel()
-		u.cancel = nil
+	if u.timer != nil {
+		u.timer.Stop()
 	}
 }
 
