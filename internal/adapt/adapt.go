@@ -290,7 +290,7 @@ func (e *Engine) runCOD(spec *TaskSpec, cb func(Outcome, error)) {
 		done := func() { cb(Outcome{Paradigm: policy.COD, Stack: last, Rounds: rounds}, nil) }
 		if rate := e.host.ComputeRate(); rate > 0 && steps > 0 {
 			delay := time.Duration(float64(steps) / rate * float64(time.Second))
-			e.host.Scheduler().After(delay, done)
+			e.host.Scheduler().NewTimer(done).Reset(delay)
 			return
 		}
 		done()

@@ -48,47 +48,6 @@ deliver:
 // CourierProgram is the assembled courier.
 var CourierProgram = vm.MustAssemble(CourierSource)
 
-// DirectCourierSource is the infrastructure variant of the courier, for the
-// paper's next-generation-SMS scenario: "Encapsulating the message in an
-// agent, and delivering it to the recipient through a message centre, to be
-// executed on the recipient's device."
-//
-// Instead of roaming via radio neighbors, it addresses the destination
-// directly (infrastructure networks reach any up host) and, when the
-// recipient is offline, simply waits where it is — typically at a message
-// centre it was first sent to — retrying until the recipient appears.
-// Global 0 counts delivery attempts.
-const DirectCourierSource = `
-.globals 1
-.entry main
-main:
-loop:
-	host a_at_dest
-	jnz deliver
-	host a_select_dest
-	jz give_up            ; no destination recorded
-	gload 0
-	push 1
-	add
-	gstore 0              ; attempts++
-	host a_migrate
-	jnz loop              ; arrived: loop re-checks a_at_dest
-	push 2000
-	host a_sleep          ; recipient offline: wait at the centre
-	jmp loop
-deliver:
-	host a_deliver
-	pop
-	gload 0
-	halt                  ; final stack: [attempts]
-give_up:
-	push -1
-	halt
-`
-
-// DirectCourierProgram is the assembled direct courier.
-var DirectCourierProgram = vm.MustAssemble(DirectCourierSource)
-
 // NewCourierData builds the data space for a courier carrying payload to
 // dest, delivered under topic.
 func NewCourierData(dest, topic string, payload []byte) map[string][]byte {

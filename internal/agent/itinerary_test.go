@@ -245,6 +245,47 @@ main:
 	}
 }
 
+// directCourierSource is the infrastructure variant of the courier, for the
+// paper's next-generation-SMS scenario: "Encapsulating the message in an
+// agent, and delivering it to the recipient through a message centre, to be
+// executed on the recipient's device."
+//
+// Instead of roaming via radio neighbors, it addresses the destination
+// directly (infrastructure networks reach any up host) and, when the
+// recipient is offline, simply waits where it is — typically at a message
+// centre it was first sent to — retrying until the recipient appears.
+// Global 0 counts delivery attempts.
+const directCourierSource = `
+.globals 1
+.entry main
+main:
+loop:
+	host a_at_dest
+	jnz deliver
+	host a_select_dest
+	jz give_up            ; no destination recorded
+	gload 0
+	push 1
+	add
+	gstore 0              ; attempts++
+	host a_migrate
+	jnz loop              ; arrived: loop re-checks a_at_dest
+	push 2000
+	host a_sleep          ; recipient offline: wait at the centre
+	jmp loop
+deliver:
+	host a_deliver
+	pop
+	gload 0
+	halt                  ; final stack: [attempts]
+give_up:
+	push -1
+	halt
+`
+
+// directCourierProgram is the assembled direct courier.
+var directCourierProgram = vm.MustAssemble(directCourierSource)
+
 // TestSMSThroughMessageCentre reproduces the paper's next-generation-SMS
 // flow on infrastructure links: the sender hands the message agent to an
 // always-on message centre; the recipient is offline; when the recipient
@@ -289,7 +330,7 @@ func TestSMSThroughMessageCentre(t *testing.T) {
 	// The sender's agent goes to the centre first, then waits for phone-b.
 	unit := &lmu.Unit{
 		Manifest: lmu.Manifest{Name: "sms", Version: "1.0", Kind: lmu.KindAgent},
-		Code:     DirectCourierProgram.Encode(),
+		Code:     directCourierProgram.Encode(),
 		Data:     NewCourierData("phone-b", "sms", []byte("call me")),
 	}
 	unit.Data[keyEntry] = []byte("main")

@@ -76,15 +76,18 @@ func (c Config) deadAfter() int {
 
 // Node is one cluster member: a membership view maintained over an Endpoint.
 type Node struct {
-	ep    transport.Endpoint // reliable-wrapped cluster channel
-	sched transport.Scheduler
-	cfg   Config
-	self  string
+	ep   transport.Endpoint // reliable-wrapped cluster channel
+	cfg  Config
+	self string
+
+	// probe runs tick every probe interval. Join arms it, tick re-arms it
+	// and Close stops it, each under mu, so once Close has returned it is
+	// never re-armed.
+	probe transport.Timer
 
 	mu     sync.Mutex
 	peers  map[string]int // addr -> missed probe count; guarded by mu
 	closed bool           // guarded by mu
-	cancel func()         // pending probe timer; guarded by mu
 }
 
 // Join starts a cluster node on ch (conventionally the endpoint mux's
@@ -95,11 +98,11 @@ type Node struct {
 func Join(ch transport.Endpoint, sched transport.Scheduler, cfg Config) *Node {
 	n := &Node{
 		ep:    transport.NewReliable(ch, sched, cfg.Retry),
-		sched: sched,
 		cfg:   cfg,
 		self:  ch.Addr(),
 		peers: make(map[string]int),
 	}
+	n.probe = sched.NewTimer(n.tick)
 	n.ep.SetHandler(n.dispatch)
 	for _, s := range cfg.Seeds {
 		if s != n.self {
@@ -107,7 +110,7 @@ func Join(ch transport.Endpoint, sched transport.Scheduler, cfg Config) *Node {
 		}
 	}
 	n.mu.Lock()
-	n.cancel = sched.After(cfg.probeEvery(), n.tick)
+	n.probe.Reset(cfg.probeEvery())
 	n.mu.Unlock()
 	return n
 }
@@ -136,11 +139,8 @@ func (n *Node) Close() error {
 		return nil
 	}
 	n.closed = true
-	cancel := n.cancel
+	n.probe.Stop()
 	n.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
 	return n.ep.Close()
 }
 
@@ -256,7 +256,7 @@ func (n *Node) tick() {
 			reseed = append(reseed, s)
 		}
 	}
-	n.cancel = n.sched.After(n.cfg.probeEvery(), n.tick)
+	n.probe.Reset(n.cfg.probeEvery())
 	n.mu.Unlock()
 	// Deterministic send order: the peer map's iteration order must not
 	// leak into the wire (virtual-time runs replay identically).

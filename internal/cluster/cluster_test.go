@@ -226,3 +226,42 @@ func TestHelloListingMadeUpAddresses(t *testing.T) {
 		t.Errorf("one %d-byte hello made the node send %d bytes in %d frames", len(hello), raw.bytes, raw.sent)
 	}
 }
+
+// tickCounter counts the firings of every timer made through it.
+type tickCounter struct {
+	transport.Scheduler
+	fired *int
+}
+
+func (c tickCounter) NewTimer(fn func()) transport.Timer {
+	return c.Scheduler.NewTimer(func() { *c.fired++; fn() })
+}
+
+// TestProbeTickAllocs: a node's probe is one timer that tick re-arms, so a
+// warm tick of a lone node (no peers, no seeds, nothing to send) allocates
+// nothing, and a closed node never ticks again.
+func TestProbeTickAllocs(t *testing.T) {
+	const probeEvery = time.Second
+	sim := netsim.NewSim(1)
+	net := netsim.NewNetwork(sim)
+	net.AddNode("self", netsim.Position{}, netsim.LAN)
+	ep, err := transport.NewSimNetwork(net).Endpoint("self")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticks := 0
+	n := Join(ep, tickCounter{sim, &ticks}, Config{ProbeEvery: probeEvery})
+	sim.RunFor(10 * probeEvery)
+	if ticks != 10 {
+		t.Errorf("%d ticks in 10 probe intervals, want 10", ticks)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sim.RunFor(probeEvery) }); allocs != 0 {
+		t.Errorf("a warm probe tick allocates %v, want 0", allocs)
+	}
+	n.Close()
+	ticks = 0
+	sim.RunFor(100 * probeEvery)
+	if ticks != 0 || sim.Pending() != 0 {
+		t.Errorf("a closed node ticked %d times in 100 probe intervals, %d events left pending", ticks, sim.Pending())
+	}
+}

@@ -619,7 +619,7 @@ func (h *Host) handleEval(from string, r *reader) {
 	// steps/ComputeRate of virtual time on the work.
 	if h.computeRate > 0 && steps > 0 {
 		delay := time.Duration(float64(steps) / h.computeRate * float64(time.Second))
-		h.sched.After(delay, send)
+		h.sched.NewTimer(send).Reset(delay)
 		return
 	}
 	send()

@@ -178,6 +178,41 @@ func TestLookupWithdraw(t *testing.T) {
 	}
 }
 
+// TestLookupRenewalCadence: a service's lease renewals ride one timer,
+// every TTL/2. Advertising the service again replaces the ad and restarts
+// the half-lease count without adding a second cadence, and Withdraw stops
+// it: no registration follows, and nothing is left queued.
+func TestLookupRenewalCadence(t *testing.T) {
+	r := newRig(t)
+	epS := r.addNode(t, "lookup", netsim.Position{}, netsim.LAN)
+	epP := r.addNode(t, "provider", netsim.Position{}, netsim.GPRS)
+	server := NewLookupServer(epS, r.sim)
+	provider := NewLookupClient(epP, r.sim, "lookup")
+
+	if err := provider.Advertise(Ad{Service: "svc", TTL: 10 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	r.sim.RunFor(61 * time.Second) // renewals at 5 s, 10 s, …, 60 s
+	if got := server.Registrations; got != 1+12 {
+		t.Fatalf("Registrations = %d after 61 s, want 13", got)
+	}
+	if err := provider.Advertise(Ad{Service: "svc", TTL: 4 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	r.sim.RunFor(21 * time.Second) // one cadence, now every 2 s
+	if got := server.Registrations; got != 13+1+10 {
+		t.Fatalf("Registrations = %d after re-advertising, want 24", got)
+	}
+	provider.Withdraw("svc")
+	r.sim.RunUntilIdle(0)
+	if got := server.Registrations; got != 24 {
+		t.Errorf("Registrations = %d after Withdraw, want 24", got)
+	}
+	if server.Leases() != 0 {
+		t.Errorf("Leases = %d after Withdraw, want 0", server.Leases())
+	}
+}
+
 func TestLookupUnreachableServerTimesOut(t *testing.T) {
 	r := newRig(t)
 	epC := r.addNode(t, "client", netsim.Position{}, netsim.GPRS)

@@ -84,12 +84,19 @@ type LookupClient struct {
 
 	nextReq  uint64
 	pending  map[uint64]*pendingFind
-	renewals map[string]func() // service -> cancel renewal
+	renewals map[string]*renewal // by service
 }
 
 type pendingFind struct {
-	cb     func([]Ad)
-	cancel func()
+	cb      func([]Ad)
+	timeout transport.Timer
+}
+
+// renewal keeps one advertised service's lease alive: its timer re-registers
+// ad every ad.TTL/2 and re-arms itself, until Withdraw stops it.
+type renewal struct {
+	ad    Ad
+	timer transport.Timer
 }
 
 var _ Finder = (*LookupClient)(nil)
@@ -100,7 +107,7 @@ func NewLookupClient(ep transport.Endpoint, sched transport.Scheduler, serverAdd
 		ep: ep, sched: sched, server: serverAddr,
 		Timeout:  5 * time.Second,
 		pending:  make(map[uint64]*pendingFind),
-		renewals: make(map[string]func()),
+		renewals: make(map[string]*renewal),
 	}
 	ep.SetHandler(c.handle)
 	return c
@@ -133,22 +140,27 @@ func (c *LookupClient) register(ad Ad) error {
 	return nil
 }
 
+// scheduleRenewal arms the service's renewal timer one half-lease out,
+// making the timer on the service's first advertisement. A re-advertisement
+// replaces the ad the timer renews and supersedes its pending firing.
 func (c *LookupClient) scheduleRenewal(ad Ad) {
-	if cancel, ok := c.renewals[ad.Service]; ok {
-		cancel()
+	r := c.renewals[ad.Service]
+	if r == nil {
+		r = &renewal{}
+		r.timer = c.sched.NewTimer(func() {
+			_ = c.register(r.ad) // best effort; lease lapses if unreachable
+			r.timer.Reset(r.ad.TTL / 2)
+		})
+		c.renewals[ad.Service] = r
 	}
-	var renew func()
-	renew = func() {
-		_ = c.register(ad) // best effort; lease lapses if unreachable
-		c.renewals[ad.Service] = c.sched.After(ad.TTL/2, renew)
-	}
-	c.renewals[ad.Service] = c.sched.After(ad.TTL/2, renew)
+	r.ad = ad
+	r.timer.Reset(ad.TTL / 2)
 }
 
 // Withdraw stops renewing and unregisters the service.
 func (c *LookupClient) Withdraw(service string) {
-	if cancel, ok := c.renewals[service]; ok {
-		cancel()
+	if r, ok := c.renewals[service]; ok {
+		r.timer.Stop()
 		delete(c.renewals, service)
 	}
 	var b wire.Buffer
@@ -172,12 +184,13 @@ func (c *LookupClient) Find(q Query, cb func(ads []Ad)) {
 		return
 	}
 	p := &pendingFind{cb: cb}
-	p.cancel = c.sched.After(c.Timeout, func() {
+	p.timeout = c.sched.NewTimer(func() {
 		if _, ok := c.pending[reqID]; ok {
 			delete(c.pending, reqID)
 			cb(nil)
 		}
 	})
+	p.timeout.Reset(c.Timeout)
 	c.pending[reqID] = p
 }
 
@@ -203,18 +216,18 @@ func (c *LookupClient) handle(from string, payload []byte) {
 		return // late reply after timeout
 	}
 	delete(c.pending, reqID)
-	p.cancel()
+	p.timeout.Stop()
 	p.cb(ads)
 }
 
 // Close cancels all renewals and pending finds.
 func (c *LookupClient) Close() error {
-	for service, cancel := range c.renewals {
-		cancel()
+	for service, r := range c.renewals {
+		r.timer.Stop()
 		delete(c.renewals, service)
 	}
 	for id, p := range c.pending {
-		p.cancel()
+		p.timeout.Stop()
 		delete(c.pending, id)
 	}
 	return nil

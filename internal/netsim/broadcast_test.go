@@ -346,14 +346,11 @@ func TestStepCountsEventsNotReceptions(t *testing.T) {
 	}
 }
 
-// TestEventSize pins Event to the 112-byte allocation class it had before
-// it carried a receiver list and a bucket link. Every Sim.Schedule/After
-// allocates one (FetchWave's retries among them), and 120 bytes would land
-// in the 128-byte class. Core's request timeouts and agents' wake-ups are
-// timers, whose events are recycled, so they allocate few.
+// TestEventSize pins event to the 96-byte allocation class. Events are
+// recycled, so the size is paid once per queue slot, not per firing.
 func TestEventSize(t *testing.T) {
-	if got := unsafe.Sizeof(Event{}); got > 112 {
-		t.Fatalf("Event is %d bytes, want <= 112", got)
+	if got := unsafe.Sizeof(event{}); got > 96 {
+		t.Fatalf("event is %d bytes, want <= 96", got)
 	}
 }
 

@@ -849,7 +849,7 @@ func (n *Network) Broadcast(from string, payload []byte) int {
 	}
 	data := make([]byte, len(payload))
 	copy(data, payload)
-	var run *Event
+	var run *event
 	for _, dst := range neighbors {
 		air, jitter, ok := n.chargeHop(src, dst, len(data))
 		if !ok {

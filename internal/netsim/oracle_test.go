@@ -12,30 +12,27 @@ import (
 
 // --- binary-heap event queue ---
 
-// heapQueue is the original binary-heap queue, kept verbatim behind the
-// eventQueue interface as the wheel's differential oracle.
+// heapQueue is the original binary-heap queue behind the eventQueue
+// interface, the wheel's differential oracle. Like the wheel it only
+// orders; Sim.front decides liveness for both.
 type heapQueue struct {
 	h eventHeap
 }
 
-func (q *heapQueue) push(e *Event) { heap.Push(&q.h, e) }
+func (q *heapQueue) push(e *event) { heap.Push(&q.h, e) }
 
-func (q *heapQueue) peek() *Event {
-	for q.h.Len() > 0 {
-		if !q.h[0].canceled {
-			return q.h[0]
-		}
-		heap.Pop(&q.h)
+func (q *heapQueue) peek() *event {
+	if q.h.Len() == 0 {
+		return nil
 	}
-	return nil
+	return q.h[0]
 }
 
-func (q *heapQueue) pop() *Event {
-	if e := q.peek(); e != nil {
-		heap.Pop(&q.h)
-		return e
+func (q *heapQueue) pop() *event {
+	if q.h.Len() == 0 {
+		return nil
 	}
-	return nil
+	return heap.Pop(&q.h).(*event)
 }
 
 func (q *heapQueue) len() int { return q.h.Len() }
@@ -47,26 +44,30 @@ func newSimHeap(seed int64) *Sim {
 	return &Sim{rng: rand.New(rand.NewSource(seed)), seed: seed, queue: &heapQueue{}}
 }
 
-// refTimer is a timer as Schedule and Cancel spell it: Reset cancels the
-// pending event and schedules a fresh one, Stop cancels it. It takes one
+// refTimer is a timer spelled as a fresh one-shot per Reset: Reset stops
+// the previous one-shot and arms a new one, Stop stops it. It takes one
 // sequence number per Reset, as Sim's timer does, so the two fire at the
 // same instants in the same (at, seq) order; FuzzTimingWheelScheduler runs
-// it on the heap oracle against Sim's re-keying timer on the wheel.
+// it on the heap oracle against Sim's re-keying timer on the wheel. Each
+// one-shot files its own event and is never re-keyed, so the re-keying
+// paths of the timer under test are compared against a spelling that has
+// none.
 type refTimer struct {
-	s  *Sim
-	fn func()
-	ev *Event
+	s   *Sim
+	fn  func()
+	cur *timer
 }
 
 func (t *refTimer) Reset(d time.Duration) {
 	t.Stop()
-	t.ev = t.s.Schedule(d, t.fn)
+	t.cur = t.s.newTimer(t.fn)
+	t.cur.Reset(d)
 }
 
 func (t *refTimer) Stop() {
-	if t.ev != nil {
-		t.ev.Cancel()
-		t.ev = nil
+	if t.cur != nil {
+		t.cur.Stop()
+		t.cur = nil
 	}
 }
 

@@ -23,17 +23,17 @@ import (
 // plugs it in through eventQueue); TestWheelSchedulerMatchesHeapOracle and
 // FuzzTimingWheelScheduler hold the two engines bit-identical.
 
-// eventQueue is the simulator's pending-event store. Implementations must
-// yield events in (at, seq) order and tolerate lazy cancellation (cancelled
-// events are discarded, not fired).
+// eventQueue is the simulator's pending-event store. It only orders: it
+// yields events in (at, seq) order and judges none of them. Whether a
+// timer's event is still live is decided by Sim.front alone.
 type eventQueue interface {
-	push(e *Event)
-	// peek returns the earliest live event without removing it, discarding
-	// cancelled events as it finds them; nil when the queue is empty.
-	peek() *Event
-	// pop removes and returns the earliest live event, or nil when empty.
-	pop() *Event
-	// len counts pending events, including cancelled ones not yet discarded.
+	push(e *event)
+	// peek returns the earliest event without removing it; nil when the
+	// queue is empty.
+	peek() *event
+	// pop removes and returns the earliest event, or nil when empty.
+	pop() *event
+	// len counts pending events, live or not.
 	len() int
 }
 
@@ -52,17 +52,17 @@ const (
 
 // schedLevel is one wheel level: 256 buckets plus an occupancy bitmap so
 // empty stretches are skipped word-at-a-time instead of slot-at-a-time. A
-// bucket is a singly-linked list through Event.next, newest first: the
+// bucket is a singly-linked list through event.next, newest first: the
 // order inside a bucket never matters, because a level-0 bucket resolves
 // through the due heap and a coarser one re-places its events one by one.
 // So filing and draining allocate nothing, and an empty bucket costs one
 // pointer.
 type schedLevel struct {
-	buckets [schedSlots]*Event
+	buckets [schedSlots]*event
 	occ     [schedSlots / 64]uint64
 }
 
-func (l *schedLevel) put(idx int, e *Event) {
+func (l *schedLevel) put(idx int, e *event) {
 	e.next = l.buckets[idx]
 	l.buckets[idx] = e
 	l.occ[idx>>6] |= 1 << (uint(idx) & 63)
@@ -95,7 +95,7 @@ func (l *schedLevel) nextOccupied(from int) int {
 }
 
 // take removes bucket idx and returns its list (nil when empty).
-func (l *schedLevel) take(idx int) *Event {
+func (l *schedLevel) take(idx int) *event {
 	head := l.buckets[idx]
 	l.buckets[idx] = nil
 	l.occ[idx>>6] &^= 1 << (uint(idx) & 63)
@@ -105,10 +105,10 @@ func (l *schedLevel) take(idx int) *Event {
 // wheelQueue is the hashed hierarchical timing wheel.
 type wheelQueue struct {
 	levels [schedLevels]schedLevel
-	// overflow lists (through Event.next) the events beyond the top level's
+	// overflow lists (through event.next) the events beyond the top level's
 	// horizon, re-placed when the top level turns over (or when the wheel is
 	// otherwise empty).
-	overflow *Event
+	overflow *event
 	// due holds the events of every already-reached slot, ordered by
 	// (at, seq): the wheel's quantum is coarser than event deadlines, so the
 	// current slot's events resolve their exact order through this heap.
@@ -117,18 +117,15 @@ type wheelQueue struct {
 	// been moved into due (or fired), every pending event in the wheel is at
 	// a slot >= cur.
 	cur int64
-	// count tracks all pending events (buckets + overflow + due), including
-	// cancelled ones not yet discarded; inWheel counts buckets only.
+	// count tracks all pending events (buckets + overflow + due); inWheel
+	// counts buckets only.
 	count   int
 	inWheel int
-	// free is the owning Sim's free list: peek returns to it the cancelled
-	// timer events it discards, which nothing else references (see timer).
-	free *[]*Event
 }
 
 func (w *wheelQueue) len() int { return w.count }
 
-func (w *wheelQueue) push(e *Event) {
+func (w *wheelQueue) push(e *event) {
 	w.count++
 	slot := int64(e.at) >> schedQuantumBits
 	if slot < w.cur {
@@ -144,7 +141,7 @@ func (w *wheelQueue) push(e *Event) {
 // Level l holds events whose slot, in level-l units, is within 256 of the
 // clock's — so a bucket always maps to exactly one absolute slot and never
 // mixes revolutions.
-func (w *wheelQueue) place(e *Event, slot int64) {
+func (w *wheelQueue) place(e *event, slot int64) {
 	for l := 0; l < schedLevels; l++ {
 		shift := uint(schedLevelBits * l)
 		if (slot>>shift)-(w.cur>>shift) < schedSlots {
@@ -157,28 +154,17 @@ func (w *wheelQueue) place(e *Event, slot int64) {
 	w.overflow = e
 }
 
-func (w *wheelQueue) peek() *Event {
-	for {
-		for len(w.due) > 0 {
-			e := w.due[0]
-			if !e.canceled {
-				return e
-			}
-			heap.Pop(&w.due)
-			w.count--
-			if e.timer != nil {
-				*e = Event{}
-				*w.free = append(*w.free, e)
-			}
-		}
+func (w *wheelQueue) peek() *event {
+	for len(w.due) == 0 {
 		if w.count == 0 {
 			return nil
 		}
 		w.advance()
 	}
+	return w.due[0]
 }
 
-func (w *wheelQueue) pop() *Event {
+func (w *wheelQueue) pop() *event {
 	e := w.peek()
 	if e == nil {
 		return nil

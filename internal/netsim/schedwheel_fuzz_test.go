@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// FuzzTimingWheelScheduler drives random After/cancel/advance scripts, and
+// FuzzTimingWheelScheduler drives random After/stop/advance scripts, and
 // Reset/Stop scripts on a few reusable timers, against two simulators at
 // once — the timing wheel and the binary-heap oracle — and demands the full
 // firing transcript (event id at virtual time) and final clock/pending state
@@ -18,14 +18,14 @@ import (
 // A timer must fire exactly at the deadline of its live Reset, once, and
 // never after Stop. The wheel world runs Sim's timers, which keep one
 // queued event each and re-key it when it reaches the front; the heap world
-// runs refTimer, which cancels and re-schedules. A re-keyed event that
-// fired under a stale key, early in time or early among the events of its
-// own instant, or a recycled event still reached through its old timer,
-// shows up as a transcript that differs from the heap's.
+// runs refTimer, which stops its one-shot and arms a fresh one. A re-keyed
+// event that fired under a stale key, early in time or early among the
+// events of its own instant, or a recycled event still reached through its
+// old timer, shows up as a transcript that differs from the heap's.
 func FuzzTimingWheelScheduler(f *testing.F) {
 	// Beacon cadence: periodic re-arm at one interval, then advance.
 	f.Add([]byte{0, 30, 0, 30, 0, 30, 3, 3, 3, 3})
-	// Same-instant pile-up plus cancels.
+	// Same-instant pile-up plus stops.
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 1, 2, 5, 3, 3})
 	// Far-future arms that must cascade down through the levels.
 	f.Add([]byte{0, 200, 0, 250, 0, 1, 4, 4, 4, 3, 3, 3})
@@ -33,7 +33,8 @@ func FuzzTimingWheelScheduler(f *testing.F) {
 	// own callback, with deliveries of other timers reusing its events.
 	f.Add([]byte{5, 0, 12, 1, 5, 1, 7, 0, 5, 0, 2, 0, 6, 1, 2, 5, 2, 62, 2, 3, 120, 5, 3, 17, 0, 4})
 	// Reset, Stop, a Step that discards (and recycles) the stopped event,
-	// Reset again: a timer still holding the recycled event would cancel it.
+	// Reset again: a timer still holding the recycled event would re-key it
+	// under someone else.
 	f.Add([]byte{5, 1, 3, 0, 6, 1, 2, 5, 1, 0, 0})
 	// A Reset later than the queued event: an After at 132 ms, then timer 0
 	// Reset to 22 ms and again to 132 ms. Its event stays queued at 22 ms
@@ -41,7 +42,7 @@ func FuzzTimingWheelScheduler(f *testing.F) {
 	f.Add([]byte{0, 12, 1, 5, 0, 2, 0, 5, 0, 12, 0, 4})
 	// A Reset earlier than the queued event (the orphan path): 132 ms, then
 	// 22 ms, then an After at 77 ms, and a window past all three. The 132 ms
-	// event is cancelled and a fresh one filed at 22 ms; a timer that kept
+	// event is orphaned and a fresh one filed at 22 ms; a timer that kept
 	// the 132 ms event would fire only after the After had moved the clock
 	// past 22 ms.
 	f.Add([]byte{5, 0, 12, 0, 5, 0, 2, 0, 0, 7, 1, 3, 12, 4})
@@ -148,7 +149,7 @@ func FuzzTimingWheelScheduler(f *testing.F) {
 			switch op := next(); op % 7 {
 			case 0: // After
 				arm(delay(next()), next())
-			case 1: // cancel an outstanding timer
+			case 1: // stop an outstanding one-shot
 				if n := len(worlds[0].cancels); n > 0 {
 					i := int(next()) % n
 					for _, w := range worlds {
@@ -187,7 +188,7 @@ func FuzzTimingWheelScheduler(f *testing.F) {
 			}
 		}
 		// Final drain so every surviving timer's order is compared too. The
-		// re-arm chains are periodic, so cancel them first to terminate.
+		// re-arm chains are periodic, so stop them first to terminate.
 		for _, w := range worlds {
 			for _, c := range w.cancels {
 				c()

@@ -47,8 +47,8 @@ func TestWheelFiringOrder(t *testing.T) {
 			// Far future (beyond several wheel levels) and sub-quantum spacing.
 			s.Schedule(90*time.Minute, rec(9))
 			s.Schedule(50*time.Millisecond+time.Nanosecond, rec(5))
-			cancel := s.Schedule(20*time.Millisecond, rec(99))
-			cancel.Cancel()
+			stop := s.After(20*time.Millisecond, rec(99))
+			stop()
 			// Re-entrant zero-delay: fires within the same instant, after
 			// everything already queued for it.
 			s.Schedule(70*time.Millisecond, func() {
@@ -115,7 +115,8 @@ func TestWheelRunBoundary(t *testing.T) {
 }
 
 // TestWheelPendingCancelled mirrors Pending's documented semantics on both
-// engines: cancelled events count until the queue discards them in passing.
+// engines: a stopped one-shot's event counts until Sim.front discards it in
+// passing.
 func TestWheelPendingCancelled(t *testing.T) {
 	for _, eng := range []struct {
 		name string
@@ -123,9 +124,9 @@ func TestWheelPendingCancelled(t *testing.T) {
 	}{{"wheel", NewSim}, {"heap", newSimHeap}} {
 		t.Run(eng.name, func(t *testing.T) {
 			s := eng.mk(1)
-			e := s.Schedule(time.Second, func() {})
+			stop := s.After(time.Second, func() {})
 			s.Schedule(2*time.Second, func() {})
-			e.Cancel()
+			stop()
 			if s.Pending() != 2 {
 				t.Fatalf("pending %d before discard", s.Pending())
 			}
@@ -199,9 +200,9 @@ func TestTimerRearmHoldsOneEvent(t *testing.T) {
 // TestWheelKeepsNoBucketStorage files events into all four wheel levels and
 // the overflow list of a fresh Sim, then drains them. Buckets and the
 // overflow list are lists through the events, so nothing is allocated
-// besides the events (made beforehand here) and the due heap (sized
-// beforehand); the free list is not touched, since plain events are never
-// recycled.
+// besides the events and the timers that file them (both made beforehand
+// here: the events wait on the free list) and the due heap (sized
+// beforehand).
 func TestWheelKeepsNoBucketStorage(t *testing.T) {
 	delays := []time.Duration{
 		0, 300 * time.Microsecond, 5 * time.Millisecond, 200 * time.Millisecond, // level 0
@@ -214,22 +215,24 @@ func TestWheelKeepsNoBucketStorage(t *testing.T) {
 	// testing.AllocsPerRun runs its function once to warm up and once
 	// measured: each run gets a fresh Sim of its own.
 	sims := make([]*Sim, 2)
-	events := make([][]Event, len(sims))
-	for i := range sims {
-		sims[i] = NewSim(1)
-		sims[i].queue.(*wheelQueue).due = make(eventHeap, 0, perDelay*len(delays))
-		events[i] = make([]Event, perDelay*len(delays))
-	}
+	timers := make([][]*timer, len(sims))
 	var s *Sim
 	fired := make([]time.Duration, 0, perDelay*len(delays))
 	record := func() { fired = append(fired, s.Now()) }
+	for i := range sims {
+		sims[i] = NewSim(1)
+		sims[i].queue.(*wheelQueue).due = make(eventHeap, 0, perDelay*len(delays))
+		events := make([]event, perDelay*len(delays))
+		for j := range events {
+			sims[i].free = append(sims[i].free, &events[j])
+			timers[i] = append(timers[i], sims[i].newTimer(record))
+		}
+	}
 	run := 0
 	allocs := testing.AllocsPerRun(1, func() {
 		s, fired = sims[run], fired[:0]
-		for i := range events[run] {
-			e := &events[run][i]
-			e.fn = record
-			s.file(e, delays[i%len(delays)])
+		for i, tm := range timers[run] {
+			tm.Reset(delays[i%len(delays)])
 		}
 		run++
 		w := s.queue.(*wheelQueue)

@@ -2,11 +2,13 @@
 // environments the paper targets: ad-hoc piconets, wireless LANs, GPRS-style
 // costed infrastructure links and fixed LANs.
 //
-// The simulator provides a virtual clock, a cancellable event queue, a node
-// and link model with radio range, per-class bandwidth/latency/loss, per-byte
-// monetary cost and energy, node mobility models, and exact per-node traffic
-// accounting. All experiment claims about traffic volume, airtime and
-// connectivity cost are measured against this substrate.
+// The simulator provides a virtual clock, timers (the only way a callback
+// runs later), an event queue that orders their firings and the network's
+// deliveries, a node and link model with radio range, per-class
+// bandwidth/latency/loss, per-byte monetary cost and energy, node mobility
+// models, and exact per-node traffic accounting. All experiment claims
+// about traffic volume, airtime and connectivity cost are measured against
+// this substrate.
 //
 // The event loop is single-goroutine: handlers run inside Run and must not
 // block. Determinism comes from the virtual clock plus a seeded PRNG; a
@@ -32,12 +34,9 @@ type Sim struct {
 	seq   uint64
 	rng   *rand.Rand
 	seed  int64
-	// free holds recycled delivery and timer events. Only those land here:
-	// they are created internally and never handed to callers, so no outside
-	// reference can observe the reuse. Events returned by Schedule (and the
-	// cancel closures from After) are never recycled, so recurring work
-	// re-arms a timer rather than calling Schedule again.
-	free []*Event
+	// free holds recycled events. Every event is made here and none is
+	// handed to a caller, so no outside reference can observe the reuse.
+	free []*event
 	// runFree holds recycled receiver lists of broadcast runs (see joinRun).
 	// They live here rather than on the recycled events: most events are
 	// singles and never need one.
@@ -49,9 +48,7 @@ type Sim struct {
 // wheel (see schedwheel.go); it fires events in exactly the same (time,
 // sequence) order as the binary-heap engine the tests keep as an oracle.
 func NewSim(seed int64) *Sim {
-	s := &Sim{rng: rand.New(rand.NewSource(seed)), seed: seed}
-	s.queue = &wheelQueue{free: &s.free}
-	return s
+	return &Sim{rng: rand.New(rand.NewSource(seed)), seed: seed, queue: &wheelQueue{}}
 }
 
 // Seed returns the seed the simulator was built with, so derived RNG
@@ -64,39 +61,39 @@ func (s *Sim) Now() time.Duration { return s.now }
 // Rand returns the simulator's seeded PRNG.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
-// Event is a scheduled callback. Cancel prevents a pending event from firing.
-type Event struct {
+// event is a queued firing: a timer's or a network delivery's. Events are
+// made and recycled by the simulator only.
+type event struct {
 	at  time.Duration
 	seq uint64
-	fn  func()
 
 	// Typed delivery form: when src is non-nil the event is a network
 	// message delivery from src to dst (reaching the network through
-	// src.net) and fn is nil. Keeping the delivery parameters in the event
-	// itself (instead of a per-message closure) lets the hot transmit path
-	// run without allocating, and lets fired events return to the
-	// simulator's free list. Nodes are never removed from a network, so the
-	// pointers stay valid for as long as the event is pending.
+	// src.net). Keeping the delivery parameters in the event itself
+	// (instead of a per-message closure) lets the hot transmit path run
+	// without allocating, and lets fired events return to the simulator's
+	// free list. Nodes are never removed from a network, so the pointers
+	// stay valid for as long as the event is pending.
 	//
 	// run, when non-nil, lists further receivers of the same broadcast
 	// whose own events would have held seq+1, seq+2, … at this same instant
 	// with this same air: one event stands for all of them (see joinRun).
-	// It is a pointer, not a slice, so that Event stays in the 112-byte
-	// allocation class with next beside it (TestEventSize).
+	// It is a pointer, not a slice, so that event stays small
+	// (TestEventSize).
 	src, dst *Node
 	run      *runList
 	data     []byte
 	air      time.Duration
 	// timer, when non-nil, marks a timer's event (src is then nil): firing
 	// runs timer.fn. A timer queues at most one event at a time and re-keys
-	// it rather than filing another (see timer); an event it has orphaned
-	// is cancelled, and the queue recycles it when it discards it.
+	// it rather than filing another (see timer); an event whose timer has
+	// moved on to another (timer.ev != e) is an orphan, which Sim.front
+	// recycles when it reaches the front.
 	timer *timer
 	// next links the event into its wheel bucket or the overflow list
 	// (schedwheel.go); it is meaningless once the event has left them.
-	next     *Event
-	canceled bool
-	pooled   bool
+	next   *event
+	pooled bool
 }
 
 // runList is a broadcast run's receiver list: one allocation holding the
@@ -106,28 +103,25 @@ type runList struct {
 	inline [8]*Node
 }
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (e *Event) Cancel() { e.canceled = true }
-
-// Schedule runs fn after delay of virtual time. A negative delay is treated
-// as zero. Events scheduled for the same instant fire in scheduling order.
-func (s *Sim) Schedule(delay time.Duration, fn func()) *Event {
-	e := &Event{fn: fn}
-	s.file(e, delay)
-	return e
+// Schedule runs fn once after delay of virtual time: a one-shot timer. A
+// negative delay is treated as zero. Callbacks due at the same instant run
+// in the order they were scheduled.
+func (s *Sim) Schedule(delay time.Duration, fn func()) {
+	s.newTimer(fn).Reset(delay)
 }
 
-// file stamps e with a fresh key and queues it.
-func (s *Sim) file(e *Event, delay time.Duration) {
-	e.at, e.seq = s.key(delay)
-	s.queue.push(e)
+// After is Schedule with a way back: the returned function stops the
+// one-shot timer if it has not fired.
+func (s *Sim) After(d time.Duration, fn func()) func() {
+	t := s.newTimer(fn)
+	t.Reset(d)
+	return t.Stop
 }
 
 // key returns the (at, seq) key of an event filed now to fire after delay
 // (a negative delay is zero), consuming the next sequence number. Every key
-// is made here, by file or by a timer's Reset, so all events share one
-// clock and one sequence counter.
+// is made here, by a delivery or by a timer's Reset, so all events share
+// one clock and one sequence counter.
 func (s *Sim) key(delay time.Duration) (time.Duration, uint64) {
 	if delay < 0 {
 		delay = 0
@@ -137,48 +131,54 @@ func (s *Sim) key(delay time.Duration) (time.Duration, uint64) {
 }
 
 // newEvent takes a cleared event from the free list, or allocates one.
-func (s *Sim) newEvent() *Event {
+func (s *Sim) newEvent() *event {
 	if k := len(s.free); k > 0 {
 		e := s.free[k-1]
 		s.free[k-1] = nil
 		s.free = s.free[:k-1]
 		return e
 	}
-	return &Event{}
+	return &event{}
+}
+
+// recycle clears e and returns it to the free list.
+func (s *Sim) recycle(e *event) {
+	*e = event{}
+	s.free = append(s.free, e)
 }
 
 // scheduleDelivery schedules a typed message-delivery event: the
-// closure-free fast path the Network uses for deliveries. The event comes
-// from (and returns to) the simulator's free list, which is safe because
-// delivery events are never exposed to callers. Ordering is identical to
-// Schedule: same clock, same sequence counter. The event is returned so a
-// broadcast can fold its following receivers into it (joinRun).
-func (s *Sim) scheduleDelivery(delay time.Duration, src, dst *Node, data []byte, air time.Duration, pooled bool) *Event {
+// closure-free fast path the Network uses for deliveries. Ordering is
+// identical to a timer's: same clock, same sequence counter. The event is
+// returned so a broadcast can fold its following receivers into it
+// (joinRun).
+func (s *Sim) scheduleDelivery(delay time.Duration, src, dst *Node, data []byte, air time.Duration, pooled bool) *event {
 	e := s.newEvent()
 	e.src = src
 	e.dst = dst
 	e.data = data
 	e.air = air
 	e.pooled = pooled
-	s.file(e, delay)
+	e.at, e.seq = s.key(delay)
+	s.queue.push(e)
 	return e
 }
 
-// timer is the simulator's transport.Timer. It owns at most one queued
-// event, taken from the free list, and keeps its live deadline as the
-// (at, seq) key that a fresh event filed by its last Reset would carry.
-// Reset takes that key from Sim.key, as Sim.file does, so every other
-// event keeps its order, but it files nothing while the queued event is
-// keyed no later than the new deadline: the event stays, and when it
-// reaches the front of the queue (Sim.front) it is re-filed under the
+// timer is the simulator's transport.Timer, and the only way a callback
+// runs later. It owns at most one queued event, taken from the free list,
+// and keeps its live deadline as the (at, seq) key that a fresh event filed
+// by its last Reset would carry. Reset takes that key from Sim.key, so
+// every other event keeps its order, but it files nothing while the queued
+// event is keyed no later than the new deadline: the event stays, and when
+// it reaches the front of the queue (Sim.front) it is re-filed under the
 // timer's key, or recycled if Stop has disarmed the timer. A request timer
 // that a reply stops and the next request re-arms thus holds one event,
 // not one per request. Only a Reset to an earlier deadline files a fresh
-// event; it cancels the queued one, which the queue then recycles.
+// event; the queued one is orphaned, and Sim.front recycles it.
 type timer struct {
 	s     *Sim
 	fn    func()
-	ev    *Event // the queued event; nil when none is queued
+	ev    *event // the queued event; nil when none is queued
 	at    time.Duration
 	seq   uint64
 	armed bool // at and seq are live: Reset since the last Stop or firing
@@ -194,9 +194,9 @@ func (s *Sim) NewTimer(fn func()) interface {
 	return s.newTimer(fn)
 }
 
-// newTimer is NewTimer with the concrete type, for netsim's own recurring
-// work (the mobility and churn ticks): each re-arms its one timer from the
-// timer's callback, so a tick files a recycled event and allocates nothing.
+// newTimer is NewTimer with the concrete type, for netsim's own callbacks
+// (the mobility and churn ticks, Schedule): a timer re-armed from its own
+// callback files a recycled event and allocates nothing.
 func (s *Sim) newTimer(fn func()) *timer { return &timer{s: s, fn: fn} }
 
 // Reset arms the timer to fire after d, superseding any pending firing.
@@ -204,11 +204,8 @@ func (t *timer) Reset(d time.Duration) {
 	s := t.s
 	t.at, t.seq = s.key(d)
 	t.armed = true
-	if e := t.ev; e != nil {
-		if e.at <= t.at { // its seq is older, so it is keyed before (at, seq)
-			return
-		}
-		e.canceled = true
+	if e := t.ev; e != nil && e.at <= t.at { // its seq is older, so it is keyed before (at, seq)
+		return
 	}
 	e := s.newEvent()
 	e.timer = t
@@ -223,26 +220,32 @@ func (t *timer) Reset(d time.Duration) {
 func (t *timer) Stop() { t.armed = false }
 
 // front returns the earliest event that would fire, or nil when none is
-// queued. A timer's event that comes to the front out of date is dealt with
-// first: recycled if its timer is disarmed, re-filed under the timer's key
-// if a Reset moved the deadline on. The full (at, seq) key is compared, so
-// a Reset at the queued event's own instant still fires after whatever was
-// filed before it.
-func (s *Sim) front() *Event {
+// queued. It is the one place that decides whether a queued event is live:
+// a delivery always is, and a timer's event is live when it is its timer's
+// one event, the timer is armed and the event carries the timer's key. A
+// timer's event that comes to the front out of date is dealt with first:
+// an orphan, or the event of a disarmed timer, is recycled; one whose
+// timer a Reset moved on is re-filed under the timer's key. The full
+// (at, seq) key is compared, so a Reset at the queued event's own instant
+// still fires after whatever was filed before it.
+func (s *Sim) front() *event {
 	for {
 		e := s.queue.peek()
 		if e == nil {
 			return nil
 		}
 		t := e.timer
-		if t == nil || (t.armed && e.at == t.at && e.seq == t.seq) {
+		if t == nil || (t.ev == e && t.armed && e.at == t.at && e.seq == t.seq) {
 			return e
 		}
 		s.queue.pop()
+		if t.ev != e { // an orphan
+			s.recycle(e)
+			continue
+		}
 		if !t.armed {
 			t.ev = nil
-			*e = Event{}
-			s.free = append(s.free, e)
+			s.recycle(e)
 			continue
 		}
 		e.at, e.seq = t.at, t.seq
@@ -261,7 +264,7 @@ func (s *Sim) front() *Event {
 // and whatever a handler schedules while the run is swept gets a larger
 // sequence number and fires after the run, as it did after the last of the
 // separate events.
-func (s *Sim) joinRun(e *Event, delay time.Duration, dst *Node, air time.Duration) bool {
+func (s *Sim) joinRun(e *event, delay time.Duration, dst *Node, air time.Duration) bool {
 	if e.at != s.now+delay || e.air != air || s.seq != e.seq+1+uint64(e.run.len()) {
 		return false
 	}
@@ -295,25 +298,18 @@ func (r *runList) len() int {
 // can immediately reuse the event for anything it schedules. A run is swept
 // in list order — dst, then run.nodes[0], run.nodes[1], … — and recycled
 // after the sweep: a handler that re-broadcasts mid-sweep must not be handed
-// the receiver list still being walked. A timer's event is recycled before its
-// callback runs, which may Reset the timer at once. Plain callback events
-// were handed to their scheduler and are never recycled.
-func (s *Sim) fire(e *Event) {
-	if e.src == nil {
-		if t := e.timer; t != nil {
-			t.ev, t.armed = nil, false // a cancelled event never fires, so e was t's queued one
-			*e = Event{}
-			s.free = append(s.free, e)
-			t.fn()
-			return
-		}
-		e.fn()
+// the receiver list still being walked. A timer's event is recycled, and
+// the timer disarmed, before its callback runs, which may Reset it at once.
+func (s *Sim) fire(e *event) {
+	if t := e.timer; t != nil {
+		t.ev, t.armed = nil, false // front returned e, so e was t's live event
+		s.recycle(e)
+		t.fn()
 		return
 	}
 	net, src, dst, run, data, air, pooled := e.src.net, e.src, e.dst, e.run, e.data, e.air, e.pooled
 	if run == nil {
-		*e = Event{}
-		s.free = append(s.free, e)
+		s.recycle(e)
 		net.deliver(src, dst, data, air, pooled)
 		return
 	}
@@ -326,8 +322,7 @@ func (s *Sim) fire(e *Event) {
 	clear(run.inline[:]) // stale once nodes outgrew it
 	run.nodes = run.nodes[:0]
 	s.runFree = append(s.runFree, run)
-	*e = Event{}
-	s.free = append(s.free, e)
+	s.recycle(e)
 }
 
 // Step fires the earliest pending event. It returns false when no events
@@ -385,21 +380,14 @@ func (s *Sim) RunUntilIdle(maxEvents int) {
 	}
 }
 
-// Pending returns the number of events in the queue, including cancelled
-// events and stopped timers' events that have not yet been discarded (a
-// timer holds at most one). Like Step it counts events, not receptions: a
-// pending broadcast run is one.
+// Pending returns the number of events in the queue, including the events
+// of stopped timers and orphaned ones that front has not yet discarded (a
+// timer holds at most one live event). Like Step it counts events, not
+// receptions: a pending broadcast run is one.
 func (s *Sim) Pending() int { return s.queue.len() }
 
-// After implements the transport.Scheduler contract: it schedules fn after d
-// and returns a cancel function.
-func (s *Sim) After(d time.Duration, fn func()) func() {
-	e := s.Schedule(d, fn)
-	return e.Cancel
-}
-
 // eventHeap is a min-heap ordered by (time, sequence).
-type eventHeap []*Event
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 
@@ -412,7 +400,7 @@ func (h eventHeap) Less(i, j int) bool {
 
 func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*Event)) }
+func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
 
 func (h *eventHeap) Pop() any {
 	old := *h

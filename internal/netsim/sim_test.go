@@ -38,17 +38,6 @@ func TestSimSameInstantFIFO(t *testing.T) {
 	}
 }
 
-func TestSimCancel(t *testing.T) {
-	s := NewSim(1)
-	fired := false
-	e := s.Schedule(time.Second, func() { fired = true })
-	e.Cancel()
-	s.RunUntilIdle(0)
-	if fired {
-		t.Error("cancelled event fired")
-	}
-}
-
 func TestSimRunUntil(t *testing.T) {
 	s := NewSim(1)
 	count := 0

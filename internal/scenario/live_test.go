@@ -176,29 +176,21 @@ func TestLiveClusterReplay(t *testing.T) {
 	}
 }
 
-// serialScheduler runs every After and timer callback under mu, so a test
-// that holds mu excludes itself from an agent a callback is resuming (a
-// sleeping agent wakes on its activation's timer): agent.Platform is not
-// safe for concurrent use.
+// serialScheduler runs every timer callback under mu, so a test that holds
+// mu excludes itself from an agent a callback is resuming (a sleeping agent
+// wakes on its activation's timer): agent.Platform is not safe for
+// concurrent use.
 type serialScheduler struct {
 	transport.Scheduler
 	mu *sync.Mutex
 }
 
-func (s serialScheduler) After(d time.Duration, fn func()) func() {
-	return s.Scheduler.After(d, s.serial(fn))
-}
-
 func (s serialScheduler) NewTimer(fn func()) transport.Timer {
-	return s.Scheduler.NewTimer(s.serial(fn))
-}
-
-func (s serialScheduler) serial(fn func()) func() {
-	return func() {
+	return s.Scheduler.NewTimer(func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		fn()
-	}
+	})
 }
 
 // TestLiveReplayAgentSkipsStaleRecord replays an agent that outlives its

@@ -524,12 +524,6 @@ func NewWallScheduler() *WallScheduler {
 //lint:allow wallclock elapsed host time is what a wall-clock scheduler reports
 func (s *WallScheduler) Now() time.Duration { return time.Since(s.start) }
 
-// After runs fn on its own goroutine after d.
-func (s *WallScheduler) After(d time.Duration, fn func()) func() {
-	t := time.AfterFunc(d, fn) //lint:allow wallclock a wall-clock scheduler fires on host time
-	return func() { t.Stop() }
-}
-
 // NewTimer returns a stopped timer whose firings run fn on their own
 // goroutine. It wraps time.AfterFunc, whose Reset and Stop never wait for a
 // running callback.

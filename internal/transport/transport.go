@@ -50,22 +50,22 @@ type Endpoint interface {
 	Close() error
 }
 
-// Scheduler schedules callbacks in the endpoint's notion of time.
+// Scheduler runs callbacks later, in the endpoint's notion of time. A timer
+// is the only way: a one-shot is NewTimer(fn).Reset(d), and recurring work
+// re-arms its one timer from its own callback.
 type Scheduler interface {
 	// Now returns the elapsed time on this scheduler's clock.
 	Now() time.Duration
-	// After runs fn once after d. The returned function cancels the
-	// callback if it has not fired.
-	After(d time.Duration, fn func()) (cancel func())
 	// NewTimer returns a stopped Timer that runs fn each time it fires.
 	NewTimer(fn func()) Timer
 }
 
 // Timer is a reusable one-shot callback: made once, re-armed for every use,
-// so a request or retry that is armed per message costs no allocation.
-// Reset(d) arms it to run its function once after d, superseding any pending
-// firing; Stop cancels a pending firing. Neither waits for a callback that is
-// already running, so both are safe under a lock the callback takes.
+// so a request, retry or periodic tick that is armed again and again costs
+// no allocation. Reset(d) arms it to run its function once after d,
+// superseding any pending firing; Stop cancels a pending firing. Neither
+// waits for a callback that is already running, so both are safe under a
+// lock the callback takes.
 //
 // On a wall-clock scheduler a firing that had already begun when Reset or
 // Stop was called still runs. A caller that recycles what its callback

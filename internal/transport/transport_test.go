@@ -51,23 +51,26 @@ func waitFor(t *testing.T, cond func() bool) {
 
 func TestWallScheduler(t *testing.T) {
 	s := NewWallScheduler()
+	// A one-shot is a timer armed once: it fires, and one stopped before
+	// its deadline does not.
 	ch := make(chan struct{})
-	s.After(5*time.Millisecond, func() { close(ch) })
+	s.NewTimer(func() { close(ch) }).Reset(5 * time.Millisecond)
 	select {
 	case <-ch:
 	case <-time.After(2 * time.Second):
-		t.Fatal("After never fired")
+		t.Fatal("one-shot timer never fired")
 	}
 	if s.Now() <= 0 {
 		t.Error("Now() should be positive")
 	}
 
 	fired := make(chan struct{}, 1)
-	cancel := s.After(20*time.Millisecond, func() { fired <- struct{}{} })
-	cancel()
+	once := s.NewTimer(func() { fired <- struct{}{} })
+	once.Reset(20 * time.Millisecond)
+	once.Stop()
 	select {
 	case <-fired:
-		t.Error("cancelled After fired")
+		t.Error("stopped one-shot timer fired")
 	case <-time.After(60 * time.Millisecond):
 	}
 
