@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"sync"
 	"time"
 )
@@ -12,6 +13,12 @@ type MobilityModel interface {
 	Init(n *Network, node *Node)
 	// Step advances node by dt of virtual time.
 	Step(n *Network, node *Node, dt time.Duration)
+	// NextDue reports when node next needs a Step, letting Mobility skip it
+	// until then. The contract: between now and the returned instant, Step
+	// must be a pure no-op for the node (no position change, no RNG draw),
+	// so skipping those calls outright is unobservable. A model that needs
+	// every tick returns now; ok=false parks the node for good.
+	NextDue(node *Node, now time.Duration) (at time.Duration, ok bool)
 }
 
 // Planner is an optional MobilityModel extension that splits Step into a
@@ -34,19 +41,6 @@ type Planner interface {
 	CommitArrival(n *Network, node *Node)
 }
 
-// Quiescer is an optional MobilityModel extension that reports when a node
-// next needs a Step, letting Mobility park it on the time-wheel instead of
-// visiting it every tick. The contract: between now and the returned
-// instant, Step must be a pure no-op for the node (no position change, no
-// RNG draw) — skipping those calls outright must be unobservable. ok=false
-// parks the node indefinitely; it is stepped again only after an external
-// wake (Network.SetUp re-arms rejoining nodes). Models that do not
-// implement Quiescer are stepped densely, every node every tick, exactly
-// as before the wheel existed.
-type Quiescer interface {
-	NextDue(node *Node, now time.Duration) (at time.Duration, ok bool)
-}
-
 // RandomWaypoint is the classic ad-hoc mobility model: each node picks a
 // uniform random destination in the field, moves toward it at a uniform
 // random speed, pauses, and repeats.
@@ -60,7 +54,6 @@ type RandomWaypoint struct {
 }
 
 var _ Planner = (*RandomWaypoint)(nil)
-var _ Quiescer = (*RandomWaypoint)(nil)
 
 // Init picks the node's first waypoint.
 func (m *RandomWaypoint) Init(n *Network, node *Node) {
@@ -112,7 +105,7 @@ func (m *RandomWaypoint) CommitArrival(n *Network, node *Node) {
 	m.pick(n, node)
 }
 
-// NextDue implements Quiescer: a pausing node next needs a step when its
+// NextDue implements MobilityModel: a pausing node next needs a step when its
 // dwell ends (PlanStep is a guaranteed no-op before pauseTo); a moving node
 // needs every tick.
 func (m *RandomWaypoint) NextDue(node *Node, now time.Duration) (time.Duration, bool) {
@@ -127,7 +120,6 @@ func (m *RandomWaypoint) NextDue(node *Node, now time.Duration) (time.Duration, 
 type Static struct{}
 
 var _ MobilityModel = Static{}
-var _ Quiescer = Static{}
 
 // Init implements MobilityModel.
 func (Static) Init(*Network, *Node) {}
@@ -135,7 +127,7 @@ func (Static) Init(*Network, *Node) {}
 // Step implements MobilityModel.
 func (Static) Step(*Network, *Node, time.Duration) {}
 
-// NextDue implements Quiescer: static nodes are permanently quiescent.
+// NextDue implements MobilityModel: static nodes are permanently quiescent.
 func (Static) NextDue(*Node, time.Duration) (time.Duration, bool) { return 0, false }
 
 // Waypath moves a node along a fixed sequence of positions at a constant
@@ -149,7 +141,6 @@ type Waypath struct {
 }
 
 var _ MobilityModel = (*Waypath)(nil)
-var _ Quiescer = (*Waypath)(nil)
 
 // Init implements MobilityModel.
 func (m *Waypath) Init(n *Network, node *Node) {
@@ -189,7 +180,7 @@ func (m *Waypath) Step(n *Network, node *Node, dt time.Duration) {
 	node.setPos(pos)
 }
 
-// NextDue implements Quiescer: a node still walking its path moves every
+// NextDue implements MobilityModel: a node still walking its path moves every
 // tick; one that exhausted it parks forever.
 func (m *Waypath) NextDue(node *Node, now time.Duration) (time.Duration, bool) {
 	if m.next[node.ID] >= len(m.Points) {
@@ -198,33 +189,34 @@ func (m *Waypath) NextDue(node *Node, now time.Duration) (time.Duration, bool) {
 	return now, true
 }
 
+// parked is the wake of a member whose model said it never needs another
+// Step; no tick index reaches it.
+const parked int64 = math.MaxInt64
+
 // Mobility attaches a model to a set of nodes and advances them on a fixed
-// tick until stopped. Nodes with nothing due — paused at a waypoint, path
-// exhausted, down — are parked on a time-wheel and cost zero until their
-// wake tick, so a tick's cost scales with the active subset, not the
-// population. The due set fires in member order (the StartMobility argument
-// order), which is exactly the order the dense loop visited, so positions
-// and the RNG stream are bit-identical to dense ticking at any worker
-// count.
+// tick until stopped. Each member has one wake word, the tick at which its
+// model next needs a Step; a tick reads the words in member order and steps
+// the members that are due and up. A member paused at a waypoint or at the
+// end of its path costs one compare per tick, and a down member keeps its
+// passed wake, so it is stepped on the first tick at which it is up again.
+// Member order (the StartMobility argument order) is the order a dense loop
+// visits, so positions and the RNG stream are bit-identical to stepping
+// every member every tick, at any worker count.
 type Mobility struct {
 	net     *Network
 	model   MobilityModel
-	planner Planner  // model's two-phase half, nil when not implemented
-	quiesce Quiescer // model's sparse-tick half, nil = dense (arm every tick)
+	planner Planner // model's two-phase half, nil when not implemented
 	tick    time.Duration
-	timer   *timer // the tick, re-armed from its own callback
-	active  bool
+	timer   *timer        // the tick, re-armed from its own callback
 	start   time.Duration // virtual time of StartMobility; tick k fires at start + k*tick
 	tickIdx int64         // index of the last fired tick
 
-	nodes []*Node         // members in argument order — the canonical step order
-	index map[*Node]int32 // member -> index in nodes, for external re-arming
-	wheel *timeWheel
+	nodes []*Node // members in argument order — the canonical step order
+	wake  []int64 // per member: the tick at which it is next due, or parked
 
 	// per-tick buffers, reused across ticks.
-	due      []int32
-	resolved []*Node
-	resIdx   []int32
+	due      []int32 // indices of this tick's members that are due and up
+	resolved []*Node // the same members, for the two-phase tick
 	plans    []stepPlan
 	// planBuckets shards the resolved due set by grid-region owner for
 	// locality-sharded planning: one bucket per worker, each holding indices
@@ -248,28 +240,23 @@ func (n *Network) StartMobility(model MobilityModel, tick time.Duration, nodeIDs
 	if tick <= 0 {
 		tick = time.Second
 	}
-	m := &Mobility{net: n, model: model, tick: tick, active: true, start: n.sim.Now()}
+	m := &Mobility{net: n, model: model, tick: tick, start: n.sim.Now()}
 	m.planner, _ = model.(Planner)
-	m.quiesce, _ = model.(Quiescer)
 	m.nodes = make([]*Node, 0, len(nodeIDs))
-	m.index = make(map[*Node]int32, len(nodeIDs))
+	seen := make([]bool, len(n.list))
 	for _, id := range nodeIDs {
 		node := n.Node(id)
-		if node == nil {
+		if node == nil || seen[node.orderIdx] {
 			continue
 		}
-		if _, dup := m.index[node]; dup {
-			continue
-		}
-		m.index[node] = int32(len(m.nodes))
+		seen[node.orderIdx] = true
 		m.nodes = append(m.nodes, node)
 		model.Init(n, node)
 	}
-	m.wheel = newTimeWheel(len(m.nodes))
+	m.wake = make([]int64, len(m.nodes))
 	for i, node := range m.nodes {
 		m.arm(int32(i), node)
 	}
-	n.wakers = append(n.wakers, m)
 	m.timer = n.sim.newTimer(m.onTick)
 	m.timer.Reset(tick)
 	return m
@@ -296,37 +283,26 @@ func (m *Mobility) slotFor(at time.Duration) int64 {
 	return slot
 }
 
-// arm asks the model when member i next needs a step and schedules the
-// wake. A model without Quiescer arms every tick — the dense loop.
+// arm asks the model when member i next needs a step and sets its wake.
 func (m *Mobility) arm(i int32, node *Node) {
-	if m.quiesce == nil {
-		m.wheel.arm(i, m.tickIdx+1)
-		return
-	}
-	due, ok := m.quiesce.NextDue(node, m.net.sim.Now())
+	due, ok := m.model.NextDue(node, m.net.sim.Now())
 	if !ok {
+		m.wake[i] = parked
 		return
 	}
-	m.wheel.arm(i, m.slotFor(due))
+	m.wake[i] = m.slotFor(due)
 }
 
-// nodeUp re-arms a member that just came back up (churn rejoin, duty-cycle
-// wake): a down node that fired while parked is skipped without re-arming,
-// so the external wake is what puts it back on the wheel.
-func (m *Mobility) nodeUp(node *Node) {
-	if !m.active {
-		return
-	}
-	if i, ok := m.index[node]; ok {
-		m.wheel.arm(i, m.tickIdx+1)
-	}
-}
-
-// stepDue advances this tick's due set. Down members are skipped and left
-// parked (nodeUp re-arms them on rejoin); everything stepped is re-armed
-// for its next due tick afterwards.
+// stepDue advances the members that are due and up, in member order, and
+// re-arms each from its model's NextDue. A down member is not stepped and
+// keeps its passed wake.
 func (m *Mobility) stepDue() {
-	m.due = m.wheel.collect(m.tickIdx, m.due[:0])
+	m.due = m.due[:0]
+	for i, w := range m.wake {
+		if w <= m.tickIdx && m.nodes[i].Up {
+			m.due = append(m.due, int32(i))
+		}
+	}
 	if len(m.due) == 0 {
 		return
 	}
@@ -336,9 +312,6 @@ func (m *Mobility) stepDue() {
 	}
 	for _, i := range m.due {
 		node := m.nodes[i]
-		if !node.Up {
-			continue
-		}
 		m.model.Step(m.net, node, m.tick)
 		// Keep the spatial index in step and advance the topology epoch
 		// for any node the model actually moved.
@@ -354,12 +327,8 @@ func (m *Mobility) stepDue() {
 // RNG stream are bit-identical to the serial engine.
 func (m *Mobility) stepTwoPhase(model Planner) {
 	m.resolved = m.resolved[:0]
-	m.resIdx = m.resIdx[:0]
 	for _, i := range m.due {
-		if node := m.nodes[i]; node.Up {
-			m.resolved = append(m.resolved, node)
-			m.resIdx = append(m.resIdx, i)
-		}
+		m.resolved = append(m.resolved, m.nodes[i])
 	}
 	if cap(m.plans) < len(m.resolved) {
 		m.plans = make([]stepPlan, len(m.resolved))
@@ -410,8 +379,8 @@ func (m *Mobility) stepTwoPhase(model Planner) {
 	// the pool, boundary crossings commit serially in canonical order;
 	// otherwise the whole batch commits serially (see Network.commitMoves).
 	m.net.commitMoves(m.resolved, buckets)
-	for i, node := range m.resolved {
-		m.arm(m.resIdx[i], node)
+	for k, i := range m.due {
+		m.arm(i, m.resolved[k])
 	}
 }
 
@@ -436,7 +405,5 @@ func (m *Mobility) bucketByRegion(w int) [][]int32 {
 
 // Stop halts movement. Safe to call more than once.
 func (m *Mobility) Stop() {
-	m.active = false
 	m.timer.Stop()
-	m.net.removeWaker(m)
 }

@@ -7,40 +7,69 @@ import (
 	"time"
 )
 
-// densePlanner re-exposes a Planner with its Quiescer hidden: under it the
-// wheel arms every member every tick, which is exactly the pre-wheel dense
-// per-node loop. The oracle tests run the same seeded world under the real
-// model and under the dense wrapper and demand bit-identical results.
-type densePlanner struct{ p Planner }
+// denseModel re-exposes a model with a NextDue that is due every tick: under
+// it Mobility steps every up member on every tick, which is exactly the
+// dense per-node loop the wake table skips. The oracle tests run the same
+// seeded world under the real model and under the dense wrapper and demand
+// bit-identical results.
+type denseModel struct{ MobilityModel }
 
-func (d densePlanner) Init(n *Network, node *Node)                   { d.p.Init(n, node) }
-func (d densePlanner) Step(n *Network, node *Node, dt time.Duration) { d.p.Step(n, node, dt) }
-func (d densePlanner) PlanStep(node *Node, now, dt time.Duration) (Position, bool, bool) {
-	return d.p.PlanStep(node, now, dt)
-}
-func (d densePlanner) CommitArrival(n *Network, node *Node) { d.p.CommitArrival(n, node) }
+func (denseModel) NextDue(_ *Node, now time.Duration) (time.Duration, bool) { return now, true }
 
-// denseModel is densePlanner for models without the Planner split.
-type denseModel struct{ m MobilityModel }
+// densePlanner is denseModel for a Planner, so the dense world keeps the
+// two-phase tick the real model runs on more than one worker.
+type densePlanner struct{ Planner }
 
-func (d denseModel) Init(n *Network, node *Node)                   { d.m.Init(n, node) }
-func (d denseModel) Step(n *Network, node *Node, dt time.Duration) { d.m.Step(n, node, dt) }
+func (densePlanner) NextDue(_ *Node, now time.Duration) (time.Duration, bool) { return now, true }
 
-// hideQuiescer wraps m so Mobility sees no Quiescer (dense ticking).
-func hideQuiescer(m MobilityModel) MobilityModel {
+// dense wraps m so Mobility steps each of its up members every tick.
+func dense(m MobilityModel) MobilityModel {
 	if p, ok := m.(Planner); ok {
 		return densePlanner{p}
 	}
 	return denseModel{m}
 }
 
-// wheelWorld builds a seeded n-node world under model, optionally with a
-// deterministic churn script (nodes toggled down and back up on a fixed
-// schedule, crossing their quiescent windows), runs it for ticks seconds
-// and returns the full state fingerprint plus one extra RNG draw (so a
-// world that drew a different number of RNG values cannot fingerprint
-// equal).
-func wheelWorld(n, workers int, model MobilityModel, churn bool, ticks int) string {
+// engine starts a mobility engine over the members ids of net, ticking
+// once a second.
+type engine func(net *Network, ids []string)
+
+// wakeTable is the production engine: Mobility under model.
+func wakeTable(model MobilityModel) engine {
+	return func(net *Network, ids []string) { net.StartMobility(model, time.Second, ids...) }
+}
+
+// denseLoop is the engine before sparse ticking, rebuilt test-side as an
+// oracle that shares no code with Mobility: one timer that steps every up
+// member every tick, in member order, and never asks NextDue. A Mobility
+// bug that the dense wrapper would share (stepping a down member, dropping
+// one) still diverges from it.
+func denseLoop(model MobilityModel) engine {
+	return func(net *Network, ids []string) {
+		nodes := make([]*Node, len(ids))
+		for i, id := range ids {
+			nodes[i] = net.Node(id)
+			model.Init(net, nodes[i])
+		}
+		var t *timer
+		t = net.sim.newTimer(func() {
+			for _, node := range nodes {
+				if node.Up {
+					model.Step(net, node, time.Second)
+					net.nodeMoved(node)
+				}
+			}
+			t.Reset(time.Second)
+		})
+		t.Reset(time.Second)
+	}
+}
+
+// tickWorld builds a seeded n-node world, starts eng on it, lets churn
+// schedule down and up events, runs it for ticks seconds and returns the
+// full state fingerprint plus one extra RNG draw (so a world that drew a
+// different number of RNG values cannot fingerprint equal).
+func tickWorld(n, workers int, eng engine, churn func(*Sim, *Network, []string), ticks int) string {
 	sim := NewSim(77)
 	net := NewNetwork(sim)
 	net.SetWorkers(workers)
@@ -50,27 +79,43 @@ func wheelWorld(n, workers int, model MobilityModel, churn bool, ticks int) stri
 		ids[i] = fmt.Sprintf("n%04d", i)
 		net.AddNode(ids[i], Position{X: rng.Float64() * 400, Y: rng.Float64() * 400}, AdHoc)
 	}
-	net.StartMobility(model, time.Second, ids...)
-	if churn {
-		// Every 7th node crashes at a staggered time and rejoins 40s later —
-		// long enough that a waypoint pause expires while it is down, so a
-		// sparse engine that forgets parked nodes would never move it again.
-		for i := 0; i < n; i += 7 {
-			id := ids[i]
-			down := time.Duration(10+i%13) * time.Second
-			sim.Schedule(down, func() { net.SetUp(id, false) })
-			sim.Schedule(down+40*time.Second, func() { net.SetUp(id, true) })
-		}
+	eng(net, ids)
+	if churn != nil {
+		churn(sim, net, ids)
 	}
 	sim.Run(time.Duration(ticks) * time.Second)
 	return crowdFingerprint(net) + fmt.Sprint(sim.Rand().Int63())
 }
 
+// rejoinChurn is the oracle's churn script. Every 7th node crashes on a
+// tick's instant and rejoins 40s later — long enough that a waypoint pause
+// expires while it is down, so an engine that forgets a member that was
+// down when its wake passed would never move it again. Every 11th node
+// (from the 3rd) crashes and rejoins half a second after a tick, once for
+// 30s and once for 2s, so some rejoins land inside a pause and some after.
+func rejoinChurn(sim *Sim, net *Network, ids []string) {
+	for i := 0; i < len(ids); i += 7 {
+		id := ids[i]
+		down := time.Duration(10+i%13) * time.Second
+		sim.Schedule(down, func() { net.SetUp(id, false) })
+		sim.Schedule(down+40*time.Second, func() { net.SetUp(id, true) })
+	}
+	for i := 3; i < len(ids); i += 11 {
+		id := ids[i]
+		down := time.Duration(20+i%17)*time.Second + 500*time.Millisecond
+		sim.Schedule(down, func() { net.SetUp(id, false) })
+		sim.Schedule(down+30*time.Second, func() { net.SetUp(id, true) })
+		sim.Schedule(down+60*time.Second, func() { net.SetUp(id, false) })
+		sim.Schedule(down+62*time.Second, func() { net.SetUp(id, true) })
+	}
+}
+
 // TestTimeWheelMatchesDenseTickOracle is the engine-level differential: 1k
-// ticks of every mobility model under the sparse time-wheel must be
-// bit-identical — positions, epochs, neighbor sets and the RNG stream — to
-// the dense per-node loop the wheel replaced, at both worker counts, with
-// and without churn crossing the quiescent windows.
+// ticks of every mobility model under the wake table must be bit-identical
+// — positions, epochs, neighbor sets and the RNG stream — to the dense
+// per-node loop, at both worker counts, with and without churn crossing the
+// quiescent windows. The dense loop is run twice: as Mobility under a model
+// that is due every tick, and as the test-side denseLoop.
 func TestTimeWheelMatchesDenseTickOracle(t *testing.T) {
 	waypoint := func() MobilityModel {
 		return &RandomWaypoint{FieldW: 400, FieldH: 400, SpeedMin: 1, SpeedMax: 5, Pause: 9 * time.Second}
@@ -93,10 +138,17 @@ func TestTimeWheelMatchesDenseTickOracle(t *testing.T) {
 	for _, tc := range cases {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s_w%d", tc.name, workers), func(t *testing.T) {
-				sparse := wheelWorld(200, workers, tc.model(), tc.churn, 1000)
-				dense := wheelWorld(200, workers, hideQuiescer(tc.model()), tc.churn, 1000)
-				if sparse != dense {
-					t.Fatal("wheel engine diverged from dense per-node oracle (fingerprints differ)")
+				var churn func(*Sim, *Network, []string)
+				if tc.churn {
+					churn = rejoinChurn
+				}
+				sparse := tickWorld(200, workers, wakeTable(tc.model()), churn, 1000)
+				oracle := tickWorld(200, workers, wakeTable(dense(tc.model())), churn, 1000)
+				if sparse != oracle {
+					t.Fatal("wake-table engine diverged from dense per-node oracle (fingerprints differ)")
+				}
+				if loop := tickWorld(200, workers, denseLoop(tc.model()), churn, 1000); sparse != loop {
+					t.Fatal("wake-table engine diverged from the test-side dense loop (fingerprints differ)")
 				}
 			})
 		}
@@ -104,9 +156,9 @@ func TestTimeWheelMatchesDenseTickOracle(t *testing.T) {
 }
 
 // TestWheelActuallyParks is the white-box companion: with a long pause most
-// of a waypoint crowd must be off the due set on a typical tick, and a
-// Static population must never occupy the wheel at all — otherwise the
-// oracle test above is vacuously comparing dense against dense.
+// of a waypoint crowd must have its wake beyond the next tick, and a Static
+// member must be parked for good — otherwise the oracle test above is
+// vacuously comparing dense against dense.
 func TestWheelActuallyParks(t *testing.T) {
 	sim := NewSim(3)
 	net := NewNetwork(sim)
@@ -120,9 +172,14 @@ func TestWheelActuallyParks(t *testing.T) {
 		FieldW: 200, FieldH: 200, SpeedMin: 10, SpeedMax: 20, Pause: 60 * time.Second,
 	}, time.Second, ids...)
 	sim.Run(120 * time.Second)
-	due := m.wheel.collect(m.tickIdx+1, nil)
-	if len(due) >= len(ids)/2 {
-		t.Fatalf("%d/%d nodes due next tick; fast-arrival long-pause crowd should be mostly parked", len(due), len(ids))
+	later := 0
+	for _, w := range m.wake {
+		if w > m.tickIdx+1 {
+			later++
+		}
+	}
+	if later <= len(ids)/2 {
+		t.Fatalf("%d/%d nodes wake after the next tick; fast-arrival long-pause crowd should be mostly parked", later, len(ids))
 	}
 
 	simS := NewSim(4)
@@ -130,18 +187,17 @@ func TestWheelActuallyParks(t *testing.T) {
 	netS.AddNode("s", Position{}, AdHoc)
 	ms := netS.StartMobility(Static{}, time.Second, "s")
 	simS.Run(10 * time.Second)
-	if got := ms.wheel.armedAt(0); got != wheelIdle {
-		t.Fatalf("static node armed at slot %d, want parked", got)
+	if got := ms.wake[0]; got != parked {
+		t.Fatalf("static node wakes at tick %d, want parked", got)
 	}
 }
 
-// TestRejoinWhileQuiescent pins the latent bug class the waker registry
-// fixes: a node that is down when its wheel slot fires is skipped and
-// parked, so without an explicit wake on SetUp(up=true) it would sleep
-// forever after rejoining — silently frozen in a way only a position trace
-// would reveal. The dense loop never had the bug (it polled every node
-// every tick), so the churn differential above proves equivalence; this
-// test additionally pins the mechanism.
+// TestRejoinWhileQuiescent pins the rejoin path: a node that is down when
+// its wake passes is not stepped and keeps that wake, so it is stepped on
+// the first tick at which it is up again. An engine that re-armed or
+// dropped it there would leave it frozen after rejoining, in a way only a
+// position trace would reveal. The churn differential above proves
+// equivalence with the dense loop; this test pins the mechanism.
 func TestRejoinWhileQuiescent(t *testing.T) {
 	sim := NewSim(9)
 	net := NewNetwork(sim)
@@ -157,14 +213,19 @@ func TestRejoinWhileQuiescent(t *testing.T) {
 		t.Fatalf("precondition: node should be pausing (now %v, pauseTo %v)", sim.Now(), node.pauseTo)
 	}
 	net.SetUp("a", false)
-	sim.RunFor(20 * time.Second) // the pause-end wake fires while down
-	if got := m.wheel.armedAt(0); got != wheelIdle {
-		t.Fatalf("down node still armed at slot %d after its wake fired, want parked", got)
+	sim.RunFor(20 * time.Second) // the pause-end wake passes while down
+	wake := m.wake[0]
+	if wake > m.tickIdx {
+		t.Fatalf("down node's wake %d lies after tick %d after its pause ended, want passed (still due)", wake, m.tickIdx)
 	}
 	pos := node.Pos()
+	sim.RunFor(5 * time.Second)
+	if node.Pos() != pos || m.wake[0] != wake {
+		t.Fatalf("down node with a passed wake moved (%v -> %v) or was re-armed (%d -> %d)", pos, node.Pos(), wake, m.wake[0])
+	}
 	net.SetUp("a", true)
-	if got := m.wheel.armedAt(0); got == wheelIdle {
-		t.Fatal("rejoin did not re-arm the parked node on the wheel")
+	if got := m.wake[0]; got > m.tickIdx+1 {
+		t.Fatalf("rejoined node wakes at tick %d, want due on the next tick %d", got, m.tickIdx+1)
 	}
 	sim.RunFor(5 * time.Second)
 	if node.Pos() == pos {
@@ -304,19 +365,4 @@ func mathFloorDiv(v, cell float64) int64 {
 		i--
 	}
 	return i
-}
-
-// Test-only timeWheel accessors: production code only arms and collects.
-
-// armedAt returns member i's wake slot, or wheelIdle when parked.
-func (w *timeWheel) armedAt(i int32) int64 {
-	w.ensure(i)
-	return w.armed[i]
-}
-
-// cancel parks member i. Lazy: any slot entries it holds are skipped when
-// their slot is collected.
-func (w *timeWheel) cancel(i int32) {
-	w.ensure(i)
-	w.armed[i] = wheelIdle
 }

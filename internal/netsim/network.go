@@ -239,10 +239,6 @@ type Network struct {
 	// burst of misses (a beacon round querying the whole field) triggers a
 	// parallel warm of every cache when workers > 1.
 	epochMisses int
-	// wakers are the mobility controllers to notify when a down node comes
-	// back up: a node parked on the sparse tick wheel while down must be
-	// re-armed on rejoin (churn, duty cycle) instead of sleeping forever.
-	wakers []*Mobility
 	// crossers and moveFlags are reusable classification buffers for the
 	// bucketed move commit (see commitMoves in parallel.go): region-crossing
 	// movers, and a per-committed-index flag marking same-region movers.
@@ -373,9 +369,8 @@ func (n *Network) SetHandler(id string, h Handler) {
 	node.handler = h
 }
 
-// SetUp marks a node up or down. Down nodes neither send nor receive. A
-// node coming up re-arms on every attached mobility wheel, so a rejoin
-// resumes movement even if the node was parked as quiescent while down.
+// SetUp marks a node up or down. Down nodes neither send nor receive, and
+// a mobility tick does not step them.
 func (n *Network) SetUp(id string, up bool) {
 	if node := n.nodes[id]; node != nil {
 		n.setUp(node, up)
@@ -387,21 +382,6 @@ func (n *Network) setUp(node *Node, up bool) {
 	if node.Up != up {
 		node.Up = up
 		n.bumpEpoch()
-		if up {
-			for _, w := range n.wakers {
-				w.nodeUp(node)
-			}
-		}
-	}
-}
-
-// removeWaker detaches a stopped mobility from the rejoin-wake registry.
-func (n *Network) removeWaker(m *Mobility) {
-	for i, w := range n.wakers {
-		if w == m {
-			n.wakers = append(n.wakers[:i], n.wakers[i+1:]...)
-			return
-		}
 	}
 }
 

@@ -74,7 +74,7 @@ func (t *refTimer) Stop() {
 // --- linear-scan oracles ---
 //
 // The pre-grid implementations, kept verbatim as correctness oracles: the
-// property tests (grid_test.go, linkstate_test.go, wheel_test.go,
+// property tests (grid_test.go, linkstate_test.go, mobility_test.go,
 // parallel_test.go) require the grid-backed queries to agree with them
 // exactly (same sets, same order) on randomized topologies, and the
 // benchmarks measure the grid against them.

@@ -12,9 +12,9 @@ import (
 // sizes from 1k to 10k nodes and worker counts from 1 (the serial engine)
 // to 8. The speedup curve of interest is workers=N vs workers=1 at fixed n;
 // results are bit-identical across the whole matrix, only wall-clock moves.
-// The n=100000 rows are the metropolis scale the hierarchical grid and the
-// sparse tick wheel exist for: a six-figure crowd where most of the field
-// is empty regions and, between dwell expiries, most nodes are parked.
+// The n=100000 rows are the metropolis scale the hierarchical grid and
+// sparse ticking exist for: a six-figure crowd where most of the field is
+// empty regions and, between dwell expiries, most nodes are not due.
 // The n=1000000 rows are the megacity scale that adds the timing-wheel
 // scheduler and locality-sharded planning; they build a seven-figure world
 // per sub-benchmark, so -short skips them.

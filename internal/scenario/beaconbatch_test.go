@@ -8,12 +8,13 @@ import (
 	"logmob/internal/netsim"
 )
 
-// TestBeaconBatchChurnRejoin is the waker-registry test for batched
-// beacons: a node whose beacon batch keeps firing while it is churned down
-// must (a) not leak beacons into the field while down, (b) decay out of its
-// neighbors' caches by TTL, and (c) on SetUp(true) resume both moving (the
-// mobility waker re-arms its parked wheel slot) and beaconing (the shared
-// batch tick picks it up again — no per-host timer exists to restart).
+// TestBeaconBatchChurnRejoin is the rejoin test for batched beacons: a node
+// whose beacon batch keeps firing while it is churned down must (a) not
+// leak beacons into the field while down, (b) decay out of its neighbors'
+// caches by TTL, and (c) on SetUp(true) resume both moving (its mobility
+// wake passed while it was down, so the next tick steps it) and beaconing
+// (the shared batch tick picks it up again — no per-host timer exists to
+// restart).
 func TestBeaconBatchChurnRejoin(t *testing.T) {
 	const ivl = 5 * time.Second
 	spec := &Spec{
@@ -62,12 +63,12 @@ func TestBeaconBatchChurnRejoin(t *testing.T) {
 		t.Fatal("m1's ad survived in m2's cache past TTL while m1 was down")
 	}
 
-	// Rejoin: the waker registry re-arms mobility, the next batch tick
+	// Rejoin: the next mobility tick steps m1, the next batch tick
 	// broadcasts for m1 again, and m2 re-learns the ad.
 	w.Net.SetUp("m1", true)
 	w.Sim.Run(36 * time.Second)
 	if got := w.Net.Node("m1").Pos(); got == downPos {
-		t.Fatal("m1 never resumed moving after SetUp(true): mobility waker did not re-arm")
+		t.Fatal("m1 never resumed moving after SetUp(true): the mobility tick did not step it")
 	}
 	if findM1() == 0 {
 		t.Fatal("m2 never re-heard m1 after rejoin: batched beacon did not resume")

@@ -75,10 +75,9 @@ func TestChaosWorkersDifferential(t *testing.T) {
 			}},
 		}},
 		{"blackout", scenario.Faults{}}, // zero = keep T13's own full schedule
-		// The metropolis under adversity: churn parks and wakes wheel-ticked
-		// residents mid-dwell while a partition splits the district lattice —
-		// the sparse engine's rejoin/wake paths under the same byte-identical
-		// contract.
+		// The metropolis under adversity: churn crashes and rejoins residents
+		// mid-dwell while a partition splits the district lattice — the sparse
+		// engine's rejoin path under the same byte-identical contract.
 		{"metropolis", scenario.Faults{
 			Impairment: netsim.Impairment{Drop: 0.15, JitterTicks: 2},
 			Churn: []scenario.ChurnFault{{Pop: "r", ChurnSchedule: netsim.ChurnSchedule{

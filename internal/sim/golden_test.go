@@ -90,7 +90,8 @@ func TestT13ShortGolden(t *testing.T) {
 
 // TestT15ShortGolden pins the shrunken metropolis run byte-for-byte, in
 // -short mode too: every CI run diffs the sparse-tick engine's output, and
-// -update regenerations of the hierarchy/wheel behavior stay reviewable.
+// -update regenerations of the hierarchy/sparse-tick behavior stay
+// reviewable.
 func TestT15ShortGolden(t *testing.T) {
 	checkGolden(t, "t15_short_seed1", T15().RunWith(1, t15ShortParams))
 }

@@ -32,13 +32,13 @@ const (
 	t15SrcMin = 400.0
 	t15SrcMax = 700.0
 	// Transit-speed trips with long errand dwells: the quiescent majority
-	// the time-wheel parks for free.
+	// the mobility tick steps only when a dwell ends.
 	t15SpeedMin = 10.0
 	t15SpeedMax = 30.0
 	t15Dwell    = 240 * time.Second
 )
 
-// T15 is the metropolis capstone for the hierarchical-grid + time-wheel
+// T15 is the metropolis capstone for the hierarchical-grid + sparse-tick
 // engine: T12 proved 10k nodes, this proves 100k under the exact same
 // bit-identical determinism contract — the rendered tables are identical at
 // any -workers count, and every pre-existing golden is unchanged by the

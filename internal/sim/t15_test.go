@@ -8,7 +8,7 @@ import (
 )
 
 // t15ShortParams shrinks the metropolis to differential/golden/race size:
-// the same code paths — sparse wheel ticking over a dwell-heavy crowd,
+// the same code paths — sparse ticking over a dwell-heavy crowd,
 // hierarchical grid queries, all four paradigms — at a tractable
 // population.
 var t15ShortParams = map[string]float64{
